@@ -141,8 +141,8 @@ void BM_GemmParallel(benchmark::State& state) {
   Tensor b = random_tensor({n, n}, rng);
   Tensor c({n, n});
   for (auto _ : state) {
-    gemm_parallel(Trans::no, Trans::no, n, n, n, 1.0f, a.data(), n, b.data(),
-                  n, 0.0f, c.data(), n);
+    gemm(Trans::no, Trans::no, n, n, n, 1.0f, a.data(), n, b.data(), n, 0.0f,
+         c.data(), n, /*scratch=*/nullptr, GemmExec{/*pooled=*/true});
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -479,8 +479,8 @@ void write_gemm_report(const std::string& path, double min_ms) {
     const double pooled = time_gemm_gflops(
         [&](std::int64_t m, std::int64_t n, std::int64_t k, const float* pa,
             const float* pb, float* pc) {
-          gemm_parallel(p.trans_a, p.trans_b, m, n, k, 1.0f, pa, a_cols, pb,
-                        b_cols, 0.0f, pc, n);
+          gemm(p.trans_a, p.trans_b, m, n, k, 1.0f, pa, a_cols, pb, b_cols,
+               0.0f, pc, n, /*scratch=*/nullptr, GemmExec{/*pooled=*/true});
         },
         p.m, p.n, p.k, a.data(), b.data(), c.data(), min_ms);
 
@@ -490,8 +490,9 @@ void write_gemm_report(const std::string& path, double min_ms) {
     Tensor pooled_c({p.m, p.n});
     gemm(p.trans_a, p.trans_b, p.m, p.n, p.k, 1.0f, a.data(), a_cols,
          b.data(), b_cols, 0.0f, serial_c.data(), p.n);
-    gemm_parallel(p.trans_a, p.trans_b, p.m, p.n, p.k, 1.0f, a.data(), a_cols,
-                  b.data(), b_cols, 0.0f, pooled_c.data(), p.n);
+    gemm(p.trans_a, p.trans_b, p.m, p.n, p.k, 1.0f, a.data(), a_cols,
+         b.data(), b_cols, 0.0f, pooled_c.data(), p.n, /*scratch=*/nullptr,
+         GemmExec{/*pooled=*/true});
     bool bit_identical = true;
     for (std::int64_t i = 0; i < serial_c.numel(); ++i) {
       if (serial_c[i] != pooled_c[i]) {
@@ -517,7 +518,7 @@ void write_gemm_report(const std::string& path, double min_ms) {
   }
 
   // Wide-N rows: the head-matmul family (few output rows, ~1000 columns)
-  // where the classic MC row split degenerates to serial. split_ways forces
+  // where the classic MC row split degenerates to serial. GemmExec::ways forces
   // 1/2/4/8-way column-panel grids regardless of the machine's thread
   // count, so the rows are comparable across hosts (speedups are ~1x on a
   // single-hardware-thread runner — the grid still runs, the workers just
@@ -558,15 +559,15 @@ void write_gemm_report(const std::string& path, double min_ms) {
       const double split_gflops = time_gemm_gflops(
           [&](std::int64_t pm, std::int64_t pn, std::int64_t pk,
               const float* pa, const float* pb, float* pc) {
-            gemm_parallel(Trans::no, Trans::no, pm, pn, pk, 1.0f, pa,
-                          wide_k, pb, wide_n, 0.0f, pc, pn,
-                          /*scratch=*/nullptr, GemmSplit::kAuto, ways);
+            gemm(Trans::no, Trans::no, pm, pn, pk, 1.0f, pa, wide_k, pb,
+                 wide_n, 0.0f, pc, pn, /*scratch=*/nullptr,
+                 GemmExec{/*pooled=*/true, GemmSplit::kAuto, ways});
           },
           m, wide_n, wide_k, a.data(), b.data(), c.data(), min_ms);
       Tensor split_c({m, wide_n});
-      gemm_parallel(Trans::no, Trans::no, m, wide_n, wide_k, 1.0f, a.data(),
-                    wide_k, b.data(), wide_n, 0.0f, split_c.data(), wide_n,
-                    /*scratch=*/nullptr, GemmSplit::kAuto, ways);
+      gemm(Trans::no, Trans::no, m, wide_n, wide_k, 1.0f, a.data(), wide_k,
+           b.data(), wide_n, 0.0f, split_c.data(), wide_n, /*scratch=*/nullptr,
+           GemmExec{/*pooled=*/true, GemmSplit::kAuto, ways});
       bool bit_identical = true;
       for (std::int64_t i = 0; i < serial_c.numel(); ++i) {
         if (serial_c[i] != split_c[i]) {

@@ -31,9 +31,10 @@ Tensor Linear::forward(const Tensor& input, bool training) {
   // Fully overwritten by the beta=0 GEMM.
   Tensor output = Tensor::uninitialized({batch, out_features_});
   // Y(B, OUT) = X(B, IN) * W^T, W stored (OUT, IN).
-  gemm_parallel(Trans::no, Trans::yes, batch, out_features_, in_features_,
-                1.0f, input.data(), in_features_, weights.data(), in_features_,
-                0.0f, output.data(), out_features_, &ws_.gemm_scratch());
+  gemm(Trans::no, Trans::yes, batch, out_features_, in_features_, 1.0f,
+       input.data(), in_features_, weights.data(), in_features_, 0.0f,
+       output.data(), out_features_, &ws_.gemm_scratch(),
+       GemmExec{/*pooled=*/true});
   if (has_bias_) {
     float* out = output.data();
     const float* bias = bias_.value.data();
@@ -64,17 +65,17 @@ Tensor Linear::backward(const Tensor& grad_output) {
 
   // dX(B, IN) = dY(B, OUT) * W(OUT, IN)
   Tensor grad_input = Tensor::uninitialized({batch, in_features_});
-  gemm_parallel(Trans::no, Trans::no, batch, in_features_, out_features_, 1.0f,
-                grad_output.data(), out_features_, weights.data(),
-                in_features_, 0.0f, grad_input.data(), in_features_,
-                &ws_.gemm_scratch());
+  gemm(Trans::no, Trans::no, batch, in_features_, out_features_, 1.0f,
+       grad_output.data(), out_features_, weights.data(), in_features_, 0.0f,
+       grad_input.data(), in_features_, &ws_.gemm_scratch(),
+       GemmExec{/*pooled=*/true});
 
   // dW(OUT, IN) = dY^T(OUT, B) * X(B, IN)
   Tensor& grad_weight = ws_.tensor(kGradWeightSlot, weights.shape());
-  gemm_parallel(Trans::yes, Trans::no, out_features_, in_features_, batch,
-                1.0f, grad_output.data(), out_features_, cached_input_.data(),
-                in_features_, 0.0f, grad_weight.data(), in_features_,
-                &ws_.gemm_scratch());
+  gemm(Trans::yes, Trans::no, out_features_, in_features_, batch, 1.0f,
+       grad_output.data(), out_features_, cached_input_.data(), in_features_,
+       0.0f, grad_weight.data(), in_features_, &ws_.gemm_scratch(),
+       GemmExec{/*pooled=*/true});
   weight_source_->backward(grad_weight);
 
   if (has_bias_) {

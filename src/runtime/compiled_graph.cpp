@@ -1140,7 +1140,7 @@ class LinearOp final : public Op {
     // single output column, so there is nothing for a column split to carve;
     // the head matmul only fans out via its m = OUT row tiles).
     weights_.gemm(Trans::yes, g.batch, g.u8(in_edge_), in_f, acc, g.batch,
-                  g.pooled, &scratch_);
+                  g.pooled);
 
     g.run_output = Tensor::uninitialized({g.batch, out_f});
     float* logits = g.run_output.data();
@@ -1196,7 +1196,6 @@ class LinearOp final : public Op {
   std::vector<float> float_weights_;
   std::vector<float> bias_;
   int acc_slot_ = -1;
-  IntGemmScratch scratch_;
 };
 
 }  // namespace

@@ -106,11 +106,11 @@ class CompiledGraph {
 
   // Grows every activation buffer for batches up to `batch`. STEADY-STATE
   // forwards at or below that size perform zero heap allocations; the first
-  // forward per pool thread may still grow thread-local GEMM packing
-  // scratch and the pooled output span, so latency-critical deployments
-  // should warm with one real forward (the allocation-regression test
-  // measures after exactly that warmup). forward() prepares on demand, so
-  // this is an optional hook.
+  // forward may still create the GEMM packing scratch (every pool slot's at
+  // once, plus the calling thread's) and the pooled output span, so
+  // latency-critical deployments should warm with one real forward (the
+  // allocation-regression test measures after exactly that warmup).
+  // forward() prepares on demand, so this is an optional hook.
   void prepare(std::int64_t batch);
 
   // Current execution mode. Tracks set_pooled, unlike options().pooled,

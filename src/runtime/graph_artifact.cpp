@@ -164,43 +164,16 @@ void write_payload(std::ostream& out, const GraphProgram& program,
       out.write(reinterpret_cast<const char*>(w.low_data()),
                 static_cast<std::streamsize>(count));
     }
-    switch (w.kernel()) {
-      case WeightKernel::kBitSerial:
-      case WeightKernel::kBitSerialWide: {
-        const std::int64_t panel_count =
-            gemm_s8u8_lowbit_packed_a_size(w.rows(), w.cols());
-        pad_to_alignment(out);
-        out.write(reinterpret_cast<const char*>(w.lowbit_panel_data()),
-                  static_cast<std::streamsize>(panel_count));
-        break;
-      }
-      case WeightKernel::kNibble: {
-        const std::int64_t panel_count =
-            gemm_s8u8_nibble_packed_a_size(w.rows(), w.cols());
-        pad_to_alignment(out);
-        out.write(reinterpret_cast<const char*>(w.nibble_panel_data()),
-                  static_cast<std::streamsize>(panel_count));
-        break;
-      }
-      default: {
-        const std::int64_t panel_count =
-            gemm_s8u8_packed_a_size(w.rows(), w.cols());
-        pad_to_alignment(out);
-        out.write(
-            reinterpret_cast<const char*>(w.s8u8_panel_data()),
-            static_cast<std::streamsize>(panel_count *
-                                         static_cast<std::int64_t>(
-                                             sizeof(std::int16_t))));
-        if (w.split()) {
-          pad_to_alignment(out);
-          out.write(
-              reinterpret_cast<const char*>(w.s8u8_low_panel_data()),
-              static_cast<std::streamsize>(panel_count *
-                                           static_cast<std::int64_t>(
-                                               sizeof(std::int16_t))));
-        }
-        break;
-      }
+    // The panel blobs: gemm_pack_a's layout for the layer's kernel, one per
+    // stored plane.
+    const auto panel_bytes = static_cast<std::streamsize>(
+        gemm_packed_a_bytes(packed_kernel(w.kernel()), w.rows(), w.cols()));
+    pad_to_alignment(out);
+    out.write(reinterpret_cast<const char*>(w.panel_data()), panel_bytes);
+    if (w.split()) {
+      pad_to_alignment(out);
+      out.write(reinterpret_cast<const char*>(w.low_panel_data()),
+                panel_bytes);
     }
   }
 }
@@ -527,28 +500,13 @@ std::shared_ptr<const MappedWeightTable> read_weight_table(
       entry.spans.low =
           reinterpret_cast<const std::int8_t*>(take_blob(count));
     }
-    switch (static_cast<WeightKernel>(kernel)) {
-      case WeightKernel::kBitSerial:
-      case WeightKernel::kBitSerialWide:
-        entry.spans.lowbit_panels = reinterpret_cast<const std::int8_t*>(
-            take_blob(gemm_s8u8_lowbit_packed_a_size(entry.rows, entry.cols)));
-        break;
-      case WeightKernel::kNibble:
-        entry.spans.nibble_panels = reinterpret_cast<const std::uint8_t*>(
-            take_blob(gemm_s8u8_nibble_packed_a_size(entry.rows, entry.cols)));
-        break;
-      default: {
-        const std::int64_t panel_bytes =
-            gemm_s8u8_packed_a_size(entry.rows, entry.cols) *
-            static_cast<std::int64_t>(sizeof(std::int16_t));
-        entry.spans.primary_panels =
-            reinterpret_cast<const std::int16_t*>(take_blob(panel_bytes));
-        if (split) {
-          entry.spans.low_panels =
-              reinterpret_cast<const std::int16_t*>(take_blob(panel_bytes));
-        }
-        break;
-      }
+    const std::int64_t panel_bytes = gemm_packed_a_bytes(
+        static_cast<PackedKernel>(kernel), entry.rows, entry.cols);
+    entry.spans.panels =
+        reinterpret_cast<const std::uint8_t*>(take_blob(panel_bytes));
+    if (split) {
+      entry.spans.low_panels =
+          reinterpret_cast<const std::uint8_t*>(take_blob(panel_bytes));
     }
     table->entries.push_back(entry);
   }

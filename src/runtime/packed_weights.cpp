@@ -11,6 +11,14 @@ namespace runtime {
 
 namespace {
 
+static_assert(
+    packed_kernel(WeightKernel::kS8U8) == PackedKernel::kS8U8 &&
+        packed_kernel(WeightKernel::kBitSerial) == PackedKernel::kLowBit &&
+        packed_kernel(WeightKernel::kNibble) == PackedKernel::kNibble &&
+        packed_kernel(WeightKernel::kBitSerialWide) ==
+            PackedKernel::kLowBitWide,
+    "persisted kernel kinds must name their panel layouts");
+
 // Largest power-of-two divisor shared by every nonzero code (capped at 7 —
 // beyond that the layer is all zeros or a single plane anyway).
 int common_shift(const std::vector<std::int32_t>& codes) {
@@ -132,44 +140,30 @@ PackedIntWeights::PackedIntWeights(const std::vector<std::int32_t>& codes,
                 : kernel;
   check_kernel_eligibility();
 
-  switch (kernel_) {
-    case WeightKernel::kBitSerial:
-    case WeightKernel::kBitSerialWide: {
-      // The bit-serial storage form: sign/magnitude planes. Collapsing them
-      // back through the power-of-two shift combination IS the bit-serial
-      // inner product's plane summation, hoisted to pack time; the GEMM then
-      // consumes the collapsed codes. Round-trip checked so the planes stay
-      // the authoritative representation.
-      planes_ = pack_bit_planes(primary_.data(), count);
-      std::vector<std::int8_t> collapsed(static_cast<std::size_t>(count));
-      unpack_bit_planes(planes_, collapsed.data());
-      for (std::int64_t i = 0; i < count; ++i) {
-        CSQ_CHECK(collapsed[static_cast<std::size_t>(i)] ==
-                  primary_[static_cast<std::size_t>(i)])
-            << "packed weights: bit-plane round trip diverged at " << i;
-      }
-      lowbit_panels_.resize(
-          static_cast<std::size_t>(gemm_s8u8_lowbit_packed_a_size(rows, cols)));
-      gemm_s8u8_lowbit_pack_a(rows, cols, collapsed.data(), cols,
-                              lowbit_panels_.data());
-      break;
+  if (kernel_ == WeightKernel::kBitSerial ||
+      kernel_ == WeightKernel::kBitSerialWide) {
+    // The bit-serial storage form: sign/magnitude planes. Collapsing them
+    // back through the power-of-two shift combination IS the bit-serial
+    // inner product's plane summation, hoisted to pack time; the GEMM then
+    // consumes the collapsed codes, which the round trip below proves equal
+    // to the stored plane, so the planes stay the authoritative
+    // representation.
+    planes_ = pack_bit_planes(primary_.data(), count);
+    std::vector<std::int8_t> collapsed(static_cast<std::size_t>(count));
+    unpack_bit_planes(planes_, collapsed.data());
+    for (std::int64_t i = 0; i < count; ++i) {
+      CSQ_CHECK(collapsed[static_cast<std::size_t>(i)] ==
+                primary_[static_cast<std::size_t>(i)])
+          << "packed weights: bit-plane round trip diverged at " << i;
     }
-    case WeightKernel::kNibble:
-      nibble_panels_.resize(
-          static_cast<std::size_t>(gemm_s8u8_nibble_packed_a_size(rows, cols)));
-      gemm_s8u8_nibble_pack_a(rows, cols, primary_.data(), cols,
-                              nibble_panels_.data());
-      break;
-    default:
-      primary_panels_.resize(
-          static_cast<std::size_t>(gemm_s8u8_packed_a_size(rows, cols)));
-      gemm_s8u8_pack_a(rows, cols, primary_.data(), cols,
-                       primary_panels_.data());
-      if (needs_split) {
-        low_panels_.resize(primary_panels_.size());
-        gemm_s8u8_pack_a(rows, cols, low_.data(), cols, low_panels_.data());
-      }
-      break;
+  }
+  const PackedKernel kind = packed_kernel(kernel_);
+  panels_.resize(
+      static_cast<std::size_t>(gemm_packed_a_bytes(kind, rows, cols)));
+  gemm_pack_a(kind, rows, cols, primary_.data(), cols, panels_.data());
+  if (needs_split) {
+    low_panels_.resize(panels_.size());
+    gemm_pack_a(kind, rows, cols, low_.data(), cols, low_panels_.data());
   }
 }
 
@@ -245,88 +239,26 @@ PackedIntWeights::PackedIntWeights(const WeightSpans& spans, float step,
       << "packed weights: borrowed split layer with |code| <= 127";
 
   check_kernel_eligibility();
-  switch (kernel_) {
-    case WeightKernel::kBitSerial:
-    case WeightKernel::kBitSerialWide:
-      CSQ_CHECK(spans.lowbit_panels != nullptr)
-          << "packed weights: borrowed bit-serial panels missing";
-      break;
-    case WeightKernel::kNibble:
-      CSQ_CHECK(spans.nibble_panels != nullptr)
-          << "packed weights: borrowed nibble panels missing";
-      break;
-    default:
-      CSQ_CHECK(spans.primary_panels != nullptr &&
-                (!split_ || spans.low_panels != nullptr))
-          << "packed weights: borrowed s8u8 panels missing";
-      break;
-  }
+  CSQ_CHECK(spans.panels != nullptr &&
+            (!split_ || spans.low_panels != nullptr))
+      << "packed weights: borrowed " << kernel_name() << " panels missing";
 }
 
 void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
                             const std::uint8_t* b, std::int64_t ldb,
-                            std::int32_t* c, std::int64_t ldc, bool pooled,
-                            IntGemmScratch* scratch,
-                            GemmSplit gemm_split) const {
-  // The serial entry points take no split (nothing to decompose); the
-  // parallel ones get the caller's split so wide-N layers fan out even when
-  // rows_ fits in one MC tile.
-  switch (kernel_) {
-    case WeightKernel::kBitSerial:
-      if (pooled) {
-        gemm_s8u8_lowbit_prepacked_parallel(
-            trans_b, rows_, n, cols_, /*alpha=*/1, lowbit_panel_data(), b,
-            ldb, /*accumulate=*/false, c, ldc, scratch, gemm_split);
-      } else {
-        gemm_s8u8_lowbit_prepacked(trans_b, rows_, n, cols_, /*alpha=*/1,
-                                   lowbit_panel_data(), b, ldb,
-                                   /*accumulate=*/false, c, ldc, scratch);
-      }
-      return;
-    case WeightKernel::kBitSerialWide:
-      if (pooled) {
-        gemm_s8u8_lowbit_wide_prepacked_parallel(
-            trans_b, rows_, n, cols_, /*alpha=*/1, lowbit_panel_data(), b,
-            ldb, /*accumulate=*/false, c, ldc, scratch, gemm_split);
-      } else {
-        gemm_s8u8_lowbit_wide_prepacked(trans_b, rows_, n, cols_,
-                                        /*alpha=*/1, lowbit_panel_data(), b,
-                                        ldb, /*accumulate=*/false, c, ldc,
-                                        scratch);
-      }
-      return;
-    case WeightKernel::kNibble:
-      if (pooled) {
-        gemm_s8u8_nibble_prepacked_parallel(
-            trans_b, rows_, n, cols_, /*alpha=*/1, nibble_panel_data(), b,
-            ldb, /*accumulate=*/false, c, ldc, scratch, gemm_split);
-      } else {
-        gemm_s8u8_nibble_prepacked(trans_b, rows_, n, cols_, /*alpha=*/1,
-                                   nibble_panel_data(), b, ldb,
-                                   /*accumulate=*/false, c, ldc, scratch);
-      }
-      return;
-    default:
-      break;
-  }
-  const auto run = [&](std::int32_t alpha, const std::int16_t* panels,
-                       bool accumulate) {
-    if (pooled) {
-      gemm_s8u8_prepacked_parallel(trans_b, rows_, n, cols_, alpha, panels,
-                                   b, ldb, accumulate, c, ldc, scratch,
-                                   gemm_split);
-    } else {
-      gemm_s8u8_prepacked(trans_b, rows_, n, cols_, alpha, panels, b, ldb,
-                          accumulate, c, ldc, scratch);
-    }
-  };
+                            std::int32_t* c, std::int64_t ldc,
+                            GemmExec exec) const {
+  const PackedKernel kind = packed_kernel(kernel_);
   if (!split()) {
-    run(/*alpha=*/1, s8u8_panel_data(), /*accumulate=*/false);
+    gemm_packed(kind, trans_b, rows_, n, cols_, /*alpha=*/1, panel_data(), b,
+                ldb, /*accumulate=*/false, c, ldc, exec);
     return;
   }
   // code = 2*hi + lo: alpha-chained passes, both exact in int32.
-  run(/*alpha=*/2, s8u8_panel_data(), /*accumulate=*/false);
-  run(/*alpha=*/1, s8u8_low_panel_data(), /*accumulate=*/true);
+  gemm_packed(kind, trans_b, rows_, n, cols_, /*alpha=*/2, panel_data(), b,
+              ldb, /*accumulate=*/false, c, ldc, exec);
+  gemm_packed(kind, trans_b, rows_, n, cols_, /*alpha=*/1, low_panel_data(),
+              b, ldb, /*accumulate=*/true, c, ldc, exec);
 }
 
 std::int64_t PackedIntWeights::storage_bits() const {

@@ -55,19 +55,22 @@ enum class WeightKernel : std::int32_t {
 // "s8u8" | "bitserial" | "nibble" | "bitserial-w16" | "auto".
 const char* weight_kernel_name(WeightKernel kernel);
 
+// The packed-A panel layout of a (resolved) kernel kind; the numeric values
+// match by construction.
+constexpr PackedKernel packed_kernel(WeightKernel kernel) {
+  return static_cast<PackedKernel>(kernel);
+}
+
 // Raw views of one layer's packed storage — every byte the serving-time
 // GEMM consumes — pointing into externally-owned memory (a CRC-verified
 // read-only file mapping for the load_graph_mmap path). Extents are implied
-// by rows/cols/kernel: planes are rows*cols int8; panel element counts come
-// from the gemm_*_packed_a_size functions. Exactly one panel family is
-// non-null, matching the layer's kernel (plus low_panels for split s8u8).
+// by rows/cols/kernel: planes are rows*cols int8; each panel blob is
+// gemm_packed_a_bytes(packed_kernel(kernel), rows, cols) bytes.
 struct WeightSpans {
-  const std::int8_t* primary = nullptr;          // rows*cols plane codes
-  const std::int8_t* low = nullptr;              // split layers only
-  const std::int16_t* primary_panels = nullptr;  // s8u8 micro-panels
-  const std::int16_t* low_panels = nullptr;      // split s8u8 only
-  const std::int8_t* lowbit_panels = nullptr;    // bit-serial kernels
-  const std::uint8_t* nibble_panels = nullptr;   // nibble kernel
+  const std::int8_t* primary = nullptr;      // rows*cols plane codes
+  const std::int8_t* low = nullptr;          // split layers only
+  const std::uint8_t* panels = nullptr;      // primary plane, kernel layout
+  const std::uint8_t* low_panels = nullptr;  // split layers only
 };
 
 // Borrowed packed-weight storage for graphs loaded via load_graph_mmap():
@@ -138,18 +141,13 @@ class PackedIntWeights {
     if (!split_) return nullptr;
     return borrowed_ ? spans_.low : low_.data();
   }
-  const std::int16_t* s8u8_panel_data() const {
-    return borrowed_ ? spans_.primary_panels : primary_panels_.data();
+  // The planes packed in the kernel's panel layout (gemm_pack_a).
+  const std::uint8_t* panel_data() const {
+    return borrowed_ ? spans_.panels : panels_.data();
   }
-  const std::int16_t* s8u8_low_panel_data() const {
+  const std::uint8_t* low_panel_data() const {
     if (!split_) return nullptr;
     return borrowed_ ? spans_.low_panels : low_panels_.data();
-  }
-  const std::int8_t* lowbit_panel_data() const {
-    return borrowed_ ? spans_.lowbit_panels : lowbit_panels_.data();
-  }
-  const std::uint8_t* nibble_panel_data() const {
-    return borrowed_ ? spans_.nibble_panels : nibble_panels_.data();
   }
 
   // The GEMM path this layer runs (never kAuto after construction).
@@ -188,17 +186,15 @@ class PackedIntWeights {
   // requantization: real = effective_step * S_in * (acc - zp * row_sum).
   const std::vector<std::int64_t>& row_code_sums() const { return row_sums_; }
 
-  // C(rows, n) int32 = plane-codes * op(B): one pass through the selected
-  // kernel, or the alpha-chained hi/lo pair for split layers. Every kernel
-  // yields bit-identical accumulators. `pooled` routes through the parallel
-  // kernel (top-level calls); serial inside parallel regions. `split` picks
-  // the pooled tile decomposition — the default kAuto resolves by shape, so
-  // wide-N/small-rows layers (conv GEMMs at batch 1, attention-style heads)
-  // take the column split instead of degrading to serial.
+  // C(rows, n) int32 = plane-codes * op(B): one gemm_packed pass, or the
+  // alpha-chained hi/lo pair for split layers. Every kernel yields
+  // bit-identical accumulators. `exec` is usually a bare `pooled` bool:
+  // pooled for top-level calls (kAuto resolves the split by shape, so
+  // wide-N/small-rows layers such as batch-1 conv GEMMs take the column
+  // split), serial inside parallel regions.
   void gemm(Trans trans_b, std::int64_t n, const std::uint8_t* b,
-            std::int64_t ldb, std::int32_t* c, std::int64_t ldc, bool pooled,
-            IntGemmScratch* scratch = nullptr,
-            GemmSplit split = GemmSplit::kAuto) const;
+            std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
+            GemmExec exec) const;
 
   // Storage of the packed planes in bits (bits() per weight, doubled for
   // split layers, plus the scale).
@@ -222,11 +218,8 @@ class PackedIntWeights {
   std::vector<std::int8_t> low_;  // empty unless split()
   // Kernel micro-panel form of the planes, packed once at construction
   // (weights are static at serving time) so gemm() skips per-call A packing.
-  // Exactly one family is populated, matching kernel_.
-  std::vector<std::int16_t> primary_panels_;
-  std::vector<std::int16_t> low_panels_;
-  std::vector<std::int8_t> lowbit_panels_;    // K-quad raw int8
-  std::vector<std::uint8_t> nibble_panels_;   // K-quad, two codes per byte
+  std::vector<std::uint8_t> panels_;
+  std::vector<std::uint8_t> low_panels_;  // empty unless split()
   BitPlanes planes_;  // populated for the bit-serial kernels (owned mode)
   WeightSpans spans_;  // borrowed mode: views into the caller's mapping
   std::vector<std::int64_t> row_sums_;

@@ -22,10 +22,10 @@
 //    request nodes live on the callers' stacks; the graph forward is
 //    allocation-free after warmup (hotpath tests). Pooled replicas are
 //    SAFE — concurrent top-level parallel_for submissions queue on the
-//    shared pool (util/thread_pool.h) — but outside the strict guarantee:
-//    pool chunk assignment is dynamic, so a pool thread that slept through
-//    warmup can still grow its thread-local GEMM scratch on an early
-//    request.
+//    shared pool (util/thread_pool.h). Pool chunk assignment is dynamic,
+//    but the GEMM packing scratch of every pool slot is created together
+//    by the first GEMM that runs on the pool, so a pool thread that slept
+//    through warmup does not allocate it on an early request.
 //  * Graceful degradation: a replica that throws mid-batch is QUARANTINED —
 //    its popped requests go back to the front of the queue for siblings to
 //    serve, and a backoff-restore loop rebuilds the replica from the

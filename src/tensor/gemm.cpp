@@ -16,16 +16,49 @@ namespace {
 static_assert(kGemmMC % kGemmMR == 0, "MC must be a multiple of MR");
 static_assert(kGemmNC % kGemmNR == 0, "NC must be a multiple of NR");
 
-// Per-thread packing scratch for callers that do not supply one. Pool worker
-// threads are long-lived, so each buffer grows to its steady-state size once
-// and is then recycled forever.
-GemmScratch& local_scratch() {
-  thread_local GemmScratch scratch;
+// ------------------------------------------------------- packing scratch --
+//
+// Every packed panel fits the fixed capacity: an A~ tile is at most
+// kMC x kKC elements and a B~ panel (or column stripe, capped at kNC
+// columns) at most kKC x kNC, and no packed element is wider than a float.
+constexpr std::int64_t kPackedABytes = kGemmMC * kGemmKC * sizeof(float);
+constexpr std::int64_t kPackedBBytes = kGemmKC * kGemmNC * sizeof(float);
+
+GemmScratch& reserve(GemmScratch& scratch) {
+  if (scratch.packed_a.empty()) {
+    scratch.packed_a.bytes.reset(new unsigned char[kPackedABytes]);
+    scratch.packed_b.bytes.reset(new unsigned char[kPackedBBytes]);
+  }
   return scratch;
 }
 
-void ensure_size(std::vector<float>& buffer, std::size_t count) {
-  if (buffer.size() < count) buffer.resize(count);
+template <typename T>
+T* panel(const GemmPanel& p) {
+  return reinterpret_cast<T*>(p.bytes.get());
+}
+
+// The executing thread's packing scratch. Threads running a share of a
+// global-pool task (workers, and the caller while it takes part) index a
+// table that holds one scratch per pool slot, all created together by the
+// first such GEMM. Pool chunks are handed out dynamically, so a per-thread
+// scratch created on first use would make whether a later GEMM allocates
+// depend on which chunks a thread happened to claim — after warm-up it
+// must not. Every other thread (serving replicas, data-parallel shard
+// workers) runs its GEMMs itself and keeps a thread-local scratch from its
+// first GEMM on.
+GemmScratch& thread_scratch() {
+  const int slot = pool_share_slot();
+  if (slot >= 0) {
+    static const std::unique_ptr<GemmScratch[]> table = [] {
+      const int slots = pool_slot_count();
+      std::unique_ptr<GemmScratch[]> scratch(new GemmScratch[slots]);
+      for (int s = 0; s < slots; ++s) reserve(scratch[s]);
+      return scratch;
+    }();
+    return table[slot];
+  }
+  thread_local GemmScratch scratch;
+  return reserve(scratch);
 }
 
 // Scales a row block of C by beta (handles beta == 0 without reading C).
@@ -44,27 +77,11 @@ void apply_beta(std::int64_t m_begin, std::int64_t m_end, std::int64_t n,
 
 // ----------------------------------------------------- tile-grid split ----
 //
-// Task decomposition for the column-split (kCols) and 2-D-grid (kGrid)
-// pooled paths, shared by all three blocked drivers. The C tile grid is
-// carved into row_groups x col_stripes tasks: each task owns a disjoint
-// block of C (a contiguous run of MC row tiles x one NR-aligned column
-// stripe) and runs the full ascending pc depth loop itself, packing op(B)
-// for its stripe into a per-slot region of the shared packed-B scratch.
-//
-// Bit-identity argument (extends the row-split one):
-//  * Ownership: every C element belongs to exactly one (row tile, column
-//    stripe) pair — no write conflicts, no order dependence across tasks.
-//  * Identical packed panels: stripe boundaries are NR-aligned, and the
-//    serial sweep also carves B into NR-wide micro-panels from NR-aligned
-//    offsets (kGemmNC is a multiple of kGemmNR), so each micro-panel a task
-//    packs holds exactly the bytes the serial pack produces for those
-//    columns — zero-padding happens only at the true matrix edge either way.
-//  * Identical per-element op order: each task visits pc panels in the same
-//    ascending order as the serial loop (beta / accumulate applied at
-//    pc == 0), and the micro-kernel's packed-k order is fixed by the
-//    blocking constants.
+// Task decomposition of the column/grid schedule: the C tile grid is carved
+// into row_groups x col_stripes tasks, each a contiguous run of MC row tiles
+// x one NR-aligned column stripe (see the determinism contract in gemm.h).
 // Stripes are capped at kGemmNC columns so the per-task packed panel keeps
-// the serial path's cache footprint.
+// the row schedule's cache footprint.
 
 struct TileGrid {
   std::int64_t row_groups = 1;         // groups of consecutive MC row tiles
@@ -145,34 +162,6 @@ void pack_a_panel(Trans trans, const float* a, std::int64_t lda,
   }
 }
 
-void pack_b_panel(Trans trans, const float* b, std::int64_t ldb,
-                  std::int64_t pc, std::int64_t jc, std::int64_t kc,
-                  std::int64_t nc, float* dst) {
-  for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-    const std::int64_t cols = std::min(kGemmNR, nc - s);
-    if (trans == Trans::no) {
-      // op(B)[p, j] = b[(pc + p) * ldb + jc + j]: contiguous in j.
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const float* src = b + (pc + p) * ldb + jc + s;
-        float* d = dst + p * kGemmNR;
-        std::int64_t j = 0;
-        for (; j < cols; ++j) d[j] = src[j];
-        for (; j < kGemmNR; ++j) d[j] = 0.0f;
-      }
-    } else {
-      // op(B)[p, j] = b[(jc + j) * ldb + pc + p]: row-contiguous reads.
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const float* src = b + (jc + s + j) * ldb + pc;
-        for (std::int64_t p = 0; p < kc; ++p) dst[p * kGemmNR + j] = src[p];
-      }
-      for (std::int64_t j = cols; j < kGemmNR; ++j) {
-        for (std::int64_t p = 0; p < kc; ++p) dst[p * kGemmNR + j] = 0.0f;
-      }
-    }
-    dst += kGemmNR * kc;
-  }
-}
-
 // ---------------------------------------------------------- micro-kernel --
 //
 // acc(MR, NR) = A~panel(kc, MR) * B~panel(kc, NR). On GCC/Clang the kernel
@@ -198,8 +187,8 @@ inline Vec8 load8(const float* p) {
   return r;
 }
 
-inline void micro_kernel(const float* pa, const float* pb, std::int64_t kc,
-                         float* acc) {
+inline void micro_kernel_f32(const float* pa, const float* pb,
+                             std::int64_t kc, float* acc) {
   Vec8 c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* a_col = pa + p * kGemmMR;
@@ -225,8 +214,8 @@ inline void micro_kernel(const float* pa, const float* pb, std::int64_t kc,
 
 #else  // portable fallback
 
-inline void micro_kernel(const float* pa, const float* pb, std::int64_t kc,
-                         float* acc) {
+inline void micro_kernel_f32(const float* pa, const float* pb,
+                             std::int64_t kc, float* acc) {
   for (std::int64_t x = 0; x < kGemmMR * kGemmNR; ++x) acc[x] = 0.0f;
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* a_col = pa + p * kGemmMR;
@@ -243,316 +232,109 @@ inline void micro_kernel(const float* pa, const float* pb, std::int64_t kc,
 
 #endif  // CSQ_GEMM_VECTOR_KERNEL
 
-// C tile update: c = beta_eff * c + alpha * acc over the valid m_sub x n_sub
-// region. beta_eff == 0 never reads C (NaN/garbage safe).
-inline void update_c_tile(float* c, std::int64_t ldc, const float* acc,
-                          std::int64_t m_sub, std::int64_t n_sub, float alpha,
-                          float beta_eff) {
-  for (std::int64_t i = 0; i < m_sub; ++i) {
-    float* c_row = c + i * ldc;
-    const float* acc_row = acc + i * kGemmNR;
-    if (beta_eff == 0.0f) {
-      for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] = alpha * acc_row[j];
-    } else if (beta_eff == 1.0f) {
-      for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
-    } else {
-      for (std::int64_t j = 0; j < n_sub; ++j) {
-        c_row[j] = beta_eff * c_row[j] + alpha * acc_row[j];
-      }
-    }
-  }
-}
+// ---------------------------------------------------------- kernel traits --
+//
+// Each family's traits struct is everything the driver below knows about
+// it: element types, the padded packed depth of a KC block (`depth`), the
+// A~ elements per MR-tall micro-panel (`a_panel_size`), the A~ source of
+// one (ic, pc) tile, pack_b, the micro-kernel and the C-tile update.
 
-// One MC-tall row tile of C inside a (jc, pc) panel: packs its A panel and
-// sweeps the jr/ir micro-tile grid. `packed_b` is read-only shared state.
-void run_ic_tile(Trans trans_a, const float* a, std::int64_t lda,
-                 std::int64_t ic, std::int64_t pc, std::int64_t jc,
-                 std::int64_t m, std::int64_t kc, std::int64_t nc, float alpha,
-                 float beta_eff, const float* packed_b, float* c,
-                 std::int64_t ldc, std::vector<float>& pack_a_storage) {
-  const std::int64_t mc = std::min(kGemmMC, m - ic);
-  const std::int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-  ensure_size(pack_a_storage,
-              static_cast<std::size_t>(a_panels * kGemmMR * kc));
-  float* packed_a = pack_a_storage.data();
-  pack_a_panel(trans_a, a, lda, ic, pc, mc, kc, packed_a);
-
-  float acc[kGemmMR * kGemmNR];
-  for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
-    const std::int64_t n_sub = std::min(kGemmNR, nc - jr);
-    const float* pb = packed_b + (jr / kGemmNR) * kGemmNR * kc;
-    for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
-      const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
-      const float* pa = packed_a + (ir / kGemmMR) * kGemmMR * kc;
-      micro_kernel(pa, pb, kc, acc);
-      update_c_tile(c + (ic + ir) * ldc + jc + jr, ldc, acc, m_sub, n_sub,
-                    alpha, beta_eff);
-    }
-  }
-}
-
-// Column-split / 2-D-grid pooled driver (float). Each task owns a disjoint
-// (row group x column stripe) block of C, packs op(B) for its stripe into a
-// pool_slot()-indexed region of the shared packed-B scratch (the pool runs
-// one top-level task graph at a time, so slots are never shared), packs A
-// into its thread-local scratch, and runs the ascending pc loop itself —
-// see the TileGrid comment for the bit-identity argument.
-void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
-                       std::int64_t n, std::int64_t k, float alpha,
-                       const float* a, std::int64_t lda, const float* b,
-                       std::int64_t ldb, float beta, float* c,
-                       std::int64_t ldc, GemmScratch& shared,
-                       const TileGrid& grid) {
-  const std::int64_t kc_max = std::min(k, kGemmKC);
-  const std::int64_t stripe_elems = grid.panels_per_stripe * kGemmNR * kc_max;
-  ensure_size(shared.packed_b,
-              static_cast<std::size_t>(pool_slot_count() * stripe_elems));
-
-  struct GridContext {
-    Trans trans_a, trans_b;
+struct F32Kernel {
+  using AElem = float;
+  using BIn = float;
+  using BElem = float;
+  using Acc = float;
+  using CElem = float;
+  struct ASource {
+    Trans trans;
     const float* a;
     std::int64_t lda;
-    const float* b;
-    std::int64_t ldb, m, n, k;
+  };
+  struct Epilogue {
     float alpha, beta;
-    float* c;
-    std::int64_t ldc;
-    float* packed_b_base;
-    std::int64_t stripe_elems, ic_tiles;
-    TileGrid grid;
-  } ctx;
-  ctx.trans_a = trans_a;
-  ctx.trans_b = trans_b;
-  ctx.a = a;
-  ctx.lda = lda;
-  ctx.b = b;
-  ctx.ldb = ldb;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = k;
-  ctx.alpha = alpha;
-  ctx.beta = beta;
-  ctx.c = c;
-  ctx.ldc = ldc;
-  ctx.packed_b_base = shared.packed_b.data();
-  ctx.stripe_elems = stripe_elems;
-  ctx.ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  ctx.grid = grid;
-  parallel_for_chunked(
-      0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
-        float* stripe = ctx.packed_b_base + pool_slot() * ctx.stripe_elems;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t g = t / ctx.grid.col_stripes;
-          const std::int64_t s = t % ctx.grid.col_stripes;
-          const std::int64_t jc = s * ctx.grid.panels_per_stripe * kGemmNR;
-          const std::int64_t nc =
-              std::min(ctx.grid.panels_per_stripe * kGemmNR, ctx.n - jc);
-          const std::int64_t tile_begin = g * ctx.grid.tiles_per_group;
-          const std::int64_t tile_end = std::min(
-              tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
-          for (std::int64_t pc = 0; pc < ctx.k; pc += kGemmKC) {
-            const std::int64_t kc = std::min(kGemmKC, ctx.k - pc);
-            pack_b_panel(ctx.trans_b, ctx.b, ctx.ldb, pc, jc, kc, nc, stripe);
-            const float beta_eff = pc == 0 ? ctx.beta : 1.0f;
-            for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
-              run_ic_tile(ctx.trans_a, ctx.a, ctx.lda, tt * kGemmMC, pc, jc,
-                          ctx.m, kc, nc, ctx.alpha, beta_eff, stripe, ctx.c,
-                          ctx.ldc, local_scratch().packed_a);
-            }
-          }
-        }
-      });
-}
+  };
+  static std::int64_t depth(std::int64_t kc) { return kc; }
+  static std::int64_t a_panel_size(std::int64_t kc) { return kGemmMR * kc; }
 
-// Shared driver for the serial and pooled paths. The jc/pc loop nest runs on
-// the calling thread (B is packed once per (jc, pc) and reused across the
-// whole ic sweep); the ic tiles either run in order (serial) or are
-// distributed across the pool. Both orders compute each C element with an
-// identical floating-point operation sequence, so results are bit-identical.
-// The kCols/kGrid splits route to gemm_blocked_grid instead — same
-// operation sequence per element, different task decomposition.
-void gemm_blocked(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
-                  std::int64_t k, float alpha, const float* a,
-                  std::int64_t lda, const float* b, std::int64_t ldb,
-                  float beta, float* c, std::int64_t ldc, GemmScratch* scratch,
-                  bool pooled, GemmSplit split = GemmSplit::kRows,
-                  int split_ways = 0) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0f || k == 0) {
-    apply_beta(0, m, n, beta, c, ldc);
-    return;
-  }
-  GemmScratch& shared = scratch != nullptr ? *scratch : local_scratch();
-
-  if (pooled) {
-    const int ways = resolve_split_ways(split_ways);
-    if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, ways);
-    if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, m, n, ways);
-      if (grid.tasks() > 1) {
-        gemm_blocked_grid(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
-                          beta, c, ldc, shared, grid);
-        return;
-      }
-      // A 1-task grid means the shape cannot use this split; fall through
-      // to the row path (which degrades to serial for a single row tile).
-    }
+  // op(A) is packed per tile into the scratch of the thread running it.
+  static const float* a_tile(const ASource& src, std::int64_t ic,
+                             std::int64_t pc, std::int64_t mc, std::int64_t kc,
+                             std::int64_t /*a_offset*/, GemmScratch& scratch) {
+    float* dst = panel<float>(scratch.packed_a);
+    pack_a_panel(src.trans, src.a, src.lda, ic, pc, mc, kc, dst);
+    return dst;
   }
 
-  for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const std::int64_t nc = std::min(kGemmNC, n - jc);
-    const std::int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, k - pc);
-      ensure_size(shared.packed_b,
-                  static_cast<std::size_t>(b_panels * kGemmNR * kc));
-      pack_b_panel(trans_b, b, ldb, pc, jc, kc, nc, shared.packed_b.data());
-      const float beta_eff = pc == 0 ? beta : 1.0f;
-
-      const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-      if (!pooled || ic_tiles <= 1) {
-        for (std::int64_t t = 0; t < ic_tiles; ++t) {
-          run_ic_tile(trans_a, a, lda, t * kGemmMC, pc, jc, m, kc, nc, alpha,
-                      beta_eff, shared.packed_b.data(), c, ldc,
-                      shared.packed_a);
+  static void pack_b(Trans trans, const float* b, std::int64_t ldb,
+                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
+                     std::int64_t nc, float* dst) {
+    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+      const std::int64_t cols = std::min(kGemmNR, nc - s);
+      if (trans == Trans::no) {
+        // op(B)[p, j] = b[(pc + p) * ldb + jc + j]: contiguous in j.
+        for (std::int64_t p = 0; p < kc; ++p) {
+          const float* src = b + (pc + p) * ldb + jc + s;
+          float* d = dst + p * kGemmNR;
+          std::int64_t j = 0;
+          for (; j < cols; ++j) d[j] = src[j];
+          for (; j < kGemmNR; ++j) d[j] = 0.0f;
         }
       } else {
-        // Each worker packs A into its own thread-local scratch; every C
-        // element belongs to exactly one ic tile, so there are no write
-        // conflicts and no order dependence.
-        struct TileContext {
-          Trans trans_a;
-          const float* a;
-          std::int64_t lda, pc, jc, m, kc, nc;
-          float alpha, beta_eff;
-          const float* packed_b;
-          float* c;
-          std::int64_t ldc;
-        } ctx;
-        ctx.trans_a = trans_a;
-        ctx.a = a;
-        ctx.lda = lda;
-        ctx.pc = pc;
-        ctx.jc = jc;
-        ctx.m = m;
-        ctx.kc = kc;
-        ctx.nc = nc;
-        ctx.alpha = alpha;
-        ctx.beta_eff = beta_eff;
-        ctx.packed_b = shared.packed_b.data();
-        ctx.c = c;
-        ctx.ldc = ldc;
-        // Single-reference capture keeps the closure inside std::function's
-        // small-buffer optimization: no allocation per dispatch.
-        parallel_for_chunked(
-            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
-              for (std::int64_t t = begin; t < end; ++t) {
-                run_ic_tile(ctx.trans_a, ctx.a, ctx.lda, t * kGemmMC, ctx.pc,
-                            ctx.jc, ctx.m, ctx.kc, ctx.nc, ctx.alpha,
-                            ctx.beta_eff, ctx.packed_b, ctx.c, ctx.ldc,
-                            local_scratch().packed_a);
-              }
-            });
+        // op(B)[p, j] = b[(jc + j) * ldb + pc + p]: row-contiguous reads.
+        for (std::int64_t j = 0; j < cols; ++j) {
+          const float* src = b + (jc + s + j) * ldb + pc;
+          for (std::int64_t p = 0; p < kc; ++p) dst[p * kGemmNR + j] = src[p];
+        }
+        for (std::int64_t j = cols; j < kGemmNR; ++j) {
+          for (std::int64_t p = 0; p < kc; ++p) dst[p * kGemmNR + j] = 0.0f;
+        }
+      }
+      dst += kGemmNR * kc;
+    }
+  }
+
+  static void micro_kernel(const float* pa, const float* pb, std::int64_t kc,
+                           float* acc) {
+    micro_kernel_f32(pa, pb, kc, acc);
+  }
+
+  // C tile update: c = beta_eff * c + alpha * acc over the valid m_sub x
+  // n_sub region, beta_eff = beta at pc == 0 and 1 after. beta_eff == 0
+  // never reads C (NaN/garbage safe).
+  static void update(float* c, std::int64_t ldc, const float* acc,
+                     std::int64_t m_sub, std::int64_t n_sub,
+                     const Epilogue& e, bool first_pc) {
+    const float alpha = e.alpha;
+    const float beta_eff = first_pc ? e.beta : 1.0f;
+    for (std::int64_t i = 0; i < m_sub; ++i) {
+      float* c_row = c + i * ldc;
+      const float* acc_row = acc + i * kGemmNR;
+      if (beta_eff == 0.0f) {
+        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] = alpha * acc_row[j];
+      } else if (beta_eff == 1.0f) {
+        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
+      } else {
+        for (std::int64_t j = 0; j < n_sub; ++j) {
+          c_row[j] = beta_eff * c_row[j] + alpha * acc_row[j];
+        }
       }
     }
   }
-}
-
-void check_extents(Trans trans_a, Trans trans_b, std::int64_t m,
-                   std::int64_t n, std::int64_t k) {
-  CSQ_CHECK(m >= 0 && n >= 0 && k >= 0) << "gemm: negative extent";
-  CSQ_CHECK(trans_a == Trans::no || trans_b == Trans::no)
-      << "gemm TT is not implemented (unused in this library)";
-}
-
-// Integer-path extents: the exactness contract (see gemm.h) is derived for
-// the split-plane chaining alphas (|alpha| <= 2), where the worst
-// per-depth-step contribution is 65535 and int32 accumulation therefore
-// requires k <= 32767. Enforce both halves of that derivation here so
-// direct callers cannot silently wrap, not just through PackedIntWeights.
-void check_int_extents(Trans trans_b, std::int64_t m, std::int64_t n,
-                       std::int64_t k, std::int32_t alpha) {
-  check_extents(Trans::no, trans_b, m, n, k);
-  CSQ_CHECK(alpha >= -2 && alpha <= 2)
-      << "gemm_s8u8: alpha " << alpha
-      << " outside the [-2, 2] range the exactness bound is derived for";
-  CSQ_CHECK(k <= 32767)
-      << "gemm_s8u8: reduction depth " << k
-      << " would overflow int32 accumulation";
-}
+};
 
 // ------------------------------------------------------ integer kernel ----
 //
-// Same blocking scheme as the float path (NC/KC/MC panels, MR x NR
-// micro-tiles, MC-row-tile pooled split). Operands are widened to int16
+// Same blocking scheme as the float path. Operands are widened to int16
 // while packing, laid out in K-PAIRS: consecutive depth steps 2p and 2p+1
 // sit adjacent per row/column, so the AVX2 micro-kernel fuses them with one
 // vpmaddwd (int16 pair dot -> int32, no saturation possible at |a| <= 255,
-// |b| <= 255) — the integer analogue of the float kernel's FMA. Odd kc
-// tails are zero-padded (exact).
+// |b| <= 255). Odd kc tails are zero-padded (exact).
 //
 // A~ pair layout: panels MR-tall; entry (p, i) at [(p/2)*MR + i]*2 + p%2.
 // B~ pair layout: panels NR-wide; entry (p, j) at [(p/2)*NR + j]*2 + p%2.
 
-IntGemmScratch& local_int_scratch() {
-  thread_local IntGemmScratch scratch;
-  return scratch;
-}
-
-void ensure_size_s16(std::vector<std::int16_t>& buffer, std::size_t count) {
-  if (buffer.size() < count) buffer.resize(count);
-}
-
 // Depth extent after pairing (elements per packed row/column).
 inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
-
-// A is always (m x k) row-major int8 (the weight codes); panels MR-tall.
-void pack_a_s8(const std::int8_t* a, std::int64_t lda, std::int64_t ic,
-               std::int64_t pc, std::int64_t mc, std::int64_t kc,
-               std::int16_t* dst) {
-  const std::int64_t kcp = paired_kc(kc);
-  for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-    const std::int64_t rows = std::min(kGemmMR, mc - r);
-    std::fill(dst, dst + kGemmMR * kcp, std::int16_t{0});
-    for (std::int64_t i = 0; i < rows; ++i) {
-      const std::int8_t* src = a + (ic + r + i) * lda + pc;
-      for (std::int64_t p = 0; p < kc; ++p) {
-        dst[((p / 2) * kGemmMR + i) * 2 + (p & 1)] =
-            static_cast<std::int16_t>(src[p]);
-      }
-    }
-    dst += kGemmMR * kcp;
-  }
-}
-
-// op(B) is (k x n) uint8 activation codes; panels NR-wide, zero-padded.
-void pack_b_u8(Trans trans, const std::uint8_t* b, std::int64_t ldb,
-               std::int64_t pc, std::int64_t jc, std::int64_t kc,
-               std::int64_t nc, std::int16_t* dst) {
-  const std::int64_t kcp = paired_kc(kc);
-  for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-    const std::int64_t cols = std::min(kGemmNR, nc - s);
-    std::fill(dst, dst + kGemmNR * kcp, std::int16_t{0});
-    if (trans == Trans::no) {
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
-        std::int16_t* d = dst + (p / 2) * kGemmNR * 2 + (p & 1);
-        for (std::int64_t j = 0; j < cols; ++j) {
-          d[j * 2] = static_cast<std::int16_t>(src[j]);
-        }
-      }
-    } else {
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          dst[((p / 2) * kGemmNR + j) * 2 + (p & 1)] =
-              static_cast<std::int16_t>(src[p]);
-        }
-      }
-    }
-    dst += kGemmNR * kcp;
-  }
-}
 
 #if defined(__AVX2__)
 #define CSQ_GEMM_AVX2_INT_KERNEL 1
@@ -635,246 +417,110 @@ inline void micro_kernel_int(const std::int16_t* pa, const std::int16_t* pb,
 
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
-inline void update_c_tile_int(std::int32_t* c, std::int64_t ldc,
-                              const std::int32_t* acc, std::int64_t m_sub,
-                              std::int64_t n_sub, std::int32_t alpha,
-                              bool add_into_c) {
-  for (std::int64_t i = 0; i < m_sub; ++i) {
-    std::int32_t* c_row = c + i * ldc;
-    const std::int32_t* acc_row = acc + i * kGemmNR;
-    if (add_into_c) {
-      for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
-    } else {
-      for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] = alpha * acc_row[j];
-    }
-  }
-}
-
-void run_ic_tile_int(std::int64_t ic, std::int64_t jc, std::int64_t m,
-                     std::int64_t kc, std::int64_t nc, std::int32_t alpha,
-                     bool add_into_c, const std::int16_t* packed_a,
-                     const std::int16_t* packed_b, std::int32_t* c,
-                     std::int64_t ldc) {
-  const std::int64_t mc = std::min(kGemmMC, m - ic);
-  std::int32_t acc[kGemmMR * kGemmNR];
-  const std::int64_t kcp = paired_kc(kc);
-  for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
-    const std::int64_t n_sub = std::min(kGemmNR, nc - jr);
-    const std::int16_t* pb = packed_b + (jr / kGemmNR) * kGemmNR * kcp;
-    for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
-      const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
-      const std::int16_t* pa = packed_a + (ir / kGemmMR) * kGemmMR * kcp;
-      micro_kernel_int(pa, pb, kc, acc);
-      update_c_tile_int(c + (ic + ir) * ldc + jc + jr, ldc, acc, m_sub, n_sub,
-                        alpha, add_into_c);
-    }
-  }
-}
-
-// Row-panel stride of one pc block in the prepacked-A layout: every MR-tall
-// panel of the full m extent, consecutively.
-inline std::int64_t packed_a_block_size(std::int64_t m, std::int64_t kc) {
-  return ((m + kGemmMR - 1) / kGemmMR) * kGemmMR * paired_kc(kc);
-}
-
-// Column-split / 2-D-grid pooled driver (widened s8u8). Mirrors
-// gemm_blocked_grid; the prepacked-A block offset depends only on pc (never
-// on jc or ic), so every task recomputes it locally by accumulating
-// packed_a_block_size over its own ascending pc loop — identical offsets to
-// the serial sweep. Integer accumulation is associative, so the ownership
-// argument alone gives bit-identity.
-void gemm_s8u8_blocked_grid(Trans trans_b, std::int64_t m, std::int64_t n,
-                            std::int64_t k, std::int32_t alpha,
-                            const std::int8_t* a, std::int64_t lda,
-                            const std::int16_t* prepacked_a,
-                            const std::uint8_t* b, std::int64_t ldb,
-                            bool accumulate, std::int32_t* c, std::int64_t ldc,
-                            IntGemmScratch& shared, const TileGrid& grid) {
-  const std::int64_t kcp_max = paired_kc(std::min(k, kGemmKC));
-  const std::int64_t stripe_elems =
-      grid.panels_per_stripe * kGemmNR * kcp_max;
-  ensure_size_s16(shared.packed_b,
-                  static_cast<std::size_t>(pool_slot_count() * stripe_elems));
-
-  struct GridContext {
-    Trans trans_b;
-    const std::int8_t* a;
-    std::int64_t lda;
-    const std::int16_t* prepacked_a;
-    const std::uint8_t* b;
-    std::int64_t ldb, m, n, k;
+// Integer families: A~ is a slice of the prepacked blob. `kGroup` is the K
+// grouping (2 = pairs, 4 = quads); `kCodesPerA` the codes per A element.
+template <typename AElemT, typename BElemT, std::int64_t kGroup,
+          std::int64_t kCodesPerA>
+struct IntKernel {
+  using AElem = AElemT;
+  using BIn = std::uint8_t;
+  using BElem = BElemT;
+  using Acc = std::int32_t;
+  using CElem = std::int32_t;
+  using ASource = const AElem*;
+  struct Epilogue {
     std::int32_t alpha;
     bool accumulate;
-    std::int32_t* c;
-    std::int64_t ldc;
-    std::int16_t* packed_b_base;
-    std::int64_t stripe_elems, ic_tiles;
-    TileGrid grid;
-  } ctx;
-  ctx.trans_b = trans_b;
-  ctx.a = a;
-  ctx.lda = lda;
-  ctx.prepacked_a = prepacked_a;
-  ctx.b = b;
-  ctx.ldb = ldb;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = k;
-  ctx.alpha = alpha;
-  ctx.accumulate = accumulate;
-  ctx.c = c;
-  ctx.ldc = ldc;
-  ctx.packed_b_base = shared.packed_b.data();
-  ctx.stripe_elems = stripe_elems;
-  ctx.ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  ctx.grid = grid;
-  parallel_for_chunked(
-      0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
-        std::int16_t* stripe =
-            ctx.packed_b_base + pool_slot() * ctx.stripe_elems;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t g = t / ctx.grid.col_stripes;
-          const std::int64_t s = t % ctx.grid.col_stripes;
-          const std::int64_t jc = s * ctx.grid.panels_per_stripe * kGemmNR;
-          const std::int64_t nc =
-              std::min(ctx.grid.panels_per_stripe * kGemmNR, ctx.n - jc);
-          const std::int64_t tile_begin = g * ctx.grid.tiles_per_group;
-          const std::int64_t tile_end = std::min(
-              tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
-          std::int64_t a_block_offset = 0;
-          for (std::int64_t pc = 0; pc < ctx.k; pc += kGemmKC) {
-            const std::int64_t kc = std::min(kGemmKC, ctx.k - pc);
-            const std::int64_t kcp = paired_kc(kc);
-            pack_b_u8(ctx.trans_b, ctx.b, ctx.ldb, pc, jc, kc, nc, stripe);
-            const bool add_into_c = ctx.accumulate || pc != 0;
-            for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
-              const std::int64_t ic = tt * kGemmMC;
-              const std::int16_t* pa;
-              if (ctx.prepacked_a != nullptr) {
-                pa = ctx.prepacked_a + a_block_offset +
-                     (ic / kGemmMR) * kGemmMR * kcp;
-              } else {
-                const std::int64_t mc = std::min(kGemmMC, ctx.m - ic);
-                const std::int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-                std::vector<std::int16_t>& storage =
-                    local_int_scratch().packed_a;
-                ensure_size_s16(
-                    storage, static_cast<std::size_t>(a_panels * kGemmMR * kcp));
-                pack_a_s8(ctx.a, ctx.lda, ic, pc, mc, kc, storage.data());
-                pa = storage.data();
-              }
-              run_ic_tile_int(ic, jc, ctx.m, kc, nc, ctx.alpha, add_into_c,
-                              pa, stripe, ctx.c, ctx.ldc);
-            }
-            a_block_offset += packed_a_block_size(ctx.m, kc);
+  };
+  static std::int64_t depth(std::int64_t kc) {
+    return (kc + kGroup - 1) / kGroup * kGroup;
+  }
+  static std::int64_t a_panel_size(std::int64_t kc) {
+    return kGemmMR * depth(kc) / kCodesPerA;
+  }
+
+  // The blob holds every MR panel of the full m extent per KC block, so a
+  // tile's panels start at its block's offset plus ic / MR panels.
+  static const AElem* a_tile(ASource blob, std::int64_t ic, std::int64_t,
+                             std::int64_t, std::int64_t kc,
+                             std::int64_t a_offset, GemmScratch&) {
+    return blob + a_offset + (ic / kGemmMR) * a_panel_size(kc);
+  }
+
+  // C = alpha * acc, or C += alpha * acc with `accumulate` or past pc == 0.
+  static void update(std::int32_t* c, std::int64_t ldc,
+                     const std::int32_t* acc, std::int64_t m_sub,
+                     std::int64_t n_sub, const Epilogue& e, bool first_pc) {
+    const std::int32_t alpha = e.alpha;
+    const bool add_into_c = e.accumulate || !first_pc;
+    for (std::int64_t i = 0; i < m_sub; ++i) {
+      std::int32_t* c_row = c + i * ldc;
+      const std::int32_t* acc_row = acc + i * kGemmNR;
+      if (add_into_c) {
+        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
+      } else {
+        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] = alpha * acc_row[j];
+      }
+    }
+  }
+};
+
+struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2, 1> {
+  static constexpr std::int32_t kMaxAlpha = 2;
+  static constexpr std::int32_t kMinCode = -128, kMaxCode = 127;
+
+  // A is (m x k) row-major int8 (the weight codes); panels MR-tall.
+  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
+                     std::int64_t mc, std::int64_t kc, std::int16_t* dst) {
+    const std::int64_t kcp = paired_kc(kc);
+    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
+      const std::int64_t rows = std::min(kGemmMR, mc - r);
+      std::fill(dst, dst + kGemmMR * kcp, std::int16_t{0});
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const std::int8_t* src = a + (r + i) * lda + pc;
+        for (std::int64_t p = 0; p < kc; ++p) {
+          dst[((p / 2) * kGemmMR + i) * 2 + (p & 1)] =
+              static_cast<std::int16_t>(src[p]);
+        }
+      }
+      dst += kGemmMR * kcp;
+    }
+  }
+
+  // op(B) is (k x n) uint8 activation codes; panels NR-wide, zero-padded.
+  static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
+                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
+                     std::int64_t nc, std::int16_t* dst) {
+    const std::int64_t kcp = paired_kc(kc);
+    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+      const std::int64_t cols = std::min(kGemmNR, nc - s);
+      std::fill(dst, dst + kGemmNR * kcp, std::int16_t{0});
+      if (trans == Trans::no) {
+        for (std::int64_t p = 0; p < kc; ++p) {
+          const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
+          std::int16_t* d = dst + (p / 2) * kGemmNR * 2 + (p & 1);
+          for (std::int64_t j = 0; j < cols; ++j) {
+            d[j * 2] = static_cast<std::int16_t>(src[j]);
           }
         }
-      });
-}
-
-// `prepacked_a` may be null (A packed per (ic, pc) tile into scratch — the
-// one-shot path) or point at a gemm_s8u8_pack_a layout (weights packed once
-// at graph-lowering time).
-void gemm_s8u8_blocked(Trans trans_b, std::int64_t m, std::int64_t n,
-                       std::int64_t k, std::int32_t alpha,
-                       const std::int8_t* a, std::int64_t lda,
-                       const std::int16_t* prepacked_a, const std::uint8_t* b,
-                       std::int64_t ldb, bool accumulate, std::int32_t* c,
-                       std::int64_t ldc, IntGemmScratch* scratch,
-                       bool pooled, GemmSplit split = GemmSplit::kRows,
-                       int split_ways = 0) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0 || k == 0) {
-    if (!accumulate) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
-      }
-    }
-    return;
-  }
-  IntGemmScratch& shared = scratch != nullptr ? *scratch : local_int_scratch();
-
-  if (pooled) {
-    const int ways = resolve_split_ways(split_ways);
-    if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, ways);
-    if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, m, n, ways);
-      if (grid.tasks() > 1) {
-        gemm_s8u8_blocked_grid(trans_b, m, n, k, alpha, a, lda, prepacked_a,
-                               b, ldb, accumulate, c, ldc, shared, grid);
-        return;
-      }
-    }
-  }
-
-  for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const std::int64_t nc = std::min(kGemmNC, n - jc);
-    const std::int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
-    std::int64_t a_block_offset = 0;
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, k - pc);
-      const std::int64_t kcp = paired_kc(kc);
-      ensure_size_s16(shared.packed_b,
-                      static_cast<std::size_t>(b_panels * kGemmNR * kcp));
-      pack_b_u8(trans_b, b, ldb, pc, jc, kc, nc, shared.packed_b.data());
-      const bool add_into_c = accumulate || pc != 0;
-
-      const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-      const auto tile_a = [&](std::int64_t ic,
-                              std::vector<std::int16_t>& pack_storage)
-          -> const std::int16_t* {
-        if (prepacked_a != nullptr) {
-          return prepacked_a + a_block_offset + (ic / kGemmMR) * kGemmMR * kcp;
-        }
-        const std::int64_t mc = std::min(kGemmMC, m - ic);
-        const std::int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-        ensure_size_s16(pack_storage,
-                        static_cast<std::size_t>(a_panels * kGemmMR * kcp));
-        pack_a_s8(a, lda, ic, pc, mc, kc, pack_storage.data());
-        return pack_storage.data();
-      };
-
-      if (!pooled || ic_tiles <= 1) {
-        for (std::int64_t t = 0; t < ic_tiles; ++t) {
-          run_ic_tile_int(t * kGemmMC, jc, m, kc, nc, alpha, add_into_c,
-                          tile_a(t * kGemmMC, shared.packed_a),
-                          shared.packed_b.data(), c, ldc);
-        }
       } else {
-        struct TileContext {
-          const decltype(tile_a)* pick_a;
-          std::int64_t jc, m, kc, nc;
-          std::int32_t alpha;
-          bool add_into_c;
-          const std::int16_t* packed_b;
-          std::int32_t* c;
-          std::int64_t ldc;
-        } ctx;
-        ctx.pick_a = &tile_a;
-        ctx.jc = jc;
-        ctx.m = m;
-        ctx.kc = kc;
-        ctx.nc = nc;
-        ctx.alpha = alpha;
-        ctx.add_into_c = add_into_c;
-        ctx.packed_b = shared.packed_b.data();
-        ctx.c = c;
-        ctx.ldc = ldc;
-        parallel_for_chunked(
-            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
-              for (std::int64_t t = begin; t < end; ++t) {
-                run_ic_tile_int(t * kGemmMC, ctx.jc, ctx.m, ctx.kc, ctx.nc,
-                                ctx.alpha, ctx.add_into_c,
-                                (*ctx.pick_a)(t * kGemmMC,
-                                              local_int_scratch().packed_a),
-                                ctx.packed_b, ctx.c, ctx.ldc);
-              }
-            });
+        for (std::int64_t j = 0; j < cols; ++j) {
+          const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
+          for (std::int64_t p = 0; p < kc; ++p) {
+            dst[((p / 2) * kGemmNR + j) * 2 + (p & 1)] =
+                static_cast<std::int16_t>(src[p]);
+          }
+        }
       }
-      a_block_offset += packed_a_block_size(m, kc);
+      dst += kGemmNR * kcp;
     }
   }
-}
+
+  static void micro_kernel(const std::int16_t* pa, const std::int16_t* pb,
+                           std::int64_t kc, std::int32_t* acc) {
+    micro_kernel_int(pa, pb, kc, acc);
+  }
+};
 
 // ----------------------------------------------------- sub-byte kernels ---
 //
@@ -893,77 +539,8 @@ void gemm_s8u8_blocked(Trans trans_b, std::int64_t m, std::int64_t n,
 // B~ quad layout: panels NR-wide; entry (p, j) at [(p/4)*NR + j]*4 + p%4
 //   (one uint8 per activation code — half the widened int16 panel traffic).
 
-enum class QuadKernel { kLowBit, kLowBitWide, kNibble };
-
 inline std::int64_t quad_kc(std::int64_t kc) {
   return (kc + 3) & ~std::int64_t{3};
-}
-
-void ensure_size_u8(std::vector<std::uint8_t>& buffer, std::size_t count) {
-  if (buffer.size() < count) buffer.resize(count);
-}
-
-void pack_a_s8_quad(const std::int8_t* a, std::int64_t lda, std::int64_t ic,
-                    std::int64_t pc, std::int64_t mc, std::int64_t kc,
-                    std::int8_t* dst) {
-  const std::int64_t kcq = quad_kc(kc);
-  for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-    const std::int64_t rows = std::min(kGemmMR, mc - r);
-    std::fill(dst, dst + kGemmMR * kcq, std::int8_t{0});
-    for (std::int64_t i = 0; i < rows; ++i) {
-      const std::int8_t* src = a + (ic + r + i) * lda + pc;
-      for (std::int64_t p = 0; p < kc; ++p) {
-        dst[((p / 4) * kGemmMR + i) * 4 + (p & 3)] = src[p];
-      }
-    }
-    dst += kGemmMR * kcq;
-  }
-}
-
-void pack_a_nibble_quad(const std::int8_t* a, std::int64_t lda,
-                        std::int64_t ic, std::int64_t pc, std::int64_t mc,
-                        std::int64_t kc, std::uint8_t* dst) {
-  const std::int64_t kcq = quad_kc(kc);
-  for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-    const std::int64_t rows = std::min(kGemmMR, mc - r);
-    std::fill(dst, dst + kGemmMR * kcq / 2, std::uint8_t{0});
-    for (std::int64_t i = 0; i < rows; ++i) {
-      const std::int8_t* src = a + (ic + r + i) * lda + pc;
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const std::uint8_t nib = static_cast<std::uint8_t>(src[p]) & 0x0F;
-        std::uint8_t& byte =
-            dst[((p / 4) * kGemmMR + i) * 2 + ((p & 3) >> 1)];
-        byte = static_cast<std::uint8_t>(
-            (p & 1) ? (byte | (nib << 4)) : (byte | nib));
-      }
-    }
-    dst += kGemmMR * kcq / 2;
-  }
-}
-
-void pack_b_u8_quad(Trans trans, const std::uint8_t* b, std::int64_t ldb,
-                    std::int64_t pc, std::int64_t jc, std::int64_t kc,
-                    std::int64_t nc, std::uint8_t* dst) {
-  const std::int64_t kcq = quad_kc(kc);
-  for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-    const std::int64_t cols = std::min(kGemmNR, nc - s);
-    std::fill(dst, dst + kGemmNR * kcq, std::uint8_t{0});
-    if (trans == Trans::no) {
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
-        std::uint8_t* d = dst + (p / 4) * kGemmNR * 4 + (p & 3);
-        for (std::int64_t j = 0; j < cols; ++j) d[j * 4] = src[j];
-      }
-    } else {
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          dst[((p / 4) * kGemmNR + j) * 4 + (p & 3)] = src[p];
-        }
-      }
-    }
-    dst += kGemmNR * kcq;
-  }
 }
 
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
@@ -1219,246 +796,276 @@ inline void micro_kernel_nibble(const std::uint8_t* pa, const std::uint8_t* pb,
 
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
-// Row-panel stride of one pc block in the prepacked quad layouts, in BYTES
-// (the nibble layout halves it; kcq is a multiple of 4 so the division is
-// exact).
-inline std::int64_t quad_packed_a_block_bytes(QuadKernel kernel,
-                                              std::int64_t m,
-                                              std::int64_t kc) {
-  const std::int64_t full =
-      ((m + kGemmMR - 1) / kGemmMR) * kGemmMR * quad_kc(kc);
-  return kernel == QuadKernel::kNibble ? full / 2 : full;
+template <typename AElemT, std::int64_t kCodesPerA>
+struct QuadKernel : IntKernel<AElemT, std::uint8_t, 4, kCodesPerA> {
+  static constexpr std::int32_t kMaxAlpha = 8;
+
+  static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
+                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
+                     std::int64_t nc, std::uint8_t* dst) {
+    const std::int64_t kcq = quad_kc(kc);
+    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+      const std::int64_t cols = std::min(kGemmNR, nc - s);
+      std::fill(dst, dst + kGemmNR * kcq, std::uint8_t{0});
+      if (trans == Trans::no) {
+        for (std::int64_t p = 0; p < kc; ++p) {
+          const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
+          std::uint8_t* d = dst + (p / 4) * kGemmNR * 4 + (p & 3);
+          for (std::int64_t j = 0; j < cols; ++j) d[j * 4] = src[j];
+        }
+      } else {
+        for (std::int64_t j = 0; j < cols; ++j) {
+          const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
+          for (std::int64_t p = 0; p < kc; ++p) {
+            dst[((p / 4) * kGemmNR + j) * 4 + (p & 3)] = src[p];
+          }
+        }
+      }
+      dst += kGemmNR * kcq;
+    }
+  }
+};
+
+struct LowBitKernel : QuadKernel<std::int8_t, 1> {
+  static constexpr std::int32_t kMinCode = -64, kMaxCode = 64;
+
+  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
+                     std::int64_t mc, std::int64_t kc, std::int8_t* dst) {
+    const std::int64_t kcq = quad_kc(kc);
+    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
+      const std::int64_t rows = std::min(kGemmMR, mc - r);
+      std::fill(dst, dst + kGemmMR * kcq, std::int8_t{0});
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const std::int8_t* src = a + (r + i) * lda + pc;
+        for (std::int64_t p = 0; p < kc; ++p) {
+          dst[((p / 4) * kGemmMR + i) * 4 + (p & 3)] = src[p];
+        }
+      }
+      dst += kGemmMR * kcq;
+    }
+  }
+
+  static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
+                           std::int64_t kc, std::int32_t* acc) {
+    micro_kernel_lowbit(pa, pb, kc, acc);
+  }
+};
+
+struct LowBitWideKernel : LowBitKernel {
+  static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
+                           std::int64_t kc, std::int32_t* acc) {
+    micro_kernel_lowbit_wide(pa, pb, kc, acc);
+  }
+};
+
+struct NibbleKernel : QuadKernel<std::uint8_t, 2> {
+  static constexpr std::int32_t kMinCode = -8, kMaxCode = 7;
+
+  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
+                     std::int64_t mc, std::int64_t kc, std::uint8_t* dst) {
+    const std::int64_t kcq = quad_kc(kc);
+    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
+      const std::int64_t rows = std::min(kGemmMR, mc - r);
+      std::fill(dst, dst + kGemmMR * kcq / 2, std::uint8_t{0});
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const std::int8_t* src = a + (r + i) * lda + pc;
+        for (std::int64_t p = 0; p < kc; ++p) {
+          const std::uint8_t nib = static_cast<std::uint8_t>(src[p]) & 0x0F;
+          std::uint8_t& byte =
+              dst[((p / 4) * kGemmMR + i) * 2 + ((p & 3) >> 1)];
+          byte = static_cast<std::uint8_t>(
+              (p & 1) ? (byte | (nib << 4)) : (byte | nib));
+        }
+      }
+      dst += kGemmMR * kcq / 2;
+    }
+  }
+
+  static void micro_kernel(const std::uint8_t* pa, const std::uint8_t* pb,
+                           std::int64_t kc, std::int32_t* acc) {
+    micro_kernel_nibble(pa, pb, kc, acc);
+  }
+};
+
+// Runs `fn` with a value of the traits type of `kind`.
+template <typename Fn>
+decltype(auto) with_kernel(PackedKernel kind, Fn&& fn) {
+  switch (kind) {
+    case PackedKernel::kLowBit:
+      return fn(LowBitKernel{});
+    case PackedKernel::kLowBitWide:
+      return fn(LowBitWideKernel{});
+    case PackedKernel::kNibble:
+      return fn(NibbleKernel{});
+    case PackedKernel::kS8U8:
+      break;
+  }
+  CSQ_CHECK(kind == PackedKernel::kS8U8)
+      << "gemm: unknown packed kernel " << static_cast<int>(kind);
+  return fn(S8U8Kernel{});
 }
 
-void run_ic_tile_quad(QuadKernel kernel, std::int64_t ic, std::int64_t jc,
-                      std::int64_t m, std::int64_t kc, std::int64_t nc,
-                      std::int32_t alpha, bool add_into_c,
-                      const std::uint8_t* packed_a_block,
-                      const std::uint8_t* packed_b, std::int32_t* c,
-                      std::int64_t ldc) {
-  const std::int64_t mc = std::min(kGemmMC, m - ic);
-  const std::int64_t kcq = quad_kc(kc);
-  const std::int64_t panel_bytes =
-      kernel == QuadKernel::kNibble ? kGemmMR * kcq / 2 : kGemmMR * kcq;
-  std::int32_t acc[kGemmMR * kGemmNR];
-  for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
-    const std::int64_t n_sub = std::min(kGemmNR, nc - jr);
-    const std::uint8_t* pb = packed_b + (jr / kGemmNR) * kGemmNR * kcq;
+// A~ elements of one KC block: the MR panels of the whole m extent.
+template <typename K>
+std::int64_t a_block_size(std::int64_t m, std::int64_t kc) {
+  return (m + kGemmMR - 1) / kGemmMR * K::a_panel_size(kc);
+}
+
+// ---------------------------------------------------------------- driver --
+
+template <typename K>
+struct Problem {
+  std::int64_t m, n, k;
+  typename K::ASource a;
+  Trans trans_b;
+  const typename K::BIn* b;
+  std::int64_t ldb;
+  typename K::CElem* c;
+  std::int64_t ldc;
+  typename K::Epilogue epilogue;
+};
+
+// One (jc, pc) step of the loop nest; a_offset is the pc block's offset in
+// a prepacked A blob (a function of m and pc only).
+struct Block {
+  std::int64_t jc, nc, pc, kc, a_offset;
+};
+
+// One MC-tall row tile of C inside a (jc, pc) block: sweeps the jr/ir
+// micro-tile grid over the packed B~ (read-only, possibly shared).
+template <typename K>
+void run_tile(const Problem<K>& p, const Block& blk, std::int64_t ic,
+              const typename K::BElem* packed_b, GemmScratch& scratch) {
+  const std::int64_t mc = std::min(kGemmMC, p.m - ic);
+  const typename K::AElem* packed_a =
+      K::a_tile(p.a, ic, blk.pc, mc, blk.kc, blk.a_offset, scratch);
+  const std::int64_t a_stride = K::a_panel_size(blk.kc);
+  const std::int64_t b_stride = kGemmNR * K::depth(blk.kc);
+  typename K::Acc acc[kGemmMR * kGemmNR];
+  for (std::int64_t jr = 0; jr < blk.nc; jr += kGemmNR) {
+    const std::int64_t n_sub = std::min(kGemmNR, blk.nc - jr);
+    const typename K::BElem* pb = packed_b + (jr / kGemmNR) * b_stride;
     for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
       const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
-      const std::uint8_t* pa =
-          packed_a_block + ((ic + ir) / kGemmMR) * panel_bytes;
-      switch (kernel) {
-        case QuadKernel::kLowBit:
-          micro_kernel_lowbit(reinterpret_cast<const std::int8_t*>(pa), pb,
-                              kc, acc);
-          break;
-        case QuadKernel::kLowBitWide:
-          micro_kernel_lowbit_wide(reinterpret_cast<const std::int8_t*>(pa),
-                                   pb, kc, acc);
-          break;
-        case QuadKernel::kNibble:
-          micro_kernel_nibble(pa, pb, kc, acc);
-          break;
-      }
-      update_c_tile_int(c + (ic + ir) * ldc + jc + jr, ldc, acc, m_sub, n_sub,
-                        alpha, add_into_c);
+      K::micro_kernel(packed_a + (ir / kGemmMR) * a_stride, pb, blk.kc, acc);
+      K::update(p.c + (ic + ir) * p.ldc + blk.jc + jr, p.ldc, acc, m_sub,
+                n_sub, p.epilogue, blk.pc == 0);
     }
   }
 }
 
-// Column-split / 2-D-grid pooled driver (quad-layout kernels). A is always
-// prepacked; the per-pc block offset is a pure function of (kernel, m, pc),
-// so each task accumulates it locally over its own ascending pc loop.
-void gemm_s8u8_quad_blocked_grid(QuadKernel kernel, Trans trans_b,
-                                 std::int64_t m, std::int64_t n,
-                                 std::int64_t k, std::int32_t alpha,
-                                 const std::uint8_t* prepacked_a,
-                                 const std::uint8_t* b, std::int64_t ldb,
-                                 bool accumulate, std::int32_t* c,
-                                 std::int64_t ldc, IntGemmScratch& shared,
-                                 const TileGrid& grid) {
-  const std::int64_t kcq_max = quad_kc(std::min(k, kGemmKC));
-  const std::int64_t stripe_elems =
-      grid.panels_per_stripe * kGemmNR * kcq_max;
-  ensure_size_u8(shared.packed_b_quad,
-                 static_cast<std::size_t>(pool_slot_count() * stripe_elems));
+// Row schedule: B~ is packed once per (jc, pc) on the calling thread and
+// shared by the whole ic sweep, which runs in order or across the pool.
+template <typename K>
+void run_rows(const Problem<K>& p, GemmScratch& scratch, bool pooled) {
+  using BElem = typename K::BElem;
+  const std::int64_t ic_tiles = (p.m + kGemmMC - 1) / kGemmMC;
+  BElem* packed_b = panel<BElem>(scratch.packed_b);
+  for (std::int64_t jc = 0; jc < p.n; jc += kGemmNC) {
+    Block blk{jc, std::min(kGemmNC, p.n - jc), 0, 0, 0};
+    for (; blk.pc < p.k; blk.pc += kGemmKC) {
+      blk.kc = std::min(kGemmKC, p.k - blk.pc);
+      K::pack_b(p.trans_b, p.b, p.ldb, blk.pc, jc, blk.kc, blk.nc, packed_b);
+      if (!pooled || ic_tiles <= 1) {
+        for (std::int64_t t = 0; t < ic_tiles; ++t) {
+          run_tile(p, blk, t * kGemmMC, packed_b, scratch);
+        }
+      } else {
+        struct TileContext {
+          const Problem<K>* p;
+          const Block* blk;
+          const BElem* packed_b;
+        } ctx{&p, &blk, packed_b};
+        // Single-reference capture keeps the closure inside std::function's
+        // small-buffer optimization: no allocation per dispatch.
+        parallel_for_chunked(
+            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
+              GemmScratch& own = thread_scratch();
+              for (std::int64_t t = begin; t < end; ++t) {
+                run_tile(*ctx.p, *ctx.blk, t * kGemmMC, ctx.packed_b, own);
+              }
+            });
+      }
+      blk.a_offset += a_block_size<K>(p.m, blk.kc);
+    }
+  }
+}
 
+// Column/grid schedule: every task owns a (row-tile group x column stripe)
+// block of C and runs the ascending pc loop itself, packing B~ for its
+// stripe into the executing thread's scratch.
+template <typename K>
+void run_grid(const Problem<K>& p, const TileGrid& grid) {
   struct GridContext {
-    QuadKernel kernel;
-    Trans trans_b;
-    const std::uint8_t* prepacked_a;
-    const std::uint8_t* b;
-    std::int64_t ldb, m, n, k;
-    std::int32_t alpha;
-    bool accumulate;
-    std::int32_t* c;
-    std::int64_t ldc;
-    std::uint8_t* packed_b_base;
-    std::int64_t stripe_elems, ic_tiles;
+    const Problem<K>* p;
     TileGrid grid;
-  } ctx;
-  ctx.kernel = kernel;
-  ctx.trans_b = trans_b;
-  ctx.prepacked_a = prepacked_a;
-  ctx.b = b;
-  ctx.ldb = ldb;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = k;
-  ctx.alpha = alpha;
-  ctx.accumulate = accumulate;
-  ctx.c = c;
-  ctx.ldc = ldc;
-  ctx.packed_b_base = shared.packed_b_quad.data();
-  ctx.stripe_elems = stripe_elems;
-  ctx.ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  ctx.grid = grid;
+    std::int64_t ic_tiles;
+  } ctx{&p, grid, (p.m + kGemmMC - 1) / kGemmMC};
   parallel_for_chunked(
       0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
-        std::uint8_t* stripe =
-            ctx.packed_b_base + pool_slot() * ctx.stripe_elems;
+        const Problem<K>& p = *ctx.p;
+        GemmScratch& scratch = thread_scratch();
+        typename K::BElem* packed_b =
+            panel<typename K::BElem>(scratch.packed_b);
+        const std::int64_t stripe_cols =
+            ctx.grid.panels_per_stripe * kGemmNR;
         for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t g = t / ctx.grid.col_stripes;
-          const std::int64_t s = t % ctx.grid.col_stripes;
-          const std::int64_t jc = s * ctx.grid.panels_per_stripe * kGemmNR;
-          const std::int64_t nc =
-              std::min(ctx.grid.panels_per_stripe * kGemmNR, ctx.n - jc);
-          const std::int64_t tile_begin = g * ctx.grid.tiles_per_group;
+          const std::int64_t group = t / ctx.grid.col_stripes;
+          const std::int64_t jc = (t % ctx.grid.col_stripes) * stripe_cols;
+          const std::int64_t tile_begin = group * ctx.grid.tiles_per_group;
           const std::int64_t tile_end = std::min(
               tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
-          std::int64_t a_block_offset = 0;
-          for (std::int64_t pc = 0; pc < ctx.k; pc += kGemmKC) {
-            const std::int64_t kc = std::min(kGemmKC, ctx.k - pc);
-            pack_b_u8_quad(ctx.trans_b, ctx.b, ctx.ldb, pc, jc, kc, nc,
-                           stripe);
-            const bool add_into_c = ctx.accumulate || pc != 0;
-            const std::uint8_t* a_block = ctx.prepacked_a + a_block_offset;
-            for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
-              run_ic_tile_quad(ctx.kernel, tt * kGemmMC, jc, ctx.m, kc, nc,
-                               ctx.alpha, add_into_c, a_block, stripe, ctx.c,
-                               ctx.ldc);
+          Block blk{jc, std::min(stripe_cols, p.n - jc), 0, 0, 0};
+          for (; blk.pc < p.k; blk.pc += kGemmKC) {
+            blk.kc = std::min(kGemmKC, p.k - blk.pc);
+            K::pack_b(p.trans_b, p.b, p.ldb, blk.pc, jc, blk.kc, blk.nc,
+                      packed_b);
+            for (std::int64_t tile = tile_begin; tile < tile_end; ++tile) {
+              run_tile(p, blk, tile * kGemmMC, packed_b, scratch);
             }
-            a_block_offset +=
-                quad_packed_a_block_bytes(ctx.kernel, ctx.m, kc);
+            blk.a_offset += a_block_size<K>(p.m, blk.kc);
           }
         }
       });
 }
 
-// Shared blocked driver for the quad-layout kernels. Identical NC/KC/MC
-// split and MC-row-tile pooled distribution as gemm_s8u8_blocked, so the
-// serial/pooled bit-identity argument carries over verbatim. A is always
-// prepacked (weights are static at serving time).
-void gemm_s8u8_quad_blocked(QuadKernel kernel, Trans trans_b, std::int64_t m,
-                            std::int64_t n, std::int64_t k, std::int32_t alpha,
-                            const std::uint8_t* prepacked_a,
-                            const std::uint8_t* b, std::int64_t ldb,
-                            bool accumulate, std::int32_t* c, std::int64_t ldc,
-                            IntGemmScratch* scratch, bool pooled,
-                            GemmSplit split = GemmSplit::kRows,
-                            int split_ways = 0) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0 || k == 0) {
-    if (!accumulate) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
-      }
-    }
-    return;
-  }
-  IntGemmScratch& shared = scratch != nullptr ? *scratch : local_int_scratch();
-
+// Picks the schedule. Only fans out when there is enough arithmetic to
+// amortize the pool wakeup and the call is not nested in a parallel region.
+template <typename K>
+void run(const Problem<K>& p, GemmScratch* scratch, const GemmExec& exec) {
+  const bool pooled = exec.pooled && 2 * p.m * p.n * p.k >= (1 << 18) &&
+                      !inside_parallel_region();
   if (pooled) {
-    const int ways = resolve_split_ways(split_ways);
-    if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, ways);
+    const int ways = resolve_split_ways(exec.ways);
+    const GemmSplit split = exec.split == GemmSplit::kAuto
+                                ? gemm_choose_split(p.m, p.n, ways)
+                                : exec.split;
     if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, m, n, ways);
+      const TileGrid grid = make_tile_grid(split, p.m, p.n, ways);
       if (grid.tasks() > 1) {
-        gemm_s8u8_quad_blocked_grid(kernel, trans_b, m, n, k, alpha,
-                                    prepacked_a, b, ldb, accumulate, c, ldc,
-                                    shared, grid);
+        run_grid(p, grid);
         return;
       }
+      // A 1-task grid means the shape cannot use this split; the row
+      // schedule runs it (serially for a single row tile).
     }
   }
-
-  for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const std::int64_t nc = std::min(kGemmNC, n - jc);
-    const std::int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
-    std::int64_t a_block_offset = 0;
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, k - pc);
-      const std::int64_t kcq = quad_kc(kc);
-      ensure_size_u8(shared.packed_b_quad,
-                     static_cast<std::size_t>(b_panels * kGemmNR * kcq));
-      pack_b_u8_quad(trans_b, b, ldb, pc, jc, kc, nc,
-                     shared.packed_b_quad.data());
-      const bool add_into_c = accumulate || pc != 0;
-      const std::uint8_t* a_block = prepacked_a + a_block_offset;
-
-      const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-      if (!pooled || ic_tiles <= 1) {
-        for (std::int64_t t = 0; t < ic_tiles; ++t) {
-          run_ic_tile_quad(kernel, t * kGemmMC, jc, m, kc, nc, alpha,
-                           add_into_c, a_block, shared.packed_b_quad.data(),
-                           c, ldc);
-        }
-      } else {
-        struct TileContext {
-          QuadKernel kernel;
-          std::int64_t jc, m, kc, nc;
-          std::int32_t alpha;
-          bool add_into_c;
-          const std::uint8_t* a_block;
-          const std::uint8_t* packed_b;
-          std::int32_t* c;
-          std::int64_t ldc;
-        } ctx;
-        ctx.kernel = kernel;
-        ctx.jc = jc;
-        ctx.m = m;
-        ctx.kc = kc;
-        ctx.nc = nc;
-        ctx.alpha = alpha;
-        ctx.add_into_c = add_into_c;
-        ctx.a_block = a_block;
-        ctx.packed_b = shared.packed_b_quad.data();
-        ctx.c = c;
-        ctx.ldc = ldc;
-        parallel_for_chunked(
-            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
-              for (std::int64_t t = begin; t < end; ++t) {
-                run_ic_tile_quad(ctx.kernel, t * kGemmMC, ctx.jc, ctx.m,
-                                 ctx.kc, ctx.nc, ctx.alpha, ctx.add_into_c,
-                                 ctx.a_block, ctx.packed_b, ctx.c, ctx.ldc);
-              }
-            });
-      }
-      a_block_offset += quad_packed_a_block_bytes(kernel, m, kc);
-    }
-  }
+  run_rows(p, scratch != nullptr ? reserve(*scratch) : thread_scratch(),
+           pooled);
 }
 
-// Low-bit extents: |alpha| <= 8 admits chaining per-bit-plane passes with
-// power-of-two weights (2^t, t <= 3); the combined |alpha| * k * 255 *
-// max|a| < 2^31 headroom is the caller's contract (serving always runs
-// alpha = 1, where k <= 32767 and max|a| <= 64 bound it directly).
-void check_lowbit_extents(Trans trans_b, std::int64_t m, std::int64_t n,
-                          std::int64_t k, std::int32_t alpha) {
-  check_extents(Trans::no, trans_b, m, n, k);
-  CSQ_CHECK(alpha >= -8 && alpha <= 8)
-      << "gemm_s8u8 low-bit: alpha " << alpha
-      << " outside the [-8, 8] range the exactness bound is derived for";
-  CSQ_CHECK(k <= 32767)
-      << "gemm_s8u8 low-bit: reduction depth " << k
-      << " would overflow int32 accumulation";
-}
-
-inline bool pooled_int_dispatch(std::int64_t m, std::int64_t n,
-                                std::int64_t k) {
-  const std::int64_t ops = 2 * m * n * k;
-  return ops >= (1 << 18) && !inside_parallel_region();
+// The exactness bounds of gemm.h: alpha within the kind's derived range
+// and k <= 32767, so int32 accumulation cannot wrap.
+template <typename K>
+void check_packed_extents(std::int64_t m, std::int64_t n, std::int64_t k,
+                          std::int32_t alpha) {
+  CSQ_CHECK(m >= 0 && n >= 0 && k >= 0) << "gemm_packed: negative extent";
+  CSQ_CHECK(alpha >= -K::kMaxAlpha && alpha <= K::kMaxAlpha)
+      << "gemm_packed: alpha " << alpha << " outside the [-" << K::kMaxAlpha
+      << ", " << K::kMaxAlpha
+      << "] range the exactness bound is derived for";
+  CSQ_CHECK(k <= 32767) << "gemm_packed: reduction depth " << k
+                        << " would overflow int32 accumulation";
 }
 
 }  // namespace
@@ -1485,145 +1092,52 @@ std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
 void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, std::int64_t lda,
           const float* b, std::int64_t ldb, float beta, float* c,
-          std::int64_t ldc, GemmScratch* scratch) {
-  check_extents(trans_a, trans_b, m, n, k);
-  gemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-               scratch, /*pooled=*/false);
-}
-
-void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
-                   std::int64_t n, std::int64_t k, float alpha, const float* a,
-                   std::int64_t lda, const float* b, std::int64_t ldb,
-                   float beta, float* c, std::int64_t ldc,
-                   GemmScratch* scratch, GemmSplit split, int split_ways) {
-  check_extents(trans_a, trans_b, m, n, k);
-  // Only fan out when there is enough arithmetic to amortize the pool wakeup.
-  const std::int64_t flops = 2 * m * n * k;
-  const bool pooled = flops >= (1 << 18) && !inside_parallel_region();
-  gemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-               scratch, pooled, split, split_ways);
-}
-
-void gemm_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-               std::int32_t alpha, const std::int8_t* a, std::int64_t lda,
-               const std::uint8_t* b, std::int64_t ldb, bool accumulate,
-               std::int32_t* c, std::int64_t ldc, IntGemmScratch* scratch) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, a, lda, /*prepacked_a=*/nullptr,
-                    b, ldb, accumulate, c, ldc, scratch, /*pooled=*/false);
-}
-
-void gemm_s8u8_parallel(Trans trans_b, std::int64_t m, std::int64_t n,
-                        std::int64_t k, std::int32_t alpha,
-                        const std::int8_t* a, std::int64_t lda,
-                        const std::uint8_t* b, std::int64_t ldb,
-                        bool accumulate, std::int32_t* c, std::int64_t ldc,
-                        IntGemmScratch* scratch, GemmSplit split,
-                        int split_ways) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, a, lda, /*prepacked_a=*/nullptr,
-                    b, ldb, accumulate, c, ldc, scratch,
-                    pooled_int_dispatch(m, n, k), split, split_ways);
-}
-
-std::int64_t gemm_s8u8_packed_a_size(std::int64_t m, std::int64_t k) {
-  std::int64_t total = 0;
-  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    total += packed_a_block_size(m, std::min(kGemmKC, k - pc));
+          std::int64_t ldc, GemmScratch* scratch, GemmExec exec) {
+  CSQ_CHECK(m >= 0 && n >= 0 && k >= 0) << "gemm: negative extent";
+  CSQ_CHECK(trans_a == Trans::no || trans_b == Trans::no)
+      << "gemm TT is not implemented (unused in this library)";
+  if (m == 0 || n == 0) return;
+  if (alpha == 0.0f || k == 0) {
+    apply_beta(0, m, n, beta, c, ldc);
+    return;
   }
-  return total;
+  run(Problem<F32Kernel>{m, n, k, {trans_a, a, lda}, trans_b, b, ldb, c, ldc,
+                         {alpha, beta}},
+      scratch, exec);
 }
 
-void gemm_s8u8_pack_a(std::int64_t m, std::int64_t k, const std::int8_t* a,
-                      std::int64_t lda, std::int16_t* packed) {
-  // Panels for the whole m extent per pc block — run_ic_tile_int slices MC
-  // tiles out of the same consecutive layout.
-  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    const std::int64_t kc = std::min(kGemmKC, k - pc);
-    pack_a_s8(a, lda, /*ic=*/0, pc, m, kc, packed);
-    packed += packed_a_block_size(m, kc);
-  }
-}
-
-void gemm_s8u8_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
-                         std::int64_t k, std::int32_t alpha,
-                         const std::int16_t* packed_a, const std::uint8_t* b,
-                         std::int64_t ldb, bool accumulate, std::int32_t* c,
-                         std::int64_t ldc, IntGemmScratch* scratch) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, /*a=*/nullptr, /*lda=*/0,
-                    packed_a, b, ldb, accumulate, c, ldc, scratch,
-                    /*pooled=*/false);
-}
-
-void gemm_s8u8_prepacked_parallel(Trans trans_b, std::int64_t m,
-                                  std::int64_t n, std::int64_t k,
-                                  std::int32_t alpha,
-                                  const std::int16_t* packed_a,
-                                  const std::uint8_t* b, std::int64_t ldb,
-                                  bool accumulate, std::int32_t* c,
-                                  std::int64_t ldc, IntGemmScratch* scratch,
-                                  GemmSplit split, int split_ways) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, /*a=*/nullptr, /*lda=*/0,
-                    packed_a, b, ldb, accumulate, c, ldc, scratch,
-                    pooled_int_dispatch(m, n, k), split, split_ways);
-}
-
-std::int64_t gemm_s8u8_lowbit_packed_a_size(std::int64_t m, std::int64_t k) {
-  std::int64_t total = 0;
-  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    total += quad_packed_a_block_bytes(QuadKernel::kLowBit, m,
-                                       std::min(kGemmKC, k - pc));
-  }
-  return total;
-}
-
-void gemm_s8u8_lowbit_pack_a(std::int64_t m, std::int64_t k,
-                             const std::int8_t* a, std::int64_t lda,
-                             std::int8_t* packed) {
-  std::int32_t max_abs = 0;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const std::int32_t v = a[i * lda + p];
-      max_abs = std::max(max_abs, v < 0 ? -v : v);
+std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
+                                 std::int64_t k) {
+  return with_kernel(kind, [&](auto kernel) {
+    using K = decltype(kernel);
+    std::int64_t total = 0;
+    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
+      total += a_block_size<K>(m, std::min(kGemmKC, k - pc));
     }
-  }
-  CSQ_CHECK(max_abs <= 64)
-      << "gemm_s8u8_lowbit_pack_a: |code| " << max_abs
-      << " > 64 would saturate the vpmaddubsw pair sums";
-  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    const std::int64_t kc = std::min(kGemmKC, k - pc);
-    pack_a_s8_quad(a, lda, /*ic=*/0, pc, m, kc, packed);
-    packed += quad_packed_a_block_bytes(QuadKernel::kLowBit, m, kc);
-  }
+    return total * static_cast<std::int64_t>(sizeof(typename K::AElem));
+  });
 }
 
-std::int64_t gemm_s8u8_nibble_packed_a_size(std::int64_t m, std::int64_t k) {
-  std::int64_t total = 0;
-  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    total += quad_packed_a_block_bytes(QuadKernel::kNibble, m,
-                                       std::min(kGemmKC, k - pc));
-  }
-  return total;
-}
-
-void gemm_s8u8_nibble_pack_a(std::int64_t m, std::int64_t k,
-                             const std::int8_t* a, std::int64_t lda,
-                             std::uint8_t* packed) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const std::int32_t v = a[i * lda + p];
-      CSQ_CHECK(v >= -8 && v <= 7)
-          << "gemm_s8u8_nibble_pack_a: code " << v
-          << " outside the signed nibble range [-8, 7]";
+void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
+                 const std::int8_t* a, std::int64_t lda, std::uint8_t* packed) {
+  with_kernel(kind, [&](auto kernel) {
+    using K = decltype(kernel);
+    check_packed_extents<K>(m, 0, k, 1);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t p = 0; p < k; ++p) {
+        const std::int32_t v = a[i * lda + p];
+        CSQ_CHECK(v >= K::kMinCode && v <= K::kMaxCode)
+            << "gemm_pack_a: code " << v << " outside [" << K::kMinCode
+            << ", " << K::kMaxCode << "], the range this layout is exact for";
+      }
     }
-  }
-  for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    const std::int64_t kc = std::min(kGemmKC, k - pc);
-    pack_a_nibble_quad(a, lda, /*ic=*/0, pc, m, kc, packed);
-    packed += quad_packed_a_block_bytes(QuadKernel::kNibble, m, kc);
-  }
+    auto* dst = reinterpret_cast<typename K::AElem*>(packed);
+    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
+      const std::int64_t kc = std::min(kGemmKC, k - pc);
+      K::pack_a(a, lda, pc, m, kc, dst);
+      dst += a_block_size<K>(m, kc);
+    }
+  });
 }
 
 bool gemm_s8u8_wide_eligible(std::int64_t k, std::int32_t max_abs_a) {
@@ -1639,85 +1153,28 @@ bool gemm_s8u8_wide_eligible(std::int64_t k, std::int32_t max_abs_a) {
          32767;
 }
 
-void gemm_s8u8_lowbit_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
-                                std::int64_t k, std::int32_t alpha,
-                                const std::int8_t* packed_a,
-                                const std::uint8_t* b, std::int64_t ldb,
-                                bool accumulate, std::int32_t* c,
-                                std::int64_t ldc, IntGemmScratch* scratch) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBit, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch, /*pooled=*/false);
-}
-
-void gemm_s8u8_lowbit_prepacked_parallel(Trans trans_b, std::int64_t m,
-                                         std::int64_t n, std::int64_t k,
-                                         std::int32_t alpha,
-                                         const std::int8_t* packed_a,
-                                         const std::uint8_t* b,
-                                         std::int64_t ldb, bool accumulate,
-                                         std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch,
-                                         GemmSplit split, int split_ways) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBit, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch,
-                         pooled_int_dispatch(m, n, k), split, split_ways);
-}
-
-void gemm_s8u8_lowbit_wide_prepacked(Trans trans_b, std::int64_t m,
-                                     std::int64_t n, std::int64_t k,
-                                     std::int32_t alpha,
-                                     const std::int8_t* packed_a,
-                                     const std::uint8_t* b, std::int64_t ldb,
-                                     bool accumulate, std::int32_t* c,
-                                     std::int64_t ldc,
-                                     IntGemmScratch* scratch) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBitWide, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch, /*pooled=*/false);
-}
-
-void gemm_s8u8_lowbit_wide_prepacked_parallel(
-    Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-    std::int32_t alpha, const std::int8_t* packed_a, const std::uint8_t* b,
-    std::int64_t ldb, bool accumulate, std::int32_t* c, std::int64_t ldc,
-    IntGemmScratch* scratch, GemmSplit split, int split_ways) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBitWide, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch,
-                         pooled_int_dispatch(m, n, k), split, split_ways);
-}
-
-void gemm_s8u8_nibble_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
-                                std::int64_t k, std::int32_t alpha,
-                                const std::uint8_t* packed_a,
-                                const std::uint8_t* b, std::int64_t ldb,
-                                bool accumulate, std::int32_t* c,
-                                std::int64_t ldc, IntGemmScratch* scratch) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kNibble, trans_b, m, n, k, alpha,
-                         packed_a, b, ldb, accumulate, c, ldc, scratch,
-                         /*pooled=*/false);
-}
-
-void gemm_s8u8_nibble_prepacked_parallel(Trans trans_b, std::int64_t m,
-                                         std::int64_t n, std::int64_t k,
-                                         std::int32_t alpha,
-                                         const std::uint8_t* packed_a,
-                                         const std::uint8_t* b,
-                                         std::int64_t ldb, bool accumulate,
-                                         std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch,
-                                         GemmSplit split, int split_ways) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kNibble, trans_b, m, n, k, alpha,
-                         packed_a, b, ldb, accumulate, c, ldc, scratch,
-                         pooled_int_dispatch(m, n, k), split, split_ways);
+void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
+                 std::int64_t n, std::int64_t k, std::int32_t alpha,
+                 const std::uint8_t* packed_a, const std::uint8_t* b,
+                 std::int64_t ldb, bool accumulate, std::int32_t* c,
+                 std::int64_t ldc, GemmExec exec) {
+  with_kernel(kind, [&](auto kernel) {
+    using K = decltype(kernel);
+    check_packed_extents<K>(m, n, k, alpha);
+    if (m == 0 || n == 0) return;
+    if (alpha == 0 || k == 0) {
+      if (!accumulate) {
+        for (std::int64_t i = 0; i < m; ++i) {
+          std::fill(c + i * ldc, c + i * ldc + n, 0);
+        }
+      }
+      return;
+    }
+    run(Problem<K>{m, n, k,
+                   reinterpret_cast<const typename K::AElem*>(packed_a),
+                   trans_b, b, ldb, c, ldc, {alpha, accumulate}},
+        nullptr, exec);
+  });
 }
 
 }  // namespace csq

@@ -1,48 +1,68 @@
-// Single-precision general matrix multiply.
+// Blocked general matrix multiply: one loop nest for every kernel family.
 //
-//   C = alpha * op(A) * op(B) + beta * C
+//   float    C = alpha * op(A) * op(B) + beta * C              (gemm)
+//   integer  C(int32) = alpha * A(int8) * op(B)(uint8) [+ C]  (gemm_packed)
 //
-// Row-major storage with explicit leading dimensions (BLAS-style). Three
-// transpose combinations are implemented — NN, NT and TN — which cover every
-// use in the library (forward, input-gradient and weight-gradient of both
-// Linear and im2col convolution).
+// Row-major storage with explicit leading dimensions (BLAS-style). The float
+// GEMM implements NN, NT and TN, which cover every use in the library
+// (forward, input-gradient and weight-gradient of both Linear and im2col
+// convolution). The integer GEMMs are the fixed-point serving kernels: A
+// holds a layer's weight codes, packed ONCE into its kernel's panel layout
+// (`gemm_pack_a`, weights are static at serving time), B holds uint8
+// activation codes, and accumulation is exact int32.
 //
-// Blocking scheme (GotoBLAS/BLIS-style, single precision):
+// Blocking scheme (GotoBLAS/BLIS-style):
 //
 //   for jc in N step kNC:                column panel of C / B
-//     for pc in K step kKC:              depth panel (beta applied at pc==0)
+//     for pc in K step kKC:              depth panel (beta/accumulate at pc==0)
 //       pack op(B)[pc:pc+kc, jc:jc+nc]   -> B~  (NR-wide micro-panels, L2/L3)
 //       for ic in M step kMC:            row panel of C / A
-//         pack op(A)[ic:ic+mc, pc:pc+kc] -> A~  (MR-tall micro-panels, L1/L2)
+//         A~ = MR-tall micro-panels of A[ic:ic+mc, pc:pc+kc]  (L1/L2)
 //         for jr, ir over the panel:     kMR x kNR register micro-kernel
 //
 // The micro-kernel keeps a kMR x kNR accumulator tile in registers and
 // streams the packed panels, so every loaded cache line is used kMR (or kNR)
 // times; edge tiles are zero-padded during packing and written back through
-// bounds-checked tails. All three transpose variants route through the same
-// packed kernel — only the pack routines differ. Packing scratch lives in
-// thread-local grow-once buffers (or a caller-provided GemmScratch), so
-// steady-state calls perform no heap allocations.
+// bounds-checked tails.
 //
-// Determinism contract: for fixed operands, `gemm` and `gemm_parallel`
-// produce BIT-IDENTICAL results regardless of thread count OR split mode.
-// The parallel path distributes whole tiles of C across the pool — MC row
-// tiles (the classic split), NR-aligned column stripes (wide-N/small-M
-// shapes), or a 2-D (row tile x column stripe) grid; each C element is
-// owned by exactly one tile, and the per-element accumulation order
-// (pc-panel order, then packed-k order inside the micro-kernel) is a
-// function of the blocking constants only — never of the thread count or
-// of which split carved the tile. Column stripes are NR-aligned, so every
-// packed B micro-panel holds exactly the columns the serial sweep packs.
-// The tier-1 GEMM parity tests assert this with exact equality.
+// ONE driver runs this nest for every family. It is a template over a
+// kernel-traits struct that supplies the element types (packed A, packed B,
+// accumulator, C), the K grouping of the packed layouts, `pack_b`, the A~
+// source (float packs op(A) per (ic, pc) tile into scratch; the integer
+// kinds slice their prepacked blob), the micro-kernel (a compile-time call
+// inside the tile loop) and the C-tile update. It is instantiated five
+// times: float; s8u8 (int16 K-pairs); low-bit and low-bit-wide (int8
+// K-quads); nibble (K-quads, two codes per byte).
 //
-// `gemm` is strictly serial so it can run inside batch-parallel loops;
-// `gemm_parallel` fans out across the global thread pool and is used at top
-// level (Linear layers, benchmark kernels).
+// The driver has exactly two schedules:
+//  * Row schedule (shared B~): the calling thread packs B~ per (jc, pc);
+//    the MC row tiles then run in order (serial execution is the 1-way
+//    case) or across the thread pool (`GemmSplit::kRows`), every tile
+//    reading the same B~.
+//  * Column/grid schedule (per-task B~): C's tile grid is carved into
+//    (group of MC row tiles) x (NR-aligned column stripe) tasks. Each task
+//    runs the whole ascending pc loop itself and packs B~ for its stripe
+//    into the executing thread's scratch. This is what lets wide-N/small-M
+//    shapes (batch-1 conv GEMMs, Linear heads) use the pool at all.
+//
+// Determinism contract: for fixed operands, every schedule, split, way count
+// and thread count produces BIT-IDENTICAL C.
+//  * Ownership: every C element belongs to exactly one (row tile, column
+//    stripe) pair, so no two tasks write it and none reads another's output.
+//  * Identical packed panels: stripes start at NR-aligned columns and kNC is
+//    a multiple of kNR, so every B~ micro-panel a task packs holds exactly
+//    the bytes the serial sweep packs for those columns (zero padding only
+//    at the true matrix edge). A~ panels depend on (ic, pc) alone.
+//  * Identical per-element operation order: the pc loop always ascends
+//    (beta / accumulate applied at pc == 0 only) and the micro-kernel's
+//    packed-k order is fixed by the blocking constants, never by the thread
+//    count or by which split carved the tile.
+// Integer arithmetic is exact, so for the integer kinds ownership alone
+// suffices. The tier-1 GEMM parity grids assert this with exact equality.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 namespace csq {
 
@@ -58,21 +78,16 @@ constexpr std::int64_t kGemmMC = 64;
 constexpr std::int64_t kGemmKC = 256;
 constexpr std::int64_t kGemmNC = 1024;
 
-// How the pooled drivers carve C's tile grid across the thread pool. Every
-// mode yields bit-identical results (see the determinism contract above);
-// the choice only affects which shapes actually fan out.
+// How a pooled GEMM carves C's tile grid across the thread pool. Every mode
+// yields bit-identical results (see the determinism contract above); the
+// choice only affects which shapes actually fan out.
 //
-//  * kRows: MC row tiles — the classic split. Best when m spans several MC
-//    blocks; degenerates to serial for m <= kGemmMC (one tile).
-//  * kCols: NR-aligned column stripes. Each task owns a stripe of C columns
-//    and runs the full pc depth loop itself, packing op(B) for its stripe
-//    into a per-slot region of the packed-B scratch (`pool_slot()` indexed,
-//    one stripe region per pool slot — the pool runs one top-level task
-//    graph at a time, so slots are never shared). The split wide-N/small-M
-//    shapes (Linear heads, batch-1 conv GEMMs) need.
-//  * kGrid: 2-D (row tile group x column stripe) grid for shapes big in
-//    both dimensions when neither 1-D split alone fills the pool.
-//  * kAuto: `gemm_choose_split` picks by shape — see its comment.
+//  * kRows: the row schedule's MC row tiles — the classic split. Best when m
+//    spans several MC blocks; degenerates to serial for m <= kGemmMC.
+//  * kCols: the column/grid schedule with NR-aligned column stripes only.
+//  * kGrid: the column/grid schedule with row-tile groups as well, for
+//    shapes big in both dimensions when neither 1-D split fills the pool.
+//  * kAuto: `gemm_choose_split` picks by shape.
 enum class GemmSplit { kAuto = -1, kRows = 0, kCols = 1, kGrid = 2 };
 
 // Shape policy for GemmSplit::kAuto with `ways` workers (0 = pool width):
@@ -82,207 +97,119 @@ enum class GemmSplit { kAuto = -1, kRows = 0, kCols = 1, kGrid = 2 };
 // fall back to the serial row branch).
 GemmSplit gemm_choose_split(std::int64_t m, std::int64_t n, int ways);
 
-// Number of independent tasks the pooled driver schedules for this shape
-// under `split` (kAuto resolved first) with `ways` workers. 1 means the
-// work runs on the calling thread — the regression tests pin that wide-N
-// shapes with m as small as 1 still report > 1.
+// Number of independent tasks a pooled GEMM schedules for this shape under
+// `split` (kAuto resolved first) with `ways` workers. 1 means the work runs
+// on the calling thread — the regression tests pin that wide-N shapes with
+// m as small as 1 still report > 1. Column stripes are capped at kGemmNC
+// columns, so a split may schedule more than `ways` tasks.
 std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
                                    std::int64_t n, int ways);
 
-// Reusable packing scratch. Grow-once: buffers expand to the largest panel
-// seen and are then recycled, so a layer that owns a GemmScratch performs
-// zero steady-state allocations. When no scratch is supplied the kernels use
-// an internal thread-local instance (one per pool thread, also grow-once).
-// Column-split/grid runs size `packed_b` as pool_slot_count() stripe
-// regions (still grow-once, still kKC * kNC elements per slot at most).
+// Execution options of one GEMM call. The default runs serially on the
+// calling thread, so it is safe inside batch-parallel loops. `pooled` fans
+// out across the global thread pool when there is enough arithmetic to
+// amortize the wakeup and the call is not already inside a parallel region.
+// `split` picks the decomposition and `ways` its width (0 = pool thread
+// count); production code leaves both at their defaults, and tests and
+// benches force 1/2/4/8-way grids on any machine with them. A bare bool
+// converts to {pooled}.
+struct GemmExec {
+  GemmExec(bool pooled = false, GemmSplit split = GemmSplit::kAuto,
+           int ways = 0)
+      : pooled(pooled), split(split), ways(ways) {}
+  bool pooled;
+  GemmSplit split;
+  int ways;
+};
+
+// Packing scratch at a capacity fixed by the blocking constants: a kMC x kKC
+// A panel and a kKC x kNC B panel, in bytes of the widest packed element
+// (float). The first GEMM that uses a scratch allocates both panels at full
+// capacity, uninitialized, so capacity a shape never touches costs no
+// resident memory; no later call grows them, whatever its shape. Callers
+// that pass none get the executing thread's scratch (see gemm.cpp).
+struct GemmPanel {
+  std::unique_ptr<unsigned char[]> bytes;
+  bool empty() const { return bytes == nullptr; }
+};
 struct GemmScratch {
-  std::vector<float> packed_a;  // kMC x kKC panel, MR-tall micro-panels
-  std::vector<float> packed_b;  // kKC x kNC panel, NR-wide micro-panels
+  GemmPanel packed_a;
+  GemmPanel packed_b;
 };
 
 void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, std::int64_t lda,
           const float* b, std::int64_t ldb, float beta, float* c,
-          std::int64_t ldc, GemmScratch* scratch = nullptr);
-
-// `split` picks the tile decomposition (kAuto resolves by shape);
-// `split_ways` forces the decomposition width (0 = pool thread count) so
-// tests and benches can exercise 2/4/8-way grids on any machine — the
-// result is bit-identical either way, only the task grid changes.
-void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
-                   std::int64_t n, std::int64_t k, float alpha, const float* a,
-                   std::int64_t lda, const float* b, std::int64_t ldb,
-                   float beta, float* c, std::int64_t ldc,
-                   GemmScratch* scratch = nullptr,
-                   GemmSplit split = GemmSplit::kAuto, int split_ways = 0);
+          std::int64_t ldc, GemmScratch* scratch = nullptr,
+          GemmExec exec = {});
 
 // ------------------------------------------------- integer (serving) GEMM --
 //
-//   C(m, n) int32  =  alpha * A(m, k) int8  *  op(B)(k, n) uint8   [+ C]
+// The packed-A panel layouts. Numeric values equal the serving runtime's
+// persisted WeightKernel kinds (runtime/packed_weights.h).
 //
-// The fixed-point inference kernel: A holds int8 weight codes, B holds
-// unsigned 8-bit activation codes, accumulation is exact int32. Headroom is
-// TIGHT, not ample: the runtime's split-plane chaining (alpha=2 on a hi
-// plane reaching -128, plus the lo pass) costs up to 65535 per depth step,
-// so exactness requires k <= 32767 — enforced by PackedIntWeights, and a
-// bound any alpha/code-range extension must re-derive. The blocked loop
-// nest, the packed-panel layouts and the
-// MC-row-tile parallel split are shared with the float kernel above; panels
-// are widened to int16 during packing so the micro-kernel runs
-// convert-multiply-accumulate on full vectors. Integer arithmetic is
-// associative, so serial and pooled execution are bit-identical by
-// construction (and asserted by the runtime parity tests).
+//  * kS8U8: the reference. Codes are widened to int16 while packing, laid
+//    out in K-PAIRS (depth steps 2p, 2p+1 adjacent per row/column), so the
+//    AVX2 micro-kernel fuses them with one vpmaddwd — the integer analogue
+//    of the float kernel's FMA. Headroom is TIGHT, not ample: the runtime's
+//    split-plane chaining (codes beyond +/-127 stored as 2*hi + lo: alpha=2
+//    overwrite on a hi plane reaching -128, then the alpha=1 lo pass) costs
+//    up to 65535 per depth step, so exactness requires |alpha| <= 2 and
+//    k <= 32767. Any alpha or code-range extension must re-derive it.
 //
-// `accumulate` == false overwrites C, true adds into it — the runtime's
-// split-plane weights (codes beyond +/-127 decomposed as 2*hi + lo) chain
-// two calls: alpha=2 overwrite, alpha=1 accumulate.
-struct IntGemmScratch {
-  std::vector<std::int16_t> packed_a;  // widened int8 micro-panels
-  std::vector<std::int16_t> packed_b;  // widened uint8 micro-panels
-  std::vector<std::uint8_t> packed_b_quad;  // raw uint8 K-quad micro-panels
+// The sub-byte kinds keep raw 8-bit operands in the packed panels (half the
+// panel bandwidth of the widened layout) in K-QUADS: depth steps 4q..4q+3
+// adjacent per row/column, fused by one vpmaddubsw + vpmaddwd. vpmaddubsw
+// saturates its int16 pair sums, so exactness requires |a| <= 64 per code
+// (255 * (|a0| + |a1|) <= 32767); gemm_pack_a enforces each kind's range.
+// |alpha| <= 8 admits chaining per-bit-plane passes with power-of-two
+// weights (2^t, t <= 3); the combined |alpha| * k * 255 * max|a| < 2^31
+// headroom is the caller's contract (serving runs alpha = 1 with k <= 32767
+// and max|a| <= 64, which bounds it directly).
+//
+//  * kLowBit ("bit-serial collapsed"): A as raw int8 quads, codes in
+//    [-64, 64]. Twice the per-instruction MAC throughput of kS8U8. The
+//    runtime folds its bit-serial planes' power-of-two combination into
+//    these codes at pack time (exact shifts).
+//  * kLowBitWide: the kLowBit layout, with int16 accumulators across a
+//    whole KC-depth block, widened once at the end — three times the
+//    baseline MAC throughput. Exact only when `gemm_s8u8_wide_eligible`
+//    holds for the layer's depth and max |code|.
+//  * kNibble: A as two codes per byte (signed range [-8, 7]), unpacked
+//    inside the micro-kernel — a quarter of the baseline A-panel traffic.
+//
+// Every kind produces EXACTLY the int32 products of the s8u8 reference.
+enum class PackedKernel : std::int32_t {
+  kS8U8 = 0,
+  kLowBit = 1,
+  kNibble = 2,
+  kLowBitWide = 3,
 };
 
-void gemm_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-               std::int32_t alpha, const std::int8_t* a, std::int64_t lda,
-               const std::uint8_t* b, std::int64_t ldb, bool accumulate,
-               std::int32_t* c, std::int64_t ldc,
-               IntGemmScratch* scratch = nullptr);
+// Bytes of the packed form of an (m x k) code matrix: the MR-tall
+// micro-panels of the whole m extent for each KC-depth block in turn.
+std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
+                                 std::int64_t k);
 
-void gemm_s8u8_parallel(Trans trans_b, std::int64_t m, std::int64_t n,
-                        std::int64_t k, std::int32_t alpha,
-                        const std::int8_t* a, std::int64_t lda,
-                        const std::uint8_t* b, std::int64_t ldb,
-                        bool accumulate, std::int32_t* c, std::int64_t ldc,
-                        IntGemmScratch* scratch = nullptr,
-                        GemmSplit split = GemmSplit::kAuto,
-                        int split_ways = 0);
-
-// Weight matrices are static at serving time: pack A into the kernel's
-// micro-panel layout ONCE (all KC-depth blocks, MR-tall panels) and reuse it
-// across every forward. `gemm_s8u8_packed_a_size` gives the required int16
-// element count; the prepacked variants then skip the per-call A packing.
-std::int64_t gemm_s8u8_packed_a_size(std::int64_t m, std::int64_t k);
-
-void gemm_s8u8_pack_a(std::int64_t m, std::int64_t k, const std::int8_t* a,
-                      std::int64_t lda, std::int16_t* packed);
-
-void gemm_s8u8_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
-                         std::int64_t k, std::int32_t alpha,
-                         const std::int16_t* packed_a, const std::uint8_t* b,
-                         std::int64_t ldb, bool accumulate, std::int32_t* c,
-                         std::int64_t ldc, IntGemmScratch* scratch = nullptr);
-
-void gemm_s8u8_prepacked_parallel(Trans trans_b, std::int64_t m,
-                                  std::int64_t n, std::int64_t k,
-                                  std::int32_t alpha,
-                                  const std::int16_t* packed_a,
-                                  const std::uint8_t* b, std::int64_t ldb,
-                                  bool accumulate, std::int32_t* c,
-                                  std::int64_t ldc,
-                                  IntGemmScratch* scratch = nullptr,
-                                  GemmSplit split = GemmSplit::kAuto,
-                                  int split_ways = 0);
-
-// --------------------------------------------- sub-byte (low-bit) GEMM ----
-//
-// Precision-specialized variants of the s8u8 path for layers whose weight
-// codes fit well under 8 bits. All of them keep raw 8-bit operands in the
-// packed panels (half the panel bandwidth of the widened int16 layout above)
-// laid out in K-QUADS: depth steps 4q..4q+3 sit adjacent per row/column, so
-// the AVX2 micro-kernels fuse four depth steps with one vpmaddubsw +
-// vpmaddwd. vpmaddubsw saturates its int16 pair sums, so exactness requires
-// |a| <= 64 per weight code (255 * (|a0| + |a1|) <= 32767); the low-bit pack
-// routine enforces that bound. Results are EXACTLY the int32 products the
-// reference s8u8 kernel produces, and the serial/pooled bit-identity
-// contract carries over unchanged (same NC/KC/MC split, same MC-row-tile
-// parallel distribution).
-//
-// Three flavors:
-//  * low-bit ("bit-serial collapsed"): A packed as raw int8 quads. Twice
-//    the per-instruction MAC throughput of the widened baseline. Weight
-//    codes |a| <= 64. The power-of-two bit-plane combination of the
-//    runtime's bit-serial layers happens at pack time (exact shifts);
-//    per-plane passes can still be chained through `alpha` (|alpha| <= 8,
-//    covering 2^t plane weights for t <= 3) and `accumulate`. The combined
-//    headroom bound is the caller's contract: |alpha| * k * 255 * max|a|
-//    must stay below 2^31.
-//  * low-bit WIDE (int16 accumulators): same packed layout; the micro-kernel
-//    accumulates vpmaddubsw results in int16 lanes across a whole KC-depth
-//    block and widens once at the end — three times the baseline MAC
-//    throughput. Only exact when `gemm_s8u8_wide_eligible` holds for the
-//    layer's depth and max |code| (binary +/-1 layers always qualify).
-//  * nibble: A packed two codes per byte (signed range [-8, 7]), unpacked
-//    inside the micro-kernel — one quarter of the baseline A-panel traffic
-//    for 4-bit-and-below layers.
-std::int64_t gemm_s8u8_lowbit_packed_a_size(std::int64_t m, std::int64_t k);
-
-void gemm_s8u8_lowbit_pack_a(std::int64_t m, std::int64_t k,
-                             const std::int8_t* a, std::int64_t lda,
-                             std::int8_t* packed);
-
-std::int64_t gemm_s8u8_nibble_packed_a_size(std::int64_t m, std::int64_t k);
-
-void gemm_s8u8_nibble_pack_a(std::int64_t m, std::int64_t k,
-                             const std::int8_t* a, std::int64_t lda,
-                             std::uint8_t* packed);
+// Packs the (m x k) row-major int8 codes `a` into `packed`
+// (gemm_packed_a_bytes(kind, m, k) bytes). Throws when a code falls outside
+// the kind's exact range or k exceeds the int32 headroom.
+void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
+                 const std::int8_t* a, std::int64_t lda, std::uint8_t* packed);
 
 // True when int16 accumulation over one KC-depth block cannot overflow for
 // reduction depth k and weight codes bounded by max_abs_a: the per-lane sum
 // is at most quad_kc(min(k, kKC)) / 2 * 255 * max_abs_a <= 32767.
 bool gemm_s8u8_wide_eligible(std::int64_t k, std::int32_t max_abs_a);
 
-void gemm_s8u8_lowbit_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
-                                std::int64_t k, std::int32_t alpha,
-                                const std::int8_t* packed_a,
-                                const std::uint8_t* b, std::int64_t ldb,
-                                bool accumulate, std::int32_t* c,
-                                std::int64_t ldc,
-                                IntGemmScratch* scratch = nullptr);
-
-void gemm_s8u8_lowbit_prepacked_parallel(Trans trans_b, std::int64_t m,
-                                         std::int64_t n, std::int64_t k,
-                                         std::int32_t alpha,
-                                         const std::int8_t* packed_a,
-                                         const std::uint8_t* b,
-                                         std::int64_t ldb, bool accumulate,
-                                         std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch = nullptr,
-                                         GemmSplit split = GemmSplit::kAuto,
-                                         int split_ways = 0);
-
-void gemm_s8u8_lowbit_wide_prepacked(Trans trans_b, std::int64_t m,
-                                     std::int64_t n, std::int64_t k,
-                                     std::int32_t alpha,
-                                     const std::int8_t* packed_a,
-                                     const std::uint8_t* b, std::int64_t ldb,
-                                     bool accumulate, std::int32_t* c,
-                                     std::int64_t ldc,
-                                     IntGemmScratch* scratch = nullptr);
-
-void gemm_s8u8_lowbit_wide_prepacked_parallel(
-    Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-    std::int32_t alpha, const std::int8_t* packed_a, const std::uint8_t* b,
-    std::int64_t ldb, bool accumulate, std::int32_t* c, std::int64_t ldc,
-    IntGemmScratch* scratch = nullptr, GemmSplit split = GemmSplit::kAuto,
-    int split_ways = 0);
-
-void gemm_s8u8_nibble_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
-                                std::int64_t k, std::int32_t alpha,
-                                const std::uint8_t* packed_a,
-                                const std::uint8_t* b, std::int64_t ldb,
-                                bool accumulate, std::int32_t* c,
-                                std::int64_t ldc,
-                                IntGemmScratch* scratch = nullptr);
-
-void gemm_s8u8_nibble_prepacked_parallel(Trans trans_b, std::int64_t m,
-                                         std::int64_t n, std::int64_t k,
-                                         std::int32_t alpha,
-                                         const std::uint8_t* packed_a,
-                                         const std::uint8_t* b,
-                                         std::int64_t ldb, bool accumulate,
-                                         std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch = nullptr,
-                                         GemmSplit split = GemmSplit::kAuto,
-                                         int split_ways = 0);
+// C = alpha * A * op(B) from A packed by gemm_pack_a(kind, m, k, ...)
+// (`packed_a` at least 2-byte aligned: kS8U8 panels hold int16).
+// `accumulate` == false overwrites C, true adds into it — the split-plane
+// chain is two calls: alpha=2 overwrite, alpha=1 accumulate.
+void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
+                 std::int64_t n, std::int64_t k, std::int32_t alpha,
+                 const std::uint8_t* packed_a, const std::uint8_t* b,
+                 std::int64_t ldb, bool accumulate, std::int32_t* c,
+                 std::int64_t ldc, GemmExec exec = {});
 
 }  // namespace csq

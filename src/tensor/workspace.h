@@ -56,9 +56,9 @@ class Workspace {
   // written). The slot must have been populated by a prior tensor() call.
   const Tensor& peek(int slot) const;
 
-  // Packed-panel storage for gemm/gemm_parallel calls issued by the owning
-  // layer at top level (serial per-sample GEMMs inside parallel regions use
-  // the kernels' thread-local scratch instead).
+  // Packed-panel storage for the pooled GEMMs the owning layer issues at
+  // top level (serial per-sample GEMMs inside parallel regions use the
+  // executing thread's scratch instead).
   GemmScratch& gemm_scratch() { return gemm_scratch_; }
 
   // Number of buffer growth events since construction. A steady-state

@@ -13,9 +13,12 @@ namespace {
 // Scratch-stripe index: worker i of the global pool holds i + 1, everything
 // else 0 (see pool_slot() below).
 thread_local int t_pool_slot = 0;
+// pool_share_slot(): t_pool_slot while running a global-pool task share.
+thread_local int t_share_slot = -1;
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads, bool assign_scratch_slots) {
+ThreadPool::ThreadPool(int num_threads, bool assign_scratch_slots)
+    : assign_scratch_slots_(assign_scratch_slots) {
   CSQ_CHECK(num_threads >= 1) << "thread pool needs at least one thread";
   workers_.reserve(static_cast<std::size_t>(num_threads - 1));
   for (int i = 0; i < num_threads - 1; ++i) {
@@ -66,8 +69,14 @@ thread_local bool t_inside_parallel_region = false;
 
 class ParallelRegionGuard {
  public:
-  ParallelRegionGuard() { t_inside_parallel_region = true; }
-  ~ParallelRegionGuard() { t_inside_parallel_region = false; }
+  explicit ParallelRegionGuard(int share_slot) {
+    t_inside_parallel_region = true;
+    t_share_slot = share_slot;
+  }
+  ~ParallelRegionGuard() {
+    t_inside_parallel_region = false;
+    t_share_slot = -1;
+  }
 };
 }  // namespace
 
@@ -83,7 +92,7 @@ SerialExecutionGuard::~SerialExecutionGuard() {
 }
 
 void ThreadPool::run_task_share(const Task& task) {
-  ParallelRegionGuard guard;
+  ParallelRegionGuard guard(assign_scratch_slots_ ? t_pool_slot : -1);
   while (true) {
     std::int64_t chunk_begin;
     {
@@ -188,5 +197,7 @@ ThreadPool& global_pool() {
 int pool_slot() { return t_pool_slot; }
 
 int pool_slot_count() { return global_pool().num_threads(); }
+
+int pool_share_slot() { return t_share_slot; }
 
 }  // namespace csq

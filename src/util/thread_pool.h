@@ -60,6 +60,7 @@ class ThreadPool {
   void run_task_share(const Task& task);
 
   std::vector<std::thread> workers_;
+  const bool assign_scratch_slots_;
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
@@ -104,6 +105,13 @@ int pool_slot();
 
 // Number of distinct pool_slot() values: global_pool().num_threads().
 int pool_slot_count();
+
+// pool_slot() of a thread while it runs its share of a global-pool task
+// (as a worker, or as the caller taking part), -1 otherwise — including
+// under SerialExecutionGuard. The global pool runs one task at a time, so
+// each value >= 0 belongs to at most one thread at any instant, unlike
+// pool_slot()'s 0, which every non-worker thread answers.
+int pool_share_slot();
 
 // Default serial-fallback threshold for `parallel_for`: ranges of <= 2
 // indices run on the caller. Audit note (kept current with the GEMM column

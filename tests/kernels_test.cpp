@@ -7,11 +7,13 @@
 //    non-multiple-of-panel M/N, KC-crossing depths), both transpose forms,
 //    the power-of-two alpha chain and accumulate mode;
 //  * serial vs pooled bit-identity of every specialized entry point;
-//  * the int16-accumulator eligibility bound;
+//  * the int16-accumulator eligibility bound, and worst-case operands at
+//    the exact headroom edges of the sub-byte kinds;
 //  * the deterministic kernel-selection policy and PackedIntWeights
 //    bit-identity across every forced kernel kind.
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "runtime/packed_weights.h"
 #include "runtime/subbyte.h"
 #include "tensor/gemm.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace csq {
@@ -135,42 +138,14 @@ void run_quad(QuadPath path, Trans trans_b, std::int64_t m, std::int64_t n,
               std::int64_t k, std::int32_t alpha, const std::int8_t* a,
               const std::uint8_t* b, std::int64_t ldb, bool accumulate,
               bool pooled, std::vector<std::int32_t>& c) {
-  if (path == QuadPath::kNibble) {
-    std::vector<std::uint8_t> packed(
-        static_cast<std::size_t>(gemm_s8u8_nibble_packed_a_size(m, k)));
-    gemm_s8u8_nibble_pack_a(m, k, a, k, packed.data());
-    if (pooled) {
-      gemm_s8u8_nibble_prepacked_parallel(trans_b, m, n, k, alpha,
-                                          packed.data(), b, ldb, accumulate,
-                                          c.data(), n);
-    } else {
-      gemm_s8u8_nibble_prepacked(trans_b, m, n, k, alpha, packed.data(), b,
-                                 ldb, accumulate, c.data(), n);
-    }
-    return;
-  }
-  std::vector<std::int8_t> packed(
-      static_cast<std::size_t>(gemm_s8u8_lowbit_packed_a_size(m, k)));
-  gemm_s8u8_lowbit_pack_a(m, k, a, k, packed.data());
-  if (path == QuadPath::kWide) {
-    if (pooled) {
-      gemm_s8u8_lowbit_wide_prepacked_parallel(trans_b, m, n, k, alpha,
-                                               packed.data(), b, ldb,
-                                               accumulate, c.data(), n);
-    } else {
-      gemm_s8u8_lowbit_wide_prepacked(trans_b, m, n, k, alpha, packed.data(),
-                                      b, ldb, accumulate, c.data(), n);
-    }
-  } else {
-    if (pooled) {
-      gemm_s8u8_lowbit_prepacked_parallel(trans_b, m, n, k, alpha,
-                                          packed.data(), b, ldb, accumulate,
-                                          c.data(), n);
-    } else {
-      gemm_s8u8_lowbit_prepacked(trans_b, m, n, k, alpha, packed.data(), b,
-                                 ldb, accumulate, c.data(), n);
-    }
-  }
+  PackedKernel kind = PackedKernel::kLowBit;
+  if (path == QuadPath::kNibble) kind = PackedKernel::kNibble;
+  if (path == QuadPath::kWide) kind = PackedKernel::kLowBitWide;
+  std::vector<std::uint8_t> packed(
+      static_cast<std::size_t>(gemm_packed_a_bytes(kind, m, k)));
+  gemm_pack_a(kind, m, k, a, k, packed.data());
+  gemm_packed(kind, trans_b, m, n, k, alpha, packed.data(), b, ldb, accumulate,
+              c.data(), n, GemmExec{pooled});
 }
 
 // Every specialized path against the exact reference and its own pooled
@@ -242,6 +217,70 @@ TEST(LowBitGemm, WideEligibilityBound) {
   // |code| <= 64 only survives a four-deep reduction (two quad pairs).
   EXPECT_TRUE(gemm_s8u8_wide_eligible(4, 64));
   EXPECT_FALSE(gemm_s8u8_wide_eligible(5, 64));
+}
+
+// Worst-case operands at an exact headroom edge: activations all 255 and
+// every code `code` (the family's largest magnitude, one sign), so every
+// partial sum is as large as the bound admits.
+void expect_worst_case_matches_reference(PackedKernel kind, std::int64_t k,
+                                         std::int32_t code) {
+  const std::int64_t m = 3, n = 5;
+  const std::vector<std::int8_t> a(static_cast<std::size_t>(m * k),
+                                   static_cast<std::int8_t>(code));
+  const std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n), 255);
+  std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
+  reference_s8u8(Trans::no, m, n, k, 1, a.data(), b.data(), n,
+                 /*accumulate=*/false, expected);
+  std::vector<std::uint8_t> packed(
+      static_cast<std::size_t>(gemm_packed_a_bytes(kind, m, k)));
+  gemm_pack_a(kind, m, k, a.data(), k, packed.data());
+  std::vector<std::int32_t> actual(expected.size(), -1);
+  gemm_packed(kind, Trans::no, m, n, k, 1, packed.data(), b.data(), n,
+              /*accumulate=*/false, actual.data(), n);
+  EXPECT_EQ(actual, expected) << "kind=" << static_cast<int>(kind)
+                              << " k=" << k << " code=" << code;
+}
+
+TEST(LowBitGemm, WorstCaseOperandsAtHeadroomEdgesMatchReference) {
+  for (const std::int32_t sign : {1, -1}) {
+    // bitserial-w16 on the eligible side of both eligibility edges: one
+    // int16 lane reaches 32640 of its 32767.
+    ASSERT_TRUE(gemm_s8u8_wide_eligible(128, 2));
+    expect_worst_case_matches_reference(PackedKernel::kLowBitWide, 128,
+                                        2 * sign);
+    ASSERT_TRUE(gemm_s8u8_wide_eligible(4, 64));
+    expect_worst_case_matches_reference(PackedKernel::kLowBitWide, 4,
+                                        64 * sign);
+    // Low-bit at its largest code and the deepest legal reduction.
+    expect_worst_case_matches_reference(PackedKernel::kLowBit, 32767,
+                                        64 * sign);
+  }
+}
+
+TEST(LowBitGemm, ForcedWideKernelThrowsPastEligibilityEdges) {
+  // A recorded bitserial-w16 kind is honored only where the int16 headroom
+  // holds: it packs at each edge and throws one depth step past it. One odd
+  // code keeps the layer's power-of-two shift at 0, so the stored codes
+  // keep their magnitude.
+  const std::int64_t rows = 2;
+  const std::pair<std::int64_t, std::int32_t> edges[] = {{128, 2}, {4, 64}};
+  for (const auto& [cols, magnitude] : edges) {
+    for (const std::int64_t depth : {cols, cols + 1}) {
+      std::vector<std::int32_t> codes(static_cast<std::size_t>(rows * depth),
+                                      magnitude);
+      codes[1] = 1;
+      const auto pack = [&] {
+        return PackedIntWeights(codes, /*step=*/0.01f, /*bits=*/7, rows,
+                                depth, WeightKernel::kBitSerialWide);
+      };
+      if (depth == cols) {
+        EXPECT_EQ(pack().max_abs_code(), magnitude);
+      } else {
+        EXPECT_THROW(pack(), check_error)
+            << "depth " << depth << " |code| " << magnitude;
+      }
+    }
+  }
 }
 
 TEST(LowBitGemm, AlphaPowerOfTwoChain) {

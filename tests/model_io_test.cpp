@@ -219,6 +219,74 @@ TEST(ModelIoGolden, V3FixtureServesBitIdentically) {
   }
 }
 
+// Committed v5 artifact (12292 bytes) carrying prepacked weight panels for
+// every integer kernel family. It was written by save_graph from a
+// hand-built GraphProgram over 3x8x8 inputs: conv1 8x3x3x3 (8-bit, s8u8),
+// conv2 8x8x3x3 (8-bit codes up to +/-255, split s8u8), conv3 8x8x3x3
+// (3-bit, bitserial), conv4 8x8x1x1 (2-bit, bitserial-w16), conv5 8x8x3x3
+// (4-bit, nibble), each followed by ReLU, then global average pooling and
+// an 8-bit 4x8 fc head; calibrated on 8 seeded uniform(-1, 1) images. The
+// panel bytes are the layout contract between the GEMM packers, the
+// artifact writer and the mmap reader: a layout change that moved all three
+// together would pass every round-trip test, but not these.
+const char kGoldenV5[] = "golden_v5.csqm";
+const float kGoldenV5Logits[8] = {0.353785932f,  -0.103491917f, -0.204821542f,
+                                  0.578203261f,  0.354760945f,  -0.10857062f,
+                                  -0.195406288f, 0.56861341f};
+
+Tensor golden_v5_probe() {
+  Tensor probe({2, 3, 8, 8});
+  Rng probe_rng(9999);
+  for (std::int64_t i = 0; i < probe.numel(); ++i) {
+    probe[i] = probe_rng.uniform(-1.0f, 1.0f);
+  }
+  return probe;
+}
+
+void expect_golden_v5_graph(runtime::CompiledGraph& graph) {
+  const char* kernels[6] = {"s8u8",          "s8u8",   "bitserial",
+                            "bitserial-w16", "nibble", "s8u8"};
+  ASSERT_EQ(graph.layers().size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(graph.layers()[i].kernel, kernels[i]) << "layer " << i;
+    EXPECT_EQ(graph.layers()[i].split, i == 1) << "layer " << i;
+  }
+  const Tensor logits = graph.forward(golden_v5_probe());
+  ASSERT_EQ(logits.numel(), 8);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(logits[i], kGoldenV5Logits[i]) << "logit " << i;
+  }
+}
+
+std::vector<char> read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(in)) << "cannot open " << path;
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+TEST(ModelIoGolden, V5FixtureServesPinnedLogits) {
+  runtime::CompiledGraph graph = runtime::load_graph(golden_path(kGoldenV5));
+  expect_golden_v5_graph(graph);
+}
+
+TEST(ModelIoGolden, V5FixtureMmapServesPinnedLogits) {
+  runtime::CompiledGraph graph =
+      runtime::load_graph_mmap(golden_path(kGoldenV5));
+  expect_golden_v5_graph(graph);
+}
+
+TEST(ModelIoGolden, V5FixtureResavesByteIdentically) {
+  const std::vector<char> original = read_file_bytes(golden_path(kGoldenV5));
+  ASSERT_EQ(original.size(), 12292u);
+  runtime::CompiledGraph graph = runtime::load_graph(golden_path(kGoldenV5));
+  const std::string path = temp_path("golden_v5_resave");
+  ASSERT_TRUE(runtime::save_graph(path, graph));
+  EXPECT_TRUE(read_file_bytes(path) == original)
+      << "save_graph no longer reproduces the committed v5 bytes";
+  std::remove(path.c_str());
+}
+
 TEST(ModelIo, ExportModelRequiresFinalizedCsqSources) {
   Rng rng(50);
   ModelConfig config;
@@ -271,13 +339,6 @@ void fill_pattern(Model& model) {
     }
     param->mark_updated();
   }
-}
-
-std::vector<char> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << "cannot open " << path;
-  return std::vector<char>(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
 }
 
 TEST(Checkpoint, RoundTripRestoresEveryParameterAndBumpsVersions) {

@@ -101,6 +101,18 @@ void reference_s8u8(Trans trans_b, std::int64_t m, std::int64_t n,
   }
 }
 
+// C = alpha * A * op(B) [+ C] on the s8u8 panel layout: pack A, then run.
+void s8u8_gemm(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+               std::int32_t alpha, const std::int8_t* a, const std::uint8_t* b,
+               std::int64_t ldb, bool accumulate, std::int32_t* c,
+               std::int64_t ldc, bool pooled = false) {
+  std::vector<std::uint8_t> packed(static_cast<std::size_t>(
+      gemm_packed_a_bytes(PackedKernel::kS8U8, m, k)));
+  gemm_pack_a(PackedKernel::kS8U8, m, k, a, k, packed.data());
+  gemm_packed(PackedKernel::kS8U8, trans_b, m, n, k, alpha, packed.data(), b,
+              ldb, accumulate, c, ldc, GemmExec{pooled});
+}
+
 TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
   Rng rng(901);
   const std::int64_t extents[] = {1, 3, 17, 64, 129};
@@ -127,7 +139,7 @@ TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
               }
               reference_s8u8(trans_b, m, n, k, alpha, a.data(), b.data(),
                              ldb, accumulate, expected);
-              gemm_s8u8(trans_b, m, n, k, alpha, a.data(), k, b.data(), ldb,
+              s8u8_gemm(trans_b, m, n, k, alpha, a.data(), b.data(), ldb,
                         accumulate, actual.data(), n);
               ASSERT_EQ(expected, actual)
                   << "m=" << m << " n=" << n << " k=" << k
@@ -148,11 +160,41 @@ TEST(Int8Gemm, PooledIsBitIdenticalToSerial) {
   const auto b = random_u8(k * n, rng);
   std::vector<std::int32_t> serial(static_cast<std::size_t>(m * n));
   std::vector<std::int32_t> pooled(static_cast<std::size_t>(m * n));
-  gemm_s8u8(Trans::no, m, n, k, 1, a.data(), k, b.data(), n,
+  s8u8_gemm(Trans::no, m, n, k, 1, a.data(), b.data(), n,
             /*accumulate=*/false, serial.data(), n);
-  gemm_s8u8_parallel(Trans::no, m, n, k, 1, a.data(), k, b.data(), n,
-                     /*accumulate=*/false, pooled.data(), n);
+  s8u8_gemm(Trans::no, m, n, k, 1, a.data(), b.data(), n,
+            /*accumulate=*/false, pooled.data(), n, /*pooled=*/true);
   EXPECT_EQ(serial, pooled);
+}
+
+TEST(Int8Gemm, SplitChainAtDepthBoundaryMatchesReference) {
+  // The tightest int32 headroom in the runtime: a split layer's hi plane at
+  // -128 (alpha 2, overwrite) and lo plane at 1 (alpha 1, accumulate) over
+  // activations all 255 at the deepest legal reduction; one step deeper
+  // must throw.
+  const std::int64_t m = 3, n = 5, k = 32767;
+  const std::vector<std::int8_t> hi(static_cast<std::size_t>(m * k), -128);
+  const std::vector<std::int8_t> lo(static_cast<std::size_t>(m * k), 1);
+  const std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n), 255);
+  std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
+  reference_s8u8(Trans::no, m, n, k, 2, hi.data(), b.data(), n,
+                 /*accumulate=*/false, expected);
+  reference_s8u8(Trans::no, m, n, k, 1, lo.data(), b.data(), n,
+                 /*accumulate=*/true, expected);
+  std::vector<std::int32_t> actual(expected.size(), -1);
+  s8u8_gemm(Trans::no, m, n, k, 2, hi.data(), b.data(), n,
+            /*accumulate=*/false, actual.data(), n);
+  s8u8_gemm(Trans::no, m, n, k, 1, lo.data(), b.data(), n,
+            /*accumulate=*/true, actual.data(), n);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(actual[0], -255 * 255 * k);
+
+  const std::vector<std::int8_t> deeper(static_cast<std::size_t>(k + 1),
+                                        -128);
+  std::int32_t c = 0;
+  EXPECT_THROW(s8u8_gemm(Trans::no, 1, 1, k + 1, 2, deeper.data(), b.data(),
+                         1, /*accumulate=*/false, &c, 1),
+               check_error);
 }
 
 TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
@@ -1129,8 +1171,8 @@ TEST(PackedWeightsFuzz, RejectsReductionDepthsBeyondInt32Headroom) {
   std::vector<std::int8_t> a(1, 1);
   std::vector<std::uint8_t> b(1, 1);
   std::int32_t c = 0;
-  EXPECT_THROW(gemm_s8u8(Trans::no, 1, 1, 32768, 1, a.data(), 32768,
-                         b.data(), 1, /*accumulate=*/false, &c, 1),
+  EXPECT_THROW(s8u8_gemm(Trans::no, 1, 1, 32768, 1, a.data(), b.data(), 1,
+                         /*accumulate=*/false, &c, 1),
                check_error);
 
   // The boundary itself is legal.

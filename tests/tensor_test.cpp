@@ -151,8 +151,9 @@ TEST_P(GemmParamTest, ParallelMatchesSerial) {
 
   gemm(c.trans_a, c.trans_b, c.m, c.n, c.k, c.alpha, a.data(), a_cols,
        b.data(), b_cols, c.beta, serial.data(), c.n);
-  gemm_parallel(c.trans_a, c.trans_b, c.m, c.n, c.k, c.alpha, a.data(),
-                a_cols, b.data(), b_cols, c.beta, parallel.data(), c.n);
+  gemm(c.trans_a, c.trans_b, c.m, c.n, c.k, c.alpha, a.data(), a_cols,
+       b.data(), b_cols, c.beta, parallel.data(), c.n, /*scratch=*/nullptr,
+       GemmExec{/*pooled=*/true});
   EXPECT_LT(max_abs_diff(serial, parallel), 1e-4f);
 }
 
@@ -239,8 +240,9 @@ TEST(GemmBlockedParity, PooledIsBitIdenticalToSerial) {
     Tensor pooled = serial;
     gemm(c.trans_a, c.trans_b, c.m, c.n, c.k, c.alpha, a.data(), a_cols,
          b.data(), b_cols, c.beta, serial.data(), c.n);
-    gemm_parallel(c.trans_a, c.trans_b, c.m, c.n, c.k, c.alpha, a.data(),
-                  a_cols, b.data(), b_cols, c.beta, pooled.data(), c.n);
+    gemm(c.trans_a, c.trans_b, c.m, c.n, c.k, c.alpha, a.data(), a_cols,
+         b.data(), b_cols, c.beta, pooled.data(), c.n, /*scratch=*/nullptr,
+         GemmExec{/*pooled=*/true});
     for (std::int64_t i = 0; i < serial.numel(); ++i) {
       ASSERT_EQ(serial[i], pooled[i])
           << "bit mismatch at " << i << " (m=" << c.m << " n=" << c.n

@@ -5,17 +5,17 @@
 //    shapes the policy exists for — a wide-N GEMM with m as small as 1 (or
 //    the m=2 batch loops the serial_threshold audit flagged) must schedule
 //    more than one task, while tall-M shapes keep the classic row split;
-//  * float bit-identity: serial gemm vs gemm_parallel under every forced
+//  * float bit-identity: serial gemm vs pooled gemm under every forced
 //    split mode at 1/2/4/8-way grids, all three transpose forms, beta and
 //    alpha variations — exact equality, per the determinism contract;
-//  * integer bit-identity: the s8u8 (direct + prepacked), low-bit K-quad,
-//    int16-accumulator wide and nibble kernels against the exact int64
-//    reference AND their serial entry points under forced column/grid
-//    splits, including the split-plane alpha chain;
+//  * integer bit-identity: the s8u8, low-bit K-quad, int16-accumulator
+//    wide and nibble kernels against the exact int64 reference AND their
+//    serial runs under forced column/grid splits, including the split-plane
+//    alpha chain;
 //  * PackedIntWeights::gemm wide-N dispatch: pooled vs serial bit-identity
 //    for a split (hi/lo chained) layer at batch-1-like wide-N shapes.
 //
-// The split_ways override decouples the task grid from the physical thread
+// The GemmExec ways override decouples the task grid from the physical thread
 // count, so these tests exercise real 2/4/8-way decompositions even on a
 // single-hardware-thread runner — bit-identity is a property of the grid,
 // not of how many workers drain it.
@@ -57,6 +57,16 @@ std::vector<std::uint8_t> random_u8(std::int64_t count, Rng& rng) {
     v = static_cast<std::uint8_t>(rng.uniform(0.0f, 255.0f));
   }
   return values;
+}
+
+// A (m x k) code matrix packed into `kind`'s panel layout.
+std::vector<std::uint8_t> pack(PackedKernel kind, std::int64_t m,
+                               std::int64_t k,
+                               const std::vector<std::int8_t>& a) {
+  std::vector<std::uint8_t> packed(
+      static_cast<std::size_t>(gemm_packed_a_bytes(kind, m, k)));
+  gemm_pack_a(kind, m, k, a.data(), k, packed.data());
+  return packed;
 }
 
 // Exact reference: C = alpha * A * op(B) (+ C), int64 accumulation.
@@ -149,9 +159,9 @@ void run_float_case(Trans trans_a, Trans trans_b, std::int64_t m,
   for (const GemmSplit split : kForcedSplits) {
     for (const int ways : kWays) {
       std::vector<float> actual = c0;
-      gemm_parallel(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(),
-                    ldb, beta, actual.data(), n, /*scratch=*/nullptr, split,
-                    ways);
+      gemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+           beta, actual.data(), n, /*scratch=*/nullptr,
+           GemmExec{/*pooled=*/true, split, ways});
       ASSERT_EQ(std::memcmp(actual.data(), expected.data(),
                             actual.size() * sizeof(float)),
                 0)
@@ -204,16 +214,17 @@ TEST(WideGemm, S8U8ColumnAndGridSplitsMatchReference) {
           static_cast<std::size_t>(tc.m * tc.n));
       reference_s8u8(trans_b, tc.m, tc.n, tc.k, 1, a.data(), b.data(), ldb,
                      false, expected);
+      const auto packed = pack(PackedKernel::kS8U8, tc.m, tc.k, a);
       std::vector<std::int32_t> serial(expected.size(), -1);
-      gemm_s8u8(trans_b, tc.m, tc.n, tc.k, 1, a.data(), tc.k, b.data(), ldb,
-                false, serial.data(), tc.n);
+      gemm_packed(PackedKernel::kS8U8, trans_b, tc.m, tc.n, tc.k, 1,
+                  packed.data(), b.data(), ldb, false, serial.data(), tc.n);
       ASSERT_EQ(serial, expected);
       for (const GemmSplit split : kForcedSplits) {
         for (const int ways : kWays) {
           std::vector<std::int32_t> actual(expected.size(), -1);
-          gemm_s8u8_parallel(trans_b, tc.m, tc.n, tc.k, 1, a.data(), tc.k,
-                             b.data(), ldb, false, actual.data(), tc.n,
-                             /*scratch=*/nullptr, split, ways);
+          gemm_packed(PackedKernel::kS8U8, trans_b, tc.m, tc.n, tc.k, 1,
+                      packed.data(), b.data(), ldb, false, actual.data(),
+                      tc.n, GemmExec{/*pooled=*/true, split, ways});
           ASSERT_EQ(actual, expected)
               << "m=" << tc.m << " n=" << tc.n
               << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -228,23 +239,22 @@ TEST(WideGemm, S8U8PrepackedSplitsMatchSerial) {
   for (const IntCase& tc : kIntCases) {
     const auto a = random_s8(tc.m * tc.k, rng, 127);
     const auto b = random_u8(tc.k * tc.n, rng);
-    std::vector<std::int16_t> packed(
-        static_cast<std::size_t>(gemm_s8u8_packed_a_size(tc.m, tc.k)));
-    gemm_s8u8_pack_a(tc.m, tc.k, a.data(), tc.k, packed.data());
+    const auto packed = pack(PackedKernel::kS8U8, tc.m, tc.k, a);
     // accumulate=true also exercises the add-into-C handoff at pc == 0.
     for (const bool accumulate : {false, true}) {
       std::vector<std::int32_t> expected(
           static_cast<std::size_t>(tc.m * tc.n), 3);
-      gemm_s8u8_prepacked(Trans::no, tc.m, tc.n, tc.k, 1, packed.data(),
-                          b.data(), tc.n, accumulate, expected.data(), tc.n);
+      gemm_packed(PackedKernel::kS8U8, Trans::no, tc.m, tc.n, tc.k, 1,
+                  packed.data(), b.data(), tc.n, accumulate, expected.data(),
+                  tc.n);
       for (const GemmSplit split : kForcedSplits) {
         for (const int ways : kWays) {
           std::vector<std::int32_t> actual(
               static_cast<std::size_t>(tc.m * tc.n), 3);
-          gemm_s8u8_prepacked_parallel(Trans::no, tc.m, tc.n, tc.k, 1,
-                                       packed.data(), b.data(), tc.n,
-                                       accumulate, actual.data(), tc.n,
-                                       /*scratch=*/nullptr, split, ways);
+          gemm_packed(PackedKernel::kS8U8, Trans::no, tc.m, tc.n, tc.k, 1,
+                      packed.data(), b.data(), tc.n, accumulate,
+                      actual.data(), tc.n,
+                      GemmExec{/*pooled=*/true, split, ways});
           ASSERT_EQ(actual, expected)
               << "m=" << tc.m << " n=" << tc.n << " accumulate=" << accumulate
               << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -259,9 +269,7 @@ TEST(WideGemm, LowBitSplitsMatchReferenceAcrossAlphaChain) {
   for (const IntCase& tc : kIntCases) {
     const auto a = random_s8(tc.m * tc.k, rng, 64);  // kernel bound |a|<=64
     const auto b = random_u8(tc.k * tc.n, rng);
-    std::vector<std::int8_t> packed(static_cast<std::size_t>(
-        gemm_s8u8_lowbit_packed_a_size(tc.m, tc.k)));
-    gemm_s8u8_lowbit_pack_a(tc.m, tc.k, a.data(), tc.k, packed.data());
+    const auto packed = pack(PackedKernel::kLowBit, tc.m, tc.k, a);
     // The split-plane chain: alpha=2 overwrite, then alpha=1 accumulate —
     // the exact call sequence PackedIntWeights issues for hi/lo layers.
     std::vector<std::int32_t> expected(static_cast<std::size_t>(tc.m * tc.n));
@@ -272,12 +280,12 @@ TEST(WideGemm, LowBitSplitsMatchReferenceAcrossAlphaChain) {
     for (const GemmSplit split : kForcedSplits) {
       for (const int ways : kWays) {
         std::vector<std::int32_t> actual(expected.size(), -1);
-        gemm_s8u8_lowbit_prepacked_parallel(
-            Trans::no, tc.m, tc.n, tc.k, 2, packed.data(), b.data(), tc.n,
-            false, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
-        gemm_s8u8_lowbit_prepacked_parallel(
-            Trans::no, tc.m, tc.n, tc.k, 1, packed.data(), b.data(), tc.n,
-            true, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
+        gemm_packed(PackedKernel::kLowBit, Trans::no, tc.m, tc.n, tc.k, 2,
+                    packed.data(), b.data(), tc.n, false, actual.data(), tc.n,
+                    GemmExec{/*pooled=*/true, split, ways});
+        gemm_packed(PackedKernel::kLowBit, Trans::no, tc.m, tc.n, tc.k, 1,
+                    packed.data(), b.data(), tc.n, true, actual.data(), tc.n,
+                    GemmExec{/*pooled=*/true, split, ways});
         ASSERT_EQ(actual, expected)
             << "m=" << tc.m << " n=" << tc.n
             << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -294,18 +302,16 @@ TEST(WideGemm, LowBitWideSplitsMatchReference) {
     ASSERT_TRUE(gemm_s8u8_wide_eligible(tc.k, 1));
     const auto a = random_s8(tc.m * tc.k, rng, 1);
     const auto b = random_u8(tc.k * tc.n, rng);
-    std::vector<std::int8_t> packed(static_cast<std::size_t>(
-        gemm_s8u8_lowbit_packed_a_size(tc.m, tc.k)));
-    gemm_s8u8_lowbit_pack_a(tc.m, tc.k, a.data(), tc.k, packed.data());
+    const auto packed = pack(PackedKernel::kLowBitWide, tc.m, tc.k, a);
     std::vector<std::int32_t> expected(static_cast<std::size_t>(tc.m * tc.n));
     reference_s8u8(Trans::no, tc.m, tc.n, tc.k, 1, a.data(), b.data(), tc.n,
                    false, expected);
     for (const GemmSplit split : kForcedSplits) {
       for (const int ways : kWays) {
         std::vector<std::int32_t> actual(expected.size(), -1);
-        gemm_s8u8_lowbit_wide_prepacked_parallel(
-            Trans::no, tc.m, tc.n, tc.k, 1, packed.data(), b.data(), tc.n,
-            false, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
+        gemm_packed(PackedKernel::kLowBitWide, Trans::no, tc.m, tc.n, tc.k,
+                    1, packed.data(), b.data(), tc.n, false, actual.data(),
+                    tc.n, GemmExec{/*pooled=*/true, split, ways});
         ASSERT_EQ(actual, expected)
             << "m=" << tc.m << " n=" << tc.n
             << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -319,18 +325,16 @@ TEST(WideGemm, NibbleSplitsMatchReference) {
   for (const IntCase& tc : kIntCases) {
     const auto a = random_s8(tc.m * tc.k, rng, 7);  // signed nibble range
     const auto b = random_u8(tc.k * tc.n, rng);
-    std::vector<std::uint8_t> packed(static_cast<std::size_t>(
-        gemm_s8u8_nibble_packed_a_size(tc.m, tc.k)));
-    gemm_s8u8_nibble_pack_a(tc.m, tc.k, a.data(), tc.k, packed.data());
+    const auto packed = pack(PackedKernel::kNibble, tc.m, tc.k, a);
     std::vector<std::int32_t> expected(static_cast<std::size_t>(tc.m * tc.n));
     reference_s8u8(Trans::no, tc.m, tc.n, tc.k, 1, a.data(), b.data(), tc.n,
                    false, expected);
     for (const GemmSplit split : kForcedSplits) {
       for (const int ways : kWays) {
         std::vector<std::int32_t> actual(expected.size(), -1);
-        gemm_s8u8_nibble_prepacked_parallel(
-            Trans::no, tc.m, tc.n, tc.k, 1, packed.data(), b.data(), tc.n,
-            false, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
+        gemm_packed(PackedKernel::kNibble, Trans::no, tc.m, tc.n, tc.k, 1,
+                    packed.data(), b.data(), tc.n, false, actual.data(), tc.n,
+                    GemmExec{/*pooled=*/true, split, ways});
         ASSERT_EQ(actual, expected)
             << "m=" << tc.m << " n=" << tc.n
             << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -359,8 +363,8 @@ TEST(WideGemm, PackedWeightsWideNDispatchIsBitIdentical) {
   weights.gemm(Trans::no, n, b.data(), n, serial.data(), n, /*pooled=*/false);
   for (const GemmSplit split : kForcedSplits) {
     std::vector<std::int32_t> pooled(serial.size(), -1);
-    weights.gemm(Trans::no, n, b.data(), n, pooled.data(), n, /*pooled=*/true,
-                 /*scratch=*/nullptr, split);
+    weights.gemm(Trans::no, n, b.data(), n, pooled.data(), n,
+                 GemmExec{/*pooled=*/true, split});
     ASSERT_EQ(pooled, serial) << "split=" << static_cast<int>(split);
   }
 }
