@@ -1798,8 +1798,6 @@ void CompiledGraph::prepare(std::int64_t batch) {
   impl_->prepare(batch);
 }
 
-bool CompiledGraph::pooled() const { return impl_->pooled; }
-
 void CompiledGraph::set_pooled(bool pooled) { impl_->pooled = pooled; }
 
 std::uint64_t CompiledGraph::buffer_growth_count() const {

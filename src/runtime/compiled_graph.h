@@ -69,8 +69,8 @@ struct LowerOptions {
   bool plan_buffers = true;
   // Escape hatch: run every conv/linear layer on the widened s8u8 reference
   // GEMM, ignoring per-layer kernel selection. All kernels are bit-identical,
-  // so this only changes latency — the A/B baseline for the precision-latency
-  // benchmarks and the parity tests.
+  // so this only changes latency — the reference the parity tests compare
+  // the selected kernels against.
   bool force_reference_kernel = false;
 };
 
@@ -113,10 +113,8 @@ class CompiledGraph {
   // forward() prepares on demand, so this is an optional hook.
   void prepare(std::int64_t batch);
 
-  // Current execution mode. Tracks set_pooled, unlike options().pooled,
-  // which keeps the construction-time value (the batching server's
-  // idle-core borrowing restores to this between grants).
-  bool pooled() const;
+  // Switches the execution mode; options() keeps the construction-time
+  // value. Pooled and serial forwards are bit-identical.
   void set_pooled(bool pooled);
 
   // Growth events of the activation/scratch workspace (flat in steady

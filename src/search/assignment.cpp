@@ -19,13 +19,24 @@ double assignment_average_bits(const std::vector<int>& bits,
   return weighted / total;
 }
 
+int profile_max_bits(const SensitivityProfile& profile, int min_bits) {
+  CSQ_CHECK(!profile.sensitivity.empty()) << "search: empty profile";
+  const std::size_t width = profile.sensitivity.front().size();
+  for (const std::vector<double>& row : profile.sensitivity) {
+    CSQ_CHECK(row.size() == width)
+        << "search: ragged profile (" << row.size() << " vs " << width
+        << " bit widths)";
+  }
+  CSQ_CHECK(min_bits >= 1 && static_cast<std::size_t>(min_bits) <= width &&
+            width <= 8)
+      << "search: bad bit range [" << min_bits << ", " << width << "]";
+  return static_cast<int>(width);
+}
+
 BitAssignment assign_bits_greedy(const SensitivityProfile& profile,
-                                 double target_bits, int min_bits,
-                                 int max_bits) {
+                                 double target_bits, int min_bits) {
   const std::size_t layer_count = profile.sensitivity.size();
-  CSQ_CHECK(layer_count > 0) << "assignment: empty profile";
-  CSQ_CHECK(min_bits >= 1 && max_bits <= 8 && min_bits <= max_bits)
-      << "assignment: bad bit range";
+  const int max_bits = profile_max_bits(profile, min_bits);
 
   const auto sens = [&](std::size_t l, int bits) {
     return profile.sensitivity[l][static_cast<std::size_t>(bits - 1)];

@@ -51,7 +51,7 @@ EvoSearchResult evolutionary_search(Model& model,
                                     const SensitivityProfile& profile,
                                     const EvoSearchConfig& config) {
   const std::size_t layer_count = profile.sensitivity.size();
-  CSQ_CHECK(layer_count > 0) << "evo search: empty profile";
+  const int max_bits = profile_max_bits(profile, config.min_bits);
   CSQ_CHECK(config.population >= 2) << "evo search: population too small";
 
   Rng rng(config.seed);
@@ -73,7 +73,7 @@ EvoSearchResult evolutionary_search(Model& model,
   for (int p = 0; p < config.population; ++p) {
     std::vector<int> bits(layer_count);
     for (std::size_t l = 0; l < layer_count; ++l) {
-      const int span = config.max_bits - config.min_bits + 1;
+      const int span = max_bits - config.min_bits + 1;
       bits[l] = config.min_bits +
                 static_cast<int>(rng.uniform_int(
                     static_cast<std::uint32_t>(span)));
@@ -122,7 +122,7 @@ EvoSearchResult evolutionary_search(Model& model,
         child[l] = rng.bernoulli(0.5f) ? parent_a[l] : parent_b[l];
         if (rng.bernoulli(config.mutation_rate)) {
           child[l] += rng.bernoulli(0.5f) ? 1 : -1;
-          child[l] = std::clamp(child[l], config.min_bits, config.max_bits);
+          child[l] = std::clamp(child[l], config.min_bits, max_bits);
         }
       }
       repair_to_budget(child, profile, config.target_bits, config.min_bits);

@@ -23,8 +23,7 @@ struct EvoSearchConfig {
   int tournament = 3;
   float mutation_rate = 0.3f;  // per-layer probability of a +/-1 step
   double target_bits = 3.0;
-  int min_bits = 1;
-  int max_bits = 8;
+  int min_bits = 1;  // the maximum is the profile's width
   std::int64_t fitness_samples = 300;  // validation subset size
   std::uint64_t seed = 11;
 };

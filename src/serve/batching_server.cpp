@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -110,11 +109,6 @@ struct Shard {
   std::size_t flush_wait_pos = 0;
   std::size_t flush_wait_count = 0;
   BatchingServer::ShardStats stats;
-  // Workers currently between pop and scatter-completion (running a
-  // forward). Atomic rather than mutex-guarded so the idle-sibling release
-  // guard in run_worker stays exception-safe without re-taking the lock on
-  // the quarantine unwind path.
-  std::atomic<int> flushing_now{0};
 
   std::vector<std::thread> workers;
 
@@ -282,10 +276,6 @@ WorkerExit Shard::run_worker(int worker_index, std::vector<Request*>& taken,
   const std::int64_t sample_numel =
       shape.channels * shape.height * shape.width;
   const std::int64_t max_batch = options->max_batch;
-  // The replica's own execution mode (which a caller may have flipped with
-  // set_pooled after lowering, so graph_options.pooled is not authoritative):
-  // the level an idle-core grant is restored to when siblings are busy.
-  const bool base_pooled = graph.pooled();
 
   while (true) {
     CSQ_FAILPOINT("serve.worker_batch");
@@ -360,26 +350,6 @@ WorkerExit Shard::run_worker(int worker_index, std::vector<Request*>& taken,
     // Ring space freed: unblock producers waiting on backpressure.
     done_cv.notify_all();
 
-    // Idle-sibling core budget: when no sibling is mid-flush, run this
-    // batch with in-graph pooled execution so a lone (often batch-1)
-    // request fans its column-split GEMMs out over the idle cores. The
-    // counter is released on EVERY exit path — the quarantine unwind
-    // included — by the guard, so a replica failure never wedges the
-    // grant. Pooled and serial execution are bit-identical, so the grant
-    // may differ batch to batch without affecting outputs.
-    struct FlushingGuard {
-      std::atomic<int>& counter;
-      ~FlushingGuard() { counter.fetch_sub(1, std::memory_order_acq_rel); }
-    };
-    const int siblings_flushing =
-        flushing_now.fetch_add(1, std::memory_order_acq_rel);
-    FlushingGuard flushing_guard{flushing_now};
-    bool borrowed = false;
-    if (options->borrow_idle_cores) {
-      borrowed = siblings_flushing == 0;
-      graph.set_pooled(base_pooled || borrowed);
-    }
-
     // Gather -> one batched integer forward -> scatter. The integer path is
     // batch-invariant, so each row is bit-identical to a single-sample
     // forward of the same graph.
@@ -403,7 +373,6 @@ WorkerExit Shard::run_worker(int worker_index, std::vector<Request*>& taken,
     {
       std::lock_guard<std::mutex> lock(mutex);
       for (std::size_t i = 0; i < n; ++i) taken[i]->done = true;
-      if (borrowed) ++stats.borrowed_flushes;
       n = 0;  // completed: the failure path must not touch these again
     }
     done_cv.notify_all();

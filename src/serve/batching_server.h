@@ -109,16 +109,6 @@ struct ServerOptions {
   // shard's restore template on demand). 0 = the registered replica count —
   // no scaling headroom.
   int max_replicas = 0;
-  // Idle-sibling core budget: a worker that is the ONLY one flushing at pop
-  // time runs its batch with in-graph pooled execution, so the column-split
-  // GEMMs of a lone batch-1 request fan out over the idle cores instead of
-  // using one. Workers flushing concurrently stay with the pooled flag
-  // their replicas were built with (they never serialize on the shared
-  // pool). Outputs are bit-identical either way — pooled and serial
-  // execution share the determinism contract — so the grant may differ
-  // batch to batch. Off by default: granted batches run pooled GEMMs,
-  // which sit outside the strict zero-allocation guarantee (see above).
-  bool borrow_idle_cores = false;
 };
 
 // Resolved routing target for one model id: lets the request hot path skip
@@ -246,10 +236,6 @@ class BatchingServer {
     // time, µs) over the last 256 batches — the latency signal the
     // autoscaler watches. 0 until the first batch.
     std::int64_t flush_wait_p99_us = 0;
-    // Batches granted the idle-sibling core budget
-    // (ServerOptions::borrow_idle_cores): ran with in-graph pooled
-    // execution because no sibling was mid-flush.
-    std::uint64_t borrowed_flushes = 0;
   };
   ShardStats stats(const std::string& model_id) const;
 

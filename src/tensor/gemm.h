@@ -93,8 +93,8 @@ enum class GemmSplit { kAuto = -1, kRows = 0, kCols = 1, kGrid = 2 };
 // Shape policy for GemmSplit::kAuto with `ways` workers (0 = pool width):
 // row tiles >= ways -> kRows (classic split already fills the pool);
 // otherwise a single row tile -> kCols; otherwise kGrid. Exposed so tests
-// and the bench can pin the policy (an m<=kGemmMC wide-N GEMM must never
-// fall back to the serial row branch).
+// can pin the policy (an m<=kGemmMC wide-N GEMM must never fall back to the
+// serial row branch).
 GemmSplit gemm_choose_split(std::int64_t m, std::int64_t n, int ways);
 
 // Number of independent tasks a pooled GEMM schedules for this shape under
@@ -110,9 +110,9 @@ std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
 // out across the global thread pool when there is enough arithmetic to
 // amortize the wakeup and the call is not already inside a parallel region.
 // `split` picks the decomposition and `ways` its width (0 = pool thread
-// count); production code leaves both at their defaults, and tests and
-// benches force 1/2/4/8-way grids on any machine with them. A bare bool
-// converts to {pooled}.
+// count); production code leaves both at their defaults, and tests force
+// 1/2/4/8-way grids on any machine with them. A bare bool converts to
+// {pooled}.
 struct GemmExec {
   GemmExec(bool pooled = false, GemmSplit split = GemmSplit::kAuto,
            int ways = 0)

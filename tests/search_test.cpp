@@ -193,5 +193,33 @@ TEST(EvoSearch, RestoresModelWeights) {
   }
 }
 
+TEST(EvoSearch, BitsStayWithinNarrowProfile) {
+  // A profile covering 1..4 bits bounds both searches at 4 bits: neither
+  // may start above it or read a sensitivity it does not have.
+  Pretrained pre = make_pretrained();
+  const SensitivityProfile profile =
+      profile_sensitivity(pre.model, pre.data.train, 4, 64);
+
+  for (const int bits : assign_bits_greedy(profile, 8.0).bits) {
+    EXPECT_EQ(bits, 4);
+  }
+  EvoSearchConfig config;
+  config.population = 4;
+  config.generations = 2;
+  config.target_bits = 4.0;
+  config.fitness_samples = 32;
+  const EvoSearchResult result =
+      evolutionary_search(pre.model, pre.data.test, profile, config);
+  for (const int bits : result.best_bits) {
+    EXPECT_GE(bits, 1);
+    EXPECT_LE(bits, 4);
+  }
+
+  SensitivityProfile ragged = profile;
+  ragged.sensitivity.back().pop_back();
+  EXPECT_THROW(assign_bits_greedy(ragged, 3.0), check_error);
+  EXPECT_THROW(assign_bits_greedy(profile, 3.0, /*min_bits=*/5), check_error);
+}
+
 }  // namespace
 }  // namespace csq

@@ -303,25 +303,29 @@ TEST(BatchingServer, ConcurrentProducersGetBitIdenticalResults) {
 TEST(BatchingServer, PooledReplicasShareTheThreadPoolSafely) {
   // Replicas with in-graph pooled execution: concurrent top-level
   // parallel_for submissions from the shard workers must queue on the
-  // shared pool, not throw or race.
+  // shared pool, not throw or race. At max_batch = 1 every forward is a
+  // batch-1 forward, whose column-split GEMMs run inside a shard worker.
   runtime::CompiledGraph graph = make_calibrated_graph();
   ExpectedSet expected = make_expected(graph, 8, 7200);
 
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(runtime::replicate(graph));
-  replicas.push_back(runtime::replicate(graph));
-  for (auto& replica : replicas) replica.set_pooled(true);
+  for (const std::int64_t max_batch : {4, 1}) {
+    SCOPED_TRACE(max_batch);
+    std::vector<runtime::CompiledGraph> replicas;
+    replicas.push_back(runtime::replicate(graph));
+    replicas.push_back(runtime::replicate(graph));
+    for (auto& replica : replicas) replica.set_pooled(true);
 
-  serve::ServerOptions options;
-  options.max_batch = 4;
-  options.max_latency_us = 100;
-  serve::BatchingServer server(options);
-  server.add_model("pooled", std::move(replicas));
-  server.start();
-  EXPECT_EQ(run_producers(server, "pooled", expected, /*producers=*/4,
-                          /*iterations=*/15),
-            0u);
-  server.stop();
+    serve::ServerOptions options;
+    options.max_batch = max_batch;
+    options.max_latency_us = 100;
+    serve::BatchingServer server(options);
+    server.add_model("pooled", std::move(replicas));
+    server.start();
+    EXPECT_EQ(run_producers(server, "pooled", expected, /*producers=*/4,
+                            /*iterations=*/15),
+              0u);
+    server.stop();
+  }
 }
 
 TEST(BatchingServer, RoutesRequestsAcrossModels) {
@@ -622,65 +626,6 @@ TEST(BatchingServer, StatsSnapshotsRaceProducersSafely) {
   const auto stats = server.stats("m");
   EXPECT_EQ(stats.requests, 4u * 50u);
   EXPECT_GE(stats.batches, stats.requests / 4);
-  server.stop();
-}
-
-// ---------------------------------------------- idle-sibling borrowing ----
-
-TEST(BatchingServer, BorrowedIdleCoresKeepBatch1BitIdentity) {
-  // borrow_idle_cores at max_batch=1: every flush of the single replica is
-  // a sole flush, so every forward runs with the borrowed in-graph pooled
-  // execution — and must stay bit-identical to the serial oracle (the
-  // wide-N column split's determinism contract, end to end).
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  ExpectedSet expected = make_expected(graph, 8, 7900);
-
-  serve::ServerOptions options;
-  options.max_batch = 1;
-  options.max_latency_us = 100;
-  options.borrow_idle_cores = true;
-  serve::BatchingServer server(options);
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(runtime::replicate(graph));
-  replicas.front().set_pooled(false);
-  server.add_model("m", std::move(replicas));
-  server.start();
-
-  EXPECT_EQ(run_producers(server, "m", expected, /*producers=*/1,
-                          /*iterations=*/24),
-            0u);
-  const auto stats = server.stats("m");
-  EXPECT_EQ(stats.requests, 24u);
-  EXPECT_EQ(stats.borrowed_flushes, 24u);  // sole replica: every flush
-  server.stop();
-}
-
-TEST(BatchingServer, BorrowingStaysBitIdenticalUnderContention) {
-  // Two replicas, concurrent producers: grants flip on and off as flushes
-  // overlap. The mode a batch happens to run in must never show in the
-  // logits, and the release guard must leave the counter balanced (later
-  // sole flushes still get grants).
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  ExpectedSet expected = make_expected(graph, 8, 8000);
-
-  serve::ServerOptions options;
-  options.max_batch = 2;
-  options.max_latency_us = 100;
-  options.borrow_idle_cores = true;
-  serve::BatchingServer server(options);
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(runtime::replicate(graph));
-  replicas.push_back(runtime::replicate(graph));
-  server.add_model("m", std::move(replicas));
-  server.start();
-
-  EXPECT_EQ(run_producers(server, "m", expected, /*producers=*/4,
-                          /*iterations=*/25),
-            0u);
-  const auto stats = server.stats("m");
-  EXPECT_EQ(stats.requests, 100u);
-  EXPECT_GE(stats.borrowed_flushes, 1u);
-  EXPECT_LE(stats.borrowed_flushes, stats.batches);
   server.stop();
 }
 
