@@ -174,7 +174,6 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions server_options;
   server_options.max_batch = 16;
-  server_options.max_latency_us = 300;
   serve::BatchingServer server(server_options);
   server.add_model_from_artifact("resnet20", artifact_path, /*replicas=*/2);
   server.start();
@@ -234,8 +233,7 @@ int main(int argc, char** argv) {
             << static_cast<double>(stats.requests) /
                    static_cast<double>(stats.batches)
             << ", max " << stats.max_batch_observed << ", full flushes "
-            << stats.full_flushes << ", timer flushes " << stats.timer_flushes
-            << ")\n";
+            << stats.full_flushes << ")\n";
   std::cout << "per-request bit-identity vs single-sample forwards: "
             << (mismatches.load() == 0 ? "all identical" : "MISMATCHES!")
             << "\n\n";

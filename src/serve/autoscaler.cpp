@@ -20,8 +20,6 @@ ReplicaAutoscaler::ReplicaAutoscaler(BatchingServer& server,
       << "autoscaler: max_replicas below min_replicas";
   CSQ_CHECK(options_.up_queue_depth >= 1)
       << "autoscaler: up_queue_depth must be at least 1";
-  CSQ_CHECK(options_.up_wait_p99_us >= 0)
-      << "autoscaler: negative up_wait_p99_us";
   CSQ_CHECK(options_.up_ticks >= 1 && options_.down_idle_ticks >= 1)
       << "autoscaler: tick thresholds must be at least 1";
   CSQ_CHECK(options_.cooldown_ticks >= 0)
@@ -87,9 +85,7 @@ void ReplicaAutoscaler::policy_loop() {
 
     const bool pressured =
         shard.queue_depth >
-            options_.up_queue_depth * static_cast<std::int64_t>(active) ||
-        (options_.up_wait_p99_us > 0 &&
-         shard.flush_wait_p99_us > options_.up_wait_p99_us);
+        options_.up_queue_depth * static_cast<std::int64_t>(active);
     const bool idle = shard.queue_depth == 0 && arrivals == 0;
 
     pressure_ticks = pressured ? pressure_ticks + 1 : 0;

@@ -5,8 +5,9 @@
 // drives BatchingServer::set_replicas():
 //
 //   scale UP (one replica at a time) after `up_ticks` consecutive samples
-//   with pressure — queue depth above up_queue_depth per active replica,
-//   or (when up_wait_p99_us is set) the rolling flush-wait p99 above it;
+//   with pressure — queue depth above up_queue_depth per active replica
+//   (the server batches without a timer, so a queue builds only while
+//   every replica is busy);
 //
 //   scale DOWN (one replica at a time) after `down_idle_ticks` consecutive
 //   idle samples — empty queue and no new requests since the last sample;
@@ -41,9 +42,6 @@ struct AutoscalerOptions {
   // Pressure: queued requests per ACTIVE replica above which a sample
   // counts toward scaling up.
   std::int64_t up_queue_depth = 8;
-  // Optional latency pressure: rolling flush-wait p99 (µs) above which a
-  // sample counts toward scaling up. 0 = queue depth only.
-  std::int64_t up_wait_p99_us = 0;
   // Consecutive pressured samples before a scale-up.
   int up_ticks = 2;
   // Consecutive idle samples (empty queue, no request arrivals) before a

@@ -19,6 +19,20 @@ namespace detail {
 
 using Clock = std::chrono::steady_clock;
 
+// Sets *deadline to `us` (>= 0) microseconds from now and returns true, or
+// returns false when that instant lies beyond the clock's range: a deadline
+// that distant is no deadline (and adding it to now() would overflow).
+bool deadline_after(std::int64_t us, Clock::time_point* deadline) {
+  const Clock::time_point now = Clock::now();
+  const std::int64_t headroom_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::time_point::max() - now)
+          .count();
+  if (us >= headroom_us) return false;
+  *deadline = now + std::chrono::microseconds(us);
+  return true;
+}
+
 // One in-flight request. Lives on the producer's stack for the duration of
 // its try_infer() call — the queue stores only the pointer, so the request
 // path never allocates. Every admitted node is completed exactly once
@@ -51,9 +65,13 @@ enum class RestoreOutcome {
 
 // One model id: a request ring plus one worker thread (and graph replica)
 // per live replica slot. All queue state is guarded by `mutex`;
-// `queue_cv` wakes workers (work arrived / batch filled / stop / retire /
-// backoff interrupt), `done_cv` wakes producers (results ready, ring space
-// freed) and start()'s warmup wait.
+// `queue_cv` wakes serving workers (work arrived / stop / retire),
+// `restore_cv` interrupts restoring and bootstrapping workers' backoff
+// (stop / retire), `done_cv` wakes producers (results ready, ring space
+// freed) and start()'s warmup wait. The backoff has its own condition
+// variable so that only serving workers wait on queue_cv: try_infer's
+// notify_one must reach a worker that can serve, not a restoring one that
+// would go back to sleep and leave the request waiting out its backoff.
 struct Shard {
   std::string id;
   // Replica slots, max_workers wide: [0, registered) are filled by
@@ -74,6 +92,7 @@ struct Shard {
 
   std::mutex mutex;
   std::condition_variable queue_cv;
+  std::condition_variable restore_cv;
   std::condition_variable done_cv;
   std::vector<Request*> ring;  // preallocated; head/count index it
   std::size_t head = 0;
@@ -97,8 +116,8 @@ struct Shard {
   int live_workers = 0;
   int retire_requests = 0;
   std::vector<std::uint8_t> slot_busy;  // a worker owns this replica slot
-  // Autoscaler latency signal: per-batch flush wait (oldest popped
-  // request's queueing time, µs) over the last kFlushWindow batches.
+  // Per-batch flush wait (oldest popped request's queueing time, µs) over
+  // the last kFlushWindow batches.
   // Concurrency audit: BOTH sides of this ring are under `mutex` — the
   // worker writes flush_waits/flush_wait_pos/flush_wait_count inside the
   // locked pop scope of run_worker, and stats() copies them under the same
@@ -147,11 +166,11 @@ void Shard::complete_queued_locked(ServeStatus status) {
 
 // Warmup: grow the graph's activation workspace, this thread's GEMM packing
 // scratch and the staging tensor to their steady-state extents so the
-// request path never touches the heap. The flush policy can produce ANY
-// batch size in [1, max_batch], and every worker can have one output tensor
-// in flight at once — the returned outputs are HELD by the caller (across
-// the start() rendezvous) to seed the tensor pool with the worst-case
-// number of spans per size bucket.
+// request path never touches the heap. A worker takes whatever is queued,
+// so a batch can have ANY size in [1, max_batch], and every worker can have
+// one output tensor in flight at once — the returned outputs are HELD by
+// the caller (across the start() rendezvous) to seed the tensor pool with
+// the worst-case number of spans per size bucket.
 std::vector<Tensor> Shard::warmup_replica(runtime::CompiledGraph& graph,
                                           Tensor& staging) {
   CSQ_FAILPOINT("serve.warmup");
@@ -282,48 +301,20 @@ WorkerExit Shard::run_worker(int worker_index, std::vector<Request*>& taken,
     n = 0;
     {
       std::unique_lock<std::mutex> lock(mutex);
-      while (true) {
-        queue_cv.wait(lock, [&] {
-          return stopping || retire_requests > 0 || count > 0;
-        });
-        // Scale-down: claim one pending retirement between batches — any
-        // worker will do, queued work goes to the siblings. stop() wins
-        // over retirement (the drain needs every worker).
-        if (retire_requests > 0 && !stopping) {
-          --retire_requests;
-          ++stats.scale_downs;
-          return WorkerExit::kRetired;
-        }
-        if (count == 0) {
-          if (stopping) return WorkerExit::kStopped;  // fully drained
-          continue;
-        }
-        // Flush policy: wait for a full batch until the oldest queued
-        // request's latency bound expires (requests carry their enqueue
-        // stamp, so the deadline survives partial pops exactly).
-        if (count < static_cast<std::size_t>(max_batch) && !stopping) {
-          const Clock::time_point deadline =
-              ring[head]->enqueued +
-              std::chrono::microseconds(options->max_latency_us);
-          queue_cv.wait_until(lock, deadline, [&] {
-            return count >= static_cast<std::size_t>(max_batch) || stopping ||
-                   retire_requests > 0;
-          });
-          if (retire_requests > 0 && !stopping) {
-            --retire_requests;
-            ++stats.scale_downs;
-            return WorkerExit::kRetired;
-          }
-          // A sibling worker (or a timed-out producer cancelling its node)
-          // may have drained the queue while this one slept on the timer:
-          // go back to waiting instead of recording an empty batch.
-          if (count == 0 && !stopping) continue;
-          if (count == 0) return WorkerExit::kStopped;
-        }
-        break;
+      queue_cv.wait(lock, [&] {
+        return stopping || retire_requests > 0 || count > 0;
+      });
+      // Scale-down: claim one pending retirement between batches — any
+      // worker will do, queued work goes to the siblings. stop() wins
+      // over retirement (the drain needs every worker).
+      if (retire_requests > 0 && !stopping) {
+        --retire_requests;
+        ++stats.scale_downs;
+        return WorkerExit::kRetired;
       }
-      // Autoscaler latency signal: how long the oldest request of this
-      // flush sat queued.
+      if (count == 0) return WorkerExit::kStopped;  // stopping, fully drained
+      // Work-conserving flush: take everything queued (up to max_batch) at
+      // once, recording how long the oldest of it sat queued.
       flush_waits[flush_wait_pos] =
           std::chrono::duration_cast<std::chrono::microseconds>(
               Clock::now() - ring[head]->enqueued)
@@ -340,9 +331,7 @@ WorkerExit Shard::run_worker(int worker_index, std::vector<Request*>& taken,
       if (n == static_cast<std::size_t>(max_batch)) {
         ++stats.full_flushes;
       } else if (stopping) {
-        ++stats.drain_flushes;  // stop() drain: no timer fired
-      } else {
-        ++stats.timer_flushes;
+        ++stats.drain_flushes;
       }
       stats.max_batch_observed =
           std::max(stats.max_batch_observed, static_cast<std::int64_t>(n));
@@ -387,7 +376,7 @@ bool Shard::quarantine_and_restore(int worker_index,
     ++stats.quarantines;
     ++quarantined_now;
     // Put the popped batch back at the FRONT of the ring — original
-    // enqueue stamps intact, so flush deadlines and FIFO order survive —
+    // enqueue stamps intact, so flush-wait stats and FIFO order survive —
     // for the sibling workers (or this one, once restored) to serve. If
     // producers already refilled the freed space, fail the overflow
     // cleanly instead of overwriting live nodes.
@@ -449,8 +438,8 @@ RestoreOutcome Shard::restore_with_backoff(int worker_index) {
     {
       std::unique_lock<std::mutex> lock(mutex);
       if (attempt > 0 || options->restore_backoff_us > 0) {
-        queue_cv.wait_for(lock, std::chrono::microseconds(backoff_us),
-                          [&] { return stopping || retire_requests > 0; });
+        restore_cv.wait_for(lock, std::chrono::microseconds(backoff_us),
+                            [&] { return stopping || retire_requests > 0; });
       }
       if (stopping) return RestoreOutcome::kStopped;
       if (retire_requests > 0) {
@@ -504,6 +493,7 @@ void Shard::worker_exit(int worker_index, bool dead) {
 }  // namespace detail
 
 using detail::Clock;
+using detail::deadline_after;
 using detail::Request;
 using detail::Shard;
 
@@ -527,8 +517,6 @@ BatchingServer::BatchingServer(ServerOptions options)
     : options_(options) {
   CSQ_CHECK(options_.max_batch >= 1)
       << "batching server: max_batch must be at least 1";
-  CSQ_CHECK(options_.max_latency_us >= 0)
-      << "batching server: negative max_latency_us";
   CSQ_CHECK(options_.queue_capacity >= 1)
       << "batching server: queue_capacity must be at least 1";
   CSQ_CHECK(options_.drain_deadline_us >= 0)
@@ -666,15 +654,16 @@ void BatchingServer::stop() {
       shard->stopping = true;
     }
     shard->queue_cv.notify_all();
+    shard->restore_cv.notify_all();
     shard->done_cv.notify_all();
   }
   // Deadline-bounded graceful drain: let the workers finish queued work,
   // then complete whatever is still queued with kShuttingDown so no
   // producer waits past the bound (in-flight batches always finish — they
   // hold stack nodes a worker is actively writing).
-  if (options_.drain_deadline_us > 0) {
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::microseconds(options_.drain_deadline_us);
+  Clock::time_point deadline;
+  if (options_.drain_deadline_us > 0 &&
+      deadline_after(options_.drain_deadline_us, &deadline)) {
     for (auto& shard : shards_) {
       std::unique_lock<std::mutex> lock(shard->mutex);
       const bool drained = shard->done_cv.wait_until(
@@ -752,7 +741,9 @@ void BatchingServer::set_replicas(const std::string& model_id, int target) {
       shard.retire_requests += effective - target;
     }
   }
+  // Serving and restoring workers alike may claim a retirement.
   shard.queue_cv.notify_all();
+  shard.restore_cv.notify_all();
 }
 
 const std::shared_ptr<Shard>& BatchingServer::shard_ptr_for(
@@ -782,9 +773,9 @@ ServeStatus BatchingServer::try_infer(const ModelHandle& handle,
   if (!shard_ref) return ServeStatus::kShuttingDown;
   Shard& shard = *shard_ref;
 
-  const bool bounded = deadline_us >= 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::microseconds(bounded ? deadline_us : 0);
+  Clock::time_point deadline;
+  const bool bounded =
+      deadline_us >= 0 && deadline_after(deadline_us, &deadline);
 
   Request request;
   request.sample = sample;

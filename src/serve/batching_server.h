@@ -1,15 +1,17 @@
 // serve::BatchingServer — the request path on top of the integer runtime:
 // a multi-model shard registry, per-worker CompiledGraph replicas and a
-// latency-bounded request-batching queue with production failure semantics.
+// work-conserving request-batching queue with production failure semantics.
 //
 // Request path: N producer threads call infer()/try_infer(handle, sample,
 // logits). Each call links a stack-allocated request node into the target
-// shard's preallocated ring and blocks. A shard worker coalesces queued
-// requests into ONE batched forward — flushing when max_batch requests are
-// waiting or when the oldest queued request has waited max_latency_us,
-// whichever comes first — scatters the per-request logits back and wakes
-// the producers. Models are registered by id; each shard owns its queue and
-// one worker thread (plus graph replica) per registered replica.
+// shard's preallocated ring and blocks. A free shard worker takes everything
+// queued (up to max_batch) at once as ONE batched forward — it never waits
+// for a batch to fill, so a lone request is served as a batch of one, and
+// batches form only while every replica is busy, which is when batching
+// pays (Clipper's adaptive batching, Crankshaw et al., NSDI 2017) — then
+// scatters the per-request logits back and wakes the producers. Models are
+// registered by id; each shard owns its queue and one worker thread (plus
+// graph replica) per registered replica.
 //
 // Guarantees:
 //  * Outputs are bit-identical to serial single-sample forwards of the
@@ -45,7 +47,7 @@
 //    count at runtime — scale-up replicas bootstrap from the same restore
 //    template quarantine recovery uses (bit-identical siblings), scale-down
 //    retires workers only between batches. serve/autoscaler.h drives this
-//    from the shard's queue-depth and flush-latency stats.
+//    from the shard's queue-depth and arrival stats.
 //  * Deadline-bounded drain: stop() finishes in-flight work (bounded by
 //    ServerOptions::drain_deadline_us when set), completes anything still
 //    queued past the deadline with kShuttingDown, and late arrivals are
@@ -83,10 +85,8 @@ enum class ServeStatus {
 const char* serve_status_name(ServeStatus status);
 
 struct ServerOptions {
-  // Flush a batch as soon as this many requests are queued.
+  // Largest batch a free worker takes from the queue at once.
   std::int64_t max_batch = 16;
-  // ... or when the oldest queued request has waited this long.
-  std::int64_t max_latency_us = 200;
   // Ring capacity per shard; producers beyond it block (backpressure) or,
   // with shed_overload, are rejected immediately.
   std::int64_t queue_capacity = 1024;
@@ -197,7 +197,8 @@ class BatchingServer {
   //   * deadline_us > 0: bounds the call; expiry while still queued cancels
   //     the request with kTimeout; once a worker has picked it up, the call
   //     waits out the in-flight batch (one bounded forward) and reports its
-  //     outcome.
+  //     outcome. A deadline beyond the clock's range (INT64_MAX, say) is no
+  //     deadline.
   // Thread-safe; any number of producers may call concurrently.
   ServeStatus try_infer(const ModelHandle& handle, const float* sample,
                         float* logits, std::int64_t deadline_us = -1);
@@ -216,7 +217,8 @@ class BatchingServer {
     std::uint64_t requests = 0;  // admitted into the ring
     std::uint64_t batches = 0;
     std::uint64_t full_flushes = 0;   // batch reached max_batch
-    std::uint64_t timer_flushes = 0;  // latency bound fired first
+    // Always 0: batching has no timer. Kept for existing stats readers.
+    std::uint64_t timer_flushes = 0;
     std::uint64_t drain_flushes = 0;  // partial batch popped by stop()
     std::int64_t max_batch_observed = 0;
     // Failure semantics.
@@ -233,8 +235,8 @@ class BatchingServer {
     std::int64_t queue_depth = 0;   // gauge: requests queued right now
     int replicas_active = 0;        // gauge: serving-capable workers now
     // p99 of the per-batch flush wait (the oldest popped request's queueing
-    // time, µs) over the last 256 batches — the latency signal the
-    // autoscaler watches. 0 until the first batch.
+    // time, µs) over the last 256 batches: pure queue wait, since a free
+    // worker never holds a request back. 0 until the first batch.
     std::int64_t flush_wait_p99_us = 0;
   };
   ShardStats stats(const std::string& model_id) const;

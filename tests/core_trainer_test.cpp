@@ -1,6 +1,9 @@
 // Integration tests for the CSQ training pipeline (Algorithm 1): budget
 // convergence, trajectory recording, finalization exactness, finetune phase.
 // Kept small (tiny model, tiny data) so the suite stays fast.
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/csq_trainer.h"
@@ -56,8 +59,15 @@ TrainedCsq run_tiny_csq(double target_bits, double lambda, int epochs,
 TEST(CsqTrainer, ReachesNeighborhoodOfTargetPrecision) {
   const TrainedCsq trained = run_tiny_csq(/*target=*/3.0, /*lambda=*/0.05,
                                           /*epochs=*/10);
-  EXPECT_NEAR(trained.result.average_bits, 3.0, 1.0);
-  EXPECT_LT(trained.result.average_bits, 8.0);  // pruning happened
+  EXPECT_NEAR(trained.result.average_bits, 3.0, 0.25);
+  // The paper's prune-then-grow shape: the budget regularizer first prunes
+  // precision far below the target, then precision grows back to it.
+  const std::vector<double>& trajectory =
+      trained.result.precision_trajectory;
+  ASSERT_FALSE(trajectory.empty());
+  EXPECT_LT(*std::min_element(trajectory.begin(), trajectory.end()),
+            3.0 - 1.0);
+  EXPECT_NEAR(trajectory.back(), 3.0, 0.25);
   EXPECT_DOUBLE_EQ(trained.result.compression,
                    32.0 / trained.result.average_bits);
 }

@@ -49,6 +49,7 @@
 namespace csq {
 namespace {
 
+using testing::parked_worker_options;
 using testing::random_tensor;
 
 constexpr std::int64_t kSide = 12;
@@ -581,7 +582,6 @@ TEST_F(ServeRobustnessTest, QuarantinedReplicaRecoversWhileSiblingsServe) {
 
   serve::ServerOptions options;
   options.max_batch = 4;
-  options.max_latency_us = 200;
   options.restore_backoff_us = 200;
   serve::BatchingServer server(options);
   std::vector<runtime::CompiledGraph> replicas;
@@ -646,7 +646,6 @@ TEST_F(ServeRobustnessTest, ShardFailsOnlyWhenEveryReplicaIsDead) {
 
   serve::ServerOptions options;
   options.max_batch = 2;
-  options.max_latency_us = 100;
   options.restore_backoff_us = 100;
   options.restore_max_attempts = 2;
   serve::BatchingServer server(options);
@@ -676,19 +675,6 @@ TEST_F(ServeRobustnessTest, ShardFailsOnlyWhenEveryReplicaIsDead) {
   EXPECT_THROW(server.infer(handle, sample.data(), logits.data()),
                check_error);
   server.stop();
-}
-
-// Parks the shard's only worker in a long restore backoff before it ever
-// pops a request: serve.worker_batch throws at the top of the batch loop
-// and the 10 s backoff keeps the replica quarantined for the duration of
-// the test — a deterministic stand-in for a wedged worker.
-serve::ServerOptions parked_worker_options() {
-  serve::ServerOptions options;
-  options.max_batch = 1;
-  options.queue_capacity = 1;
-  options.max_latency_us = 100;
-  options.restore_backoff_us = 10'000'000;
-  return options;
 }
 
 TEST_F(ServeRobustnessTest, ShedOverloadFastRejectsAtTheFullRing) {
@@ -798,6 +784,42 @@ TEST_F(ServeRobustnessTest, DrainDeadlineCompletesQueuedWorkOnStop) {
             serve::ServeStatus::kShuttingDown);
 }
 
+TEST_F(ServeRobustnessTest, IdleSiblingServesWhileAReplicaRestores) {
+  // One of two replicas sits in a long restore backoff. Every lone request
+  // must wake the idle sibling: a wake-up spent on the restoring worker
+  // would leave the request waiting out the backoff past its deadline.
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const auto shape = graph.io_shape();
+  serve::BatchingServer server(parked_worker_options());
+  std::vector<runtime::CompiledGraph> replicas;
+  replicas.push_back(runtime::replicate(graph));
+  replicas.push_back(runtime::replicate(graph));
+  server.add_model("m", std::move(replicas));
+  fail::arm("serve.worker_batch", fail::Policy::kOnce);
+  server.start();
+  ASSERT_TRUE(
+      poll([&] { return server.stats("m").replicas_quarantined == 1; }));
+
+  const serve::ModelHandle handle = server.handle("m");
+  std::vector<float> sample(
+      static_cast<std::size_t>(kChannels * kSide * kSide), 0.5f);
+  std::vector<float> logits(static_cast<std::size_t>(shape.out_features));
+  // Which waiter a wake-up reaches varies run to run, so use enough
+  // requests that a misdirected wake is all but certain to show.
+  constexpr int kRequests = 100;
+  int failed = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    if (server.try_infer(handle, sample.data(), logits.data(),
+                         /*deadline_us=*/200'000) != serve::ServeStatus::kOk) {
+      ++failed;
+    }
+  }
+  EXPECT_EQ(failed, 0) << "of " << kRequests << " requests failed";
+  EXPECT_EQ(server.stats("m").timed_out, 0u);
+  EXPECT_EQ(server.stats("m").replicas_quarantined, 1);
+  server.stop();
+}
+
 TEST_F(ServeRobustnessTest, WarmupFailureSurfacesSynchronouslyFromStart) {
   runtime::CompiledGraph graph = make_calibrated_graph();
   serve::BatchingServer server;
@@ -833,13 +855,6 @@ TEST_F(ServeRobustnessTest, PooledSubmitFaultQuarantinesTheReplica) {
 
   serve::ServerOptions options;
   options.max_batch = 4;
-  // A generous latency bound makes batching deterministic: a worker that
-  // wakes on the first enqueue of a wave keeps waiting for the full batch
-  // instead of flushing a partial one. That matters because only a
-  // multi-sample forward has enough GEMM row tiles to actually SUBMIT to
-  // the pool — a batch-1 forward of this tiny graph takes the serial
-  // fallback and never evaluates the failpoint.
-  options.max_latency_us = 200'000;
   options.restore_backoff_us = 200;
   serve::BatchingServer server(options);
   std::vector<runtime::CompiledGraph> replicas;
@@ -852,23 +867,30 @@ TEST_F(ServeRobustnessTest, PooledSubmitFaultQuarantinesTheReplica) {
   fail::arm("threadpool.submit", fail::Policy::kOnce);
   const serve::ModelHandle handle = server.handle("m");
   std::atomic<std::uint64_t> failures{0};
-  // Full-batch waves of exactly max_batch concurrent requests, until one
-  // wave's pooled forward trips the armed submit point (the first full
-  // batch should; the bound only guards against kernel-geometry drift).
+  // Only a multi-sample forward has enough GEMM row tiles to actually
+  // SUBMIT to the pool — a batch-1 forward of this tiny graph takes the
+  // serial fallback and never evaluates the failpoint. So each wave
+  // releases max_batch producers at once against the two replicas: a
+  // worker that wakes to more than one queued request takes them all as
+  // one batch. Waves repeat until one trips the armed submit point; the
+  // bound covers waves whose requests were all popped one at a time.
   for (int wave = 0; wave < 50 && fail::triggers("threadpool.submit") == 0;
        ++wave) {
+    std::atomic<bool> go{false};
     std::vector<std::thread> producers;
     for (int p = 0; p < 4; ++p) {
       producers.emplace_back([&, p] {
         std::vector<float> logits(
             static_cast<std::size_t>(shape.out_features));
         const int s = p % 4;
+        while (!go.load()) std::this_thread::yield();
         if (server.try_infer(handle, samples.data() + s * sample_numel,
                              logits.data()) != serve::ServeStatus::kOk) {
           ++failures;
         }
       });
     }
+    go.store(true);
     for (std::thread& producer : producers) producer.join();
   }
   EXPECT_EQ(failures.load(), 0u);

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -35,12 +36,14 @@
 #include "serve/batching_server.h"
 #include "test_helpers.h"
 #include "util/check.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace csq {
 namespace {
 
 using testing::alloc_count;
+using testing::parked_worker_options;
 using testing::random_tensor;
 
 constexpr std::int64_t kSide = 12;
@@ -283,7 +286,6 @@ TEST(BatchingServer, ConcurrentProducersGetBitIdenticalResults) {
 
   serve::ServerOptions options;
   options.max_batch = 8;
-  options.max_latency_us = 200;
   serve::BatchingServer server(options);
   // Artifact-loaded replicas: the serving process path.
   server.add_model_from_artifact("resnet20", path, /*replicas=*/2);
@@ -317,7 +319,6 @@ TEST(BatchingServer, PooledReplicasShareTheThreadPoolSafely) {
 
     serve::ServerOptions options;
     options.max_batch = max_batch;
-    options.max_latency_us = 100;
     serve::BatchingServer server(options);
     server.add_model("pooled", std::move(replicas));
     server.start();
@@ -355,7 +356,6 @@ TEST(BatchingServer, RoutesRequestsAcrossModels) {
 
   serve::ServerOptions options;
   options.max_batch = 4;
-  options.max_latency_us = 100;
   serve::BatchingServer server(options);
   {
     std::vector<runtime::CompiledGraph> replicas_a;
@@ -376,13 +376,14 @@ TEST(BatchingServer, RoutesRequestsAcrossModels) {
 
 // ------------------------------------------------------- flush policy ----
 
-TEST(BatchingServer, SingleRequestFlushesOnTheLatencyTimer) {
+TEST(BatchingServer, LoneRequestFlushesAsBatchOfOne) {
+  // Work-conserving batching: a free worker serves a lone request at once,
+  // as a batch of one, instead of holding it back for company.
   runtime::CompiledGraph graph = make_calibrated_graph();
   ExpectedSet expected = make_expected(graph, 1, 7400);
 
   serve::ServerOptions options;
   options.max_batch = 8;
-  options.max_latency_us = 500;
   serve::BatchingServer server(options);
   std::vector<runtime::CompiledGraph> replicas;
   replicas.push_back(std::move(graph));
@@ -398,34 +399,37 @@ TEST(BatchingServer, SingleRequestFlushesOnTheLatencyTimer) {
   const auto stats = server.stats("m");
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.timer_flushes, 1u);  // batch of 1, far below max_batch
+  EXPECT_EQ(stats.timer_flushes, 0u);
   EXPECT_EQ(stats.full_flushes, 0u);
   EXPECT_EQ(stats.max_batch_observed, 1);
   server.stop();
 }
 
+#if CSQ_FAILPOINTS_ENABLED
+
 TEST(BatchingServer, DeadlineSemanticsArePinned) {
   // The {-1, 0, >0} deadline contract is load-bearing for the wire
   // protocol (serve/transport.h encodes -1 as THE no-deadline value), so
-  // pin each case against a server whose flush timer dwarfs the test: a
-  // lone request sits on the timer, making expiry deterministic.
+  // pin each case against a replica parked for ~300 ms (see
+  // parked_worker_options): requests queue behind it, making expiry
+  // deterministic.
   runtime::CompiledGraph graph = make_calibrated_graph();
   ExpectedSet expected = make_expected(graph, 1, 7450);
 
-  serve::ServerOptions options;
-  options.max_batch = 16;
-  options.max_latency_us = 300'000;
-  serve::BatchingServer server(options);
+  serve::BatchingServer server(
+      parked_worker_options(/*max_batch=*/16, /*restore_backoff_us=*/300'000));
   std::vector<runtime::CompiledGraph> replicas;
   replicas.push_back(std::move(graph));
   server.add_model("m", std::move(replicas));
+  fail::arm("serve.worker_batch", fail::Policy::kOnce);
   server.start();
   const serve::ModelHandle handle = server.handle("m");
 
   std::vector<float> logits(
       static_cast<std::size_t>(expected.out_features));
   // deadline_us == 0: already expired on entry — admitted, then cancelled
-  // with kTimeout (it is NOT "no deadline"; the 300 ms timer never fires).
+  // with kTimeout (it is NOT "no deadline"; the parked replica never gets
+  // to it).
   EXPECT_EQ(server.try_infer(handle, expected.samples.data(), logits.data(),
                              /*deadline_us=*/0),
             serve::ServeStatus::kTimeout);
@@ -433,64 +437,88 @@ TEST(BatchingServer, DeadlineSemanticsArePinned) {
   EXPECT_EQ(server.try_infer(handle, expected.samples.data(), logits.data(),
                              /*deadline_us=*/1),
             serve::ServeStatus::kTimeout);
-  // deadline_us == -1: no deadline — waits out the timer flush, succeeds,
-  // and the result is bit-identical.
+  // No deadline: -1, and INT64_MAX, which lies beyond the clock's range.
+  // Both wait out the parked replica's restore, succeed, and return
+  // bit-identical logits.
+  std::vector<float> logits_max(logits.size());
+  serve::ServeStatus status_max = serve::ServeStatus::kShuttingDown;
+  std::thread waiter([&] {
+    status_max = server.try_infer(handle, expected.samples.data(),
+                                  logits_max.data(), INT64_MAX);
+  });
   EXPECT_EQ(server.try_infer(handle, expected.samples.data(), logits.data(),
                              /*deadline_us=*/-1),
             serve::ServeStatus::kOk);
-  EXPECT_EQ(std::memcmp(logits.data(), expected.logits[0].data(),
-                        logits.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(server.stats("m").timed_out, 2u);
+  waiter.join();
+  EXPECT_EQ(status_max, serve::ServeStatus::kOk);
+  for (const std::vector<float>* out : {&logits, &logits_max}) {
+    EXPECT_EQ(std::memcmp(out->data(), expected.logits[0].data(),
+                          out->size() * sizeof(float)),
+              0);
+  }
+  const auto stats = server.stats("m");
+  EXPECT_EQ(stats.timed_out, 2u);
+  EXPECT_EQ(stats.restores, 1u);
   server.stop();
+  // The spent kOnce point stays registered, which keeps every failpoint
+  // site on its slow, allocating path: disarm it for the tests that follow.
+  fail::disarm_all();
 }
 
 TEST(BatchingServer, ExactlyMaxBatchFlushesFull) {
-  // With an effectively infinite latency bound, the only way a batch can
-  // flush is by filling: N producers of one request each must coalesce
-  // into exactly one full batch of N.
+  // Batching still forms under load: while the only replica is parked,
+  // max_batch producers of one request each queue up, and the restored
+  // replica takes them all as exactly one full batch.
   runtime::CompiledGraph graph = make_calibrated_graph();
   constexpr int kBatch = 4;
   ExpectedSet expected = make_expected(graph, kBatch, 7500);
 
-  serve::ServerOptions options;
-  options.max_batch = kBatch;
-  options.max_latency_us = 60'000'000;  // one minute: the timer cannot win
-  serve::BatchingServer server(options);
+  serve::BatchingServer server(
+      parked_worker_options(kBatch, /*restore_backoff_us=*/300'000));
   std::vector<runtime::CompiledGraph> replicas;
   replicas.push_back(std::move(graph));
   server.add_model("m", std::move(replicas));
+  fail::arm("serve.worker_batch", fail::Policy::kOnce);
   server.start();
 
   EXPECT_EQ(run_producers(server, "m", expected, kBatch, 1), 0u);
   const auto stats = server.stats("m");
+  EXPECT_EQ(stats.restores, 1u);
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kBatch));
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.full_flushes, 1u);
   EXPECT_EQ(stats.timer_flushes, 0u);
   EXPECT_EQ(stats.max_batch_observed, kBatch);
   server.stop();
+  // The spent kOnce point stays registered, which keeps every failpoint
+  // site on its slow, allocating path: disarm it for the tests that follow.
+  fail::disarm_all();
 }
 
-TEST(BatchingServer, TimerFlushDrainsPartialBatches) {
+#endif  // CSQ_FAILPOINTS_ENABLED
+
+TEST(BatchingServer, PartialBatchesFlushWithoutWaiting) {
+  // Nothing can fill a batch of 64 here, and nothing waits for it to: each
+  // producer has one request in flight, so no batch exceeds the producer
+  // count.
   runtime::CompiledGraph graph = make_calibrated_graph();
+  constexpr int kProducers = 3;
   ExpectedSet expected = make_expected(graph, 3, 7600);
 
   serve::ServerOptions options;
-  options.max_batch = 64;  // far above the offered load
-  options.max_latency_us = 1000;
+  options.max_batch = 64;
   serve::BatchingServer server(options);
   std::vector<runtime::CompiledGraph> replicas;
   replicas.push_back(std::move(graph));
   server.add_model("m", std::move(replicas));
   server.start();
 
-  EXPECT_EQ(run_producers(server, "m", expected, 3, 5), 0u);
+  EXPECT_EQ(run_producers(server, "m", expected, kProducers, 5), 0u);
   const auto stats = server.stats("m");
   EXPECT_EQ(stats.requests, 15u);
-  EXPECT_GE(stats.timer_flushes, 1u);  // nothing can fill 64
+  EXPECT_EQ(stats.timer_flushes, 0u);
   EXPECT_EQ(stats.full_flushes, 0u);
-  EXPECT_LE(stats.max_batch_observed, 15);
+  EXPECT_LE(stats.max_batch_observed, kProducers);
   server.stop();
 }
 
@@ -528,7 +556,6 @@ TEST(BatchingServer, SteadyStateRequestPathIsAllocationFree) {
 
   serve::ServerOptions options;
   options.max_batch = 4;
-  options.max_latency_us = 200;
   serve::BatchingServer server(options);
   std::vector<runtime::CompiledGraph> replicas;
   replicas.push_back(runtime::replicate(graph));
@@ -598,7 +625,6 @@ TEST(BatchingServer, StatsSnapshotsRaceProducersSafely) {
 
   serve::ServerOptions options;
   options.max_batch = 4;
-  options.max_latency_us = 100;
   serve::BatchingServer server(options);
   std::vector<runtime::CompiledGraph> replicas;
   replicas.push_back(runtime::replicate(graph));

@@ -1,5 +1,6 @@
 // Shared helpers for the csq test suite: numeric gradient checking against
-// the layers' analytic backward passes, and small tensor factories.
+// the layers' analytic backward passes, small tensor factories, and server
+// options that park a serving worker.
 #pragma once
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/module.h"
+#include "serve/batching_server.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -113,6 +115,21 @@ inline void check_parameter_gradients(Module& module, const Tensor& input,
       expect_close(param->grad[index], numeric, rtol, 2e-3);
     }
   }
+}
+
+// Options for parking a shard worker before it pops a request: arm the
+// `serve.worker_batch` failpoint before start() and a worker reaching the
+// top of its batch loop throws, quarantines its replica and sleeps out
+// `restore_backoff_us` before it serves (stop() cuts the backoff short).
+// Requests queue up meanwhile — a deterministic stand-in for a wedged or
+// busy worker. The ring holds exactly max_batch requests.
+inline serve::ServerOptions parked_worker_options(
+    std::int64_t max_batch = 1, std::int64_t restore_backoff_us = 10'000'000) {
+  serve::ServerOptions options;
+  options.max_batch = max_batch;
+  options.queue_capacity = max_batch;
+  options.restore_backoff_us = restore_backoff_us;
+  return options;
 }
 
 }  // namespace csq::testing

@@ -15,8 +15,10 @@
 //    rejecting borrowed programs, and pre-v5 artifacts rejected cleanly.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,6 +44,7 @@
 namespace csq {
 namespace {
 
+using testing::parked_worker_options;
 using testing::random_tensor;
 
 constexpr std::int64_t kSide = 12;
@@ -249,29 +252,36 @@ TEST(Transport, BadRequestsAreRejectedWithoutKillingTheConnection) {
   server.stop();
 }
 
+#if CSQ_FAILPOINTS_ENABLED
+
 TEST(Transport, WireDeadlinesFollowThePinnedSemantics) {
-  // A server whose flush timer is far longer than the test: a single
+  // The only replica is parked for ~300 ms (see parked_worker_options): a
   // queued request sits waiting, so expired deadlines deterministically
-  // cancel while -1 waits out the timer flush.
+  // cancel while no-deadline requests wait out the restore.
   runtime::CompiledGraph graph = make_calibrated_graph();
-  serve::ServerOptions server_options;
-  server_options.max_batch = 16;
-  server_options.max_latency_us = 300'000;
-  serve::BatchingServer server(server_options);
+  Tensor samples({1, kChannels, kSide, kSide});
+  std::fill(samples.data(), samples.data() + kSampleNumel, 0.25f);
+  const std::vector<Tensor> expected = single_sample_oracle(graph, samples);
+  serve::BatchingServer server(
+      parked_worker_options(/*max_batch=*/16, /*restore_backoff_us=*/300'000));
   std::vector<runtime::CompiledGraph> replicas;
   replicas.push_back(std::move(graph));
   server.add_model("m", std::move(replicas));
+  fail::arm("serve.worker_batch", fail::Policy::kOnce);
   server.start();
   serve::ServeTransport transport(server);
   transport.start();
 
   serve::TransportClient client(transport.port());
+  serve::TransportClient client_max(transport.port());
   ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client_max.connected());
   std::vector<float> logits;
-  std::vector<float> sample(static_cast<std::size_t>(kSampleNumel), 0.25f);
+  const std::vector<float> sample(samples.data(),
+                                  samples.data() + kSampleNumel);
 
   // deadline 0: already expired on entry -> kTimeout (the request never
-  // waits out the 300 ms flush timer).
+  // waits out the parked replica).
   EXPECT_EQ(client.infer("m", sample.data(), sample.size(), logits,
                          /*deadline_us=*/0),
             serve::WireStatus::kTimeout);
@@ -279,14 +289,32 @@ TEST(Transport, WireDeadlinesFollowThePinnedSemantics) {
   EXPECT_EQ(client.infer("m", sample.data(), sample.size(), logits,
                          /*deadline_us=*/1),
             serve::WireStatus::kTimeout);
-  // -1 = no deadline: waits for the timer flush and succeeds.
+  // No deadline: -1, and INT64_MAX, which lies beyond the clock's range.
+  // Both wait for the restore and succeed with bit-identical logits.
+  std::vector<float> logits_max;
+  serve::WireStatus status_max = serve::WireStatus::kTransportError;
+  std::thread waiter([&] {
+    status_max = client_max.infer("m", sample.data(), sample.size(),
+                                  logits_max, INT64_MAX);
+  });
   EXPECT_EQ(client.infer("m", sample.data(), sample.size(), logits,
                          /*deadline_us=*/-1),
             serve::WireStatus::kOk);
+  waiter.join();
+  EXPECT_EQ(status_max, serve::WireStatus::kOk);
+  ASSERT_EQ(logits.size(), static_cast<std::size_t>(expected[0].numel()));
+  ASSERT_EQ(logits_max.size(), logits.size());
+  expect_bit_identical(expected[0], logits.data(), "deadline -1");
+  expect_bit_identical(expected[0], logits_max.data(), "deadline INT64_MAX");
 
   transport.stop();
   server.stop();
+  // The spent kOnce point stays registered, which keeps every failpoint
+  // site on its slow, allocating path: disarm it for the tests that follow.
+  fail::disarm_all();
 }
+
+#endif  // CSQ_FAILPOINTS_ENABLED
 
 TEST(Transport, OversizedAndRunawayFramesDropTheConnection) {
   runtime::CompiledGraph graph = make_calibrated_graph();
