@@ -38,7 +38,7 @@ std::pair<std::uint32_t, std::uint32_t> read_container_header(
   CSQ_CHECK(in && std::equal(magic, magic + 4, kMagic))
       << "quantized model file: bad magic";
   const auto version = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(version >= 1 && version <= kGraphContainerVersion)
+  CSQ_CHECK(version == kLayerVersion || version == kGraphContainerVersion)
       << "quantized model file: unsupported version " << version;
   const auto layer_count = read_pod<std::uint32_t>(in);
   CSQ_CHECK(layer_count <= kMaxLayers)
@@ -66,8 +66,7 @@ void write_layer_record(std::ostream& out, const QuantizedLayerExport& layer) {
   }
 }
 
-QuantizedLayerExport read_layer_record(std::istream& in,
-                                       std::uint32_t version) {
+QuantizedLayerExport read_layer_record(std::istream& in, bool skip_codes) {
   QuantizedLayerExport layer;
   const auto name_length = read_pod<std::uint32_t>(in);
   CSQ_CHECK(name_length <= kMaxNameLength)
@@ -95,11 +94,16 @@ QuantizedLayerExport read_layer_record(std::istream& in,
   CSQ_CHECK(layer.bits >= 0 && layer.bits <= 8)
       << "quantized model file: bits out of range";
   layer.scale = read_pod<float>(in);
-  if (version >= 2) {
-    layer.denominator = read_pod<float>(in);
-    CSQ_CHECK(layer.denominator >= 1.0f && layer.denominator <= 255.0f)
-        << "quantized model file: bad grid denominator";
-  }  // v1 files fixed the denominator at 255 (the struct default)
+  layer.denominator = read_pod<float>(in);
+  CSQ_CHECK(layer.denominator >= 1.0f && layer.denominator <= 255.0f)
+      << "quantized model file: bad grid denominator";
+
+  if (skip_codes) {
+    in.seekg(static_cast<std::streamoff>(count * sizeof(std::int16_t)),
+             std::ios_base::cur);
+    CSQ_CHECK(static_cast<bool>(in)) << "quantized model file: truncated codes";
+    return layer;
+  }
 
   // Demand-driven growth (not an up-front resize): a corrupt count larger
   // than the actual payload throws on the first truncated read instead of
@@ -150,11 +154,11 @@ std::vector<QuantizedLayerExport> load_quantized_model(
   CSQ_CHECK(static_cast<bool>(in))
       << "quantized model file: cannot open " << path;
 
-  const auto [version, layer_count] = model_io::read_container_header(in);
+  const std::uint32_t layer_count = model_io::read_container_header(in).second;
   std::vector<QuantizedLayerExport> layers;
   layers.reserve(layer_count);
   for (std::uint32_t l = 0; l < layer_count; ++l) {
-    layers.push_back(model_io::read_layer_record(in, version));
+    layers.push_back(model_io::read_layer_record(in));
   }
   // v3 containers carry a trailing graph section (runtime/graph_artifact.h)
   // this reader deliberately ignores.
@@ -175,13 +179,11 @@ std::int64_t model_storage_bits(
 namespace {
 
 constexpr char kCheckpointMagic[4] = {'C', 'S', 'Q', 'C'};
-constexpr std::uint32_t kCheckpointVersionLegacy = 1;
 constexpr std::uint32_t kCheckpointVersion = 2;
 
-void write_checkpoint_header(std::ostream& out, std::uint32_t version,
-                             std::uint32_t param_count) {
+void write_checkpoint_header(std::ostream& out, std::uint32_t param_count) {
   out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-  write_pod(out, version);
+  write_pod(out, kCheckpointVersion);
   write_pod(out, param_count);
 }
 
@@ -232,8 +234,7 @@ bool save_checkpoint(const std::string& path, Model& model) {
 
   const ParameterArena& arena = model.arena();
   const std::vector<ParameterArena::View>& views = arena.views();
-  write_checkpoint_header(out, kCheckpointVersion,
-                          static_cast<std::uint32_t>(views.size()));
+  write_checkpoint_header(out, static_cast<std::uint32_t>(views.size()));
   for (const ParameterArena::View& view : views) {
     write_param_metadata(out, *view.param);
   }
@@ -250,27 +251,9 @@ bool save_checkpoint_per_tensor(const std::string& path, Model& model) {
   if (!out) return false;
 
   const std::vector<Parameter*>& params = model.parameters();
-  write_checkpoint_header(out, kCheckpointVersion,
-                          static_cast<std::uint32_t>(params.size()));
+  write_checkpoint_header(out, static_cast<std::uint32_t>(params.size()));
   for (const Parameter* param : params) write_param_metadata(out, *param);
   for (const Parameter* param : params) {
-    out.write(reinterpret_cast<const char*>(param->value.data()),
-              static_cast<std::streamsize>(param->value.numel() *
-                                           static_cast<std::int64_t>(
-                                               sizeof(float))));
-  }
-  return static_cast<bool>(out);
-}
-
-bool save_checkpoint_legacy(const std::string& path, Model& model) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-
-  const std::vector<Parameter*>& params = model.parameters();
-  write_checkpoint_header(out, kCheckpointVersionLegacy,
-                          static_cast<std::uint32_t>(params.size()));
-  for (const Parameter* param : params) {
-    write_param_metadata(out, *param);
     out.write(reinterpret_cast<const char*>(param->value.data()),
               static_cast<std::streamsize>(param->value.numel() *
                                            static_cast<std::int64_t>(
@@ -288,8 +271,7 @@ void load_checkpoint(const std::string& path, Model& model) {
   CSQ_CHECK(in && std::equal(magic, magic + 4, kCheckpointMagic))
       << "checkpoint: bad magic";
   const auto version = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(version >= kCheckpointVersionLegacy &&
-            version <= kCheckpointVersion)
+  CSQ_CHECK(version == kCheckpointVersion)
       << "checkpoint: unsupported version " << version;
 
   ParameterArena& arena = model.arena();
@@ -299,31 +281,18 @@ void load_checkpoint(const std::string& path, Model& model) {
       << "checkpoint: file has " << param_count << " parameters, model has "
       << views.size();
 
-  // Both versions carry the same floats in registration order; v1 merely
-  // interleaves them with the metadata. Assemble the flat span, then load
-  // it through the arena so every version bump happens in one place.
-  std::vector<float> values(static_cast<std::size_t>(arena.size()));
-  if (version == kCheckpointVersionLegacy) {
-    for (const ParameterArena::View& view : views) {
-      const std::int64_t count = read_param_metadata(in, *view.param);
-      CSQ_CHECK(count == view.count)
-          << "checkpoint: element count mismatch for " << view.param->name;
-      in.read(reinterpret_cast<char*>(values.data() + view.offset),
-              static_cast<std::streamsize>(count *
-                                           static_cast<std::int64_t>(
-                                               sizeof(float))));
-    }
-  } else {
-    for (const ParameterArena::View& view : views) {
-      const std::int64_t count = read_param_metadata(in, *view.param);
-      CSQ_CHECK(count == view.count)
-          << "checkpoint: element count mismatch for " << view.param->name;
-    }
-    in.read(reinterpret_cast<char*>(values.data()),
-            static_cast<std::streamsize>(arena.size() *
-                                         static_cast<std::int64_t>(
-                                             sizeof(float))));
+  for (const ParameterArena::View& view : views) {
+    const std::int64_t count = read_param_metadata(in, *view.param);
+    CSQ_CHECK(count == view.count)
+        << "checkpoint: element count mismatch for " << view.param->name;
   }
+  // Assemble the flat span, then load it through the arena so every
+  // version bump happens in one place.
+  std::vector<float> values(static_cast<std::size_t>(arena.size()));
+  in.read(reinterpret_cast<char*>(values.data()),
+          static_cast<std::streamsize>(arena.size() *
+                                       static_cast<std::int64_t>(
+                                           sizeof(float))));
   CSQ_CHECK(static_cast<bool>(in)) << "checkpoint: truncated payload";
   arena.load_values(values.data());
 }

@@ -8,16 +8,19 @@
 // Format (little-endian):
 //   magic "CSQM" | u32 version | u32 layer_count
 //   per layer: u32 name_len | name bytes | u32 ndim | i64 dims[ndim]
-//              | i32 bits | f32 scale | f32 denominator (v2+)
+//              | i32 bits | f32 scale | f32 denominator
 //              | i16 codes[numel]
-// Codes fit i16 (|q| <= 255 by construction; checked on save). v1 files
-// (CSQ-only, denominator fixed at 255) still load.
+// Codes fit i16 (|q| <= 255 by construction; checked on save).
 //
 // Version 3 is the GRAPH ARTIFACT container (runtime/graph_artifact.h): the
 // same layer section followed by a "CSQG" graph section carrying the lowered
 // topology and calibrated edge scales. load_quantized_model reads the layer
 // section of a v3 file and ignores the graph section, so serving artifacts
-// double as plain quantized-model containers; v1/v2 files load unchanged.
+// double as plain quantized-model containers.
+//
+// Support window: readers accept exactly what the writers emit — containers
+// v2 (plain) and v3 (graph artifact), checkpoints CSQC v2. Older versions
+// are rejected with a check_error.
 #pragma once
 
 #include <cstdint>
@@ -55,20 +58,14 @@ std::int64_t model_storage_bits(const std::vector<QuantizedLayerExport>& layers)
 // ---- training checkpoints (float parameter state) -------------------------
 //
 // Distinct container ("CSQC") for mid-training state: every Parameter's
-// float values in registration order. Format (little-endian):
+// float values in registration order. Format (little-endian, version 2):
 //   magic "CSQC" | u32 version | u32 param_count
-//   v1 (pre-arena, per-tensor interleaved):
-//     per param: u32 name_len | name | u32 ndim | i64 dims[ndim]
-//                | u8 weight_decay | f32 data[numel]
-//   v2 (arena, the format save_checkpoint writes):
-//     per param: u32 name_len | name | u32 ndim | i64 dims[ndim]
-//                | u8 weight_decay            (metadata table)
-//     f32 blob[total elements]               (one contiguous span)
+//   per param: u32 name_len | name | u32 ndim | i64 dims[ndim]
+//              | u8 weight_decay            (metadata table)
+//   f32 blob[total elements]               (one contiguous span)
 // Because arena offsets are the unpadded concatenation of the per-tensor
-// spans, the v2 blob is byte-identical whether it is written straight from
+// spans, the blob is byte-identical whether it is written straight from
 // the arena (one write) or tensor by tensor — model_io_test asserts this.
-// v1 files keep loading: the payload is the same floats in the same order,
-// only interleaved with the metadata.
 
 // Saves every parameter of `model` as a v2 checkpoint. Binds the model's
 // arena (nn/parameter_arena.h); the value payload is ONE contiguous write
@@ -76,13 +73,10 @@ std::int64_t model_storage_bits(const std::vector<QuantizedLayerExport>& layers)
 bool save_checkpoint(const std::string& path, Model& model);
 
 // Same v2 bytes, written tensor by tensor without touching the arena —
-// the legacy path kept as the byte-identity oracle for save_checkpoint.
+// kept as the byte-identity oracle for save_checkpoint.
 bool save_checkpoint_per_tensor(const std::string& path, Model& model);
 
-// Writes the v1 (pre-arena) layout; used to produce back-compat fixtures.
-bool save_checkpoint_legacy(const std::string& path, Model& model);
-
-// Loads a v1 or v2 checkpoint into `model`, which must have an identical
+// Loads a v2 checkpoint into `model`, which must have an identical
 // parameter list (names, shapes, decay flags, order). Binds the arena and
 // loads through ParameterArena::load_values, so every Parameter's version
 // is bumped (dirty-flag contract). Throws check_error on mismatch or
@@ -96,8 +90,8 @@ void load_checkpoint(const std::string& path, Model& model);
 // set of readers/writers defines the on-disk layer record.
 namespace model_io {
 
-// Container versions: v1 scale-only, v2 adds the grid denominator (the
-// format save_quantized_model writes), v3 marks a trailing graph section.
+// Container versions: v2 is the plain layer container save_quantized_model
+// writes, v3 marks a trailing graph section. Readers accept exactly these.
 constexpr std::uint32_t kLayerVersion = 2;
 constexpr std::uint32_t kGraphContainerVersion = 3;
 
@@ -125,11 +119,12 @@ void write_container_header(std::ostream& out, std::uint32_t version,
 std::pair<std::uint32_t, std::uint32_t> read_container_header(
     std::istream& in);
 
-// One layer record in the (version-independent) v2 layout. The reader
-// honours `version` for the v1 denominator default.
+// One layer record. `skip_codes` seeks over the i16 code payload instead of
+// reading it (layer.codes stays empty) — the mmap graph loader packs from
+// the artifact's weight section and never materializes the codes.
 void write_layer_record(std::ostream& out, const QuantizedLayerExport& layer);
 QuantizedLayerExport read_layer_record(std::istream& in,
-                                       std::uint32_t version);
+                                       bool skip_codes = false);
 
 }  // namespace model_io
 

@@ -1987,26 +1987,19 @@ void replay_program(CompiledGraph::Impl& impl, const GraphProgram& program,
 // Per-layer kernel selection, recorded in the program BEFORE replay so the
 // persisted artifact (and every replica sharing the program) replays the
 // exact same GEMM paths. Instructions that already carry a recorded kind
-// (v3 artifacts) keep it; pre-kernel-record programs re-derive the identical
-// choice (select_kernel is a pure function of the layer data);
-// force_reference_kernel pins everything to the s8u8 baseline.
+// (every loaded artifact) keep it; live lowering (kAuto) derives it with
+// select_kernel; force_reference_kernel pins everything to the s8u8
+// baseline.
 void resolve_kernel_selection(GraphProgram& program,
                               const LowerOptions& options) {
   // Mmap-loaded programs carry no owned codes to re-derive a selection from
-  // — the borrowed panels were packed for the recorded kernels, so the
-  // recorded kinds are the only valid replay.
+  // — the borrowed panels were packed for the recorded kernels (the artifact
+  // parser checks each entry against its instruction), so the recorded
+  // kinds are the only valid replay.
   if (program.mapped != nullptr) {
     CSQ_CHECK(!options.force_reference_kernel)
         << "mmap artifact: force_reference_kernel would mismatch the "
            "borrowed panels; use load_graph for kernel A/B runs";
-    for (const ProgramInstr& instr : program.instrs) {
-      if (instr.kind != ProgramInstr::Kind::kConv &&
-          instr.kind != ProgramInstr::Kind::kLinear) {
-        continue;
-      }
-      CSQ_CHECK(instr.kernel_kind >= 0)
-          << "mmap artifact: unresolved kernel kind on a mapped program";
-    }
     return;
   }
   for (ProgramInstr& instr : program.instrs) {

@@ -28,24 +28,14 @@ namespace runtime {
 namespace {
 
 constexpr char kGraphMagic[4] = {'C', 'S', 'Q', 'G'};
-// Graph-section versions: v1 square pools only (no kernel_w field, no
-// average pooling); v2 adds the pool kernel_w field and the kAvgPool
-// instruction; v3 adds the per-instruction kernel_kind (the recorded GEMM
-// path of a conv/linear layer) and the avg-pool exclude_pad flag; v4 adds
-// nothing to the section body but appends a CRC-32 trailer over every
-// preceding container byte, so torn or bit-flipped artifacts are rejected
-// at load instead of deserialized; v5 appends a packed-weights section
-// (each layer's int8 planes + prepacked kernel panels, 64-byte aligned)
-// between the edge records and the CRC trailer, so load_graph_mmap can
-// borrow weight pages straight from a read-only mapping. The writer emits
-// v5; the reader accepts all — v1 files (tests/data/golden_v3.csqm pins
-// one) decode kernel_w = 0 (square), pre-v3 files decode kernel_kind = -1
-// (re-resolved deterministically at build_graph) and exclude_pad = false,
-// pre-v4 files simply skip CRC verification, and load_graph ignores the v5
-// weight section entirely (it re-packs from the codes), preserving
-// bit-identical serving.
+// The graph section is versioned on its own. save_graph writes v5: the
+// program (instructions carry kernel_w, the resolved kernel_kind and the
+// avg-pool exclude_pad flag), the edge records, a packed-weights section
+// (each conv/linear layer's int8 planes + prepacked kernel panels, 64-byte
+// aligned) so load_graph_mmap can borrow weight pages straight from a
+// read-only mapping, and a CRC-32 trailer over every preceding container
+// byte. Both loaders accept exactly that: v1–v4 sections are rejected.
 constexpr std::uint32_t kGraphSectionVersion = 5;
-constexpr std::uint32_t kMinGraphSectionVersion = 1;
 // Sanity bounds for reading untrusted artifacts.
 constexpr std::uint32_t kMaxInstrs = 1 << 20;
 constexpr std::uint32_t kMaxEdges = 1 << 20;
@@ -75,6 +65,14 @@ std::vector<float> read_float_vector(std::istream& in) {
           static_cast<std::streamsize>(values.size() * sizeof(float)));
   CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated";
   return values;
+}
+
+// A bool field: the writer emits exactly 0 or 1.
+bool read_flag(std::istream& in) {
+  const auto flag = read_pod<std::uint8_t>(in);
+  CSQ_CHECK(flag <= 1) << "graph artifact: bad flag byte "
+                       << static_cast<int>(flag);
+  return flag != 0;
 }
 
 // Zero-pads `out` so the next byte lands on a kWeightAlignment boundary of
@@ -237,223 +235,26 @@ class SpanStreamBuf final : public std::streambuf {
   }
 };
 
-// Layer-record metadata without the code payload: reads name/shape/bits/
-// scale/denominator, then SEEKS over the i16 codes (layer.codes stays
-// empty) — the mmap path packs from the v5 weight section instead of the
-// codes, so it never materializes them.
-QuantizedLayerExport read_layer_metadata(std::istream& in,
-                                         std::uint32_t version) {
-  QuantizedLayerExport layer;
-  const auto name_length = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(name_length <= 4096) << "graph artifact: absurd name length";
-  layer.name.resize(name_length);
-  in.read(layer.name.data(), name_length);
-  CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated name";
-
-  const auto rank = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(rank <= 8) << "graph artifact: absurd layer rank";
-  layer.shape.resize(rank);
-  std::int64_t count = 1;
-  constexpr std::int64_t kMaxElements = std::int64_t{1} << 33;
-  for (std::uint32_t d = 0; d < rank; ++d) {
-    layer.shape[d] = read_pod<std::int64_t>(in);
-    CSQ_CHECK(layer.shape[d] >= 0) << "graph artifact: negative dim";
-    CSQ_CHECK(layer.shape[d] == 0 || count <= kMaxElements / layer.shape[d])
-        << "graph artifact: absurd element count";
-    count *= layer.shape[d];
-  }
-
-  layer.bits = read_pod<std::int32_t>(in);
-  CSQ_CHECK(layer.bits >= 0 && layer.bits <= 8)
-      << "graph artifact: bits out of range";
-  layer.scale = read_pod<float>(in);
-  if (version >= 2) {
-    layer.denominator = read_pod<float>(in);
-    CSQ_CHECK(layer.denominator >= 1.0f && layer.denominator <= 255.0f)
-        << "graph artifact: bad grid denominator";
-  }
-  in.seekg(static_cast<std::streamoff>(count) *
-               static_cast<std::streamoff>(sizeof(std::int16_t)),
-           std::ios_base::cur);
-  CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated codes";
-  return layer;
-}
-
-struct ParsedArtifact {
-  GraphProgram program;
-  LowerOptions options;
-  std::vector<EdgeScaleRecord> edges;
-  std::uint32_t section_version = 0;
-};
-
-// Parses the layer + graph sections from `in`, whose underlying image is
-// [data, data + size). For v4+ the CRC trailer (the last four bytes of the
-// image) is verified BEFORE any graph-section field is deserialized.
-// skip_layer_codes leaves every layer's code vector empty (mmap path).
-// On return the stream is positioned right after the edge records — where
-// the v5 weight section begins.
-ParsedArtifact parse_artifact(std::istream& in, const char* data,
-                              std::size_t size, bool pooled,
-                              bool skip_layer_codes) {
-  ParsedArtifact parsed;
-  const auto [version, layer_count] = model_io::read_container_header(in);
-  CSQ_CHECK(version == model_io::kGraphContainerVersion)
-      << "graph artifact: file is a plain quantized-model container "
-      << "(version " << version << ") with no graph section";
-
-  GraphProgram& program = parsed.program;
-  program.layers.reserve(layer_count);
-  for (std::uint32_t l = 0; l < layer_count; ++l) {
-    program.layers.push_back(skip_layer_codes
-                                 ? read_layer_metadata(in, version)
-                                 : model_io::read_layer_record(in, version));
-  }
-
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  CSQ_CHECK(in && std::equal(magic, magic + 4, kGraphMagic))
-      << "graph artifact: bad graph-section magic";
-  const auto section_version = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(section_version >= kMinGraphSectionVersion &&
-            section_version <= kGraphSectionVersion)
-      << "graph artifact: unsupported graph-section version "
-      << section_version;
-  parsed.section_version = section_version;
-
-  // v4+: the last four bytes are crc32 over everything before them. Verify
-  // BEFORE deserializing the remaining sections — a torn or bit-flipped
-  // artifact must be rejected as corrupt, not parsed into a wrong graph.
-  if (section_version >= 4) {
-    CSQ_CHECK(size > kCrcTrailerBytes) << "graph artifact: truncated";
-    const std::size_t payload_size = size - kCrcTrailerBytes;
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, data + payload_size, kCrcTrailerBytes);
-    const std::uint32_t actual = crc32(data, payload_size);
-    CSQ_CHECK(stored == actual)
-        << "graph artifact: CRC mismatch (stored " << stored << ", computed "
-        << actual << ") — torn write or corrupted file";
-  }
-
-  LowerOptions& options = parsed.options;
-  options.in_channels = read_pod<std::int64_t>(in);
-  options.in_height = read_pod<std::int64_t>(in);
-  options.in_width = read_pod<std::int64_t>(in);
-  options.act_bits = read_pod<std::int32_t>(in);
-  options.pooled = pooled;
-  CSQ_CHECK(options.in_channels > 0 && options.in_height > 0 &&
-            options.in_width > 0)
-      << "graph artifact: non-positive input extents";
-
-  const auto instr_count = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(instr_count <= kMaxInstrs)
-      << "graph artifact: absurd instruction count " << instr_count;
-  program.instrs.reserve(instr_count);
-  // v1 sections predate the kAvgPool instruction and the kernel_w field.
-  const auto max_kind = static_cast<std::uint8_t>(
-      section_version >= 2 ? ProgramInstr::Kind::kAvgPool
-                           : ProgramInstr::Kind::kLinear);
-  for (std::uint32_t i = 0; i < instr_count; ++i) {
-    ProgramInstr instr;
-    const auto kind = read_pod<std::uint8_t>(in);
-    CSQ_CHECK(kind <= max_kind)
-        << "graph artifact: unknown instruction kind "
-        << static_cast<int>(kind);
-    instr.kind = static_cast<ProgramInstr::Kind>(kind);
-    instr.layer = read_pod<std::int32_t>(in);
-    instr.kernel = read_pod<std::int64_t>(in);
-    if (section_version >= 2) instr.kernel_w = read_pod<std::int64_t>(in);
-    instr.stride = read_pod<std::int64_t>(in);
-    instr.pad = read_pod<std::int64_t>(in);
-    instr.act_bits = read_pod<std::int32_t>(in);
-    instr.clip = read_pod<float>(in);
-    if (section_version >= 3) {
-      instr.kernel_kind = read_pod<std::int32_t>(in);
-      CSQ_CHECK(instr.kernel_kind >= -1 && instr.kernel_kind <= 3)
-          << "graph artifact: unknown kernel kind " << instr.kernel_kind;
-      instr.exclude_pad = read_pod<std::uint8_t>(in) != 0;
-    }
-    instr.scale = read_float_vector(in);
-    instr.shift = read_float_vector(in);
-    instr.bias = read_float_vector(in);
-    // Field validation the replay builder does not re-derive: a zero pool
-    // kernel would reach an integer division and a wild act_bits an
-    // undefined shift — corrupted artifacts must throw, not crash.
-    if (instr.kind == ProgramInstr::Kind::kConv ||
-        instr.kind == ProgramInstr::Kind::kMaxPool ||
-        instr.kind == ProgramInstr::Kind::kAvgPool) {
-      CSQ_CHECK(instr.kernel >= 1 && instr.kernel <= kMaxExtent)
-          << "graph artifact: bad kernel extent " << instr.kernel;
-      CSQ_CHECK(instr.kernel_w >= 0 && instr.kernel_w <= kMaxExtent)
-          << "graph artifact: bad kernel width " << instr.kernel_w;
-      CSQ_CHECK(instr.stride >= 1 && instr.stride <= kMaxExtent &&
-                instr.pad >= 0 && instr.pad <= kMaxExtent)
-          << "graph artifact: bad conv/pool stride/pad";
-    }
-    if (instr.kind == ProgramInstr::Kind::kActQuant) {
-      CSQ_CHECK(instr.act_bits >= 1 && instr.act_bits <= 32)
-          << "graph artifact: bad act-quant bits " << instr.act_bits;
-    }
-    if (section_version == 1 &&
-        instr.kind == ProgramInstr::Kind::kMaxPool) {
-      // v1 recorded only the pool kernel; the stride field held its unused
-      // ProgramInstr default (1) while the replay pooled with
-      // stride == kernel. Normalize to the explicit v2 encoding.
-      instr.stride = instr.kernel;
-      instr.pad = 0;
-    }
-    program.instrs.push_back(std::move(instr));
-  }
-
-  const auto edge_count = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(edge_count <= kMaxEdges)
-      << "graph artifact: absurd edge count " << edge_count;
-  parsed.edges.reserve(edge_count);
-  for (std::uint32_t e = 0; e < edge_count; ++e) {
-    EdgeScaleRecord record;
-    record.is_acc = read_pod<std::uint8_t>(in) != 0;
-    record.scale = read_pod<float>(in);
-    record.levels = read_pod<float>(in);
-    record.zero_point = read_pod<std::int32_t>(in);
-    parsed.edges.push_back(record);
-  }
-  return parsed;
-}
-
-// Owns one read-only mapping of an artifact file; the MappedWeightTable's
-// keepalive shares it with every graph built from the program.
-struct ArtifactMapping {
-  const char* data = nullptr;
-  std::size_t size = 0;
-
-  ~ArtifactMapping() {
-    if (data != nullptr) {
-      ::munmap(const_cast<char*>(data), size);
-    }
-  }
-};
-
-// Parses the v5 packed-weights section (stream positioned right after the
-// edge records) into borrowed views over the mapping. Every pointer is
-// bounds-checked against the payload before it is trusted.
-std::shared_ptr<const MappedWeightTable> read_weight_table(
-    std::istream& in, const GraphProgram& program,
-    std::shared_ptr<ArtifactMapping> mapping) {
-  const char* base = mapping->data;
-  const std::size_t payload_size = mapping->size - kCrcTrailerBytes;
-
-  std::vector<std::int32_t> weight_layer_indices;
+// Parses the packed-weights section (stream positioned right after the
+// edge records) into views over the payload [base, base + payload_size).
+// Every blob is bounds-checked against the payload, and each entry's layer
+// and kernel must match its conv/linear instruction: the GEMM reads panels
+// in the instruction's layout, so the entry must have been sized for it.
+std::shared_ptr<MappedWeightTable> read_weight_table(
+    std::istream& in, const char* base, std::size_t payload_size,
+    const GraphProgram& program) {
+  std::vector<const ProgramInstr*> weight_instrs;
   for (const ProgramInstr& instr : program.instrs) {
     if (instr.kind == ProgramInstr::Kind::kConv ||
         instr.kind == ProgramInstr::Kind::kLinear) {
-      weight_layer_indices.push_back(instr.layer);
+      weight_instrs.push_back(&instr);
     }
   }
 
   const auto entry_count = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(entry_count == weight_layer_indices.size())
-      << "mmap artifact: weight section holds " << entry_count
-      << " entries for " << weight_layer_indices.size()
-      << " conv/linear layers";
+  CSQ_CHECK(entry_count == weight_instrs.size())
+      << "graph artifact: weight section holds " << entry_count
+      << " entries for " << weight_instrs.size() << " conv/linear layers";
 
   auto table = std::make_shared<MappedWeightTable>();
   table->entries.reserve(entry_count);
@@ -467,31 +268,36 @@ std::shared_ptr<const MappedWeightTable> read_weight_table(
         misalign == 0 ? pos : pos + (kWeightAlignment - misalign);
     CSQ_CHECK(bytes >= 0 &&
               aligned + static_cast<std::size_t>(bytes) <= payload_size)
-        << "mmap artifact: weight blob overruns the payload";
+        << "graph artifact: weight blob overruns the payload";
+    CSQ_CHECK(std::all_of(base + pos, base + aligned,
+                          [](char c) { return c == 0; }))
+        << "graph artifact: nonzero alignment padding";
     in.seekg(static_cast<std::streamoff>(aligned +
                                          static_cast<std::size_t>(bytes)),
              std::ios_base::beg);
-    CSQ_CHECK(static_cast<bool>(in)) << "mmap artifact: truncated weights";
+    CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated weights";
     return base + aligned;
   };
 
   for (std::uint32_t i = 0; i < entry_count; ++i) {
+    const ProgramInstr& instr = *weight_instrs[i];
     const auto layer_index = read_pod<std::int32_t>(in);
-    CSQ_CHECK(layer_index == weight_layer_indices[i])
-        << "mmap artifact: weight entry " << i << " keys layer "
-        << layer_index << ", program expects " << weight_layer_indices[i];
+    CSQ_CHECK(layer_index == instr.layer)
+        << "graph artifact: weight entry " << i << " keys layer "
+        << layer_index << ", program expects " << instr.layer;
     MappedWeightTable::Entry entry;
     entry.rows = read_pod<std::int64_t>(in);
     entry.cols = read_pod<std::int64_t>(in);
     entry.shift = read_pod<std::int32_t>(in);
     const auto kernel = read_pod<std::int32_t>(in);
-    const bool split = read_pod<std::uint8_t>(in) != 0;
+    const bool split = read_flag(in);
     CSQ_CHECK(entry.rows >= 1 && entry.rows <= kMaxExtent &&
               entry.cols >= 1 && entry.cols <= 32767)
-        << "mmap artifact: absurd weight extents " << entry.rows << "x"
+        << "graph artifact: absurd weight extents " << entry.rows << "x"
         << entry.cols;
-    CSQ_CHECK(kernel >= 0 && kernel <= 3)
-        << "mmap artifact: unknown weight kernel " << kernel;
+    CSQ_CHECK(kernel == instr.kernel_kind)
+        << "graph artifact: weight entry " << i << " packed for kernel "
+        << kernel << ", instruction selects " << instr.kernel_kind;
 
     const std::int64_t count = entry.rows * entry.cols;
     entry.spans.primary =
@@ -510,9 +316,153 @@ std::shared_ptr<const MappedWeightTable> read_weight_table(
     }
     table->entries.push_back(entry);
   }
-  table->keepalive = std::move(mapping);
   return table;
 }
+
+struct ParsedArtifact {
+  GraphProgram program;
+  LowerOptions options;
+  std::vector<EdgeScaleRecord> edges;
+  // Views into the parsed image: load_graph_mmap adopts them, load_graph
+  // drops them and re-packs from the codes.
+  std::shared_ptr<MappedWeightTable> weights;
+};
+
+// Parses the exact bytes save_graph writes from the image [data, data +
+// size): the CRC trailer (the last four bytes) is verified BEFORE any field
+// is deserialized, every section is read and bounds-checked, and the
+// payload must end exactly where the weight section does.
+// skip_layer_codes leaves every layer's code vector empty (mmap path).
+ParsedArtifact parse_artifact(const char* data, std::size_t size,
+                              bool pooled, bool skip_layer_codes) {
+  CSQ_CHECK(size > kCrcTrailerBytes) << "graph artifact: truncated";
+  const std::size_t payload_size = size - kCrcTrailerBytes;
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, data + payload_size, kCrcTrailerBytes);
+  const std::uint32_t actual = crc32(data, payload_size);
+  CSQ_CHECK(stored == actual)
+      << "graph artifact: CRC mismatch (stored " << stored << ", computed "
+      << actual << ") — torn write or corrupted file";
+
+  SpanStreamBuf buf(data, payload_size);
+  std::istream in(&buf);
+  ParsedArtifact parsed;
+  const auto [version, layer_count] = model_io::read_container_header(in);
+  CSQ_CHECK(version == model_io::kGraphContainerVersion)
+      << "graph artifact: file is a plain quantized-model container "
+      << "(version " << version << ") with no graph section";
+
+  GraphProgram& program = parsed.program;
+  program.layers.reserve(layer_count);
+  for (std::uint32_t l = 0; l < layer_count; ++l) {
+    program.layers.push_back(
+        model_io::read_layer_record(in, skip_layer_codes));
+  }
+
+  char magic[4] = {};
+  in.read(magic, sizeof(magic));
+  CSQ_CHECK(in && std::equal(magic, magic + 4, kGraphMagic))
+      << "graph artifact: bad graph-section magic";
+  const auto section_version = read_pod<std::uint32_t>(in);
+  CSQ_CHECK(section_version == kGraphSectionVersion)
+      << "graph artifact: unsupported graph-section version "
+      << section_version << " (this build reads v" << kGraphSectionVersion
+      << ")";
+
+  LowerOptions& options = parsed.options;
+  options.in_channels = read_pod<std::int64_t>(in);
+  options.in_height = read_pod<std::int64_t>(in);
+  options.in_width = read_pod<std::int64_t>(in);
+  options.act_bits = read_pod<std::int32_t>(in);
+  options.pooled = pooled;
+  for (const std::int64_t extent :
+       {options.in_channels, options.in_height, options.in_width}) {
+    CSQ_CHECK(extent >= 1 && extent <= kMaxExtent)
+        << "graph artifact: bad input extent " << extent;
+  }
+
+  const auto instr_count = read_pod<std::uint32_t>(in);
+  CSQ_CHECK(instr_count <= kMaxInstrs)
+      << "graph artifact: absurd instruction count " << instr_count;
+  program.instrs.reserve(instr_count);
+  for (std::uint32_t i = 0; i < instr_count; ++i) {
+    ProgramInstr instr;
+    const auto kind = read_pod<std::uint8_t>(in);
+    CSQ_CHECK(kind <= static_cast<std::uint8_t>(ProgramInstr::Kind::kAvgPool))
+        << "graph artifact: unknown instruction kind "
+        << static_cast<int>(kind);
+    instr.kind = static_cast<ProgramInstr::Kind>(kind);
+    instr.layer = read_pod<std::int32_t>(in);
+    instr.kernel = read_pod<std::int64_t>(in);
+    instr.kernel_w = read_pod<std::int64_t>(in);
+    instr.stride = read_pod<std::int64_t>(in);
+    instr.pad = read_pod<std::int64_t>(in);
+    instr.act_bits = read_pod<std::int32_t>(in);
+    instr.clip = read_pod<float>(in);
+    instr.kernel_kind = read_pod<std::int32_t>(in);
+    instr.exclude_pad = read_flag(in);
+    instr.scale = read_float_vector(in);
+    instr.shift = read_float_vector(in);
+    instr.bias = read_float_vector(in);
+    // Field validation the replay builder does not re-derive: a zero pool
+    // kernel would reach an integer division and a wild act_bits an
+    // undefined shift — corrupted artifacts must throw, not crash. Saved
+    // programs carry a resolved GEMM kernel on every conv/linear and none
+    // elsewhere.
+    const bool has_weights = instr.kind == ProgramInstr::Kind::kConv ||
+                             instr.kind == ProgramInstr::Kind::kLinear;
+    CSQ_CHECK(has_weights ? instr.kernel_kind >= 0 && instr.kernel_kind <= 3
+                          : instr.kernel_kind == -1)
+        << "graph artifact: bad kernel kind " << instr.kernel_kind;
+    if (instr.kind == ProgramInstr::Kind::kConv ||
+        instr.kind == ProgramInstr::Kind::kMaxPool ||
+        instr.kind == ProgramInstr::Kind::kAvgPool) {
+      CSQ_CHECK(instr.kernel >= 1 && instr.kernel <= kMaxExtent)
+          << "graph artifact: bad kernel extent " << instr.kernel;
+      CSQ_CHECK(instr.kernel_w >= 0 && instr.kernel_w <= kMaxExtent)
+          << "graph artifact: bad kernel width " << instr.kernel_w;
+      CSQ_CHECK(instr.stride >= 1 && instr.stride <= kMaxExtent &&
+                instr.pad >= 0 && instr.pad <= kMaxExtent)
+          << "graph artifact: bad conv/pool stride/pad";
+    }
+    if (instr.kind == ProgramInstr::Kind::kActQuant) {
+      CSQ_CHECK(instr.act_bits >= 1 && instr.act_bits <= 32)
+          << "graph artifact: bad act-quant bits " << instr.act_bits;
+    }
+    program.instrs.push_back(std::move(instr));
+  }
+
+  const auto edge_count = read_pod<std::uint32_t>(in);
+  CSQ_CHECK(edge_count <= kMaxEdges)
+      << "graph artifact: absurd edge count " << edge_count;
+  parsed.edges.reserve(edge_count);
+  for (std::uint32_t e = 0; e < edge_count; ++e) {
+    EdgeScaleRecord record;
+    record.is_acc = read_flag(in);
+    record.scale = read_pod<float>(in);
+    record.levels = read_pod<float>(in);
+    record.zero_point = read_pod<std::int32_t>(in);
+    parsed.edges.push_back(record);
+  }
+
+  parsed.weights = read_weight_table(in, data, payload_size, program);
+  CSQ_CHECK(static_cast<std::size_t>(in.tellg()) == payload_size)
+      << "graph artifact: unexpected bytes after the weight section";
+  return parsed;
+}
+
+// Owns one read-only mapping of an artifact file; the MappedWeightTable's
+// keepalive shares it with every graph built from the program.
+struct ArtifactMapping {
+  const char* data = nullptr;
+  std::size_t size = 0;
+
+  ~ArtifactMapping() {
+    if (data != nullptr) {
+      ::munmap(const_cast<char*>(data), size);
+    }
+  }
+};
 
 }  // namespace
 
@@ -589,7 +539,7 @@ CompiledGraph load_graph(const std::string& path, bool pooled) {
   std::ifstream file(path, std::ios::binary);
   CSQ_CHECK(static_cast<bool>(file))
       << "graph artifact: cannot open " << path;
-  // Read the whole artifact up front: the v4+ CRC trailer covers every
+  // Read the whole artifact up front: the CRC trailer covers every
   // preceding byte, so integrity is decided on the exact file image before
   // any field is trusted (artifacts are compact — the weights are sub-byte
   // codes).
@@ -598,12 +548,11 @@ CompiledGraph load_graph(const std::string& path, bool pooled) {
   CSQ_CHECK(static_cast<bool>(file) || file.eof())
       << "graph artifact: cannot read " << path;
   const std::string bytes = sink.str();
-  std::istringstream in(bytes, std::ios::binary);
 
-  ParsedArtifact parsed = parse_artifact(in, bytes.data(), bytes.size(),
-                                         pooled, /*skip_layer_codes=*/false);
-  // The v5 packed-weights section (if present) is deliberately ignored:
-  // this loader re-packs from the owned codes, byte-identically.
+  // The weight-section views are dropped: this loader re-packs from the
+  // owned codes, byte-identically.
+  ParsedArtifact parsed = parse_artifact(bytes.data(), bytes.size(), pooled,
+                                         /*skip_layer_codes=*/false);
   CompiledGraph graph =
       build_graph(std::move(parsed.program), parsed.options);
   graph.restore_edge_scales(parsed.edges);
@@ -620,10 +569,6 @@ CompiledGraph load_graph_mmap(const std::string& path, bool pooled) {
     CSQ_CHECK(false) << "graph artifact: cannot stat " << path;
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (size <= kCrcTrailerBytes) {
-    ::close(fd);
-    CSQ_CHECK(false) << "graph artifact: " << path << " is truncated";
-  }
   void* base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
   ::close(fd);  // the mapping holds its own reference
   CSQ_CHECK(base != MAP_FAILED) << "graph artifact: mmap failed for " << path;
@@ -631,29 +576,10 @@ CompiledGraph load_graph_mmap(const std::string& path, bool pooled) {
   mapping->data = static_cast<const char*>(base);
   mapping->size = size;
 
-  // Integrity first: the trailer is verified over the raw mapping before a
-  // single field — header included — is deserialized. A flipped bit
-  // anywhere in the file fails here, before any page is trusted.
-  const std::size_t payload_size = size - kCrcTrailerBytes;
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, mapping->data + payload_size, kCrcTrailerBytes);
-  const std::uint32_t actual = crc32(mapping->data, payload_size);
-  CSQ_CHECK(stored == actual)
-      << "graph artifact: CRC mismatch (stored " << stored << ", computed "
-      << actual << ") — corrupt file, or a pre-v4 artifact mmap cannot "
-      << "verify; use load_graph";
-
-  SpanStreamBuf buf(mapping->data, size);
-  std::istream in(&buf);
-  ParsedArtifact parsed = parse_artifact(in, mapping->data, size, pooled,
+  ParsedArtifact parsed = parse_artifact(mapping->data, size, pooled,
                                          /*skip_layer_codes=*/true);
-  CSQ_CHECK(parsed.section_version >= 5)
-      << "graph artifact: mmap load needs a v5 artifact with a "
-         "packed-weights section (got v"
-      << parsed.section_version << "); re-save or use load_graph";
-
-  parsed.program.mapped =
-      read_weight_table(in, parsed.program, std::move(mapping));
+  parsed.weights->keepalive = std::move(mapping);
+  parsed.program.mapped = std::move(parsed.weights);
   CompiledGraph graph =
       build_graph(std::move(parsed.program), parsed.options);
   graph.restore_edge_scales(parsed.edges);

@@ -17,14 +17,16 @@
 // file, fsyncs it, atomically renames it over the destination and fsyncs
 // the parent directory — a crash or stream failure mid-write leaves the
 // previous complete artifact (or nothing), never a truncated file, and the
-// published name survives a crash right after the rename. The graph section
-// is written at v5, whose last four bytes are a CRC-32 trailer over every
-// preceding container byte; load_graph verifies it before trusting any
-// field, so torn or bit-flipped artifacts are rejected with a clean
-// check_error. v1–v4 sections still load (pre-v4: no trailer, no
-// verification).
+// published name survives a crash right after the rename. The artifact's
+// last four bytes are a CRC-32 trailer over every preceding container byte;
+// both loaders verify it before trusting any field, so torn or bit-flipped
+// artifacts are rejected with a clean check_error.
 //
-// Page sharing: v5 appends a packed-weights section — each conv/linear
+// Support window: the graph section is written at v5 and the loaders
+// accept exactly the bytes save_graph writes — graph-section v5 in a v3
+// container, ending exactly at the CRC trailer. Older sections are rejected.
+//
+// Page sharing: v5 carries a packed-weights section — each conv/linear
 // layer's int8 planes and prepacked kernel panels, 64-byte aligned — so
 // load_graph_mmap can map the artifact read-only and build graphs whose
 // PackedIntWeights BORROW those pages instead of copying them. N serving
@@ -46,19 +48,20 @@ namespace runtime {
 bool save_graph(const std::string& path, CompiledGraph& graph);
 
 // Deserializes a graph artifact. Throws check_error on format violations
-// (bad magic, truncated payload, absurd counts, non-artifact versions).
+// (CRC mismatch, bad magic, truncated or trailing bytes, absurd counts,
+// versions other than v5).
 // `pooled` selects thread-pool execution of the loaded graph's forwards.
 CompiledGraph load_graph(const std::string& path, bool pooled = true);
 
-// Memory-mapped load (v5 artifacts only): maps `path` read-only, verifies
-// the CRC-32 trailer over the whole mapping BEFORE trusting any field, then
+// Memory-mapped load: maps `path` read-only, runs the same parse as
+// load_graph (CRC-32 trailer verified BEFORE trusting any field), then
 // builds a graph whose PackedIntWeights borrow planes/panels straight from
 // the mapping — the weight codes are never copied into the process. The
 // mapping lives as long as any graph sharing the loaded program
 // (replicate / rebuild_replica keep it alive), and the loaded graph's
 // forwards are bit-identical to a load_graph copy of the same file.
-// Throws check_error on corruption or pre-v5 artifacts; such programs
-// cannot be re-saved (save_graph rejects them — the owned codes are absent).
+// Throws check_error as load_graph does. Mapped programs cannot be re-saved
+// (save_graph rejects them — the owned codes are absent).
 CompiledGraph load_graph_mmap(const std::string& path, bool pooled = true);
 
 }  // namespace runtime

@@ -61,8 +61,8 @@ struct ProgramInstr {
   float clip = 0.0f;          // act-quant only
   // conv/linear: the selected GEMM path (runtime::WeightKernel numeric
   // value). -1 = unresolved; build_graph resolves it deterministically
-  // before replay, so persisted programs replay the recorded choice and
-  // pre-kernel-record artifacts re-derive the identical one.
+  // before replay, so persisted programs (which always carry it) replay the
+  // recorded choice.
   std::int32_t kernel_kind = -1;
   // avg-pool: divide each window by its valid-tap count instead of the
   // fixed kh*kw (count_include_pad=false semantics).

@@ -117,8 +117,8 @@ class PackedIntWeights {
                    std::int64_t rows, std::int64_t cols, WeightKernel kernel);
 
   // The deterministic auto-selection policy: the kernel a layer with these
-  // codes earns. Pure function of the codes/bits/shape, so re-resolving a
-  // pre-kernel-record artifact reproduces the original choice.
+  // codes earns. Pure function of the codes/bits/shape, so every replica of
+  // a live-lowered program makes the same choice.
   static WeightKernel select_kernel(const std::vector<std::int32_t>& codes,
                                     int bits, std::int64_t cols);
 

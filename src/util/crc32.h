@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the integrity
-// checksum of persisted graph artifacts (runtime/graph_artifact.h). A v4
-// graph section carries crc32 over every preceding container byte as a
+// checksum of persisted graph artifacts (runtime/graph_artifact.h). An
+// artifact carries crc32 over every preceding container byte as a
 // trailer, so a torn write or bit-flipped file is rejected at load instead
 // of deserialized.
 #pragma once

@@ -15,6 +15,7 @@
 #include "nn/models.h"
 #include "runtime/compiled_graph.h"
 #include "runtime/graph_artifact.h"
+#include "test_helpers.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -106,10 +107,10 @@ TEST(ModelIo, RejectsMissingFile) {
 
 // ------------------------------------------------------- golden files ---
 //
-// Committed v1 and v2 fixtures (tests/data/). The graph-section format
-// change (v3, runtime/graph_artifact.h) must never disturb how existing
-// containers read: every field of these files is asserted byte for byte
-// against the values they were written with.
+// Committed fixtures (tests/data/), one per format the writers emit: the
+// plain v2 container here, the v5 graph artifact and the v2 checkpoint
+// below. Every field is asserted against the values the files were written
+// with; versions outside the window are rejected.
 
 std::string golden_path(const std::string& name) {
   return std::string(CSQ_TEST_DATA_DIR) + "/" + name;
@@ -123,14 +124,6 @@ void expect_golden_conv1(const QuantizedLayerExport& layer) {
   EXPECT_EQ(layer.scale, 0.5f);
 }
 
-TEST(ModelIoGolden, V1FixtureLoadsIdentically) {
-  const auto layers = load_quantized_model(golden_path("golden_v1.csqm"));
-  ASSERT_EQ(layers.size(), 1u);
-  expect_golden_conv1(layers[0]);
-  // v1 carries no denominator field: the CSQ default applies.
-  EXPECT_EQ(layers[0].denominator, 255.0f);
-}
-
 TEST(ModelIoGolden, V2FixtureLoadsIdentically) {
   const auto layers = load_quantized_model(golden_path("golden_v2.csqm"));
   ASSERT_EQ(layers.size(), 2u);
@@ -142,81 +135,6 @@ TEST(ModelIoGolden, V2FixtureLoadsIdentically) {
   EXPECT_EQ(layers[1].bits, 1);
   EXPECT_EQ(layers[1].scale, 2.0f);
   EXPECT_EQ(layers[1].denominator, 85.0f);
-}
-
-TEST(ModelIoGolden, V1FixtureIsByteStable) {
-  // The fixture is 61 bytes written once and committed; a loader change
-  // that needs the file to change is a format break, not a refactor.
-  std::ifstream in(golden_path("golden_v1.csqm"), std::ios::binary);
-  ASSERT_TRUE(in);
-  const std::string contents((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents.size(), 61u);
-  EXPECT_EQ(contents.substr(0, 4), "CSQM");
-}
-
-TEST(ModelIoGolden, V3FixtureIsByteStable) {
-  // 1137 bytes written by the PR-4 graph-artifact writer (graph-section
-  // v1: square pools only, no kernel_w field) and committed; the v2
-  // section format must keep reading it as a legacy file, never require
-  // regenerating it.
-  std::ifstream in(golden_path("golden_v3.csqm"), std::ios::binary);
-  ASSERT_TRUE(in);
-  const std::string contents((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents.size(), 1137u);
-  EXPECT_EQ(contents.substr(0, 4), "CSQM");
-  // Container version 3 (the graph-artifact container).
-  EXPECT_EQ(static_cast<unsigned char>(contents[4]), 3u);
-}
-
-TEST(ModelIoGolden, V3FixtureLayerSectionLoadsAsPlainModel) {
-  // A serving artifact doubles as a quantized-model container: the layer
-  // reader consumes the layer section and ignores the graph section.
-  const auto layers = load_quantized_model(golden_path("golden_v3.csqm"));
-  ASSERT_EQ(layers.size(), 3u);
-  EXPECT_EQ(layers[0].name, "conv1");
-  EXPECT_EQ(layers[0].shape,
-            (std::vector<std::int64_t>{4, 3, 3, 3}));
-  EXPECT_EQ(layers[0].bits, 3);
-  EXPECT_EQ(layers[1].name, "conv2");
-  EXPECT_EQ(layers[2].name, "fc");
-  EXPECT_EQ(layers[2].shape, (std::vector<std::int64_t>{3, 4}));
-}
-
-TEST(ModelIoGolden, V3FixtureServesBitIdentically) {
-  // The legacy graph section replays into a serving graph whose forward is
-  // pinned to the logits recorded when the fixture was written: the v2
-  // reader, the legacy maxpool stride normalization (v1 records carry only
-  // the kernel; replay pooled with stride == kernel) and the liveness-
-  // colored buffer plan must all preserve the served bits.
-  runtime::CompiledGraph graph =
-      runtime::load_graph(golden_path("golden_v3.csqm"));
-  EXPECT_EQ(graph.io_shape().out_features, 3);
-  ASSERT_EQ(graph.program().instrs.size(), 10u);
-  bool saw_pool = false;
-  for (const runtime::ProgramInstr& instr : graph.program().instrs) {
-    if (instr.kind != runtime::ProgramInstr::Kind::kMaxPool) continue;
-    saw_pool = true;
-    EXPECT_EQ(instr.kernel, 2);
-    EXPECT_EQ(instr.kernel_w, 0);
-    EXPECT_EQ(instr.stride, 2);  // normalized from the v1 implicit stride
-    EXPECT_EQ(instr.pad, 0);
-  }
-  EXPECT_TRUE(saw_pool);
-
-  Tensor probe({2, 3, 8, 8});
-  Rng probe_rng(9999);
-  for (std::int64_t i = 0; i < probe.numel(); ++i) {
-    probe[i] = probe_rng.uniform(-1.0f, 1.0f);
-  }
-  const Tensor logits = graph.forward(probe);
-  ASSERT_EQ(logits.numel(), 6);
-  const float expected[6] = {0.505121469f, 0.067494683f, 0.670592308f,
-                             0.204661295f, 0.154584587f, 0.557375431f};
-  for (std::int64_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(logits[i], expected[i]) << "logit " << i;
-  }
 }
 
 // Committed v5 artifact (12292 bytes) carrying prepacked weight panels for
@@ -274,6 +192,44 @@ TEST(ModelIoGolden, V5FixtureMmapServesPinnedLogits) {
   runtime::CompiledGraph graph =
       runtime::load_graph_mmap(golden_path(kGoldenV5));
   expect_golden_v5_graph(graph);
+}
+
+TEST(ModelIoGolden, V5FixtureLayerSectionLoadsAsPlainModel) {
+  // A serving artifact doubles as a quantized-model container: the layer
+  // reader consumes the layer section and ignores the graph section.
+  const auto layers = load_quantized_model(golden_path(kGoldenV5));
+  ASSERT_EQ(layers.size(), 6u);
+  const char* names[6] = {"conv1", "conv2", "conv3", "conv4", "conv5", "fc"};
+  const std::vector<std::int64_t> shapes[6] = {
+      {8, 3, 3, 3}, {8, 8, 3, 3}, {8, 8, 3, 3},
+      {8, 8, 1, 1}, {8, 8, 3, 3}, {4, 8}};
+  const int bits[6] = {8, 8, 3, 2, 4, 8};
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(layers[i].name, names[i]) << "layer " << i;
+    EXPECT_EQ(layers[i].shape, shapes[i]) << "layer " << i;
+    EXPECT_EQ(layers[i].bits, bits[i]) << "layer " << i;
+    EXPECT_EQ(layers[i].codes.size(),
+              static_cast<std::size_t>(shape_numel(shapes[i])))
+        << "layer " << i;
+  }
+}
+
+// Overwrites the u32 version field at byte 4 of a CSQM/CSQC image.
+std::string with_version(std::string bytes, std::uint32_t version) {
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));
+  return bytes;
+}
+
+TEST(ModelIoGolden, VersionsOutsideTheWindowAreRejected) {
+  // Readers accept exactly what the writers emit: containers v2 and v3.
+  const std::string v2 = testing::read_bytes(golden_path("golden_v2.csqm"));
+  const std::string path = temp_path("window");
+  for (const std::uint32_t version : {0u, 1u, 4u}) {
+    testing::write_bytes(path, with_version(v2, version));
+    EXPECT_THROW(load_quantized_model(path), check_error)
+        << "container v" << version;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ModelIoGolden, V5FixtureResavesByteIdentically) {
@@ -403,32 +359,17 @@ TEST(Checkpoint, PerTensorSaveWithoutArenaMatchesArenaSave) {
   std::remove(bound_path.c_str());
 }
 
-TEST(Checkpoint, LegacyV1FileLoads) {
-  Model model = checkpoint_model(45);
-  fill_pattern(model);
-  const std::string path = temp_path("ckpt_v1");
-  ASSERT_TRUE(save_checkpoint_legacy(path, model));
+// Committed v2 fixture written by save_checkpoint with the deterministic
+// fill_pattern values. Regenerate with CSQ_REGEN_GOLDEN=1 only on a
+// deliberate format change.
+const char kGoldenCheckpoint[] = "golden_checkpoint_v2.csqc";
 
-  Model fresh = checkpoint_model(46);
-  load_checkpoint(path, fresh);
-  const ParameterArena& a = model.arena();
-  const ParameterArena& b = fresh.arena();
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.values(), b.values(),
-                        static_cast<std::size_t>(a.size()) * sizeof(float)),
-            0);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, GoldenPreArenaFixtureLoads) {
-  // Committed fixture written by the v1 (pre-arena, per-tensor interleaved)
-  // writer with the deterministic fill_pattern values. Regenerate with
-  // CSQ_REGEN_GOLDEN=1 only on a deliberate format change.
-  const std::string path = golden_path("golden_checkpoint_v1.csqc");
+TEST(Checkpoint, GoldenFixtureLoads) {
+  const std::string path = golden_path(kGoldenCheckpoint);
   if (std::getenv("CSQ_REGEN_GOLDEN") != nullptr) {
     Model writer = checkpoint_model(47);
     fill_pattern(writer);
-    ASSERT_TRUE(save_checkpoint_legacy(path, writer));
+    ASSERT_TRUE(save_checkpoint(path, writer));
   }
 
   Model model = checkpoint_model(48);
@@ -443,6 +384,32 @@ TEST(Checkpoint, GoldenPreArenaFixtureLoads) {
           << param->name << " element " << j;
     }
   }
+}
+
+TEST(Checkpoint, GoldenFixtureResavesByteIdentically) {
+  // A writer change that alters the committed bytes is a format break.
+  Model model = checkpoint_model(48);
+  fill_pattern(model);
+  const std::string path = temp_path("ckpt_golden_resave");
+  ASSERT_TRUE(save_checkpoint(path, model));
+  EXPECT_TRUE(read_file_bytes(path) ==
+              read_file_bytes(golden_path(kGoldenCheckpoint)))
+      << "save_checkpoint no longer reproduces the committed v2 bytes";
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, VersionsOutsideTheWindowAreRejected) {
+  // CSQC v2 is the only checkpoint format: the pre-arena v1 is rejected.
+  const std::string golden =
+      testing::read_bytes(golden_path(kGoldenCheckpoint));
+  const std::string path = temp_path("ckpt_window");
+  for (const std::uint32_t version : {1u, 3u}) {
+    testing::write_bytes(path, with_version(golden, version));
+    Model model = checkpoint_model(48);
+    EXPECT_THROW(load_checkpoint(path, model), check_error)
+        << "checkpoint v" << version;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsMismatchedModelAndCorruptFiles) {

@@ -5,13 +5,14 @@
 //    itself: trigger policies, counters, re-arm/disarm, the stream variant;
 //  * ArtifactRobustness.* — crash-safe graph artifacts: atomic temp+rename
 //    save (an injected mid-write failure leaves the previous artifact
-//    intact and no temp litter), the v4 CRC-32 trailer rejecting bit
-//    flips and truncation, the artifact.read failpoint;
-//  * CorruptionFuzz.*    — the committed golden_v3.csqm fixture truncated
-//    at every byte boundary and bit-flipped across the file: every outcome
-//    is a clean check_error (or a successful load for pre-CRC flips),
-//    never a crash — run this suite under the sanitize preset for the
-//    memory-safety half of the claim;
+//    intact and no temp litter), the CRC-32 trailer rejecting bit flips
+//    and truncation, the artifact.read failpoint;
+//  * CorruptionFuzz.*    — CRC-valid hostile artifacts: the committed
+//    golden_v5.csqm cut at every byte, padded with trailing bytes, given a
+//    mismatched weight kernel, or bit-flipped, each resealed with a fresh
+//    CRC so it reaches the field validators. Both loaders must reject it
+//    or load it cleanly, never crash — run this suite under the sanitize
+//    preset for the memory-safety half of the claim;
 //  * ServeRobustness.*   — the serving failure paths: replica quarantine +
 //    backoff restore with bit-identical recovery, shard failure only when
 //    every replica is dead, load shedding, request deadlines, stale
@@ -49,8 +50,12 @@
 namespace csq {
 namespace {
 
+using testing::golden_v5_payload;
 using testing::parked_worker_options;
 using testing::random_tensor;
+using testing::read_bytes;
+using testing::reseal;
+using testing::write_bytes;
 
 constexpr std::int64_t kSide = 12;
 constexpr std::int64_t kChannels = 3;
@@ -58,25 +63,6 @@ constexpr std::int64_t kChannels = 3;
 std::string temp_path(const std::string& tag) {
   return ::testing::TempDir() + "csq_robust_" + tag + "_" +
          std::to_string(static_cast<long>(::getpid())) + ".csqm";
-}
-
-std::string golden_v3_path() {
-  return std::string(CSQ_TEST_DATA_DIR) + "/golden_v3.csqm";
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  std::ostringstream sink;
-  sink << in.rdbuf();
-  return sink.str();
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out) << path;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
 }
 
 // A small finalized 3-bit CSQ ResNet-20, lowered and calibrated (same
@@ -372,67 +358,123 @@ TEST_F(ArtifactRobustnessTest, TruncatedV4ArtifactIsRejected) {
 
 // ------------------------------------------------------- corruption fuzzing
 
-TEST(CorruptionFuzz, GoldenV3EveryTruncationFailsCleanly) {
-  // The committed 1137-byte pre-CRC fixture, truncated at EVERY byte
-  // boundary (so every section boundary is covered): each prefix must be
-  // rejected with a clean check_error — no crash, no hang, no garbage
-  // graph. Run under the sanitize preset this doubles as the memory-safety
-  // sweep of the legacy parse path.
-  const std::string bytes = read_bytes(golden_v3_path());
-  ASSERT_EQ(bytes.size(), 1137u);
-  const std::string path = temp_path("golden_trunc");
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    write_bytes(path, bytes.substr(0, cut));
-    EXPECT_THROW(runtime::load_graph(path), check_error) << "cut at " << cut;
+// Both loaders must reject the artifact at `path` with a clean check_error.
+void expect_both_loaders_reject(const std::string& path,
+                                const std::string& what) {
+  EXPECT_THROW(runtime::load_graph(path, /*pooled=*/false), check_error)
+      << "load_graph accepted " << what;
+  EXPECT_THROW(runtime::load_graph_mmap(path, /*pooled=*/false), check_error)
+      << "load_graph_mmap accepted " << what;
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedPrefixesAreRejected) {
+  // Every proper prefix of the payload, resealed with a fresh CRC, is a
+  // CRC-valid file the writer never emits: both loaders must reject it —
+  // including cuts inside the weight section, which the copy loader would
+  // otherwise never read.
+  const std::string payload = golden_v5_payload();
+  const std::string path = temp_path("golden_prefix");
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    write_bytes(path, reseal(payload.substr(0, cut)));
+    expect_both_loaders_reject(path, "cut at " + std::to_string(cut));
   }
   std::remove(path.c_str());
 }
 
-TEST(CorruptionFuzz, GoldenV3BitFlipsNeverCrash) {
-  // Pre-CRC artifacts carry no integrity trailer, so a flipped bit may
-  // legitimately parse (e.g. inside a weight code or a scale). The
-  // guarantee under test is weaker but vital: EVERY outcome is either a
-  // successful load or a clean check_error — never a crash or an
-  // out-of-bounds parse (the sanitize preset enforces the latter).
-  const std::string bytes = read_bytes(golden_v3_path());
-  ASSERT_EQ(bytes.size(), 1137u);
+TEST(CorruptionFuzz, GoldenV5ResealedTrailingBytesAreRejected) {
+  // The payload must end exactly where the weight section does.
+  const std::string payload = golden_v5_payload();
+  const std::string path = temp_path("golden_trailing");
+  for (const std::size_t extra : {1u, 8u, 64u}) {
+    write_bytes(path, reseal(payload + std::string(extra, '\0')));
+    expect_both_loaders_reject(path,
+                               std::to_string(extra) + " trailing bytes");
+  }
+  std::remove(path.c_str());
+}
+
+// Overwrites the T at `offset` of `payload`, which must hold `expected`.
+template <typename T>
+void patch(std::string& payload, std::size_t offset, T expected, T value) {
+  ASSERT_LE(offset + sizeof(T), payload.size());
+  T old{};
+  std::memcpy(&old, payload.data() + offset, sizeof(T));
+  ASSERT_EQ(old, expected) << "fixture field at " << offset;
+  std::memcpy(payload.data() + offset, &value, sizeof(T));
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
+  // Single-field edits that pass the CRC once resealed.
+  const std::string golden = golden_v5_payload();
+  const std::string path = temp_path("golden_field");
+
+  // The fc weight entry (layer 5, 4x8, packed for s8u8 = kernel 0)
+  // relabelled as bitserial: its panel blob is sized for s8u8, but the GEMM
+  // would read it in the instruction's layout.
+  char header[20];
+  const std::int32_t layer = 5;
+  const std::int64_t rows = 4;
+  const std::int64_t cols = 8;
+  std::memcpy(header, &layer, 4);
+  std::memcpy(header + 4, &rows, 8);
+  std::memcpy(header + 12, &cols, 8);
+  const std::size_t entry = golden.find(std::string(header, sizeof(header)));
+  ASSERT_NE(entry, std::string::npos) << "fc weight entry not found";
+  std::string mutant = golden;
+  patch<std::int32_t>(mutant, entry + sizeof(header) + 4, 0, 1);  // + shift
+  write_bytes(path, reseal(mutant));
+  expect_both_loaders_reject(path, "a bitserial entry for an s8u8 layer");
+
+  // An absurd input height (the graph section's third field): edge extents
+  // derived from it would overflow int64.
+  const std::size_t section = golden.find("CSQG");
+  ASSERT_NE(section, std::string::npos);
+  mutant = golden;
+  patch<std::int64_t>(mutant, section + 16, 8, std::int64_t{1} << 60);
+  write_bytes(path, reseal(mutant));
+  expect_both_loaders_reject(path, "a 2^60 input height");
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedBitFlipsNeverCrash) {
+  // Resealed flips pass the CRC, so they exercise every field validator
+  // behind it. A flip may legitimately load (inside a weight code, a scale
+  // or a panel byte); the guarantee is that EVERY outcome through both
+  // loaders is either a load or a clean check_error — never a crash, an
+  // out-of-bounds parse (the sanitize preset enforces that) or another
+  // exception type.
+  const std::string payload = golden_v5_payload();
   const std::string path = temp_path("golden_flip");
-  const std::size_t total_bits = bytes.size() * 8;
+  const std::size_t total_bits = payload.size() * 8;
   std::size_t loaded = 0;
   std::size_t rejected = 0;
-  for (std::size_t bit = 0; bit < total_bits; bit += 7) {
-    std::string mutant = bytes;
+  for (std::size_t bit = 0; bit < total_bits; bit += 49) {
+    std::string mutant = payload;
     mutant[bit / 8] = static_cast<char>(
         static_cast<unsigned char>(mutant[bit / 8]) ^ (1u << (bit % 8)));
-    write_bytes(path, mutant);
-    try {
-      runtime::CompiledGraph graph =
-          runtime::load_graph(path, /*pooled=*/false);
-      ++loaded;
-    } catch (const check_error&) {
-      ++rejected;
+    write_bytes(path, reseal(mutant));
+    for (const bool mapped : {false, true}) {
+      try {
+        runtime::CompiledGraph graph =
+            mapped ? runtime::load_graph_mmap(path, /*pooled=*/false)
+                   : runtime::load_graph(path, /*pooled=*/false);
+        ++loaded;
+      } catch (const check_error&) {
+        ++rejected;
+      }
     }
   }
+  EXPECT_GE(loaded + rejected, 2u * 2000u);
   // Both outcomes must actually occur: flips in magic/counts reject, flips
-  // deep inside code payloads survive the (CRC-less) legacy parse.
+  // deep inside code or panel payloads load.
   EXPECT_GT(loaded, 0u);
   EXPECT_GT(rejected, 0u);
   std::remove(path.c_str());
 }
 
-TEST(CorruptionFuzz, GoldenV3StillLoadsAndServes) {
-  // The un-mutated fixture keeps loading after the v4/CRC format change:
-  // backward compatibility is part of the corruption-handling contract.
-  runtime::CompiledGraph graph =
-      runtime::load_graph(golden_v3_path(), /*pooled=*/false);
-  EXPECT_EQ(graph.io_shape().out_features, 3);
-  Tensor probe = Tensor::zeros({1, 3, 8, 8});
-  EXPECT_EQ(graph.forward(probe).numel(), 3);
-}
-
 TEST(CorruptionFuzz, MmapLoaderRejectsEverySampledBitFlip) {
-  // Unlike the copy loader on pre-CRC files, load_graph_mmap verifies the
-  // CRC over the WHOLE mapping before trusting a single page, so EVERY
+  // load_graph_mmap verifies the CRC over the WHOLE mapping before
+  // trusting a single page, so EVERY
   // bit flip — header, weight section, or the trailer itself — must be
   // rejected with a clean check_error.
   runtime::CompiledGraph graph = make_calibrated_graph();

@@ -1,10 +1,13 @@
 // Shared helpers for the csq test suite: numeric gradient checking against
-// the layers' analytic backward passes, small tensor factories, and server
-// options that park a serving worker.
+// the layers' analytic backward passes, small tensor factories, server
+// options that park a serving worker, and golden-artifact mutation.
 #pragma once
 
 #include <cmath>
+#include <fstream>
 #include <functional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,9 +15,45 @@
 #include "nn/module.h"
 #include "serve/batching_server.h"
 #include "tensor/tensor.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace csq::testing {
+
+// The committed v5 graph artifact (tests/data/golden_v5.csqm).
+inline std::string golden_v5_path() {
+  return std::string(CSQ_TEST_DATA_DIR) + "/golden_v5.csqm";
+}
+
+inline std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream sink;
+  sink << in.rdbuf();
+  return sink.str();
+}
+
+inline void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(out) << path;
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+// Appends a fresh CRC-32 trailer to an artifact payload, so a mutant gets
+// past the integrity check and reaches the field validators.
+inline std::string reseal(std::string payload) {
+  const std::uint32_t checksum = crc32(payload.data(), payload.size());
+  payload.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return payload;
+}
+
+// golden_v5.csqm without its CRC trailer.
+inline std::string golden_v5_payload() {
+  const std::string bytes = read_bytes(golden_v5_path());
+  EXPECT_EQ(bytes.size(), 12292u);
+  return bytes.substr(0, bytes.size() - sizeof(std::uint32_t));
+}
 
 // Fills a tensor with reproducible uniform values in [lo, hi].
 inline Tensor random_tensor(std::vector<std::int64_t> shape, Rng& rng,

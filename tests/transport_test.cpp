@@ -722,11 +722,18 @@ TEST(MmapArtifact, MappedProgramsCannotBeResaved) {
 }
 
 TEST(MmapArtifact, PreV5ArtifactsAreRejectedCleanly) {
-  // The committed pre-CRC fixture has neither a trailer nor a weight
-  // section: the mmap loader must refuse it BEFORE parsing anything.
-  const std::string golden =
-      std::string(CSQ_TEST_DATA_DIR) + "/golden_v3.csqm";
-  EXPECT_THROW(runtime::load_graph_mmap(golden), check_error);
+  // The committed v5 fixture relabelled as a v4 graph section and resealed
+  // with a fresh CRC: only v5 is read, by both loaders.
+  std::string payload = testing::golden_v5_payload();
+  const std::size_t magic = payload.find("CSQG");
+  ASSERT_NE(magic, std::string::npos);
+  const std::uint32_t v4 = 4;
+  std::memcpy(payload.data() + magic + 4, &v4, sizeof(v4));
+  const std::string path = temp_path("mmap_v4");
+  testing::write_bytes(path, testing::reseal(payload));
+  EXPECT_THROW(runtime::load_graph_mmap(path), check_error);
+  EXPECT_THROW(runtime::load_graph(path), check_error);
+  std::remove(path.c_str());
 }
 
 }  // namespace
