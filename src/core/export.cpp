@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "quant/quantizer.h"
-#include "runtime/packed_weights.h"
-#include "tensor/gemm.h"
-#include "tensor/ops.h"
 #include "util/check.h"
 
 namespace csq {
@@ -47,106 +43,6 @@ float export_roundtrip_error(WeightSource& source) {
     max_diff = std::max(max_diff, std::fabs(w[i] - reconstructed));
   }
   return max_diff;
-}
-
-namespace {
-
-// Quantizes activations to uint8 codes in [0, 2^bits - 1] over [0, clip].
-std::vector<std::uint8_t> activation_codes(const Tensor& input, int act_bits,
-                                           float act_clip) {
-  CSQ_CHECK(act_clip > 0.0f) << "integer forward: bad activation clip";
-  CSQ_CHECK(act_bits >= 1 && act_bits <= 8)
-      << "integer forward: activation codes live in uint8 (1..8 bits)";
-  const auto levels = static_cast<float>(levels_per_side(act_bits));
-  std::vector<std::uint8_t> codes(static_cast<std::size_t>(input.numel()));
-  const float* in = input.data();
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float normalized = std::clamp(in[i] / act_clip, 0.0f, 1.0f);
-    codes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(std::lround(normalized * levels));
-  }
-  return codes;
-}
-
-WeightCodes to_weight_codes(const QuantizedLayerExport& layer) {
-  WeightCodes codes;
-  codes.codes = layer.codes;
-  codes.scale = layer.scale;
-  codes.denominator = layer.denominator;
-  codes.bits = layer.bits;
-  return codes;
-}
-
-}  // namespace
-
-Tensor integer_linear_forward(const QuantizedLayerExport& layer,
-                              const Tensor& input, int act_bits,
-                              float act_clip) {
-  CSQ_CHECK(layer.shape.size() == 2)
-      << "integer_linear_forward expects a 2-d (OUT,IN) export";
-  CSQ_CHECK(input.ndim() == 2) << "integer forward expects (B, IN)";
-  const std::int64_t out_features = layer.shape[0];
-  const std::int64_t in_features = layer.shape[1];
-  CSQ_CHECK(in_features == input.dim(1))
-      << "integer forward: in_features mismatch";
-  const std::int64_t batch = input.dim(0);
-
-  const std::vector<std::uint8_t> act =
-      activation_codes(input, act_bits, act_clip);
-  const runtime::PackedIntWeights weights(to_weight_codes(layer),
-                                          out_features, in_features);
-  const float act_step =
-      act_clip / static_cast<float>(levels_per_side(act_bits));
-  const float combined_scale = weights.effective_step() * act_step;
-
-  // acc(OUT, B) = codes(OUT, IN) * act^T — the runtime's int8 GEMM with
-  // exact int32 accumulation.
-  std::vector<std::int32_t> acc(
-      static_cast<std::size_t>(out_features * batch));
-  weights.gemm(Trans::yes, batch, act.data(), in_features, acc.data(), batch,
-               /*pooled=*/false);
-
-  Tensor output({batch, out_features});
-  float* out = output.data();
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t o = 0; o < out_features; ++o) {
-      out[b * out_features + o] =
-          combined_scale *
-          static_cast<float>(acc[static_cast<std::size_t>(o * batch + b)]);
-    }
-  }
-  return output;
-}
-
-Tensor reference_linear_forward(const QuantizedLayerExport& layer,
-                                const Tensor& input, int act_bits,
-                                float act_clip) {
-  const std::int64_t out_features = layer.shape[0];
-  const std::int64_t in_features = layer.shape[1];
-  CSQ_CHECK(in_features == input.dim(1))
-      << "reference forward: in_features mismatch";
-  const std::int64_t batch = input.dim(0);
-  const float weight_step = layer.step();
-
-  Tensor output({batch, out_features});
-  float* out = output.data();
-  const float* in = input.data();
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t o = 0; o < out_features; ++o) {
-      double acc = 0.0;
-      for (std::int64_t i = 0; i < in_features; ++i) {
-        const float w =
-            weight_step *
-            static_cast<float>(layer.codes[static_cast<std::size_t>(
-                o * in_features + i)]);
-        const float a = quantize_unsigned(in[b * in_features + i], act_clip,
-                                          act_bits);
-        acc += static_cast<double>(w) * a;
-      }
-      out[b * out_features + o] = static_cast<float>(acc);
-    }
-  }
-  return output;
 }
 
 }  // namespace csq

@@ -5,10 +5,8 @@
 // through WeightSource::finalized_codes — any fixed-grid family exports, not
 // just CSQ). This module packages those codes for serialization (model_io.h),
 // verifies that the float materialization is bit-exact with the integer
-// reconstruction, and provides an integer-arithmetic linear forward built on
-// the runtime's int8 GEMM (runtime/packed_weights.h) — the single-layer
-// demonstrator of the fixed-point deployment path; the whole-network story
-// lives in runtime/compiled_graph.h.
+// reconstruction. Integer inference over the exported codes lives in
+// runtime/compiled_graph.h.
 #pragma once
 
 #include <cstdint>
@@ -45,21 +43,5 @@ QuantizedLayerExport export_layer(const std::string& name,
 // CSQ sources (integer-first materialization); at worst one float rounding
 // per element for the other fixed-grid families.
 float export_roundtrip_error(WeightSource& source);
-
-// Integer-arithmetic fully-connected forward:
-//   1. quantize the input activations to unsigned `act_bits` codes over
-//      [0, act_clip] (act_bits <= 8: codes live in uint8),
-//   2. run the runtime's int8-code GEMM with int32 accumulation,
-//   3. dequantize with the combined scale.
-// Matches the float path up to activation-quantization error only.
-Tensor integer_linear_forward(const QuantizedLayerExport& layer,
-                              const Tensor& input, int act_bits,
-                              float act_clip);
-
-// Float reference for the same computation (quantized activations, float
-// weights from the export): used to validate the integer path.
-Tensor reference_linear_forward(const QuantizedLayerExport& layer,
-                                const Tensor& input, int act_bits,
-                                float act_clip);
 
 }  // namespace csq

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <sstream>
+#include <type_traits>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -131,22 +131,15 @@ namespace {
 
 // Batch loop that is pooled or serial on demand. Integer op bodies are
 // order-independent (exact arithmetic, disjoint per-sample outputs), so the
-// two modes are bit-identical.
-template <typename Ctx>
-void for_each_sample(bool pooled, std::int64_t batch, const Ctx& ctx,
-                     void (*body)(const Ctx&, std::int64_t)) {
+// two modes are bit-identical. parallel_for hands the pool a reference to
+// `fn`, so a capturing lambda dispatches without a heap allocation.
+template <typename Fn>
+void for_each_sample(bool pooled, std::int64_t batch, const Fn& fn) {
   if (!pooled) {
-    for (std::int64_t b = 0; b < batch; ++b) body(ctx, b);
+    for (std::int64_t b = 0; b < batch; ++b) fn(b);
     return;
   }
-  struct Shared {
-    const Ctx* ctx;
-    void (*body)(const Ctx&, std::int64_t);
-  } shared{&ctx, body};
-  // Single-reference capture keeps the closure inside std::function's
-  // small-buffer optimization: no allocation per dispatch.
-  parallel_for(0, batch,
-               [&shared](std::int64_t b) { shared.body(*shared.ctx, b); });
+  parallel_for(0, batch, fn);
 }
 
 // Round-to-nearest uint8 code with the clamp fused: clamp to [0, levels]
@@ -158,22 +151,23 @@ inline std::uint8_t round_clamp_code(float value, float levels) {
   return static_cast<std::uint8_t>(value + 0.5f);
 }
 
-// ------------------------------------------------- requantization spans --
+// -------------------------------------------------- requantization span --
 //
-// The three accumulator-to-code sweeps of the integer path. The AVX2 forms
-// process 32 outputs per iteration (convert, FMA, clamp, truncate, pack
-// 32->16->8 with a lane-fix permute) — the auto-vectorizer refuses the
-// narrowing u8 store chain, and these sweeps are ~20% of the serving
-// forward. Scalar tails/fallbacks compute the identical value.
+// The accumulator-to-code sweep of the integer path, shared by every
+// requantization and the fixed-divisor average pool. The skip term is the
+// second addend of a residual join: NoSkip, an i32 downsample accumulator
+// or u8 identity-skip codes. The AVX2 form processes 32 outputs per
+// iteration (convert, FMA, clamp, truncate, pack 32->16->8 with a lane-fix
+// permute) — the auto-vectorizer refuses the narrowing u8 store chain, and
+// this sweep is ~20% of the serving forward. The scalar tail/fallback
+// computes the identical value.
+
+struct NoSkip {};
+
+template <typename Skip>
+constexpr bool kHasSkip = !std::is_same_v<Skip, NoSkip>;
 
 #if defined(__AVX2__)
-
-inline __m256i requant8(__m256i acc, __m256 mul, __m256 add, __m256 levels,
-                        __m256 half) {
-  __m256 value = _mm256_fmadd_ps(_mm256_cvtepi32_ps(acc), mul, add);
-  value = _mm256_min_ps(_mm256_max_ps(value, _mm256_setzero_ps()), levels);
-  return _mm256_cvttps_epi32(_mm256_add_ps(value, half));
-}
 
 // Packs four 8-lane int32 code vectors (values in [0, 255]) into 32 uint8
 // codes in order.
@@ -185,41 +179,23 @@ inline __m256i pack32(__m256i q0, __m256i q1, __m256i q2, __m256i q3) {
   return _mm256_permutevar8x32_epi32(packed, order);
 }
 
-#endif  // __AVX2__
-
-// out[p] = clamp(round(mul * acc[p] + add)).
-inline void requant_span(const std::int32_t* acc, std::uint8_t* out,
-                         std::int64_t count, float mul, float add,
-                         float levels) {
-  std::int64_t p = 0;
-#if defined(__AVX2__)
-  const __m256 vmul = _mm256_set1_ps(mul);
-  const __m256 vadd = _mm256_set1_ps(add);
-  const __m256 vlev = _mm256_set1_ps(levels);
-  const __m256 vhalf = _mm256_set1_ps(0.5f);
-  for (; p + 32 <= count; p += 32) {
-    const auto* src = reinterpret_cast<const __m256i*>(acc + p);
-    const __m256i q0 = requant8(_mm256_loadu_si256(src + 0), vmul, vadd,
-                                vlev, vhalf);
-    const __m256i q1 = requant8(_mm256_loadu_si256(src + 1), vmul, vadd,
-                                vlev, vhalf);
-    const __m256i q2 = requant8(_mm256_loadu_si256(src + 2), vmul, vadd,
-                                vlev, vhalf);
-    const __m256i q3 = requant8(_mm256_loadu_si256(src + 3), vmul, vadd,
-                                vlev, vhalf);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + p),
-                        pack32(q0, q1, q2, q3));
-  }
-#endif
-  for (; p < count; ++p) {
-    out[p] = round_clamp_code(mul * static_cast<float>(acc[p]) + add, levels);
-  }
+// Eight skip values widened to int32 lanes.
+inline __m256i load_skip8(const std::int32_t* skip) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(skip));
+}
+inline __m256i load_skip8(const std::uint8_t* skip) {
+  return _mm256_cvtepu8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(skip)));
 }
 
-// out[p] = clamp(round(mul1 * acc1[p] + mul2 * acc2[p] + add)).
-inline void join_acc_span(const std::int32_t* acc1, const std::int32_t* acc2,
-                          std::uint8_t* out, std::int64_t count, float mul1,
-                          float mul2, float add, float levels) {
+#endif  // __AVX2__
+
+// out[p] = clamp(round(mul1 * acc[p] + add)) without a skip term, and
+// clamp(round(mul1 * acc[p] + mul2 * skip[p] + add)) with one.
+template <typename Skip>
+void requant_span(const std::int32_t* acc, const Skip* skip,
+                  std::uint8_t* out, std::int64_t count, float mul1,
+                  float mul2, float add, float levels) {
   std::int64_t p = 0;
 #if defined(__AVX2__)
   const __m256 vmul1 = _mm256_set1_ps(mul1);
@@ -228,13 +204,17 @@ inline void join_acc_span(const std::int32_t* acc1, const std::int32_t* acc2,
   const __m256 vlev = _mm256_set1_ps(levels);
   const __m256 vhalf = _mm256_set1_ps(0.5f);
   const auto fuse8 = [&](std::int64_t offset) {
-    const __m256i a1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(acc1 + offset));
-    const __m256i a2 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(acc2 + offset));
-    const __m256 sum = _mm256_fmadd_ps(
-        _mm256_cvtepi32_ps(a1), vmul1,
-        _mm256_fmadd_ps(_mm256_cvtepi32_ps(a2), vmul2, vadd));
+    const __m256 a1 = _mm256_cvtepi32_ps(_mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(acc + offset)));
+    __m256 sum;
+    if constexpr (kHasSkip<Skip>) {
+      sum = _mm256_fmadd_ps(
+          a1, vmul1,
+          _mm256_fmadd_ps(_mm256_cvtepi32_ps(load_skip8(skip + offset)),
+                          vmul2, vadd));
+    } else {
+      sum = _mm256_fmadd_ps(a1, vmul1, vadd);
+    }
     const __m256 clamped =
         _mm256_min_ps(_mm256_max_ps(sum, _mm256_setzero_ps()), vlev);
     return _mm256_cvttps_epi32(_mm256_add_ps(clamped, vhalf));
@@ -246,52 +226,20 @@ inline void join_acc_span(const std::int32_t* acc1, const std::int32_t* acc2,
   }
 #endif
   for (; p < count; ++p) {
-    const float sum = mul1 * static_cast<float>(acc1[p]) +
-                      mul2 * static_cast<float>(acc2[p]) + add;
-    out[p] = round_clamp_code(sum, levels);
-  }
-}
-
-// out[p] = clamp(round(mul1 * acc1[p] + ratio * skip[p] + add)).
-inline void join_skip_span(const std::int32_t* acc1, const std::uint8_t* skip,
-                           std::uint8_t* out, std::int64_t count, float mul1,
-                           float ratio, float add, float levels) {
-  std::int64_t p = 0;
-#if defined(__AVX2__)
-  const __m256 vmul1 = _mm256_set1_ps(mul1);
-  const __m256 vratio = _mm256_set1_ps(ratio);
-  const __m256 vadd = _mm256_set1_ps(add);
-  const __m256 vlev = _mm256_set1_ps(levels);
-  const __m256 vhalf = _mm256_set1_ps(0.5f);
-  const auto fuse8 = [&](std::int64_t offset) {
-    const __m256i a1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(acc1 + offset));
-    const __m256i s = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(skip + offset)));
-    const __m256 sum = _mm256_fmadd_ps(
-        _mm256_cvtepi32_ps(a1), vmul1,
-        _mm256_fmadd_ps(_mm256_cvtepi32_ps(s), vratio, vadd));
-    const __m256 clamped =
-        _mm256_min_ps(_mm256_max_ps(sum, _mm256_setzero_ps()), vlev);
-    return _mm256_cvttps_epi32(_mm256_add_ps(clamped, vhalf));
-  };
-  for (; p + 32 <= count; p += 32) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + p),
-        pack32(fuse8(p), fuse8(p + 8), fuse8(p + 16), fuse8(p + 24)));
-  }
-#endif
-  for (; p < count; ++p) {
-    const float sum = mul1 * static_cast<float>(acc1[p]) +
-                      ratio * static_cast<float>(skip[p]) + add;
-    out[p] = round_clamp_code(sum, levels);
+    if constexpr (kHasSkip<Skip>) {
+      const float sum = mul1 * static_cast<float>(acc[p]) +
+                        mul2 * static_cast<float>(skip[p]) + add;
+      out[p] = round_clamp_code(sum, levels);
+    } else {
+      out[p] = round_clamp_code(mul1 * static_cast<float>(acc[p]) + add,
+                                levels);
+    }
   }
 }
 
 class Op {
  public:
   virtual ~Op() = default;
-  virtual const char* kind() const = 0;
   virtual void run_int(CompiledGraph::Impl& g) = 0;
   virtual void run_float(CompiledGraph::Impl& g) = 0;
   // Resolves requantization constants once every edge scale is known.
@@ -308,7 +256,6 @@ class Op {
   // im2col stripes, the linear accumulator). Called by the buffer planner
   // after the walk; ops without scratch ignore it.
   virtual void set_scratch_slot(int slot) { (void)slot; }
-  virtual std::string describe(const CompiledGraph::Impl& g) const = 0;
 };
 
 // Dequantized weight matrix for the float reference walk, materialized on
@@ -326,42 +273,25 @@ const std::vector<float>& float_weights(const PackedIntWeights& weights,
   return cache;
 }
 
-std::string edge_string(const CompiledGraph::Impl& g, int edge) {
-  const EdgeData& e = g.edges[static_cast<std::size_t>(edge)];
-  std::ostringstream out;
-  out << "e" << edge << (e.is_acc ? ":i32(" : ":u8(") << e.channels << "x"
-      << e.height << "x" << e.width << ")";
-  return out.str();
-}
-
 // ------------------------------------------------------- quantize input --
 
 class QuantizeInputOp final : public Op {
  public:
   explicit QuantizeInputOp(int out_edge) : out_edge_(out_edge) {}
-  const char* kind() const override { return "quantize_input"; }
 
   void run_int(CompiledGraph::Impl& g) override {
     const EdgeData& e = g.edges[static_cast<std::size_t>(out_edge_)];
-    struct Ctx {
-      const float* in;
-      std::uint8_t* out;
-      std::int64_t stride;
-      float inv_scale;
-      float zp;
-      float levels;
-    } ctx;
-    ctx.in = g.run_input->data();
-    ctx.out = g.u8(out_edge_);
-    ctx.stride = e.per_sample();
-    ctx.inv_scale = 1.0f / e.scale;
-    ctx.zp = static_cast<float>(e.zero_point);
-    ctx.levels = e.levels;
-    for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      const float* src = c.in + b * c.stride;
-      std::uint8_t* dst = c.out + b * c.stride;
-      for (std::int64_t i = 0; i < c.stride; ++i) {
-        dst[i] = round_clamp_code(src[i] * c.inv_scale + c.zp, c.levels);
+    const float* in = g.run_input->data();
+    std::uint8_t* out = g.u8(out_edge_);
+    const std::int64_t stride = e.per_sample();
+    const float inv_scale = 1.0f / e.scale;
+    const auto zp = static_cast<float>(e.zero_point);
+    const float levels = e.levels;
+    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
+      const float* src = in + b * stride;
+      std::uint8_t* dst = out + b * stride;
+      for (std::int64_t i = 0; i < stride; ++i) {
+        dst[i] = round_clamp_code(src[i] * inv_scale + zp, levels);
       }
     });
   }
@@ -382,10 +312,6 @@ class QuantizeInputOp final : public Op {
     }
   }
 
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    return std::string("quantize_input -> ") + edge_string(g, out_edge_);
-  }
-
  private:
   int out_edge_;
 };
@@ -394,18 +320,15 @@ class QuantizeInputOp final : public Op {
 
 class ConvOp final : public Op {
  public:
-  ConvOp(std::string name, int in_edge, int acc_edge, ConvGeometry geom,
-         PackedIntWeights weights, bool direct)
-      : name_(std::move(name)),
-        in_edge_(in_edge),
+  ConvOp(int in_edge, int acc_edge, ConvGeometry geom, PackedIntWeights weights,
+         bool direct)
+      : in_edge_(in_edge),
         acc_edge_(acc_edge),
         geom_(geom),
         weights_(std::move(weights)),
         direct_(direct) {}
 
-  const char* kind() const override { return "conv2d"; }
   const PackedIntWeights& weights() const { return weights_; }
-  const std::string& name() const { return name_; }
   void release_float_cache() override {
     float_weights_.clear();
     float_weights_.shrink_to_fit();
@@ -423,32 +346,18 @@ class ConvOp final : public Op {
   }
 
   void run_int(CompiledGraph::Impl& g) override {
-    struct Ctx {
-      const ConvGeometry* geom;
-      const PackedIntWeights* w;
-      const std::uint8_t* in;
-      std::uint8_t* col_base;  // pool_slot() stripes (null when direct)
-      std::int32_t* acc;
-      std::int64_t in_stride, col_stride, acc_stride, cols;
-      std::uint8_t pad_code;
-      bool gemm_pooled;
-    } ctx;
     const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    ctx.geom = &geom_;
-    ctx.w = &weights_;
-    ctx.in = g.u8(in_edge_);
-    ctx.col_base =
+    const std::uint8_t* src = g.u8(in_edge_);
+    const std::int64_t col_stride = geom_.col_rows() * geom_.col_cols();
+    // One im2col stripe per pool slot; null for direct (1x1) convolutions.
+    std::uint8_t* col_base =
         direct() ? nullptr
-                 : g.ws->bytes(col_slot_, pool_slot_count() *
-                                              geom_.col_rows() *
-                                              geom_.col_cols());
-    ctx.acc = g.i32(acc_edge_);
-    ctx.in_stride = in.per_sample();
-    ctx.col_stride = geom_.col_rows() * geom_.col_cols();
-    ctx.acc_stride =
+                 : g.ws->bytes(col_slot_, pool_slot_count() * col_stride);
+    std::int32_t* acc = g.i32(acc_edge_);
+    const std::int64_t acc_stride =
         g.edges[static_cast<std::size_t>(acc_edge_)].per_sample();
-    ctx.cols = geom_.col_cols();
-    ctx.pad_code = static_cast<std::uint8_t>(in.zero_point);
+    const std::int64_t cols = geom_.col_cols();
+    const auto pad_code = static_cast<std::uint8_t>(in.zero_point);
     // Parallelism picks the outermost productive level: larger batches
     // split across samples; batches at or below the sample-loop's pooling
     // threshold (kParallelForSerialThreshold) run pooled GEMMs instead so
@@ -456,19 +365,18 @@ class ConvOp final : public Op {
     // canonical wide-N/small-M shape (m = out_channels, one MC tile; n =
     // spatial positions), so the kAuto split resolves to the column split —
     // a batch-1 conv forward now uses the whole pool instead of one core.
-    ctx.gemm_pooled = g.pooled && g.batch <= kParallelForSerialThreshold;
-    for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      const std::uint8_t* col;
-      if (c.col_base == nullptr) {
-        col = c.in + b * c.in_stride;
-      } else {
-        std::uint8_t* stripe = c.col_base + pool_slot() * c.col_stride;
-        im2col_u8(*c.geom, c.in + b * c.in_stride, stripe, c.pad_code);
+    const bool gemm_pooled =
+        g.pooled && g.batch <= kParallelForSerialThreshold;
+    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
+      const std::uint8_t* col = src + b * in.per_sample();
+      if (col_base != nullptr) {
+        std::uint8_t* stripe = col_base + pool_slot() * col_stride;
+        im2col_u8(geom_, col, stripe, pad_code);
         col = stripe;
       }
       // acc_b(OC, P) = W_codes(OC, K) * col(K, P).
-      c.w->gemm(Trans::no, c.cols, col, c.cols, c.acc + b * c.acc_stride,
-                c.cols, c.gemm_pooled);
+      weights_.gemm(Trans::no, cols, col, cols, acc + b * acc_stride, cols,
+                    gemm_pooled);
     });
   }
 
@@ -492,17 +400,7 @@ class ConvOp final : public Op {
     }
   }
 
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    std::ostringstream out;
-    out << "conv2d " << name_ << " " << edge_string(g, in_edge_) << " -> "
-        << edge_string(g, acc_edge_) << " [" << weights_.bits() << "b codes"
-        << (weights_.split() ? ", split" : "") << ", shift "
-        << weights_.shift() << ", " << weights_.kernel_name() << "]";
-    return out.str();
-  }
-
  private:
-  std::string name_;
   int in_edge_;
   int acc_edge_;
   ConvGeometry geom_;
@@ -561,190 +459,124 @@ struct AccRequant {
   }
 };
 
-class RequantOp final : public Op {
- public:
-  RequantOp(AccRequant main, int out_edge)
-      : main_(std::move(main)), out_edge_(out_edge) {}
-  const char* kind() const override { return "requant"; }
-
-  void finalize(CompiledGraph::Impl& g) override {
-    main_.resolve(g.edges,
-                  g.edges[static_cast<std::size_t>(out_edge_)].scale);
-  }
-
-  void run_int(CompiledGraph::Impl& g) override {
-    struct Ctx {
-      const AccRequant* r;
-      const std::int32_t* acc;
-      std::uint8_t* out;
-      std::int64_t stride;
-      float levels;
-    } ctx;
-    ctx.r = &main_;
-    ctx.acc = g.i32(main_.acc_edge);
-    ctx.out = g.u8(out_edge_);
-    ctx.stride = main_.channels * main_.plane;
-    ctx.levels = g.edges[static_cast<std::size_t>(out_edge_)].levels;
-    for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      const std::int32_t* acc = c.acc + b * c.stride;
-      std::uint8_t* out = c.out + b * c.stride;
-      const std::int64_t plane = c.r->plane;
-      for (std::int64_t ch = 0; ch < c.r->channels; ++ch) {
-        // The clamp at zero IS the fused ReLU (negative pre-activations
-        // fall below code 0 because the output zero point is 0).
-        requant_span(acc + ch * plane, out + ch * plane, plane,
-                     c.r->mul[static_cast<std::size_t>(ch)],
-                     c.r->add[static_cast<std::size_t>(ch)], c.levels);
-      }
-    });
-  }
-
-  void run_float(CompiledGraph::Impl& g) override {
-    const float* acc = g.f32(main_.acc_edge);
-    float* out = g.f32(out_edge_);
-    const std::int64_t stride = main_.channels * main_.plane;
-    float edge_max = 0.0f;
-    for (std::int64_t b = 0; b < g.batch; ++b) {
-      for (std::int64_t ch = 0; ch < main_.channels; ++ch) {
-        const std::int64_t base = b * stride + ch * main_.plane;
-        for (std::int64_t p = 0; p < main_.plane; ++p) {
-          const float y =
-              std::max(0.0f, main_.real_from_float(acc[base + p], ch));
-          out[base + p] = y;
-          edge_max = std::max(edge_max, y);
-        }
-      }
-    }
-    if (g.calibrating) g.record_range(out_edge_, 0.0f, edge_max);
-  }
-
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    std::ostringstream out;
-    out << "requant" << (main_.bn_scale.empty() ? "" : "+bn") << "+relu "
-        << edge_string(g, main_.acc_edge) << " -> "
-        << edge_string(g, out_edge_);
-    return out.str();
-  }
-
- private:
-  AccRequant main_;
-  int out_edge_;
+// The optional second addend of a requantization: a residual join's skip
+// branch, either a downsample accumulator (conv+bn, kAcc) or the re-scaled
+// identity-skip codes (kCodes).
+struct SkipTerm {
+  enum class Kind { kNone, kAcc, kCodes };
+  Kind kind = Kind::kNone;
+  AccRequant acc;  // kAcc only
+  int edge = -1;   // the edge read: acc.acc_edge (kAcc) or the u8 codes
 };
 
-// Residual join: main accumulator (conv2+bn2) plus either an identity skip
-// (u8 edge, re-scaled) or a downsample accumulator (conv+bn), requantized
-// through the shared ReLU clamp.
-class JoinOp final : public Op {
+// Accumulator -> uint8 codes through the shared ReLU clamp: the main
+// accumulator's folded conv(+bias)+bn, plus the skip term at residual joins.
+class RequantOp final : public Op {
  public:
-  JoinOp(AccRequant main, int skip_edge, int out_edge)
-      : main_(std::move(main)), skip_edge_(skip_edge), out_edge_(out_edge) {}
-  JoinOp(AccRequant main, AccRequant skip, int out_edge)
-      : main_(std::move(main)),
-        skip_acc_(std::move(skip)),
-        has_skip_acc_(true),
-        out_edge_(out_edge) {}
-
-  const char* kind() const override { return "join"; }
+  RequantOp(AccRequant main, SkipTerm skip, int out_edge)
+      : main_(std::move(main)), skip_(std::move(skip)), out_edge_(out_edge) {}
 
   void finalize(CompiledGraph::Impl& g) override {
     const float out_scale =
         g.edges[static_cast<std::size_t>(out_edge_)].scale;
     main_.resolve(g.edges, out_scale);
-    if (has_skip_acc_) {
-      skip_acc_.resolve(g.edges, out_scale);
-    } else {
-      const EdgeData& skip = g.edges[static_cast<std::size_t>(skip_edge_)];
-      skip_ratio_ = skip.scale / out_scale;
-      skip_offset_ = -skip_ratio_ * static_cast<float>(skip.zero_point);
+    add_ = main_.add;
+    mul2_.assign(add_.size(), 0.0f);
+    if (skip_.kind == SkipTerm::Kind::kAcc) {
+      skip_.acc.resolve(g.edges, out_scale);
+      mul2_ = skip_.acc.mul;
+      for (std::size_t ch = 0; ch < add_.size(); ++ch) {
+        add_[ch] += skip_.acc.add[ch];
+      }
+    } else if (skip_.kind == SkipTerm::Kind::kCodes) {
+      const EdgeData& skip = g.edges[static_cast<std::size_t>(skip_.edge)];
+      const float ratio = skip.scale / out_scale;
+      const float offset = -ratio * static_cast<float>(skip.zero_point);
+      mul2_.assign(add_.size(), ratio);
+      for (float& add : add_) add += offset;
     }
   }
 
   void run_int(CompiledGraph::Impl& g) override {
-    struct Ctx {
-      const AccRequant* main;
-      const AccRequant* skip_acc;  // null for identity skips
-      const std::int32_t* acc1;
-      const std::int32_t* acc2;     // skip accumulator (or null)
-      const std::uint8_t* skip_u8;  // identity skip codes (or null)
-      float skip_ratio;
-      float skip_offset;
-      std::uint8_t* out;
-      std::int64_t stride;
-      float levels;
-    } ctx;
-    ctx.main = &main_;
-    ctx.skip_acc = has_skip_acc_ ? &skip_acc_ : nullptr;
-    ctx.acc1 = g.i32(main_.acc_edge);
-    ctx.acc2 = has_skip_acc_ ? g.i32(skip_acc_.acc_edge) : nullptr;
-    ctx.skip_u8 = has_skip_acc_ ? nullptr : g.u8(skip_edge_);
-    ctx.skip_ratio = skip_ratio_;
-    ctx.skip_offset = skip_offset_;
-    ctx.out = g.u8(out_edge_);
-    ctx.stride = main_.channels * main_.plane;
-    ctx.levels = g.edges[static_cast<std::size_t>(out_edge_)].levels;
-    for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      const std::int64_t plane = c.main->plane;
-      for (std::int64_t ch = 0; ch < c.main->channels; ++ch) {
-        const std::int64_t base = b * c.stride + ch * plane;
-        const float mul1 = c.main->mul[static_cast<std::size_t>(ch)];
-        const float add1 = c.main->add[static_cast<std::size_t>(ch)];
-        if (c.skip_acc != nullptr) {
-          join_acc_span(c.acc1 + base, c.acc2 + base, c.out + base, plane,
-                        mul1, c.skip_acc->mul[static_cast<std::size_t>(ch)],
-                        add1 + c.skip_acc->add[static_cast<std::size_t>(ch)],
-                        c.levels);
-        } else {
-          join_skip_span(c.acc1 + base, c.skip_u8 + base, c.out + base,
-                         plane, mul1, c.skip_ratio, add1 + c.skip_offset,
-                         c.levels);
-        }
-      }
-    });
+    switch (skip_.kind) {
+      case SkipTerm::Kind::kNone:
+        return sweep<NoSkip>(g, nullptr);
+      case SkipTerm::Kind::kAcc:
+        return sweep(g, g.i32(skip_.edge));
+      case SkipTerm::Kind::kCodes:
+        return sweep(g, g.u8(skip_.edge));
+    }
   }
 
+  // Two loops rather than one with a per-element skip branch: each keeps
+  // the float rounding, and so the calibrated scales, of the code it
+  // replaced. Where the target has FMA the compiler fuses the plain loop's
+  // multiply-add but not the join loop's, and a merged loop fuses neither,
+  // moving calibrated scales by an ulp.
   void run_float(CompiledGraph::Impl& g) override {
-    const float* acc1 = g.f32(main_.acc_edge);
-    const float* skip = has_skip_acc_ ? g.f32(skip_acc_.acc_edge)
-                                      : g.f32(skip_edge_);
+    const float* acc = g.f32(main_.acc_edge);
     float* out = g.f32(out_edge_);
     const std::int64_t stride = main_.channels * main_.plane;
     float edge_max = 0.0f;
-    for (std::int64_t b = 0; b < g.batch; ++b) {
-      for (std::int64_t ch = 0; ch < main_.channels; ++ch) {
-        const std::int64_t base = b * stride + ch * main_.plane;
-        for (std::int64_t p = 0; p < main_.plane; ++p) {
-          const float skip_real =
-              has_skip_acc_
-                  ? skip_acc_.real_from_float(skip[base + p], ch)
-                  : skip[base + p];
-          const float y = std::max(
-              0.0f,
-              main_.real_from_float(acc1[base + p], ch) + skip_real);
-          out[base + p] = y;
-          edge_max = std::max(edge_max, y);
+    if (skip_.kind == SkipTerm::Kind::kNone) {
+      for (std::int64_t b = 0; b < g.batch; ++b) {
+        for (std::int64_t ch = 0; ch < main_.channels; ++ch) {
+          const std::int64_t base = b * stride + ch * main_.plane;
+          for (std::int64_t p = 0; p < main_.plane; ++p) {
+            const float y =
+                std::max(0.0f, main_.real_from_float(acc[base + p], ch));
+            out[base + p] = y;
+            edge_max = std::max(edge_max, y);
+          }
+        }
+      }
+    } else {
+      const float* skip = g.f32(skip_.edge);
+      for (std::int64_t b = 0; b < g.batch; ++b) {
+        for (std::int64_t ch = 0; ch < main_.channels; ++ch) {
+          const std::int64_t base = b * stride + ch * main_.plane;
+          for (std::int64_t p = 0; p < main_.plane; ++p) {
+            const float skip_real =
+                skip_.kind == SkipTerm::Kind::kAcc
+                    ? skip_.acc.real_from_float(skip[base + p], ch)
+                    : skip[base + p];
+            const float y = std::max(
+                0.0f, main_.real_from_float(acc[base + p], ch) + skip_real);
+            out[base + p] = y;
+            edge_max = std::max(edge_max, y);
+          }
         }
       }
     }
     if (g.calibrating) g.record_range(out_edge_, 0.0f, edge_max);
   }
 
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    std::ostringstream out;
-    out << "join+relu " << edge_string(g, main_.acc_edge) << " + "
-        << (has_skip_acc_ ? edge_string(g, skip_acc_.acc_edge)
-                          : edge_string(g, skip_edge_))
-        << " -> " << edge_string(g, out_edge_);
-    return out.str();
+ private:
+  template <typename Skip>
+  void sweep(CompiledGraph::Impl& g, const Skip* skip) {
+    const std::int32_t* acc = g.i32(main_.acc_edge);
+    std::uint8_t* out = g.u8(out_edge_);
+    const std::int64_t plane = main_.plane;
+    const std::int64_t stride = main_.channels * plane;
+    const float levels = g.edges[static_cast<std::size_t>(out_edge_)].levels;
+    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
+      for (std::int64_t ch = 0; ch < main_.channels; ++ch) {
+        const std::int64_t base = b * stride + ch * plane;
+        const Skip* skip_at = nullptr;
+        if constexpr (kHasSkip<Skip>) skip_at = skip + base;
+        // The clamp at zero IS the fused ReLU (negative pre-activations
+        // fall below code 0 because the output zero point is 0).
+        const auto c = static_cast<std::size_t>(ch);
+        requant_span(acc + base, skip_at, out + base, plane, main_.mul[c],
+                     mul2_[c], add_[c], levels);
+      }
+    });
   }
 
- private:
   AccRequant main_;
-  AccRequant skip_acc_;
-  bool has_skip_acc_ = false;
-  int skip_edge_ = -1;
-  float skip_ratio_ = 1.0f;
-  float skip_offset_ = 0.0f;
+  SkipTerm skip_;
   int out_edge_;
+  std::vector<float> mul2_, add_;  // per channel, resolved in finalize()
 };
 
 // ------------------------------------------------------------- pooling --
@@ -753,25 +585,15 @@ class MaxPoolOp final : public Op {
  public:
   MaxPoolOp(int in_edge, int out_edge, const Pool2dConfig& config)
       : in_edge_(in_edge), out_edge_(out_edge), config_(config) {}
-  const char* kind() const override { return "maxpool"; }
 
   void run_int(CompiledGraph::Impl& g) override {
-    struct Ctx {
-      const MaxPoolOp* op;
-      const EdgeData* in_e;
-      const EdgeData* out_e;
-      const std::uint8_t* in;
-      std::uint8_t* out;
-    } ctx;
-    ctx.op = this;
-    ctx.in_e = &g.edges[static_cast<std::size_t>(in_edge_)];
-    ctx.out_e = &g.edges[static_cast<std::size_t>(out_edge_)];
-    ctx.in = g.u8(in_edge_);
-    ctx.out = g.u8(out_edge_);
-    for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      c.op->pool_sample<std::uint8_t>(*c.in_e, *c.out_e,
-                                      c.in + b * c.in_e->per_sample(),
-                                      c.out + b * c.out_e->per_sample());
+    const EdgeData& in_e = g.edges[static_cast<std::size_t>(in_edge_)];
+    const EdgeData& out_e = g.edges[static_cast<std::size_t>(out_edge_)];
+    const std::uint8_t* in = g.u8(in_edge_);
+    std::uint8_t* out = g.u8(out_edge_);
+    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
+      pool_sample<std::uint8_t>(in_e, out_e, in + b * in_e.per_sample(),
+                                out + b * out_e.per_sample());
     });
   }
 
@@ -784,16 +606,6 @@ class MaxPoolOp final : public Op {
       pool_sample<float>(in_e, out_e, in + b * in_e.per_sample(),
                          out + b * out_e.per_sample());
     }
-  }
-
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    std::ostringstream out;
-    out << "maxpool" << config_.kernel_h << "x" << config_.kernel_w << "s"
-        << config_.stride;
-    if (config_.pad > 0) out << "p" << config_.pad;
-    out << " " << edge_string(g, in_edge_) << " -> "
-        << edge_string(g, out_edge_);
-    return out.str();
   }
 
  private:
@@ -842,7 +654,6 @@ class AvgPoolOp final : public Op {
         out_edge_(out_edge),
         config_(config),
         exclude_pad_(exclude_pad) {}
-  const char* kind() const override { return "avgpool"; }
 
   void finalize(CompiledGraph::Impl& g) override {
     const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
@@ -875,71 +686,56 @@ class AvgPoolOp final : public Op {
   }
 
   void run_int(CompiledGraph::Impl& g) override {
-    struct Ctx {
-      const AvgPoolOp* op;
-      const EdgeData* in_e;
-      const EdgeData* out_e;
-      const std::uint8_t* in;
-      std::int32_t* sum;
-      std::uint8_t* out;
-      std::int32_t pad_code;
-      float mul, add, levels;
-      bool exclude_pad;
-    } ctx;
-    ctx.op = this;
-    ctx.in_e = &g.edges[static_cast<std::size_t>(in_edge_)];
-    ctx.out_e = &g.edges[static_cast<std::size_t>(out_edge_)];
-    ctx.in = g.u8(in_edge_);
-    ctx.sum = g.i32(sum_edge_);
-    ctx.out = g.u8(out_edge_);
-    ctx.pad_code = ctx.in_e->zero_point;
-    ctx.mul = mul_;
-    ctx.add = add_;
-    ctx.levels = ctx.out_e->levels;
-    ctx.exclude_pad = exclude_pad_;
-    for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      const std::uint8_t* in = c.in + b * c.in_e->per_sample();
-      std::int32_t* sum = c.sum + b * c.out_e->per_sample();
-      std::uint8_t* out = c.out + b * c.out_e->per_sample();
-      const Pool2dConfig& config = c.op->config_;
-      const std::int64_t spatial = c.out_e->height * c.out_e->width;
+    const EdgeData& in_e = g.edges[static_cast<std::size_t>(in_edge_)];
+    const EdgeData& out_e = g.edges[static_cast<std::size_t>(out_edge_)];
+    const std::uint8_t* in = g.u8(in_edge_);
+    std::int32_t* sums = g.i32(sum_edge_);
+    std::uint8_t* out = g.u8(out_edge_);
+    const std::int32_t pad_code = in_e.zero_point;
+    const float levels = out_e.levels;
+    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
+      const std::uint8_t* src = in + b * in_e.per_sample();
+      std::int32_t* sum = sums + b * out_e.per_sample();
+      std::uint8_t* dst = out + b * out_e.per_sample();
+      const std::int64_t spatial = out_e.height * out_e.width;
       std::int64_t index = 0;
-      for (std::int64_t ch = 0; ch < c.in_e->channels; ++ch) {
-        const std::uint8_t* plane = in + ch * c.in_e->height * c.in_e->width;
-        for (std::int64_t oy = 0; oy < c.out_e->height; ++oy) {
-          for (std::int64_t ox = 0; ox < c.out_e->width; ++ox, ++index) {
+      for (std::int64_t ch = 0; ch < in_e.channels; ++ch) {
+        const std::uint8_t* plane = src + ch * in_e.height * in_e.width;
+        for (std::int64_t oy = 0; oy < out_e.height; ++oy) {
+          for (std::int64_t ox = 0; ox < out_e.width; ++ox, ++index) {
             std::int64_t y0, y1, x0, x1;
-            config.window(oy, config.kernel_h, c.in_e->height, y0, y1);
-            config.window(ox, config.kernel_w, c.in_e->width, x0, x1);
+            config_.window(oy, config_.kernel_h, in_e.height, y0, y1);
+            config_.window(ox, config_.kernel_w, in_e.width, x0, x1);
             std::int32_t acc = 0;
             for (std::int64_t iy = y0; iy < y1; ++iy) {
               for (std::int64_t ix = x0; ix < x1; ++ix) {
-                acc += plane[iy * c.in_e->width + ix];
+                acc += plane[iy * in_e.width + ix];
               }
             }
-            if (!c.exclude_pad) {
+            if (!exclude_pad_) {
               // count_include_pad: out-of-bounds taps carry the zero-point
               // code (real zero), keeping the divisor fixed at kh*kw.
               const std::int64_t covered = (y1 - y0) * (x1 - x0);
-              acc += c.pad_code *
+              acc += pad_code *
                      static_cast<std::int32_t>(
-                         config.kernel_h * config.kernel_w - covered);
+                         config_.kernel_h * config_.kernel_w - covered);
             }
             sum[index] = acc;
           }
         }
       }
-      if (c.exclude_pad) {
+      if (exclude_pad_) {
         // Per-position divisor: requantize scalar-wise with the window's
         // own multiplier (shared across channels for each spatial cell).
-        const float* mul_pos = c.op->mul_per_pos_.data();
-        for (std::int64_t p = 0; p < c.out_e->per_sample(); ++p) {
-          out[p] = round_clamp_code(
-              mul_pos[p % spatial] * static_cast<float>(sum[p]) + c.add,
-              c.levels);
+        const float* mul_pos = mul_per_pos_.data();
+        for (std::int64_t p = 0; p < out_e.per_sample(); ++p) {
+          dst[p] = round_clamp_code(
+              mul_pos[p % spatial] * static_cast<float>(sum[p]) + add_,
+              levels);
         }
       } else {
-        requant_span(sum, out, c.out_e->per_sample(), c.mul, c.add, c.levels);
+        requant_span<NoSkip>(sum, nullptr, dst, out_e.per_sample(), mul_,
+                             0.0f, add_, levels);
       }
     });
   }
@@ -980,17 +776,6 @@ class AvgPoolOp final : public Op {
     }
   }
 
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    std::ostringstream out;
-    out << "avgpool" << config_.kernel_h << "x" << config_.kernel_w << "s"
-        << config_.stride;
-    if (config_.pad > 0) out << "p" << config_.pad;
-    if (exclude_pad_) out << " xpad";
-    out << " " << edge_string(g, in_edge_) << " -> "
-        << edge_string(g, out_edge_);
-    return out.str();
-  }
-
  private:
   int in_edge_;
   int sum_edge_;
@@ -1006,30 +791,23 @@ class GlobalAvgPoolOp final : public Op {
  public:
   GlobalAvgPoolOp(int in_edge, int out_edge)
       : in_edge_(in_edge), out_edge_(out_edge) {}
-  const char* kind() const override { return "global_avg_pool"; }
 
   void run_int(CompiledGraph::Impl& g) override {
-    struct Ctx {
-      const std::uint8_t* in;
-      std::uint8_t* out;
-      std::int64_t channels, plane;
-    } ctx;
     const EdgeData& in_e = g.edges[static_cast<std::size_t>(in_edge_)];
-    ctx.in = g.u8(in_edge_);
-    ctx.out = g.u8(out_edge_);
-    ctx.channels = in_e.channels;
-    ctx.plane = in_e.height * in_e.width;
-    for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      const std::uint8_t* src = c.in + b * c.channels * c.plane;
-      std::uint8_t* dst = c.out + b * c.channels;
-      for (std::int64_t ch = 0; ch < c.channels; ++ch) {
+    const std::uint8_t* in = g.u8(in_edge_);
+    std::uint8_t* out = g.u8(out_edge_);
+    const std::int64_t channels = in_e.channels;
+    const std::int64_t plane = in_e.height * in_e.width;
+    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
+      const std::uint8_t* src = in + b * channels * plane;
+      std::uint8_t* dst = out + b * channels;
+      for (std::int64_t ch = 0; ch < channels; ++ch) {
         std::int64_t sum = 0;
-        const std::uint8_t* plane = src + ch * c.plane;
-        for (std::int64_t p = 0; p < c.plane; ++p) sum += plane[p];
+        const std::uint8_t* values = src + ch * plane;
+        for (std::int64_t p = 0; p < plane; ++p) sum += values[p];
         // Integer round-half-up mean; codes are unsigned so this matches
         // round-to-nearest. Same scale as the input edge (derived).
-        dst[ch] =
-            static_cast<std::uint8_t>((2 * sum + c.plane) / (2 * c.plane));
+        dst[ch] = static_cast<std::uint8_t>((2 * sum + plane) / (2 * plane));
       }
     });
   }
@@ -1050,13 +828,6 @@ class GlobalAvgPoolOp final : public Op {
     }
   }
 
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    std::ostringstream out;
-    out << "global_avg_pool " << edge_string(g, in_edge_) << " -> "
-        << edge_string(g, out_edge_);
-    return out.str();
-  }
-
  private:
   int in_edge_;
   int out_edge_;
@@ -1070,7 +841,6 @@ class GlobalAvgPoolOp final : public Op {
 class DequantOutputOp final : public Op {
  public:
   explicit DequantOutputOp(int in_edge) : in_edge_(in_edge) {}
-  const char* kind() const override { return "dequant_output"; }
 
   void run_int(CompiledGraph::Impl& g) override {
     const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
@@ -1094,14 +864,6 @@ class DequantOutputOp final : public Op {
     std::copy(src, src + g.batch * features, g.run_output.data());
   }
 
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    std::ostringstream out;
-    out << "dequant_output " << edge_string(g, in_edge_) << " -> f32("
-        << in.per_sample() << ")";
-    return out.str();
-  }
-
  private:
   int in_edge_;
 };
@@ -1110,14 +872,11 @@ class DequantOutputOp final : public Op {
 
 class LinearOp final : public Op {
  public:
-  LinearOp(std::string name, int in_edge, PackedIntWeights weights,
-           std::vector<float> bias)
-      : name_(std::move(name)),
-        in_edge_(in_edge),
+  LinearOp(int in_edge, PackedIntWeights weights, std::vector<float> bias)
+      : in_edge_(in_edge),
         weights_(std::move(weights)),
         bias_(std::move(bias)) {}
 
-  const char* kind() const override { return "linear"; }
   const PackedIntWeights& weights() const { return weights_; }
   std::int64_t out_features() const { return weights_.rows(); }
   void release_float_cache() override {
@@ -1180,17 +939,7 @@ class LinearOp final : public Op {
     }
   }
 
-  std::string describe(const CompiledGraph::Impl& g) const override {
-    std::ostringstream out;
-    out << "linear " << name_ << " " << edge_string(g, in_edge_)
-        << " -> f32(" << weights_.rows() << ") [" << weights_.bits()
-        << "b codes" << (weights_.split() ? ", split" : "") << ", "
-        << weights_.kernel_name() << "]";
-    return out.str();
-  }
-
  private:
-  std::string name_;
   int in_edge_;
   PackedIntWeights weights_;
   std::vector<float> float_weights_;
@@ -1268,9 +1017,9 @@ void CompiledGraph::Impl::run_float_all() {
 namespace {
 
 // Replays a recorded GraphProgram into the op list. The conv/bn/relu/
-// act-quant run of a plain stack is accumulated as a "pending" accumulator
-// and flushed into one RequantOp (or JoinOp at residual joins) when the
-// next instruction needs a realized uint8 edge. Consumes only program data
+// act-quant run of a plain stack (or a residual join) is accumulated as a
+// "pending" accumulator and flushed into one RequantOp when the next
+// instruction needs a realized uint8 edge. Consumes only program data
 // — never a module — so artifact loading shares this path byte for byte
 // with live lowering.
 class GraphBuilder {
@@ -1345,8 +1094,8 @@ class GraphBuilder {
         instr.kernel == 1 && instr.stride == 1 && instr.pad == 0;
     const int acc = new_acc_edge(out_channels, geom.out_h(), geom.out_w());
 
-    auto op = std::make_unique<ConvOp>(layer.name, in, acc, geom,
-                                       std::move(packed), direct);
+    auto op =
+        std::make_unique<ConvOp>(in, acc, geom, std::move(packed), direct);
     const ConvOp* raw = op.get();
     record_layer(layer.name, raw->weights());
     add_op(std::move(op), {in}, {acc},
@@ -1380,8 +1129,7 @@ class GraphBuilder {
 
     PackedIntWeights packed =
         make_packed(layer, instr, out_features, in_features);
-    auto op = std::make_unique<LinearOp>(layer.name, in, std::move(packed),
-                                         instr.bias);
+    auto op = std::make_unique<LinearOp>(in, std::move(packed), instr.bias);
     record_layer(layer.name, op->weights());
     g_.out_features = out_features;
     add_op(std::move(op), {in}, {}, ScratchKind::kInt);
@@ -1487,28 +1235,26 @@ class GraphBuilder {
 
     Pending join;
     join.active = true;
-    join.is_join = true;
     join.main = std::move(frame.main);
     // The float path CHECKs the join shapes at runtime (blocks.cpp); the
     // lowered graph must refuse mismatched branches at compile time — the
-    // join op indexes both buffers with the main branch's extents.
-    const auto branch_dims = [this](int edge) {
-      const EdgeData& e = g_.edges[static_cast<std::size_t>(edge)];
-      return std::array<std::int64_t, 3>{e.channels, e.height, e.width};
-    };
-    const auto main_dims = branch_dims(join.main.acc_edge);
+    // requantization indexes both buffers with the main branch's extents.
     if (pending_.active) {
       CSQ_CHECK(!pending_.relu)
           << "integer graph: residual skip branch must end in conv(+bn)";
-      CSQ_CHECK(branch_dims(pending_.main.acc_edge) == main_dims)
-          << "integer graph: residual branch shape mismatch";
-      join.skip_is_acc = true;
-      join.skip = std::move(pending_.main);
+      join.skip.kind = SkipTerm::Kind::kAcc;
+      join.skip.edge = pending_.main.acc_edge;
+      join.skip.acc = std::move(pending_.main);
     } else {
-      CSQ_CHECK(branch_dims(current_edge_) == main_dims)
-          << "integer graph: residual branch shape mismatch";
-      join.skip_edge = current_edge_;
+      join.skip.kind = SkipTerm::Kind::kCodes;
+      join.skip.edge = current_edge_;
     }
+    const auto dims = [this](int edge) {
+      const EdgeData& e = g_.edges[static_cast<std::size_t>(edge)];
+      return std::array<std::int64_t, 3>{e.channels, e.height, e.width};
+    };
+    CSQ_CHECK(dims(join.skip.edge) == dims(join.main.acc_edge))
+        << "integer graph: residual branch shape mismatch";
     pending_ = std::move(join);
     current_edge_ = -1;
   }
@@ -1646,11 +1392,8 @@ class GraphBuilder {
 
   struct Pending {
     bool active = false;
-    bool is_join = false;
     AccRequant main;
-    bool skip_is_acc = false;
-    AccRequant skip;
-    int skip_edge = -1;
+    SkipTerm skip;  // residual joins only
     bool relu = false;
     bool has_fixed_scale = false;
     float fixed_scale = 0.0f;
@@ -1695,7 +1438,7 @@ class GraphBuilder {
     g_.layer_weights.push_back(&w);
   }
 
-  // Flushes the pending accumulator into a requant/join op and returns the
+  // Flushes the pending accumulator into a RequantOp and returns the
   // realized uint8 edge the next op consumes.
   int realize() {
     if (!pending_.active) {
@@ -1717,24 +1460,13 @@ class GraphBuilder {
       e.levels = pending_.fixed_levels;
       e.scale_fixed = true;
     }
-    if (pending_.is_join) {
-      if (pending_.skip_is_acc) {
-        const int main_acc = pending_.main.acc_edge;
-        const int skip_acc = pending_.skip.acc_edge;
-        add_op(std::make_unique<JoinOp>(std::move(pending_.main),
-                                        std::move(pending_.skip), out),
-               {main_acc, skip_acc}, {out});
-      } else {
-        const int main_acc = pending_.main.acc_edge;
-        add_op(std::make_unique<JoinOp>(std::move(pending_.main),
-                                        pending_.skip_edge, out),
-               {main_acc, pending_.skip_edge}, {out});
-      }
-    } else {
-      const int main_acc = pending_.main.acc_edge;
-      add_op(std::make_unique<RequantOp>(std::move(pending_.main), out),
-             {main_acc}, {out});
+    std::vector<int> reads{pending_.main.acc_edge};
+    if (pending_.skip.kind != SkipTerm::Kind::kNone) {
+      reads.push_back(pending_.skip.edge);
     }
+    add_op(std::make_unique<RequantOp>(std::move(pending_.main),
+                                       std::move(pending_.skip), out),
+           std::move(reads), {out});
     pending_ = Pending{};
     current_edge_ = out;
     return out;
@@ -1839,14 +1571,6 @@ Tensor CompiledGraph::dequantized_weights(
 const std::vector<const PackedIntWeights*>&
 CompiledGraph::layer_weight_views() const {
   return impl_->layer_weights;
-}
-
-std::string CompiledGraph::describe() const {
-  std::ostringstream out;
-  for (const auto& op : impl_->ops) {
-    out << op->describe(*impl_) << "\n";
-  }
-  return out.str();
 }
 
 CompiledGraph::IoShape CompiledGraph::io_shape() const {

@@ -150,9 +150,6 @@ class CompiledGraph {
   // serializes their planes and kernel panels (runtime/graph_artifact.h).
   const std::vector<const PackedIntWeights*>& layer_weight_views() const;
 
-  // Human-readable op listing for debugging / the deploy example.
-  std::string describe() const;
-
   // ---- artifact / replication seam ---------------------------------------
 
   // Compiled per-sample input extents and logit width — what a server needs

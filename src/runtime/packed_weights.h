@@ -51,7 +51,7 @@ enum class WeightKernel : std::int32_t {
   kBitSerialWide = 3,  // bit-serial with int16 accumulators (3x MACs)
 };
 
-// Stable short name for describe() output and bench reports:
+// Stable short name for LayerInfo::kernel and bench reports:
 // "s8u8" | "bitserial" | "nibble" | "bitserial-w16" | "auto".
 const char* weight_kernel_name(WeightKernel kernel);
 

@@ -357,46 +357,5 @@ TEST(Export, StorageBitsAccounting) {
   EXPECT_EQ(layer.storage_bits(), 100 * 3 + 64);
 }
 
-TEST(Export, IntegerLinearForwardMatchesReference) {
-  Rng rng(78);
-  CsqWeightOptions opts;
-  CsqWeightSource source("fc", {5, 9}, 9, opts, rng);
-  source.finalize();
-  const QuantizedLayerExport layer = export_layer("fc", source);
-
-  Tensor input = random_tensor({4, 9}, rng, 0.0f, 2.0f);
-  const Tensor integer_out = integer_linear_forward(layer, input, 8, 2.0f);
-  const Tensor reference_out = reference_linear_forward(layer, input, 8, 2.0f);
-  EXPECT_LT(max_abs_diff(integer_out, reference_out),
-            1e-4f * std::max(1.0f, max_abs(reference_out)));
-}
-
-TEST(Export, IntegerForwardQuantizationErrorShrinksWithActBits) {
-  Rng rng(79);
-  CsqWeightOptions opts;
-  CsqWeightSource source("fc", {6, 12}, 12, opts, rng);
-  source.finalize();
-  const QuantizedLayerExport layer = export_layer("fc", source);
-  Tensor input = random_tensor({8, 12}, rng, 0.0f, 1.0f);
-
-  // Float reference with unquantized activations.
-  const Tensor& w = source.weight(false);
-  Tensor exact({8, 6});
-  for (std::int64_t b = 0; b < 8; ++b) {
-    for (std::int64_t o = 0; o < 6; ++o) {
-      double acc = 0.0;
-      for (std::int64_t i = 0; i < 12; ++i) {
-        acc += static_cast<double>(w[o * 12 + i]) * input[b * 12 + i];
-      }
-      exact[b * 6 + o] = static_cast<float>(acc);
-    }
-  }
-  const float err2 =
-      max_abs_diff(integer_linear_forward(layer, input, 2, 1.0f), exact);
-  const float err8 =
-      max_abs_diff(integer_linear_forward(layer, input, 8, 1.0f), exact);
-  EXPECT_LT(err8, err2);
-}
-
 }  // namespace
 }  // namespace csq

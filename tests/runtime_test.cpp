@@ -730,8 +730,9 @@ namespace {
 
 // A small finalized-CSQ stack at fixed 3-bit precision: its conv/linear
 // layers earn the specialized low-bit GEMMs, exercising kernel selection,
-// the force_reference_kernel escape hatch and the v3 artifact records. The
-// average pool runs with count_include_pad=false (the exclude_pad record).
+// the force_reference_kernel escape hatch and the v5 artifact's kernel
+// records. The average pool runs with count_include_pad=false (the
+// exclude_pad record).
 Model make_lowbit_model(std::vector<CsqWeightSource*>& registry, Rng& rng) {
   Model model;
   CsqWeightOptions csq_options;
@@ -827,7 +828,7 @@ TEST(GraphArtifact, KernelRecordsRoundTrip) {
   runtime::CompiledGraph loaded = runtime::load_graph(path);
   std::remove(path.c_str());
 
-  // The v3 records replay: every conv/linear carries its resolved kernel
+  // The kernel records replay: every conv/linear carries its resolved kernel
   // and the exclude-pad average pool keeps its divisor policy.
   bool saw_avg = false;
   std::size_t layer_index = 0;
@@ -857,8 +858,8 @@ TEST(GraphArtifact, KernelRecordsRoundTrip) {
     ASSERT_EQ(expected[i], actual[i]) << "output " << i;
   }
 
-  // Pre-kernel-record programs (v1/v2 artifacts decode kernel_kind = -1)
-  // re-derive the identical choice: wipe the records and rebuild.
+  // Programs without kernel records (kernel_kind = -1, as live lowering
+  // records them) re-derive the identical choice: wipe them and rebuild.
   runtime::GraphProgram wiped = loaded.program();
   for (runtime::ProgramInstr& instr : wiped.instrs) {
     instr.kernel_kind = -1;
@@ -876,20 +877,65 @@ TEST(GraphArtifact, KernelRecordsRoundTrip) {
   }
 }
 
+// Activation quantization is the integer path's only error source against
+// the float reference walk, so a finer activation grid must track the
+// reference more closely. No act-quant modules: every edge takes the
+// calibrated LowerOptions::act_bits grid.
+TEST(CompiledGraph, IntegerForwardQuantizationErrorShrinksWithActBits) {
+  Rng rng(79);
+  Model model;
+  std::vector<CsqWeightSource*> sources;
+  const WeightSourceFactory factory =
+      model.recording_factory(csq_weight_factory(&sources));
+  auto net = std::make_unique<Sequential>("net");
+  Conv2dConfig conv;
+  conv.in_channels = 3;
+  conv.out_channels = 8;
+  net->add(std::make_unique<Conv2d>("conv1", conv, factory, rng));
+  net->add(std::make_unique<BatchNorm2d>("bn1", 8));
+  net->add(std::make_unique<ReLU>("relu1"));
+  net->add(std::make_unique<GlobalAvgPool>("gap"));
+  net->add(std::make_unique<Flatten>("flatten"));
+  net->add(std::make_unique<Linear>("fc", 8, 6, factory, rng));
+  model.set_root(std::move(net));
+
+  Tensor input = random_tensor({8, 3, 8, 8}, rng);
+  for (int i = 0; i < 3; ++i) model.forward(input, /*training=*/true);
+  for (CsqWeightSource* source : sources) source->finalize();
+
+  const auto error_at = [&](int act_bits) {
+    runtime::LowerOptions options;
+    options.in_height = 8;
+    options.in_width = 8;
+    options.act_bits = act_bits;
+    runtime::CompiledGraph graph = runtime::lower(model, options);
+    graph.calibrate(input);
+    return max_abs_diff(graph.forward(input), graph.forward_reference(input));
+  };
+  const float err2 = error_at(2);
+  const float err8 = error_at(8);
+  EXPECT_GT(err2, 0.0f);
+  EXPECT_LT(err8, err2);
+}
+
 // ------------------------------------------------- conformance grid -----
 //
 // Parameterized lowering-parity sweep: a conv/bn/relu stack with an
-// optional pooling layer, lowered and compared against the float eval path
-// over every exportable family, the batch sizes the serving layer
-// coalesces, and a curated set of shape variants — non-tiling and strided
-// pools, overlapping padded windows, average pooling, non-square kernels
-// and inputs, and conv-head (no-Linear) models. The pooling stride/shape
+// optional residual block and pooling layer, lowered and compared against
+// the float eval path over every exportable family, the batch sizes the
+// serving layer coalesces, and a curated set of shape variants — non-tiling
+// and strided pools, overlapping padded windows, average pooling,
+// non-square kernels and inputs, conv-head (no-Linear) models and both
+// residual skip kinds. The pooling stride/shape
 // cells and the conv-head family were enumerated GTEST_SKIPs through PR 4
 // (the ROADMAP op-coverage gaps); they now run as green coverage.
 // Remaining genuine gaps stay enumerated as skipped cells with their
 // reasons, so closing one keeps flipping a skip into coverage.
 
 enum class PoolKind { kNone, kMax, kAvg };
+// Residual block after relu1: identity skip BasicBlock{8,8,1}, or
+// downsample skip BasicBlock{8,16,2}.
+enum class Residual { kNone, kIdentity, kDownsample };
 
 struct ConformanceCase {
   const char* tag;     // shape-variant fragment of the test name
@@ -904,6 +950,7 @@ struct ConformanceCase {
   int pool_pad = 0;
   bool conv_head = false;        // end at GlobalAvgPool, no Linear
   bool avg_exclude_pad = false;  // avg pool divides by valid-tap count
+  Residual residual = Residual::kNone;
   const char* skip_reason = nullptr;  // non-null: a remaining genuine gap
 };
 
@@ -935,6 +982,13 @@ std::vector<ConformanceCase> conformance_grid() {
       {"convhead_s12", "", 0, 12, 12, PoolKind::kNone, 0, 0, 0, 0, true},
       {"convhead_avg2s2_s11", "", 0, 11, 11, PoolKind::kAvg, 2, 2, 2, 0,
        true},
+      // Residual joins whose planes (121 and 36 values) are not multiples
+      // of the 32-wide SIMD requant body, so both it and the scalar tail
+      // run for each skip kind.
+      {"identity_s11", "", 0, 11, 11, PoolKind::kNone, 0, 0, 0, 0, false,
+       false, Residual::kIdentity},
+      {"downsample_s11", "", 0, 11, 11, PoolKind::kNone, 0, 0, 0, 0, false,
+       false, Residual::kDownsample},
   };
   std::vector<ConformanceCase> cases;
   for (const ConformanceCase& variant : variants) {
@@ -1012,6 +1066,16 @@ TEST_P(RuntimeConformance, LoweringParityWithFloatEval) {
   net->add(std::make_unique<Conv2d>("conv1", c1, factory, rng));
   net->add(std::make_unique<BatchNorm2d>("bn1", 8));
   net->add(std::make_unique<ReLU>("relu1"));
+  std::int64_t channels = 8;
+  if (param.residual != Residual::kNone) {
+    BlockConfig block;
+    block.in_channels = 8;
+    block.out_channels = param.residual == Residual::kIdentity ? 8 : 16;
+    block.stride = param.residual == Residual::kIdentity ? 1 : 2;
+    net->add(std::make_unique<BasicBlock>("block", block, factory,
+                                          /*act_factory=*/nullptr, rng));
+    channels = block.out_channels;
+  }
   if (param.pool != PoolKind::kNone) {
     Pool2dConfig pool_config;
     pool_config.kernel_h = param.pool_kernel_h;
@@ -1027,7 +1091,7 @@ TEST_P(RuntimeConformance, LoweringParityWithFloatEval) {
     }
   }
   Conv2dConfig c2;
-  c2.in_channels = 8;
+  c2.in_channels = channels;
   c2.out_channels = 8;
   c2.stride = 2;
   net->add(std::make_unique<Conv2d>("conv2", c2, factory, rng));
