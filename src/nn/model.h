@@ -52,7 +52,6 @@ class Model {
   // raw data() pointers across the first arena() call would go stale, so
   // the optimizer/checkpoint/data-parallel layers bind before training.
   ParameterArena& arena();
-  bool has_arena() const { return arena_ != nullptr; }
 
   const std::vector<QuantLayer>& quant_layers() const { return quant_layers_; }
 

@@ -408,11 +408,14 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
     // kernel would reach an integer division and a wild act_bits an
     // undefined shift — corrupted artifacts must throw, not crash. Saved
     // programs carry a resolved GEMM kernel on every conv/linear and none
-    // elsewhere.
+    // elsewhere (kind 2, the retired nibble kernel, is not one of them).
     const bool has_weights = instr.kind == ProgramInstr::Kind::kConv ||
                              instr.kind == ProgramInstr::Kind::kLinear;
-    CSQ_CHECK(has_weights ? instr.kernel_kind >= 0 && instr.kernel_kind <= 3
-                          : instr.kernel_kind == -1)
+    const auto kernel = static_cast<WeightKernel>(instr.kernel_kind);
+    CSQ_CHECK(has_weights ? kernel == WeightKernel::kS8U8 ||
+                                kernel == WeightKernel::kBitSerial ||
+                                kernel == WeightKernel::kBitSerialWide
+                          : kernel == WeightKernel::kAuto)
         << "graph artifact: bad kernel kind " << instr.kernel_kind;
     if (instr.kind == ProgramInstr::Kind::kConv ||
         instr.kind == ProgramInstr::Kind::kMaxPool ||
@@ -541,7 +544,7 @@ CompiledGraph load_graph(const std::string& path, bool pooled) {
       << "graph artifact: cannot open " << path;
   // Read the whole artifact up front: the CRC trailer covers every
   // preceding byte, so integrity is decided on the exact file image before
-  // any field is trusted (artifacts are compact — the weights are sub-byte
+  // any field is trusted (artifacts are compact — the weights are int8
   // codes).
   std::ostringstream sink(std::ios::binary);
   sink << file.rdbuf();

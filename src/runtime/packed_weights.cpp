@@ -14,7 +14,6 @@ namespace {
 static_assert(
     packed_kernel(WeightKernel::kS8U8) == PackedKernel::kS8U8 &&
         packed_kernel(WeightKernel::kBitSerial) == PackedKernel::kLowBit &&
-        packed_kernel(WeightKernel::kNibble) == PackedKernel::kNibble &&
         packed_kernel(WeightKernel::kBitSerialWide) ==
             PackedKernel::kLowBitWide,
     "persisted kernel kinds must name their panel layouts");
@@ -39,9 +38,8 @@ int common_shift(const std::vector<std::int32_t>& codes) {
 
 // The auto-selection policy, a pure function of the layer's stored-plane
 // shape: bit-serial (wide where the depth headroom allows) for <= 3-bit
-// layers, nibble packing for 4-bit layers whose shifted codes fit the
-// signed nibble, the widened s8u8 reference otherwise (including every
-// split layer — the hi/lo alpha chain stays on the reference path).
+// layers, the widened s8u8 reference otherwise (including every split
+// layer — the hi/lo alpha chain stays on the reference path).
 WeightKernel auto_kernel(int bits, std::int32_t max_abs, bool split,
                          std::int64_t cols) {
   if (split) return WeightKernel::kS8U8;
@@ -50,7 +48,6 @@ WeightKernel auto_kernel(int bits, std::int32_t max_abs, bool split,
                ? WeightKernel::kBitSerialWide
                : WeightKernel::kBitSerial;
   }
-  if (bits <= 4 && max_abs <= 7) return WeightKernel::kNibble;
   return WeightKernel::kS8U8;
 }
 
@@ -64,8 +61,6 @@ const char* weight_kernel_name(WeightKernel kernel) {
       return "s8u8";
     case WeightKernel::kBitSerial:
       return "bitserial";
-    case WeightKernel::kNibble:
-      return "nibble";
     case WeightKernel::kBitSerialWide:
       return "bitserial-w16";
   }
@@ -140,23 +135,6 @@ PackedIntWeights::PackedIntWeights(const std::vector<std::int32_t>& codes,
                 : kernel;
   check_kernel_eligibility();
 
-  if (kernel_ == WeightKernel::kBitSerial ||
-      kernel_ == WeightKernel::kBitSerialWide) {
-    // The bit-serial storage form: sign/magnitude planes. Collapsing them
-    // back through the power-of-two shift combination IS the bit-serial
-    // inner product's plane summation, hoisted to pack time; the GEMM then
-    // consumes the collapsed codes, which the round trip below proves equal
-    // to the stored plane, so the planes stay the authoritative
-    // representation.
-    planes_ = pack_bit_planes(primary_.data(), count);
-    std::vector<std::int8_t> collapsed(static_cast<std::size_t>(count));
-    unpack_bit_planes(planes_, collapsed.data());
-    for (std::int64_t i = 0; i < count; ++i) {
-      CSQ_CHECK(collapsed[static_cast<std::size_t>(i)] ==
-                primary_[static_cast<std::size_t>(i)])
-          << "packed weights: bit-plane round trip diverged at " << i;
-    }
-  }
   const PackedKernel kind = packed_kernel(kernel_);
   panels_.resize(
       static_cast<std::size_t>(gemm_packed_a_bytes(kind, rows, cols)));
@@ -179,11 +157,6 @@ void PackedIntWeights::check_kernel_eligibility() const {
       CSQ_CHECK(!split_ && max_abs_code_ <= 64)
           << "packed weights: bit-serial kernel needs unsplit codes with "
              "|code| <= 64, got max "
-          << max_abs_code_;
-      break;
-    case WeightKernel::kNibble:
-      CSQ_CHECK(!split_ && max_abs_code_ <= 7)
-          << "packed weights: nibble kernel needs codes in [-8, 7], got max "
           << max_abs_code_;
       break;
     case WeightKernel::kS8U8:

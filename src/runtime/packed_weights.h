@@ -20,12 +20,12 @@
 // the same operation materialize_hard performs).
 //
 // On top of the representation, each layer carries a KERNEL: the GEMM path
-// its precision earns. Low-bit layers store genuine sign/magnitude
-// bit-planes (runtime/subbyte.h) whose power-of-two combination is folded
-// back into collapsed int8 codes at pack time — the bit-serial shift-and-add
-// performed once, exactly, instead of per forward — and run the K-quad
-// vpmaddubsw kernel (or its int16-accumulator variant when the depth
-// headroom proves no overflow). 4-bit layers run the nibble-packed kernel.
+// its precision earns. Layers of at most 3 bits run "bitserial", the K-quad
+// vpmaddubsw kernel over the int8 codes (the name is persisted and reported;
+// the bit planes' shift-and-add is already folded into the codes), or its
+// int16-accumulator variant "bitserial-w16" when the depth headroom proves
+// no overflow. Every other layer, 4-bit layers included (their codes reach
+// +/-15), runs the s8u8 reference, split layers as its alpha-chained pair.
 // Every kernel produces the SAME int32 accumulators as the s8u8 reference,
 // so the choice never changes served outputs, only latency.
 #pragma once
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "nn/weight_source.h"
-#include "runtime/subbyte.h"
 #include "tensor/gemm.h"
 
 namespace csq {
@@ -46,13 +45,13 @@ namespace runtime {
 enum class WeightKernel : std::int32_t {
   kAuto = -1,
   kS8U8 = 0,        // widened int16 K-pair reference path
-  kBitSerial = 1,   // bit-planes collapsed at pack time, K-quad vpmaddubsw
-  kNibble = 2,      // two codes per byte, unpacked in-register
+  kBitSerial = 1,   // int8 codes, K-quad vpmaddubsw
   kBitSerialWide = 3,  // bit-serial with int16 accumulators (3x MACs)
+  // 2 was the retired nibble kernel; artifacts recording it are rejected.
 };
 
 // Stable short name for LayerInfo::kernel and bench reports:
-// "s8u8" | "bitserial" | "nibble" | "bitserial-w16" | "auto".
+// "s8u8" | "bitserial" | "bitserial-w16" | "auto".
 const char* weight_kernel_name(WeightKernel kernel);
 
 // The packed-A panel layout of a (resolved) kernel kind; the numeric values
@@ -158,16 +157,6 @@ class PackedIntWeights {
   // are derived from.
   std::int32_t max_abs_code() const { return max_abs_code_; }
 
-  // Sign/magnitude bit-planes of the stored codes for bit-serial layers;
-  // nullptr for other kernels and for borrowed (mmap) weights — the planes
-  // are test-only introspection the artifact does not persist.
-  const BitPlanes* bit_planes() const {
-    return !borrowed_ && (kernel_ == WeightKernel::kBitSerial ||
-                          kernel_ == WeightKernel::kBitSerialWide)
-               ? &planes_
-               : nullptr;
-  }
-
   // Real value of one stored-plane unit: step * 2^shift (exact).
   float effective_step() const { return effective_step_; }
 
@@ -220,7 +209,6 @@ class PackedIntWeights {
   // (weights are static at serving time) so gemm() skips per-call A packing.
   std::vector<std::uint8_t> panels_;
   std::vector<std::uint8_t> low_panels_;  // empty unless split()
-  BitPlanes planes_;  // populated for the bit-serial kernels (owned mode)
   WeightSpans spans_;  // borrowed mode: views into the caller's mapping
   std::vector<std::int64_t> row_sums_;
   std::int64_t rows_ = 0;

@@ -37,6 +37,8 @@ static_assert(static_cast<int>(WireStatus::kOk) ==
               "wire status codes must mirror ServeStatus");
 
 constexpr std::size_t kMaxModelIdBytes = 256;
+// Pending-connection queue of the loopback listener.
+constexpr int kListenBacklog = 16;
 // Fixed part of a request body: u16 id_len + i64 deadline + u32 count.
 constexpr std::size_t kRequestFixedBytes = 2 + 8 + 4;
 
@@ -407,8 +409,6 @@ ServeTransport::ServeTransport(BatchingServer& server,
       << "serve transport: dispatch_threads must be at least 1";
   CSQ_CHECK(options.max_frame_bytes >= 64)
       << "serve transport: max_frame_bytes too small for any request";
-  CSQ_CHECK(options.listen_backlog >= 1)
-      << "serve transport: listen_backlog must be at least 1";
 }
 
 ServeTransport::~ServeTransport() { stop(); }
@@ -416,8 +416,7 @@ ServeTransport::~ServeTransport() { stop(); }
 void ServeTransport::start() {
   Impl& impl = *impl_;
   CSQ_CHECK(!impl.started) << "serve transport: start called twice";
-  impl.listener = net::listen_loopback(impl.options.port,
-                                       impl.options.listen_backlog,
+  impl.listener = net::listen_loopback(impl.options.port, kListenBacklog,
                                        &impl.bound_port);
   CSQ_CHECK(net::set_nonblocking(impl.listener.get()))
       << "serve transport: cannot make listener non-blocking";

@@ -74,7 +74,6 @@ struct TransportOptions {
   // Frames larger than this are a protocol violation: the connection is
   // dropped (bounds a malicious or corrupt client's memory use).
   std::int64_t max_frame_bytes = 1 << 20;
-  int listen_backlog = 16;
 };
 
 class ServeTransport {

@@ -235,9 +235,9 @@ inline void micro_kernel_f32(const float* pa, const float* pb,
 // ---------------------------------------------------------- kernel traits --
 //
 // Each family's traits struct is everything the driver below knows about
-// it: element types, the padded packed depth of a KC block (`depth`), the
-// A~ elements per MR-tall micro-panel (`a_panel_size`), the A~ source of
-// one (ic, pc) tile, pack_b, the micro-kernel and the C-tile update.
+// it: element types, the padded packed depth of a KC block (`depth`; an
+// MR-tall A~ micro-panel holds MR * depth elements), the A~ source of one
+// (ic, pc) tile, pack_b, the micro-kernel and the C-tile update.
 
 struct F32Kernel {
   using AElem = float;
@@ -254,7 +254,6 @@ struct F32Kernel {
     float alpha, beta;
   };
   static std::int64_t depth(std::int64_t kc) { return kc; }
-  static std::int64_t a_panel_size(std::int64_t kc) { return kGemmMR * kc; }
 
   // op(A) is packed per tile into the scratch of the thread running it.
   static const float* a_tile(const ASource& src, std::int64_t ic,
@@ -418,9 +417,8 @@ inline void micro_kernel_int(const std::int16_t* pa, const std::int16_t* pb,
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
 // Integer families: A~ is a slice of the prepacked blob. `kGroup` is the K
-// grouping (2 = pairs, 4 = quads); `kCodesPerA` the codes per A element.
-template <typename AElemT, typename BElemT, std::int64_t kGroup,
-          std::int64_t kCodesPerA>
+// grouping (2 = pairs, 4 = quads).
+template <typename AElemT, typename BElemT, std::int64_t kGroup>
 struct IntKernel {
   using AElem = AElemT;
   using BIn = std::uint8_t;
@@ -435,16 +433,13 @@ struct IntKernel {
   static std::int64_t depth(std::int64_t kc) {
     return (kc + kGroup - 1) / kGroup * kGroup;
   }
-  static std::int64_t a_panel_size(std::int64_t kc) {
-    return kGemmMR * depth(kc) / kCodesPerA;
-  }
 
   // The blob holds every MR panel of the full m extent per KC block, so a
   // tile's panels start at its block's offset plus ic / MR panels.
   static const AElem* a_tile(ASource blob, std::int64_t ic, std::int64_t,
                              std::int64_t, std::int64_t kc,
                              std::int64_t a_offset, GemmScratch&) {
-    return blob + a_offset + (ic / kGemmMR) * a_panel_size(kc);
+    return blob + a_offset + (ic / kGemmMR) * kGemmMR * depth(kc);
   }
 
   // C = alpha * acc, or C += alpha * acc with `accumulate` or past pc == 0.
@@ -465,7 +460,7 @@ struct IntKernel {
   }
 };
 
-struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2, 1> {
+struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2> {
   static constexpr std::int32_t kMaxAlpha = 2;
   static constexpr std::int32_t kMinCode = -128, kMaxCode = 127;
 
@@ -522,7 +517,7 @@ struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2, 1> {
   }
 };
 
-// ----------------------------------------------------- sub-byte kernels ---
+// ----------------------------------------------- low-bit K-quad kernels --
 //
 // The low-bit family keeps raw 8-bit operands in the packed panels and lays
 // depth out in K-QUADS: steps 4q..4q+3 adjacent per row/column, fused by one
@@ -533,9 +528,6 @@ struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2, 1> {
 //
 // A~ quad layout (low-bit): panels MR-tall; entry (p, i) at
 //   [(p/4)*MR + i]*4 + p%4   (one int8 per code).
-// A~ nibble layout: same quad structure, two codes per byte; entry (p, i)
-//   lives in byte [(p/4)*MR + i]*2 + (p%4)/2, low nibble for even p, high
-//   for odd; codes are stored as their low 4 bits (signed range [-8, 7]).
 // B~ quad layout: panels NR-wide; entry (p, j) at [(p/4)*NR + j]*4 + p%4
 //   (one uint8 per activation code — half the widened int16 panel traffic).
 
@@ -656,89 +648,6 @@ inline void micro_kernel_lowbit_wide(const std::int8_t* pa,
                       _mm256_madd_epi16(s7, ones));
 }
 
-// Nibble kernel: one 16-byte load covers a whole 8-row quad group. The
-// in-register unpack (mask/shift + byte interleave) lands row r's quad in
-// 32-bit lane r; the xor/sub pair sign-extends the 4-bit codes, and
-// vpermd duplicates one lane per accumulator row.
-inline void micro_kernel_nibble(const std::uint8_t* pa, const std::uint8_t* pb,
-                                std::int64_t kc, std::int32_t* acc) {
-  const std::int64_t quads = quad_kc(kc) / 4;
-  const __m256i ones = _mm256_set1_epi16(1);
-  const __m128i low_mask = _mm_set1_epi8(0x0F);
-  const __m256i sign_bias = _mm256_set1_epi8(8);
-  const __m256i dup0 = _mm256_set1_epi32(0), dup1 = _mm256_set1_epi32(1),
-                dup2 = _mm256_set1_epi32(2), dup3 = _mm256_set1_epi32(3),
-                dup4 = _mm256_set1_epi32(4), dup5 = _mm256_set1_epi32(5),
-                dup6 = _mm256_set1_epi32(6), dup7 = _mm256_set1_epi32(7);
-  __m256i c0 = _mm256_setzero_si256(), c1 = _mm256_setzero_si256(),
-          c2 = _mm256_setzero_si256(), c3 = _mm256_setzero_si256(),
-          c4 = _mm256_setzero_si256(), c5 = _mm256_setzero_si256(),
-          c6 = _mm256_setzero_si256(), c7 = _mm256_setzero_si256();
-  for (std::int64_t q = 0; q < quads; ++q) {
-    const __m128i raw = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(pa + q * kGemmMR * 2));
-    const __m128i lo = _mm_and_si128(raw, low_mask);
-    const __m128i hi = _mm_and_si128(_mm_srli_epi16(raw, 4), low_mask);
-    // Interleaving even-p and odd-p nibbles restores depth order: lane r of
-    // the combined vector holds codes (4q..4q+3, row r).
-    const __m128i rows03 = _mm_unpacklo_epi8(lo, hi);
-    const __m128i rows47 = _mm_unpackhi_epi8(lo, hi);
-    __m256i a_quads = _mm256_inserti128_si256(
-        _mm256_castsi128_si256(rows03), rows47, 1);
-    a_quads = _mm256_sub_epi8(_mm256_xor_si256(a_quads, sign_bias), sign_bias);
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(pb + q * kGemmNR * 4));
-    c0 = _mm256_add_epi32(
-        c0, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup0)),
-                ones));
-    c1 = _mm256_add_epi32(
-        c1, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup1)),
-                ones));
-    c2 = _mm256_add_epi32(
-        c2, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup2)),
-                ones));
-    c3 = _mm256_add_epi32(
-        c3, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup3)),
-                ones));
-    c4 = _mm256_add_epi32(
-        c4, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup4)),
-                ones));
-    c5 = _mm256_add_epi32(
-        c5, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup5)),
-                ones));
-    c6 = _mm256_add_epi32(
-        c6, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup6)),
-                ones));
-    c7 = _mm256_add_epi32(
-        c7, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(
-                    b, _mm256_permutevar8x32_epi32(a_quads, dup7)),
-                ones));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0 * 8), c0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 1 * 8), c1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 2 * 8), c2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 3 * 8), c3);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4 * 8), c4);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 5 * 8), c5);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 6 * 8), c6);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 7 * 8), c7);
-}
-
 #else  // portable fallbacks over the same quad layouts
 
 inline void micro_kernel_lowbit(const std::int8_t* pa, const std::uint8_t* pb,
@@ -770,35 +679,11 @@ inline void micro_kernel_lowbit_wide(const std::int8_t* pa,
   micro_kernel_lowbit(pa, pb, kc, acc);
 }
 
-inline void micro_kernel_nibble(const std::uint8_t* pa, const std::uint8_t* pb,
-                                std::int64_t kc, std::int32_t* acc) {
-  const std::int64_t quads = quad_kc(kc) / 4;
-  for (std::int64_t x = 0; x < kGemmMR * kGemmNR; ++x) acc[x] = 0;
-  for (std::int64_t q = 0; q < quads; ++q) {
-    const std::uint8_t* a_group = pa + q * kGemmMR * 2;
-    const std::uint8_t* b_row = pb + q * kGemmNR * 4;
-    for (std::int64_t i = 0; i < kGemmMR; ++i) {
-      std::int32_t a_quad[4];
-      for (int c = 0; c < 2; ++c) {
-        const std::uint8_t byte = a_group[i * 2 + c];
-        a_quad[c * 2] = ((byte & 0x0F) ^ 8) - 8;
-        a_quad[c * 2 + 1] = ((byte >> 4) ^ 8) - 8;
-      }
-      std::int32_t* acc_row = acc + i * kGemmNR;
-      for (std::int64_t j = 0; j < kGemmNR; ++j) {
-        const std::uint8_t* b_quad = b_row + j * 4;
-        acc_row[j] += a_quad[0] * b_quad[0] + a_quad[1] * b_quad[1] +
-                      a_quad[2] * b_quad[2] + a_quad[3] * b_quad[3];
-      }
-    }
-  }
-}
-
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
-template <typename AElemT, std::int64_t kCodesPerA>
-struct QuadKernel : IntKernel<AElemT, std::uint8_t, 4, kCodesPerA> {
+struct LowBitKernel : IntKernel<std::int8_t, std::uint8_t, 4> {
   static constexpr std::int32_t kMaxAlpha = 8;
+  static constexpr std::int32_t kMinCode = -64, kMaxCode = 64;
 
   static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
                      std::int64_t pc, std::int64_t jc, std::int64_t kc,
@@ -824,10 +709,6 @@ struct QuadKernel : IntKernel<AElemT, std::uint8_t, 4, kCodesPerA> {
       dst += kGemmNR * kcq;
     }
   }
-};
-
-struct LowBitKernel : QuadKernel<std::int8_t, 1> {
-  static constexpr std::int32_t kMinCode = -64, kMaxCode = 64;
 
   static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
                      std::int64_t mc, std::int64_t kc, std::int8_t* dst) {
@@ -858,35 +739,6 @@ struct LowBitWideKernel : LowBitKernel {
   }
 };
 
-struct NibbleKernel : QuadKernel<std::uint8_t, 2> {
-  static constexpr std::int32_t kMinCode = -8, kMaxCode = 7;
-
-  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
-                     std::int64_t mc, std::int64_t kc, std::uint8_t* dst) {
-    const std::int64_t kcq = quad_kc(kc);
-    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-      const std::int64_t rows = std::min(kGemmMR, mc - r);
-      std::fill(dst, dst + kGemmMR * kcq / 2, std::uint8_t{0});
-      for (std::int64_t i = 0; i < rows; ++i) {
-        const std::int8_t* src = a + (r + i) * lda + pc;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const std::uint8_t nib = static_cast<std::uint8_t>(src[p]) & 0x0F;
-          std::uint8_t& byte =
-              dst[((p / 4) * kGemmMR + i) * 2 + ((p & 3) >> 1)];
-          byte = static_cast<std::uint8_t>(
-              (p & 1) ? (byte | (nib << 4)) : (byte | nib));
-        }
-      }
-      dst += kGemmMR * kcq / 2;
-    }
-  }
-
-  static void micro_kernel(const std::uint8_t* pa, const std::uint8_t* pb,
-                           std::int64_t kc, std::int32_t* acc) {
-    micro_kernel_nibble(pa, pb, kc, acc);
-  }
-};
-
 // Runs `fn` with a value of the traits type of `kind`.
 template <typename Fn>
 decltype(auto) with_kernel(PackedKernel kind, Fn&& fn) {
@@ -895,8 +747,6 @@ decltype(auto) with_kernel(PackedKernel kind, Fn&& fn) {
       return fn(LowBitKernel{});
     case PackedKernel::kLowBitWide:
       return fn(LowBitWideKernel{});
-    case PackedKernel::kNibble:
-      return fn(NibbleKernel{});
     case PackedKernel::kS8U8:
       break;
   }
@@ -908,7 +758,7 @@ decltype(auto) with_kernel(PackedKernel kind, Fn&& fn) {
 // A~ elements of one KC block: the MR panels of the whole m extent.
 template <typename K>
 std::int64_t a_block_size(std::int64_t m, std::int64_t kc) {
-  return (m + kGemmMR - 1) / kGemmMR * K::a_panel_size(kc);
+  return (m + kGemmMR - 1) / kGemmMR * kGemmMR * K::depth(kc);
 }
 
 // ---------------------------------------------------------------- driver --
@@ -939,7 +789,7 @@ void run_tile(const Problem<K>& p, const Block& blk, std::int64_t ic,
   const std::int64_t mc = std::min(kGemmMC, p.m - ic);
   const typename K::AElem* packed_a =
       K::a_tile(p.a, ic, blk.pc, mc, blk.kc, blk.a_offset, scratch);
-  const std::int64_t a_stride = K::a_panel_size(blk.kc);
+  const std::int64_t a_stride = kGemmMR * K::depth(blk.kc);
   const std::int64_t b_stride = kGemmNR * K::depth(blk.kc);
   typename K::Acc acc[kGemmMR * kGemmNR];
   for (std::int64_t jr = 0; jr < blk.nc; jr += kGemmNR) {

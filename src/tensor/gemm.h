@@ -30,9 +30,9 @@
 // accumulator, C), the K grouping of the packed layouts, `pack_b`, the A~
 // source (float packs op(A) per (ic, pc) tile into scratch; the integer
 // kinds slice their prepacked blob), the micro-kernel (a compile-time call
-// inside the tile loop) and the C-tile update. It is instantiated five
+// inside the tile loop) and the C-tile update. It is instantiated four
 // times: float; s8u8 (int16 K-pairs); low-bit and low-bit-wide (int8
-// K-quads); nibble (K-quads, two codes per byte).
+// K-quads).
 //
 // The driver has exactly two schedules:
 //  * Row schedule (shared B~): the calling thread packs B~ per (jc, pc);
@@ -157,7 +157,7 @@ void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
 //    up to 65535 per depth step, so exactness requires |alpha| <= 2 and
 //    k <= 32767. Any alpha or code-range extension must re-derive it.
 //
-// The sub-byte kinds keep raw 8-bit operands in the packed panels (half the
+// The low-bit kinds keep raw 8-bit operands in the packed panels (half the
 // panel bandwidth of the widened layout) in K-QUADS: depth steps 4q..4q+3
 // adjacent per row/column, fused by one vpmaddubsw + vpmaddwd. vpmaddubsw
 // saturates its int16 pair sums, so exactness requires |a| <= 64 per code
@@ -167,22 +167,17 @@ void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
 // headroom is the caller's contract (serving runs alpha = 1 with k <= 32767
 // and max|a| <= 64, which bounds it directly).
 //
-//  * kLowBit ("bit-serial collapsed"): A as raw int8 quads, codes in
-//    [-64, 64]. Twice the per-instruction MAC throughput of kS8U8. The
-//    runtime folds its bit-serial planes' power-of-two combination into
-//    these codes at pack time (exact shifts).
+//  * kLowBit ("bit-serial"): A as raw int8 quads, codes in [-64, 64].
+//    Twice the per-instruction MAC throughput of kS8U8.
 //  * kLowBitWide: the kLowBit layout, with int16 accumulators across a
 //    whole KC-depth block, widened once at the end — three times the
 //    baseline MAC throughput. Exact only when `gemm_s8u8_wide_eligible`
 //    holds for the layer's depth and max |code|.
-//  * kNibble: A as two codes per byte (signed range [-8, 7]), unpacked
-//    inside the micro-kernel — a quarter of the baseline A-panel traffic.
 //
 // Every kind produces EXACTLY the int32 products of the s8u8 reference.
 enum class PackedKernel : std::int32_t {
   kS8U8 = 0,
   kLowBit = 1,
-  kNibble = 2,
   kLowBitWide = 3,
 };
 

@@ -98,7 +98,7 @@ class ThreadCache {
     return true;
   }
 
-  // Hands every cached buffer to the global tier (thread exit, trim) so
+  // Hands every cached buffer to the global tier (thread exit) so
   // short-lived worker threads donate their warm spans instead of freeing.
   void flush() noexcept;
 
@@ -234,23 +234,6 @@ class StoragePool {
     return snapshot;
   }
 
-  // Frees the global tier plus the calling thread's cache. Other threads'
-  // caches stay untouched (they cannot be cleared safely from here); they
-  // flush themselves into the global tier when their thread exits.
-  void trim() {
-    if (ThreadCache* cache = thread_cache()) cache->flush();
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& shelf : data_shelves_) {
-      shelf.clear();
-      shelf.shrink_to_fit();
-      shelf.reserve(kMaxCachedPerBucket);  // keep releases allocation-free
-    }
-    shapes_.clear();
-    shapes_.shrink_to_fit();
-    shapes_.reserve(kMaxCachedShapes);
-    cached_bytes_ = 0;
-  }
-
  private:
   std::mutex mutex_;
   std::vector<std::vector<float>> data_shelves_[kBuckets];
@@ -300,8 +283,6 @@ void ThreadCache::flush() noexcept {
 }  // namespace
 
 TensorPoolStats tensor_pool_stats() { return pool().stats(); }
-
-void tensor_pool_trim() { pool().trim(); }
 
 std::int64_t shape_numel(const std::vector<std::int64_t>& shape) {
   std::int64_t count = 1;

@@ -136,7 +136,4 @@ struct TensorPoolStats {
 
 TensorPoolStats tensor_pool_stats();
 
-// Frees every cached buffer (tests and memory-pressure handling).
-void tensor_pool_trim();
-
 }  // namespace csq

@@ -17,13 +17,12 @@ thread_local int t_pool_slot = 0;
 thread_local int t_share_slot = -1;
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads, bool assign_scratch_slots)
-    : assign_scratch_slots_(assign_scratch_slots) {
+ThreadPool::ThreadPool(int num_threads) {
   CSQ_CHECK(num_threads >= 1) << "thread pool needs at least one thread";
   workers_.reserve(static_cast<std::size_t>(num_threads - 1));
   for (int i = 0; i < num_threads - 1; ++i) {
-    workers_.emplace_back([this, i, assign_scratch_slots] {
-      if (assign_scratch_slots) t_pool_slot = i + 1;
+    workers_.emplace_back([this, i] {
+      t_pool_slot = i + 1;
       worker_loop();
     });
   }
@@ -92,7 +91,7 @@ SerialExecutionGuard::~SerialExecutionGuard() {
 }
 
 void ThreadPool::run_task_share(const Task& task) {
-  ParallelRegionGuard guard(assign_scratch_slots_ ? t_pool_slot : -1);
+  ParallelRegionGuard guard(t_pool_slot);
   while (true) {
     std::int64_t chunk_begin;
     {
@@ -189,8 +188,7 @@ int configured_thread_count() {
 }  // namespace
 
 ThreadPool& global_pool() {
-  static ThreadPool pool(configured_thread_count(),
-                         /*assign_scratch_slots=*/true);
+  static ThreadPool pool(configured_thread_count());
   return pool;
 }
 

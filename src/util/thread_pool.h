@@ -2,8 +2,11 @@
 // batch dimension and other embarrassingly parallel loops.
 //
 // Design notes:
-//  * Static partitioning via `parallel_for` — the loops we run are regular
-//    (same cost per index), so dynamic stealing would only add overhead.
+//  * Dynamic chunking: the caller and the workers each claim the next
+//    chunk of ~count / (4 * threads) indices under the pool mutex until the
+//    range is drained, so a straggler does not serialize the tail. Which
+//    thread runs which chunk varies from run to run; callers that need
+//    determinism fix their own chunk grid (tensor/quant_kernels.h).
 //  * Exceptions thrown by workers are captured and rethrown on the caller
 //    thread (first one wins), so CSQ_CHECK failures inside kernels surface.
 //  * Top-level parallel_for calls from DIFFERENT threads are safe: they
@@ -27,9 +30,9 @@ namespace csq {
 
 class ThreadPool {
  public:
-  // `assign_scratch_slots` gives each worker a stable pool_slot() stripe
-  // index (used only by the global pool; private pools leave slots at 0).
-  explicit ThreadPool(int num_threads, bool assign_scratch_slots = false);
+  // Worker i answers pool_slot() == i + 1 (only global_pool() constructs a
+  // pool, so the stripes index its scratch).
+  explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -60,7 +63,6 @@ class ThreadPool {
   void run_task_share(const Task& task);
 
   std::vector<std::thread> workers_;
-  const bool assign_scratch_slots_;
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;

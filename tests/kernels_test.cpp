@@ -1,14 +1,13 @@
 // Precision-specialized GEMM kernel tests:
 //
-//  * deterministic fuzz of the sub-byte storage round trips — sign/magnitude
-//    bit-planes and signed nibble packing are exact inverses;
-//  * the low-bit (K-quad vpmaddubsw), int16-accumulator and nibble prepacked
-//    GEMMs against an exact int64 reference across odd shapes (K=1,
+//  * the low-bit (K-quad vpmaddubsw) and int16-accumulator prepacked GEMMs
+//    against an exact int64 reference across odd shapes (K=1,
 //    non-multiple-of-panel M/N, KC-crossing depths), both transpose forms,
 //    the power-of-two alpha chain and accumulate mode;
 //  * serial vs pooled bit-identity of every specialized entry point;
 //  * the int16-accumulator eligibility bound, and worst-case operands at
-//    the exact headroom edges of the sub-byte kinds;
+//    every headroom edge of every integer family (a generated sweep over
+//    each low-bit |code|, plus the s8u8 and split-chain extremes);
 //  * the deterministic kernel-selection policy and PackedIntWeights
 //    bit-identity across every forced kernel kind.
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "runtime/packed_weights.h"
-#include "runtime/subbyte.h"
 #include "tensor/gemm.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -27,7 +25,6 @@
 namespace csq {
 namespace {
 
-using runtime::BitPlanes;
 using runtime::PackedIntWeights;
 using runtime::WeightKernel;
 
@@ -69,78 +66,17 @@ void reference_s8u8(Trans trans_b, std::int64_t m, std::int64_t n,
   }
 }
 
-// ------------------------------------------------ sub-byte round trips ---
-
-TEST(SubBytePacking, BitPlaneRoundTripFuzz) {
-  Rng rng(4101);
-  const std::int64_t counts[] = {1, 7, 63, 64, 65, 500, 4096};
-  for (const std::int64_t count : counts) {
-    for (const int magnitude : {1, 3, 7, 64, 127}) {
-      const auto codes = random_s8(count, rng, magnitude);
-      const BitPlanes planes = runtime::pack_bit_planes(codes.data(), count);
-      EXPECT_EQ(planes.count, count);
-      EXPECT_LE(planes.planes, 7);
-      EXPECT_EQ(static_cast<std::int64_t>(planes.sign.size()),
-                planes.words_per_plane());
-      EXPECT_EQ(static_cast<std::int64_t>(planes.bits.size()),
-                planes.planes * planes.words_per_plane());
-      std::vector<std::int8_t> back(static_cast<std::size_t>(count));
-      runtime::unpack_bit_planes(planes, back.data());
-      EXPECT_EQ(codes, back) << "count=" << count << " mag=" << magnitude;
-    }
-  }
-}
-
-TEST(SubBytePacking, BitPlaneEdgeSpans) {
-  // All-zero span: zero magnitude planes, sign words present but clear.
-  const std::vector<std::int8_t> zeros(130, 0);
-  const BitPlanes planes = runtime::pack_bit_planes(zeros.data(), 130);
-  EXPECT_EQ(planes.planes, 0);
-  std::vector<std::int8_t> back(130, 42);
-  runtime::unpack_bit_planes(planes, back.data());
-  EXPECT_EQ(zeros, back);
-
-  // Binary +/-1 span packs into exactly one magnitude plane.
-  std::vector<std::int8_t> binary(100);
-  for (std::size_t i = 0; i < binary.size(); ++i) {
-    binary[i] = (i % 2 == 0) ? 1 : -1;
-  }
-  const BitPlanes one = runtime::pack_bit_planes(
-      binary.data(), static_cast<std::int64_t>(binary.size()));
-  EXPECT_EQ(one.planes, 1);
-  EXPECT_EQ(one.storage_bits(), 2 * static_cast<std::int64_t>(binary.size()));
-}
-
-TEST(SubBytePacking, NibbleRoundTripFuzz) {
-  Rng rng(4102);
-  const std::int64_t counts[] = {1, 2, 3, 64, 101, 1000};
-  for (const std::int64_t count : counts) {
-    auto codes = random_s8(count, rng, 7);
-    // Hit both range ends explicitly.
-    codes[0] = -8;
-    if (count > 1) codes[1] = 7;
-    std::vector<std::uint8_t> packed(
-        static_cast<std::size_t>(runtime::nibble_bytes(count)));
-    runtime::pack_nibbles(codes.data(), count, packed.data());
-    std::vector<std::int8_t> back(static_cast<std::size_t>(count));
-    runtime::unpack_nibbles(packed.data(), count, back.data());
-    EXPECT_EQ(codes, back) << "count=" << count;
-  }
-  EXPECT_EQ(runtime::nibble_bytes(5), 3);
-  EXPECT_EQ(runtime::nibble_bytes(6), 3);
-}
-
 // ------------------------------------------- specialized GEMM parity -----
 
-enum class QuadPath { kLowBit, kWide, kNibble };
+enum class QuadPath { kLowBit, kWide };
 
 void run_quad(QuadPath path, Trans trans_b, std::int64_t m, std::int64_t n,
               std::int64_t k, std::int32_t alpha, const std::int8_t* a,
               const std::uint8_t* b, std::int64_t ldb, bool accumulate,
               bool pooled, std::vector<std::int32_t>& c) {
-  PackedKernel kind = PackedKernel::kLowBit;
-  if (path == QuadPath::kNibble) kind = PackedKernel::kNibble;
-  if (path == QuadPath::kWide) kind = PackedKernel::kLowBitWide;
+  const PackedKernel kind = path == QuadPath::kWide
+                                ? PackedKernel::kLowBitWide
+                                : PackedKernel::kLowBit;
   std::vector<std::uint8_t> packed(
       static_cast<std::size_t>(gemm_packed_a_bytes(kind, m, k)));
   gemm_pack_a(kind, m, k, a, k, packed.data());
@@ -161,16 +97,13 @@ TEST(LowBitGemm, MatchesExactReferenceAcrossShapesAndModes) {
         for (const Trans trans_b : {Trans::no, Trans::yes}) {
           const std::int32_t alpha = (m + n + k) % 2 == 0 ? 1 : 2;
           const bool accumulate = (m + k) % 2 == 1;
-          for (const QuadPath path :
-               {QuadPath::kLowBit, QuadPath::kWide, QuadPath::kNibble}) {
-            // Respect each path's exactness envelope: nibble codes live in
-            // [-8, 7]; the wide path needs the int16 headroom bound.
-            const int magnitude = path == QuadPath::kNibble ? 7 : 64;
-            if (path == QuadPath::kWide &&
-                !gemm_s8u8_wide_eligible(k, magnitude)) {
+          for (const QuadPath path : {QuadPath::kLowBit, QuadPath::kWide}) {
+            // Codes span the K-quad range; the wide path also needs the
+            // int16 headroom bound.
+            if (path == QuadPath::kWide && !gemm_s8u8_wide_eligible(k, 64)) {
               continue;
             }
-            const auto a = random_s8(m * k, rng, magnitude);
+            const auto a = random_s8(m * k, rng, 64);
             const auto b = random_u8(k * n, rng);
             const std::int64_t ldb = trans_b == Trans::no ? n : k;
             std::vector<std::int32_t> expected(
@@ -241,31 +174,92 @@ void expect_worst_case_matches_reference(PackedKernel kind, std::int64_t k,
                               << " k=" << k << " code=" << code;
 }
 
-TEST(LowBitGemm, WorstCaseOperandsAtHeadroomEdgesMatchReference) {
-  for (const std::int32_t sign : {1, -1}) {
-    // bitserial-w16 on the eligible side of both eligibility edges: one
-    // int16 lane reaches 32640 of its 32767.
-    ASSERT_TRUE(gemm_s8u8_wide_eligible(128, 2));
-    expect_worst_case_matches_reference(PackedKernel::kLowBitWide, 128,
-                                        2 * sign);
-    ASSERT_TRUE(gemm_s8u8_wide_eligible(4, 64));
-    expect_worst_case_matches_reference(PackedKernel::kLowBitWide, 4,
-                                        64 * sign);
-    // Low-bit at its largest code and the deepest legal reduction.
-    expect_worst_case_matches_reference(PackedKernel::kLowBit, 32767,
-                                        64 * sign);
+// The deepest reduction the int32 accumulators admit for every family.
+constexpr std::int64_t kMaxDepth = 32767;
+
+// The deepest depth k* at which bitserial-w16 stays exact for codes up to
+// |code| = c. The eligibility bound is monotone in depth, and the KC cap
+// bounds every block, so |code| = 1 is eligible at every depth and yields
+// kMaxDepth.
+std::int64_t deepest_wide_depth(std::int32_t c) {
+  std::int64_t k = 0;
+  while (k < kMaxDepth && gemm_s8u8_wide_eligible(k + 1, c)) ++k;
+  return k;
+}
+
+// The split hi/lo chain (code = 2 * hi + lo: an alpha = 2 pass over a hi
+// plane reaching -128, then the alpha = 1 lo pass) with every code `code`
+// and activations 255 at the deepest reduction, where the s8u8 headroom is
+// tightest: 255 * 255 * 32767 < 2^31.
+void expect_split_chain_matches_reference(std::int32_t code) {
+  const std::int64_t rows = 3, n = 5;
+  const std::vector<std::int32_t> codes(
+      static_cast<std::size_t>(rows * kMaxDepth), code);
+  const PackedIntWeights packed(codes, /*step=*/0.01f, /*bits=*/8, rows,
+                                kMaxDepth);
+  ASSERT_TRUE(packed.split());
+  ASSERT_EQ(packed.kernel(), WeightKernel::kS8U8);
+  const std::vector<std::uint8_t> b(static_cast<std::size_t>(kMaxDepth * n),
+                                    255);
+  std::vector<std::int32_t> c(static_cast<std::size_t>(rows * n), -1);
+  packed.gemm(Trans::no, n, b.data(), n, c.data(), n, /*pooled=*/false);
+  // The int64 reference of uniform operands: every element is one sum.
+  const std::int64_t expected = std::int64_t{code} * 255 * kMaxDepth;
+  for (const std::int32_t v : c) {
+    EXPECT_EQ(v, expected) << "split chain code=" << code;
   }
+}
+
+TEST(LowBitGemm, WorstCaseOperandsAtHeadroomEdgesMatchReference) {
+  // The hand-derived edges: one int16 lane reaches 32640 of its 32767 at
+  // |code| 2 and depth 128, and at |code| 64 and depth 4.
+  ASSERT_EQ(deepest_wide_depth(2), 128);
+  ASSERT_EQ(deepest_wide_depth(64), 4);
+  // Every low-bit |code|: bitserial-w16 at its deepest eligible depth, and
+  // bitserial one step past it and at the deepest legal reduction.
+  for (std::int32_t c = 1; c <= 64; ++c) {
+    const std::int64_t edge = deepest_wide_depth(c);
+    ASSERT_GE(edge, 4) << "|code| " << c;
+    for (const std::int32_t sign : {1, -1}) {
+      const std::int32_t code = c * sign;
+      if (edge == kMaxDepth) {
+        // Unbounded by the KC cap: both sides of the block edge and the
+        // deepest reduction.
+        for (const std::int64_t k : {kGemmKC - 1, kGemmKC + 1, kMaxDepth}) {
+          expect_worst_case_matches_reference(PackedKernel::kLowBitWide, k,
+                                              code);
+        }
+      } else {
+        expect_worst_case_matches_reference(PackedKernel::kLowBitWide, edge,
+                                            code);
+        expect_worst_case_matches_reference(PackedKernel::kLowBit, edge + 1,
+                                            code);
+      }
+      expect_worst_case_matches_reference(PackedKernel::kLowBit, kMaxDepth,
+                                          code);
+    }
+  }
+  // The s8u8 reference at both int8 extremes, and the split chain at
+  // +/-255, all at the deepest reduction.
+  expect_worst_case_matches_reference(PackedKernel::kS8U8, kMaxDepth, 127);
+  expect_worst_case_matches_reference(PackedKernel::kS8U8, kMaxDepth, -128);
+  expect_split_chain_matches_reference(255);
+  expect_split_chain_matches_reference(-255);
 }
 
 TEST(LowBitGemm, ForcedWideKernelThrowsPastEligibilityEdges) {
   // A recorded bitserial-w16 kind is honored only where the int16 headroom
-  // holds: it packs at each edge and throws one depth step past it. One odd
-  // code keeps the layer's power-of-two shift at 0, so the stored codes
-  // keep their magnitude.
+  // holds: it packs at each |code|'s deepest eligible depth and throws one
+  // depth step past it (|code| 1 is eligible at every depth). One odd code
+  // keeps the layer's power-of-two shift at 0, so the stored codes keep
+  // their magnitude.
+  ASSERT_EQ(deepest_wide_depth(2), 128);
+  ASSERT_EQ(deepest_wide_depth(64), 4);
   const std::int64_t rows = 2;
-  const std::pair<std::int64_t, std::int32_t> edges[] = {{128, 2}, {4, 64}};
-  for (const auto& [cols, magnitude] : edges) {
-    for (const std::int64_t depth : {cols, cols + 1}) {
+  for (std::int32_t magnitude = 1; magnitude <= 64; ++magnitude) {
+    const std::int64_t edge = deepest_wide_depth(magnitude);
+    for (const std::int64_t depth : {edge, edge + 1}) {
+      if (depth > kMaxDepth) continue;
       std::vector<std::int32_t> codes(static_cast<std::size_t>(rows * depth),
                                       magnitude);
       codes[1] = 1;
@@ -273,7 +267,7 @@ TEST(LowBitGemm, ForcedWideKernelThrowsPastEligibilityEdges) {
         return PackedIntWeights(codes, /*step=*/0.01f, /*bits=*/7, rows,
                                 depth, WeightKernel::kBitSerialWide);
       };
-      if (depth == cols) {
+      if (depth == edge) {
         EXPECT_EQ(pack().max_abs_code(), magnitude);
       } else {
         EXPECT_THROW(pack(), check_error)
@@ -329,12 +323,10 @@ TEST(KernelSelect, PolicyMatchesPrecision) {
   EXPECT_EQ(PackedIntWeights::select_kernel(spread_codes(8 * 2048, 7, rng),
                                             3, 2048),
             WeightKernel::kBitSerial);
-  // 4-bit codes: nibble packing.
-  {
-    auto codes = spread_codes(rows * 64, 7, rng);
-    EXPECT_EQ(PackedIntWeights::select_kernel(codes, 4, 64),
-              WeightKernel::kNibble);
-  }
+  // A 4-bit layer reaches |code| = 2^4 - 1 = 15: the s8u8 reference.
+  EXPECT_EQ(PackedIntWeights::select_kernel(spread_codes(rows * 64, 15, rng),
+                                            4, 64),
+            WeightKernel::kS8U8);
   // Wide 8-bit codes: the s8u8 reference.
   EXPECT_EQ(PackedIntWeights::select_kernel(spread_codes(rows * 64, 120, rng),
                                             8, 64),
@@ -363,8 +355,7 @@ TEST(KernelSelect, PackedWeightsBitIdenticalAcrossKernels) {
   std::vector<std::vector<std::int32_t>> results;
   for (const WeightKernel kernel :
        {WeightKernel::kS8U8, WeightKernel::kBitSerial,
-        WeightKernel::kBitSerialWide, WeightKernel::kNibble,
-        WeightKernel::kAuto}) {
+        WeightKernel::kBitSerialWide, WeightKernel::kAuto}) {
     PackedIntWeights packed(codes, /*step=*/0.01f, /*bits=*/3, rows, cols,
                             kernel);
     if (kernel != WeightKernel::kAuto) {
@@ -383,25 +374,6 @@ TEST(KernelSelect, PackedWeightsBitIdenticalAcrossKernels) {
     EXPECT_EQ(results[0], results[i])
         << "kernel variant " << i << " diverged from the s8u8 reference";
   }
-}
-
-TEST(KernelSelect, BitSerialLayersCarryPlanes) {
-  Rng rng(4303);
-  const auto codes = spread_codes(8 * 32, 7, rng);
-  PackedIntWeights packed(codes, 0.01f, 3, 8, 32);
-  ASSERT_TRUE(packed.kernel() == WeightKernel::kBitSerial ||
-              packed.kernel() == WeightKernel::kBitSerialWide);
-  const BitPlanes* planes = packed.bit_planes();
-  ASSERT_NE(planes, nullptr);
-  EXPECT_EQ(planes->count, 8 * 32);
-  EXPECT_LE(planes->planes, 3);
-  // The planes ARE the storage: 1 sign + magnitude bits per weight.
-  EXPECT_EQ(planes->storage_bits(),
-            planes->count * (1 + planes->planes));
-
-  PackedIntWeights wide(spread_codes(8 * 32, 100, rng), 0.01f, 8, 8, 32);
-  EXPECT_EQ(wide.kernel(), WeightKernel::kS8U8);
-  EXPECT_EQ(wide.bit_planes(), nullptr);
 }
 
 }  // namespace

@@ -137,14 +137,17 @@ TEST(ModelIoGolden, V2FixtureLoadsIdentically) {
   EXPECT_EQ(layers[1].denominator, 85.0f);
 }
 
-// Committed v5 artifact (12292 bytes) carrying prepacked weight panels for
+// Committed v5 artifact (13188 bytes) carrying prepacked weight panels for
 // every integer kernel family. It was written by save_graph from a
 // hand-built GraphProgram over 3x8x8 inputs: conv1 8x3x3x3 (8-bit, s8u8),
 // conv2 8x8x3x3 (8-bit codes up to +/-255, split s8u8), conv3 8x8x3x3
 // (3-bit, bitserial), conv4 8x8x1x1 (2-bit, bitserial-w16), conv5 8x8x3x3
-// (4-bit, nibble), each followed by ReLU, then global average pooling and
-// an 8-bit 4x8 fc head; calibrated on 8 seeded uniform(-1, 1) images. The
-// panel bytes are the layout contract between the GEMM packers, the
+// (4-bit, s8u8), each followed by ReLU, then global average pooling and
+// an 8-bit 4x8 fc head; calibrated on 8 seeded uniform(-1, 1) images.
+// conv5 was recorded as the retired nibble kernel (kind 2) until the
+// fixture was re-pinned: loaded, conv5's kernel_kind set to 0, rebuilt
+// with the same options and edge scales, and re-saved; the logits did not
+// change. The panel bytes are the layout contract between the GEMM packers, the
 // artifact writer and the mmap reader: a layout change that moved all three
 // together would pass every round-trip test, but not these.
 const char kGoldenV5[] = "golden_v5.csqm";
@@ -162,8 +165,8 @@ Tensor golden_v5_probe() {
 }
 
 void expect_golden_v5_graph(runtime::CompiledGraph& graph) {
-  const char* kernels[6] = {"s8u8",          "s8u8",   "bitserial",
-                            "bitserial-w16", "nibble", "s8u8"};
+  const char* kernels[6] = {"s8u8",          "s8u8", "bitserial",
+                            "bitserial-w16", "s8u8", "s8u8"};
   ASSERT_EQ(graph.layers().size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(graph.layers()[i].kernel, kernels[i]) << "layer " << i;
@@ -234,7 +237,7 @@ TEST(ModelIoGolden, VersionsOutsideTheWindowAreRejected) {
 
 TEST(ModelIoGolden, V5FixtureResavesByteIdentically) {
   const std::vector<char> original = read_file_bytes(golden_path(kGoldenV5));
-  ASSERT_EQ(original.size(), 12292u);
+  ASSERT_EQ(original.size(), 13188u);
   runtime::CompiledGraph graph = runtime::load_graph(golden_path(kGoldenV5));
   const std::string path = temp_path("golden_v5_resave");
   ASSERT_TRUE(runtime::save_graph(path, graph));

@@ -403,6 +403,25 @@ void patch(std::string& payload, std::size_t offset, T expected, T value) {
   std::memcpy(payload.data() + offset, &value, sizeof(T));
 }
 
+// Offset of the unique occurrence of `prefix` in `payload`, or npos.
+std::size_t find_unique(const std::string& payload, const std::string& prefix) {
+  const std::size_t at = payload.find(prefix);
+  return at == payload.rfind(prefix) ? at : std::string::npos;
+}
+
+// Offset of the kernel field of the weight entry of `layer` (rows x cols):
+// i32 layer, i64 rows, i64 cols, i32 shift, then the i32 kernel.
+std::size_t weight_entry_kernel(const std::string& payload, std::int32_t layer,
+                                std::int64_t rows, std::int64_t cols) {
+  char header[20];
+  std::memcpy(header, &layer, 4);
+  std::memcpy(header + 4, &rows, 8);
+  std::memcpy(header + 12, &cols, 8);
+  const std::size_t entry =
+      find_unique(payload, std::string(header, sizeof(header)));
+  return entry == std::string::npos ? entry : entry + sizeof(header) + 4;
+}
+
 TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   // Single-field edits that pass the CRC once resealed.
   const std::string golden = golden_v5_payload();
@@ -411,19 +430,34 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   // The fc weight entry (layer 5, 4x8, packed for s8u8 = kernel 0)
   // relabelled as bitserial: its panel blob is sized for s8u8, but the GEMM
   // would read it in the instruction's layout.
-  char header[20];
-  const std::int32_t layer = 5;
-  const std::int64_t rows = 4;
-  const std::int64_t cols = 8;
-  std::memcpy(header, &layer, 4);
-  std::memcpy(header + 4, &rows, 8);
-  std::memcpy(header + 12, &cols, 8);
-  const std::size_t entry = golden.find(std::string(header, sizeof(header)));
-  ASSERT_NE(entry, std::string::npos) << "fc weight entry not found";
+  const std::size_t fc_kernel = weight_entry_kernel(golden, 5, 4, 8);
+  ASSERT_NE(fc_kernel, std::string::npos) << "fc weight entry not found";
   std::string mutant = golden;
-  patch<std::int32_t>(mutant, entry + sizeof(header) + 4, 0, 1);  // + shift
+  patch<std::int32_t>(mutant, fc_kernel, 0, 1);
   write_bytes(path, reseal(mutant));
   expect_both_loaders_reject(path, "a bitserial entry for an s8u8 layer");
+
+  // conv5 (layer 4, 8x8x3x3, s8u8) with its instruction AND its weight
+  // entry relabelled kind 2, the retired nibble kernel. The two agree, so
+  // the entry-vs-instruction check passes; the parse's kind set {0, 1, 3}
+  // rejects it. The instruction is u8 kind (conv = 0), i32 layer, i64
+  // kernel (3), then i64 kernel_w, stride and pad, i32 act_bits and f32
+  // clip before the i32 kernel kind.
+  char conv5[13] = {0};
+  const std::int32_t conv5_layer = 4;
+  const std::int64_t conv5_kernel = 3;
+  std::memcpy(conv5 + 1, &conv5_layer, 4);
+  std::memcpy(conv5 + 5, &conv5_kernel, 8);
+  const std::size_t instr =
+      find_unique(golden, std::string(conv5, sizeof(conv5)));
+  ASSERT_NE(instr, std::string::npos) << "conv5 instruction not found";
+  const std::size_t conv5_entry = weight_entry_kernel(golden, 4, 8, 72);
+  ASSERT_NE(conv5_entry, std::string::npos) << "conv5 weight entry not found";
+  mutant = golden;
+  patch<std::int32_t>(mutant, instr + sizeof(conv5) + 3 * 8 + 4 + 4, 0, 2);
+  patch<std::int32_t>(mutant, conv5_entry, 0, 2);
+  write_bytes(path, reseal(mutant));
+  expect_both_loaders_reject(path, "a conv recorded as kernel kind 2");
 
   // An absurd input height (the graph section's third field): edge extents
   // derived from it would overflow int64.

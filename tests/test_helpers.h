@@ -51,7 +51,7 @@ inline std::string reseal(std::string payload) {
 // golden_v5.csqm without its CRC trailer.
 inline std::string golden_v5_payload() {
   const std::string bytes = read_bytes(golden_v5_path());
-  EXPECT_EQ(bytes.size(), 12292u);
+  EXPECT_EQ(bytes.size(), 13188u);
   return bytes.substr(0, bytes.size() - sizeof(std::uint32_t));
 }
 

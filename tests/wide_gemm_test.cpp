@@ -8,8 +8,8 @@
 //  * float bit-identity: serial gemm vs pooled gemm under every forced
 //    split mode at 1/2/4/8-way grids, all three transpose forms, beta and
 //    alpha variations — exact equality, per the determinism contract;
-//  * integer bit-identity: the s8u8, low-bit K-quad, int16-accumulator
-//    wide and nibble kernels against the exact int64 reference AND their
+//  * integer bit-identity: the s8u8, low-bit K-quad and int16-accumulator
+//    wide kernels against the exact int64 reference AND their
 //    serial runs under forced column/grid splits, including the split-plane
 //    alpha chain;
 //  * PackedIntWeights::gemm wide-N dispatch: pooled vs serial bit-identity
@@ -312,29 +312,6 @@ TEST(WideGemm, LowBitWideSplitsMatchReference) {
         gemm_packed(PackedKernel::kLowBitWide, Trans::no, tc.m, tc.n, tc.k,
                     1, packed.data(), b.data(), tc.n, false, actual.data(),
                     tc.n, GemmExec{/*pooled=*/true, split, ways});
-        ASSERT_EQ(actual, expected)
-            << "m=" << tc.m << " n=" << tc.n
-            << " split=" << static_cast<int>(split) << " ways=" << ways;
-      }
-    }
-  }
-}
-
-TEST(WideGemm, NibbleSplitsMatchReference) {
-  Rng rng(9500);
-  for (const IntCase& tc : kIntCases) {
-    const auto a = random_s8(tc.m * tc.k, rng, 7);  // signed nibble range
-    const auto b = random_u8(tc.k * tc.n, rng);
-    const auto packed = pack(PackedKernel::kNibble, tc.m, tc.k, a);
-    std::vector<std::int32_t> expected(static_cast<std::size_t>(tc.m * tc.n));
-    reference_s8u8(Trans::no, tc.m, tc.n, tc.k, 1, a.data(), b.data(), tc.n,
-                   false, expected);
-    for (const GemmSplit split : kForcedSplits) {
-      for (const int ways : kWays) {
-        std::vector<std::int32_t> actual(expected.size(), -1);
-        gemm_packed(PackedKernel::kNibble, Trans::no, tc.m, tc.n, tc.k, 1,
-                    packed.data(), b.data(), tc.n, false, actual.data(), tc.n,
-                    GemmExec{/*pooled=*/true, split, ways});
         ASSERT_EQ(actual, expected)
             << "m=" << tc.m << " n=" << tc.n
             << " split=" << static_cast<int>(split) << " ways=" << ways;
