@@ -19,31 +19,16 @@ CsqTrainResult train_csq(Model& model,
 
   CsqTrainResult result;
 
-  // Data-parallel setup: the arena broadcast keeps parameters synchronized,
-  // but scheme-level state (temperature, frozen masks) lives outside the
-  // parameters, so every schedule action below is mirrored to the replica
-  // sources as well.
+  // Data-parallel setup: the replicas read the primary's materialized
+  // weights, so the scheme state (temperature, frozen masks) lives only in
+  // `sources`.
   std::unique_ptr<DataParallelTrainer> dp;
-  std::vector<CsqWeightSource*> mirror_sources;
   if (config.data_parallel.workers > 1) {
     dp = std::make_unique<DataParallelTrainer>(model, replica_factory,
                                                config.data_parallel);
-    dp->for_each_replica([&mirror_sources](Model& replica) {
-      for (const QuantLayer& layer : replica.quant_layers()) {
-        if (auto* source = dynamic_cast<CsqWeightSource*>(layer.source)) {
-          mirror_sources.push_back(source);
-        }
-      }
-    });
-    CSQ_CHECK(mirror_sources.size() ==
-              sources.size() * (static_cast<std::size_t>(
-                                    config.data_parallel.workers) -
-                                1))
-        << "train_csq: replica factory produced a different CSQ layer set";
   }
   const auto set_all_beta = [&](float beta) {
     for (CsqWeightSource* source : sources) source->set_beta(beta);
-    for (CsqWeightSource* source : mirror_sources) source->set_beta(beta);
   };
 
   // ---- Joint phase: bi-level training under the budget regularizer ----
@@ -65,7 +50,6 @@ CsqTrainResult train_csq(Model& model,
 
   // ---- Optional finetune phase: frozen scheme, rewound temperature ----
   for (CsqWeightSource* source : sources) source->freeze_mask();
-  for (CsqWeightSource* source : mirror_sources) source->freeze_mask();
   if (config.finetune_epochs > 0) {
     const TemperatureSchedule finetune_schedule(
         config.beta0, config.beta_max, config.finetune_epochs);

@@ -51,7 +51,10 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const std::int64_t col_cols = geom.col_cols();
   const std::int64_t out_c = config_.out_channels;
 
-  const Tensor& weights = weight_source_->weight(training);
+  const WeightBinding& binding = weight_source_->binding();
+  const float* w_data = binding.weight != nullptr
+                            ? binding.weight
+                            : weight_source_->weight(training).data();
 
   // Fully overwritten below (im2col + beta=0 GEMM + bias add).
   Tensor output =
@@ -82,7 +85,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   ctx.in_data = input.data();
   ctx.out_data = output.data();
   ctx.col_data = col_data;
-  ctx.w_data = weights.data();
+  ctx.w_data = w_data;
   ctx.bias = has_bias_ ? bias_.value.data() : nullptr;
   ctx.in_stride = geom.channels * geom.height * geom.width;
   ctx.out_stride = out_c * col_cols;
@@ -139,7 +142,12 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       << "conv2d " << name() << ": grad_output shape "
       << grad_output.shape_string() << " mismatch";
 
-  const Tensor& weights = weight_source_->weight(/*training=*/true);
+  // A bound layer reads the shared weight and hands dL/dW to the binding;
+  // otherwise it stages dW in its workspace for its own source.
+  const WeightBinding& binding = weight_source_->binding();
+  const bool bound = binding.weight != nullptr;
+  const Tensor* weights =
+      bound ? nullptr : &weight_source_->weight(/*training=*/true);
   const Tensor& cols = ws_.peek(kColsSlot);
 
   // ---- input gradient: batch-parallel col2im(W^T * dOut_b) -------------
@@ -156,7 +164,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     std::int64_t out_c, col_rows, col_cols;
   } ictx;
   ictx.geom = geom;
-  ictx.w_data = weights.data();
+  ictx.w_data = bound ? binding.weight : weights->data();
   ictx.go_data = grad_output.data();
   ictx.gi_data = grad_input.data();
   ictx.grad_col_base =
@@ -178,7 +186,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   });
 
   // ---- weight + bias gradients: OC-parallel over disjoint row blocks ----
-  Tensor& grad_weight = ws_.tensor(kGradWeightSlot, weights.shape());
+  Tensor* grad_weight =
+      bound ? nullptr : &ws_.tensor(kGradWeightSlot, weights->shape());
 
   struct WeightGradContext {
     const float* go_data;
@@ -190,7 +199,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   } wctx;
   wctx.go_data = grad_output.data();
   wctx.col_data = cols.data();
-  wctx.gw_data = grad_weight.data();
+  wctx.gw_data = bound ? binding.grad : grad_weight->data();
   wctx.gb_data = has_bias_ ? bias_.grad.data() : nullptr;
   wctx.batch = batch;
   wctx.out_stride = out_c * col_cols;
@@ -224,7 +233,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
     }
   });
-  weight_source_->backward(grad_weight);
+  if (!bound) weight_source_->backward(*grad_weight);
 
   cached_batch_ = 0;
   return grad_input;

@@ -9,7 +9,9 @@
 // Every recurring buffer — the cached im2col matrix, the per-thread
 // grad_col stripes and the dW staging tensor — lives in a per-layer
 // Workspace with grow-once semantics, so steady-state training steps
-// perform zero heap allocations.
+// perform zero heap allocations. While its source is bound
+// (WeightSource::binding), the layer reads the shared weight and writes dW
+// straight into the binding instead of calling the source.
 #pragma once
 
 #include "nn/module.h"

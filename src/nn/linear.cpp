@@ -26,13 +26,16 @@ Tensor Linear::forward(const Tensor& input, bool training) {
       << "linear " << name() << ": expected (B," << in_features_ << "), got "
       << input.shape_string();
   const std::int64_t batch = input.dim(0);
-  const Tensor& weights = weight_source_->weight(training);
+  const WeightBinding& binding = weight_source_->binding();
+  const float* weights = binding.weight != nullptr
+                             ? binding.weight
+                             : weight_source_->weight(training).data();
 
   // Fully overwritten by the beta=0 GEMM.
   Tensor output = Tensor::uninitialized({batch, out_features_});
   // Y(B, OUT) = X(B, IN) * W^T, W stored (OUT, IN).
   gemm(Trans::no, Trans::yes, batch, out_features_, in_features_, 1.0f,
-       input.data(), in_features_, weights.data(), in_features_, 0.0f,
+       input.data(), in_features_, weights, in_features_, 0.0f,
        output.data(), out_features_, &ws_.gemm_scratch(),
        GemmExec{/*pooled=*/true});
   if (has_bias_) {
@@ -61,22 +64,29 @@ Tensor Linear::backward(const Tensor& grad_output) {
             grad_output.dim(1) == out_features_)
       << "linear " << name() << ": grad_output shape mismatch";
 
-  const Tensor& weights = weight_source_->weight(/*training=*/true);
+  // A bound layer reads the shared weight and hands dL/dW to the binding;
+  // otherwise it stages dW in its workspace for its own source.
+  const WeightBinding& binding = weight_source_->binding();
+  const bool bound = binding.weight != nullptr;
+  const Tensor* weights =
+      bound ? nullptr : &weight_source_->weight(/*training=*/true);
 
   // dX(B, IN) = dY(B, OUT) * W(OUT, IN)
   Tensor grad_input = Tensor::uninitialized({batch, in_features_});
   gemm(Trans::no, Trans::no, batch, in_features_, out_features_, 1.0f,
-       grad_output.data(), out_features_, weights.data(), in_features_, 0.0f,
+       grad_output.data(), out_features_,
+       bound ? binding.weight : weights->data(), in_features_, 0.0f,
        grad_input.data(), in_features_, &ws_.gemm_scratch(),
        GemmExec{/*pooled=*/true});
 
   // dW(OUT, IN) = dY^T(OUT, B) * X(B, IN)
-  Tensor& grad_weight = ws_.tensor(kGradWeightSlot, weights.shape());
+  Tensor* grad_weight =
+      bound ? nullptr : &ws_.tensor(kGradWeightSlot, weights->shape());
   gemm(Trans::yes, Trans::no, out_features_, in_features_, batch, 1.0f,
        grad_output.data(), out_features_, cached_input_.data(), in_features_,
-       0.0f, grad_weight.data(), in_features_, &ws_.gemm_scratch(),
-       GemmExec{/*pooled=*/true});
-  weight_source_->backward(grad_weight);
+       0.0f, bound ? binding.grad : grad_weight->data(), in_features_,
+       &ws_.gemm_scratch(), GemmExec{/*pooled=*/true});
+  if (!bound) weight_source_->backward(*grad_weight);
 
   if (has_bias_) {
     float* gb = bias_.grad.data();

@@ -3,7 +3,9 @@
 // GEMMs run through the pooled blocked kernel with packed-panel scratch from
 // the layer's Workspace; the dW staging tensor and the cached forward input
 // are recycled across steps, so steady-state forward+backward performs zero
-// heap allocations.
+// heap allocations. While its source is bound (WeightSource::binding), the
+// layer reads the shared weight and writes dW into the binding instead of
+// calling the source.
 #pragma once
 
 #include "nn/module.h"

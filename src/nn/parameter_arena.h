@@ -5,11 +5,11 @@
 // Why: the optimizer step becomes one cache-friendly sweep over two flat
 // arrays instead of a pointer chase over dozens of scattered tensors;
 // checkpoint save/load becomes a single contiguous write/read; and
-// data-parallel training can snapshot, reduce and broadcast whole-model
-// state with memcpy-shaped loops (opt/data_parallel.h). The layout is the
-// uchen idea from SNIPPETS.md: registration order defines the offsets, so
-// two models built by the same builder share one layout and their arenas
-// are directly comparable span-for-span.
+// data-parallel replicas address their gradients and broadcast values by
+// shared offsets (opt/data_parallel.h). The layout is the uchen idea from
+// SNIPPETS.md: registration order defines the offsets, so two models built
+// by the same builder share one layout and their arenas are directly
+// comparable span-for-span.
 //
 // Binding preserves every existing Parameter contract: `value`/`grad` stay
 // real Tensors (modules and weight sources keep their references), element
@@ -53,8 +53,7 @@ class ParameterArena {
   void zero_grads();
 
   // Overwrites this arena's values with `src` (size() floats) and bumps
-  // every bound Parameter's version — the broadcast half of a data-parallel
-  // step and the checkpoint-load path.
+  // every bound Parameter's version — the checkpoint-load path.
   void load_values(const float* src);
 
   // True when `other` was bound from an identically shaped parameter list

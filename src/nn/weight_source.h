@@ -37,6 +37,14 @@ struct WeightCodes {
   float step() const { return scale / denominator; }
 };
 
+// Data-parallel seam of the weight layers (Conv2d, Linear; see
+// WeightSource::binding). `weight` and `grad` span weight_count() floats,
+// row-major in weight_shape().
+struct WeightBinding {
+  const float* weight = nullptr;
+  float* grad = nullptr;
+};
+
 class WeightSource {
  public:
   virtual ~WeightSource() = default;
@@ -83,6 +91,13 @@ class WeightSource {
   // leaves this counter flat — the regression tests assert it.
   std::uint64_t materialize_count() const { return materialize_count_; }
 
+  // Set by the data-parallel trainer (opt/data_parallel.h) for one step.
+  // While `weight` is set, the layer owning this source reads that shared
+  // materialization instead of calling weight(), and its backward
+  // overwrites `grad` with dL/dW instead of calling backward(). Unset, the
+  // layer runs the serial path.
+  WeightBinding& binding() { return binding_; }
+
  protected:
   // Eval dirty-flag helpers for derived sources. A source computes a stamp
   // (the sum of its parameters' version counters plus an internal revision
@@ -105,6 +120,7 @@ class WeightSource {
   }
 
  private:
+  WeightBinding binding_;
   std::uint64_t materialize_count_ = 0;
   std::uint64_t eval_cache_stamp_ = 0;
   bool eval_cache_valid_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_set>
 
 #include "tensor/quant_kernels.h"
 #include "util/check.h"
@@ -22,6 +23,7 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
   CSQ_CHECK(micro_batch_config_ >= 0) << "data-parallel: bad micro_batch";
 
   ParameterArena& primary_arena = primary_->arena();
+  const std::vector<QuantLayer>& layers = primary_->quant_layers();
 
   owned_replicas_.reserve(static_cast<std::size_t>(workers_ - 1));
   replicas_.resize(static_cast<std::size_t>(workers_));
@@ -35,12 +37,48 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
         << "data-parallel: replica " << w
         << " parameter layout differs from the primary (factory must use "
            "the same builder)";
+    const std::vector<QuantLayer>& replica_layers = replica.quant_layers();
+    CSQ_CHECK(replica_layers.size() == layers.size())
+        << "data-parallel: replica " << w << " has " << replica_layers.size()
+        << " quant layers, the primary " << layers.size();
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      CSQ_CHECK(replica_layers[i].source->weight_shape() ==
+                layers[i].source->weight_shape())
+          << "data-parallel: replica " << w << " quant layer "
+          << layers[i].name << " weight shape differs from the primary";
+    }
     replicas_[static_cast<std::size_t>(w)].model = &replica;
   }
 
+  // Gradient span layout: one dW slice per quant layer, then the arena
+  // views no source owns.
+  std::unordered_set<const Parameter*> source_params;
+  std::vector<Parameter*> collected;
+  for (const QuantLayer& layer : layers) {
+    weight_offsets_.push_back(weight_floats_);
+    weight_floats_ += layer.source->weight_count();
+    collected.clear();
+    layer.source->collect_parameters(collected);
+    source_params.insert(collected.begin(), collected.end());
+  }
+  span_floats_ = weight_floats_;
+  const std::vector<ParameterArena::View>& views = primary_arena.views();
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    if (source_params.count(views[v].param) != 0) continue;
+    extra_views_.push_back(v);
+    span_floats_ += views[v].count;
+  }
+  reduced_.resize(static_cast<std::size_t>(span_floats_));
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    reduced_weight_grads_.push_back(
+        Tensor::borrow(reduced_.data() + weight_offsets_[i],
+                       layers[i].source->weight_shape()));
+  }
+  step_weights_.resize(layers.size());
+
   // Collect each replica's batchnorms in depth-first module order; the
-  // shared offsets let any worker capture into a shard's stat span and any
-  // replica replay from it.
+  // shared offsets let any worker capture into a shard's stat span and the
+  // primary replay from it.
   for (int w = 0; w < workers_; ++w) {
     Replica& rep = replicas_[static_cast<std::size_t>(w)];
     rep.model->for_each_module([&rep](Module& module) {
@@ -90,9 +128,17 @@ void DataParallelTrainer::for_each_replica(
 }
 
 void DataParallelTrainer::broadcast_values() {
-  const ParameterArena& primary_arena = primary_->arena();
+  // Replica sources are never called, so only the views no source owns
+  // (batchnorm affine, biases) need the primary's values.
+  const float* src = primary_->arena().values();
   for (Model& replica : owned_replicas_) {
-    replica.arena().load_values(primary_arena.values());
+    ParameterArena& arena = replica.arena();
+    for (const std::size_t v : extra_views_) {
+      const ParameterArena::View& view = arena.views()[v];
+      std::memcpy(arena.values() + view.offset, src + view.offset,
+                  static_cast<std::size_t>(view.count) * sizeof(float));
+      view.param->mark_updated();
+    }
   }
 }
 
@@ -126,12 +172,8 @@ void DataParallelTrainer::prepare_step(const Batch& batch) {
   // Grow-once scratch: these resizes only allocate until the largest batch
   // geometry has been seen, after which every step reuses the buffers.
   const auto shards = static_cast<std::size_t>(num_shards_);
-  const auto arena_size =
-      static_cast<std::size_t>(primary_->arena().size());
-  if (shard_grads_.size() < shards) shard_grads_.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (shard_grads_[s].size() < arena_size) shard_grads_[s].resize(arena_size);
-  }
+  const auto span_floats = shards * static_cast<std::size_t>(span_floats_);
+  if (shard_spans_.size() < span_floats) shard_spans_.resize(span_floats);
   const auto stat_floats = shards * 2 * static_cast<std::size_t>(bn_channels_);
   if (bn_stats_.size() < stat_floats) bn_stats_.resize(stat_floats);
   if (shard_loss_.size() < shards) shard_loss_.resize(shards);
@@ -143,8 +185,22 @@ DataParallelTrainer::StepStats DataParallelTrainer::train_step(
     const Batch& batch, Sgd& optimizer,
     const std::function<void()>& before_step) {
   prepare_step(batch);
-  for (Replica& replica : replicas_) replica.model->arena().zero_grads();
+  primary_->arena().zero_grads();
   std::fill(errors_.begin(), errors_.end(), std::exception_ptr());
+
+  // The step's one training materialization per source, on the calling
+  // thread while the workers sleep, so the fixed-grid kernels run pooled.
+  // Every replica's layers (the primary's too) then read these weights.
+  const std::vector<QuantLayer>& layers = primary_->quant_layers();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    step_weights_[i] = layers[i].source->weight(/*training=*/true).data();
+  }
+  for (Replica& replica : replicas_) {
+    const std::vector<QuantLayer>& bound = replica.model->quant_layers();
+    for (std::size_t i = 0; i < bound.size(); ++i) {
+      bound[i].source->binding().weight = step_weights_[i];
+    }
+  }
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -164,6 +220,11 @@ DataParallelTrainer::StepStats DataParallelTrainer::train_step(
     done_.wait(lock, [this] { return pending_ == 0; });
   }
   step_batch_ = nullptr;
+  for (Replica& replica : replicas_) {
+    for (const QuantLayer& layer : replica.model->quant_layers()) {
+      layer.source->binding() = WeightBinding{};
+    }
+  }
   for (const std::exception_ptr& error : errors_) {
     if (error) std::rethrow_exception(error);
   }
@@ -200,19 +261,7 @@ void DataParallelTrainer::run_worker(int w) {
   // fixed-chunk-grid kernels make serial execution bit-identical to pooled.
   SerialExecutionGuard guard;
   Replica& replica = replicas_[static_cast<std::size_t>(w)];
-  bool ran_shard = false;
-  for (int s = w; s < num_shards_; s += workers_) {
-    run_shard(replica, s);
-    ran_shard = true;
-  }
-  if (!ran_shard) {
-    // State-advance pass: a replica skipped by a small final batch still
-    // performs its one training materialization per step, keeping stateful
-    // quantizers (LQ-Nets QEM basis) in lockstep with the primary.
-    for (const QuantLayer& layer : replica.model->quant_layers()) {
-      layer.source->weight(/*training=*/true);
-    }
-  }
+  for (int s = w; s < num_shards_; s += workers_) run_shard(replica, s);
 }
 
 void DataParallelTrainer::run_shard(Replica& replica, int shard) {
@@ -233,6 +282,19 @@ void DataParallelTrainer::run_shard(Replica& replica, int shard) {
                      replica.shard_shape);
   replica.labels.assign(batch.labels.begin() + begin,
                         batch.labels.begin() + end);
+
+  // Point the layers' dW at this shard's span and clear the gradients of
+  // the views no source owns, which backward accumulates in the arena.
+  float* span = shard_span(shard);
+  const std::vector<QuantLayer>& layers = replica.model->quant_layers();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    layers[i].source->binding().grad = span + weight_offsets_[i];
+  }
+  ParameterArena& arena = replica.model->arena();
+  for (const std::size_t v : extra_views_) {
+    const ParameterArena::View& view = arena.views()[v];
+    std::fill_n(arena.grads() + view.offset, view.count, 0.0f);
+  }
 
   float* stats = bn_stats_.data() +
                  static_cast<std::size_t>(shard) * 2 *
@@ -268,12 +330,13 @@ void DataParallelTrainer::run_shard(Replica& replica, int shard) {
     bn->set_stat_capture(nullptr, nullptr);
   }
 
-  // Move this shard's gradients out of the replica arena and reset it so
-  // the worker's next shard accumulates from zero.
-  ParameterArena& arena = replica.model->arena();
-  std::memcpy(shard_grads_[s].data(), arena.grads(),
-              static_cast<std::size_t>(arena.size()) * sizeof(float));
-  arena.zero_grads();
+  float* extra = span + weight_floats_;
+  for (const std::size_t v : extra_views_) {
+    const ParameterArena::View& view = arena.views()[v];
+    std::memcpy(extra, arena.grads() + view.offset,
+                static_cast<std::size_t>(view.count) * sizeof(float));
+    extra += view.count;
+  }
 }
 
 void DataParallelTrainer::combine_and_step(
@@ -284,26 +347,39 @@ void DataParallelTrainer::combine_and_step(
   // Pairwise tree over the shard gradient spans; the tree shape depends
   // only on the shard count, and the pool is idle here, so the pooled
   // fixed-chunk-grid kernel is both fast and deterministic.
-  const float* sources[kMaxReduceSpans];
+  const float* spans[kMaxReduceSpans];
   for (int s = 0; s < num_shards_; ++s) {
-    sources[s] = shard_grads_[static_cast<std::size_t>(s)].data();
+    spans[s] = shard_span(s);
   }
-  tree_reduce_spans(sources, num_shards_, arena.grads(), arena.size(),
+  tree_reduce_spans(spans, num_shards_, reduced_.data(), span_floats_,
                     default_kernel_exec());
 
-  // Replay captured batchnorm statistics in shard order on EVERY replica:
-  // the primary's running stats see exactly the serial update sequence, and
-  // the worker replicas stay byte-identical to it.
+  // The non-source gradients land in the (zeroed) arena; each source then
+  // runs its one backward of the step on the reduced dW.
+  const float* extra = reduced_.data() + weight_floats_;
+  for (const std::size_t v : extra_views_) {
+    const ParameterArena::View& view = arena.views()[v];
+    std::memcpy(arena.grads() + view.offset, extra,
+                static_cast<std::size_t>(view.count) * sizeof(float));
+    extra += view.count;
+  }
+  const std::vector<QuantLayer>& layers = primary_->quant_layers();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    layers[i].source->backward(reduced_weight_grads_[i]);
+  }
+
+  // Replay captured batchnorm statistics in shard order on the primary, so
+  // its running stats see exactly the serial update sequence (the replicas
+  // never evaluate, so theirs are never read).
+  const std::vector<BatchNorm2d*>& batchnorms = replicas_[0].batchnorms;
   for (int s = 0; s < num_shards_; ++s) {
     const float* stat_base = bn_stats_.data() +
                              static_cast<std::size_t>(s) * 2 *
                                  static_cast<std::size_t>(bn_channels_);
-    for (Replica& replica : replicas_) {
-      for (std::size_t j = 0; j < replica.batchnorms.size(); ++j) {
-        replica.batchnorms[j]->replay_batch_stats(
-            stat_base + bn_offsets_[j],
-            stat_base + bn_channels_ + bn_offsets_[j]);
-      }
+    for (std::size_t j = 0; j < batchnorms.size(); ++j) {
+      batchnorms[j]->replay_batch_stats(
+          stat_base + bn_offsets_[j],
+          stat_base + bn_channels_ + bn_offsets_[j]);
     }
   }
 

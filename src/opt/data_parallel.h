@@ -1,42 +1,47 @@
 // Deterministic data-parallel training over model replicas.
 //
 // One optimizer step processes a batch as a FIXED grid of micro-batch
-// shards; each shard runs a full forward/backward on one replica, the
-// per-shard gradients are combined by a chunk-ordered pairwise tree
-// reduction (tensor/quant_kernels.h tree_reduce_spans) into the primary
-// model's gradient arena, and the optimizer steps the primary once. The
-// updated values are broadcast back to every replica through the flat
-// parameter arenas (nn/parameter_arena.h).
+// shards. Before any shard runs, the primary model materializes every
+// weight source once (weight(true), pooled over the fixed quant chunk
+// grid). Each shard then runs a full forward/backward on one replica whose
+// sources are bound (WeightSource::binding) to those shared weights: its
+// Conv2d/Linear layers read them read-only and write dL/dW into the
+// shard's gradient span, which holds one float per weight followed by the
+// gradients of the parameters no source owns (batchnorm, biases). The
+// spans are combined by a chunk-ordered pairwise tree reduction
+// (tensor/quant_kernels.h tree_reduce_spans), the primary runs each
+// source's backward once on its reduced dW slice, and the optimizer steps
+// the primary. Only the non-source parameter values are broadcast back to
+// the replicas; the replicas' own sources are never called.
 //
-// Determinism contract — the point of the design: the numerical result of a
-// step depends only on the batch and the shard grid, NOT on the worker
-// count. Three mechanisms enforce it:
+// A source's backward is J(theta)^T g with J fixed within a step, so
+// backward of the summed dW equals the sum of per-shard backwards up to
+// float rounding. Families whose backward adds dW into zeroed gradients
+// (dense, STE-Uniform, LQ-Nets) give the same bits as summing per-shard
+// backwards with the same tree.
+//
+// Determinism contract: the numerical result of a step depends only on the
+// batch and the shard grid, NOT on the worker count.
 //   1. The shard grid is fixed by the micro-batch size alone (worker count
 //      never enters the partition), so every worker count sees the same
-//      per-shard forward/backward problems.
+//      per-shard forward/backward problems against the same materialized
+//      weights.
 //   2. Each shard's kernels run serially on its worker thread
-//      (util/thread_pool.h SerialExecutionGuard) and every reduction kernel
-//      walks the same fixed chunk grid, so per-shard gradients are
-//      bit-identical regardless of which thread computed them.
-//   3. Gradients combine by a pairwise tree whose shape depends only on the
-//      shard count, BatchNorm running statistics are captured per shard and
-//      replayed in shard order (nn/batchnorm.h), and the per-shard losses
-//      combine in shard order on the calling thread.
-// Hence workers=1 and workers=8 produce byte-identical models, and the
-// degenerate single-shard grid (micro_batch >= batch size) is bit-identical
-// to the classic serial train_one_epoch step.
-//
-// Replica state: parameters are re-synchronized every step via the arena
-// broadcast. Non-parameter quantizer state (e.g. the LQ-Nets basis) stays
-// in lockstep because every replica performs exactly one materialization
-// per step — replicas left without a shard by a small final batch run a
-// state-advance pass — and each training materialization is a deterministic
-// function of the (synchronized) parameters plus the previous state. For
-// that induction to hold from step one, the replica factory must rebuild
-// the model identically (same builder, same seed) and the trainer must be
-// constructed while primary and factory-built models agree on that
-// non-parameter state (in practice: before training starts, or right after
-// a checkpoint load on both sides).
+//      (util/thread_pool.h SerialExecutionGuard), and the materialization,
+//      reduction and source backward walk fixed chunk grids, so every value
+//      is bit-identical regardless of which thread computed it.
+//   3. Gradient spans combine by a pairwise tree whose shape depends only
+//      on the shard count, BatchNorm running statistics are captured per
+//      shard and replayed in shard order on the primary (nn/batchnorm.h),
+//      and the per-shard losses combine in shard order on the calling
+//      thread.
+// Only the primary holds quantizer state (temperature, frozen masks, the
+// LQ-Nets basis), and it advances exactly as in a serial step: one
+// training materialization and one backward per step. Hence workers=1 and
+// workers=8 produce byte-identical models, and the degenerate single-shard
+// grid (micro_batch >= batch size) is bit-identical to the classic serial
+// train_one_epoch step. The replica factory only has to rebuild the same
+// architecture (same builder); its quantizer state is never read.
 #pragma once
 
 #include <condition_variable>
@@ -79,7 +84,8 @@ class DataParallelTrainer {
   // `primary` is replica 0 and the model the optimizer steps; it must
   // outlive the trainer. `replica_factory` is invoked workers - 1 times and
   // must produce models with an identical parameter layout (checked via
-  // ParameterArena::layout_matches). Binds the primary's arena.
+  // ParameterArena::layout_matches) and the primary's quant-layer weight
+  // shapes. Binds the primary's arena.
   DataParallelTrainer(Model& primary, const ModelFactory& replica_factory,
                       const DataParallelConfig& config);
   ~DataParallelTrainer();
@@ -92,9 +98,11 @@ class DataParallelTrainer {
     int correct = 0;    // top-1 matches in the batch
   };
 
-  // One optimizer step over `batch`: shard, forward/backward per shard,
-  // tree-reduce gradients into the primary arena, run `before_step` (budget
-  // regularizers), step the optimizer, broadcast values to the replicas.
+  // One optimizer step over `batch`: materialize the primary's weights,
+  // forward/backward per shard, tree-reduce the gradient spans, run each
+  // source's backward once into the primary arena, run `before_step`
+  // (budget regularizers), step the optimizer, broadcast the non-source
+  // values to the replicas.
   // `optimizer` must be the arena-backed Sgd over primary().arena().
   StepStats train_step(const Batch& batch, Sgd& optimizer,
                        const std::function<void()>& before_step = {});
@@ -102,9 +110,9 @@ class DataParallelTrainer {
   Model& primary() { return *primary_; }
   int workers() const { return workers_; }
 
-  // Visits the worker replicas (NOT the primary) — used to mirror
-  // scheme-level state the arena broadcast cannot carry (temperature,
-  // frozen masks).
+  // Visits the worker replicas (NOT the primary). Replicas hold no
+  // quantizer state the step reads, so nothing needs mirroring to them; this
+  // remains only because perfbench's train workload calls it.
   void for_each_replica(const std::function<void(Model&)>& fn);
 
  private:
@@ -117,8 +125,7 @@ class DataParallelTrainer {
   };
 
   void worker_loop(int w);
-  // Runs every shard assigned to worker w under a SerialExecutionGuard;
-  // runs the state-advance pass when w has no shard this step.
+  // Runs every shard assigned to worker w under a SerialExecutionGuard.
   void run_worker(int w);
   void run_shard(Replica& replica, int shard);
   // Grow-once sizing of the per-shard buffers for the current step.
@@ -127,6 +134,10 @@ class DataParallelTrainer {
                         const std::function<void()>& before_step,
                         StepStats& stats);
   void broadcast_values();
+  float* shard_span(int shard) {
+    return shard_spans_.data() + static_cast<std::size_t>(shard) *
+                                     static_cast<std::size_t>(span_floats_);
+  }
 
   Model* primary_ = nullptr;
   int workers_ = 1;
@@ -140,13 +151,27 @@ class DataParallelTrainer {
   std::vector<std::int64_t> bn_offsets_;
   std::int64_t bn_channels_ = 0;
 
+  // Gradient span layout shared by all replicas: quant layer i's dW at
+  // weight_offsets_[i], then the arena views no source owns (extra_views_,
+  // arena order) packed from weight_floats_ on.
+  std::vector<std::int64_t> weight_offsets_;
+  std::int64_t weight_floats_ = 0;
+  std::vector<std::size_t> extra_views_;
+  std::int64_t span_floats_ = 0;
+  // The primary's materialized weights for the current step, quant-layer
+  // order.
+  std::vector<const float*> step_weights_;
+  // Tree-reduced span and its per-layer dW views (fixed size; built once).
+  std::vector<float> reduced_;
+  std::vector<Tensor> reduced_weight_grads_;
+
   // Per-step shard state (grow-once; steady state allocates nothing).
   const Batch* step_batch_ = nullptr;
   std::int64_t batch_rows_ = 0;
   std::int64_t sample_numel_ = 0;  // C*H*W of the current batch
   std::int64_t micro_batch_ = 0;
   int num_shards_ = 0;
-  std::vector<std::vector<float>> shard_grads_;
+  std::vector<float> shard_spans_;  // [shard][span_floats_]
   std::vector<float> bn_stats_;  // [shard][mean span | var span]
   std::vector<float> shard_loss_;
   std::vector<int> shard_correct_;

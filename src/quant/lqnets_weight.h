@@ -54,9 +54,8 @@ class LqNetsWeightSource final : public WeightSource {
   // unchanged since the last QEM iteration reuses the materialized tensor
   // instead of running another E/M step. One optimizer step therefore
   // performs exactly ONE QEM iteration no matter how many forward passes it
-  // contains — the property that keeps data-parallel replicas' bases in
-  // lockstep at any micro-batch shard count (each shard re-forwards the
-  // same step). Invalidated by any parameter/basis revision and by
+  // contains (the backward's weight(true), or several micro-batch forwards
+  // of one step). Invalidated by any parameter/basis revision and by
   // eval-mode materializations (which re-encode against the post-update
   // levels, overwriting quantized_).
   std::uint64_t train_cache_stamp_ = 0;

@@ -34,16 +34,24 @@ struct TrainedCsq {
   CsqTrainResult result;
 };
 
-TrainedCsq run_tiny_csq(double target_bits, double lambda, int epochs,
-                        int finetune_epochs = 0) {
-  const SyntheticDataset data = make_synthetic(tiny_data_config());
-  TrainedCsq out;
+Model build_tiny_resnet20(std::vector<CsqWeightSource*>* sources,
+                          const CsqWeightOptions& options) {
   Rng rng(13);
   ModelConfig model_config;
   model_config.num_classes = 4;
   model_config.base_width = 4;
-  out.model = make_resnet20(model_config, csq_weight_factory(&out.sources),
-                            nullptr, rng);
+  return make_resnet20(model_config, csq_weight_factory(sources, options),
+                       nullptr, rng);
+}
+
+// `workers` > 1 trains data-parallel on the default shard grid.
+TrainedCsq run_tiny_csq(double target_bits, double lambda, int epochs,
+                        int finetune_epochs = 0,
+                        const CsqWeightOptions& options = {},
+                        int workers = 1) {
+  const SyntheticDataset data = make_synthetic(tiny_data_config());
+  TrainedCsq out;
+  out.model = build_tiny_resnet20(&out.sources, options);
   CsqTrainConfig config;
   config.train.epochs = epochs;
   config.train.batch_size = 32;
@@ -51,8 +59,12 @@ TrainedCsq run_tiny_csq(double target_bits, double lambda, int epochs,
   config.lambda = lambda;
   config.target_bits = target_bits;
   config.finetune_epochs = finetune_epochs;
+  config.data_parallel.workers = workers;
   out.result = train_csq(out.model, out.sources, data.train, data.test,
-                         config);
+                         config, [&options] {
+                           std::vector<CsqWeightSource*> unused;
+                           return build_tiny_resnet20(&unused, options);
+                         });
   return out;
 }
 
@@ -70,6 +82,25 @@ TEST(CsqTrainer, ReachesNeighborhoodOfTargetPrecision) {
   EXPECT_NEAR(trajectory.back(), 3.0, 0.25);
   EXPECT_DOUBLE_EQ(trained.result.compression,
                    32.0 / trained.result.average_bits);
+}
+
+TEST(CsqTrainer, GrowsFromBelowToTargetPrecision) {
+  // The paper's growing direction: every bit starts deselected (mask logit
+  // -0.1, precision 0) and the budget regularizer grows precision up to the
+  // target, serially and through the data-parallel step.
+  CsqWeightOptions options;
+  options.mask_init = -0.1f;
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    const TrainedCsq trained =
+        run_tiny_csq(/*target=*/3.0, /*lambda=*/0.05, /*epochs=*/15,
+                     /*finetune_epochs=*/0, options, workers);
+    const std::vector<double>& trajectory =
+        trained.result.precision_trajectory;
+    ASSERT_FALSE(trajectory.empty());
+    EXPECT_EQ(trajectory.front(), 0.0);
+    EXPECT_NEAR(trained.result.average_bits, 3.0, 0.25);
+  }
 }
 
 TEST(CsqTrainer, TinyLambdaFailsToReachBudget) {
