@@ -50,64 +50,65 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const std::int64_t col_rows = geom.col_rows();
   const std::int64_t col_cols = geom.col_cols();
   const std::int64_t out_c = config_.out_channels;
+  const std::int64_t pad_stride =
+      geom.channels * geom.padded_h() * geom.padded_w();
 
   const WeightBinding& binding = weight_source_->binding();
   const float* w_data = binding.weight != nullptr
                             ? binding.weight
                             : weight_source_->weight(training).data();
 
-  // Fully overwritten below (im2col + beta=0 GEMM + bias add).
+  // Fully overwritten below (pad + beta=0 GEMM + bias add).
   Tensor output =
       Tensor::uninitialized({batch, out_c, geom.out_h(), geom.out_w()});
-  // Training caches the whole unfolded batch for backward (memory:
-  // B * K * OH*OW floats, recycled across steps). Eval never reads the
-  // columns back, so it uses small per-thread stripes instead of pinning a
-  // batch-sized buffer in the grow-once arena (think batch-256 validation
-  // passes between batch-8 training steps).
-  float* col_data = training
-                        ? ws_.tensor(kColsSlot, {batch, col_rows, col_cols})
-                              .data()
-                        : ws_.floats(kEvalColSlot,
-                                     pool_slot_count() * col_rows * col_cols);
+  // Training keeps the whole padded batch for backward (memory: B * C *
+  // (H + 2 pad) * (W + 2 pad) floats, recycled across steps). Eval never
+  // reads it back, so it pads into small per-thread stripes instead of
+  // pinning a batch-sized buffer in the grow-once arena (think batch-256
+  // validation passes between batch-8 training steps).
+  float* padded =
+      training
+          ? ws_.tensor(kPaddedSlot, {batch, geom.channels, geom.padded_h(),
+                                     geom.padded_w()})
+                .data()
+          : ws_.floats(kPadStripeSlot, pool_slot_count() * pad_stride);
 
   struct ForwardContext {
     ConvGeometry geom;
     const float* in_data;
     float* out_data;
-    float* col_data;
+    float* padded;
     const float* w_data;
     const float* bias;  // null when the layer has no bias
-    std::int64_t in_stride, out_stride, col_stride;
+    std::int64_t in_stride, out_stride, pad_stride;
     std::int64_t out_c, col_rows, col_cols;
-    bool batch_cols;  // col_data indexed by sample (true) or pool slot
+    bool batch_padded;  // padded indexed by sample (true) or pool slot
   } ctx;
   ctx.geom = geom;
   ctx.in_data = input.data();
   ctx.out_data = output.data();
-  ctx.col_data = col_data;
+  ctx.padded = padded;
   ctx.w_data = w_data;
   ctx.bias = has_bias_ ? bias_.value.data() : nullptr;
   ctx.in_stride = geom.channels * geom.height * geom.width;
   ctx.out_stride = out_c * col_cols;
-  ctx.col_stride = col_rows * col_cols;
+  ctx.pad_stride = pad_stride;
   ctx.out_c = out_c;
   ctx.col_rows = col_rows;
   ctx.col_cols = col_cols;
-  ctx.batch_cols = training;
+  ctx.batch_padded = training;
 
   // Single-reference capture keeps the closure inside std::function's
   // small-buffer optimization (no allocation per dispatch). The bias add is
   // folded into the batch-parallel region instead of a serial post-pass.
   parallel_for(0, batch, [&ctx](std::int64_t b) {
-    float* col =
-        ctx.col_data +
-        (ctx.batch_cols ? b : pool_slot()) * ctx.col_stride;
-    im2col(ctx.geom, ctx.in_data + b * ctx.in_stride, col);
+    float* padded =
+        ctx.padded + (ctx.batch_padded ? b : pool_slot()) * ctx.pad_stride;
+    pad_image(ctx.geom, ctx.in_data + b * ctx.in_stride, padded);
     float* out_b = ctx.out_data + b * ctx.out_stride;
-    // out_b(OC, P) = W(OC, K) * col(K, P)
-    gemm(Trans::no, Trans::no, ctx.out_c, ctx.col_cols, ctx.col_rows, 1.0f,
-         ctx.w_data, ctx.col_rows, col, ctx.col_cols, 0.0f, out_b,
-         ctx.col_cols);
+    // out_b(OC, P) = W(OC, K) * im2col(x_b)(K, P)
+    gemm_conv(Trans::no, ctx.out_c, 1.0f, ctx.w_data, ctx.col_rows, ctx.geom,
+              padded, 0.0f, out_b, ctx.col_cols);
     if (ctx.bias != nullptr) {
       for (std::int64_t oc = 0; oc < ctx.out_c; ++oc) {
         float* plane = out_b + oc * ctx.col_cols;
@@ -148,62 +149,106 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const bool bound = binding.weight != nullptr;
   const Tensor* weights =
       bound ? nullptr : &weight_source_->weight(/*training=*/true);
-  const Tensor& cols = ws_.peek(kColsSlot);
+  const float* w_data = bound ? binding.weight : weights->data();
 
-  // ---- input gradient: batch-parallel col2im(W^T * dOut_b) -------------
-  // Zero-filled construction: col2im scatter-adds into its sample slice.
-  Tensor grad_input({batch, geom.channels, geom.height, geom.width});
+  // ---- input gradient, batch-parallel ----------------------------------
+  // Stride 1: dX_b = conv(pad(dOut_b, kernel - 1 - pad), flip(W)), whose
+  // geometry maps dOut's OH x OW grid back onto H x W. Stride > 1 (and a
+  // pad beyond kernel - 1) scatter-adds col2im(Wᵀ * dOut_b) instead.
+  ConvGeometry transposed = geom;
+  transposed.channels = out_c;
+  transposed.height = geom.out_h();
+  transposed.width = geom.out_w();
+  transposed.pad = config_.kernel - 1 - config_.pad;
+  const bool as_conv = geom.stride == 1 && transposed.pad >= 0;
+
+  Tensor grad_input =
+      as_conv ? Tensor::uninitialized(
+                    {batch, geom.channels, geom.height, geom.width})
+              : Tensor({batch, geom.channels, geom.height, geom.width});
 
   struct InputGradContext {
-    ConvGeometry geom;
+    ConvGeometry geom;  // the transposed geometry when as_conv
     const float* w_data;
     const float* go_data;
     float* gi_data;
-    float* grad_col_base;  // pool_slot_count() stripes of col_stride floats
-    std::int64_t out_stride, col_stride, in_stride;
-    std::int64_t out_c, col_rows, col_cols;
+    float* stripes;  // pool_slot_count() stripes of stripe floats
+    std::int64_t out_stride, in_stride, stripe;
+    std::int64_t in_c, out_c, col_rows, col_cols;
   } ictx;
-  ictx.geom = geom;
-  ictx.w_data = bound ? binding.weight : weights->data();
   ictx.go_data = grad_output.data();
   ictx.gi_data = grad_input.data();
-  ictx.grad_col_base =
-      ws_.floats(kGradColSlot, pool_slot_count() * col_rows * col_cols);
   ictx.out_stride = out_c * col_cols;
-  ictx.col_stride = col_rows * col_cols;
   ictx.in_stride = geom.channels * geom.height * geom.width;
+  ictx.in_c = geom.channels;
   ictx.out_c = out_c;
-  ictx.col_rows = col_rows;
-  ictx.col_cols = col_cols;
 
-  parallel_for(0, batch, [&ictx](std::int64_t b) {
-    float* grad_col = ictx.grad_col_base + pool_slot() * ictx.col_stride;
-    // grad_col(K, P) = W^T(K, OC) * dOut_b(OC, P); A = W stored (OC, K).
-    gemm(Trans::yes, Trans::no, ictx.col_rows, ictx.col_cols, ictx.out_c,
-         1.0f, ictx.w_data, ictx.col_rows, ictx.go_data + b * ictx.out_stride,
-         ictx.col_cols, 0.0f, grad_col, ictx.col_cols);
-    col2im(ictx.geom, grad_col, ictx.gi_data + b * ictx.in_stride);
-  });
+  if (as_conv) {
+    // flipped(c, (oc, a, b)) = W(oc, c, kh-1-a, kw-1-b): the (C, OC*kh*kw)
+    // weight matrix of the transposed convolution.
+    const std::int64_t taps = geom.kernel_h * geom.kernel_w;
+    float* flipped = ws_.floats(kFlippedSlot, out_c * col_rows);
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      for (std::int64_t c = 0; c < geom.channels; ++c) {
+        const float* src = w_data + (oc * geom.channels + c) * taps;
+        float* dst = flipped + (c * out_c + oc) * taps;
+        for (std::int64_t t = 0; t < taps; ++t) dst[t] = src[taps - 1 - t];
+      }
+    }
+    ictx.geom = transposed;
+    ictx.w_data = flipped;
+    ictx.stripe = out_c * transposed.padded_h() * transposed.padded_w();
+    ictx.stripes =
+        ws_.floats(kPadStripeSlot, pool_slot_count() * ictx.stripe);
+    ictx.col_rows = transposed.col_rows();
+    ictx.col_cols = transposed.col_cols();
+    parallel_for(0, batch, [&ictx](std::int64_t b) {
+      float* padded = ictx.stripes + pool_slot() * ictx.stripe;
+      pad_image(ictx.geom, ictx.go_data + b * ictx.out_stride, padded);
+      // dX_b(C, H*W) = flipped(C, OC*kh*kw) * im2col(padded dOut_b).
+      gemm_conv(Trans::no, ictx.in_c, 1.0f, ictx.w_data, ictx.col_rows,
+                ictx.geom, padded, 0.0f, ictx.gi_data + b * ictx.in_stride,
+                ictx.col_cols);
+    });
+  } else {
+    ictx.geom = geom;
+    ictx.w_data = w_data;
+    ictx.stripe = col_rows * col_cols;
+    ictx.stripes = ws_.floats(kGradColSlot, pool_slot_count() * ictx.stripe);
+    ictx.col_rows = col_rows;
+    ictx.col_cols = col_cols;
+    parallel_for(0, batch, [&ictx](std::int64_t b) {
+      float* grad_col = ictx.stripes + pool_slot() * ictx.stripe;
+      // grad_col(K, P) = W^T(K, OC) * dOut_b(OC, P); A = W stored (OC, K).
+      gemm(Trans::yes, Trans::no, ictx.col_rows, ictx.col_cols, ictx.out_c,
+           1.0f, ictx.w_data, ictx.col_rows,
+           ictx.go_data + b * ictx.out_stride, ictx.col_cols, 0.0f, grad_col,
+           ictx.col_cols);
+      col2im(ictx.geom, grad_col, ictx.gi_data + b * ictx.in_stride);
+    });
+  }
 
   // ---- weight + bias gradients: OC-parallel over disjoint row blocks ----
   Tensor* grad_weight =
       bound ? nullptr : &ws_.tensor(kGradWeightSlot, weights->shape());
 
   struct WeightGradContext {
+    ConvGeometry geom;
     const float* go_data;
-    const float* col_data;
+    const float* padded;
     float* gw_data;
     float* gb_data;  // null when the layer has no bias
-    std::int64_t batch, out_stride, col_stride;
+    std::int64_t batch, out_stride, pad_stride;
     std::int64_t col_rows, col_cols;
   } wctx;
+  wctx.geom = geom;
   wctx.go_data = grad_output.data();
-  wctx.col_data = cols.data();
+  wctx.padded = ws_.peek(kPaddedSlot).data();
   wctx.gw_data = bound ? binding.grad : grad_weight->data();
   wctx.gb_data = has_bias_ ? bias_.grad.data() : nullptr;
   wctx.batch = batch;
   wctx.out_stride = out_c * col_cols;
-  wctx.col_stride = col_rows * col_cols;
+  wctx.pad_stride = geom.channels * geom.padded_h() * geom.padded_w();
   wctx.col_rows = col_rows;
   wctx.col_cols = col_cols;
 
@@ -211,12 +256,12 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                          std::int64_t oc_end) {
     const std::int64_t rows = oc_end - oc_begin;
     for (std::int64_t b = 0; b < wctx.batch; ++b) {
-      // gW[oc,:] += dot(dOut_b[oc,:], col_b[k,:]) — NT over the row block.
-      gemm(Trans::no, Trans::yes, rows, wctx.col_rows, wctx.col_cols, 1.0f,
-           wctx.go_data + b * wctx.out_stride + oc_begin * wctx.col_cols,
-           wctx.col_cols, wctx.col_data + b * wctx.col_stride, wctx.col_cols,
-           b == 0 ? 0.0f : 1.0f, wctx.gw_data + oc_begin * wctx.col_rows,
-           wctx.col_rows);
+      // gW[oc,:] += dOut_b[oc,:] * im2col(x_b)ᵀ — NT over the row block.
+      gemm_conv(Trans::yes, rows, 1.0f,
+                wctx.go_data + b * wctx.out_stride + oc_begin * wctx.col_cols,
+                wctx.col_cols, wctx.geom, wctx.padded + b * wctx.pad_stride,
+                b == 0 ? 0.0f : 1.0f, wctx.gw_data + oc_begin * wctx.col_rows,
+                wctx.col_rows);
     }
     if (wctx.gb_data != nullptr) {
       // Bias gradient folded into the same disjoint OC ownership: each

@@ -1,17 +1,25 @@
-// 2-D convolution lowered to GEMM via im2col.
+// 2-D convolution on the implicit-im2col GEMM (tensor/gemm.h gemm_conv).
 //
 // Input  (B, IC, H, W) -> Output (B, OC, OH, OW).
-// The forward pass parallelizes over the batch (each sample runs im2col,
-// one serial blocked GEMM and its bias add); the backward pass parallelizes
-// the input gradient over the batch and the weight+bias gradients over
-// output channels so no accumulation races occur.
+// The forward pass parallelizes over the batch: each sample is zero-padded
+// once, then one serial gemm_conv packs the unfolded matrix's panels
+// straight from that copy, followed by its bias add. No (K, OH*OW) column
+// matrix is built. The backward pass parallelizes the input gradient over
+// the batch and the weight+bias gradients over output channels, so no
+// accumulation races occur:
+//  * dW is an NT gemm_conv over the cached padded input;
+//  * stride-1 dX is a transposed convolution: dOut padded by kernel-1-pad
+//    convolved with the flipped weights (C, OC*kh*kw), one NN gemm_conv
+//    per sample into an uninitialized gradient;
+//  * stride > 1 dX stays Wᵀ·dOut followed by col2im.
 //
-// Every recurring buffer — the cached im2col matrix, the per-thread
-// grad_col stripes and the dW staging tensor — lives in a per-layer
-// Workspace with grow-once semantics, so steady-state training steps
-// perform zero heap allocations. While its source is bound
-// (WeightSource::binding), the layer reads the shared weight and writes dW
-// straight into the binding instead of calling the source.
+// Every recurring buffer — the padded-input cache, the per-thread padded
+// stripes, the flipped weights, the stride > 1 grad_col stripes and the dW
+// staging tensor — lives in a per-layer Workspace with grow-once semantics,
+// so steady-state training steps perform zero heap allocations. While its
+// source is bound (WeightSource::binding), the layer reads the shared
+// weight and writes dW straight into the binding instead of calling the
+// source.
 #pragma once
 
 #include "nn/module.h"
@@ -51,8 +59,12 @@ class Conv2d final : public Module {
 
  private:
   // Workspace slot indices.
-  enum TensorSlot : int { kColsSlot = 0, kGradWeightSlot = 1 };
-  enum FloatSlot : int { kGradColSlot = 0, kEvalColSlot = 1 };
+  enum TensorSlot : int { kPaddedSlot = 0, kGradWeightSlot = 1 };
+  enum FloatSlot : int {
+    kPadStripeSlot = 0,  // per-pool-slot padded sample (eval x, stride-1 dOut)
+    kFlippedSlot = 1,    // flipped weights of the stride-1 dX
+    kGradColSlot = 2,    // per-pool-slot Wᵀ·dOut columns of stride > 1 dX
+  };
 
   ConvGeometry geometry_for(const Tensor& input) const;
 
@@ -61,8 +73,9 @@ class Conv2d final : public Module {
   Parameter bias_;  // empty unless config_.bias
   bool has_bias_ = false;
 
-  // Per-layer scratch arena; kColsSlot doubles as the training-mode cache
-  // of the unfolded inputs (B, K, OH*OW), consumed by backward.
+  // Per-layer scratch arena; kPaddedSlot doubles as the training-mode cache
+  // of the zero-padded inputs (B, C, H + 2 pad, W + 2 pad), consumed by
+  // backward.
   Workspace ws_;
   ConvGeometry cached_geom_;  // geometry of the cached batch
   std::int64_t cached_batch_ = 0;

@@ -387,16 +387,19 @@ class ConvOp final : public Op {
     const float* src = g.f32(in_edge_);
     float* acc = g.f32(acc_edge_);
     const std::vector<float>& w = float_weights(weights_, float_weights_);
-    std::vector<float> col(static_cast<std::size_t>(k * p));
+    // The float walk is transient (see Impl::float_edges): one zero-padded
+    // sample, when the convolution pads at all.
+    std::vector<float> padded(static_cast<std::size_t>(
+        geom_.pad > 0 ? geom_.channels * geom_.padded_h() * geom_.padded_w()
+                      : 0));
     for (std::int64_t b = 0; b < g.batch; ++b) {
       const float* sample = src + b * in.per_sample();
-      const float* col_data = sample;
-      if (!direct()) {
-        im2col(geom_, sample, col.data());
-        col_data = col.data();
+      if (!padded.empty()) {
+        pad_image(geom_, sample, padded.data());
+        sample = padded.data();
       }
-      gemm(Trans::no, Trans::no, weights_.rows(), p, k, 1.0f, w.data(), k,
-           col_data, p, 0.0f, acc + b * weights_.rows() * p, p);
+      gemm_conv(Trans::no, weights_.rows(), 1.0f, w.data(), k, geom_, sample,
+                0.0f, acc + b * weights_.rows() * p, p);
     }
   }
 

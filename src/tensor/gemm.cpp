@@ -1,11 +1,13 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
+#include "tensor/im2col.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -316,6 +318,117 @@ struct F32Kernel {
         for (std::int64_t j = 0; j < n_sub; ++j) {
           c_row[j] = beta_eff * c_row[j] + alpha * acc_row[j];
         }
+      }
+    }
+  }
+};
+
+// The unfolded convolution matrix as a B source (gemm_conv). Row r of
+// im2col's matrix is the tap (c, ki, kj) = (r / taps, r % taps / kw,
+// r % kw) and column j the output position (oy, ox) = (j / out_w,
+// j % out_w); its element is the padded image at row oy * stride + ki,
+// column ox * stride + kj. The two halves of that address are walked for a
+// run of consecutive taps or positions at a time, so a run costs one
+// division however short its panels are.
+struct ConvSource {
+  const float* image;  // zero-padded, channels x padded_h x padded_w
+  std::int64_t row, plane;  // padded row and channel pitch, in floats
+  std::int64_t kernel_h, kernel_w, stride, out_w;
+
+  // out[i] = the window origin of tap first + i, for i < count.
+  void tap_bases(std::int64_t first, std::int64_t count,
+                 const float** out) const {
+    const std::int64_t taps = kernel_h * kernel_w;
+    std::int64_t c = first / taps, ki = first % taps / kernel_w,
+                 kj = first % kernel_w;
+    for (std::int64_t i = 0; i < count; ++i) {
+      out[i] = image + c * plane + ki * row + kj;
+      if (++kj == kernel_w) {
+        kj = 0;
+        if (++ki == kernel_h) {
+          ki = 0;
+          ++c;
+        }
+      }
+    }
+  }
+  // out[i] = the offset of output position first + i from its tap's
+  // window origin, for i < count.
+  void position_offsets(std::int64_t first, std::int64_t count,
+                        std::int64_t* out) const {
+    std::int64_t oy = first / out_w, ox = first % out_w;
+    for (std::int64_t i = 0; i < count; ++i) {
+      out[i] = (oy * row + ox) * stride;
+      if (++ox == out_w) {
+        ox = 0;
+        ++oy;
+      }
+    }
+  }
+};
+
+// One NR-wide B~ row: d[j] = value(j) for j < cols, zero after. A full
+// panel gets a fixed trip count, so the gather unrolls.
+template <typename Value>
+inline void pack_row(float* d, std::int64_t cols, Value value) {
+  if (cols == kGemmNR) {
+    for (std::int64_t j = 0; j < kGemmNR; ++j) d[j] = value(j);
+    return;
+  }
+  std::int64_t j = 0;
+  for (; j < cols; ++j) d[j] = value(j);
+  for (; j < kGemmNR; ++j) d[j] = 0.0f;
+}
+
+// F32Kernel with B packed from a ConvSource: the same A~, micro-kernel and
+// C update, and B~ panels byte-equal to F32Kernel::pack_b over im2col's
+// matrix (zero padding comes from the padded image, tails are zero-filled).
+struct F32ConvKernel : F32Kernel {
+  using BIn = ConvSource;
+
+  static void pack_b(Trans trans, const ConvSource* b, std::int64_t /*ldb*/,
+                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
+                     std::int64_t nc, float* dst) {
+    const ConvSource& src = *b;
+    if (trans == Trans::no) {
+      // op(B)[p, j]: depth rows are taps, columns output positions.
+      const float* taps[kGemmKC];
+      src.tap_bases(pc, kc, taps);
+      for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+        const std::int64_t cols = std::min(kGemmNR, nc - s);
+        std::int64_t at[kGemmNR];
+        src.position_offsets(jc + s, cols, at);
+        if (cols == kGemmNR && at[kGemmNR - 1] - at[0] == kGemmNR - 1) {
+          // Eight adjacent floats (stride 1, one output row): one copy per
+          // tap.
+          for (std::int64_t p = 0; p < kc; ++p) {
+            std::memcpy(dst + p * kGemmNR, taps[p] + at[0],
+                        kGemmNR * sizeof(float));
+          }
+        } else {
+          // A strided panel, one crossing an output row, or the tail.
+          for (std::int64_t p = 0; p < kc; ++p) {
+            pack_row(dst + p * kGemmNR, cols,
+                     [&](std::int64_t j) { return taps[p][at[j]]; });
+          }
+        }
+        dst += kGemmNR * kc;
+      }
+    } else {
+      // op(B)[p, j] = columns[jc + j, pc + p]: depth rows are output
+      // positions, columns taps. Packed rows are written in order.
+      std::int64_t at[kGemmKC];
+      src.position_offsets(pc, kc, at);
+      const float* taps[kGemmNC];
+      src.tap_bases(jc, nc, taps);
+      for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+        const std::int64_t cols = std::min(kGemmNR, nc - s);
+        const float* const* panel_taps = taps + s;
+        for (std::int64_t p = 0; p < kc; ++p) {
+          pack_row(dst + p * kGemmNR, cols,
+                   [&](std::int64_t j) { return panel_taps[j][at[p]]; });
+        }
+        dst += kGemmNR * kc;
       }
     }
   }
@@ -953,6 +1066,29 @@ void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
   }
   run(Problem<F32Kernel>{m, n, k, {trans_a, a, lda}, trans_b, b, ldb, c, ldc,
                          {alpha, beta}},
+      scratch, exec);
+}
+
+void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
+               std::int64_t lda, const ConvGeometry& geom, const float* padded,
+               float beta, float* c, std::int64_t ldc, GemmScratch* scratch,
+               GemmExec exec) {
+  CSQ_CHECK(m >= 0) << "gemm_conv: negative extent";
+  geom.validate();
+  const bool columns = trans_b == Trans::no;
+  const std::int64_t n = columns ? geom.col_cols() : geom.col_rows();
+  const std::int64_t k = columns ? geom.col_rows() : geom.col_cols();
+  if (m == 0) return;
+  if (alpha == 0.0f) {
+    apply_beta(0, m, n, beta, c, ldc);
+    return;
+  }
+  const ConvSource src{padded,          geom.padded_w(),
+                       geom.padded_h() * geom.padded_w(),
+                       geom.kernel_h,   geom.kernel_w,
+                       geom.stride,     geom.out_w()};
+  run(Problem<F32ConvKernel>{m, n, k, {Trans::no, a, lda}, trans_b, &src, 0,
+                             c, ldc, {alpha, beta}},
       scratch, exec);
 }
 

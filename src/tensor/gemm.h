@@ -4,12 +4,16 @@
 //   integer  C(int32) = alpha * A(int8) * op(B)(uint8) [+ C]  (gemm_packed)
 //
 // Row-major storage with explicit leading dimensions (BLAS-style). The float
-// GEMM implements NN, NT and TN, which cover every use in the library
-// (forward, input-gradient and weight-gradient of both Linear and im2col
-// convolution). The integer GEMMs are the fixed-point serving kernels: A
-// holds a layer's weight codes, packed ONCE into its kernel's panel layout
-// (`gemm_pack_a`, weights are static at serving time), B holds uint8
-// activation codes, and accumulation is exact int32.
+// GEMM implements NN, NT and TN, which cover Linear's forward and both of its
+// gradients, and the Wᵀ·dOut half of a strided convolution's input
+// gradient. `gemm_conv` runs the same float kernel with B the unfolded
+// convolution matrix, packed straight from a zero-padded image without ever
+// building it: the convolution forward (NN), its weight gradient (NT) and
+// the stride-1 input gradient as a transposed convolution (NN). The integer
+// GEMMs are the fixed-point serving kernels: A holds a layer's weight codes,
+// packed ONCE into its kernel's panel layout (`gemm_pack_a`, weights are
+// static at serving time), B holds uint8 activation codes, and accumulation
+// is exact int32.
 //
 // Blocking scheme (GotoBLAS/BLIS-style):
 //
@@ -30,9 +34,9 @@
 // accumulator, C), the K grouping of the packed layouts, `pack_b`, the A~
 // source (float packs op(A) per (ic, pc) tile into scratch; the integer
 // kinds slice their prepacked blob), the micro-kernel (a compile-time call
-// inside the tile loop) and the C-tile update. It is instantiated four
-// times: float; s8u8 (int16 K-pairs); low-bit and low-bit-wide (int8
-// K-quads).
+// inside the tile loop) and the C-tile update. It is instantiated five
+// times: float and float-conv (B packed from a padded image); s8u8 (int16
+// K-pairs); low-bit and low-bit-wide (int8 K-quads).
 //
 // The driver has exactly two schedules:
 //  * Row schedule (shared B~): the calling thread packs B~ per (jc, pc);
@@ -142,6 +146,23 @@ void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
           const float* b, std::int64_t ldb, float beta, float* c,
           std::int64_t ldc, GemmScratch* scratch = nullptr,
           GemmExec exec = {});
+
+struct ConvGeometry;  // tensor/im2col.h
+
+// C = alpha * A * op(B) + beta * C with A row-major (m x k) and B the matrix
+// im2col(geom, image) would build (tensor/im2col.h), which is never built:
+// pack_b reads its panels from `padded`, the image zero-padded by geom.pad
+// on every side (pad_image; channels x padded_h x padded_w floats).
+//  * trans_b == no:  op(B) = columns (col_rows x col_cols), so n = col_cols
+//    and k = col_rows — a convolution with weights A.
+//  * trans_b == yes: op(B) = columnsᵀ (col_cols x col_rows), so n = col_rows
+//    and k = col_cols — a weight gradient with A = dOut.
+// Every packed panel holds exactly the bytes that packing the explicit
+// columns would, so C is bit-identical to gemm() over im2col's matrix.
+void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
+               std::int64_t lda, const ConvGeometry& geom, const float* padded,
+               float beta, float* c, std::int64_t ldc,
+               GemmScratch* scratch = nullptr, GemmExec exec = {});
 
 // ------------------------------------------------- integer (serving) GEMM --
 //

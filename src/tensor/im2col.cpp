@@ -98,6 +98,25 @@ void im2col_u8(const ConvGeometry& geom, const std::uint8_t* image,
   }
 }
 
+void pad_image(const ConvGeometry& geom, const float* image, float* padded) {
+  const std::int64_t pad = geom.pad;
+  const std::int64_t row = geom.padded_w();
+  const std::size_t width_bytes =
+      static_cast<std::size_t>(geom.width) * sizeof(float);
+  for (std::int64_t c = 0; c < geom.channels; ++c) {
+    const float* src = image + c * geom.height * geom.width;
+    float* dst = padded + c * geom.padded_h() * row;
+    std::fill(dst, dst + pad * row, 0.0f);
+    dst += pad * row;
+    for (std::int64_t y = 0; y < geom.height; ++y, dst += row) {
+      std::fill(dst, dst + pad, 0.0f);
+      std::memcpy(dst + pad, src + y * geom.width, width_bytes);
+      std::fill(dst + pad + geom.width, dst + row, 0.0f);
+    }
+    std::fill(dst, dst + pad * row, 0.0f);
+  }
+}
+
 void col2im(const ConvGeometry& geom, const float* col, float* image) {
   const std::int64_t out_h = geom.out_h();
   const std::int64_t out_w = geom.out_w();

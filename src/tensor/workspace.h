@@ -1,7 +1,8 @@
 // Workspace — a per-layer scratch arena for the training/eval hot path.
 //
 // Conv2d and Linear own one Workspace each and draw every recurring buffer
-// from it: the cached im2col matrix, per-thread grad_col scratch, the
+// from it: Conv2d's cached zero-padded input, its per-thread padded stripes,
+// flipped weights and (stride > 1 only) grad_col scratch, the
 // dLoss/dWeight staging tensor, and the packed-panel storage the blocked
 // GEMM uses. All slots have grow-once semantics — a buffer expands to the
 // largest extent ever requested and is then recycled verbatim — so a

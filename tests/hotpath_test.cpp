@@ -105,6 +105,26 @@ TEST(AllocationRegression, Conv2dDenseWithBiasSteadyStateIsAllocationFree) {
             0u);
 }
 
+// Stride 2 on an odd input: dX takes the Wᵀ·dOut + col2im path, whose
+// grad_col stripes must be as grow-once as the stride-1 buffers.
+TEST(AllocationRegression, Conv2dStride2SteadyStateIsAllocationFree) {
+  Rng rng(305);
+  Conv2dConfig config;
+  config.in_channels = 8;
+  config.out_channels = 16;
+  config.stride = 2;
+  Conv2d conv("conv", config, dense_weight_factory(), rng);
+
+  Tensor input = random_tensor({4, 8, 9, 9}, rng);
+  Tensor grad_output = random_tensor({4, 16, 5, 5}, rng);
+  std::vector<Parameter*> params;
+  conv.collect_parameters(params);
+  Sgd sgd(params, {});
+
+  EXPECT_EQ(steady_state_allocations(conv, sgd, input, grad_output, params),
+            0u);
+}
+
 TEST(AllocationRegression, LinearSteadyStateIsAllocationFree) {
   Rng rng(303);
   Linear linear("fc", 64, 32, dense_weight_factory(), rng, /*bias=*/true);

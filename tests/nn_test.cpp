@@ -52,6 +52,59 @@ TEST_P(Conv2dParamTest, InputAndParameterGradients) {
   check_parameter_gradients(conv, input, rng);
 }
 
+// Every input-gradient element against a double-precision adjoint of the
+// direct convolution: the finite-difference probes above sample only a few
+// elements, and the border ones are where the stride-1 transposed
+// convolution and the stride > 1 col2im path differ.
+TEST_P(Conv2dParamTest, InputGradientMatchesDirectAdjoint) {
+  const Conv2dCase& p = GetParam();
+  Rng rng(37);
+  Conv2dConfig config;
+  config.in_channels = p.in_c;
+  config.out_channels = p.out_c;
+  config.kernel = p.kernel;
+  config.stride = p.stride;
+  config.pad = p.pad;
+  config.bias = p.bias;
+  Conv2d conv("conv", config, dense_weight_factory(), rng);
+
+  const std::int64_t batch = 2;
+  Tensor input = random_tensor({batch, p.in_c, p.h, p.w}, rng);
+  Tensor out = conv.forward(input, /*training=*/true);
+  Tensor grad_out = random_tensor(out.shape(), rng);
+  Tensor grad_in = conv.backward(grad_out);
+  ASSERT_TRUE(grad_in.same_shape(input));
+
+  const float* w = conv.source().weight(/*training=*/true).data();
+  const std::int64_t oh = out.dim(2), ow = out.dim(3), k = p.kernel;
+  std::vector<double> ref(static_cast<std::size_t>(input.numel()), 0.0);
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t oc = 0; oc < p.out_c; ++oc) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          const double g = grad_out[((b * p.out_c + oc) * oh + oy) * ow + ox];
+          for (std::int64_t c = 0; c < p.in_c; ++c) {
+            for (std::int64_t ki = 0; ki < k; ++ki) {
+              for (std::int64_t kj = 0; kj < k; ++kj) {
+                const std::int64_t iy = oy * p.stride - p.pad + ki;
+                const std::int64_t ix = ox * p.stride - p.pad + kj;
+                if (iy < 0 || iy >= p.h || ix < 0 || ix >= p.w) continue;
+                ref[static_cast<std::size_t>(
+                    ((b * p.in_c + c) * p.h + iy) * p.w + ix)] +=
+                    g * w[((oc * p.in_c + c) * k + ki) * k + kj];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    EXPECT_NEAR(grad_in[i], ref[static_cast<std::size_t>(i)], 1e-4)
+        << "grad_input element " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, Conv2dParamTest,
     ::testing::Values(Conv2dCase{2, 3, 3, 1, 1, 5, 5, false},
@@ -59,7 +112,39 @@ INSTANTIATE_TEST_SUITE_P(
                       Conv2dCase{3, 2, 1, 1, 0, 4, 4, false},
                       Conv2dCase{2, 4, 1, 2, 0, 6, 6, false},
                       Conv2dCase{2, 2, 3, 1, 1, 5, 5, true},
-                      Conv2dCase{2, 3, 5, 1, 2, 7, 7, false}));
+                      Conv2dCase{2, 3, 5, 1, 2, 7, 7, false},
+                      // 3x3 stride 1 without padding (transposed pad 2).
+                      Conv2dCase{2, 3, 3, 1, 0, 6, 6, false},
+                      // Rectangular input.
+                      Conv2dCase{2, 3, 3, 1, 1, 5, 7, true},
+                      // 3x3 stride 2 on an odd input (col2im path).
+                      Conv2dCase{2, 3, 3, 2, 1, 7, 7, false},
+                      // out_w 3 < 8: every NR panel spans output rows.
+                      Conv2dCase{2, 2, 3, 1, 1, 9, 3, false}));
+
+// Training keeps the zero-padded input for backward, not the (B, K, OH*OW)
+// unfolded matrix, and eval pads into per-thread stripes, so its retained
+// bytes do not grow with the eval batch.
+TEST(Conv2d, TrainingWorkspaceHoldsPaddedInputNotColumns) {
+  Rng rng(41);
+  Conv2dConfig config;
+  config.in_channels = 8;
+  config.out_channels = 8;
+  Conv2d conv("conv", config, dense_weight_factory(), rng);
+
+  const std::int64_t batch = 4, side = 8;
+  Tensor input = random_tensor({batch, 8, side, side}, rng);
+  Tensor out = conv.forward(input, /*training=*/true);
+  conv.backward(random_tensor(out.shape(), rng));
+  const std::int64_t column_cache_bytes =
+      batch * (8 * 3 * 3) * (side * side) * std::int64_t{sizeof(float)};
+  EXPECT_LT(conv.workspace().total_bytes(), column_cache_bytes);
+
+  conv.forward(random_tensor({2, 8, side, side}, rng), /*training=*/false);
+  const std::int64_t small_eval = conv.workspace().total_bytes();
+  conv.forward(random_tensor({64, 8, side, side}, rng), /*training=*/false);
+  EXPECT_EQ(conv.workspace().total_bytes(), small_eval);
+}
 
 TEST(Conv2d, OutputShape) {
   Rng rng(1);

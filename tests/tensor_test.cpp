@@ -1,6 +1,7 @@
 // Tests for src/tensor: Tensor semantics, elementwise ops, GEMM kernels
 // against a naive reference, im2col/col2im adjointness, initializers.
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -373,12 +374,75 @@ TEST_P(Im2ColParamTest, Col2ImIsAdjointOfIm2Col) {
   EXPECT_NEAR(lhs, rhs, 1e-3 * std::max(1.0, std::fabs(lhs)));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, Im2ColParamTest,
-    ::testing::Values(ConvCase{1, 5, 5, 3, 1, 1}, ConvCase{3, 8, 8, 3, 1, 1},
-                      ConvCase{2, 7, 9, 3, 2, 1}, ConvCase{4, 6, 6, 1, 1, 0},
-                      ConvCase{2, 8, 8, 1, 2, 0}, ConvCase{3, 5, 5, 5, 1, 2},
-                      ConvCase{1, 4, 4, 2, 2, 0}));
+const ConvCase kConvCases[] = {
+    ConvCase{1, 5, 5, 3, 1, 1}, ConvCase{3, 8, 8, 3, 1, 1},
+    ConvCase{2, 7, 9, 3, 2, 1}, ConvCase{4, 6, 6, 1, 1, 0},
+    ConvCase{2, 8, 8, 1, 2, 0}, ConvCase{3, 5, 5, 5, 1, 2},
+    ConvCase{1, 4, 4, 2, 2, 0}};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, Im2ColParamTest,
+                         ::testing::ValuesIn(kConvCases));
+
+// gemm_conv packs B~ from the padded image; every panel must hold the bytes
+// packing im2col's matrix gives, so C is bit-equal to gemm() over explicit
+// columns — NN (forward) and NT (weight gradient), serial and split across
+// column stripes and grid tasks (stripes start mid output row). Beyond the
+// Im2ColParamTest geometries: depth past one KC block, more than one MC row
+// tile, and (NN) more than kGemmNC output positions.
+TEST(ConvGemm, ImplicitMatchesExplicitColumns) {
+  std::vector<ConvCase> cases(std::begin(kConvCases), std::end(kConvCases));
+  cases.push_back(ConvCase{32, 18, 18, 3, 1, 1});
+  cases.push_back(ConvCase{16, 33, 20, 3, 2, 1});
+  cases.push_back(ConvCase{2, 36, 40, 3, 1, 0});
+  const GemmExec execs[] = {GemmExec{}, GemmExec{true, GemmSplit::kCols, 3},
+                            GemmExec{true, GemmSplit::kGrid, 4}};
+  Rng rng(12);
+  for (const ConvCase& p : cases) {
+    ConvGeometry g;
+    g.channels = p.channels;
+    g.height = p.height;
+    g.width = p.width;
+    g.kernel_h = g.kernel_w = p.kernel;
+    g.stride = p.stride;
+    g.pad = p.pad;
+    g.validate();
+    const std::int64_t k = g.col_rows(), n = g.col_cols();
+    Tensor image = random_tensor({g.channels, g.height, g.width}, rng);
+    Tensor padded({g.channels, g.padded_h(), g.padded_w()});
+    pad_image(g, image.data(), padded.data());
+    Tensor col({k, n});
+    im2col(g, image.data(), col.data());
+
+    for (const std::int64_t m : {std::int64_t{5}, std::int64_t{70}}) {
+      Tensor weights = random_tensor({m, k}, rng);
+      Tensor grad_out = random_tensor({m, n}, rng);
+      Tensor out_init = random_tensor({m, n}, rng);
+      Tensor dw_init = random_tensor({m, k}, rng);
+      for (const GemmExec& exec : execs) {
+        SCOPED_TRACE(::testing::Message()
+                     << "geometry " << p.channels << "x" << p.height << "x"
+                     << p.width << " k" << p.kernel << " s" << p.stride
+                     << " p" << p.pad << ", m " << m << ", split "
+                     << static_cast<int>(exec.split));
+        Tensor out_explicit = out_init, out_implicit = out_init;
+        gemm(Trans::no, Trans::no, m, n, k, 1.0f, weights.data(), k,
+             col.data(), n, 0.5f, out_explicit.data(), n, nullptr, exec);
+        gemm_conv(Trans::no, m, 1.0f, weights.data(), k, g, padded.data(),
+                  0.5f, out_implicit.data(), n, nullptr, exec);
+        EXPECT_EQ(0, std::memcmp(out_explicit.data(), out_implicit.data(),
+                                 sizeof(float) * out_init.numel()));
+
+        Tensor dw_explicit = dw_init, dw_implicit = dw_init;
+        gemm(Trans::no, Trans::yes, m, k, n, 1.0f, grad_out.data(), n,
+             col.data(), n, 1.0f, dw_explicit.data(), k, nullptr, exec);
+        gemm_conv(Trans::yes, m, 1.0f, grad_out.data(), n, g, padded.data(),
+                  1.0f, dw_implicit.data(), k, nullptr, exec);
+        EXPECT_EQ(0, std::memcmp(dw_explicit.data(), dw_implicit.data(),
+                                 sizeof(float) * dw_init.numel()));
+      }
+    }
+  }
+}
 
 TEST(ConvGeometry, RejectsBadConfigs) {
   ConvGeometry g;
