@@ -48,36 +48,27 @@ struct Request {
   ServeStatus status = ServeStatus::kOk;
 };
 
-// How a worker left its serving loop.
-enum class WorkerExit {
-  kStopped,  // stopping and fully drained
-  kRetired,  // claimed a pending scale-down request
-};
-
-// Outcome of the backoff-rebuild loop shared by quarantine recovery and
-// scale-up bootstrap.
+// Outcome of a quarantined replica's backoff-rebuild loop.
 enum class RestoreOutcome {
   kRestored,   // fresh warmed replica installed in the slot
-  kRetired,    // claimed a pending scale-down request instead
   kStopped,    // server stopping
   kExhausted,  // restore_max_attempts rebuilds all failed
 };
 
 // One model id: a request ring plus one worker thread (and graph replica)
-// per live replica slot. All queue state is guarded by `mutex`;
-// `queue_cv` wakes serving workers (work arrived / stop / retire),
-// `restore_cv` interrupts restoring and bootstrapping workers' backoff
-// (stop / retire), `done_cv` wakes producers (results ready, ring space
-// freed) and start()'s warmup wait. The backoff has its own condition
-// variable so that only serving workers wait on queue_cv: try_infer's
-// notify_one must reach a worker that can serve, not a restoring one that
-// would go back to sleep and leave the request waiting out its backoff.
+// per registered replica. All queue state is guarded by `mutex`;
+// `queue_cv` wakes serving workers (work arrived / stop), `restore_cv`
+// interrupts restoring workers' backoff (stop), `done_cv` wakes producers
+// (results ready, ring space freed) and start()'s warmup wait. The backoff
+// has its own condition variable so that only serving workers wait on
+// queue_cv: try_infer's notify_one must reach a worker that can serve, not
+// a restoring one that would go back to sleep and leave the request
+// waiting out its backoff.
 struct Shard {
   std::string id;
-  // Replica slots, max_workers wide: [0, registered) are filled by
-  // add_model, the rest are scale-up headroom (ServerOptions::max_replicas)
-  // that bootstrap from the restore template on demand. A slot is null
-  // whenever no worker owns it (never spawned, retired, or dead).
+  // One slot per replica registered by add_model; worker w serves slot w.
+  // A slot is null once its replica died (restores exhausted) until the
+  // next start() rebuilds it from the restore template.
   std::vector<std::unique_ptr<runtime::CompiledGraph>> replicas;
   runtime::CompiledGraph::IoShape shape;
   const ServerOptions* options = nullptr;
@@ -103,19 +94,12 @@ struct Shard {
   bool stopping = false;
   bool failed = false;  // no live replica left (or warmup failed)
   std::exception_ptr worker_error;
-  int workers_ready = 0;
-  int worker_target = 0;   // start() rendezvous width
-  int max_workers = 0;     // slot count: max(registered, max_replicas)
+  std::size_t workers_ready = 0;  // start()'s rendezvous: replicas.size()
   int quarantined_now = 0;
   int dead_now = 0;
-  // Scaling state. live_workers counts every worker that will eventually
-  // serve or die trying — serving, quarantine-restoring, and bootstrapping
-  // scale-up workers alike; the shard fails only when it hits zero.
-  // retire_requests is the pending scale-down count: ANY worker that
-  // observes it positive claims one and exits between batches.
+  // Workers that will eventually serve or die trying — serving and
+  // quarantine-restoring alike; the shard fails only when it hits zero.
   int live_workers = 0;
-  int retire_requests = 0;
-  std::vector<std::uint8_t> slot_busy;  // a worker owns this replica slot
   // Per-batch flush wait (oldest popped request's queueing time, µs) over
   // the last kFlushWindow batches.
   // Concurrency audit: BOTH sides of this ring are under `mutex` — the
@@ -134,20 +118,18 @@ struct Shard {
   std::size_t capacity() const { return ring.size(); }
 
   void worker_loop(int worker_index);
-  void scale_worker_loop(int worker_index);
-  void serve_until_exit(int worker_index, std::vector<Request*>& taken,
-                        std::size_t& n, Tensor& staging);
-  WorkerExit run_worker(int worker_index, std::vector<Request*>& taken,
-                        std::size_t& n, Tensor& staging);
+  // Serves batches until stopping and drained; throws on a batch failure.
+  void run_worker(int worker_index, std::vector<Request*>& taken,
+                  std::size_t& n, Tensor& staging);
   std::vector<Tensor> warmup_replica(runtime::CompiledGraph& graph,
                                      Tensor& staging);
   bool quarantine_and_restore(int worker_index, std::vector<Request*>& taken,
                               std::size_t& n);
   RestoreOutcome restore_with_backoff(int worker_index);
-  // Permanent worker exit: releases the slot (freeing the replica's
-  // memory), drops live_workers and — when the last live worker dies
-  // unexpectedly — fails the shard. Takes `mutex`.
-  void worker_exit(int worker_index, bool dead);
+  // Restores exhausted: empties the slot (freeing the replica's memory),
+  // drops live_workers and — when the last live worker dies — fails the
+  // shard. Takes `mutex`.
+  void worker_died(int worker_index);
   // Completes every queued request with `status`. Caller holds `mutex` and
   // notifies done_cv afterwards.
   void complete_queued_locked(ServeStatus status);
@@ -211,7 +193,7 @@ void Shard::worker_loop(int worker_index) {
     stopping = true;
     accepting = false;
     if (!worker_error) worker_error = std::current_exception();
-    workers_ready = worker_target;  // release start()'s warmup wait
+    workers_ready = replicas.size();  // release start()'s warmup wait
     --live_workers;
     complete_queued_locked(ServeStatus::kShardFailed);
     queue_cv.notify_all();
@@ -223,73 +205,29 @@ void Shard::worker_loop(int worker_index) {
     ++workers_ready;
     done_cv.notify_all();
     done_cv.wait(lock, [&] {
-      return workers_ready >= worker_target || stopping;
+      return workers_ready >= replicas.size() || stopping;
     });
   }
   warm_outputs.clear();
 
-  serve_until_exit(worker_index, taken, n, staging);
-}
-
-// Scale-up entry point (set_replicas): the slot is claimed and counted in
-// live_workers, but holds no replica yet — bootstrap one from the restore
-// template with the same backoff loop quarantine recovery uses, then join
-// the serving rotation. Requests keep flowing on the existing workers the
-// whole time.
-void Shard::scale_worker_loop(int worker_index) {
-  std::vector<Request*> taken(
-      static_cast<std::size_t>(options->max_batch), nullptr);
-  std::size_t n = 0;
-  Tensor staging = Tensor::zeros(
-      {options->max_batch, shape.channels, shape.height, shape.width});
-
-  switch (restore_with_backoff(worker_index)) {
-    case RestoreOutcome::kRestored:
-      break;
-    case RestoreOutcome::kRetired:
-      worker_exit(worker_index, /*dead=*/false);
-      return;
-    case RestoreOutcome::kStopped: {
-      std::lock_guard<std::mutex> lock(mutex);
-      --live_workers;
-      return;
-    }
-    case RestoreOutcome::kExhausted:
-      worker_exit(worker_index, /*dead=*/true);
-      return;
-  }
-  serve_until_exit(worker_index, taken, n, staging);
-}
-
-// Serving loop with quarantine recovery: any exception escaping a batch
-// (replica forward, pool submission, injected fault) quarantines THIS
-// replica only — the popped batch is requeued for siblings, and a
-// backoff-restore loop rebuilds the replica before rejoining.
-void Shard::serve_until_exit(int worker_index, std::vector<Request*>& taken,
-                             std::size_t& n, Tensor& staging) {
+  // Serving loop with quarantine recovery: any exception escaping a batch
+  // (replica forward, pool submission, injected fault) quarantines THIS
+  // replica only — the popped batch is requeued for siblings, and a
+  // backoff-restore loop rebuilds the replica before rejoining.
   while (true) {
     try {
-      switch (run_worker(worker_index, taken, n, staging)) {
-        case WorkerExit::kStopped: {
-          std::lock_guard<std::mutex> lock(mutex);
-          --live_workers;
-          return;
-        }
-        case WorkerExit::kRetired:
-          worker_exit(worker_index, /*dead=*/false);
-          // A retiring worker may have been the one a queued request was
-          // waiting on: hand the queue to a sibling.
-          queue_cv.notify_all();
-          return;
-      }
+      run_worker(worker_index, taken, n, staging);
+      break;
     } catch (...) {
       if (!quarantine_and_restore(worker_index, taken, n)) return;
     }
   }
+  std::lock_guard<std::mutex> lock(mutex);
+  --live_workers;
 }
 
-WorkerExit Shard::run_worker(int worker_index, std::vector<Request*>& taken,
-                             std::size_t& n, Tensor& staging) {
+void Shard::run_worker(int worker_index, std::vector<Request*>& taken,
+                       std::size_t& n, Tensor& staging) {
   runtime::CompiledGraph& graph =
       *replicas[static_cast<std::size_t>(worker_index)];
   const std::int64_t sample_numel =
@@ -301,18 +239,8 @@ WorkerExit Shard::run_worker(int worker_index, std::vector<Request*>& taken,
     n = 0;
     {
       std::unique_lock<std::mutex> lock(mutex);
-      queue_cv.wait(lock, [&] {
-        return stopping || retire_requests > 0 || count > 0;
-      });
-      // Scale-down: claim one pending retirement between batches — any
-      // worker will do, queued work goes to the siblings. stop() wins
-      // over retirement (the drain needs every worker).
-      if (retire_requests > 0 && !stopping) {
-        --retire_requests;
-        ++stats.scale_downs;
-        return WorkerExit::kRetired;
-      }
-      if (count == 0) return WorkerExit::kStopped;  // stopping, fully drained
+      queue_cv.wait(lock, [&] { return stopping || count > 0; });
+      if (count == 0) return;  // stopping, fully drained
       // Work-conserving flush: take everything queued (up to max_batch) at
       // once, recording how long the oldest of it sat queued.
       flush_waits[flush_wait_pos] =
@@ -402,34 +330,22 @@ bool Shard::quarantine_and_restore(int worker_index,
   {
     std::lock_guard<std::mutex> lock(mutex);
     --quarantined_now;
-    if (outcome == RestoreOutcome::kRestored) ++stats.restores;
-  }
-  switch (outcome) {
-    case RestoreOutcome::kRestored:
+    if (outcome == RestoreOutcome::kRestored) {
+      ++stats.restores;
       return true;  // rejoin the serving loop
-    case RestoreOutcome::kRetired:
-      worker_exit(worker_index, /*dead=*/false);
-      queue_cv.notify_all();
-      return false;
-    case RestoreOutcome::kStopped: {
-      // stop() completes anything left queued.
-      std::lock_guard<std::mutex> lock(mutex);
-      --live_workers;
+    }
+    if (outcome == RestoreOutcome::kStopped) {
+      --live_workers;  // stop() completes anything left queued
       return false;
     }
-    case RestoreOutcome::kExhausted:
-      worker_exit(worker_index, /*dead=*/true);
-      return false;
   }
-  return false;  // unreachable
+  worker_died(worker_index);
+  return false;
 }
 
 // Exponential-backoff rebuild from the shard's shared immutable program.
 // Runs outside the shard mutex: siblings keep serving (graceful
-// degradation) while this thread rebuilds. Shared by quarantine recovery
-// and scale-up bootstrap — a scale-up replica is just a restore into an
-// empty slot. A pending scale-down is claimed in preference to rebuilding
-// (no point warming a replica the policy no longer wants).
+// degradation) while this thread rebuilds.
 RestoreOutcome Shard::restore_with_backoff(int worker_index) {
   constexpr std::int64_t kMaxBackoffUs = 1'000'000;
   std::int64_t backoff_us = std::max<std::int64_t>(
@@ -439,14 +355,9 @@ RestoreOutcome Shard::restore_with_backoff(int worker_index) {
       std::unique_lock<std::mutex> lock(mutex);
       if (attempt > 0 || options->restore_backoff_us > 0) {
         restore_cv.wait_for(lock, std::chrono::microseconds(backoff_us),
-                            [&] { return stopping || retire_requests > 0; });
+                            [&] { return stopping; });
       }
       if (stopping) return RestoreOutcome::kStopped;
-      if (retire_requests > 0) {
-        --retire_requests;
-        ++stats.scale_downs;
-        return RestoreOutcome::kRetired;
-      }
     }
     try {
       CSQ_FAILPOINT("serve.restore");
@@ -466,24 +377,19 @@ RestoreOutcome Shard::restore_with_backoff(int worker_index) {
   return RestoreOutcome::kExhausted;
 }
 
-// Restore attempts exhausted (dead) or retirement claimed: release the
-// slot. The shard fails only when the LAST live worker dies — then queued
-// and future requests get kShardFailed instead of waiting on capacity that
-// will never return. Retirement can never trip that (set_replicas keeps
-// the target >= 1 and a retire is only claimed by a live worker).
-void Shard::worker_exit(int worker_index, bool dead) {
+// The shard fails only when the LAST live worker dies — then queued and
+// future requests get kShardFailed instead of waiting on capacity that will
+// never return.
+void Shard::worker_died(int worker_index) {
   {
     std::lock_guard<std::mutex> lock(mutex);
     --live_workers;
-    slot_busy[static_cast<std::size_t>(worker_index)] = 0;
+    ++dead_now;
     replicas[static_cast<std::size_t>(worker_index)].reset();
-    if (dead) {
-      ++dead_now;
-      if (live_workers <= 0 && !stopping) {
-        failed = true;
-        accepting = false;
-        complete_queued_locked(ServeStatus::kShardFailed);
-      }
+    if (live_workers <= 0 && !stopping) {
+      failed = true;
+      accepting = false;
+      complete_queued_locked(ServeStatus::kShardFailed);
     }
   }
   queue_cv.notify_all();
@@ -525,8 +431,6 @@ BatchingServer::BatchingServer(ServerOptions options)
       << "batching server: negative restore_backoff_us";
   CSQ_CHECK(options_.restore_max_attempts >= 1)
       << "batching server: restore_max_attempts must be at least 1";
-  CSQ_CHECK(options_.max_replicas >= 0)
-      << "batching server: negative max_replicas";
   options_.queue_capacity =
       std::max(options_.queue_capacity, options_.max_batch);
 }
@@ -559,21 +463,17 @@ void BatchingServer::add_model(const std::string& model_id,
     // this registration call, not a worker thread's warmup forward.
     replica.edge_scales();
   }
-  // Restore template for quarantine recovery and scale-up bootstrap: the
-  // first replica's shared program + options + edge-scale snapshot
-  // (replicas are required to be bit-identical siblings, so any one of
-  // them defines the shard).
+  // Restore template for quarantine recovery and for refilling a dead
+  // replica's slot on restart: the first replica's shared program +
+  // options + edge-scale snapshot (replicas are required to be
+  // bit-identical siblings, so any one of them defines the shard).
   shard->program = replicas.front().shared_program();
   shard->graph_options = replicas.front().options();
   shard->edge_records = replicas.front().edge_scales();
-  shard->max_workers = std::max(static_cast<int>(replicas.size()),
-                                options_.max_replicas);
-  shard->replicas.resize(static_cast<std::size_t>(shard->max_workers));
-  for (std::size_t r = 0; r < replicas.size(); ++r) {
-    shard->replicas[r] =
-        std::make_unique<runtime::CompiledGraph>(std::move(replicas[r]));
+  for (auto& replica : replicas) {
+    shard->replicas.push_back(
+        std::make_unique<runtime::CompiledGraph>(std::move(replica)));
   }
-  shard->slot_busy.assign(static_cast<std::size_t>(shard->max_workers), 0);
   shard->flush_waits.assign(Shard::kFlushWindow, 0);
   shard->options = &options_;
   shard->ring.assign(static_cast<std::size_t>(options_.queue_capacity),
@@ -583,17 +483,16 @@ void BatchingServer::add_model(const std::string& model_id,
 
 void BatchingServer::add_model_from_artifact(const std::string& model_id,
                                              const std::string& artifact_path,
-                                             int replicas, bool pooled) {
+                                             int replicas) {
   CSQ_CHECK(replicas >= 1)
       << "batching server: model " << model_id << " needs >= 1 replicas";
   std::vector<runtime::CompiledGraph> graphs;
   graphs.reserve(static_cast<std::size_t>(replicas));
-  // One disk read + parse; the remaining replicas are bit-identical
-  // in-memory program replays.
-  graphs.push_back(runtime::load_graph(artifact_path, pooled));
+  // One disk read + parse, serial in-graph execution (the workers are the
+  // parallelism); the remaining replicas are bit-identical in-memory
+  // program replays with the same options.
+  graphs.push_back(runtime::load_graph(artifact_path, /*pooled=*/false));
   for (int i = 1; i < replicas; ++i) {
-    // replicate() rebuilds from the loaded graph's program and options, so
-    // the pooled flag carries over.
     graphs.push_back(runtime::replicate(graphs.front()));
   }
   add_model(model_id, std::move(graphs));
@@ -602,20 +501,25 @@ void BatchingServer::add_model_from_artifact(const std::string& model_id,
 void BatchingServer::start() {
   CSQ_CHECK(!started_) << "batching server: start called twice";
   CSQ_CHECK(!shards_.empty()) << "batching server: no models registered";
+  // A replica that died in an earlier run left its slot empty: rebuild it
+  // from the restore template, so every start runs the registered count.
+  for (auto& shard : shards_) {
+    for (auto& replica : shard->replicas) {
+      if (replica != nullptr) continue;
+      auto rebuilt = std::make_unique<runtime::CompiledGraph>(
+          runtime::rebuild_replica(shard->program, shard->graph_options,
+                                   shard->edge_records));
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      replica = std::move(rebuilt);
+    }
+  }
   started_ = true;
   for (auto& shard : shards_) {
-    int workers = 0;
-    for (const auto& replica : shard->replicas) {
-      if (replica != nullptr) ++workers;  // registered slots; the rest are
-    }                                     // scale-up headroom
-    shard->worker_target = workers;
+    const int workers = static_cast<int>(shard->replicas.size());
     {
       std::lock_guard<std::mutex> lock(shard->mutex);
       shard->accepting = true;
       shard->live_workers = workers;
-      for (int w = 0; w < workers; ++w) {
-        shard->slot_busy[static_cast<std::size_t>(w)] = 1;
-      }
     }
     shard->workers.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
@@ -630,7 +534,7 @@ void BatchingServer::start() {
   for (auto& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mutex);
     shard->done_cv.wait(lock, [&] {
-      return shard->workers_ready >= shard->worker_target;
+      return shard->workers_ready >= shard->replicas.size();
     });
   }
   // Surface warmup failures synchronously instead of from a worker thread.
@@ -692,58 +596,8 @@ void BatchingServer::stop() {
     shard->quarantined_now = 0;
     shard->dead_now = 0;
     shard->live_workers = 0;
-    shard->retire_requests = 0;
   }
   started_ = false;
-}
-
-void BatchingServer::set_replicas(const std::string& model_id, int target) {
-  // Argument validation still throws for genuinely bad calls (unknown model,
-  // nonsensical target) regardless of lifecycle state -- those are caller
-  // bugs, not races.
-  Shard& shard = shard_for(model_id);
-  CSQ_CHECK(target >= 1)
-      << "batching server: replica target must be at least 1";
-  CSQ_CHECK(target <= shard.max_workers)
-      << "batching server: replica target " << target << " exceeds the "
-      << shard.max_workers << " slots of model " << model_id
-      << " (raise ServerOptions::max_replicas)";
-  // Lifecycle, however, is a no-op, not a CHECK: the autoscaler's policy
-  // thread calls this concurrently with stop(), and a CHECK throwing on a
-  // thread that can't propagate it would std::terminate the process. A tick
-  // that loses the race against stop() (or lands before start()) simply does
-  // nothing; any worker it manages to spawn before `accepting` flips is
-  // emplaced under shard.mutex ahead of stop()'s join loop, so it is joined.
-  if (!started_.load(std::memory_order_acquire)) return;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.stopping || shard.failed || !shard.accepting) return;
-    // Workers already asked to retire don't count toward capacity.
-    const int effective = shard.live_workers - shard.retire_requests;
-    if (target > effective) {
-      int need = target - effective;
-      // Cancel pending retirements before spawning anything new.
-      const int cancelled = std::min(need, shard.retire_requests);
-      shard.retire_requests -= cancelled;
-      need -= cancelled;
-      for (int w = 0; w < shard.max_workers && need > 0; ++w) {
-        if (shard.slot_busy[static_cast<std::size_t>(w)]) continue;
-        shard.slot_busy[static_cast<std::size_t>(w)] = 1;
-        ++shard.live_workers;
-        ++shard.stats.scale_ups;
-        --need;
-        // Bootstrap off-thread: set_replicas returns immediately; the new
-        // worker rebuilds + warms a replica, then joins the rotation.
-        shard.workers.emplace_back(
-            [s = &shard, w] { s->scale_worker_loop(w); });
-      }
-    } else if (target < effective) {
-      shard.retire_requests += effective - target;
-    }
-  }
-  // Serving and restoring workers alike may claim a retirement.
-  shard.queue_cv.notify_all();
-  shard.restore_cv.notify_all();
 }
 
 const std::shared_ptr<Shard>& BatchingServer::shard_ptr_for(

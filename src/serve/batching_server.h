@@ -11,7 +11,9 @@
 // pays (Clipper's adaptive batching, Crankshaw et al., NSDI 2017) — then
 // scatters the per-request logits back and wakes the producers. Models are
 // registered by id; each shard owns its queue and one worker thread (plus
-// graph replica) per registered replica.
+// graph replica) per registered replica. The replica count is fixed by
+// add_model for the life of the server: every start() runs that many
+// workers, rebuilding any replica that died in an earlier run.
 //
 // Guarantees:
 //  * Outputs are bit-identical to serial single-sample forwards of the
@@ -43,11 +45,6 @@
 //    timeouts, load shedding (ServerOptions::shed_overload), shard failure
 //    and shutdown as ServeStatus codes, counted per shard in ShardStats.
 //    The infer() convenience wrappers keep the throwing contract.
-//  * Elastic capacity: set_replicas() grows or shrinks a shard's worker
-//    count at runtime — scale-up replicas bootstrap from the same restore
-//    template quarantine recovery uses (bit-identical siblings), scale-down
-//    retires workers only between batches. serve/autoscaler.h drives this
-//    from the shard's queue-depth and arrival stats.
 //  * Deadline-bounded drain: stop() finishes in-flight work (bounded by
 //    ServerOptions::drain_deadline_us when set), completes anything still
 //    queued past the deadline with kShuttingDown, and late arrivals are
@@ -56,7 +53,6 @@
 //    of touching freed memory.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,11 +100,6 @@ struct ServerOptions {
   // Rebuild attempts before a quarantined replica is declared dead. The
   // shard fails only when EVERY replica is dead.
   int restore_max_attempts = 8;
-  // Runtime-scaling headroom: set_replicas() may scale any shard up to this
-  // many workers (slots beyond the registered replicas bootstrap from the
-  // shard's restore template on demand). 0 = the registered replica count —
-  // no scaling headroom.
-  int max_replicas = 0;
 };
 
 // Resolved routing target for one model id: lets the request hot path skip
@@ -142,42 +133,28 @@ class BatchingServer {
   // be calibrated graphs with identical IO shapes (runtime::replicate or
   // load_graph produce them); an uncalibrated replica fails HERE, not in a
   // worker thread. Must precede start(). The first replica's program,
-  // options and edge-scale snapshot become the shard's restore template.
+  // options and edge-scale snapshot become the shard's restore template,
+  // from which quarantine recovery and start() rebuild replicas.
   void add_model(const std::string& model_id,
                  std::vector<runtime::CompiledGraph> replicas);
 
   // Convenience: loads `replicas` copies of a persisted graph artifact —
-  // the float-model-free deployment path. `pooled` selects in-graph
-  // thread-pool execution (default off: workers are the parallelism).
+  // the float-model-free deployment path — with serial in-graph execution
+  // (the workers are the parallelism; add_model takes pooled replicas).
   void add_model_from_artifact(const std::string& model_id,
                                const std::string& artifact_path,
-                               int replicas, bool pooled = false);
+                               int replicas);
 
-  // Launches the shard workers and runs their warmup forwards; after this
-  // the steady-state request path performs zero heap allocations. Warmup
-  // failures rethrow here, synchronously.
+  // Launches one worker per registered replica — first rebuilding, from
+  // the restore template, any replica that died in an earlier run — and
+  // runs their warmup forwards; after this the steady-state request path
+  // performs zero heap allocations. Warmup failures rethrow here,
+  // synchronously.
   void start();
   // Drains queued requests (bounded by drain_deadline_us), then joins the
   // workers; anything still queued past the deadline — or left behind by
   // quarantined workers — completes with kShuttingDown. Idempotent.
   void stop();
-
-  // Runtime replica scaling (requires start()): adjusts the live worker
-  // count of `model_id` toward `target` without pausing the request path.
-  // Scale-up spawns workers that bootstrap fresh replicas from the shard's
-  // restore template (rebuild_replica + warmup) off-thread, then join the
-  // serving rotation — requests keep flowing on the existing workers
-  // meanwhile. Scale-down retires workers cooperatively: each finishes (or
-  // hands back) its current batch, frees its replica's memory and exits;
-  // no admitted request is dropped. `target` must be in
-  // [1, max(registered replicas, ServerOptions::max_replicas)]; calls on a
-  // stopped or failed shard — or before start() / after stop() entirely —
-  // are no-ops, never errors: the autoscaler's policy thread may tick
-  // concurrently with stop(), and a decision landing after listener close
-  // must not scale a draining shard (or terminate the process from a
-  // thread it cannot throw out of). Thread-safe, including concurrent
-  // calls (the autoscaler in serve/autoscaler.h drives this).
-  void set_replicas(const std::string& model_id, int target);
 
   // Resolves a model id once; infer(handle, ...) routes without a registry
   // lookup. Throws for unknown ids.
@@ -229,9 +206,7 @@ class BatchingServer {
     std::uint64_t restores = 0;     // successful backoff rebuilds
     int replicas_quarantined = 0;   // gauge: currently restoring
     int replicas_dead = 0;          // replicas whose restores were exhausted
-    // Runtime scaling (set_replicas / the autoscaler policy inputs).
-    std::uint64_t scale_ups = 0;    // workers spawned by set_replicas
-    std::uint64_t scale_downs = 0;  // workers retired by set_replicas
+    // Load gauges.
     std::int64_t queue_depth = 0;   // gauge: requests queued right now
     int replicas_active = 0;        // gauge: serving-capable workers now
     // p99 of the per-batch flush wait (the oldest popped request's queueing
@@ -257,10 +232,7 @@ class BatchingServer {
 
   ServerOptions options_;
   std::vector<std::shared_ptr<detail::Shard>> shards_;
-  // Atomic: set_replicas may be called from the autoscaler's policy thread
-  // concurrently with stop() on the control thread; it reads this flag as
-  // its first gate (and must see a torn-free value, not race UB).
-  std::atomic<bool> started_{false};
+  bool started_ = false;
 };
 
 }  // namespace serve

@@ -16,12 +16,16 @@
 //  * ServeRobustness.*   — the serving failure paths: replica quarantine +
 //    backoff restore with bit-identical recovery, shard failure only when
 //    every replica is dead, load shedding, request deadlines, stale
-//    handles, warmup failures, deadline-bounded drain, and a thread-pool
-//    submission fault on pooled replicas.
+//    handles, warmup failures, deadline-bounded drain, a thread-pool
+//    submission fault on pooled replicas, dead replicas refilled on
+//    restart (a failed shard gets every replica rebuilt), and a seeded
+//    lifecycle schedule (mixed requests, injected forward faults,
+//    stop/start cycles) checked against its invariants.
 #include <dirent.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -636,6 +640,21 @@ class ServeRobustnessTest : public ::testing::Test {
     }
     return predicate();
   }
+
+  // Serial single-sample forwards of `graph`, one per sample: the bits
+  // every request the server completes with kOk must reproduce.
+  static std::vector<Tensor> serial_logits(runtime::CompiledGraph& graph,
+                                           const Tensor& samples) {
+    const std::int64_t sample_numel = kChannels * kSide * kSide;
+    std::vector<Tensor> logits;
+    for (std::int64_t s = 0; s < samples.shape()[0]; ++s) {
+      Tensor one({1, kChannels, kSide, kSide});
+      std::memcpy(one.data(), samples.data() + s * sample_numel,
+                  static_cast<std::size_t>(sample_numel) * sizeof(float));
+      logits.push_back(graph.forward(one));
+    }
+    return logits;
+  }
 };
 
 TEST_F(ServeRobustnessTest, QuarantinedReplicaRecoversWhileSiblingsServe) {
@@ -648,13 +667,7 @@ TEST_F(ServeRobustnessTest, QuarantinedReplicaRecoversWhileSiblingsServe) {
   const std::int64_t sample_numel = kChannels * kSide * kSide;
   Rng rng(8100);
   Tensor samples = random_tensor({8, kChannels, kSide, kSide}, rng);
-  std::vector<Tensor> expected;
-  for (int s = 0; s < 8; ++s) {
-    Tensor one({1, kChannels, kSide, kSide});
-    std::memcpy(one.data(), samples.data() + s * sample_numel,
-                static_cast<std::size_t>(sample_numel) * sizeof(float));
-    expected.push_back(graph.forward(one));
-  }
+  const std::vector<Tensor> expected = serial_logits(graph, samples);
 
   serve::ServerOptions options;
   options.max_batch = 4;
@@ -974,6 +987,280 @@ TEST_F(ServeRobustnessTest, PooledSubmitFaultQuarantinesTheReplica) {
   EXPECT_GE(server.stats("m").quarantines, 1u);
   EXPECT_TRUE(poll([&] { return server.stats("m").restores >= 1; }));
   server.stop();
+}
+
+TEST_F(ServeRobustnessTest, RestartRefillsDeadReplicas) {
+  // A replica whose restores are exhausted dies and frees its slot. The
+  // next start() rebuilds that slot from the restore template, so every
+  // start runs the registered replica count: one replica must not restart
+  // with no worker to serve its queue, and two must not spawn a worker on
+  // the empty slot.
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const std::int64_t sample_numel = kChannels * kSide * kSide;
+  Rng rng(8300);
+  Tensor samples = random_tensor({2, kChannels, kSide, kSide}, rng);
+  const std::vector<Tensor> expected = serial_logits(graph, samples);
+  std::vector<float> logits(static_cast<std::size_t>(expected[0].numel()));
+
+  for (int registered = 1; registered <= 2; ++registered) {
+    SCOPED_TRACE("registered replicas: " + std::to_string(registered));
+    serve::ServerOptions options;
+    options.restore_backoff_us = 100;
+    options.restore_max_attempts = 1;
+    serve::BatchingServer server(options);
+    std::vector<runtime::CompiledGraph> replicas;
+    for (int r = 0; r < registered; ++r) {
+      replicas.push_back(runtime::replicate(graph));
+    }
+    server.add_model("m", std::move(replicas));
+    fail::arm("serve.replica_forward", fail::Policy::kOnce);
+    fail::arm("serve.restore", fail::Policy::kEveryN, 1);
+    server.start();
+
+    // The first forward fails and its replica's only restore fails too. A
+    // lone replica takes the shard down with it; a sibling serves the
+    // requeued request.
+    const serve::ModelHandle handle = server.handle("m");
+    EXPECT_EQ(server.try_infer(handle, samples.data(), logits.data()),
+              registered == 1 ? serve::ServeStatus::kShardFailed
+                              : serve::ServeStatus::kOk);
+    ASSERT_TRUE(poll([&] { return server.stats("m").replicas_dead == 1; }));
+    server.stop();
+
+    // serve.restore stays armed: the restart must not depend on it.
+    server.start();
+    const auto stats = server.stats("m");
+    ASSERT_EQ(stats.replicas_active, registered);
+    EXPECT_EQ(stats.replicas_dead, 0);
+    EXPECT_EQ(server.replica_workspace_bytes("m").size(),
+              static_cast<std::size_t>(registered));
+    for (int s = 0; s < 2; ++s) {
+      ASSERT_EQ(server.try_infer(handle, samples.data() + s * sample_numel,
+                                 logits.data()),
+                serve::ServeStatus::kOk);
+      EXPECT_EQ(std::memcmp(logits.data(),
+                            expected[static_cast<std::size_t>(s)].data(),
+                            logits.size() * sizeof(float)),
+                0)
+          << "sample " << s << " diverged after the restart";
+    }
+    server.stop();
+    fail::disarm_all();
+  }
+}
+
+TEST_F(ServeRobustnessTest, FailedShardRestartsWithEveryReplicaRebuilt) {
+  // Every replica of a 3-replica shard fails its forward and its only
+  // restore, so the shard fails. The next start() rebuilds all three
+  // slots from the restore template, and the rebuilt replicas serve
+  // concurrent producers bit-identically to the serial forward.
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const std::int64_t sample_numel = kChannels * kSide * kSide;
+  constexpr int kSamples = 6;
+  Rng rng(8350);
+  Tensor samples = random_tensor({kSamples, kChannels, kSide, kSide}, rng);
+  const std::vector<Tensor> expected = serial_logits(graph, samples);
+
+  serve::ServerOptions options;
+  options.max_batch = 1;  // one forward per request: every worker serves
+  options.restore_backoff_us = 100;
+  options.restore_max_attempts = 1;
+  serve::BatchingServer server(options);
+  std::vector<runtime::CompiledGraph> replicas;
+  for (int r = 0; r < 3; ++r) replicas.push_back(runtime::replicate(graph));
+  server.add_model("m", std::move(replicas));
+  fail::arm("serve.replica_forward", fail::Policy::kEveryN, 1);
+  fail::arm("serve.restore", fail::Policy::kEveryN, 1);
+  server.start();
+
+  const serve::ModelHandle handle = server.handle("m");
+  std::vector<float> logits(static_cast<std::size_t>(expected[0].numel()));
+  EXPECT_EQ(server.try_infer(handle, samples.data(), logits.data()),
+            serve::ServeStatus::kShardFailed);
+  ASSERT_TRUE(poll([&] { return server.stats("m").replicas_dead == 3; }));
+  EXPECT_EQ(server.stats("m").quarantines, 3u);
+  EXPECT_TRUE(server.replica_workspace_bytes("m").empty());
+  server.stop();
+
+  // Forwards succeed again; serve.restore stays armed, and the restart
+  // must not depend on it.
+  fail::disarm("serve.replica_forward");
+  server.start();
+  const auto stats = server.stats("m");
+  ASSERT_EQ(stats.replicas_active, 3);
+  EXPECT_EQ(stats.replicas_dead, 0);
+  EXPECT_EQ(server.replica_workspace_bytes("m").size(), 3u);
+
+  constexpr int kProducers = 3;
+  constexpr int kIterations = 8;
+  std::atomic<int> failed{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<float> out(static_cast<std::size_t>(expected[0].numel()));
+      for (int i = 0; i < kIterations; ++i) {
+        const int s = (p * 5 + i) % kSamples;
+        if (server.try_infer(handle, samples.data() + s * sample_numel,
+                             out.data()) != serve::ServeStatus::kOk) {
+          ++failed;
+          continue;
+        }
+        if (std::memcmp(out.data(),
+                        expected[static_cast<std::size_t>(s)].data(),
+                        out.size() * sizeof(float)) != 0) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0) << "rebuilt replicas diverged";
+  EXPECT_EQ(server.stats("m").replicas_active, 3);
+  server.stop();
+}
+
+// infer()'s outcome as a status: kOk, or the one its check_error names.
+serve::ServeStatus infer_status(serve::BatchingServer& server,
+                                const serve::ModelHandle& handle,
+                                const float* sample, float* logits) {
+  try {
+    server.infer(handle, sample, logits);
+    return serve::ServeStatus::kOk;
+  } catch (const check_error& error) {
+    const std::string message = error.what();
+    for (const serve::ServeStatus status :
+         {serve::ServeStatus::kTimeout, serve::ServeStatus::kOverloaded,
+          serve::ServeStatus::kShardFailed,
+          serve::ServeStatus::kShuttingDown}) {
+      if (message.find(std::string("status ") +
+                       serve::serve_status_name(status)) !=
+          std::string::npos) {
+        return status;
+      }
+    }
+    throw;
+  }
+}
+
+TEST_F(ServeRobustnessTest, LifecycleInvariantsHoldAcrossRestarts) {
+  // A seeded schedule: four producers mix infer and try_infer (deadlines
+  // -1, 0 and a few hundred µs) against a 2-replica shard whose forward
+  // fails every fifth batch, while the control thread runs two
+  // stop()/start() cycles. Invariants: every call returns, every kOk is
+  // bit-identical to the serial forward, a call begun after stop()
+  // returned never gets kOk before the next start(), and each status's
+  // count matches its ShardStats counter.
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const std::int64_t sample_numel = kChannels * kSide * kSide;
+  constexpr std::uint32_t kSamples = 8;
+  Rng rng(8400);
+  Tensor samples = random_tensor({kSamples, kChannels, kSide, kSide}, rng);
+  const std::vector<Tensor> expected = serial_logits(graph, samples);
+
+  serve::ServerOptions options;
+  options.max_batch = 2;
+  options.queue_capacity = 2;  // fewer slots than producers: shedding occurs
+  options.shed_overload = true;
+  options.restore_backoff_us = 200;
+  serve::BatchingServer server(options);
+  std::vector<runtime::CompiledGraph> replicas;
+  replicas.push_back(runtime::replicate(graph));
+  replicas.push_back(runtime::replicate(graph));
+  server.add_model("m", std::move(replicas));
+  fail::arm("serve.replica_forward", fail::Policy::kEveryN, 5);
+  server.start();
+
+  // Odd while stopped: bumped once stop() has returned and again just
+  // before start() is called.
+  std::atomic<int> phase{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> finished{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> ok_while_stopped{0};
+  constexpr int kProducers = 4;
+  constexpr std::size_t kStatuses = 5;
+  std::vector<std::array<std::uint64_t, kStatuses>> outcomes(
+      kProducers, std::array<std::uint64_t, kStatuses>{});
+  const serve::ModelHandle handle = server.handle("m");
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Rng choice(8500 + static_cast<std::uint64_t>(p));
+      std::vector<float> logits(
+          static_cast<std::size_t>(expected[0].numel()));
+      while (!done.load()) {
+        const std::uint32_t s = choice.uniform_int(kSamples);
+        const float* sample = samples.data() + s * sample_numel;
+        const int began = phase.load();
+        serve::ServeStatus status;
+        switch (choice.uniform_int(4)) {
+          case 0:
+            status = infer_status(server, handle, sample, logits.data());
+            break;
+          case 1:
+            status = server.try_infer(handle, sample, logits.data());
+            break;
+          case 2:
+            status = server.try_infer(handle, sample, logits.data(),
+                                      /*deadline_us=*/0);
+            break;
+          default:
+            status = server.try_infer(handle, sample, logits.data(),
+                                      1 + choice.uniform_int(500));
+            break;
+        }
+        ++outcomes[static_cast<std::size_t>(p)]
+                  [static_cast<std::size_t>(status)];
+        if (status != serve::ServeStatus::kOk) continue;
+        if (began % 2 == 1 && phase.load() == began) ++ok_while_stopped;
+        if (std::memcmp(logits.data(), expected[s].data(),
+                        logits.size() * sizeof(float)) != 0) {
+          ++mismatches;
+        }
+      }
+      ++finished;
+    });
+  }
+
+  const auto pause = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  };
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    pause();
+    server.stop();
+    ++phase;
+    pause();
+    ++phase;
+    server.start();
+  }
+  pause();
+  done.store(true);
+  EXPECT_TRUE(poll([&] { return finished.load() == kProducers; }))
+      << "a call never returned";
+  server.stop();  // releases any call still waiting, so the joins finish
+  for (std::thread& producer : producers) producer.join();
+
+  std::array<std::uint64_t, kStatuses> total{};
+  for (const auto& counts : outcomes) {
+    for (std::size_t i = 0; i < kStatuses; ++i) total[i] += counts[i];
+  }
+  const auto count = [&](serve::ServeStatus status) {
+    return total[static_cast<std::size_t>(status)];
+  };
+  const auto stats = server.stats("m");
+  EXPECT_EQ(mismatches.load(), 0u) << "served bits diverged";
+  EXPECT_EQ(ok_while_stopped.load(), 0u) << "kOk from a stopped server";
+  EXPECT_EQ(count(serve::ServeStatus::kTimeout), stats.timed_out);
+  EXPECT_EQ(count(serve::ServeStatus::kOverloaded), stats.shed);
+  EXPECT_EQ(count(serve::ServeStatus::kShuttingDown) +
+                count(serve::ServeStatus::kShardFailed),
+            stats.rejected);
+  // The schedule exercised what it claims to.
+  EXPECT_GT(count(serve::ServeStatus::kOk), 0u);
+  EXPECT_GT(count(serve::ServeStatus::kShuttingDown), 0u);
+  EXPECT_GE(stats.quarantines, 1u);
 }
 
 #endif  // CSQ_FAILPOINTS_ENABLED

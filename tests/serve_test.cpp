@@ -8,6 +8,8 @@
 //  * N-producer concurrency stress with per-request result verification
 //    against precomputed single-sample forwards (serial and pooled
 //    replicas);
+//  * a fixed replica count per shard across start/stop cycles, and
+//    registration errors raised by the registering call;
 //  * flush-policy edge cases: batch of 1, exactly max-batch, timer-driven
 //    flushes;
 //  * zero steady-state heap allocations on the request path under 4
@@ -372,6 +374,68 @@ TEST(BatchingServer, RoutesRequestsAcrossModels) {
   EXPECT_EQ(server.stats("model_b").requests, 20u);
   EXPECT_THROW(server.handle("model_c"), check_error);
   server.stop();
+}
+
+TEST(BatchingServer, ReplicaCountIsFixedAtRegistration) {
+  // A shard runs exactly the replicas add_model registered: no workers
+  // before start() or after stop(), and the full count on every start.
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  ExpectedSet expected = make_expected(graph, 6, 7350);
+
+  serve::ServerOptions options;
+  options.max_batch = 2;
+  serve::BatchingServer server(options);
+  std::vector<runtime::CompiledGraph> replicas;
+  for (int r = 0; r < 3; ++r) replicas.push_back(runtime::replicate(graph));
+  server.add_model("m", std::move(replicas));
+  EXPECT_EQ(server.stats("m").replicas_active, 0);
+  EXPECT_EQ(server.replica_workspace_bytes("m").size(), 3u);
+
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    server.start();
+    EXPECT_EQ(server.stats("m").replicas_active, 3);
+    EXPECT_EQ(run_producers(server, "m", expected, /*producers=*/4,
+                            /*iterations=*/6),
+              0u);
+    EXPECT_EQ(server.stats("m").replicas_active, 3);
+    server.stop();
+    EXPECT_EQ(server.stats("m").replicas_active, 0);
+    server.stop();  // idempotent
+  }
+  EXPECT_EQ(server.replica_workspace_bytes("m").size(), 3u);
+}
+
+TEST(BatchingServer, RegistrationRejectsInvalidModels) {
+  // Caller errors surface from the registering call, never from a worker.
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const std::string path = temp_path("registration");
+  ASSERT_TRUE(runtime::save_graph(path, graph));
+
+  serve::BatchingServer server;
+  EXPECT_THROW(server.start(), check_error);  // nothing registered
+  EXPECT_THROW(server.add_model("empty", {}), check_error);
+  EXPECT_THROW(server.add_model_from_artifact("none", path, /*replicas=*/0),
+               check_error);
+  std::vector<runtime::CompiledGraph> replicas;
+  replicas.push_back(runtime::replicate(graph));
+  server.add_model("m", std::move(replicas));
+  std::vector<runtime::CompiledGraph> duplicate;
+  duplicate.push_back(runtime::replicate(graph));
+  EXPECT_THROW(server.add_model("m", std::move(duplicate)), check_error);
+  EXPECT_THROW(server.stats("ghost"), check_error);
+  EXPECT_THROW(server.handle("ghost"), check_error);
+  EXPECT_THROW(server.replica_workspace_bytes("ghost"), check_error);
+
+  server.start();
+  EXPECT_THROW(server.start(), check_error);
+  std::vector<runtime::CompiledGraph> late;
+  late.push_back(runtime::replicate(graph));
+  EXPECT_THROW(server.add_model("late", std::move(late)), check_error);
+  // The rejected calls left the registered shard as it was.
+  EXPECT_EQ(server.stats("m").replicas_active, 1);
+  server.stop();
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- flush policy ----

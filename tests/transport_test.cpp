@@ -5,11 +5,6 @@
 //    round trips bit-identical to in-process infer, concurrent clients,
 //    malformed/oversized/bad-deadline frames, listener-first graceful
 //    drain, and the transport.{accept,read,write} failpoints;
-//  * ReplicaScaling.* — BatchingServer::set_replicas: runtime scale-up
-//    (bootstrapped from the restore template, bit-identical results) and
-//    cooperative scale-down with no dropped requests;
-//  * Autoscaler.*   — the queue-driven policy loop: replicas climb under
-//    sustained backlog and fall back to the floor when idle;
 //  * MmapArtifact.* — load_graph_mmap: borrowed weight pages, forwards
 //    bit-identical to load_graph, replicas sharing one mapping, save_graph
 //    rejecting borrowed programs, and pre-v5 artifacts rejected cleanly.
@@ -32,7 +27,6 @@
 #include "runtime/compiled_graph.h"
 #include "runtime/graph_artifact.h"
 #include "runtime/packed_weights.h"
-#include "serve/autoscaler.h"
 #include "serve/batching_server.h"
 #include "serve/transport.h"
 #include "test_helpers.h"
@@ -442,186 +436,6 @@ TEST_F(TransportFailpointTest, InjectedFaultsDropOnlyTheAffectedConnection) {
 }
 
 #endif  // CSQ_FAILPOINTS_ENABLED
-
-// --------------------------------------------------------- replica scaling --
-
-TEST(ReplicaScaling, ScaleUpBootstrapsBitIdenticalReplicas) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  Rng rng(9200);
-  Tensor samples = random_tensor({8, kChannels, kSide, kSide}, rng);
-  const std::vector<Tensor> expected = single_sample_oracle(graph, samples);
-
-  serve::ServerOptions options;
-  options.max_replicas = 3;
-  serve::BatchingServer server(options);
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(std::move(graph));
-  server.add_model("m", std::move(replicas));
-  server.start();
-  EXPECT_EQ(server.stats("m").replicas_active, 1);
-
-  server.set_replicas("m", 3);
-  ASSERT_TRUE(poll([&] { return server.stats("m").replicas_active == 3; }));
-  EXPECT_EQ(server.stats("m").scale_ups, 2u);
-
-  // Scaled-up replicas serve bit-identically (they are restore-template
-  // rebuilds of the same program).
-  const serve::ModelHandle handle = server.handle("m");
-  std::vector<float> logits(10);
-  for (int s = 0; s < 8; ++s) {
-    ASSERT_EQ(server.try_infer(handle, samples.data() + s * kSampleNumel,
-                               logits.data()),
-              serve::ServeStatus::kOk);
-    expect_bit_identical(expected[static_cast<std::size_t>(s)],
-                         logits.data(), "post-scale-up");
-  }
-
-  // Cooperative scale-down: workers retire between batches; capacity
-  // settles at the new target and requests keep succeeding.
-  server.set_replicas("m", 1);
-  ASSERT_TRUE(poll([&] { return server.stats("m").replicas_active == 1; }));
-  EXPECT_EQ(server.stats("m").scale_downs, 2u);
-  ASSERT_EQ(server.try_infer(handle, samples.data(), logits.data()),
-            serve::ServeStatus::kOk);
-  expect_bit_identical(expected[0], logits.data(), "post-scale-down");
-
-  server.stop();
-}
-
-TEST(ReplicaScaling, TargetsOutsideTheSlotRangeAreRejected) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  serve::ServerOptions options;
-  options.max_replicas = 2;
-  serve::BatchingServer server(options);
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(std::move(graph));
-  server.add_model("m", std::move(replicas));
-  server.start();
-  EXPECT_THROW(server.set_replicas("m", 0), check_error);
-  EXPECT_THROW(server.set_replicas("m", 3), check_error);
-  EXPECT_THROW(server.set_replicas("ghost", 1), check_error);
-  // A no-op target is accepted and changes nothing.
-  server.set_replicas("m", 1);
-  EXPECT_EQ(server.stats("m").replicas_active, 1);
-  server.stop();
-}
-
-TEST(ReplicaScaling, SetReplicasOutsideTheLifecycleIsANoOp) {
-  // Lifecycle races are no-ops, never CHECKs: the autoscaler's policy
-  // thread may tick concurrently with stop(), and a throw there cannot
-  // propagate — it would std::terminate the process. Argument validation
-  // still throws regardless of lifecycle state (caller bugs, not races).
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  serve::ServerOptions options;
-  options.max_replicas = 2;
-  serve::BatchingServer server(options);
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(std::move(graph));
-  server.add_model("m", std::move(replicas));
-
-  server.set_replicas("m", 2);  // before start: accepted, no effect
-  EXPECT_THROW(server.set_replicas("ghost", 1), check_error);
-  EXPECT_THROW(server.set_replicas("m", 0), check_error);
-  EXPECT_EQ(server.stats("m").replicas_active, 0);
-
-  server.start();
-  EXPECT_EQ(server.stats("m").replicas_active, 1);
-  server.stop();
-
-  server.set_replicas("m", 2);  // after stop: accepted, no effect
-  EXPECT_EQ(server.stats("m").replicas_active, 0);
-}
-
-TEST(Autoscaler, TicksAcrossServerStopAreHarmless) {
-  // Shutdown-ordering pin (runs under the tsan preset): stopping the
-  // SERVER first leaves the autoscaler ticking against a stopped server.
-  // Every tick it lands — including one mid-stop — must no-op instead of
-  // crashing the policy thread.
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  serve::ServerOptions server_options;
-  server_options.max_replicas = 2;
-  serve::BatchingServer server(server_options);
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(std::move(graph));
-  server.add_model("m", std::move(replicas));
-  server.start();
-
-  serve::AutoscalerOptions policy;
-  policy.interval_us = 200;  // tick as fast as possible across the stop
-  policy.min_replicas = 1;
-  policy.max_replicas = 2;
-  policy.down_idle_ticks = 1;  // every idle tick proposes a target change
-  policy.cooldown_ticks = 0;
-  serve::ReplicaAutoscaler autoscaler(server, "m", policy);
-  autoscaler.start();
-
-  // Force targets above the floor so the idle policy keeps proposing
-  // scale-downs — ticks that call set_replicas, not just observe.
-  server.set_replicas("m", 2);
-  server.stop();
-  // Let ticks land on the stopped server before the autoscaler goes away.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  autoscaler.stop();
-
-  // And the reverse order on a fresh cycle still works.
-  server.start();
-  serve::ReplicaAutoscaler late(server, "m", policy);
-  late.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  late.stop();
-  server.stop();
-}
-
-TEST(Autoscaler, ReplicasFollowOfferedLoad) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  serve::ServerOptions server_options;
-  server_options.max_batch = 1;  // one forward per request: easy backlog
-  server_options.max_replicas = 3;
-  serve::BatchingServer server(server_options);
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(std::move(graph));
-  server.add_model("m", std::move(replicas));
-  server.start();
-
-  serve::AutoscalerOptions policy;
-  policy.interval_us = 2'000;
-  policy.min_replicas = 1;
-  policy.max_replicas = 3;
-  policy.up_queue_depth = 2;
-  policy.up_ticks = 2;
-  policy.down_idle_ticks = 5;
-  policy.cooldown_ticks = 1;
-  serve::ReplicaAutoscaler autoscaler(server, "m", policy);
-  autoscaler.start();
-
-  // Sustained backlog from more producers than one replica can absorb.
-  const serve::ModelHandle handle = server.handle("m");
-  std::atomic<bool> load{true};
-  std::vector<float> sample(static_cast<std::size_t>(kSampleNumel), 0.1f);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 6; ++p) {
-    producers.emplace_back([&] {
-      std::vector<float> logits(10);
-      while (load.load()) {
-        server.try_infer(handle, sample.data(), logits.data());
-      }
-    });
-  }
-  EXPECT_TRUE(poll([&] { return server.stats("m").replicas_active >= 2; }))
-      << "no scale-up under sustained backlog";
-
-  // Load stops; the policy walks the count back down to the floor.
-  load.store(false);
-  for (std::thread& producer : producers) producer.join();
-  EXPECT_TRUE(poll([&] { return server.stats("m").replicas_active == 1; }))
-      << "no scale-down when idle";
-  const auto stats = autoscaler.stats();
-  EXPECT_GE(stats.scale_ups, 1u);
-  EXPECT_GE(stats.scale_downs, 1u);
-
-  autoscaler.stop();
-  server.stop();
-}
 
 // ----------------------------------------------------------- mmap loading --
 
