@@ -47,14 +47,9 @@ class GraphLowering {
   // An activation quantizer with the given bit width and clip range: the
   // produced edge carries values in [0, clip] on a 2^bits - 1 step grid.
   virtual void lower_act_quant(int bits, float clip) = 0;
-  // Spatial pooling over Pool2dConfig windows (nn/pooling.h): independent
-  // kernel_h/kernel_w, stride and padding. Max pooling treats padded taps
-  // as -inf; average pooling counts them as zeros over a fixed
-  // kernel_h*kernel_w divisor when count_include_pad, and divides each
-  // window by its valid-tap count otherwise.
+  // Max pooling over Pool2dConfig windows (nn/pooling.h): independent
+  // kernel_h/kernel_w, stride and padding; padded taps are -inf.
   virtual void lower_maxpool(const Pool2dConfig& config) = 0;
-  virtual void lower_avgpool(const Pool2dConfig& config,
-                             bool count_include_pad) = 0;
   virtual void lower_global_avg_pool() = 0;
   virtual void lower_flatten() = 0;
 

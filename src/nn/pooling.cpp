@@ -21,31 +21,11 @@ void MaxPool2d::lower(GraphLowering& lowering) {
   lowering.lower_maxpool(config_);
 }
 
-void AvgPool2d::lower(GraphLowering& lowering) {
-  lowering.lower_avgpool(config_, count_include_pad_);
-}
-
 void GlobalAvgPool::lower(GraphLowering& lowering) {
   lowering.lower_global_avg_pool();
 }
 
 void Flatten::lower(GraphLowering& lowering) { lowering.lower_flatten(); }
-
-namespace {
-
-// Shared geometry check for the pooling forwards: (B,C,H,W) input and a
-// positive output grid.
-void check_pool_input(const char* kind, const std::string& name,
-                      const Tensor& input, const Pool2dConfig& config) {
-  CSQ_CHECK(input.ndim() == 4) << kind << " expects (B,C,H,W)";
-  CSQ_CHECK(config.out_h(input.dim(2)) >= 1 &&
-            config.out_w(input.dim(3)) >= 1)
-      << kind << " " << name << ": input " << input.shape_string()
-      << " smaller than the " << config.kernel_h << "x" << config.kernel_w
-      << " window";
-}
-
-}  // namespace
 
 MaxPool2d::MaxPool2d(const std::string& name, std::int64_t kernel)
     : MaxPool2d(name, Pool2dConfig::square(kernel)) {}
@@ -57,7 +37,12 @@ MaxPool2d::MaxPool2d(const std::string& name, const Pool2dConfig& config)
 }
 
 Tensor MaxPool2d::forward(const Tensor& input, bool training) {
-  check_pool_input("maxpool", name(), input, config_);
+  CSQ_CHECK(input.ndim() == 4) << "maxpool expects (B,C,H,W)";
+  CSQ_CHECK(config_.out_h(input.dim(2)) >= 1 &&
+            config_.out_w(input.dim(3)) >= 1)
+      << "maxpool " << name() << ": input " << input.shape_string()
+      << " smaller than the " << config_.kernel_h << "x" << config_.kernel_w
+      << " window";
   const std::int64_t batch = input.dim(0);
   const std::int64_t channels = input.dim(1);
   const std::int64_t height = input.dim(2);
@@ -125,108 +110,6 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
     gi[cached_argmax_[static_cast<std::size_t>(i)]] += go[i];
   }
   cached_argmax_.clear();
-  return grad_input;
-}
-
-AvgPool2d::AvgPool2d(const std::string& name, const Pool2dConfig& config,
-                     bool count_include_pad)
-    : config_(config), count_include_pad_(count_include_pad) {
-  config_.validate(name.c_str());
-  set_name(name);
-}
-
-Tensor AvgPool2d::forward(const Tensor& input, bool training) {
-  check_pool_input("avgpool", name(), input, config_);
-  const std::int64_t batch = input.dim(0);
-  const std::int64_t channels = input.dim(1);
-  const std::int64_t height = input.dim(2);
-  const std::int64_t width = input.dim(3);
-  const std::int64_t out_h = config_.out_h(height);
-  const std::int64_t out_w = config_.out_w(width);
-  const float inv_window =
-      1.0f / static_cast<float>(config_.kernel_h * config_.kernel_w);
-
-  Tensor output({batch, channels, out_h, out_w});
-  const float* in = input.data();
-  float* out = output.data();
-
-  std::int64_t out_index = 0;
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = in + (b * channels + c) * height * width;
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox, ++out_index) {
-          // Padded taps contribute zero; the divisor is kernel_h*kernel_w
-          // (count_include_pad) or the window's valid-tap count.
-          std::int64_t y0, y1, x0, x1;
-          config_.window(oy, config_.kernel_h, height, y0, y1);
-          config_.window(ox, config_.kernel_w, width, x0, x1);
-          float acc = 0.0f;
-          for (std::int64_t iy = y0; iy < y1; ++iy) {
-            for (std::int64_t ix = x0; ix < x1; ++ix) {
-              acc += plane[iy * width + ix];
-            }
-          }
-          out[out_index] =
-              count_include_pad_
-                  ? acc * inv_window
-                  : acc / static_cast<float>((y1 - y0) * (x1 - x0));
-        }
-      }
-    }
-  }
-
-  if (training) {
-    cached_input_shape_ = input.shape();
-  } else {
-    cached_input_shape_.clear();
-  }
-  return output;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  CSQ_CHECK(!cached_input_shape_.empty())
-      << "avgpool " << name() << ": backward without training forward";
-  const std::int64_t batch = cached_input_shape_[0];
-  const std::int64_t channels = cached_input_shape_[1];
-  const std::int64_t height = cached_input_shape_[2];
-  const std::int64_t width = cached_input_shape_[3];
-  const std::int64_t out_h = config_.out_h(height);
-  const std::int64_t out_w = config_.out_w(width);
-  CSQ_CHECK(grad_output.ndim() == 4 && grad_output.dim(0) == batch &&
-            grad_output.dim(1) == channels && grad_output.dim(2) == out_h &&
-            grad_output.dim(3) == out_w)
-      << "avgpool " << name() << ": grad shape mismatch";
-  const float inv_window =
-      1.0f / static_cast<float>(config_.kernel_h * config_.kernel_w);
-
-  Tensor grad_input(cached_input_shape_);
-  float* gi = grad_input.data();
-  const float* go = grad_output.data();
-  std::int64_t out_index = 0;
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      float* plane = gi + (b * channels + c) * height * width;
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox, ++out_index) {
-          std::int64_t y0, y1, x0, x1;
-          config_.window(oy, config_.kernel_h, height, y0, y1);
-          config_.window(ox, config_.kernel_w, width, x0, x1);
-          const float value =
-              count_include_pad_
-                  ? go[out_index] * inv_window
-                  : go[out_index] /
-                        static_cast<float>((y1 - y0) * (x1 - x0));
-          for (std::int64_t iy = y0; iy < y1; ++iy) {
-            for (std::int64_t ix = x0; ix < x1; ++ix) {
-              plane[iy * width + ix] += value;
-            }
-          }
-        }
-      }
-    }
-  }
-  cached_input_shape_.clear();
   return grad_input;
 }
 

@@ -1,6 +1,6 @@
-// Pooling and shape modules: max/average pooling with independent kernel,
-// stride and padding (non-square kernels, non-tiling maps), global average
-// pooling (ResNet/VGG heads) and flatten.
+// Pooling and shape modules: max pooling with independent kernel, stride
+// and padding (non-square kernels, non-tiling maps), global average pooling
+// (ResNet/VGG heads) and flatten.
 #pragma once
 
 #include <vector>
@@ -9,14 +9,10 @@
 
 namespace csq {
 
-// Window geometry shared by the spatial pooling modules. Output extents use
-// floor division — windows may overlap (stride < kernel) or drop trailing
-// rows/columns (non-tiling maps). Padding is implicit: max pooling treats
-// padded taps as -inf (they are never selected), average pooling counts them
-// as zeros with a FIXED kernel_h*kernel_w divisor by default
-// (count_include_pad) — the form whose 1/(kh*kw) folds exactly into the
-// integer runtime's requantization — or divides by the per-window valid-tap
-// count when AvgPool2d's count_include_pad flag is off.
+// Window geometry of max pooling. Output extents use floor division —
+// windows may overlap (stride < kernel) or drop trailing rows/columns
+// (non-tiling maps). Padding is implicit: padded taps are -inf, so they are
+// never selected.
 struct Pool2dConfig {
   std::int64_t kernel_h = 2;
   std::int64_t kernel_w = 2;
@@ -33,8 +29,8 @@ struct Pool2dConfig {
   // In-bounds taps [lo, hi) of the window at `out_pos` along one axis
   // (`kernel` is kernel_h or kernel_w, `extent` the matching input size);
   // positions outside [lo, hi) are the implicit padding. The ONE copy of
-  // the boundary arithmetic both the float modules and the integer
-  // runtime's pool ops use.
+  // the boundary arithmetic both MaxPool2d and the integer runtime's pool
+  // op use.
   void window(std::int64_t out_pos, std::int64_t kernel, std::int64_t extent,
               std::int64_t& lo, std::int64_t& hi) const {
     lo = out_pos * stride - pad;
@@ -68,29 +64,6 @@ class MaxPool2d final : public Module {
  private:
   Pool2dConfig config_;
   std::vector<std::int64_t> cached_argmax_;  // flat input index per output
-  std::vector<std::int64_t> cached_input_shape_;
-};
-
-// Average pooling over Pool2dConfig windows. With count_include_pad (the
-// default) padding contributes zeros over a fixed kh*kw divisor; with it
-// off, each window divides by its valid-tap count — border windows average
-// only the real inputs (the integer runtime carries the matching
-// per-position divisors through requantization).
-class AvgPool2d final : public Module {
- public:
-  AvgPool2d(const std::string& name, const Pool2dConfig& config,
-            bool count_include_pad = true);
-
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  const char* kind() const override { return "avgpool2d"; }
-  void lower(GraphLowering& lowering) override;
-  const Pool2dConfig& config() const { return config_; }
-  bool count_include_pad() const { return count_include_pad_; }
-
- private:
-  Pool2dConfig config_;
-  bool count_include_pad_ = true;
   std::vector<std::int64_t> cached_input_shape_;
 };
 

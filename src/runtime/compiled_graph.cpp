@@ -643,153 +643,6 @@ class MaxPoolOp final : public Op {
   Pool2dConfig config_;
 };
 
-// Average pooling: exact int32 window sums (padded taps contribute the
-// input edge's zero-point code — the code of real zero), then one
-// requantization back to uint8 with the fixed 1/(kernel_h*kernel_w)
-// divisor folded into the scale. The divisor never touches the integer
-// sum, so no precision is lost to a pool-time integer division.
-class AvgPoolOp final : public Op {
- public:
-  AvgPoolOp(int in_edge, int sum_edge, int out_edge,
-            const Pool2dConfig& config, bool exclude_pad)
-      : in_edge_(in_edge),
-        sum_edge_(sum_edge),
-        out_edge_(out_edge),
-        config_(config),
-        exclude_pad_(exclude_pad) {}
-
-  void finalize(CompiledGraph::Impl& g) override {
-    const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    const EdgeData& out = g.edges[static_cast<std::size_t>(out_edge_)];
-    const auto window =
-        static_cast<float>(config_.kernel_h * config_.kernel_w);
-    // real mean = in.scale * (sum / divisor - in.zp); code = real/out.scale
-    // + out.zp. Derived edges (out == in scale/zp) reduce to sum/divisor.
-    // The zero-point term is divisor-free (each window's mean of a constant
-    // in.zp is in.zp), so add_ is shared by both divisor policies.
-    mul_ = in.scale / (out.scale * window);
-    add_ = static_cast<float>(out.zero_point) -
-           in.scale * static_cast<float>(in.zero_point) / out.scale;
-    if (exclude_pad_) {
-      // Per-position divisors: border windows divide by their valid-tap
-      // count. Geometry is static, so the constants resolve once here.
-      mul_per_pos_.resize(
-          static_cast<std::size_t>(out.height * out.width));
-      for (std::int64_t oy = 0; oy < out.height; ++oy) {
-        for (std::int64_t ox = 0; ox < out.width; ++ox) {
-          std::int64_t y0, y1, x0, x1;
-          config_.window(oy, config_.kernel_h, in.height, y0, y1);
-          config_.window(ox, config_.kernel_w, in.width, x0, x1);
-          mul_per_pos_[static_cast<std::size_t>(oy * out.width + ox)] =
-              in.scale /
-              (out.scale * static_cast<float>((y1 - y0) * (x1 - x0)));
-        }
-      }
-    }
-  }
-
-  void run_int(CompiledGraph::Impl& g) override {
-    const EdgeData& in_e = g.edges[static_cast<std::size_t>(in_edge_)];
-    const EdgeData& out_e = g.edges[static_cast<std::size_t>(out_edge_)];
-    const std::uint8_t* in = g.u8(in_edge_);
-    std::int32_t* sums = g.i32(sum_edge_);
-    std::uint8_t* out = g.u8(out_edge_);
-    const std::int32_t pad_code = in_e.zero_point;
-    const float levels = out_e.levels;
-    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
-      const std::uint8_t* src = in + b * in_e.per_sample();
-      std::int32_t* sum = sums + b * out_e.per_sample();
-      std::uint8_t* dst = out + b * out_e.per_sample();
-      const std::int64_t spatial = out_e.height * out_e.width;
-      std::int64_t index = 0;
-      for (std::int64_t ch = 0; ch < in_e.channels; ++ch) {
-        const std::uint8_t* plane = src + ch * in_e.height * in_e.width;
-        for (std::int64_t oy = 0; oy < out_e.height; ++oy) {
-          for (std::int64_t ox = 0; ox < out_e.width; ++ox, ++index) {
-            std::int64_t y0, y1, x0, x1;
-            config_.window(oy, config_.kernel_h, in_e.height, y0, y1);
-            config_.window(ox, config_.kernel_w, in_e.width, x0, x1);
-            std::int32_t acc = 0;
-            for (std::int64_t iy = y0; iy < y1; ++iy) {
-              for (std::int64_t ix = x0; ix < x1; ++ix) {
-                acc += plane[iy * in_e.width + ix];
-              }
-            }
-            if (!exclude_pad_) {
-              // count_include_pad: out-of-bounds taps carry the zero-point
-              // code (real zero), keeping the divisor fixed at kh*kw.
-              const std::int64_t covered = (y1 - y0) * (x1 - x0);
-              acc += pad_code *
-                     static_cast<std::int32_t>(
-                         config_.kernel_h * config_.kernel_w - covered);
-            }
-            sum[index] = acc;
-          }
-        }
-      }
-      if (exclude_pad_) {
-        // Per-position divisor: requantize scalar-wise with the window's
-        // own multiplier (shared across channels for each spatial cell).
-        const float* mul_pos = mul_per_pos_.data();
-        for (std::int64_t p = 0; p < out_e.per_sample(); ++p) {
-          dst[p] = round_clamp_code(
-              mul_pos[p % spatial] * static_cast<float>(sum[p]) + add_,
-              levels);
-        }
-      } else {
-        requant_span<NoSkip>(sum, nullptr, dst, out_e.per_sample(), mul_,
-                             0.0f, add_, levels);
-      }
-    });
-  }
-
-  void run_float(CompiledGraph::Impl& g) override {
-    const EdgeData& in_e = g.edges[static_cast<std::size_t>(in_edge_)];
-    const EdgeData& out_e = g.edges[static_cast<std::size_t>(out_edge_)];
-    const float* in = g.f32(in_edge_);
-    float* out = g.f32(out_edge_);
-    const float inv_window =
-        1.0f / static_cast<float>(config_.kernel_h * config_.kernel_w);
-    for (std::int64_t b = 0; b < g.batch; ++b) {
-      const float* src = in + b * in_e.per_sample();
-      float* dst = out + b * out_e.per_sample();
-      std::int64_t index = 0;
-      for (std::int64_t ch = 0; ch < in_e.channels; ++ch) {
-        const float* plane = src + ch * in_e.height * in_e.width;
-        for (std::int64_t oy = 0; oy < out_e.height; ++oy) {
-          for (std::int64_t ox = 0; ox < out_e.width; ++ox, ++index) {
-            std::int64_t y0, y1, x0, x1;
-            config_.window(oy, config_.kernel_h, in_e.height, y0, y1);
-            config_.window(ox, config_.kernel_w, in_e.width, x0, x1);
-            float acc = 0.0f;
-            for (std::int64_t iy = y0; iy < y1; ++iy) {
-              for (std::int64_t ix = x0; ix < x1; ++ix) {
-                acc += plane[iy * in_e.width + ix];
-              }
-            }
-            // Pads contribute zero; exclude_pad divides by the valid-tap
-            // count instead of the fixed window.
-            dst[index] =
-                exclude_pad_
-                    ? acc / static_cast<float>((y1 - y0) * (x1 - x0))
-                    : acc * inv_window;
-          }
-        }
-      }
-    }
-  }
-
- private:
-  int in_edge_;
-  int sum_edge_;
-  int out_edge_;
-  Pool2dConfig config_;
-  bool exclude_pad_;
-  float mul_ = 0.0f;
-  float add_ = 0.0f;
-  std::vector<float> mul_per_pos_;  // exclude_pad: per-spatial-cell divisor
-};
-
 class GlobalAvgPoolOp final : public Op {
  public:
   GlobalAvgPoolOp(int in_edge, int out_edge)
@@ -834,41 +687,6 @@ class GlobalAvgPoolOp final : public Op {
  private:
   int in_edge_;
   int out_edge_;
-};
-
-// -------------------------------------------------------- dequant output --
-
-// Terminates a conv-head (no-Linear) graph: the last realized uint8 edge —
-// a GlobalAvgPool's (C,1,1) feature vector — dequantizes into the float
-// output tensor.
-class DequantOutputOp final : public Op {
- public:
-  explicit DequantOutputOp(int in_edge) : in_edge_(in_edge) {}
-
-  void run_int(CompiledGraph::Impl& g) override {
-    const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    const std::int64_t features = in.per_sample();
-    g.run_output = Tensor::uninitialized({g.batch, features});
-    const std::uint8_t* codes = g.u8(in_edge_);
-    float* out = g.run_output.data();
-    const float scale = in.scale;
-    const float zp = static_cast<float>(in.zero_point);
-    const std::int64_t count = g.batch * features;
-    for (std::int64_t i = 0; i < count; ++i) {
-      out[i] = scale * (static_cast<float>(codes[i]) - zp);
-    }
-  }
-
-  void run_float(CompiledGraph::Impl& g) override {
-    const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    const std::int64_t features = in.per_sample();
-    g.run_output = Tensor::uninitialized({g.batch, features});
-    const float* src = g.f32(in_edge_);
-    std::copy(src, src + g.batch * features, g.run_output.data());
-  }
-
- private:
-  int in_edge_;
 };
 
 // ---------------------------------------------------------------- linear --
@@ -1172,7 +990,7 @@ class GraphBuilder {
     pending_.has_fixed_scale = true;
   }
 
-  void pool(const ProgramInstr& instr, bool is_avg) {
+  void max_pool(const ProgramInstr& instr) {
     const int in = realize();
     const EdgeData in_e = g_.edges[static_cast<std::size_t>(in)];
     Pool2dConfig config;
@@ -1180,7 +998,7 @@ class GraphBuilder {
     config.kernel_w = instr.kernel_w > 0 ? instr.kernel_w : instr.kernel;
     config.stride = instr.stride;
     config.pad = instr.pad;
-    config.validate(is_avg ? "avgpool" : "maxpool");
+    config.validate("maxpool");
     const std::int64_t out_h = config.out_h(in_e.height);
     const std::int64_t out_w = config.out_w(in_e.width);
     CSQ_CHECK(out_h >= 1 && out_w >= 1)
@@ -1189,14 +1007,7 @@ class GraphBuilder {
         << in_e.width << " feature map";
     const int out = new_u8_edge(in_e.channels, out_h, out_w);
     g_.edges[static_cast<std::size_t>(out)].derived_from = in;
-    if (is_avg) {
-      const int sum = new_acc_edge(in_e.channels, out_h, out_w);
-      add_op(std::make_unique<AvgPoolOp>(in, sum, out, config,
-                                         instr.exclude_pad),
-             {in}, {sum, out});
-    } else {
-      add_op(std::make_unique<MaxPoolOp>(in, out, config), {in}, {out});
-    }
+    add_op(std::make_unique<MaxPoolOp>(in, out, config), {in}, {out});
     current_edge_ = out;
   }
 
@@ -1265,18 +1076,9 @@ class GraphBuilder {
   void finish() {
     CSQ_CHECK(residual_stack_.empty())
         << "integer graph: dangling residual frames after the walk";
-    if (g_.out_features == 0) {
-      // Conv-head model: no Linear anywhere — a GlobalAvgPool terminates
-      // the graph and its (C,1,1) codes dequantize into the float output.
-      const int out = realize();
-      const EdgeData& e = g_.edges[static_cast<std::size_t>(out)];
-      CSQ_CHECK(e.height == 1 && e.width == 1)
-          << "integer graph: a model without a Linear head must end in "
-             "GlobalAvgPool (last edge is " << e.height << "x" << e.width
-          << ")";
-      g_.out_features = e.channels;
-      add_op(std::make_unique<DequantOutputOp>(out), {out}, {});
-    }
+    CSQ_CHECK(g_.out_features > 0)
+        << "integer graph: the model needs a Linear head (no Linear layer "
+           "was lowered)";
     CSQ_CHECK(!pending_.active)
         << "integer graph: dangling un-realized ops after the walk";
     plan_slots();
@@ -1683,10 +1485,7 @@ void replay_program(CompiledGraph::Impl& impl, const GraphProgram& program,
         builder.act_quant(instr.act_bits, instr.clip);
         break;
       case ProgramInstr::Kind::kMaxPool:
-        builder.pool(instr, /*is_avg=*/false);
-        break;
-      case ProgramInstr::Kind::kAvgPool:
-        builder.pool(instr, /*is_avg=*/true);
+        builder.max_pool(instr);
         break;
       case ProgramInstr::Kind::kGlobalAvgPool:
         builder.global_avg_pool();

@@ -17,10 +17,10 @@
 //   * max pooling      -> order-preserving max over the uint8 codes
 //     (independent stride/padding; padded taps are skipped, the implicit
 //     -inf);
-//   * average pooling  -> exact int32 window sums with the fixed 1/(kh*kw)
-//     divisor folded into the requantization back to uint8 codes;
-//   * conv-head models -> a GlobalAvgPool with no following Linear
-//     terminates the graph; its codes dequantize into the float output.
+//   * GlobalAvgPool    -> integer rounded mean over each channel's codes;
+//   * Linear head      -> required: the graph's float logits are the last
+//                         Linear's output; a model without one is rejected
+//                         when the graph is built.
 //
 // Execution: `forward` runs the integer path — quantize input once, then
 // uint8 GEMM operands, int32 accumulators and one fused scale/clamp pass per

@@ -29,8 +29,8 @@ namespace {
 
 constexpr char kGraphMagic[4] = {'C', 'S', 'Q', 'G'};
 // The graph section is versioned on its own. save_graph writes v5: the
-// program (instructions carry kernel_w, the resolved kernel_kind and the
-// avg-pool exclude_pad flag), the edge records, a packed-weights section
+// program (instructions carry kernel_w, the resolved kernel_kind and one
+// reserved byte, always 0), the edge records, a packed-weights section
 // (each conv/linear layer's int8 planes + prepacked kernel panels, 64-byte
 // aligned) so load_graph_mmap can borrow weight pages straight from a
 // read-only mapping, and a CRC-32 trailer over every preceding container
@@ -124,7 +124,7 @@ void write_payload(std::ostream& out, const GraphProgram& program,
     write_pod(out, instr.act_bits);
     write_pod(out, instr.clip);
     write_pod(out, instr.kernel_kind);
-    write_pod(out, static_cast<std::uint8_t>(instr.exclude_pad ? 1 : 0));
+    write_pod(out, std::uint8_t{0});  // reserved
     write_float_vector(out, instr.scale);
     write_float_vector(out, instr.shift);
     write_float_vector(out, instr.bias);
@@ -388,7 +388,7 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
   for (std::uint32_t i = 0; i < instr_count; ++i) {
     ProgramInstr instr;
     const auto kind = read_pod<std::uint8_t>(in);
-    CSQ_CHECK(kind <= static_cast<std::uint8_t>(ProgramInstr::Kind::kAvgPool))
+    CSQ_CHECK(kind <= static_cast<std::uint8_t>(ProgramInstr::Kind::kLinear))
         << "graph artifact: unknown instruction kind "
         << static_cast<int>(kind);
     instr.kind = static_cast<ProgramInstr::Kind>(kind);
@@ -400,7 +400,8 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
     instr.act_bits = read_pod<std::int32_t>(in);
     instr.clip = read_pod<float>(in);
     instr.kernel_kind = read_pod<std::int32_t>(in);
-    instr.exclude_pad = read_flag(in);
+    CSQ_CHECK(read_pod<std::uint8_t>(in) == 0)
+        << "graph artifact: nonzero reserved instruction byte";
     instr.scale = read_float_vector(in);
     instr.shift = read_float_vector(in);
     instr.bias = read_float_vector(in);
@@ -418,8 +419,7 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
                           : kernel == WeightKernel::kAuto)
         << "graph artifact: bad kernel kind " << instr.kernel_kind;
     if (instr.kind == ProgramInstr::Kind::kConv ||
-        instr.kind == ProgramInstr::Kind::kMaxPool ||
-        instr.kind == ProgramInstr::Kind::kAvgPool) {
+        instr.kind == ProgramInstr::Kind::kMaxPool) {
       CSQ_CHECK(instr.kernel >= 1 && instr.kernel <= kMaxExtent)
           << "graph artifact: bad kernel extent " << instr.kernel;
       CSQ_CHECK(instr.kernel_w >= 0 && instr.kernel_w <= kMaxExtent)

@@ -79,13 +79,16 @@ class ProgramRecorder final : public GraphLowering {
   }
 
   void lower_maxpool(const Pool2dConfig& config) override {
-    push_pool(ProgramInstr::Kind::kMaxPool, config);
-  }
-
-  void lower_avgpool(const Pool2dConfig& config,
-                     bool count_include_pad) override {
-    push_pool(ProgramInstr::Kind::kAvgPool, config,
-              /*exclude_pad=*/!count_include_pad);
+    ProgramInstr instr;
+    instr.kind = ProgramInstr::Kind::kMaxPool;
+    instr.kernel = config.kernel_h;
+    // kernel_w = 0 encodes a square window; build_graph reads it as
+    // kernel_h.
+    instr.kernel_w =
+        config.kernel_w == config.kernel_h ? 0 : config.kernel_w;
+    instr.stride = config.stride;
+    instr.pad = config.pad;
+    program_.instrs.push_back(std::move(instr));
   }
 
   void lower_global_avg_pool() override {
@@ -108,21 +111,6 @@ class ProgramRecorder final : public GraphLowering {
   void push_simple(ProgramInstr::Kind kind) {
     ProgramInstr instr;
     instr.kind = kind;
-    program_.instrs.push_back(std::move(instr));
-  }
-
-  void push_pool(ProgramInstr::Kind kind, const Pool2dConfig& config,
-                 bool exclude_pad = false) {
-    ProgramInstr instr;
-    instr.kind = kind;
-    instr.kernel = config.kernel_h;
-    // kernel_w = 0 encodes a square window (matches programs loaded from
-    // pre-rectangular artifacts, which carry no width field at all).
-    instr.kernel_w =
-        config.kernel_w == config.kernel_h ? 0 : config.kernel_w;
-    instr.stride = config.stride;
-    instr.pad = config.pad;
-    instr.exclude_pad = exclude_pad;
     program_.instrs.push_back(std::move(instr));
   }
 

@@ -48,7 +48,6 @@ struct ProgramInstr {
     kBeginSkip = 8,
     kEndResidual = 9,
     kLinear = 10,     // layer, bias
-    kAvgPool = 11,    // kernel(_w)/stride/pad; divisor per exclude_pad
   };
 
   Kind kind = Kind::kRelu;
@@ -64,9 +63,6 @@ struct ProgramInstr {
   // before replay, so persisted programs (which always carry it) replay the
   // recorded choice.
   std::int32_t kernel_kind = -1;
-  // avg-pool: divide each window by its valid-tap count instead of the
-  // fixed kh*kw (count_include_pad=false semantics).
-  bool exclude_pad = false;
   std::vector<float> scale;   // batch-norm: per-channel a of a*x + b
   std::vector<float> shift;   // batch-norm: per-channel b
   std::vector<float> bias;    // conv/linear bias (empty = none)

@@ -314,39 +314,35 @@ TEST(MaxPool2d, NonSquareKernel) {
   testing::check_input_gradient(pool, input, rng);
 }
 
-TEST(MaxPool2d, RejectsPaddingNotSmallerThanKernel) {
-  EXPECT_THROW(MaxPool2d("pool", Pool2dConfig{2, 2, 2, 2}), check_error);
-  EXPECT_THROW(AvgPool2d("pool", Pool2dConfig{2, 2, 2, 2}), check_error);
-  EXPECT_THROW(MaxPool2d("pool", Pool2dConfig{2, 2, 0, 0}), check_error);
+TEST(MaxPool2d, PaddedTapsNeverWin) {
+  // Padded taps are -inf, not zero: over an all-negative input each border
+  // window still yields its largest real value.
+  MaxPool2d pool("pool", Pool2dConfig{2, 2, 2, 1});
+  Tensor input = Tensor::from_data({1, 1, 2, 2}, {-8.0f, -4.0f, -2.0f, -6.0f});
+  Tensor out = pool.forward(input, true);
+  EXPECT_EQ(out.shape(), (std::vector<std::int64_t>{1, 1, 2, 2}));
+  EXPECT_FLOAT_EQ(out[0], -8.0f);  // only tap -8 is inside this window
+  EXPECT_FLOAT_EQ(out[1], -4.0f);
+  EXPECT_FLOAT_EQ(out[2], -2.0f);
+  EXPECT_FLOAT_EQ(out[3], -6.0f);
+  Tensor grad = pool.backward(Tensor::full({1, 1, 2, 2}, 1.0f));
+  for (std::int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(grad[i], 1.0f);
 }
 
-TEST(AvgPool2d, ForwardAveragesAndPadCountsAsZero) {
-  // 2x2/s2 tiling window: plain means.
-  AvgPool2d pool("avg", Pool2dConfig{2, 2, 2, 0});
-  Tensor input = Tensor::from_data({1, 1, 2, 4}, {1, 3, 10, 20, 5, 7, 30, 40});
-  Tensor out = pool.forward(input, false);
-  EXPECT_EQ(out.shape(), (std::vector<std::int64_t>{1, 1, 1, 2}));
-  EXPECT_FLOAT_EQ(out[0], 4.0f);
-  EXPECT_FLOAT_EQ(out[1], 25.0f);
-
-  // Padded window: the divisor stays kernel_h*kernel_w and out-of-bounds
-  // taps contribute zero (count_include_pad semantics).
-  AvgPool2d padded("avg_pad", Pool2dConfig{2, 2, 2, 1});
-  Tensor small = Tensor::from_data({1, 1, 2, 2}, {8.0f, 4.0f, 2.0f, 6.0f});
-  Tensor pad_out = padded.forward(small, false);
-  EXPECT_EQ(pad_out.shape(), (std::vector<std::int64_t>{1, 1, 2, 2}));
-  EXPECT_FLOAT_EQ(pad_out[0], 2.0f);  // only tap 8 in a 4-tap window
-  EXPECT_FLOAT_EQ(pad_out[1], 1.0f);
-  EXPECT_FLOAT_EQ(pad_out[3], 1.5f);
-}
-
-TEST(AvgPool2d, OverlappingStrideGradient) {
-  AvgPool2d pool("avg", Pool2dConfig{3, 3, 2, 1});
+TEST(MaxPool2d, OverlappingStrideOneGradient) {
+  // Stride-1 3x3 windows overlap, so one input can be the argmax of several
+  // windows and its gradient must sum over them.
+  MaxPool2d pool("pool", Pool2dConfig{3, 3, 1, 1});
   Rng rng(303);
   Tensor input = testing::random_tensor({2, 2, 5, 5}, rng);
   Tensor out = pool.forward(input, true);
-  EXPECT_EQ(out.shape(), (std::vector<std::int64_t>{2, 2, 3, 3}));
+  EXPECT_EQ(out.shape(), (std::vector<std::int64_t>{2, 2, 5, 5}));
   testing::check_input_gradient(pool, input, rng);
+}
+
+TEST(MaxPool2d, RejectsPaddingNotSmallerThanKernel) {
+  EXPECT_THROW(MaxPool2d("pool", Pool2dConfig{2, 2, 2, 2}), check_error);
+  EXPECT_THROW(MaxPool2d("pool", Pool2dConfig{2, 2, 0, 0}), check_error);
 }
 
 TEST(GlobalAvgPool, ForwardAndGradient) {

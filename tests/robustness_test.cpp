@@ -471,6 +471,44 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   patch<std::int64_t>(mutant, section + 16, 8, std::int64_t{1} << 60);
   write_bytes(path, reseal(mutant));
   expect_both_loaders_reject(path, "a 2^60 input height");
+
+  // The GAP instruction (kind 5, no layer, stride 1, no kernel kind): its
+  // u8 kind, i32 layer, four i64 geometry fields, i32 act_bits, f32 clip
+  // and i32 kernel kind, then the reserved byte the writer leaves 0.
+  char gap[49] = {0};
+  gap[0] = 5;
+  const std::int32_t no_layer = -1;
+  const std::int64_t unit_stride = 1;
+  std::memcpy(gap + 1, &no_layer, 4);
+  std::memcpy(gap + 21, &unit_stride, 8);
+  std::memcpy(gap + 45, &no_layer, 4);
+  const std::size_t gap_instr =
+      find_unique(golden, std::string(gap, sizeof(gap)));
+  ASSERT_NE(gap_instr, std::string::npos) << "GAP instruction not found";
+  mutant = golden;
+  patch<std::uint8_t>(mutant, gap_instr + sizeof(gap), 0, 1);
+  write_bytes(path, reseal(mutant));
+  expect_both_loaders_reject(path, "a nonzero reserved instruction byte");
+
+  // The same instruction relabelled kind 11, the deleted average pool.
+  mutant = golden;
+  patch<std::uint8_t>(mutant, gap_instr, 5, 11);
+  write_bytes(path, reseal(mutant));
+  for (const bool mapped : {false, true}) {
+    try {
+      if (mapped) {
+        runtime::load_graph_mmap(path, /*pooled=*/false);
+      } else {
+        runtime::load_graph(path, /*pooled=*/false);
+      }
+      ADD_FAILURE() << (mapped ? "load_graph_mmap" : "load_graph")
+                    << " accepted instruction kind 11";
+    } catch (const check_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown instruction kind 11"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -1147,15 +1185,18 @@ serve::ServeStatus infer_status(serve::BatchingServer& server,
 TEST_F(ServeRobustnessTest, LifecycleInvariantsHoldAcrossRestarts) {
   // A seeded schedule: four producers mix infer and try_infer (deadlines
   // -1, 0 and a few hundred µs) against a 2-replica shard whose forward
-  // fails every fifth batch, while the control thread runs two
-  // stop()/start() cycles. Invariants: every call returns, every kOk is
-  // bit-identical to the serial forward, a call begun after stop()
-  // returned never gets kOk before the next start(), and each status's
-  // count matches its ShardStats counter.
+  // fails every fifth batch, whose worker loop fails every seventh pass and
+  // whose first restore attempt fails, while the control thread runs two
+  // stop()/start() cycles at instants drawn from the seed.
+  // Invariants: every call returns, every kOk is bit-identical to the
+  // serial forward, a call begun after stop() returned never gets kOk
+  // before the next start(), and each status's count matches its
+  // ShardStats counter.
+  constexpr std::uint64_t kSeed = 8400;
   runtime::CompiledGraph graph = make_calibrated_graph();
   const std::int64_t sample_numel = kChannels * kSide * kSide;
   constexpr std::uint32_t kSamples = 8;
-  Rng rng(8400);
+  Rng rng(kSeed);
   Tensor samples = random_tensor({kSamples, kChannels, kSide, kSide}, rng);
   const std::vector<Tensor> expected = serial_logits(graph, samples);
 
@@ -1170,6 +1211,10 @@ TEST_F(ServeRobustnessTest, LifecycleInvariantsHoldAcrossRestarts) {
   replicas.push_back(runtime::replicate(graph));
   server.add_model("m", std::move(replicas));
   fail::arm("serve.replica_forward", fail::Policy::kEveryN, 5);
+  fail::arm("serve.worker_batch", fail::Policy::kEveryN, 7);
+  // One failed attempt is retried within the 8 allowed, so no replica dies
+  // and the stopped phases answer kShuttingDown, not kShardFailed.
+  fail::arm("serve.restore", fail::Policy::kOnce);
   server.start();
 
   // Odd while stopped: bumped once stop() has returned and again just
@@ -1187,7 +1232,7 @@ TEST_F(ServeRobustnessTest, LifecycleInvariantsHoldAcrossRestarts) {
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      Rng choice(8500 + static_cast<std::uint64_t>(p));
+      Rng choice(kSeed + 100 + static_cast<std::uint64_t>(p));
       std::vector<float> logits(
           static_cast<std::size_t>(expected[0].numel()));
       while (!done.load()) {
@@ -1224,18 +1269,29 @@ TEST_F(ServeRobustnessTest, LifecycleInvariantsHoldAcrossRestarts) {
     });
   }
 
-  const auto pause = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  // Each serving phase ends once the shard has served 4-11 more batches
+  // (drawn from the seed) and restored a replica, so every armed site is
+  // reached however slow the build; each stopped phase lasts 5-24 ms.
+  Rng schedule(kSeed + 1);
+  const auto serve_phase = [&] {
+    const auto before = server.stats("m");
+    const std::uint64_t batches = 4 + schedule.uniform_int(8);
+    EXPECT_TRUE(poll([&] {
+      const auto now = server.stats("m");
+      return now.batches >= before.batches + batches &&
+             now.restores > before.restores;
+    })) << "the shard stopped serving or restoring";
   };
   for (int cycle = 0; cycle < 2; ++cycle) {
-    pause();
+    serve_phase();
     server.stop();
     ++phase;
-    pause();
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(5'000 + schedule.uniform_int(20'000)));
     ++phase;
     server.start();
   }
-  pause();
+  serve_phase();
   done.store(true);
   EXPECT_TRUE(poll([&] { return finished.load() == kProducers; }))
       << "a call never returned";
@@ -1261,6 +1317,12 @@ TEST_F(ServeRobustnessTest, LifecycleInvariantsHoldAcrossRestarts) {
   EXPECT_GT(count(serve::ServeStatus::kOk), 0u);
   EXPECT_GT(count(serve::ServeStatus::kShuttingDown), 0u);
   EXPECT_GE(stats.quarantines, 1u);
+  for (const char* point :
+       {"serve.replica_forward", "serve.worker_batch", "serve.restore"}) {
+    EXPECT_GE(fail::triggers(point), 1u)
+        << point << ": " << fail::evaluations(point) << " evaluations";
+  }
+  EXPECT_EQ(stats.replicas_dead, 0);
 }
 
 #endif  // CSQ_FAILPOINTS_ENABLED

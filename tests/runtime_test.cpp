@@ -13,14 +13,15 @@
 //  * lowering of the non-CSQ fixed-grid families (STE-Uniform, BSQ)
 //    through the generic finalized-codes accessor;
 //  * the runtime conformance grid: a parameterized lowering-parity sweep
-//    over pooling variants (strided/padded/non-tiling windows, average
-//    pooling, non-square kernels and inputs), conv-head (no-Linear)
-//    models, batch sizes {1, 3, 17} and the three exportable families —
-//    remaining genuine gaps are enumerated as skipped cases;
+//    over max-pooling variants (strided/padded/non-tiling windows,
+//    non-square kernels and inputs), residual joins, batch sizes
+//    {1, 3, 17} and the three exportable families — remaining genuine
+//    gaps are enumerated as skipped cases;
 //  * the liveness-colored buffer planner: workspace_bytes() regression
 //    against the one-slot-per-edge baseline and bit-identity of planned
-//    vs unplanned forwards, plus artifact round trips of the v2 pool
-//    records (rectangular strided windows, average pooling, conv heads);
+//    vs unplanned forwards, plus artifact round trips of the pool records
+//    (rectangular strided and padded windows), and the rejection of a
+//    graph without a Linear head;
 //  * deterministic fuzz over PackedIntWeights' shift/split normalization
 //    and the int32-headroom bounds at the GEMM entry points.
 #include <algorithm>
@@ -654,11 +655,10 @@ TEST(CompiledGraph, LivenessPlanShrinksWorkspaceAndPreservesBits) {
   EXPECT_EQ(planned.buffer_growth_count(), growth);
 }
 
-TEST(GraphArtifact, PoolAndConvHeadRecordsRoundTrip) {
-  // A graph exercising every v2 record form at once: a rectangular strided
-  // max pool, a padded average pool and a conv-head (GlobalAvgPool
-  // terminator, no Linear). Saving and loading must reproduce the forward
-  // bit for bit.
+TEST(GraphArtifact, PoolRecordsRoundTrip) {
+  // A graph exercising both pool record forms: a rectangular strided max
+  // pool and a padded square one, ending in the Linear head. Saving and
+  // loading must reproduce the forward bit for bit.
   Rng rng(914);
   Model model;
   const WeightSourceFactory factory =
@@ -677,8 +677,10 @@ TEST(GraphArtifact, PoolAndConvHeadRecordsRoundTrip) {
   net->add(std::make_unique<Conv2d>("conv2", c2, factory, rng));
   net->add(std::make_unique<BatchNorm2d>("bn2", 6));
   net->add(std::make_unique<ReLU>("relu2"));
-  net->add(std::make_unique<AvgPool2d>("pool2", Pool2dConfig{2, 2, 2, 1}));
+  net->add(std::make_unique<MaxPool2d>("pool2", Pool2dConfig{2, 2, 2, 1}));
   net->add(std::make_unique<GlobalAvgPool>("gap"));
+  net->add(std::make_unique<Flatten>("flatten"));
+  net->add(std::make_unique<Linear>("fc", 6, 4, factory, rng));
   model.set_root(std::move(net));
 
   Rng data_rng(915);
@@ -690,7 +692,7 @@ TEST(GraphArtifact, PoolAndConvHeadRecordsRoundTrip) {
   options.in_width = 11;
   runtime::CompiledGraph graph = runtime::lower(model, options);
   graph.calibrate(calib);
-  EXPECT_EQ(graph.io_shape().out_features, 6);
+  EXPECT_EQ(graph.io_shape().out_features, 4);
 
   const std::string path =
       ::testing::TempDir() + "csq_pool_roundtrip.csqm";
@@ -706,24 +708,64 @@ TEST(GraphArtifact, PoolAndConvHeadRecordsRoundTrip) {
     ASSERT_EQ(expected[i], actual[i]) << "output " << i;
   }
 
-  // The loaded program preserves the rectangular/strided pool geometry.
-  bool saw_max = false, saw_avg = false;
+  // The loaded program preserves both pools' geometry, in order.
+  std::vector<runtime::ProgramInstr> pools;
   for (const runtime::ProgramInstr& instr : loaded.program().instrs) {
     if (instr.kind == runtime::ProgramInstr::Kind::kMaxPool) {
-      saw_max = true;
-      EXPECT_EQ(instr.kernel, 3);
-      EXPECT_EQ(instr.kernel_w, 2);
-      EXPECT_EQ(instr.stride, 2);
-    }
-    if (instr.kind == runtime::ProgramInstr::Kind::kAvgPool) {
-      saw_avg = true;
-      EXPECT_EQ(instr.kernel, 2);
-      EXPECT_EQ(instr.kernel_w, 0);  // square windows stay compact
-      EXPECT_EQ(instr.pad, 1);
+      pools.push_back(instr);
     }
   }
-  EXPECT_TRUE(saw_max);
-  EXPECT_TRUE(saw_avg);
+  ASSERT_EQ(pools.size(), 2u);
+  EXPECT_EQ(pools[0].kernel, 3);
+  EXPECT_EQ(pools[0].kernel_w, 2);
+  EXPECT_EQ(pools[0].stride, 2);
+  EXPECT_EQ(pools[0].pad, 0);
+  EXPECT_EQ(pools[1].kernel, 2);
+  EXPECT_EQ(pools[1].kernel_w, 0);  // square windows stay compact
+  EXPECT_EQ(pools[1].stride, 2);
+  EXPECT_EQ(pools[1].pad, 1);
+}
+
+TEST(CompiledGraph, RejectsModelWithoutLinearHead) {
+  // conv -> BN -> ReLU -> GAP and no Linear: the graph would have no
+  // logits, so building it fails with the missing head named, both from
+  // the live model and from its recorded program.
+  Rng rng(916);
+  Model model;
+  std::vector<CsqWeightSource*> registry;
+  CsqWeightOptions csq_options;
+  csq_options.fixed_precision = 3;
+  const WeightSourceFactory factory =
+      model.recording_factory(csq_weight_factory(&registry, csq_options));
+  auto net = std::make_unique<Sequential>("net");
+  Conv2dConfig conv;
+  conv.in_channels = 3;
+  conv.out_channels = 6;
+  net->add(std::make_unique<Conv2d>("conv", conv, factory, rng));
+  net->add(std::make_unique<BatchNorm2d>("bn", 6));
+  net->add(std::make_unique<ReLU>("relu"));
+  net->add(std::make_unique<GlobalAvgPool>("gap"));
+  model.set_root(std::move(net));
+  Rng data_rng(917);
+  Tensor calib = random_tensor({4, 3, 8, 8}, data_rng);
+  model.forward(calib, /*training=*/true);
+  for (CsqWeightSource* source : registry) source->finalize();
+
+  runtime::LowerOptions options;
+  options.in_height = 8;
+  options.in_width = 8;
+  const auto expect_head_error = [](auto&& build) {
+    try {
+      build();
+      ADD_FAILURE() << "a graph without a Linear head was built";
+    } catch (const check_error& e) {
+      EXPECT_NE(std::string(e.what()).find("Linear head"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_head_error([&] { runtime::lower(model, options); });
+  const runtime::GraphProgram program = runtime::record_program(model);
+  expect_head_error([&] { runtime::build_graph(program, options); });
 }
 
 namespace {
@@ -731,8 +773,7 @@ namespace {
 // A small finalized-CSQ stack at fixed 3-bit precision: its conv/linear
 // layers earn the specialized low-bit GEMMs, exercising kernel selection,
 // the force_reference_kernel escape hatch and the v5 artifact's kernel
-// records. The average pool runs with count_include_pad=false (the
-// exclude_pad record).
+// records.
 Model make_lowbit_model(std::vector<CsqWeightSource*>& registry, Rng& rng) {
   Model model;
   CsqWeightOptions csq_options;
@@ -746,8 +787,7 @@ Model make_lowbit_model(std::vector<CsqWeightSource*>& registry, Rng& rng) {
   net->add(std::make_unique<Conv2d>("conv1", c1, factory, rng));
   net->add(std::make_unique<BatchNorm2d>("bn1", 8));
   net->add(std::make_unique<ReLU>("relu1"));
-  net->add(std::make_unique<AvgPool2d>("pool", Pool2dConfig{3, 3, 2, 1},
-                                       /*count_include_pad=*/false));
+  net->add(std::make_unique<MaxPool2d>("pool", Pool2dConfig{3, 3, 2, 1}));
   Conv2dConfig c2;
   c2.in_channels = 8;
   c2.out_channels = 8;
@@ -829,8 +869,8 @@ TEST(GraphArtifact, KernelRecordsRoundTrip) {
   std::remove(path.c_str());
 
   // The kernel records replay: every conv/linear carries its resolved kernel
-  // and the exclude-pad average pool keeps its divisor policy.
-  bool saw_avg = false;
+  // and the padded max pool keeps its geometry.
+  bool saw_pool = false;
   std::size_t layer_index = 0;
   for (const runtime::ProgramInstr& instr : loaded.program().instrs) {
     if (instr.kind == runtime::ProgramInstr::Kind::kConv ||
@@ -842,12 +882,12 @@ TEST(GraphArtifact, KernelRecordsRoundTrip) {
                 loaded.layers()[layer_index].kernel);
       ++layer_index;
     }
-    if (instr.kind == runtime::ProgramInstr::Kind::kAvgPool) {
-      saw_avg = true;
-      EXPECT_TRUE(instr.exclude_pad);
+    if (instr.kind == runtime::ProgramInstr::Kind::kMaxPool) {
+      saw_pool = true;
+      EXPECT_EQ(instr.pad, 1);
     }
   }
-  EXPECT_TRUE(saw_avg);
+  EXPECT_TRUE(saw_pool);
   EXPECT_EQ(layer_index, loaded.layers().size());
 
   Tensor input = random_tensor({5, 3, 12, 12}, data_rng);
@@ -924,15 +964,11 @@ TEST(CompiledGraph, IntegerForwardQuantizationErrorShrinksWithActBits) {
 // optional residual block and pooling layer, lowered and compared against
 // the float eval path over every exportable family, the batch sizes the
 // serving layer coalesces, and a curated set of shape variants — non-tiling
-// and strided pools, overlapping padded windows, average pooling,
-// non-square kernels and inputs, conv-head (no-Linear) models and both
-// residual skip kinds. The pooling stride/shape
-// cells and the conv-head family were enumerated GTEST_SKIPs through PR 4
-// (the ROADMAP op-coverage gaps); they now run as green coverage.
+// and strided max pools, overlapping padded windows, non-square kernels
+// and inputs, and both residual skip kinds, alone and feeding a pool.
 // Remaining genuine gaps stay enumerated as skipped cells with their
 // reasons, so closing one keeps flipping a skip into coverage.
 
-enum class PoolKind { kNone, kMax, kAvg };
 // Residual block after relu1: identity skip BasicBlock{8,8,1}, or
 // downsample skip BasicBlock{8,16,2}.
 enum class Residual { kNone, kIdentity, kDownsample };
@@ -943,13 +979,10 @@ struct ConformanceCase {
   int batch = 1;
   int spatial_h = 12;
   int spatial_w = 12;
-  PoolKind pool = PoolKind::kNone;
-  int pool_kernel_h = 0;
+  int pool_kernel_h = 0;  // 0: no max pool
   int pool_kernel_w = 0;
   int pool_stride = 0;
   int pool_pad = 0;
-  bool conv_head = false;        // end at GlobalAvgPool, no Linear
-  bool avg_exclude_pad = false;  // avg pool divides by valid-tap count
   Residual residual = Residual::kNone;
   const char* skip_reason = nullptr;  // non-null: a remaining genuine gap
 };
@@ -960,35 +993,34 @@ std::vector<ConformanceCase> conformance_grid() {
   const ConformanceCase variants[] = {
       {"nopool_s12"},
       {"nopool_s11", "", 0, 11, 11},
-      {"max2s2_s12", "", 0, 12, 12, PoolKind::kMax, 2, 2, 2, 0},
-      // Formerly-skipped cells: stride-2 / stride-3 windows that do not
-      // tile an 11x11 map (floor output grid drops the trailing rows).
-      {"max2s2_s11", "", 0, 11, 11, PoolKind::kMax, 2, 2, 2, 0},
-      {"max3s3_s11", "", 0, 11, 11, PoolKind::kMax, 3, 3, 3, 0},
-      // Overlapping strided window with padding (the ResNet-stem shape).
-      {"max3s2p1_s12", "", 0, 12, 12, PoolKind::kMax, 3, 3, 2, 1},
-      // Average pooling: tiling, and padded/strided on a non-square input.
-      {"avg2s2_s12", "", 0, 12, 12, PoolKind::kAvg, 2, 2, 2, 0},
-      {"avg3s2p1_s11x13", "", 0, 11, 13, PoolKind::kAvg, 3, 3, 2, 1},
-      // Formerly-skipped cell: count_include_pad=false — border windows
-      // divide by their valid-tap count (per-position requant divisors).
-      {"avg3s2p1_s12_xpad", "", 0, 12, 12, PoolKind::kAvg, 3, 3, 2, 1,
-       false, true},
-      {"avg3s2p1_s11x13_xpad", "", 0, 11, 13, PoolKind::kAvg, 3, 3, 2, 1,
-       false, true},
-      // Non-square pool kernel.
-      {"max3x2s2_s12", "", 0, 12, 12, PoolKind::kMax, 3, 2, 2, 0},
-      // Conv-head models: GlobalAvgPool terminates the graph.
-      {"convhead_s12", "", 0, 12, 12, PoolKind::kNone, 0, 0, 0, 0, true},
-      {"convhead_avg2s2_s11", "", 0, 11, 11, PoolKind::kAvg, 2, 2, 2, 0,
-       true},
+      {"max2s2_s12", "", 0, 12, 12, 2, 2, 2, 0},
+      // Stride-2 / stride-3 windows that do not tile an 11x11 map (floor
+      // output grid drops the trailing rows).
+      {"max2s2_s11", "", 0, 11, 11, 2, 2, 2, 0},
+      {"max3s3_s11", "", 0, 11, 11, 3, 3, 3, 0},
+      // Overlapping strided window with padding (the ResNet-stem shape),
+      // on a square and on a non-square input.
+      {"max3s2p1_s12", "", 0, 12, 12, 3, 3, 2, 1},
+      {"max3s2p1_s11x13", "", 0, 11, 13, 3, 3, 2, 1},
+      // Even kernel with padding on an odd input: the first and the last
+      // window each hang one tap over a border.
+      {"max2s2p1_s11", "", 0, 11, 11, 2, 2, 2, 1},
+      // Stride-1 "same" window: overlapping windows keep the map size.
+      {"max3s1p1_s12", "", 0, 12, 12, 3, 3, 1, 1},
+      // Non-square pool kernel, on a square and on a non-square input, and
+      // padded.
+      {"max3x2s2_s12", "", 0, 12, 12, 3, 2, 2, 0},
+      {"max3x2s2_s11x13", "", 0, 11, 13, 3, 2, 2, 0},
+      {"max3x2s2p1_s11x13", "", 0, 11, 13, 3, 2, 2, 1},
       // Residual joins whose planes (121 and 36 values) are not multiples
       // of the 32-wide SIMD requant body, so both it and the scalar tail
       // run for each skip kind.
-      {"identity_s11", "", 0, 11, 11, PoolKind::kNone, 0, 0, 0, 0, false,
-       false, Residual::kIdentity},
-      {"downsample_s11", "", 0, 11, 11, PoolKind::kNone, 0, 0, 0, 0, false,
-       false, Residual::kDownsample},
+      {"identity_s11", "", 0, 11, 11, 0, 0, 0, 0, Residual::kIdentity},
+      {"downsample_s11", "", 0, 11, 11, 0, 0, 0, 0, Residual::kDownsample},
+      // A pool that reads a residual join's output, for each skip kind.
+      {"identity_max2s2_s11", "", 0, 11, 11, 2, 2, 2, 0, Residual::kIdentity},
+      {"downsample_max3s2p1_s12", "", 0, 12, 12, 3, 3, 2, 1,
+       Residual::kDownsample},
   };
   std::vector<ConformanceCase> cases;
   for (const ConformanceCase& variant : variants) {
@@ -1076,19 +1108,10 @@ TEST_P(RuntimeConformance, LoweringParityWithFloatEval) {
                                           /*act_factory=*/nullptr, rng));
     channels = block.out_channels;
   }
-  if (param.pool != PoolKind::kNone) {
-    Pool2dConfig pool_config;
-    pool_config.kernel_h = param.pool_kernel_h;
-    pool_config.kernel_w = param.pool_kernel_w;
-    pool_config.stride = param.pool_stride;
-    pool_config.pad = param.pool_pad;
-    if (param.pool == PoolKind::kMax) {
-      net->add(std::make_unique<MaxPool2d>("pool", pool_config));
-    } else {
-      net->add(std::make_unique<AvgPool2d>(
-          "pool", pool_config,
-          /*count_include_pad=*/!param.avg_exclude_pad));
-    }
+  if (param.pool_kernel_h > 0) {
+    net->add(std::make_unique<MaxPool2d>(
+        "pool", Pool2dConfig{param.pool_kernel_h, param.pool_kernel_w,
+                             param.pool_stride, param.pool_pad}));
   }
   Conv2dConfig c2;
   c2.in_channels = channels;
@@ -1098,10 +1121,8 @@ TEST_P(RuntimeConformance, LoweringParityWithFloatEval) {
   net->add(std::make_unique<BatchNorm2d>("bn2", 8));
   net->add(std::make_unique<ReLU>("relu2"));
   net->add(std::make_unique<GlobalAvgPool>("gap"));
-  if (!param.conv_head) {
-    net->add(std::make_unique<Flatten>("flatten"));
-    net->add(std::make_unique<Linear>("fc", 8, 5, factory, rng));
-  }
+  net->add(std::make_unique<Flatten>("flatten"));
+  net->add(std::make_unique<Linear>("fc", 8, 5, factory, rng));
   model.set_root(std::move(net));
 
   runtime::LowerOptions options;
