@@ -127,34 +127,16 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-  CSQ_CHECK(cached_batch_ > 0)
-      << "conv2d " << name() << ": backward without training forward";
+// Stride 1: dX_b = conv(pad(dOut_b, kernel - 1 - pad), flip(W)), whose
+// geometry maps dOut's OH x OW grid back onto H x W. Stride > 1 (and a pad
+// beyond kernel - 1) scatter-adds col2im(Wᵀ * dOut_b) instead. Both are
+// batch-parallel.
+Tensor Conv2d::input_gradient(const Tensor& grad_output, const float* w_data) {
   const ConvGeometry geom = cached_geom_;
   const std::int64_t batch = cached_batch_;
   const std::int64_t col_rows = geom.col_rows();
   const std::int64_t col_cols = geom.col_cols();
   const std::int64_t out_c = config_.out_channels;
-
-  CSQ_CHECK(grad_output.ndim() == 4 && grad_output.dim(0) == batch &&
-            grad_output.dim(1) == out_c &&
-            grad_output.dim(2) == geom.out_h() &&
-            grad_output.dim(3) == geom.out_w())
-      << "conv2d " << name() << ": grad_output shape "
-      << grad_output.shape_string() << " mismatch";
-
-  // A bound layer reads the shared weight and hands dL/dW to the binding;
-  // otherwise it stages dW in its workspace for its own source.
-  const WeightBinding& binding = weight_source_->binding();
-  const bool bound = binding.weight != nullptr;
-  const Tensor* weights =
-      bound ? nullptr : &weight_source_->weight(/*training=*/true);
-  const float* w_data = bound ? binding.weight : weights->data();
-
-  // ---- input gradient, batch-parallel ----------------------------------
-  // Stride 1: dX_b = conv(pad(dOut_b, kernel - 1 - pad), flip(W)), whose
-  // geometry maps dOut's OH x OW grid back onto H x W. Stride > 1 (and a
-  // pad beyond kernel - 1) scatter-adds col2im(Wᵀ * dOut_b) instead.
   ConvGeometry transposed = geom;
   transposed.channels = out_c;
   transposed.height = geom.out_h();
@@ -227,6 +209,35 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       col2im(ictx.geom, grad_col, ictx.gi_data + b * ictx.in_stride);
     });
   }
+  return grad_input;
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  CSQ_CHECK(cached_batch_ > 0)
+      << "conv2d " << name() << ": backward without training forward";
+  const ConvGeometry geom = cached_geom_;
+  const std::int64_t batch = cached_batch_;
+  const std::int64_t col_rows = geom.col_rows();
+  const std::int64_t col_cols = geom.col_cols();
+  const std::int64_t out_c = config_.out_channels;
+
+  CSQ_CHECK(grad_output.ndim() == 4 && grad_output.dim(0) == batch &&
+            grad_output.dim(1) == out_c &&
+            grad_output.dim(2) == geom.out_h() &&
+            grad_output.dim(3) == geom.out_w())
+      << "conv2d " << name() << ": grad_output shape "
+      << grad_output.shape_string() << " mismatch";
+
+  // A bound layer reads the shared weight and hands dL/dW to the binding;
+  // otherwise it stages dW in its workspace for its own source.
+  const WeightBinding& binding = weight_source_->binding();
+  const bool bound = binding.weight != nullptr;
+  const Tensor* weights =
+      bound ? nullptr : &weight_source_->weight(/*training=*/true);
+  const float* w_data = bound ? binding.weight : weights->data();
+
+  Tensor grad_input;
+  if (input_grad_) grad_input = input_gradient(grad_output, w_data);
 
   // ---- weight + bias gradients: OC-parallel over disjoint row blocks ----
   Tensor* grad_weight =

@@ -11,7 +11,8 @@
 //  * stride-1 dX is a transposed convolution: dOut padded by kernel-1-pad
 //    convolved with the flipped weights (C, OC*kh*kw), one NN gemm_conv
 //    per sample into an uninitialized gradient;
-//  * stride > 1 dX stays Wᵀ·dOut followed by col2im.
+//  * stride > 1 dX stays Wᵀ·dOut followed by col2im;
+//  * the layer that consumes the model input skips dX (skip_input_grad).
 //
 // Every recurring buffer — the padded-input cache, the per-thread padded
 // stripes, the flipped weights, the stride > 1 grad_col stripes and the dW
@@ -46,6 +47,7 @@ class Conv2d final : public Module {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
+  void skip_input_grad() override { input_grad_ = false; }
   const char* kind() const override { return "conv2d"; }
   void lower(GraphLowering& lowering) override;
 
@@ -67,11 +69,13 @@ class Conv2d final : public Module {
   };
 
   ConvGeometry geometry_for(const Tensor& input) const;
+  Tensor input_gradient(const Tensor& grad_output, const float* w_data);
 
   Conv2dConfig config_;
   WeightSourcePtr weight_source_;
   Parameter bias_;  // empty unless config_.bias
   bool has_bias_ = false;
+  bool input_grad_ = true;  // false: backward returns an empty tensor
 
   // Per-layer scratch arena; kPaddedSlot doubles as the training-mode cache
   // of the zero-padded inputs (B, C, H + 2 pad, W + 2 pad), consumed by

@@ -20,6 +20,7 @@ void Model::set_root(ModulePtr root) {
   CSQ_CHECK(arena_ == nullptr)
       << "set_root after arena binding would orphan the bound views";
   root_ = std::move(root);
+  root_->skip_input_grad();
   parameters_.clear();
   parameters_collected_ = false;
 }
@@ -33,8 +34,8 @@ Tensor Model::forward(const Tensor& input, bool training) {
   return root().forward(input, training);
 }
 
-Tensor Model::backward(const Tensor& grad_output) {
-  return root().backward(grad_output);
+void Model::backward(const Tensor& grad_output) {
+  root().backward(grad_output);
 }
 
 const std::vector<Parameter*>& Model::parameters() {

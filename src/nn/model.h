@@ -30,12 +30,15 @@ class Model {
   // through the wrapped factory and only then call set_root.
   WeightSourceFactory recording_factory(WeightSourceFactory base);
 
+  // Installs the module tree. The data batch's gradient is never read, so
+  // the module consuming the model input skips it (skip_input_grad).
   void set_root(ModulePtr root);
   Module& root();
   bool has_root() const { return root_ != nullptr; }
 
   Tensor forward(const Tensor& input, bool training);
-  Tensor backward(const Tensor& grad_output);
+  // Accumulates every parameter gradient for the last training forward.
+  void backward(const Tensor& grad_output);
 
   // Depth-first module walk (Module::for_each_module) from the root.
   void for_each_module(const std::function<void(Module&)>& fn) {

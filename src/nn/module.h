@@ -37,6 +37,12 @@ class Module {
   // returns dLoss/dInput while accumulating parameter gradients.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  // Declares that nothing reads this module's input gradient, so backward
+  // may skip it and return an empty tensor. Model::set_root calls it on the
+  // root; containers pass it to the child that consumes their input, and
+  // leaves without an override keep computing the gradient.
+  virtual void skip_input_grad() {}
+
   // Appends raw pointers to this module's trainable parameters. Pointers
   // stay valid for the module's lifetime (parameters are owned members).
   virtual void collect_parameters(std::vector<Parameter*>& out) { (void)out; }

@@ -25,6 +25,9 @@ class Sequential final : public Module {
   Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void for_each_module(const std::function<void(Module&)>& fn) override;
+  void skip_input_grad() override {
+    if (!modules_.empty()) modules_.front()->skip_input_grad();
+  }
   const char* kind() const override { return "sequential"; }
   void lower(GraphLowering& lowering) override;
 

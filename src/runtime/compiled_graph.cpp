@@ -252,9 +252,9 @@ class Op {
     (void)g;
     (void)batch;
   }
-  // Installs the workspace slot of the op's private scratch buffer (conv
-  // im2col stripes, the linear accumulator). Called by the buffer planner
-  // after the walk; ops without scratch ignore it.
+  // Installs the workspace slot of the op's private scratch buffer (a
+  // padding conv's padded stripes, the linear accumulator). Called by the
+  // buffer planner after the walk; ops without scratch ignore it.
   virtual void set_scratch_slot(int slot) { (void)slot; }
 };
 
@@ -320,43 +320,45 @@ class QuantizeInputOp final : public Op {
 
 class ConvOp final : public Op {
  public:
-  ConvOp(int in_edge, int acc_edge, ConvGeometry geom, PackedIntWeights weights,
-         bool direct)
+  ConvOp(int in_edge, int acc_edge, ConvGeometry geom, PackedIntWeights weights)
       : in_edge_(in_edge),
         acc_edge_(acc_edge),
         geom_(geom),
-        weights_(std::move(weights)),
-        direct_(direct) {}
+        weights_(std::move(weights)) {}
 
   const PackedIntWeights& weights() const { return weights_; }
   void release_float_cache() override {
     float_weights_.clear();
     float_weights_.shrink_to_fit();
   }
-  void set_scratch_slot(int slot) override { col_slot_ = slot; }
+  void set_scratch_slot(int slot) override { pad_slot_ = slot; }
 
-  bool direct() const { return direct_; }  // 1x1/s1/p0: input IS col
+  // Elements of one padded sample; 0 when the convolution does not pad and
+  // reads its input edge in place.
+  std::int64_t padded_size() const {
+    return geom_.pad > 0
+               ? geom_.channels * geom_.padded_h() * geom_.padded_w()
+               : 0;
+  }
 
   void prepare(CompiledGraph::Impl& g, std::int64_t batch) override {
     (void)batch;
-    if (!direct()) {
-      g.ws->bytes(col_slot_, pool_slot_count() * geom_.col_rows() *
-                                 geom_.col_cols());
+    if (padded_size() > 0) {
+      g.ws->bytes(pad_slot_, pool_slot_count() * padded_size());
     }
   }
 
   void run_int(CompiledGraph::Impl& g) override {
     const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
     const std::uint8_t* src = g.u8(in_edge_);
-    const std::int64_t col_stride = geom_.col_rows() * geom_.col_cols();
-    // One im2col stripe per pool slot; null for direct (1x1) convolutions.
-    std::uint8_t* col_base =
-        direct() ? nullptr
-                 : g.ws->bytes(col_slot_, pool_slot_count() * col_stride);
+    // One padded stripe per pool slot, bordered with the edge's zero point.
+    std::uint8_t* pad_base =
+        padded_size() > 0
+            ? g.ws->bytes(pad_slot_, pool_slot_count() * padded_size())
+            : nullptr;
     std::int32_t* acc = g.i32(acc_edge_);
     const std::int64_t acc_stride =
         g.edges[static_cast<std::size_t>(acc_edge_)].per_sample();
-    const std::int64_t cols = geom_.col_cols();
     const auto pad_code = static_cast<std::uint8_t>(in.zero_point);
     // Parallelism picks the outermost productive level: larger batches
     // split across samples; batches at or below the sample-loop's pooling
@@ -368,15 +370,15 @@ class ConvOp final : public Op {
     const bool gemm_pooled =
         g.pooled && g.batch <= kParallelForSerialThreshold;
     for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
-      const std::uint8_t* col = src + b * in.per_sample();
-      if (col_base != nullptr) {
-        std::uint8_t* stripe = col_base + pool_slot() * col_stride;
-        im2col_u8(geom_, col, stripe, pad_code);
-        col = stripe;
+      const std::uint8_t* image = src + b * in.per_sample();
+      if (pad_base != nullptr) {
+        std::uint8_t* stripe = pad_base + pool_slot() * padded_size();
+        pad_image(geom_, image, stripe, pad_code);
+        image = stripe;
       }
-      // acc_b(OC, P) = W_codes(OC, K) * col(K, P).
-      weights_.gemm(Trans::no, cols, col, cols, acc + b * acc_stride, cols,
-                    gemm_pooled);
+      // acc_b(OC, P) = W_codes(OC, K) * im2col_u8(x_b)(K, P), never built.
+      weights_.gemm_conv(geom_, image, acc + b * acc_stride,
+                         geom_.col_cols(), gemm_pooled);
     });
   }
 
@@ -389,9 +391,7 @@ class ConvOp final : public Op {
     const std::vector<float>& w = float_weights(weights_, float_weights_);
     // The float walk is transient (see Impl::float_edges): one zero-padded
     // sample, when the convolution pads at all.
-    std::vector<float> padded(static_cast<std::size_t>(
-        geom_.pad > 0 ? geom_.channels * geom_.padded_h() * geom_.padded_w()
-                      : 0));
+    std::vector<float> padded(static_cast<std::size_t>(padded_size()));
     for (std::int64_t b = 0; b < g.batch; ++b) {
       const float* sample = src + b * in.per_sample();
       if (!padded.empty()) {
@@ -409,8 +409,7 @@ class ConvOp final : public Op {
   ConvGeometry geom_;
   PackedIntWeights weights_;
   std::vector<float> float_weights_;
-  bool direct_;
-  int col_slot_ = -1;
+  int pad_slot_ = -1;
 };
 
 // ------------------------------------------------------- requantization --
@@ -911,16 +910,13 @@ class GraphBuilder {
 
     PackedIntWeights packed =
         make_packed(layer, instr, out_channels, geom.col_rows());
-    const bool direct =
-        instr.kernel == 1 && instr.stride == 1 && instr.pad == 0;
     const int acc = new_acc_edge(out_channels, geom.out_h(), geom.out_w());
 
-    auto op =
-        std::make_unique<ConvOp>(in, acc, geom, std::move(packed), direct);
+    auto op = std::make_unique<ConvOp>(in, acc, geom, std::move(packed));
     const ConvOp* raw = op.get();
     record_layer(layer.name, raw->weights());
     add_op(std::move(op), {in}, {acc},
-           direct ? ScratchKind::kNone : ScratchKind::kByte);
+           geom.pad > 0 ? ScratchKind::kByte : ScratchKind::kNone);
 
     pending_.active = true;
     pending_.main.acc_edge = acc;
@@ -1108,8 +1104,9 @@ class GraphBuilder {
   // Assigns every edge (and op scratch buffer) its workspace slot. Planned
   // mode colors the liveness intervals over the op order: an edge's slot
   // returns to its class free list after the edge's last consumer, and ops'
-  // private scratch (conv im2col, linear accumulator) lives only for its
-  // own op — so all convolutions share one im2col stripe. Outputs and
+  // private scratch (padded conv inputs, linear accumulator) lives only for
+  // its own op — so all padding convolutions share one set of padded-image
+  // stripes, sized for the largest. Outputs and
   // scratch of op i never recycle a slot freed AT op i (an op must not
   // write into a buffer it is still reading), which keeps planned and
   // unplanned graphs bit-identical.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "tensor/im2col.h"
 #include "util/check.h"
 
 namespace csq {
@@ -49,6 +50,19 @@ WeightKernel auto_kernel(int bits, std::int32_t max_abs, bool split,
                : WeightKernel::kBitSerial;
   }
   return WeightKernel::kS8U8;
+}
+
+// Runs a layer's GEMM passes as pass(alpha, panels, accumulate): one over
+// its plane, or for split layers (code = 2*hi + lo) the alpha-chained hi/lo
+// pair, both exact in int32.
+template <typename Pass>
+void for_each_pass(const PackedIntWeights& w, Pass pass) {
+  if (!w.split()) {
+    pass(1, w.panel_data(), false);
+    return;
+  }
+  pass(2, w.panel_data(), false);
+  pass(1, w.low_panel_data(), true);
 }
 
 }  // namespace
@@ -221,17 +235,23 @@ void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
                             const std::uint8_t* b, std::int64_t ldb,
                             std::int32_t* c, std::int64_t ldc,
                             GemmExec exec) const {
-  const PackedKernel kind = packed_kernel(kernel_);
-  if (!split()) {
-    gemm_packed(kind, trans_b, rows_, n, cols_, /*alpha=*/1, panel_data(), b,
-                ldb, /*accumulate=*/false, c, ldc, exec);
-    return;
-  }
-  // code = 2*hi + lo: alpha-chained passes, both exact in int32.
-  gemm_packed(kind, trans_b, rows_, n, cols_, /*alpha=*/2, panel_data(), b,
-              ldb, /*accumulate=*/false, c, ldc, exec);
-  gemm_packed(kind, trans_b, rows_, n, cols_, /*alpha=*/1, low_panel_data(),
-              b, ldb, /*accumulate=*/true, c, ldc, exec);
+  for_each_pass(*this, [&](std::int32_t alpha, const std::uint8_t* panels,
+                           bool accumulate) {
+    gemm_packed(packed_kernel(kernel_), trans_b, rows_, n, cols_, alpha,
+                panels, b, ldb, accumulate, c, ldc, exec);
+  });
+}
+
+void PackedIntWeights::gemm_conv(const ConvGeometry& geom,
+                                 const std::uint8_t* padded, std::int32_t* c,
+                                 std::int64_t ldc, GemmExec exec) const {
+  CSQ_CHECK(geom.col_rows() == cols_)
+      << "packed weights: conv depth " << geom.col_rows() << " != " << cols_;
+  for_each_pass(*this, [&](std::int32_t alpha, const std::uint8_t* panels,
+                           bool accumulate) {
+    gemm_packed_conv(packed_kernel(kernel_), rows_, alpha, panels, geom,
+                     padded, accumulate, c, ldc, exec);
+  });
 }
 
 std::int64_t PackedIntWeights::storage_bits() const {

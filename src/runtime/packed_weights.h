@@ -185,6 +185,11 @@ class PackedIntWeights {
             std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
             GemmExec exec) const;
 
+  // The same product with B the unfolded convolution matrix of `padded`
+  // (gemm_packed_conv): C(rows, geom.col_cols()), cols() == geom.col_rows().
+  void gemm_conv(const ConvGeometry& geom, const std::uint8_t* padded,
+                 std::int32_t* c, std::int64_t ldc, GemmExec exec) const;
+
   // Storage of the packed planes in bits (bits() per weight, doubled for
   // split layers, plus the scale).
   std::int64_t storage_bits() const;

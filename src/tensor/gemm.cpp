@@ -329,15 +329,26 @@ struct F32Kernel {
 // j % out_w); its element is the padded image at row oy * stride + ki,
 // column ox * stride + kj. The two halves of that address are walked for a
 // run of consecutive taps or positions at a time, so a run costs one
-// division however short its panels are.
+// division however short its panels are. `T` is the image element: float
+// for gemm_conv, uint8 activation codes for gemm_packed_conv.
+template <typename T>
 struct ConvSource {
-  const float* image;  // zero-padded, channels x padded_h x padded_w
-  std::int64_t row, plane;  // padded row and channel pitch, in floats
+  const T* image;  // padded, channels x padded_h x padded_w
+  std::int64_t row, plane;  // padded row and channel pitch, in elements
   std::int64_t kernel_h, kernel_w, stride, out_w;
+
+  ConvSource(const ConvGeometry& geom, const T* padded)
+      : image(padded),
+        row(geom.padded_w()),
+        plane(geom.padded_h() * geom.padded_w()),
+        kernel_h(geom.kernel_h),
+        kernel_w(geom.kernel_w),
+        stride(geom.stride),
+        out_w(geom.out_w()) {}
 
   // out[i] = the window origin of tap first + i, for i < count.
   void tap_bases(std::int64_t first, std::int64_t count,
-                 const float** out) const {
+                 const T** out) const {
     const std::int64_t taps = kernel_h * kernel_w;
     std::int64_t c = first / taps, ki = first % taps / kernel_w,
                  kj = first % kernel_w;
@@ -384,12 +395,12 @@ inline void pack_row(float* d, std::int64_t cols, Value value) {
 // C update, and B~ panels byte-equal to F32Kernel::pack_b over im2col's
 // matrix (zero padding comes from the padded image, tails are zero-filled).
 struct F32ConvKernel : F32Kernel {
-  using BIn = ConvSource;
+  using BIn = ConvSource<float>;
 
-  static void pack_b(Trans trans, const ConvSource* b, std::int64_t /*ldb*/,
+  static void pack_b(Trans trans, const BIn* b, std::int64_t /*ldb*/,
                      std::int64_t pc, std::int64_t jc, std::int64_t kc,
                      std::int64_t nc, float* dst) {
-    const ConvSource& src = *b;
+    const BIn& src = *b;
     if (trans == Trans::no) {
       // op(B)[p, j]: depth rows are taps, columns output positions.
       const float* taps[kGemmKC];
@@ -543,8 +554,56 @@ struct IntKernel {
     std::int32_t alpha;
     bool accumulate;
   };
+  static constexpr std::int64_t kDepthGroup = kGroup;
   static std::int64_t depth(std::int64_t kc) {
     return (kc + kGroup - 1) / kGroup * kGroup;
+  }
+
+  // Packed index of depth step p in row/column i of a `width`-wide panel:
+  // kGroup consecutive steps sit adjacent per row/column.
+  static std::int64_t slot(std::int64_t p, std::int64_t i, std::int64_t width) {
+    return ((p / kGroup) * width + i) * kGroup + p % kGroup;
+  }
+
+  // A is (m x k) row-major int8 (the weight codes); panels MR-tall,
+  // zero-padded.
+  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
+                     std::int64_t mc, std::int64_t kc, AElem* dst) {
+    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
+      const std::int64_t rows = std::min(kGemmMR, mc - r);
+      std::fill(dst, dst + kGemmMR * depth(kc), AElem{0});
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const std::int8_t* src = a + (r + i) * lda + pc;
+        for (std::int64_t p = 0; p < kc; ++p) dst[slot(p, i, kGemmMR)] = src[p];
+      }
+      dst += kGemmMR * depth(kc);
+    }
+  }
+
+  // op(B) is (k x n) uint8 activation codes; panels NR-wide, zero-padded.
+  static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
+                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
+                     std::int64_t nc, BElem* dst) {
+    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+      const std::int64_t cols = std::min(kGemmNR, nc - s);
+      std::fill(dst, dst + kGemmNR * depth(kc), BElem{0});
+      if (trans == Trans::no) {
+        for (std::int64_t p = 0; p < kc; ++p) {
+          const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
+          for (std::int64_t j = 0; j < cols; ++j) {
+            dst[slot(p, j, kGemmNR)] = src[j];
+          }
+        }
+      } else {
+        for (std::int64_t j = 0; j < cols; ++j) {
+          const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
+          for (std::int64_t p = 0; p < kc; ++p) {
+            dst[slot(p, j, kGemmNR)] = src[p];
+          }
+        }
+      }
+      dst += kGemmNR * depth(kc);
+    }
   }
 
   // The blob holds every MR panel of the full m extent per KC block, so a
@@ -576,53 +635,6 @@ struct IntKernel {
 struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2> {
   static constexpr std::int32_t kMaxAlpha = 2;
   static constexpr std::int32_t kMinCode = -128, kMaxCode = 127;
-
-  // A is (m x k) row-major int8 (the weight codes); panels MR-tall.
-  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
-                     std::int64_t mc, std::int64_t kc, std::int16_t* dst) {
-    const std::int64_t kcp = paired_kc(kc);
-    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-      const std::int64_t rows = std::min(kGemmMR, mc - r);
-      std::fill(dst, dst + kGemmMR * kcp, std::int16_t{0});
-      for (std::int64_t i = 0; i < rows; ++i) {
-        const std::int8_t* src = a + (r + i) * lda + pc;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          dst[((p / 2) * kGemmMR + i) * 2 + (p & 1)] =
-              static_cast<std::int16_t>(src[p]);
-        }
-      }
-      dst += kGemmMR * kcp;
-    }
-  }
-
-  // op(B) is (k x n) uint8 activation codes; panels NR-wide, zero-padded.
-  static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
-                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
-                     std::int64_t nc, std::int16_t* dst) {
-    const std::int64_t kcp = paired_kc(kc);
-    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-      const std::int64_t cols = std::min(kGemmNR, nc - s);
-      std::fill(dst, dst + kGemmNR * kcp, std::int16_t{0});
-      if (trans == Trans::no) {
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
-          std::int16_t* d = dst + (p / 2) * kGemmNR * 2 + (p & 1);
-          for (std::int64_t j = 0; j < cols; ++j) {
-            d[j * 2] = static_cast<std::int16_t>(src[j]);
-          }
-        }
-      } else {
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
-          for (std::int64_t p = 0; p < kc; ++p) {
-            dst[((p / 2) * kGemmNR + j) * 2 + (p & 1)] =
-                static_cast<std::int16_t>(src[p]);
-          }
-        }
-      }
-      dst += kGemmNR * kcp;
-    }
-  }
 
   static void micro_kernel(const std::int16_t* pa, const std::int16_t* pb,
                            std::int64_t kc, std::int32_t* acc) {
@@ -798,47 +810,6 @@ struct LowBitKernel : IntKernel<std::int8_t, std::uint8_t, 4> {
   static constexpr std::int32_t kMaxAlpha = 8;
   static constexpr std::int32_t kMinCode = -64, kMaxCode = 64;
 
-  static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
-                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
-                     std::int64_t nc, std::uint8_t* dst) {
-    const std::int64_t kcq = quad_kc(kc);
-    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-      const std::int64_t cols = std::min(kGemmNR, nc - s);
-      std::fill(dst, dst + kGemmNR * kcq, std::uint8_t{0});
-      if (trans == Trans::no) {
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
-          std::uint8_t* d = dst + (p / 4) * kGemmNR * 4 + (p & 3);
-          for (std::int64_t j = 0; j < cols; ++j) d[j * 4] = src[j];
-        }
-      } else {
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
-          for (std::int64_t p = 0; p < kc; ++p) {
-            dst[((p / 4) * kGemmNR + j) * 4 + (p & 3)] = src[p];
-          }
-        }
-      }
-      dst += kGemmNR * kcq;
-    }
-  }
-
-  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
-                     std::int64_t mc, std::int64_t kc, std::int8_t* dst) {
-    const std::int64_t kcq = quad_kc(kc);
-    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-      const std::int64_t rows = std::min(kGemmMR, mc - r);
-      std::fill(dst, dst + kGemmMR * kcq, std::int8_t{0});
-      for (std::int64_t i = 0; i < rows; ++i) {
-        const std::int8_t* src = a + (r + i) * lda + pc;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          dst[((p / 4) * kGemmMR + i) * 4 + (p & 3)] = src[p];
-        }
-      }
-      dst += kGemmMR * kcq;
-    }
-  }
-
   static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
                            std::int64_t kc, std::int32_t* acc) {
     micro_kernel_lowbit(pa, pb, kc, acc);
@@ -849,6 +820,79 @@ struct LowBitWideKernel : LowBitKernel {
   static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
                            std::int64_t kc, std::int32_t* acc) {
     micro_kernel_lowbit_wide(pa, pb, kc, acc);
+  }
+};
+
+// One K-group row of an NR-wide B~ panel from kGroup gathered tap rows:
+// dst[j * kGroup + g] = rows[g][j] — int16 K-pairs for s8u8, uint8 K-quads
+// for the low-bit kinds.
+template <std::int64_t kGroup, typename BElem>
+inline void interleave_group(const std::uint8_t (&rows)[kGroup][kGemmNR],
+                             BElem* dst) {
+#ifdef CSQ_GEMM_AVX2_INT_KERNEL
+  const auto row = [&](int g) {
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rows[g]));
+  };
+  const __m128i pairs = _mm_unpacklo_epi8(row(0), row(1));
+  if constexpr (kGroup == 2) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
+                        _mm256_cvtepu8_epi16(pairs));
+  } else {
+    const __m128i high_pairs = _mm_unpacklo_epi8(row(2), row(3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                     _mm_unpacklo_epi16(pairs, high_pairs));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
+                     _mm_unpackhi_epi16(pairs, high_pairs));
+  }
+#else
+  for (std::int64_t j = 0; j < kGemmNR; ++j) {
+    for (std::int64_t g = 0; g < kGroup; ++g) dst[j * kGroup + g] = rows[g][j];
+  }
+#endif
+}
+
+// An integer kernel with B packed from a ConvSource<uint8_t>
+// (gemm_packed_conv): Base's A~, micro-kernel and C update, and B~ panels
+// byte-equal to Base::pack_b over im2col_u8's matrix. The border already
+// holds the edge's zero point (pad_image's fill); depth and column tails
+// are zero-filled as Base::pack_b fills them. Each kGroup taps of a panel
+// are gathered into NR-byte rows — one 8-byte run per tap when the panel's
+// positions are adjacent in the image — and then interleaved.
+template <typename Base, std::int64_t kGroup>
+struct IntConvKernel : Base {
+  using BIn = ConvSource<std::uint8_t>;
+  using BElem = typename Base::BElem;
+
+  static void pack_b(Trans /*trans*/, const BIn* b, std::int64_t /*ldb*/,
+                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
+                     std::int64_t nc, BElem* dst) {
+    const BIn& src = *b;
+    const std::uint8_t* taps[kGemmKC];
+    src.tap_bases(pc, kc, taps);
+    const std::int64_t kcg = Base::depth(kc);
+    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+      const std::int64_t cols = std::min(kGemmNR, nc - s);
+      std::int64_t at[kGemmNR];
+      src.position_offsets(jc + s, cols, at);
+      const bool adjacent =
+          cols == kGemmNR && at[kGemmNR - 1] - at[0] == kGemmNR - 1;
+      for (std::int64_t p = 0; p < kcg; p += kGroup) {
+        std::uint8_t rows[kGroup][kGemmNR];
+        for (std::int64_t g = 0; g < kGroup; ++g) {
+          if (p + g >= kc) {
+            std::memset(rows[g], 0, kGemmNR);
+          } else if (adjacent) {
+            std::memcpy(rows[g], taps[p + g] + at[0], kGemmNR);
+          } else {
+            std::int64_t j = 0;
+            for (; j < cols; ++j) rows[g][j] = taps[p + g][at[j]];
+            for (; j < kGemmNR; ++j) rows[g][j] = 0;
+          }
+        }
+        interleave_group<kGroup>(rows, dst + p * kGemmNR);
+      }
+      dst += kGemmNR * kcg;
+    }
   }
 };
 
@@ -1031,6 +1075,29 @@ void check_packed_extents(std::int64_t m, std::int64_t n, std::int64_t k,
                         << " would overflow int32 accumulation";
 }
 
+// The body shared by gemm_packed and gemm_packed_conv: K's exactness
+// bounds, the degenerate shapes, then the driver.
+template <typename K>
+void run_packed(std::int64_t m, std::int64_t n, std::int64_t k,
+                std::int32_t alpha, const std::uint8_t* packed_a,
+                Trans trans_b, const typename K::BIn* b, std::int64_t ldb,
+                bool accumulate, std::int32_t* c, std::int64_t ldc,
+                const GemmExec& exec) {
+  check_packed_extents<K>(m, n, k, alpha);
+  if (m == 0 || n == 0) return;
+  if (alpha == 0 || k == 0) {
+    if (!accumulate) {
+      for (std::int64_t i = 0; i < m; ++i) {
+        std::fill(c + i * ldc, c + i * ldc + n, 0);
+      }
+    }
+    return;
+  }
+  run(Problem<K>{m, n, k, reinterpret_cast<const typename K::AElem*>(packed_a),
+                 trans_b, b, ldb, c, ldc, {alpha, accumulate}},
+      nullptr, exec);
+}
+
 }  // namespace
 
 GemmSplit gemm_choose_split(std::int64_t m, std::int64_t n, int ways) {
@@ -1083,10 +1150,7 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
     apply_beta(0, m, n, beta, c, ldc);
     return;
   }
-  const ConvSource src{padded,          geom.padded_w(),
-                       geom.padded_h() * geom.padded_w(),
-                       geom.kernel_h,   geom.kernel_w,
-                       geom.stride,     geom.out_w()};
+  const ConvSource<float> src(geom, padded);
   run(Problem<F32ConvKernel>{m, n, k, {Trans::no, a, lda}, trans_b, &src, 0,
                              c, ldc, {alpha, beta}},
       scratch, exec);
@@ -1145,21 +1209,22 @@ void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
                  std::int64_t ldb, bool accumulate, std::int32_t* c,
                  std::int64_t ldc, GemmExec exec) {
   with_kernel(kind, [&](auto kernel) {
+    run_packed<decltype(kernel)>(m, n, k, alpha, packed_a, trans_b, b, ldb,
+                                 accumulate, c, ldc, exec);
+  });
+}
+
+void gemm_packed_conv(PackedKernel kind, std::int64_t m, std::int32_t alpha,
+                      const std::uint8_t* packed_a, const ConvGeometry& geom,
+                      const std::uint8_t* padded, bool accumulate,
+                      std::int32_t* c, std::int64_t ldc, GemmExec exec) {
+  geom.validate();
+  const ConvSource<std::uint8_t> src(geom, padded);
+  with_kernel(kind, [&](auto kernel) {
     using K = decltype(kernel);
-    check_packed_extents<K>(m, n, k, alpha);
-    if (m == 0 || n == 0) return;
-    if (alpha == 0 || k == 0) {
-      if (!accumulate) {
-        for (std::int64_t i = 0; i < m; ++i) {
-          std::fill(c + i * ldc, c + i * ldc + n, 0);
-        }
-      }
-      return;
-    }
-    run(Problem<K>{m, n, k,
-                   reinterpret_cast<const typename K::AElem*>(packed_a),
-                   trans_b, b, ldb, c, ldc, {alpha, accumulate}},
-        nullptr, exec);
+    run_packed<IntConvKernel<K, K::kDepthGroup>>(
+        m, geom.col_cols(), geom.col_rows(), alpha, packed_a, Trans::no, &src,
+        0, accumulate, c, ldc, exec);
   });
 }
 

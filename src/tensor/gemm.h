@@ -13,7 +13,8 @@
 // GEMMs are the fixed-point serving kernels: A holds a layer's weight codes,
 // packed ONCE into its kernel's panel layout (`gemm_pack_a`, weights are
 // static at serving time), B holds uint8 activation codes, and accumulation
-// is exact int32.
+// is exact int32; `gemm_packed_conv` packs B from the padded uint8
+// activation, which is how the runtime runs every convolution.
 //
 // Blocking scheme (GotoBLAS/BLIS-style):
 //
@@ -34,9 +35,10 @@
 // accumulator, C), the K grouping of the packed layouts, `pack_b`, the A~
 // source (float packs op(A) per (ic, pc) tile into scratch; the integer
 // kinds slice their prepacked blob), the micro-kernel (a compile-time call
-// inside the tile loop) and the C-tile update. It is instantiated five
-// times: float and float-conv (B packed from a padded image); s8u8 (int16
-// K-pairs); low-bit and low-bit-wide (int8 K-quads).
+// inside the tile loop) and the C-tile update. It is instantiated for
+// float, s8u8 (int16 K-pairs), low-bit and low-bit-wide (int8 K-quads),
+// and for each of those four again with a conv `pack_b` that reads a padded
+// image (Dukhan, "The Indirect Convolution Algorithm", arXiv:1907.02129).
 //
 // The driver has exactly two schedules:
 //  * Row schedule (shared B~): the calling thread packs B~ per (jc, pc);
@@ -227,5 +229,16 @@ void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
                  const std::uint8_t* packed_a, const std::uint8_t* b,
                  std::int64_t ldb, bool accumulate, std::int32_t* c,
                  std::int64_t ldc, GemmExec exec = {});
+
+// C(int32) = alpha * A * B [+ C] with A packed as for gemm_packed (m x
+// geom.col_rows()) and B the matrix im2col_u8(geom, image, pad_code) would
+// build, so n = geom.col_cols(). pack_b reads its panels from `padded`: the
+// image bordered by geom.pad values of pad_code on every side
+// (pad_image(geom, image, padded, pad_code)), or the image itself when
+// geom.pad is 0. C is bit-identical to gemm_packed over im2col_u8's matrix.
+void gemm_packed_conv(PackedKernel kind, std::int64_t m, std::int32_t alpha,
+                      const std::uint8_t* packed_a, const ConvGeometry& geom,
+                      const std::uint8_t* padded, bool accumulate,
+                      std::int32_t* c, std::int64_t ldc, GemmExec exec = {});
 
 }  // namespace csq

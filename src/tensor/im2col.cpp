@@ -98,24 +98,29 @@ void im2col_u8(const ConvGeometry& geom, const std::uint8_t* image,
   }
 }
 
-void pad_image(const ConvGeometry& geom, const float* image, float* padded) {
+template <typename T>
+void pad_image(const ConvGeometry& geom, const T* image, T* padded, T fill) {
   const std::int64_t pad = geom.pad;
   const std::int64_t row = geom.padded_w();
   const std::size_t width_bytes =
-      static_cast<std::size_t>(geom.width) * sizeof(float);
+      static_cast<std::size_t>(geom.width) * sizeof(T);
   for (std::int64_t c = 0; c < geom.channels; ++c) {
-    const float* src = image + c * geom.height * geom.width;
-    float* dst = padded + c * geom.padded_h() * row;
-    std::fill(dst, dst + pad * row, 0.0f);
+    const T* src = image + c * geom.height * geom.width;
+    T* dst = padded + c * geom.padded_h() * row;
+    std::fill(dst, dst + pad * row, fill);
     dst += pad * row;
     for (std::int64_t y = 0; y < geom.height; ++y, dst += row) {
-      std::fill(dst, dst + pad, 0.0f);
+      std::fill(dst, dst + pad, fill);
       std::memcpy(dst + pad, src + y * geom.width, width_bytes);
-      std::fill(dst + pad + geom.width, dst + row, 0.0f);
+      std::fill(dst + pad + geom.width, dst + row, fill);
     }
-    std::fill(dst, dst + pad * row, 0.0f);
+    std::fill(dst, dst + pad * row, fill);
   }
 }
+
+template void pad_image(const ConvGeometry&, const float*, float*, float);
+template void pad_image(const ConvGeometry&, const std::uint8_t*,
+                        std::uint8_t*, std::uint8_t);
 
 void col2im(const ConvGeometry& geom, const float* col, float* image) {
   const std::int64_t out_h = geom.out_h();

@@ -1,7 +1,8 @@
 // Integer inference runtime tests:
 //
 //  * the int8 x uint8 -> int32 GEMM against an exact int64 reference, over
-//    the transpose forms, alpha/accumulate modes and pooled execution;
+//    the transpose forms, alpha/accumulate modes and pooled execution, and
+//    the conv B source (gemm_packed_conv) against explicit im2col_u8 columns;
 //  * PackedIntWeights shift/split normalization: bit-exact reconstruction
 //    of full-range sign-magnitude codes from int8 planes;
 //  * integer Conv2d forward parity: exact accumulator match against an
@@ -19,15 +20,16 @@
 //    gaps are enumerated as skipped cases;
 //  * the liveness-colored buffer planner: workspace_bytes() regression
 //    against the one-slot-per-edge baseline and bit-identity of planned
-//    vs unplanned forwards, plus artifact round trips of the pool records
-//    (rectangular strided and padded windows), and the rejection of a
-//    graph without a Linear head;
+//    vs unplanned forwards, a conv's padded-image scratch, plus artifact
+//    round trips of the pool records (rectangular strided and padded
+//    windows), and the rejection of a graph without a Linear head;
 //  * deterministic fuzz over PackedIntWeights' shift/split normalization
 //    and the int32-headroom bounds at the GEMM entry points.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,7 @@
 #include "test_helpers.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace csq {
 namespace {
@@ -221,6 +224,108 @@ TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
     EXPECT_EQ(col[static_cast<std::size_t>(r)], r == 24 ? 200 : 7);
   }
   for (const std::uint8_t byte : guard) EXPECT_EQ(byte, 0x5B);
+}
+
+// gemm_packed_conv packs B~ from the padded uint8 image; every panel must
+// hold the bytes gemm_packed packs from im2col_u8's matrix, so C is
+// memcmp-equal for every integer kind and the split chain (alpha 2, then
+// alpha 1 accumulating), serial and split across column stripes and grid
+// tasks. The geometries cover stride 2, a rectangular kernel, 1x1 kernels
+// (unpadded: B is read from the image in place), fewer than kGemmNR output
+// columns, a kernel wider than its output, depth past one KC block and more
+// than kGemmNC output positions.
+TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
+  struct Shape {
+    std::int64_t channels, height, width, kernel_h, kernel_w, stride, pad;
+  };
+  const Shape shapes[] = {
+      {8, 9, 9, 3, 3, 2, 1},   {3, 7, 11, 3, 5, 1, 2},
+      {16, 6, 6, 1, 1, 1, 0},  {16, 8, 8, 1, 1, 2, 0},
+      {4, 5, 5, 3, 3, 1, 1},   {1, 1, 1, 7, 7, 1, 3},
+      {64, 6, 6, 3, 3, 1, 1},  {2, 36, 40, 3, 3, 1, 1}};
+  struct Kind {
+    const char* name;
+    PackedKernel kernel;
+    bool split;
+  };
+  const Kind kinds[] = {{"s8u8", PackedKernel::kS8U8, false},
+                        {"s8u8-split", PackedKernel::kS8U8, true},
+                        {"bitserial", PackedKernel::kLowBit, false},
+                        {"bitserial-w16", PackedKernel::kLowBitWide, false}};
+  const GemmExec execs[] = {GemmExec{},
+                            GemmExec{true, GemmSplit::kCols, 2},
+                            GemmExec{true, GemmSplit::kCols, 4},
+                            GemmExec{true, GemmSplit::kGrid, 2},
+                            GemmExec{true, GemmSplit::kGrid, 4}};
+  const std::uint8_t pad_code = 37;
+  Rng rng(929);
+  for (const Shape& shape : shapes) {
+    ConvGeometry g;
+    g.channels = shape.channels;
+    g.height = shape.height;
+    g.width = shape.width;
+    g.kernel_h = shape.kernel_h;
+    g.kernel_w = shape.kernel_w;
+    g.stride = shape.stride;
+    g.pad = shape.pad;
+    g.validate();
+    const std::int64_t k = g.col_rows(), n = g.col_cols();
+    const auto image = random_u8(g.channels * g.height * g.width, rng);
+    std::vector<std::uint8_t> col(static_cast<std::size_t>(k * n));
+    im2col_u8(g, image.data(), col.data(), pad_code);
+    std::vector<std::uint8_t> padded(
+        static_cast<std::size_t>(g.channels * g.padded_h() * g.padded_w()));
+    pad_image(g, image.data(), padded.data(), pad_code);
+    const std::uint8_t* source = g.pad > 0 ? padded.data() : image.data();
+
+    for (const Kind& kind : kinds) {
+      int magnitude = kind.kernel == PackedKernel::kS8U8 ? 127 : 64;
+      while (kind.kernel == PackedKernel::kLowBitWide &&
+             !gemm_s8u8_wide_eligible(k, magnitude)) {
+        --magnitude;
+      }
+      for (const std::int64_t m : {std::int64_t{5}, std::int64_t{70}}) {
+        const auto pack = [&](const std::vector<std::int8_t>& codes) {
+          std::vector<std::uint8_t> packed(static_cast<std::size_t>(
+              gemm_packed_a_bytes(kind.kernel, m, k)));
+          gemm_pack_a(kind.kernel, m, k, codes.data(), k, packed.data());
+          return packed;
+        };
+        const auto hi = pack(random_s8(m * k, rng, magnitude));
+        std::vector<std::int8_t> lo_codes(static_cast<std::size_t>(m * k));
+        for (auto& v : lo_codes) {
+          v = static_cast<std::int8_t>(rng.uniform(0.0f, 2.0f));
+        }
+        const auto lo = pack(lo_codes);
+        const std::int32_t alpha = kind.split ? 2 : 1;
+        for (const GemmExec& exec : execs) {
+          SCOPED_TRACE(::testing::Message()
+                       << kind.name << ", geometry " << g.channels << "x"
+                       << g.height << "x" << g.width << " k" << g.kernel_h
+                       << "x" << g.kernel_w << " s" << g.stride << " p"
+                       << g.pad << ", m " << m << ", split "
+                       << static_cast<int>(exec.split) << "/" << exec.ways);
+          std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n),
+                                             0x5A5A5A5A);
+          std::vector<std::int32_t> actual = expected;
+          gemm_packed(kind.kernel, Trans::no, m, n, k, alpha, hi.data(),
+                      col.data(), n, /*accumulate=*/false, expected.data(), n,
+                      exec);
+          gemm_packed_conv(kind.kernel, m, alpha, hi.data(), g, source,
+                           /*accumulate=*/false, actual.data(), n, exec);
+          if (kind.split) {
+            gemm_packed(kind.kernel, Trans::no, m, n, k, 1, lo.data(),
+                        col.data(), n, /*accumulate=*/true, expected.data(),
+                        n, exec);
+            gemm_packed_conv(kind.kernel, m, 1, lo.data(), g, source,
+                             /*accumulate=*/true, actual.data(), n, exec);
+          }
+          EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
+                                   sizeof(std::int32_t) * expected.size()));
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ packed weights --
@@ -631,7 +736,7 @@ TEST(CompiledGraph, LivenessPlanShrinksWorkspaceAndPreservesBits) {
   baseline.prepare(batch);
   ASSERT_GT(baseline.workspace_bytes(), 0);
   // ResNet-20 keeps only a handful of edges live at once (residual forks
-  // are the widest point) and all convs share one im2col stripe, so the
+  // are the widest point) and all convs share one padded stripe, so the
   // colored plan must be a small fraction of the per-edge baseline; 2x is
   // a loose floor that still catches planner regressions.
   EXPECT_LT(planned.workspace_bytes() * 2, baseline.workspace_bytes())
@@ -724,6 +829,57 @@ TEST(GraphArtifact, PoolRecordsRoundTrip) {
   EXPECT_EQ(pools[1].kernel_w, 0);  // square windows stay compact
   EXPECT_EQ(pools[1].stride, 2);
   EXPECT_EQ(pools[1].pad, 1);
+}
+
+// A convolution's only scratch is its padded input: pool_slot_count()
+// stripes of C x (H + 2 pad) x (W + 2 pad) bytes when it pads, none when it
+// reads its input edge in place. With one dedicated slot per buffer
+// (plan_buffers = false) the workspace is the plain sum of the edges — the
+// input codes, the conv accumulator and its requantized codes, the pooled
+// codes — the Linear head's accumulator, and that scratch.
+TEST(CompiledGraph, ConvScratchHoldsPaddedImageNotColumns) {
+  const std::int64_t c = 5, h = 11, w = 9, oc = 6, features = 4, batch = 8;
+  const auto workspace = [&](std::int64_t kernel, std::int64_t stride,
+                             std::int64_t pad) {
+    Rng rng(930);
+    Model model;
+    const WeightSourceFactory factory =
+        model.recording_factory(ste_uniform_weight_factory(/*bits=*/4));
+    auto net = std::make_unique<Sequential>("net");
+    Conv2dConfig conv;
+    conv.in_channels = c;
+    conv.out_channels = oc;
+    conv.kernel = kernel;
+    conv.stride = stride;
+    conv.pad = pad;
+    net->add(std::make_unique<Conv2d>("conv", conv, factory, rng));
+    net->add(std::make_unique<BatchNorm2d>("bn", oc));
+    net->add(std::make_unique<ReLU>("relu"));
+    net->add(std::make_unique<GlobalAvgPool>("gap"));
+    net->add(std::make_unique<Flatten>("flatten"));
+    net->add(std::make_unique<Linear>("fc", oc, features, factory, rng));
+    model.set_root(std::move(net));
+    Rng data_rng(931);
+    const Tensor calib = random_tensor({batch, c, h, w}, data_rng);
+    model.forward(calib, /*training=*/true);
+
+    runtime::LowerOptions options;
+    options.in_channels = c;
+    options.in_height = h;
+    options.in_width = w;
+    options.plan_buffers = false;
+    runtime::CompiledGraph graph = runtime::lower(model, options);
+    graph.calibrate(calib);
+    graph.prepare(batch);
+    const std::int64_t out_h = (h + 2 * pad - kernel) / stride + 1;
+    const std::int64_t out_w = (w + 2 * pad - kernel) / stride + 1;
+    const std::int64_t edges =
+        batch * (c * h * w + oc * out_h * out_w * (4 + 1) + oc) +
+        4 * features * batch;
+    return graph.workspace_bytes() - edges;
+  };
+  EXPECT_EQ(workspace(3, 1, 1), pool_slot_count() * c * (h + 2) * (w + 2));
+  EXPECT_EQ(workspace(1, 2, 0), 0);
 }
 
 TEST(CompiledGraph, RejectsModelWithoutLinearHead) {
