@@ -9,12 +9,12 @@
 // bit-identity of loaded-vs-direct forwards, per-request correctness under
 // concurrency and the throughput/batching statistics.
 //
-// The second half re-serves the artifact CROSS-PROCESS: the parent
-// memory-maps the artifact (load_graph_mmap — N processes share one page
-// cache), exposes it over the loopback transport (serve/transport.h) and
-// forks two client processes (`--client <port> <fixture>`) that each drive
-// it over TCP, checking every response bit-for-bit against the in-process
-// forwards the parent wrote into the fixture file.
+// The second half re-serves the artifact CROSS-PROCESS: the parent loads
+// it again (load_graph), exposes it over the loopback transport
+// (serve/transport.h) and forks two client processes
+// (`--client <port> <fixture>`) that each drive it over TCP, checking
+// every response bit-for-bit against the in-process forwards the parent
+// wrote into the fixture file.
 //
 //   $ ./examples/serve_quantized            # parent: server + forked clients
 //   $ ./examples/serve_quantized --client <port> <fixture>   # internal
@@ -264,17 +264,16 @@ int main(int argc, char** argv) {
             << final_stats.restores << "\n";
 
   // ---- cross-process serving ---------------------------------------------
-  // Re-serve the SAME artifact over the loopback transport, with replicas
-  // that memory-map the weight section instead of copying it (two replicas
-  // share one mapping here; separate processes mapping the same file share
-  // one page cache). Two forked client processes each drive the server
-  // over TCP and verify every response bit-for-bit against the parent's
-  // in-process forwards (shipped to them in a fixture file).
+  // Re-serve the SAME artifact over the loopback transport, with two
+  // replicas loaded from it (the second shares the first's program). Two
+  // forked client processes each drive the server over TCP and verify
+  // every response bit-for-bit against the parent's in-process forwards
+  // (shipped to them in a fixture file).
   serve::BatchingServer wire_server;
   {
     std::vector<runtime::CompiledGraph> wire_replicas;
     wire_replicas.push_back(
-        runtime::load_graph_mmap(artifact_path, /*pooled=*/false));
+        runtime::load_graph(artifact_path, /*pooled=*/false));
     wire_replicas.push_back(runtime::replicate(wire_replicas.front()));
     wire_server.add_model("resnet20", std::move(wire_replicas));
   }
@@ -311,7 +310,7 @@ int main(int argc, char** argv) {
   const auto wire_stats = transport.stats();
   std::cout << "\ncross-process: 2 forked clients drove "
             << wire_stats.responses
-            << " requests over loopback against mmap-loaded replicas: "
+            << " requests over loopback against artifact-loaded replicas: "
             << (clients_ok ? "all bit-identical" : "FAILURES!") << "\n";
   transport.stop();
   wire_server.stop();

@@ -66,7 +66,7 @@ void write_layer_record(std::ostream& out, const QuantizedLayerExport& layer) {
   }
 }
 
-QuantizedLayerExport read_layer_record(std::istream& in, bool skip_codes) {
+QuantizedLayerExport read_layer_record(std::istream& in) {
   QuantizedLayerExport layer;
   const auto name_length = read_pod<std::uint32_t>(in);
   CSQ_CHECK(name_length <= kMaxNameLength)
@@ -97,13 +97,6 @@ QuantizedLayerExport read_layer_record(std::istream& in, bool skip_codes) {
   layer.denominator = read_pod<float>(in);
   CSQ_CHECK(layer.denominator >= 1.0f && layer.denominator <= 255.0f)
       << "quantized model file: bad grid denominator";
-
-  if (skip_codes) {
-    in.seekg(static_cast<std::streamoff>(count * sizeof(std::int16_t)),
-             std::ios_base::cur);
-    CSQ_CHECK(static_cast<bool>(in)) << "quantized model file: truncated codes";
-    return layer;
-  }
 
   // Demand-driven growth (not an up-front resize): a corrupt count larger
   // than the actual payload throws on the first truncated read instead of

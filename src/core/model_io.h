@@ -119,12 +119,9 @@ void write_container_header(std::ostream& out, std::uint32_t version,
 std::pair<std::uint32_t, std::uint32_t> read_container_header(
     std::istream& in);
 
-// One layer record. `skip_codes` seeks over the i16 code payload instead of
-// reading it (layer.codes stays empty) — the mmap graph loader packs from
-// the artifact's weight section and never materializes the codes.
+// One layer record.
 void write_layer_record(std::ostream& out, const QuantizedLayerExport& layer);
-QuantizedLayerExport read_layer_record(std::istream& in,
-                                       bool skip_codes = false);
+QuantizedLayerExport read_layer_record(std::istream& in);
 
 }  // namespace model_io
 

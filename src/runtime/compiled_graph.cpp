@@ -844,11 +844,7 @@ namespace {
 // with live lowering.
 class GraphBuilder {
  public:
-  // `mapped` is the borrowed-weight table of an mmap-loaded program (null
-  // for regular programs): conv/linear layers then adopt pre-packed views
-  // from it, in lowering order, instead of packing from the layer codes.
-  GraphBuilder(CompiledGraph::Impl& g, const MappedWeightTable* mapped)
-      : g_(g), mapped_(mapped) {
+  explicit GraphBuilder(CompiledGraph::Impl& g) : g_(g) {
     EdgeData input;
     input.channels = g.options.in_channels;
     input.height = g.options.in_height;
@@ -857,28 +853,6 @@ class GraphBuilder {
     g_.input_edge = 0;
     current_edge_ = 0;
     add_op(std::make_unique<QuantizeInputOp>(0), {}, {0});
-  }
-
-  // Packs (or borrows) one layer's weights for the replayed conv/linear.
-  PackedIntWeights make_packed(const QuantizedLayerExport& layer,
-                               const ProgramInstr& instr, std::int64_t rows,
-                               std::int64_t cols) {
-    if (mapped_ == nullptr) {
-      return PackedIntWeights(layer.codes, layer.step(), layer.bits, rows,
-                              cols,
-                              static_cast<WeightKernel>(instr.kernel_kind));
-    }
-    CSQ_CHECK(next_mapped_ < mapped_->entries.size())
-        << "mmap artifact: weight table holds " << mapped_->entries.size()
-        << " entries but the program replays more conv/linear layers";
-    const MappedWeightTable::Entry& entry = mapped_->entries[next_mapped_++];
-    CSQ_CHECK(entry.rows == rows && entry.cols == cols)
-        << "mmap artifact: " << layer.name << " weight extents " << entry.rows
-        << "x" << entry.cols << " do not match the replayed layer (" << rows
-        << "x" << cols << ")";
-    return PackedIntWeights(entry.spans, layer.step(), layer.bits,
-                            entry.shift, rows, cols,
-                            static_cast<WeightKernel>(instr.kernel_kind));
   }
 
   void conv(const QuantizedLayerExport& layer, const ProgramInstr& instr) {
@@ -908,8 +882,9 @@ class GraphBuilder {
     geom.pad = instr.pad;
     geom.validate();
 
-    PackedIntWeights packed =
-        make_packed(layer, instr, out_channels, geom.col_rows());
+    PackedIntWeights packed(layer.codes, layer.step(), layer.bits,
+                            out_channels, geom.col_rows(),
+                            static_cast<WeightKernel>(instr.kernel_kind));
     const int acc = new_acc_edge(out_channels, geom.out_h(), geom.out_w());
 
     auto op = std::make_unique<ConvOp>(in, acc, geom, std::move(packed));
@@ -944,8 +919,9 @@ class GraphBuilder {
               static_cast<std::int64_t>(instr.bias.size()) == out_features)
         << "lowering " << layer.name << ": bias length mismatch";
 
-    PackedIntWeights packed =
-        make_packed(layer, instr, out_features, in_features);
+    PackedIntWeights packed(layer.codes, layer.step(), layer.bits,
+                            out_features, in_features,
+                            static_cast<WeightKernel>(instr.kernel_kind));
     auto op = std::make_unique<LinearOp>(in, std::move(packed), instr.bias);
     record_layer(layer.name, op->weights());
     g_.out_features = out_features;
@@ -1275,8 +1251,6 @@ class GraphBuilder {
   }
 
   CompiledGraph::Impl& g_;
-  const MappedWeightTable* mapped_ = nullptr;
-  std::size_t next_mapped_ = 0;  // borrowed entries consumed so far
   Pending pending_;
   std::vector<Frame> residual_stack_;
   std::vector<OpMeta> op_meta_;  // parallel to g_.ops
@@ -1455,7 +1429,7 @@ void replay_program(CompiledGraph::Impl& impl, const GraphProgram& program,
   impl.options = options;
   impl.levels = (std::int64_t{1} << options.act_bits) - 1;
   impl.pooled = options.pooled;
-  GraphBuilder builder(impl, program.mapped.get());
+  GraphBuilder builder(impl);
   const auto layer_of = [&program](const ProgramInstr& instr) ->
       const QuantizedLayerExport& {
     CSQ_CHECK(instr.layer >= 0 &&
@@ -1515,16 +1489,6 @@ void replay_program(CompiledGraph::Impl& impl, const GraphProgram& program,
 // baseline.
 void resolve_kernel_selection(GraphProgram& program,
                               const LowerOptions& options) {
-  // Mmap-loaded programs carry no owned codes to re-derive a selection from
-  // — the borrowed panels were packed for the recorded kernels (the artifact
-  // parser checks each entry against its instruction), so the recorded
-  // kinds are the only valid replay.
-  if (program.mapped != nullptr) {
-    CSQ_CHECK(!options.force_reference_kernel)
-        << "mmap artifact: force_reference_kernel would mismatch the "
-           "borrowed panels; use load_graph for kernel A/B runs";
-    return;
-  }
   for (ProgramInstr& instr : program.instrs) {
     if (instr.kind != ProgramInstr::Kind::kConv &&
         instr.kind != ProgramInstr::Kind::kLinear) {

@@ -1,8 +1,6 @@
 #include "runtime/graph_artifact.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,7 +10,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <memory>
 #include <sstream>
 #include <streambuf>
 
@@ -32,9 +29,8 @@ constexpr char kGraphMagic[4] = {'C', 'S', 'Q', 'G'};
 // program (instructions carry kernel_w, the resolved kernel_kind and one
 // reserved byte, always 0), the edge records, a packed-weights section
 // (each conv/linear layer's int8 planes + prepacked kernel panels, 64-byte
-// aligned) so load_graph_mmap can borrow weight pages straight from a
-// read-only mapping, and a CRC-32 trailer over every preceding container
-// byte. Both loaders accept exactly that: v1–v4 sections are rejected.
+// aligned) and a CRC-32 trailer over every preceding container byte.
+// load_graph accepts exactly that: v1–v4 sections are rejected.
 constexpr std::uint32_t kGraphSectionVersion = 5;
 // Sanity bounds for reading untrusted artifacts.
 constexpr std::uint32_t kMaxInstrs = 1 << 20;
@@ -42,9 +38,7 @@ constexpr std::uint32_t kMaxEdges = 1 << 20;
 constexpr std::uint32_t kMaxVectorLength = 1 << 24;
 constexpr std::int64_t kMaxExtent = 1 << 20;
 constexpr std::size_t kCrcTrailerBytes = sizeof(std::uint32_t);
-// File-offset alignment of every weight-section blob. mmap bases are
-// page-aligned, so file-offset alignment IS memory alignment for the
-// borrowed int16 panels (and keeps blobs cache-line aligned).
+// File-offset alignment of every weight-section blob (cache-line aligned).
 constexpr std::size_t kWeightAlignment = 64;
 
 using model_io::read_pod;
@@ -140,7 +134,7 @@ void write_payload(std::ostream& out, const GraphProgram& program,
 
   // v5 packed-weights section: the exact bytes the serving-time GEMM
   // consumes, one entry per conv/linear layer in lowering order, every blob
-  // aligned so a mapped view can be consumed in place.
+  // 64-byte aligned.
   CSQ_CHECK(weights.size() == weight_layer_indices.size())
       << "save_graph: " << weights.size() << " packed layers for "
       << weight_layer_indices.size() << " conv/linear instructions";
@@ -197,7 +191,7 @@ std::string parent_directory(const std::string& path) {
 
 // ---- shared parse of the layer + graph sections ---------------------------
 
-// Read-only istream over an existing byte span (the mmap'd artifact) with
+// Read-only istream over an existing byte span (the artifact image) with
 // full seek support — parsing never copies the underlying bytes.
 class SpanStreamBuf final : public std::streambuf {
  public:
@@ -235,14 +229,15 @@ class SpanStreamBuf final : public std::streambuf {
   }
 };
 
-// Parses the packed-weights section (stream positioned right after the
-// edge records) into views over the payload [base, base + payload_size).
-// Every blob is bounds-checked against the payload, and each entry's layer
-// and kernel must match its conv/linear instruction: the GEMM reads panels
-// in the instruction's layout, so the entry must have been sized for it.
-std::shared_ptr<MappedWeightTable> read_weight_table(
-    std::istream& in, const char* base, std::size_t payload_size,
-    const GraphProgram& program) {
+// Validates and skips the packed-weights section (stream positioned right
+// after the edge records) of the payload [base, base + payload_size). The
+// loader re-packs from the layer codes, but the section is outside input:
+// every blob is bounds-checked against the payload with zero alignment
+// padding, and each entry's layer and kernel must match its conv/linear
+// instruction.
+void validate_weight_section(std::istream& in, const char* base,
+                             std::size_t payload_size,
+                             const GraphProgram& program) {
   std::vector<const ProgramInstr*> weight_instrs;
   for (const ProgramInstr& instr : program.instrs) {
     if (instr.kind == ProgramInstr::Kind::kConv ||
@@ -256,12 +251,9 @@ std::shared_ptr<MappedWeightTable> read_weight_table(
       << "graph artifact: weight section holds " << entry_count
       << " entries for " << weight_instrs.size() << " conv/linear layers";
 
-  auto table = std::make_shared<MappedWeightTable>();
-  table->entries.reserve(entry_count);
-
-  // Aligns the read position and returns a bounds-checked view of the next
-  // `bytes` payload bytes, advancing the stream past them.
-  const auto take_blob = [&](std::int64_t bytes) -> const char* {
+  // Aligns the read position and skips the next `bytes` payload bytes,
+  // bounds- and padding-checked.
+  const auto skip_blob = [&](std::int64_t bytes) {
     const auto pos = static_cast<std::size_t>(in.tellg());
     const std::size_t misalign = pos % kWeightAlignment;
     const std::size_t aligned =
@@ -276,7 +268,6 @@ std::shared_ptr<MappedWeightTable> read_weight_table(
                                          static_cast<std::size_t>(bytes)),
              std::ios_base::beg);
     CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated weights";
-    return base + aligned;
   };
 
   for (std::uint32_t i = 0; i < entry_count; ++i) {
@@ -285,56 +276,37 @@ std::shared_ptr<MappedWeightTable> read_weight_table(
     CSQ_CHECK(layer_index == instr.layer)
         << "graph artifact: weight entry " << i << " keys layer "
         << layer_index << ", program expects " << instr.layer;
-    MappedWeightTable::Entry entry;
-    entry.rows = read_pod<std::int64_t>(in);
-    entry.cols = read_pod<std::int64_t>(in);
-    entry.shift = read_pod<std::int32_t>(in);
+    const auto rows = read_pod<std::int64_t>(in);
+    const auto cols = read_pod<std::int64_t>(in);
+    read_pod<std::int32_t>(in);  // shift: re-derived from the codes
     const auto kernel = read_pod<std::int32_t>(in);
     const bool split = read_flag(in);
-    CSQ_CHECK(entry.rows >= 1 && entry.rows <= kMaxExtent &&
-              entry.cols >= 1 && entry.cols <= 32767)
-        << "graph artifact: absurd weight extents " << entry.rows << "x"
-        << entry.cols;
+    CSQ_CHECK(rows >= 1 && rows <= kMaxExtent && cols >= 1 && cols <= 32767)
+        << "graph artifact: absurd weight extents " << rows << "x" << cols;
     CSQ_CHECK(kernel == instr.kernel_kind)
         << "graph artifact: weight entry " << i << " packed for kernel "
         << kernel << ", instruction selects " << instr.kernel_kind;
 
-    const std::int64_t count = entry.rows * entry.cols;
-    entry.spans.primary =
-        reinterpret_cast<const std::int8_t*>(take_blob(count));
-    if (split) {
-      entry.spans.low =
-          reinterpret_cast<const std::int8_t*>(take_blob(count));
-    }
+    const std::int64_t planes = split ? 2 : 1;
     const std::int64_t panel_bytes = gemm_packed_a_bytes(
-        static_cast<PackedKernel>(kernel), entry.rows, entry.cols);
-    entry.spans.panels =
-        reinterpret_cast<const std::uint8_t*>(take_blob(panel_bytes));
-    if (split) {
-      entry.spans.low_panels =
-          reinterpret_cast<const std::uint8_t*>(take_blob(panel_bytes));
-    }
-    table->entries.push_back(entry);
+        static_cast<PackedKernel>(kernel), rows, cols);
+    for (std::int64_t p = 0; p < planes; ++p) skip_blob(rows * cols);
+    for (std::int64_t p = 0; p < planes; ++p) skip_blob(panel_bytes);
   }
-  return table;
 }
 
 struct ParsedArtifact {
   GraphProgram program;
   LowerOptions options;
   std::vector<EdgeScaleRecord> edges;
-  // Views into the parsed image: load_graph_mmap adopts them, load_graph
-  // drops them and re-packs from the codes.
-  std::shared_ptr<MappedWeightTable> weights;
 };
 
 // Parses the exact bytes save_graph writes from the image [data, data +
 // size): the CRC trailer (the last four bytes) is verified BEFORE any field
 // is deserialized, every section is read and bounds-checked, and the
 // payload must end exactly where the weight section does.
-// skip_layer_codes leaves every layer's code vector empty (mmap path).
 ParsedArtifact parse_artifact(const char* data, std::size_t size,
-                              bool pooled, bool skip_layer_codes) {
+                              bool pooled) {
   CSQ_CHECK(size > kCrcTrailerBytes) << "graph artifact: truncated";
   const std::size_t payload_size = size - kCrcTrailerBytes;
   std::uint32_t stored = 0;
@@ -355,8 +327,7 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
   GraphProgram& program = parsed.program;
   program.layers.reserve(layer_count);
   for (std::uint32_t l = 0; l < layer_count; ++l) {
-    program.layers.push_back(
-        model_io::read_layer_record(in, skip_layer_codes));
+    program.layers.push_back(model_io::read_layer_record(in));
   }
 
   char magic[4] = {};
@@ -448,24 +419,11 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
     parsed.edges.push_back(record);
   }
 
-  parsed.weights = read_weight_table(in, data, payload_size, program);
+  validate_weight_section(in, data, payload_size, program);
   CSQ_CHECK(static_cast<std::size_t>(in.tellg()) == payload_size)
       << "graph artifact: unexpected bytes after the weight section";
   return parsed;
 }
-
-// Owns one read-only mapping of an artifact file; the MappedWeightTable's
-// keepalive shares it with every graph built from the program.
-struct ArtifactMapping {
-  const char* data = nullptr;
-  std::size_t size = 0;
-
-  ~ArtifactMapping() {
-    if (data != nullptr) {
-      ::munmap(const_cast<char*>(data), size);
-    }
-  }
-};
 
 }  // namespace
 
@@ -477,9 +435,6 @@ bool save_graph(const std::string& path, CompiledGraph& graph) {
   const LowerOptions& options = graph.options();
   CSQ_CHECK(!program.instrs.empty())
       << "save_graph: graph carries no lowering program";
-  CSQ_CHECK(program.mapped == nullptr)
-      << "save_graph: graph was loaded via load_graph_mmap (weight codes "
-         "are borrowed, not owned); re-save from a load_graph copy instead";
 
   // Serialize to memory first: the CRC trailer covers the exact payload
   // bytes, and the file write below becomes a single streamed copy.
@@ -552,37 +507,9 @@ CompiledGraph load_graph(const std::string& path, bool pooled) {
       << "graph artifact: cannot read " << path;
   const std::string bytes = sink.str();
 
-  // The weight-section views are dropped: this loader re-packs from the
-  // owned codes, byte-identically.
-  ParsedArtifact parsed = parse_artifact(bytes.data(), bytes.size(), pooled,
-                                         /*skip_layer_codes=*/false);
-  CompiledGraph graph =
-      build_graph(std::move(parsed.program), parsed.options);
-  graph.restore_edge_scales(parsed.edges);
-  return graph;
-}
-
-CompiledGraph load_graph_mmap(const std::string& path, bool pooled) {
-  CSQ_FAILPOINT("artifact.mmap");
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  CSQ_CHECK(fd >= 0) << "graph artifact: cannot open " << path;
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    CSQ_CHECK(false) << "graph artifact: cannot stat " << path;
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping holds its own reference
-  CSQ_CHECK(base != MAP_FAILED) << "graph artifact: mmap failed for " << path;
-  auto mapping = std::make_shared<ArtifactMapping>();
-  mapping->data = static_cast<const char*>(base);
-  mapping->size = size;
-
-  ParsedArtifact parsed = parse_artifact(mapping->data, size, pooled,
-                                         /*skip_layer_codes=*/true);
-  parsed.weights->keepalive = std::move(mapping);
-  parsed.program.mapped = std::move(parsed.weights);
+  // The weight section was validated and skipped: this loader re-packs
+  // from the owned codes, byte-identically.
+  ParsedArtifact parsed = parse_artifact(bytes.data(), bytes.size(), pooled);
   CompiledGraph graph =
       build_graph(std::move(parsed.program), parsed.options);
   graph.restore_edge_scales(parsed.edges);

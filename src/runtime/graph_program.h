@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/export.h"
@@ -30,8 +29,6 @@ namespace csq {
 class Model;
 
 namespace runtime {
-
-struct MappedWeightTable;  // runtime/packed_weights.h
 
 // One lowering step. Fields beyond `kind` are meaningful only for the kinds
 // noted; unused fields keep their defaults (and serialize as such).
@@ -73,13 +70,6 @@ struct GraphProgram {
   // order — the exact records the model container's layer section stores.
   std::vector<QuantizedLayerExport> layers;
   std::vector<ProgramInstr> instrs;
-  // Non-null only for programs loaded through load_graph_mmap(): per
-  // conv/linear layer, borrowed packed-weight views into the read-only file
-  // mapping (each `layers[i].codes` stays EMPTY — build_graph packs from
-  // these views instead of the codes) plus the mapping keepalive. Replicas
-  // sharing the program share the mapping; save_graph rejects such programs
-  // (the owned codes are not present to serialize).
-  std::shared_ptr<const MappedWeightTable> mapped;
 };
 
 // Records the module-tree walk of a finalized model. Every quantizable

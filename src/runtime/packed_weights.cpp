@@ -181,56 +181,6 @@ void PackedIntWeights::check_kernel_eligibility() const {
   }
 }
 
-PackedIntWeights::PackedIntWeights(const WeightSpans& spans, float step,
-                                   int bits, int shift, std::int64_t rows,
-                                   std::int64_t cols, WeightKernel kernel)
-    : spans_(spans),
-      rows_(rows),
-      cols_(cols),
-      bits_(bits),
-      shift_(shift),
-      kernel_(kernel),
-      borrowed_(true) {
-  CSQ_CHECK(rows > 0 && cols > 0)
-      << "packed weights: borrowed extents " << rows << "x" << cols;
-  CSQ_CHECK(cols <= 32767)
-      << "packed weights: reduction depth " << cols
-      << " would overflow int32 accumulation";
-  CSQ_CHECK(shift >= 0 && shift <= 7)
-      << "packed weights: borrowed shift " << shift << " out of range";
-  CSQ_CHECK(spans.primary != nullptr)
-      << "packed weights: borrowed primary plane is null";
-  split_ = spans.low != nullptr;
-  effective_step_ = std::ldexp(step, shift_);
-
-  // One scan over the borrowed planes recomputes the two derived quantities
-  // the artifact does not persist — per-row code sums (the requant
-  // zero-point correction) and the max-|code| bound the kernel eligibility
-  // checks consume — and re-validates the 8-bit grid on the way.
-  const std::int64_t count = rows * cols;
-  row_sums_.assign(static_cast<std::size_t>(rows), 0);
-  std::int32_t max_magnitude = 0;
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::int32_t code =
-        split_ ? 2 * static_cast<std::int32_t>(spans.primary[i]) +
-                     spans.low[i]
-               : spans.primary[i];
-    CSQ_CHECK(code >= -255 && code <= 255)
-        << "packed weights: borrowed plane code " << code
-        << " outside the 8-bit grid";
-    max_magnitude = std::max(max_magnitude, std::abs(code));
-    row_sums_[static_cast<std::size_t>(i / cols)] += code;
-  }
-  max_abs_code_ = max_magnitude;
-  CSQ_CHECK(!split_ || max_magnitude > 127)
-      << "packed weights: borrowed split layer with |code| <= 127";
-
-  check_kernel_eligibility();
-  CSQ_CHECK(spans.panels != nullptr &&
-            (!split_ || spans.low_panels != nullptr))
-      << "packed weights: borrowed " << kernel_name() << " panels missing";
-}
-
 void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
                             const std::uint8_t* b, std::int64_t ldb,
                             std::int32_t* c, std::int64_t ldc,

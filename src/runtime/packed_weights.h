@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nn/weight_source.h"
@@ -60,33 +59,6 @@ constexpr PackedKernel packed_kernel(WeightKernel kernel) {
   return static_cast<PackedKernel>(kernel);
 }
 
-// Raw views of one layer's packed storage — every byte the serving-time
-// GEMM consumes — pointing into externally-owned memory (a CRC-verified
-// read-only file mapping for the load_graph_mmap path). Extents are implied
-// by rows/cols/kernel: planes are rows*cols int8; each panel blob is
-// gemm_packed_a_bytes(packed_kernel(kernel), rows, cols) bytes.
-struct WeightSpans {
-  const std::int8_t* primary = nullptr;      // rows*cols plane codes
-  const std::int8_t* low = nullptr;          // split layers only
-  const std::uint8_t* panels = nullptr;      // primary plane, kernel layout
-  const std::uint8_t* low_panels = nullptr;  // split layers only
-};
-
-// Borrowed packed-weight storage for graphs loaded via load_graph_mmap():
-// per conv/linear layer (lowering order), views into one read-only file
-// mapping, plus the keepalive that unmaps the file once the last graph
-// sharing the program drops it. GraphProgram::mapped holds this table.
-struct MappedWeightTable {
-  struct Entry {
-    WeightSpans spans;
-    std::int64_t rows = 0;
-    std::int64_t cols = 0;
-    int shift = 0;
-  };
-  std::vector<Entry> entries;
-  std::shared_ptr<const void> keepalive;
-};
-
 class PackedIntWeights {
  public:
   PackedIntWeights() = default;
@@ -104,17 +76,6 @@ class PackedIntWeights {
                    int bits, std::int64_t rows, std::int64_t cols,
                    WeightKernel kernel = WeightKernel::kAuto);
 
-  // Borrowing (mmap) form: adopts pre-packed planes and panels that live in
-  // externally-owned CRC-verified memory (runtime/graph_artifact.h
-  // load_graph_mmap) — no plane or panel copies, so replicas across N
-  // processes share one page cache. Row sums and the max-|code| bound are
-  // recomputed with one scan, and the kernel's exactness eligibility is
-  // re-checked exactly as in the owning form. The caller must keep the
-  // backing memory alive for this object's lifetime (the GraphProgram's
-  // MappedWeightTable holds the mapping).
-  PackedIntWeights(const WeightSpans& spans, float step, int bits, int shift,
-                   std::int64_t rows, std::int64_t cols, WeightKernel kernel);
-
   // The deterministic auto-selection policy: the kernel a layer with these
   // codes earns. Pure function of the codes/bits/shape, so every replica of
   // a live-lowered program makes the same choice.
@@ -127,26 +88,16 @@ class PackedIntWeights {
   int shift() const { return shift_; }
   bool split() const { return split_; }
 
-  // True when the planes/panels point into externally-owned memory (the
-  // mmap'd artifact path) instead of this object's own vectors.
-  bool borrowed() const { return borrowed_; }
-
-  // Raw storage views — the bytes the v5 artifact weight section persists
-  // and the borrowing constructor adopts. Null where not applicable.
-  const std::int8_t* primary_data() const {
-    return borrowed_ ? spans_.primary : primary_.data();
-  }
+  // Raw storage views — the bytes the v5 artifact weight section persists.
+  // Null where not applicable.
+  const std::int8_t* primary_data() const { return primary_.data(); }
   const std::int8_t* low_data() const {
-    if (!split_) return nullptr;
-    return borrowed_ ? spans_.low : low_.data();
+    return split_ ? low_.data() : nullptr;
   }
   // The planes packed in the kernel's panel layout (gemm_pack_a).
-  const std::uint8_t* panel_data() const {
-    return borrowed_ ? spans_.panels : panels_.data();
-  }
+  const std::uint8_t* panel_data() const { return panels_.data(); }
   const std::uint8_t* low_panel_data() const {
-    if (!split_) return nullptr;
-    return borrowed_ ? spans_.low_panels : low_panels_.data();
+    return split_ ? low_panels_.data() : nullptr;
   }
 
   // The GEMM path this layer runs (never kAuto after construction).
@@ -195,9 +146,9 @@ class PackedIntWeights {
   std::int64_t storage_bits() const;
 
  private:
-  // Recorded kernel kinds (artifact replay / mmap load) are honored but
-  // never trusted: a record that violates the kernel's exactness bound must
-  // throw, not produce wrong logits. Requires max_abs_code_/split_/cols_ set.
+  // Recorded kernel kinds (artifact replay) are honored but never trusted:
+  // a record that violates the kernel's exactness bound must throw, not
+  // produce wrong logits. Requires max_abs_code_/split_/cols_ set.
   void check_kernel_eligibility() const;
 
   // Stored-plane code of element i: the hi/lo pair re-assembled for split
@@ -214,7 +165,6 @@ class PackedIntWeights {
   // (weights are static at serving time) so gemm() skips per-call A packing.
   std::vector<std::uint8_t> panels_;
   std::vector<std::uint8_t> low_panels_;  // empty unless split()
-  WeightSpans spans_;  // borrowed mode: views into the caller's mapping
   std::vector<std::int64_t> row_sums_;
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
@@ -224,7 +174,6 @@ class PackedIntWeights {
   WeightKernel kernel_ = WeightKernel::kS8U8;
   float effective_step_ = 1.0f;
   bool split_ = false;
-  bool borrowed_ = false;
 };
 
 }  // namespace runtime

@@ -122,6 +122,11 @@ void bitplane_backward(GateKind kind, float beta, const BitPlaneGrad* planes,
                        KernelExec exec) {
   CSQ_CHECK(kind != GateKind::step)
       << "bitplane_backward: step gates have no gradient";
+  for (int p = 0; p < num_planes; ++p) {
+    CSQ_CHECK(kind == GateKind::sigmoid || !planes[p].want_diff_sum)
+        << "bitplane_backward: plane " << p
+        << " asks for a diff sum, which needs cached sigmoid gates";
+  }
   const std::int64_t chunks = quant_chunk_count(count);
   for_each_quant_chunk(
       count, exec,
@@ -155,10 +160,6 @@ void bitplane_backward(GateKind kind, float beta, const BitPlaneGrad* planes,
               }
               if (plane.grad_neg != nullptr && in_unit_window(plane.neg[i])) {
                 plane.grad_neg[i] -= gi * coeff;
-              }
-              if (plane.want_diff_sum) {
-                acc += static_cast<double>(gi) * (plane.gate_pos[i] -
-                                                  plane.gate_neg[i]);
               }
             }
           }

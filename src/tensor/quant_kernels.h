@@ -119,7 +119,8 @@ struct BitPlaneGrad {
   float* grad_neg = nullptr;
   // When set, the kernel also reduces sum_i grad_out[i] * (g_pos - g_neg)
   // for this plane — the inner factor of the bit-mask gradient (Eq. 5
-  // differentiated w.r.t. m_B). Requires cached gates.
+  // differentiated w.r.t. m_B). Sigmoid planes only: it reads the cached
+  // gates (bitplane_backward rejects it for round_clip).
   bool want_diff_sum = false;
 };
 

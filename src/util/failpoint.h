@@ -19,7 +19,6 @@
 //   artifact.write        save_graph, mid-payload (stream variant)
 //   artifact.fsync        save_graph, temp-file fsync before rename (bool)
 //   artifact.dirsync      save_graph, directory fsync after rename (bool)
-//   artifact.mmap         load_graph_mmap, after opening the file
 //   transport.accept      ServeTransport, accepting a client connection
 //   transport.read        ServeTransport, reading request bytes
 //   transport.write       ServeTransport, writing response bytes

@@ -147,9 +147,9 @@ TEST(ModelIoGolden, V2FixtureLoadsIdentically) {
 // conv5 was recorded as the retired nibble kernel (kind 2) until the
 // fixture was re-pinned: loaded, conv5's kernel_kind set to 0, rebuilt
 // with the same options and edge scales, and re-saved; the logits did not
-// change. The panel bytes are the layout contract between the GEMM packers, the
-// artifact writer and the mmap reader: a layout change that moved all three
-// together would pass every round-trip test, but not these.
+// change. The panel bytes are the layout contract between the GEMM packers
+// and the artifact writer: a layout change that moved both together would
+// pass every round-trip test, but not these.
 const char kGoldenV5[] = "golden_v5.csqm";
 const float kGoldenV5Logits[8] = {0.353785932f,  -0.103491917f, -0.204821542f,
                                   0.578203261f,  0.354760945f,  -0.10857062f,
@@ -191,12 +191,6 @@ TEST(ModelIoGolden, V5FixtureServesPinnedLogits) {
   expect_golden_v5_graph(graph);
 }
 
-TEST(ModelIoGolden, V5FixtureMmapServesPinnedLogits) {
-  runtime::CompiledGraph graph =
-      runtime::load_graph_mmap(golden_path(kGoldenV5));
-  expect_golden_v5_graph(graph);
-}
-
 TEST(ModelIoGolden, V5FixtureLayerSectionLoadsAsPlainModel) {
   // A serving artifact doubles as a quantized-model container: the layer
   // reader consumes the layer section and ignores the graph section.
@@ -232,6 +226,20 @@ TEST(ModelIoGolden, VersionsOutsideTheWindowAreRejected) {
     EXPECT_THROW(load_quantized_model(path), check_error)
         << "container v" << version;
   }
+  std::remove(path.c_str());
+}
+
+TEST(ModelIoGolden, PreV5GraphSectionsAreRejectedCleanly) {
+  // The committed v5 fixture relabelled as a v4 graph section and resealed
+  // with a fresh CRC: only v5 is read.
+  std::string payload = testing::golden_v5_payload();
+  const std::size_t magic = payload.find("CSQG");
+  ASSERT_NE(magic, std::string::npos);
+  const std::uint32_t v4 = 4;
+  std::memcpy(payload.data() + magic + 4, &v4, sizeof(v4));
+  const std::string path = temp_path("graph_v4");
+  testing::write_bytes(path, testing::reseal(payload));
+  EXPECT_THROW(runtime::load_graph(path), check_error);
   std::remove(path.c_str());
 }
 

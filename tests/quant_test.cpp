@@ -2,6 +2,7 @@
 // LQ-Nets / BSQ weight sources, activation quantizers, PTQ, and the shared
 // bit-plane engine / quant-kernel pipeline every family materializes
 // through (cross-family gradient checks, serial-vs-pooled parity).
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -270,6 +271,124 @@ TEST(Bsq, SteBackwardRoutesGradientToActivePlanes) {
     }
   }
   EXPECT_GT(total, 0.0f);
+}
+
+TEST(Bsq, RoundClipBackwardRejectsDiffSumRequests) {
+  // BSQ's round_clip planes cache no gates, so the bit-mask diff sum (which
+  // reads them) cannot be served: the kernel refuses the request instead
+  // of dereferencing the null gate pointers.
+  const std::vector<float> pos = {0.2f, 0.7f};
+  const std::vector<float> neg = {0.0f, 1.5f};
+  const std::vector<float> grad_out = {1.0f, -1.0f};
+  std::vector<float> grad_pos(2, 0.0f);
+  BitPlaneGrad plane;
+  plane.pos = pos.data();
+  plane.neg = neg.data();
+  plane.coeff = 1.0f;
+  plane.grad_pos = grad_pos.data();
+  plane.want_diff_sum = true;
+  std::vector<double> partials(
+      static_cast<std::size_t>(quant_chunk_count(2)));
+  double diff_sum = -1.0;
+  EXPECT_THROW(bitplane_backward(GateKind::round_clip, 1.0f, &plane, 1,
+                                 grad_out.data(), 2, partials.data(),
+                                 &diff_sum, KernelExec::serial),
+               check_error);
+
+  // Without the request the same plane runs its clipped STE.
+  plane.want_diff_sum = false;
+  bitplane_backward(GateKind::round_clip, 1.0f, &plane, 1, grad_out.data(),
+                    2, partials.data(), &diff_sum, KernelExec::serial);
+  EXPECT_EQ(grad_pos[0], 1.0f);
+  EXPECT_EQ(grad_pos[1], -1.0f);
+  EXPECT_EQ(diff_sum, 0.0);
+}
+
+TEST(BitPlaneKernels, SigmoidBackwardReducesDiffSumsOfRequestedPlanesOnly) {
+  // Two sigmoid planes over three grid chunks: plane 0 asks for the
+  // bit-mask diff sum, sum_i grad_out[i] * (g_pos[i] - g_neg[i]), read from
+  // the gates the soft forward cached; plane 1 does not and reads zero.
+  const std::int64_t count = 2 * kQuantChunk + 517;
+  const auto n = static_cast<std::size_t>(count);
+  const float beta = 3.0f;
+  Rng rng(4242);
+  std::vector<float> pos0(n), neg0(n), pos1(n), neg1(n), grad_out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos0[i] = rng.uniform(-2.0f, 2.0f);
+    neg0[i] = rng.uniform(-2.0f, 2.0f);
+    pos1[i] = rng.uniform(-2.0f, 2.0f);
+    neg1[i] = rng.uniform(-2.0f, 2.0f);
+    grad_out[i] = rng.uniform(-1.0f, 1.0f);
+  }
+  std::vector<float> gp0(n), gn0(n), gp1(n), gn1(n), out(n, 0.0f);
+  BitPlane planes[2];
+  planes[0].pos = pos0.data();
+  planes[0].neg = neg0.data();
+  planes[0].coeff = 0.5f;
+  planes[0].gate_pos = gp0.data();
+  planes[0].gate_neg = gn0.data();
+  planes[1].pos = pos1.data();
+  planes[1].neg = neg1.data();
+  planes[1].coeff = 0.25f;
+  planes[1].gate_pos = gp1.data();
+  planes[1].gate_neg = gn1.data();
+  bitplane_materialize(GateKind::sigmoid, beta, planes, 2, out.data(), count,
+                       KernelExec::serial);
+
+  // The kernel's reduction order: a double sum per grid chunk, then the
+  // chunks in order. Each float-by-float product is exact in double, so the
+  // reference matches bit for bit whether or not the compiler fuses the
+  // multiply-add.
+  const std::int64_t chunks = quant_chunk_count(count);
+  ASSERT_EQ(chunks, 3);
+  double want = 0.0;
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    double acc = 0.0;
+    for (std::int64_t i = c * kQuantChunk;
+         i < std::min(count, (c + 1) * kQuantChunk); ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      acc += static_cast<double>(grad_out[k]) * (gp0[k] - gn0[k]);
+    }
+    want += acc;
+  }
+  ASSERT_NE(want, 0.0);
+
+  std::vector<float> serial_grads;
+  for (const KernelExec exec : {KernelExec::serial, KernelExec::pooled}) {
+    std::vector<float> grad_pos0(n, 0.0f), grad_neg0(n, 0.0f);
+    std::vector<float> grad_pos1(n, 0.0f), grad_neg1(n, 0.0f);
+    BitPlaneGrad grads[2];
+    const BitPlane* sources[2] = {&planes[0], &planes[1]};
+    float* grad_pos[2] = {grad_pos0.data(), grad_pos1.data()};
+    float* grad_neg[2] = {grad_neg0.data(), grad_neg1.data()};
+    for (int p = 0; p < 2; ++p) {
+      grads[p].pos = sources[p]->pos;
+      grads[p].neg = sources[p]->neg;
+      grads[p].gate_pos = sources[p]->gate_pos;
+      grads[p].gate_neg = sources[p]->gate_neg;
+      grads[p].coeff = sources[p]->coeff;
+      grads[p].grad_pos = grad_pos[p];
+      grads[p].grad_neg = grad_neg[p];
+    }
+    grads[0].want_diff_sum = true;
+    std::vector<double> partials(static_cast<std::size_t>(chunks * 2), -1.0);
+    double diff_sums[2] = {-1.0, -1.0};
+    bitplane_backward(GateKind::sigmoid, beta, grads, 2, grad_out.data(),
+                      count, partials.data(), diff_sums, exec);
+    EXPECT_EQ(diff_sums[0], want);
+    EXPECT_EQ(diff_sums[1], 0.0);
+
+    // Both planes' gradients are the same under either schedule.
+    std::vector<float> all = grad_pos0;
+    for (const auto* grad : {&grad_neg0, &grad_pos1, &grad_neg1}) {
+      all.insert(all.end(), grad->begin(), grad->end());
+    }
+    if (exec == KernelExec::serial) {
+      serial_grads = all;
+    } else {
+      EXPECT_TRUE(all == serial_grads) << "pooled gradients differ";
+    }
+  }
 }
 
 // --------------------------------------- cross-family engine parity ----

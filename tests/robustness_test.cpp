@@ -9,10 +9,11 @@
 //    and truncation, the artifact.read failpoint;
 //  * CorruptionFuzz.*    — CRC-valid hostile artifacts: the committed
 //    golden_v5.csqm cut at every byte, padded with trailing bytes, given a
-//    mismatched weight kernel, or bit-flipped, each resealed with a fresh
-//    CRC so it reaches the field validators. Both loaders must reject it
-//    or load it cleanly, never crash — run this suite under the sanitize
-//    preset for the memory-safety half of the claim;
+//    mismatched weight kernel or layer key, nonzero weight padding, or
+//    bit-flipped, each resealed with a fresh CRC so it reaches the field
+//    validators. load_graph must reject it or load it cleanly, never
+//    crash — run this suite under the sanitize preset for the
+//    memory-safety half of the claim;
 //  * ServeRobustness.*   — the serving failure paths: replica quarantine +
 //    backoff restore with bit-identical recovery, shard failure only when
 //    every replica is dead, load shedding, request deadlines, stale
@@ -45,6 +46,7 @@
 #include "nn/weight_source.h"
 #include "runtime/compiled_graph.h"
 #include "runtime/graph_artifact.h"
+#include "runtime/packed_weights.h"
 #include "serve/batching_server.h"
 #include "test_helpers.h"
 #include "util/check.h"
@@ -283,23 +285,6 @@ TEST_F(ArtifactRobustnessTest, DirsyncFailureIsPostRenameAndNonDestructive) {
 
   runtime::CompiledGraph loaded = runtime::load_graph(path, /*pooled=*/false);
   EXPECT_EQ(loaded.io_shape().out_features, 10);
-  // The mmap loader trusts it too (CRC over the full mapping).
-  runtime::CompiledGraph mapped =
-      runtime::load_graph_mmap(path, /*pooled=*/false);
-  EXPECT_EQ(mapped.io_shape().out_features, 10);
-  std::remove(path.c_str());
-}
-
-TEST_F(ArtifactRobustnessTest, MmapFailpointSurfacesAsInjectedFault) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  const std::string path = temp_path("mmap_fault");
-  ASSERT_TRUE(runtime::save_graph(path, graph));
-  fail::arm("artifact.mmap", fail::Policy::kOnce);
-  EXPECT_THROW(runtime::load_graph_mmap(path), fail::injected_fault);
-  // Self-disarmed: the retry maps and serves.
-  runtime::CompiledGraph loaded =
-      runtime::load_graph_mmap(path, /*pooled=*/false);
-  EXPECT_EQ(loaded.io_shape().out_features, 10);
   std::remove(path.c_str());
 }
 
@@ -362,25 +347,30 @@ TEST_F(ArtifactRobustnessTest, TruncatedV4ArtifactIsRejected) {
 
 // ------------------------------------------------------- corruption fuzzing
 
-// Both loaders must reject the artifact at `path` with a clean check_error.
-void expect_both_loaders_reject(const std::string& path,
-                                const std::string& what) {
-  EXPECT_THROW(runtime::load_graph(path, /*pooled=*/false), check_error)
-      << "load_graph accepted " << what;
-  EXPECT_THROW(runtime::load_graph_mmap(path, /*pooled=*/false), check_error)
-      << "load_graph_mmap accepted " << what;
+// load_graph must reject the artifact at `path` with a clean check_error
+// whose message contains `reason` (any message when empty).
+void expect_load_graph_rejects(const std::string& path,
+                               const std::string& what,
+                               const std::string& reason = "") {
+  try {
+    runtime::load_graph(path, /*pooled=*/false);
+    ADD_FAILURE() << "load_graph accepted " << what;
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << what << ": " << e.what();
+  }
 }
 
 TEST(CorruptionFuzz, GoldenV5ResealedPrefixesAreRejected) {
   // Every proper prefix of the payload, resealed with a fresh CRC, is a
-  // CRC-valid file the writer never emits: both loaders must reject it —
-  // including cuts inside the weight section, which the copy loader would
-  // otherwise never read.
+  // CRC-valid file the writer never emits: load_graph must reject it —
+  // including cuts inside the weight section, which it validates but never
+  // packs from.
   const std::string payload = golden_v5_payload();
   const std::string path = temp_path("golden_prefix");
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     write_bytes(path, reseal(payload.substr(0, cut)));
-    expect_both_loaders_reject(path, "cut at " + std::to_string(cut));
+    expect_load_graph_rejects(path, "cut at " + std::to_string(cut));
   }
   std::remove(path.c_str());
 }
@@ -391,8 +381,7 @@ TEST(CorruptionFuzz, GoldenV5ResealedTrailingBytesAreRejected) {
   const std::string path = temp_path("golden_trailing");
   for (const std::size_t extra : {1u, 8u, 64u}) {
     write_bytes(path, reseal(payload + std::string(extra, '\0')));
-    expect_both_loaders_reject(path,
-                               std::to_string(extra) + " trailing bytes");
+    expect_load_graph_rejects(path, std::to_string(extra) + " trailing bytes");
   }
   std::remove(path.c_str());
 }
@@ -439,7 +428,7 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   std::string mutant = golden;
   patch<std::int32_t>(mutant, fc_kernel, 0, 1);
   write_bytes(path, reseal(mutant));
-  expect_both_loaders_reject(path, "a bitserial entry for an s8u8 layer");
+  expect_load_graph_rejects(path, "a bitserial entry for an s8u8 layer");
 
   // conv5 (layer 4, 8x8x3x3, s8u8) with its instruction AND its weight
   // entry relabelled kind 2, the retired nibble kernel. The two agree, so
@@ -461,7 +450,7 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   patch<std::int32_t>(mutant, instr + sizeof(conv5) + 3 * 8 + 4 + 4, 0, 2);
   patch<std::int32_t>(mutant, conv5_entry, 0, 2);
   write_bytes(path, reseal(mutant));
-  expect_both_loaders_reject(path, "a conv recorded as kernel kind 2");
+  expect_load_graph_rejects(path, "a conv recorded as kernel kind 2");
 
   // An absurd input height (the graph section's third field): edge extents
   // derived from it would overflow int64.
@@ -470,7 +459,7 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   mutant = golden;
   patch<std::int64_t>(mutant, section + 16, 8, std::int64_t{1} << 60);
   write_bytes(path, reseal(mutant));
-  expect_both_loaders_reject(path, "a 2^60 input height");
+  expect_load_graph_rejects(path, "a 2^60 input height");
 
   // The GAP instruction (kind 5, no layer, stride 1, no kernel kind): its
   // u8 kind, i32 layer, four i64 geometry fields, i32 act_bits, f32 clip
@@ -488,25 +477,215 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   mutant = golden;
   patch<std::uint8_t>(mutant, gap_instr + sizeof(gap), 0, 1);
   write_bytes(path, reseal(mutant));
-  expect_both_loaders_reject(path, "a nonzero reserved instruction byte");
+  expect_load_graph_rejects(path, "a nonzero reserved instruction byte");
 
   // The same instruction relabelled kind 11, the deleted average pool.
   mutant = golden;
   patch<std::uint8_t>(mutant, gap_instr, 5, 11);
   write_bytes(path, reseal(mutant));
-  for (const bool mapped : {false, true}) {
-    try {
-      if (mapped) {
-        runtime::load_graph_mmap(path, /*pooled=*/false);
-      } else {
-        runtime::load_graph(path, /*pooled=*/false);
-      }
-      ADD_FAILURE() << (mapped ? "load_graph_mmap" : "load_graph")
-                    << " accepted instruction kind 11";
-    } catch (const check_error& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown instruction kind 11"),
-                std::string::npos)
-          << e.what();
+  expect_load_graph_rejects(path, "instruction kind 11",
+                            "unknown instruction kind 11");
+
+  // The fc weight entry keyed to conv5's layer index: the loader skips the
+  // section's blobs, but each entry must still name its instruction's layer.
+  // The entry is i32 layer, i64 rows, i64 cols, i32 shift, i32 kernel.
+  const std::size_t fc_layer = fc_kernel - 4 - 8 - 8 - 4;
+  mutant = golden;
+  patch<std::int32_t>(mutant, fc_layer, 5, 4);
+  write_bytes(path, reseal(mutant));
+  expect_load_graph_rejects(path, "a weight entry keyed to the wrong layer",
+                            "keys layer 4, program expects 5");
+
+  // One nonzero byte in the alignment padding between the fc entry's header
+  // (which ends with the u8 split flag) and its first 64-byte aligned blob.
+  const std::size_t fc_padding = fc_kernel + 4 + 1;
+  ASSERT_NE(fc_padding % 64, 0u) << "fc entry header ends aligned";
+  mutant = golden;
+  patch<std::uint8_t>(mutant, fc_padding, 0, 1);
+  write_bytes(path, reseal(mutant));
+  expect_load_graph_rejects(path, "a nonzero padding byte",
+                            "nonzero alignment padding");
+  std::remove(path.c_str());
+}
+
+// One entry header of the golden fixture's packed-weights section (i32
+// layer, i64 rows, i64 cols, i32 shift, i32 kernel, u8 split) and where it
+// starts in the payload.
+struct WeightEntryHeader {
+  std::size_t offset = 0;
+  std::int32_t layer = 0;
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+  std::int32_t kernel = 0;
+  bool split = false;
+};
+constexpr std::size_t kEntryRows = 4;
+constexpr std::size_t kEntryCols = 12;
+constexpr std::size_t kEntryKernel = 24;
+constexpr std::size_t kEntrySplit = 28;
+
+// The golden fixture's weight entries in section order, which is the
+// lowering order of its conv/linear instructions. The fields come from the
+// loaded graph; each header is then located in `payload` by its unique
+// (layer, rows, cols) prefix.
+std::vector<WeightEntryHeader> golden_weight_entries(
+    const std::string& payload) {
+  runtime::CompiledGraph graph =
+      runtime::load_graph(testing::golden_v5_path(), /*pooled=*/false);
+  const auto& weights = graph.layer_weight_views();
+  std::vector<WeightEntryHeader> entries;
+  for (const runtime::ProgramInstr& instr : graph.program().instrs) {
+    if (instr.kind != runtime::ProgramInstr::Kind::kConv &&
+        instr.kind != runtime::ProgramInstr::Kind::kLinear) {
+      continue;
+    }
+    const runtime::PackedIntWeights& w = *weights[entries.size()];
+    WeightEntryHeader entry;
+    entry.layer = instr.layer;
+    entry.rows = w.rows();
+    entry.cols = w.cols();
+    entry.kernel = static_cast<std::int32_t>(w.kernel());
+    entry.split = w.split();
+    const std::size_t kernel_at =
+        weight_entry_kernel(payload, entry.layer, entry.rows, entry.cols);
+    if (kernel_at == std::string::npos) {
+      ADD_FAILURE() << "weight entry of layer " << entry.layer
+                    << " not found";
+      return {};
+    }
+    entry.offset = kernel_at - kEntryKernel;
+    entries.push_back(entry);
+  }
+  return entries;
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedWeightEntryCountMutantsAreRejected) {
+  // The u32 entry count just before the first entry must equal the
+  // program's conv/linear instruction count.
+  const std::string golden = golden_v5_payload();
+  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
+  ASSERT_EQ(entries.size(), 6u);
+  const std::size_t count_at = entries.front().offset - 4;
+  const auto count = static_cast<std::uint32_t>(entries.size());
+  const std::string path = temp_path("golden_entry_count");
+  for (const std::uint32_t wrong :
+       {0u, count - 1, count + 1, std::uint32_t{0xFFFFFFFFu}}) {
+    std::string mutant = golden;
+    patch<std::uint32_t>(mutant, count_at, count, wrong);
+    write_bytes(path, reseal(mutant));
+    expect_load_graph_rejects(
+        path, "a weight section claiming " + std::to_string(wrong) + " entries",
+        "weight section holds");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedWeightExtentMutantsAreRejected) {
+  // Rows outside [1, 2^20] or cols outside [1, 32767], in every entry.
+  const std::string golden = golden_v5_payload();
+  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
+  ASSERT_FALSE(entries.empty());
+  const std::string path = temp_path("golden_extents");
+  for (const WeightEntryHeader& entry : entries) {
+    const std::string where = "layer " + std::to_string(entry.layer);
+    for (const std::int64_t rows :
+         {std::int64_t{0}, std::int64_t{-1}, (std::int64_t{1} << 20) + 1}) {
+      std::string mutant = golden;
+      patch<std::int64_t>(mutant, entry.offset + kEntryRows, entry.rows, rows);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(path, where + " rows " + std::to_string(rows),
+                                "absurd weight extents");
+    }
+    for (const std::int64_t cols :
+         {std::int64_t{0}, std::int64_t{-1}, std::int64_t{32768}}) {
+      std::string mutant = golden;
+      patch<std::int64_t>(mutant, entry.offset + kEntryCols, entry.cols, cols);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(path, where + " cols " + std::to_string(cols),
+                                "absurd weight extents");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedWeightBlobOverrunsAreRejected) {
+  // In-range extents whose code blob alone is larger than the whole
+  // payload: the bounds check must stop the skip before it leaves the image.
+  const std::string golden = golden_v5_payload();
+  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
+  ASSERT_FALSE(entries.empty());
+  const std::string path = temp_path("golden_overrun");
+  for (const WeightEntryHeader& entry : entries) {
+    const std::string where = "layer " + std::to_string(entry.layer);
+    std::string mutant = golden;
+    patch<std::int64_t>(mutant, entry.offset + kEntryRows, entry.rows,
+                        std::int64_t{1} << 20);
+    write_bytes(path, reseal(mutant));
+    expect_load_graph_rejects(path, where + " with 2^20 rows",
+                              "weight blob overruns the payload");
+
+    mutant = golden;
+    patch<std::int64_t>(mutant, entry.offset + kEntryCols, entry.cols,
+                        std::int64_t{32767});
+    ASSERT_GT(entry.rows * 32767, static_cast<std::int64_t>(golden.size()));
+    write_bytes(path, reseal(mutant));
+    expect_load_graph_rejects(path, where + " with 32767 cols",
+                              "weight blob overruns the payload");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedSplitFlagMutantsAreRejected) {
+  // The split flag is a strict boolean, and it sets how many blobs the
+  // entry holds: flipping it misreads every later byte of the section.
+  const std::string golden = golden_v5_payload();
+  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
+  ASSERT_FALSE(entries.empty());
+  const std::string path = temp_path("golden_split");
+  for (const WeightEntryHeader& entry : entries) {
+    const std::string where = "layer " + std::to_string(entry.layer);
+    const std::uint8_t flag = entry.split ? 1 : 0;
+    std::string mutant = golden;
+    patch<std::uint8_t>(mutant, entry.offset + kEntrySplit, flag, 2);
+    write_bytes(path, reseal(mutant));
+    expect_load_graph_rejects(path, where + " split flag 2",
+                              "bad flag byte 2");
+
+    mutant = golden;
+    patch<std::uint8_t>(mutant, entry.offset + kEntrySplit, flag,
+                        static_cast<std::uint8_t>(1 - flag));
+    write_bytes(path, reseal(mutant));
+    expect_load_graph_rejects(path, where + " split flag flipped");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV5ResealedWeightEntriesMustMatchTheirInstructions) {
+  // Every entry, not only the last, is keyed to its own instruction's
+  // layer and packed for that instruction's kernel.
+  const std::string golden = golden_v5_payload();
+  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
+  ASSERT_FALSE(entries.empty());
+  const std::string path = temp_path("golden_entry_match");
+  for (const WeightEntryHeader& entry : entries) {
+    const std::string where = "layer " + std::to_string(entry.layer);
+    std::string mutant = golden;
+    patch<std::int32_t>(mutant, entry.offset, entry.layer, entry.layer + 1);
+    write_bytes(path, reseal(mutant));
+    expect_load_graph_rejects(path, where + " keyed one layer on",
+                              "keys layer " + std::to_string(entry.layer + 1));
+
+    // Kernel kinds the parse accepts (0 s8u8, 1 bitserial, 3 bitserial
+    // w16), each relabelling an entry whose instruction selects another.
+    for (const std::int32_t kernel : {0, 1, 3}) {
+      if (kernel == entry.kernel) continue;
+      mutant = golden;
+      patch<std::int32_t>(mutant, entry.offset + kEntryKernel, entry.kernel,
+                          kernel);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(
+          path, where + " packed for kernel " + std::to_string(kernel),
+          "packed for kernel " + std::to_string(kernel));
     }
   }
   std::remove(path.c_str());
@@ -515,8 +694,8 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
 TEST(CorruptionFuzz, GoldenV5ResealedBitFlipsNeverCrash) {
   // Resealed flips pass the CRC, so they exercise every field validator
   // behind it. A flip may legitimately load (inside a weight code, a scale
-  // or a panel byte); the guarantee is that EVERY outcome through both
-  // loaders is either a load or a clean check_error — never a crash, an
+  // or a panel byte); the guarantee is that EVERY outcome through
+  // load_graph is either a load or a clean check_error — never a crash, an
   // out-of-bounds parse (the sanitize preset enforces that) or another
   // exception type.
   const std::string payload = golden_v5_payload();
@@ -529,66 +708,19 @@ TEST(CorruptionFuzz, GoldenV5ResealedBitFlipsNeverCrash) {
     mutant[bit / 8] = static_cast<char>(
         static_cast<unsigned char>(mutant[bit / 8]) ^ (1u << (bit % 8)));
     write_bytes(path, reseal(mutant));
-    for (const bool mapped : {false, true}) {
-      try {
-        runtime::CompiledGraph graph =
-            mapped ? runtime::load_graph_mmap(path, /*pooled=*/false)
-                   : runtime::load_graph(path, /*pooled=*/false);
-        ++loaded;
-      } catch (const check_error&) {
-        ++rejected;
-      }
+    try {
+      runtime::load_graph(path, /*pooled=*/false);
+      ++loaded;
+    } catch (const check_error&) {
+      ++rejected;
     }
   }
-  EXPECT_GE(loaded + rejected, 2u * 2000u);
+  EXPECT_GE(loaded + rejected, 2000u);
   // Both outcomes must actually occur: flips in magic/counts reject, flips
   // deep inside code or panel payloads load.
   EXPECT_GT(loaded, 0u);
   EXPECT_GT(rejected, 0u);
   std::remove(path.c_str());
-}
-
-TEST(CorruptionFuzz, MmapLoaderRejectsEverySampledBitFlip) {
-  // load_graph_mmap verifies the CRC over the WHOLE mapping before
-  // trusting a single page, so EVERY
-  // bit flip — header, weight section, or the trailer itself — must be
-  // rejected with a clean check_error.
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  const std::string path = temp_path("mmap_flip");
-  ASSERT_TRUE(runtime::save_graph(path, graph));
-  const std::string bytes = read_bytes(path);
-  const std::string mutant_path = temp_path("mmap_flip_mut");
-  const std::size_t total_bits = bytes.size() * 8;
-  const std::size_t stride = std::max<std::size_t>(1, total_bits / 256);
-  for (std::size_t bit = 0; bit < total_bits; bit += stride) {
-    std::string mutant = bytes;
-    mutant[bit / 8] = static_cast<char>(
-        static_cast<unsigned char>(mutant[bit / 8]) ^ (1u << (bit % 8)));
-    write_bytes(mutant_path, mutant);
-    EXPECT_THROW(runtime::load_graph_mmap(mutant_path), check_error)
-        << "bit " << bit;
-  }
-  std::remove(path.c_str());
-  std::remove(mutant_path.c_str());
-}
-
-TEST(CorruptionFuzz, MmapLoaderRejectsEverySampledTruncation) {
-  // Truncation removes or splits the CRC trailer; every sampled prefix of
-  // a v5 artifact must fail cleanly before any parsing (run under the
-  // sanitize preset, this is the memory-safety sweep of the mapped path).
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  const std::string path = temp_path("mmap_trunc");
-  ASSERT_TRUE(runtime::save_graph(path, graph));
-  const std::string bytes = read_bytes(path);
-  const std::string cut_path = temp_path("mmap_trunc_cut");
-  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 512);
-  for (std::size_t cut = 0; cut < bytes.size(); cut += stride) {
-    write_bytes(cut_path, bytes.substr(0, cut));
-    EXPECT_THROW(runtime::load_graph_mmap(cut_path), check_error)
-        << "cut at " << cut;
-  }
-  std::remove(path.c_str());
-  std::remove(cut_path.c_str());
 }
 
 // A small dense model for checkpoint-container fuzzing (mirrors

@@ -182,6 +182,48 @@ TEST(GraphArtifact, ReplicateIsBitIdentical) {
                        "replica");
 }
 
+TEST(GraphArtifact, LoadedGraphOwnsItsWeightsOnceTheFileIsGone) {
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const std::string path = temp_path("owned");
+  ASSERT_TRUE(runtime::save_graph(path, graph));
+  runtime::CompiledGraph loaded = runtime::load_graph(path, /*pooled=*/false);
+
+  // load_graph copies the file and re-packs every layer from its codes, so
+  // nothing refers back to the file: overwriting it in place, then removing
+  // it, leaves the loaded graph and its later replicas serving unchanged.
+  testing::write_bytes(path, std::string(64, '\x5a'));
+  std::remove(path.c_str());
+  runtime::CompiledGraph sibling = runtime::replicate(loaded);
+
+  Rng rng(7006);
+  Tensor images = random_tensor({3, kChannels, kSide, kSide}, rng);
+  const Tensor direct = graph.forward(images);
+  expect_bit_identical(direct, loaded.forward(images), "loaded");
+  expect_bit_identical(direct, sibling.forward(images), "replica of loaded");
+}
+
+TEST(GraphArtifact, LoadedGraphResavesByteIdentically) {
+  // load_graph validates and skips the packed-weights section, re-packing
+  // from the layer codes instead. Re-saving the loaded graph writes that
+  // section from the re-packed panels, so byte equality with the first save
+  // shows the re-pack reproduces what the writer packed.
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const std::string path = temp_path("resave_first");
+  ASSERT_TRUE(runtime::save_graph(path, graph));
+  const std::string first = testing::read_bytes(path);
+
+  const std::string again = temp_path("resave_again");
+  for (const bool pooled : {false, true}) {
+    runtime::CompiledGraph loaded = runtime::load_graph(path, pooled);
+    ASSERT_TRUE(runtime::save_graph(again, loaded));
+    const std::string second = testing::read_bytes(again);
+    EXPECT_EQ(second.size(), first.size()) << "pooled " << pooled;
+    EXPECT_TRUE(second == first) << "pooled " << pooled;
+  }
+  std::remove(path.c_str());
+  std::remove(again.c_str());
+}
+
 TEST(BatchingServer, ReplicaFootprintIsLivenessColored) {
   // Every worker pays one graph workspace; the liveness-colored plan (the
   // default) must keep each replica's footprint well under the
@@ -434,6 +476,45 @@ TEST(BatchingServer, RegistrationRejectsInvalidModels) {
   EXPECT_THROW(server.add_model("late", std::move(late)), check_error);
   // The rejected calls left the registered shard as it was.
   EXPECT_EQ(server.stats("m").replicas_active, 1);
+  server.stop();
+  std::remove(path.c_str());
+}
+
+TEST(BatchingServer, ArtifactRegistrationRejectsCorruptFiles) {
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const ExpectedSet expected = make_expected(graph, 4, 7150);
+  const std::string path = temp_path("artifact_registration");
+  ASSERT_TRUE(runtime::save_graph(path, graph));
+  const std::string bytes = testing::read_bytes(path);
+  const std::string mutant = temp_path("artifact_registration_mutant");
+
+  // A flipped byte (CRC mismatch), a torn tail and a missing file each fail
+  // the registering call, before any replica or worker exists.
+  serve::BatchingServer server;
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] =
+      static_cast<char>(static_cast<unsigned char>(flipped[flipped.size() / 2]) ^
+                        0x10u);
+  testing::write_bytes(mutant, flipped);
+  EXPECT_THROW(server.add_model_from_artifact("m", mutant, /*replicas=*/2),
+               check_error);
+  testing::write_bytes(mutant, bytes.substr(0, bytes.size() - 1));
+  EXPECT_THROW(server.add_model_from_artifact("m", mutant, /*replicas=*/2),
+               check_error);
+  std::remove(mutant.c_str());
+  EXPECT_THROW(server.add_model_from_artifact("m", mutant, /*replicas=*/2),
+               check_error);
+
+  // Nothing was registered under the id, so it is still free for the intact
+  // artifact, which then serves bit-identically to the lowered graph.
+  EXPECT_THROW(server.stats("m"), check_error);
+  EXPECT_THROW(server.start(), check_error);
+  server.add_model_from_artifact("m", path, /*replicas=*/2);
+  server.start();
+  EXPECT_EQ(server.stats("m").replicas_active, 2);
+  EXPECT_EQ(run_producers(server, "m", expected, /*producers=*/2,
+                          /*iterations=*/8),
+            0u);
   server.stop();
   std::remove(path.c_str());
 }

@@ -4,17 +4,11 @@
 //  * Transport.*    — the loopback TCP front of the batching server: wire
 //    round trips bit-identical to in-process infer, concurrent clients,
 //    malformed/oversized/bad-deadline frames, listener-first graceful
-//    drain, and the transport.{accept,read,write} failpoints;
-//  * MmapArtifact.* — load_graph_mmap: borrowed weight pages, forwards
-//    bit-identical to load_graph, replicas sharing one mapping, save_graph
-//    rejecting borrowed programs, and pre-v5 artifacts rejected cleanly.
-#include <unistd.h>
-
+//    drain, and the transport.{accept,read,write} failpoints.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -25,8 +19,6 @@
 #include "core/csq_weight.h"
 #include "nn/models.h"
 #include "runtime/compiled_graph.h"
-#include "runtime/graph_artifact.h"
-#include "runtime/packed_weights.h"
 #include "serve/batching_server.h"
 #include "serve/transport.h"
 #include "test_helpers.h"
@@ -44,11 +36,6 @@ using testing::random_tensor;
 constexpr std::int64_t kSide = 12;
 constexpr std::int64_t kChannels = 3;
 constexpr std::int64_t kSampleNumel = kChannels * kSide * kSide;
-
-std::string temp_path(const std::string& tag) {
-  return ::testing::TempDir() + "csq_transport_" + tag + "_" +
-         std::to_string(static_cast<long>(::getpid())) + ".csqm";
-}
 
 // A small finalized 3-bit CSQ ResNet-20, lowered and calibrated (same
 // substrate as serve_test.cpp).
@@ -436,119 +423,6 @@ TEST_F(TransportFailpointTest, InjectedFaultsDropOnlyTheAffectedConnection) {
 }
 
 #endif  // CSQ_FAILPOINTS_ENABLED
-
-// ----------------------------------------------------------- mmap loading --
-
-TEST(MmapArtifact, ForwardsAreBitIdenticalToCopyLoad) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  const std::string path = temp_path("mmap_identity");
-  ASSERT_TRUE(runtime::save_graph(path, graph));
-
-  Rng rng(9300);
-  Tensor images = random_tensor({5, kChannels, kSide, kSide}, rng);
-  runtime::CompiledGraph copied = runtime::load_graph(path, /*pooled=*/false);
-  runtime::CompiledGraph mapped =
-      runtime::load_graph_mmap(path, /*pooled=*/false);
-
-  const Tensor want = copied.forward(images);
-  const Tensor got = mapped.forward(images);
-  ASSERT_TRUE(want.same_shape(got));
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    ASSERT_EQ(want[i], got[i]) << "logit " << i;
-  }
-
-  // The mapped graph borrows every layer's weight pages; the copied one
-  // owns them.
-  for (const runtime::PackedIntWeights* weights :
-       mapped.layer_weight_views()) {
-    EXPECT_TRUE(weights->borrowed());
-  }
-  for (const runtime::PackedIntWeights* weights :
-       copied.layer_weight_views()) {
-    EXPECT_FALSE(weights->borrowed());
-  }
-  EXPECT_EQ(mapped.weight_storage_bits(), copied.weight_storage_bits());
-  std::remove(path.c_str());
-}
-
-TEST(MmapArtifact, ReplicasShareOneMappingAndStayBitIdentical) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  const std::string path = temp_path("mmap_share");
-  ASSERT_TRUE(runtime::save_graph(path, graph));
-
-  runtime::CompiledGraph mapped =
-      runtime::load_graph_mmap(path, /*pooled=*/false);
-  runtime::CompiledGraph sibling = runtime::replicate(mapped);
-  // The replica borrows from the SAME mapping (shared program), and the
-  // mapping outlives the artifact file: unlink it, then keep serving.
-  std::remove(path.c_str());
-  for (const runtime::PackedIntWeights* weights :
-       sibling.layer_weight_views()) {
-    EXPECT_TRUE(weights->borrowed());
-  }
-  Rng rng(9310);
-  Tensor images = random_tensor({3, kChannels, kSide, kSide}, rng);
-  const Tensor want = mapped.forward(images);
-  const Tensor got = sibling.forward(images);
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    ASSERT_EQ(want[i], got[i]) << "logit " << i;
-  }
-}
-
-TEST(MmapArtifact, ServesThroughTheBatchingServer) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  const std::string path = temp_path("mmap_serve");
-  ASSERT_TRUE(runtime::save_graph(path, graph));
-  Rng rng(9320);
-  Tensor samples = random_tensor({4, kChannels, kSide, kSide}, rng);
-  const std::vector<Tensor> expected = single_sample_oracle(graph, samples);
-
-  serve::BatchingServer server;
-  std::vector<runtime::CompiledGraph> replicas;
-  replicas.push_back(runtime::load_graph_mmap(path, /*pooled=*/false));
-  replicas.push_back(runtime::replicate(replicas.front()));
-  server.add_model("m", std::move(replicas));
-  server.start();
-  const serve::ModelHandle handle = server.handle("m");
-  std::vector<float> logits(10);
-  for (int s = 0; s < 4; ++s) {
-    ASSERT_EQ(server.try_infer(handle, samples.data() + s * kSampleNumel,
-                               logits.data()),
-              serve::ServeStatus::kOk);
-    expect_bit_identical(expected[static_cast<std::size_t>(s)],
-                         logits.data(), "mmap-backed serving");
-  }
-  server.stop();
-  std::remove(path.c_str());
-}
-
-TEST(MmapArtifact, MappedProgramsCannotBeResaved) {
-  runtime::CompiledGraph graph = make_calibrated_graph();
-  const std::string path = temp_path("mmap_resave");
-  ASSERT_TRUE(runtime::save_graph(path, graph));
-  runtime::CompiledGraph mapped =
-      runtime::load_graph_mmap(path, /*pooled=*/false);
-  // The owned codes are absent from a borrowed program: re-saving would
-  // persist an empty layer section. Rejected loudly instead.
-  EXPECT_THROW(runtime::save_graph(temp_path("mmap_resave_out"), mapped),
-               check_error);
-  std::remove(path.c_str());
-}
-
-TEST(MmapArtifact, PreV5ArtifactsAreRejectedCleanly) {
-  // The committed v5 fixture relabelled as a v4 graph section and resealed
-  // with a fresh CRC: only v5 is read, by both loaders.
-  std::string payload = testing::golden_v5_payload();
-  const std::size_t magic = payload.find("CSQG");
-  ASSERT_NE(magic, std::string::npos);
-  const std::uint32_t v4 = 4;
-  std::memcpy(payload.data() + magic + 4, &v4, sizeof(v4));
-  const std::string path = temp_path("mmap_v4");
-  testing::write_bytes(path, testing::reseal(payload));
-  EXPECT_THROW(runtime::load_graph_mmap(path), check_error);
-  EXPECT_THROW(runtime::load_graph(path), check_error);
-  std::remove(path.c_str());
-}
 
 }  // namespace
 }  // namespace csq
