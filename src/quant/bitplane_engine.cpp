@@ -72,18 +72,6 @@ void BitPlaneEngine::materialize_hard(float unit, float* out,
                             element_count_, default_kernel_exec());
 }
 
-const float* BitPlaneEngine::gate_pos(int p) const {
-  CSQ_CHECK(gates_cached_ && p >= 0 && p < num_planes_)
-      << "bitplane engine: no cached gates for plane " << p;
-  return planes_[static_cast<std::size_t>(p)].gate_pos;
-}
-
-const float* BitPlaneEngine::gate_neg(int p) const {
-  CSQ_CHECK(gates_cached_ && p >= 0 && p < num_planes_)
-      << "bitplane engine: no cached gates for plane " << p;
-  return planes_[static_cast<std::size_t>(p)].gate_neg;
-}
-
 void BitPlaneEngine::set_plane_grads(int p, float* grad_pos, float* grad_neg,
                                      bool want_diff_sum) {
   CSQ_CHECK(p >= 0 && p < num_planes_)

@@ -73,10 +73,6 @@ class BitPlaneEngine {
   // be null.
   void materialize_hard(float unit, float* out, std::int32_t* codes);
 
-  // Cached gate views of plane `p` from the last cached materialize.
-  const float* gate_pos(int p) const;
-  const float* gate_neg(int p) const;
-
   // --- backward ----------------------------------------------------------
   // Routes gradient accumulation targets for plane `p` (either may be null
   // to drop that side). `want_diff_sum` additionally reduces

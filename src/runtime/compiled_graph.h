@@ -146,8 +146,7 @@ class CompiledGraph {
   Tensor dequantized_weights(const std::string& layer_name) const;
 
   // The packed weights of every lowered conv/linear layer, in lowering
-  // order (parallel to layers()) — the v5 artifact weight section
-  // serializes their planes and kernel panels (runtime/graph_artifact.h).
+  // order (parallel to layers()).
   const std::vector<const PackedIntWeights*>& layer_weight_views() const;
 
   // ---- artifact / replication seam ---------------------------------------

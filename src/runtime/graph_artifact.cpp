@@ -25,21 +25,19 @@ namespace runtime {
 namespace {
 
 constexpr char kGraphMagic[4] = {'C', 'S', 'Q', 'G'};
-// The graph section is versioned on its own. save_graph writes v5: the
+// The graph section is versioned on its own. save_graph writes v6: the
 // program (instructions carry kernel_w, the resolved kernel_kind and one
-// reserved byte, always 0), the edge records, a packed-weights section
-// (each conv/linear layer's int8 planes + prepacked kernel panels, 64-byte
-// aligned) and a CRC-32 trailer over every preceding container byte.
-// load_graph accepts exactly that: v1–v4 sections are rejected.
-constexpr std::uint32_t kGraphSectionVersion = 5;
+// reserved byte, always 0) and the edge records, then a CRC-32 trailer over
+// every preceding container byte. The weights are stored once, as the
+// layer section's codes; load_graph packs the GEMM panels from them.
+// load_graph accepts exactly that: every other section version is rejected.
+constexpr std::uint32_t kGraphSectionVersion = 6;
 // Sanity bounds for reading untrusted artifacts.
 constexpr std::uint32_t kMaxInstrs = 1 << 20;
 constexpr std::uint32_t kMaxEdges = 1 << 20;
 constexpr std::uint32_t kMaxVectorLength = 1 << 24;
 constexpr std::int64_t kMaxExtent = 1 << 20;
 constexpr std::size_t kCrcTrailerBytes = sizeof(std::uint32_t);
-// File-offset alignment of every weight-section blob (cache-line aligned).
-constexpr std::size_t kWeightAlignment = 64;
 
 using model_io::read_pod;
 using model_io::write_pod;
@@ -69,25 +67,11 @@ bool read_flag(std::istream& in) {
   return flag != 0;
 }
 
-// Zero-pads `out` so the next byte lands on a kWeightAlignment boundary of
-// the payload (== file) offset.
-void pad_to_alignment(std::ostream& out) {
-  static const char zeros[kWeightAlignment] = {};
-  const auto pos = static_cast<std::size_t>(out.tellp());
-  const std::size_t misalign = pos % kWeightAlignment;
-  if (misalign != 0) {
-    out.write(zeros,
-              static_cast<std::streamsize>(kWeightAlignment - misalign));
-  }
-}
-
-// Serializes the whole container (layer section + graph section + v5
-// packed-weights section, no CRC trailer) — the byte range the trailer
-// covers. `weights` are the built graph's packed layers in lowering order.
+// Serializes the whole container (layer section + graph section, no CRC
+// trailer) — the byte range the trailer covers.
 void write_payload(std::ostream& out, const GraphProgram& program,
                    const LowerOptions& options,
-                   const std::vector<EdgeScaleRecord>& edges,
-                   const std::vector<const PackedIntWeights*>& weights) {
+                   const std::vector<EdgeScaleRecord>& edges) {
   model_io::write_container_header(
       out, model_io::kGraphContainerVersion,
       static_cast<std::uint32_t>(program.layers.size()));
@@ -103,12 +87,7 @@ void write_payload(std::ostream& out, const GraphProgram& program,
   write_pod(out, static_cast<std::int32_t>(options.act_bits));
 
   write_pod(out, static_cast<std::uint32_t>(program.instrs.size()));
-  std::vector<std::int32_t> weight_layer_indices;
   for (const ProgramInstr& instr : program.instrs) {
-    if (instr.kind == ProgramInstr::Kind::kConv ||
-        instr.kind == ProgramInstr::Kind::kLinear) {
-      weight_layer_indices.push_back(instr.layer);
-    }
     write_pod(out, static_cast<std::uint8_t>(instr.kind));
     write_pod(out, instr.layer);
     write_pod(out, instr.kernel);
@@ -130,43 +109,6 @@ void write_payload(std::ostream& out, const GraphProgram& program,
     write_pod(out, edge.scale);
     write_pod(out, edge.levels);
     write_pod(out, edge.zero_point);
-  }
-
-  // v5 packed-weights section: the exact bytes the serving-time GEMM
-  // consumes, one entry per conv/linear layer in lowering order, every blob
-  // 64-byte aligned.
-  CSQ_CHECK(weights.size() == weight_layer_indices.size())
-      << "save_graph: " << weights.size() << " packed layers for "
-      << weight_layer_indices.size() << " conv/linear instructions";
-  write_pod(out, static_cast<std::uint32_t>(weights.size()));
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const PackedIntWeights& w = *weights[i];
-    const std::int64_t count = w.rows() * w.cols();
-    write_pod(out, weight_layer_indices[i]);
-    write_pod(out, w.rows());
-    write_pod(out, w.cols());
-    write_pod(out, static_cast<std::int32_t>(w.shift()));
-    write_pod(out, static_cast<std::int32_t>(w.kernel()));
-    write_pod(out, static_cast<std::uint8_t>(w.split() ? 1 : 0));
-    pad_to_alignment(out);
-    out.write(reinterpret_cast<const char*>(w.primary_data()),
-              static_cast<std::streamsize>(count));
-    if (w.split()) {
-      pad_to_alignment(out);
-      out.write(reinterpret_cast<const char*>(w.low_data()),
-                static_cast<std::streamsize>(count));
-    }
-    // The panel blobs: gemm_pack_a's layout for the layer's kernel, one per
-    // stored plane.
-    const auto panel_bytes = static_cast<std::streamsize>(
-        gemm_packed_a_bytes(packed_kernel(w.kernel()), w.rows(), w.cols()));
-    pad_to_alignment(out);
-    out.write(reinterpret_cast<const char*>(w.panel_data()), panel_bytes);
-    if (w.split()) {
-      pad_to_alignment(out);
-      out.write(reinterpret_cast<const char*>(w.low_panel_data()),
-                panel_bytes);
-    }
   }
 }
 
@@ -191,109 +133,15 @@ std::string parent_directory(const std::string& path) {
 
 // ---- shared parse of the layer + graph sections ---------------------------
 
-// Read-only istream over an existing byte span (the artifact image) with
-// full seek support — parsing never copies the underlying bytes.
+// Read-only istream over an existing byte span (the artifact image) —
+// parsing never copies the underlying bytes.
 class SpanStreamBuf final : public std::streambuf {
  public:
   SpanStreamBuf(const char* data, std::size_t size) {
     char* base = const_cast<char*>(data);
     setg(base, base, base + size);
   }
-
- protected:
-  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
-                   std::ios_base::openmode which) override {
-    if (!(which & std::ios_base::in)) return pos_type(off_type(-1));
-    const off_type size = egptr() - eback();
-    off_type target = 0;
-    switch (dir) {
-      case std::ios_base::beg:
-        target = off;
-        break;
-      case std::ios_base::cur:
-        target = (gptr() - eback()) + off;
-        break;
-      case std::ios_base::end:
-        target = size + off;
-        break;
-      default:
-        return pos_type(off_type(-1));
-    }
-    if (target < 0 || target > size) return pos_type(off_type(-1));
-    setg(eback(), eback() + target, egptr());
-    return pos_type(target);
-  }
-
-  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
-    return seekoff(off_type(pos), std::ios_base::beg, which);
-  }
 };
-
-// Validates and skips the packed-weights section (stream positioned right
-// after the edge records) of the payload [base, base + payload_size). The
-// loader re-packs from the layer codes, but the section is outside input:
-// every blob is bounds-checked against the payload with zero alignment
-// padding, and each entry's layer and kernel must match its conv/linear
-// instruction.
-void validate_weight_section(std::istream& in, const char* base,
-                             std::size_t payload_size,
-                             const GraphProgram& program) {
-  std::vector<const ProgramInstr*> weight_instrs;
-  for (const ProgramInstr& instr : program.instrs) {
-    if (instr.kind == ProgramInstr::Kind::kConv ||
-        instr.kind == ProgramInstr::Kind::kLinear) {
-      weight_instrs.push_back(&instr);
-    }
-  }
-
-  const auto entry_count = read_pod<std::uint32_t>(in);
-  CSQ_CHECK(entry_count == weight_instrs.size())
-      << "graph artifact: weight section holds " << entry_count
-      << " entries for " << weight_instrs.size() << " conv/linear layers";
-
-  // Aligns the read position and skips the next `bytes` payload bytes,
-  // bounds- and padding-checked.
-  const auto skip_blob = [&](std::int64_t bytes) {
-    const auto pos = static_cast<std::size_t>(in.tellg());
-    const std::size_t misalign = pos % kWeightAlignment;
-    const std::size_t aligned =
-        misalign == 0 ? pos : pos + (kWeightAlignment - misalign);
-    CSQ_CHECK(bytes >= 0 &&
-              aligned + static_cast<std::size_t>(bytes) <= payload_size)
-        << "graph artifact: weight blob overruns the payload";
-    CSQ_CHECK(std::all_of(base + pos, base + aligned,
-                          [](char c) { return c == 0; }))
-        << "graph artifact: nonzero alignment padding";
-    in.seekg(static_cast<std::streamoff>(aligned +
-                                         static_cast<std::size_t>(bytes)),
-             std::ios_base::beg);
-    CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated weights";
-  };
-
-  for (std::uint32_t i = 0; i < entry_count; ++i) {
-    const ProgramInstr& instr = *weight_instrs[i];
-    const auto layer_index = read_pod<std::int32_t>(in);
-    CSQ_CHECK(layer_index == instr.layer)
-        << "graph artifact: weight entry " << i << " keys layer "
-        << layer_index << ", program expects " << instr.layer;
-    const auto rows = read_pod<std::int64_t>(in);
-    const auto cols = read_pod<std::int64_t>(in);
-    read_pod<std::int32_t>(in);  // shift: re-derived from the codes
-    const auto kernel = read_pod<std::int32_t>(in);
-    const bool split = read_flag(in);
-    CSQ_CHECK(rows >= 1 && rows <= kMaxExtent && cols >= 1 && cols <= 32767)
-        << "graph artifact: absurd weight extents " << rows << "x" << cols;
-    CSQ_CHECK(kernel == instr.kernel_kind)
-        << "graph artifact: weight entry " << i << " packed for kernel "
-        << kernel << ", instruction selects " << instr.kernel_kind;
-
-    const std::int64_t planes = split ? 2 : 1;
-    const std::int64_t panel_bytes = gemm_packed_a_bytes(
-        static_cast<PackedKernel>(kernel), rows, cols);
-    for (std::int64_t p = 0; p < planes; ++p) skip_blob(rows * cols);
-    for (std::int64_t p = 0; p < planes; ++p) skip_blob(panel_bytes);
-  }
-}
 
 struct ParsedArtifact {
   GraphProgram program;
@@ -304,7 +152,7 @@ struct ParsedArtifact {
 // Parses the exact bytes save_graph writes from the image [data, data +
 // size): the CRC trailer (the last four bytes) is verified BEFORE any field
 // is deserialized, every section is read and bounds-checked, and the
-// payload must end exactly where the weight section does.
+// payload must end exactly where the edge records do.
 ParsedArtifact parse_artifact(const char* data, std::size_t size,
                               bool pooled) {
   CSQ_CHECK(size > kCrcTrailerBytes) << "graph artifact: truncated";
@@ -419,9 +267,8 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
     parsed.edges.push_back(record);
   }
 
-  validate_weight_section(in, data, payload_size, program);
-  CSQ_CHECK(static_cast<std::size_t>(in.tellg()) == payload_size)
-      << "graph artifact: unexpected bytes after the weight section";
+  CSQ_CHECK(in.peek() == std::char_traits<char>::eof())
+      << "graph artifact: unexpected bytes after the edge records";
   return parsed;
 }
 
@@ -439,7 +286,7 @@ bool save_graph(const std::string& path, CompiledGraph& graph) {
   // Serialize to memory first: the CRC trailer covers the exact payload
   // bytes, and the file write below becomes a single streamed copy.
   std::ostringstream buffer(std::ios::binary);
-  write_payload(buffer, program, options, edges, graph.layer_weight_views());
+  write_payload(buffer, program, options, edges);
   CSQ_CHECK(static_cast<bool>(buffer))
       << "save_graph: in-memory serialization failed";
   const std::string payload = buffer.str();
@@ -507,8 +354,7 @@ CompiledGraph load_graph(const std::string& path, bool pooled) {
       << "graph artifact: cannot read " << path;
   const std::string bytes = sink.str();
 
-  // The weight section was validated and skipped: this loader re-packs
-  // from the owned codes, byte-identically.
+  // build_graph packs every GEMM panel from the layer section's codes.
   ParsedArtifact parsed = parse_artifact(bytes.data(), bytes.size(), pooled);
   CompiledGraph graph =
       build_graph(std::move(parsed.program), parsed.options);

@@ -7,11 +7,12 @@
 // (topology, folded batch-norm affines, biases, act-quant pins) and the
 // resolved per-edge activation scales/zero-points.
 //
-// load_graph replays the program through runtime::build_graph and restores
-// the edge scales: the float model never exists in the serving process, no
-// calibration pass is needed, and the loaded graph's batched forward is
-// bit-identical to the graph that was saved (replay and requant-constant
-// resolution are deterministic).
+// Each weight is stored once, as its layer record's integer codes. load_graph
+// replays the program through runtime::build_graph, which packs every GEMM
+// panel from those codes, and restores the edge scales: the float model
+// never exists in the serving process, no calibration pass is needed, and
+// the loaded graph's batched forward is bit-identical to the graph that was
+// saved (replay, packing and requant-constant resolution are deterministic).
 //
 // Crash safety: save_graph serializes to memory, writes a sibling temp
 // file, fsyncs it, atomically renames it over the destination and fsyncs
@@ -22,9 +23,10 @@
 // load_graph verifies it before trusting any field, so torn or bit-flipped
 // artifacts are rejected with a clean check_error.
 //
-// Support window: the graph section is written at v5 and load_graph
-// accepts exactly the bytes save_graph writes — graph-section v5 in a v3
-// container, ending exactly at the CRC trailer. Older sections are rejected.
+// Support window: the graph section is written at v6 and load_graph
+// accepts exactly the bytes save_graph writes — graph-section v6 in a v3
+// container, ending exactly at the CRC trailer after the edge records.
+// Every other section version, older or newer, is rejected.
 #pragma once
 
 #include <string>
@@ -41,7 +43,7 @@ bool save_graph(const std::string& path, CompiledGraph& graph);
 
 // Deserializes a graph artifact. Throws check_error on format violations
 // (CRC mismatch, bad magic, truncated or trailing bytes, absurd counts,
-// versions other than v5).
+// versions other than v6).
 // `pooled` selects thread-pool execution of the loaded graph's forwards.
 CompiledGraph load_graph(const std::string& path, bool pooled = true);
 

@@ -52,20 +52,17 @@ WeightKernel auto_kernel(int bits, std::int32_t max_abs, bool split,
   return WeightKernel::kS8U8;
 }
 
-// Runs a layer's GEMM passes as pass(alpha, panels, accumulate): one over
-// its plane, or for split layers (code = 2*hi + lo) the alpha-chained hi/lo
-// pair, both exact in int32.
+}  // namespace
+
 template <typename Pass>
-void for_each_pass(const PackedIntWeights& w, Pass pass) {
-  if (!w.split()) {
-    pass(1, w.panel_data(), false);
+void PackedIntWeights::for_each_pass(Pass pass) const {
+  if (!split_) {
+    pass(1, panels_.data(), false);
     return;
   }
-  pass(2, w.panel_data(), false);
-  pass(1, w.low_panel_data(), true);
+  pass(2, panels_.data(), false);
+  pass(1, low_panels_.data(), true);
 }
-
-}  // namespace
 
 const char* weight_kernel_name(WeightKernel kernel) {
   switch (kernel) {
@@ -185,8 +182,8 @@ void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
                             const std::uint8_t* b, std::int64_t ldb,
                             std::int32_t* c, std::int64_t ldc,
                             GemmExec exec) const {
-  for_each_pass(*this, [&](std::int32_t alpha, const std::uint8_t* panels,
-                           bool accumulate) {
+  for_each_pass([&](std::int32_t alpha, const std::uint8_t* panels,
+                    bool accumulate) {
     gemm_packed(packed_kernel(kernel_), trans_b, rows_, n, cols_, alpha,
                 panels, b, ldb, accumulate, c, ldc, exec);
   });
@@ -197,8 +194,8 @@ void PackedIntWeights::gemm_conv(const ConvGeometry& geom,
                                  std::int64_t ldc, GemmExec exec) const {
   CSQ_CHECK(geom.col_rows() == cols_)
       << "packed weights: conv depth " << geom.col_rows() << " != " << cols_;
-  for_each_pass(*this, [&](std::int32_t alpha, const std::uint8_t* panels,
-                           bool accumulate) {
+  for_each_pass([&](std::int32_t alpha, const std::uint8_t* panels,
+                    bool accumulate) {
     gemm_packed_conv(packed_kernel(kernel_), rows_, alpha, panels, geom,
                      padded, accumulate, c, ldc, exec);
   });

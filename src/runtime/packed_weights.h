@@ -88,18 +88,6 @@ class PackedIntWeights {
   int shift() const { return shift_; }
   bool split() const { return split_; }
 
-  // Raw storage views — the bytes the v5 artifact weight section persists.
-  // Null where not applicable.
-  const std::int8_t* primary_data() const { return primary_.data(); }
-  const std::int8_t* low_data() const {
-    return split_ ? low_.data() : nullptr;
-  }
-  // The planes packed in the kernel's panel layout (gemm_pack_a).
-  const std::uint8_t* panel_data() const { return panels_.data(); }
-  const std::uint8_t* low_panel_data() const {
-    return split_ ? low_panels_.data() : nullptr;
-  }
-
   // The GEMM path this layer runs (never kAuto after construction).
   WeightKernel kernel() const { return kernel_; }
   const char* kernel_name() const { return weight_kernel_name(kernel_); }
@@ -151,12 +139,19 @@ class PackedIntWeights {
   // produce wrong logits. Requires max_abs_code_/split_/cols_ set.
   void check_kernel_eligibility() const;
 
+  // Runs the layer's GEMM passes as pass(alpha, panels, accumulate): one
+  // over its plane, or for split layers (code = 2*hi + lo) the
+  // alpha-chained hi/lo pair, both exact in int32. The panels are the
+  // planes in the kernel's gemm_pack_a layout, which no file persists.
+  template <typename Pass>
+  void for_each_pass(Pass pass) const;
+
   // Stored-plane code of element i: the hi/lo pair re-assembled for split
   // layers, the single plane otherwise (GEMM-accumulator units).
   std::int32_t plane_code(std::int64_t i) const {
-    return split_ ? 2 * static_cast<std::int32_t>(primary_data()[i]) +
-                        low_data()[i]
-                  : primary_data()[i];
+    const auto at = static_cast<std::size_t>(i);
+    return split_ ? 2 * static_cast<std::int32_t>(primary_[at]) + low_[at]
+                  : primary_[at];
   }
 
   std::vector<std::int8_t> primary_;

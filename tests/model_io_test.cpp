@@ -108,7 +108,7 @@ TEST(ModelIo, RejectsMissingFile) {
 // ------------------------------------------------------- golden files ---
 //
 // Committed fixtures (tests/data/), one per format the writers emit: the
-// plain v2 container here, the v5 graph artifact and the v2 checkpoint
+// plain v2 container here, the v6 graph artifact and the v2 checkpoint
 // below. Every field is asserted against the values the files were written
 // with; versions outside the window are rejected.
 
@@ -137,25 +137,24 @@ TEST(ModelIoGolden, V2FixtureLoadsIdentically) {
   EXPECT_EQ(layers[1].denominator, 85.0f);
 }
 
-// Committed v5 artifact (13188 bytes) carrying prepacked weight panels for
-// every integer kernel family. It was written by save_graph from a
-// hand-built GraphProgram over 3x8x8 inputs: conv1 8x3x3x3 (8-bit, s8u8),
-// conv2 8x8x3x3 (8-bit codes up to +/-255, split s8u8), conv3 8x8x3x3
-// (3-bit, bitserial), conv4 8x8x1x1 (2-bit, bitserial-w16), conv5 8x8x3x3
-// (4-bit, s8u8), each followed by ReLU, then global average pooling and
-// an 8-bit 4x8 fc head; calibrated on 8 seeded uniform(-1, 1) images.
-// conv5 was recorded as the retired nibble kernel (kind 2) until the
-// fixture was re-pinned: loaded, conv5's kernel_kind set to 0, rebuilt
-// with the same options and edge scales, and re-saved; the logits did not
-// change. The panel bytes are the layout contract between the GEMM packers
-// and the artifact writer: a layout change that moved both together would
-// pass every round-trip test, but not these.
-const char kGoldenV5[] = "golden_v5.csqm";
-const float kGoldenV5Logits[8] = {0.353785932f,  -0.103491917f, -0.204821542f,
+// Committed v6 artifact (5441 bytes) whose layers run every integer kernel
+// family. It comes from a hand-built GraphProgram over 3x8x8 inputs: conv1
+// 8x3x3x3 (8-bit, s8u8), conv2 8x8x3x3 (8-bit codes up to +/-255, split
+// s8u8), conv3 8x8x3x3 (3-bit, bitserial), conv4 8x8x1x1 (2-bit,
+// bitserial-w16), conv5 8x8x3x3 (4-bit, s8u8), each followed by ReLU, then
+// global average pooling and an 8-bit 4x8 fc head; calibrated on 8 seeded
+// uniform(-1, 1) images. The file is the earlier v5 fixture's payload cut
+// before its packed-weights section (the first 5437 bytes), with the
+// graph-section version set to 6 and a fresh CRC trailer; every byte the
+// loader reads is unchanged, and so are the logits. The file holds integer
+// codes only and the GEMM panels are packed from them at load, so the
+// pinned logits are the check on the packers.
+const char kGoldenV6[] = "golden_v6.csqm";
+const float kGoldenV6Logits[8] = {0.353785932f,  -0.103491917f, -0.204821542f,
                                   0.578203261f,  0.354760945f,  -0.10857062f,
                                   -0.195406288f, 0.56861341f};
 
-Tensor golden_v5_probe() {
+Tensor golden_v6_probe() {
   Tensor probe({2, 3, 8, 8});
   Rng probe_rng(9999);
   for (std::int64_t i = 0; i < probe.numel(); ++i) {
@@ -164,7 +163,7 @@ Tensor golden_v5_probe() {
   return probe;
 }
 
-void expect_golden_v5_graph(runtime::CompiledGraph& graph) {
+void expect_golden_v6_graph(runtime::CompiledGraph& graph) {
   const char* kernels[6] = {"s8u8",          "s8u8", "bitserial",
                             "bitserial-w16", "s8u8", "s8u8"};
   ASSERT_EQ(graph.layers().size(), 6u);
@@ -172,10 +171,10 @@ void expect_golden_v5_graph(runtime::CompiledGraph& graph) {
     EXPECT_EQ(graph.layers()[i].kernel, kernels[i]) << "layer " << i;
     EXPECT_EQ(graph.layers()[i].split, i == 1) << "layer " << i;
   }
-  const Tensor logits = graph.forward(golden_v5_probe());
+  const Tensor logits = graph.forward(golden_v6_probe());
   ASSERT_EQ(logits.numel(), 8);
   for (std::int64_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(logits[i], kGoldenV5Logits[i]) << "logit " << i;
+    EXPECT_EQ(logits[i], kGoldenV6Logits[i]) << "logit " << i;
   }
 }
 
@@ -186,15 +185,15 @@ std::vector<char> read_file_bytes(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
-TEST(ModelIoGolden, V5FixtureServesPinnedLogits) {
-  runtime::CompiledGraph graph = runtime::load_graph(golden_path(kGoldenV5));
-  expect_golden_v5_graph(graph);
+TEST(ModelIoGolden, V6FixtureServesPinnedLogits) {
+  runtime::CompiledGraph graph = runtime::load_graph(golden_path(kGoldenV6));
+  expect_golden_v6_graph(graph);
 }
 
-TEST(ModelIoGolden, V5FixtureLayerSectionLoadsAsPlainModel) {
+TEST(ModelIoGolden, V6FixtureLayerSectionLoadsAsPlainModel) {
   // A serving artifact doubles as a quantized-model container: the layer
   // reader consumes the layer section and ignores the graph section.
-  const auto layers = load_quantized_model(golden_path(kGoldenV5));
+  const auto layers = load_quantized_model(golden_path(kGoldenV6));
   ASSERT_EQ(layers.size(), 6u);
   const char* names[6] = {"conv1", "conv2", "conv3", "conv4", "conv5", "fc"};
   const std::vector<std::int64_t> shapes[6] = {
@@ -229,28 +228,38 @@ TEST(ModelIoGolden, VersionsOutsideTheWindowAreRejected) {
   std::remove(path.c_str());
 }
 
-TEST(ModelIoGolden, PreV5GraphSectionsAreRejectedCleanly) {
-  // The committed v5 fixture relabelled as a v4 graph section and resealed
-  // with a fresh CRC: only v5 is read.
-  std::string payload = testing::golden_v5_payload();
+TEST(ModelIoGolden, GraphSectionVersionsOutsideTheWindowAreRejected) {
+  // The committed v6 fixture relabelled as every other graph-section
+  // version and resealed with a fresh CRC: only v6 is read. v1-v5 are the
+  // retired layouts (v5 appended a packed-weights section), v7 a future one.
+  const std::string payload = testing::golden_v6_payload();
   const std::size_t magic = payload.find("CSQG");
   ASSERT_NE(magic, std::string::npos);
-  const std::uint32_t v4 = 4;
-  std::memcpy(payload.data() + magic + 4, &v4, sizeof(v4));
-  const std::string path = temp_path("graph_v4");
-  testing::write_bytes(path, testing::reseal(payload));
-  EXPECT_THROW(runtime::load_graph(path), check_error);
+  const std::string path = temp_path("graph_version");
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 7u}) {
+    std::string mutant = payload;
+    std::memcpy(mutant.data() + magic + 4, &version, sizeof(version));
+    testing::write_bytes(path, testing::reseal(mutant));
+    try {
+      runtime::load_graph(path);
+      ADD_FAILURE() << "graph section v" << version << " loaded";
+    } catch (const check_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported graph-section version"),
+                std::string::npos)
+          << "v" << version << ": " << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 
-TEST(ModelIoGolden, V5FixtureResavesByteIdentically) {
-  const std::vector<char> original = read_file_bytes(golden_path(kGoldenV5));
-  ASSERT_EQ(original.size(), 13188u);
-  runtime::CompiledGraph graph = runtime::load_graph(golden_path(kGoldenV5));
-  const std::string path = temp_path("golden_v5_resave");
+TEST(ModelIoGolden, V6FixtureResavesByteIdentically) {
+  const std::vector<char> original = read_file_bytes(golden_path(kGoldenV6));
+  ASSERT_EQ(original.size(), 5441u);
+  runtime::CompiledGraph graph = runtime::load_graph(golden_path(kGoldenV6));
+  const std::string path = temp_path("golden_v6_resave");
   ASSERT_TRUE(runtime::save_graph(path, graph));
   EXPECT_TRUE(read_file_bytes(path) == original)
-      << "save_graph no longer reproduces the committed v5 bytes";
+      << "save_graph no longer reproduces the committed v6 bytes";
   std::remove(path.c_str());
 }
 

@@ -8,12 +8,15 @@
 //    intact and no temp litter), the CRC-32 trailer rejecting bit flips
 //    and truncation, the artifact.read failpoint;
 //  * CorruptionFuzz.*    — CRC-valid hostile artifacts: the committed
-//    golden_v5.csqm cut at every byte, padded with trailing bytes, given a
-//    mismatched weight kernel or layer key, nonzero weight padding, or
-//    bit-flipped, each resealed with a fresh CRC so it reaches the field
-//    validators. load_graph must reject it or load it cleanly, never
-//    crash — run this suite under the sanitize preset for the
-//    memory-safety half of the claim;
+//    golden_v6.csqm cut at every byte, padded with trailing bytes, given
+//    a bad field (a retired or ineligible kernel kind, an absurd extent, a
+//    nonzero reserved byte, an unknown instruction kind, a wrong record
+//    count, a bad layer dim, bit width, denominator or code, an
+//    instruction keyed to a missing or misfitting layer) or bit-flipped,
+//    each resealed with a fresh CRC so it reaches the field validators.
+//    load_graph must reject it or load it cleanly, never crash — run this
+//    suite under the sanitize preset for the memory-safety half of the
+//    claim;
 //  * ServeRobustness.*   — the serving failure paths: replica quarantine +
 //    backoff restore with bit-identical recovery, shard failure only when
 //    every replica is dead, load shedding, request deadlines, stale
@@ -46,7 +49,6 @@
 #include "nn/weight_source.h"
 #include "runtime/compiled_graph.h"
 #include "runtime/graph_artifact.h"
-#include "runtime/packed_weights.h"
 #include "serve/batching_server.h"
 #include "test_helpers.h"
 #include "util/check.h"
@@ -56,7 +58,7 @@
 namespace csq {
 namespace {
 
-using testing::golden_v5_payload;
+using testing::golden_v6_payload;
 using testing::parked_worker_options;
 using testing::random_tensor;
 using testing::read_bytes;
@@ -361,12 +363,10 @@ void expect_load_graph_rejects(const std::string& path,
   }
 }
 
-TEST(CorruptionFuzz, GoldenV5ResealedPrefixesAreRejected) {
+TEST(CorruptionFuzz, GoldenV6ResealedPrefixesAreRejected) {
   // Every proper prefix of the payload, resealed with a fresh CRC, is a
-  // CRC-valid file the writer never emits: load_graph must reject it —
-  // including cuts inside the weight section, which it validates but never
-  // packs from.
-  const std::string payload = golden_v5_payload();
+  // CRC-valid file the writer never emits: load_graph must reject it.
+  const std::string payload = golden_v6_payload();
   const std::string path = temp_path("golden_prefix");
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     write_bytes(path, reseal(payload.substr(0, cut)));
@@ -375,9 +375,9 @@ TEST(CorruptionFuzz, GoldenV5ResealedPrefixesAreRejected) {
   std::remove(path.c_str());
 }
 
-TEST(CorruptionFuzz, GoldenV5ResealedTrailingBytesAreRejected) {
-  // The payload must end exactly where the weight section does.
-  const std::string payload = golden_v5_payload();
+TEST(CorruptionFuzz, GoldenV6ResealedTrailingBytesAreRejected) {
+  // The payload must end exactly where the edge records do.
+  const std::string payload = golden_v6_payload();
   const std::string path = temp_path("golden_trailing");
   for (const std::size_t extra : {1u, 8u, 64u}) {
     write_bytes(path, reseal(payload + std::string(extra, '\0')));
@@ -402,55 +402,47 @@ std::size_t find_unique(const std::string& payload, const std::string& prefix) {
   return at == payload.rfind(prefix) ? at : std::string::npos;
 }
 
-// Offset of the kernel field of the weight entry of `layer` (rows x cols):
-// i32 layer, i64 rows, i64 cols, i32 shift, then the i32 kernel.
-std::size_t weight_entry_kernel(const std::string& payload, std::int32_t layer,
-                                std::int64_t rows, std::int64_t cols) {
-  char header[20];
-  std::memcpy(header, &layer, 4);
-  std::memcpy(header + 4, &rows, 8);
-  std::memcpy(header + 12, &cols, 8);
-  const std::size_t entry =
-      find_unique(payload, std::string(header, sizeof(header)));
-  return entry == std::string::npos ? entry : entry + sizeof(header) + 4;
+// Offset of the i32 kernel-kind field of the 3x3 conv instruction of
+// `layer`, or npos. The instruction is u8 kind (conv = 0), i32 layer, i64
+// kernel (3), then i64 kernel_w, stride and pad, i32 act_bits and f32 clip
+// before the kernel kind.
+std::size_t conv3x3_kernel_kind(const std::string& payload,
+                                std::int32_t layer) {
+  char head[13] = {0};
+  const std::int64_t kernel = 3;
+  std::memcpy(head + 1, &layer, 4);
+  std::memcpy(head + 5, &kernel, 8);
+  const std::size_t instr =
+      find_unique(payload, std::string(head, sizeof(head)));
+  return instr == std::string::npos ? instr
+                                    : instr + sizeof(head) + 3 * 8 + 4 + 4;
 }
 
-TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
+TEST(CorruptionFuzz, GoldenV6ResealedFieldMutantsAreRejected) {
   // Single-field edits that pass the CRC once resealed.
-  const std::string golden = golden_v5_payload();
+  const std::string golden = golden_v6_payload();
   const std::string path = temp_path("golden_field");
 
-  // The fc weight entry (layer 5, 4x8, packed for s8u8 = kernel 0)
-  // relabelled as bitserial: its panel blob is sized for s8u8, but the GEMM
-  // would read it in the instruction's layout.
-  const std::size_t fc_kernel = weight_entry_kernel(golden, 5, 4, 8);
-  ASSERT_NE(fc_kernel, std::string::npos) << "fc weight entry not found";
+  // conv2 (layer 1, codes up to +/-255, split s8u8) recorded as bitserial
+  // (kind 1). Recorded kernels are honoured but never trusted: the packer
+  // re-checks eligibility against the codes it packs.
+  const std::size_t conv2 = conv3x3_kernel_kind(golden, 1);
+  ASSERT_NE(conv2, std::string::npos) << "conv2 instruction not found";
   std::string mutant = golden;
-  patch<std::int32_t>(mutant, fc_kernel, 0, 1);
+  patch<std::int32_t>(mutant, conv2, 0, 1);
   write_bytes(path, reseal(mutant));
-  expect_load_graph_rejects(path, "a bitserial entry for an s8u8 layer");
+  expect_load_graph_rejects(path, "a split conv recorded as bitserial",
+                            "bit-serial kernel needs unsplit codes");
 
-  // conv5 (layer 4, 8x8x3x3, s8u8) with its instruction AND its weight
-  // entry relabelled kind 2, the retired nibble kernel. The two agree, so
-  // the entry-vs-instruction check passes; the parse's kind set {0, 1, 3}
-  // rejects it. The instruction is u8 kind (conv = 0), i32 layer, i64
-  // kernel (3), then i64 kernel_w, stride and pad, i32 act_bits and f32
-  // clip before the i32 kernel kind.
-  char conv5[13] = {0};
-  const std::int32_t conv5_layer = 4;
-  const std::int64_t conv5_kernel = 3;
-  std::memcpy(conv5 + 1, &conv5_layer, 4);
-  std::memcpy(conv5 + 5, &conv5_kernel, 8);
-  const std::size_t instr =
-      find_unique(golden, std::string(conv5, sizeof(conv5)));
-  ASSERT_NE(instr, std::string::npos) << "conv5 instruction not found";
-  const std::size_t conv5_entry = weight_entry_kernel(golden, 4, 8, 72);
-  ASSERT_NE(conv5_entry, std::string::npos) << "conv5 weight entry not found";
+  // conv5 (layer 4, 8x8x3x3, s8u8) recorded as kind 2, the retired nibble
+  // kernel: the parse's kind set {0, 1, 3} rejects it.
+  const std::size_t conv5 = conv3x3_kernel_kind(golden, 4);
+  ASSERT_NE(conv5, std::string::npos) << "conv5 instruction not found";
   mutant = golden;
-  patch<std::int32_t>(mutant, instr + sizeof(conv5) + 3 * 8 + 4 + 4, 0, 2);
-  patch<std::int32_t>(mutant, conv5_entry, 0, 2);
+  patch<std::int32_t>(mutant, conv5, 0, 2);
   write_bytes(path, reseal(mutant));
-  expect_load_graph_rejects(path, "a conv recorded as kernel kind 2");
+  expect_load_graph_rejects(path, "a conv recorded as kernel kind 2",
+                            "bad kernel kind 2");
 
   // An absurd input height (the graph section's third field): edge extents
   // derived from it would overflow int64.
@@ -485,225 +477,334 @@ TEST(CorruptionFuzz, GoldenV5ResealedFieldMutantsAreRejected) {
   write_bytes(path, reseal(mutant));
   expect_load_graph_rejects(path, "instruction kind 11",
                             "unknown instruction kind 11");
-
-  // The fc weight entry keyed to conv5's layer index: the loader skips the
-  // section's blobs, but each entry must still name its instruction's layer.
-  // The entry is i32 layer, i64 rows, i64 cols, i32 shift, i32 kernel.
-  const std::size_t fc_layer = fc_kernel - 4 - 8 - 8 - 4;
-  mutant = golden;
-  patch<std::int32_t>(mutant, fc_layer, 5, 4);
-  write_bytes(path, reseal(mutant));
-  expect_load_graph_rejects(path, "a weight entry keyed to the wrong layer",
-                            "keys layer 4, program expects 5");
-
-  // One nonzero byte in the alignment padding between the fc entry's header
-  // (which ends with the u8 split flag) and its first 64-byte aligned blob.
-  const std::size_t fc_padding = fc_kernel + 4 + 1;
-  ASSERT_NE(fc_padding % 64, 0u) << "fc entry header ends aligned";
-  mutant = golden;
-  patch<std::uint8_t>(mutant, fc_padding, 0, 1);
-  write_bytes(path, reseal(mutant));
-  expect_load_graph_rejects(path, "a nonzero padding byte",
-                            "nonzero alignment padding");
   std::remove(path.c_str());
 }
 
-// One entry header of the golden fixture's packed-weights section (i32
-// layer, i64 rows, i64 cols, i32 shift, i32 kernel, u8 split) and where it
-// starts in the payload.
-struct WeightEntryHeader {
-  std::size_t offset = 0;
-  std::int32_t layer = 0;
-  std::int64_t rows = 0;
-  std::int64_t cols = 0;
-  std::int32_t kernel = 0;
-  bool split = false;
+// The T stored at `offset` of `payload` (0 past its end).
+template <typename T>
+T peek(const std::string& payload, std::size_t offset) {
+  T value{};
+  if (offset + sizeof(T) <= payload.size()) {
+    std::memcpy(&value, payload.data() + offset, sizeof(T));
+  }
+  return value;
+}
+
+// Where the records of a v6 payload start, found by walking its layout
+// field by field: the container header ("CSQM", u32 version, u32 layer
+// count), each layer record (u32 name length, name, u32 rank, i64 dims, i32
+// bits, f32 scale, f32 denominator, i16 codes), the graph section header
+// ("CSQG", u32 version, three i64 input extents, i32 act_bits, u32
+// instruction count), each instruction (kInstrVectors fixed bytes, then
+// three u32-counted float vectors) and the 13-byte edge records.
+struct GoldenLayout {
+  std::size_t layer_count = 0;  // offset of the u32 layer count
+  std::vector<std::size_t> layers;
+  std::size_t instr_count = 0;  // offset of the u32 instruction count
+  std::vector<std::size_t> instrs;
+  std::size_t edge_count = 0;  // offset of the u32 edge count
+  std::size_t end = 0;         // one past the last edge record
 };
-constexpr std::size_t kEntryRows = 4;
-constexpr std::size_t kEntryCols = 12;
-constexpr std::size_t kEntryKernel = 24;
-constexpr std::size_t kEntrySplit = 28;
 
-// The golden fixture's weight entries in section order, which is the
-// lowering order of its conv/linear instructions. The fields come from the
-// loaded graph; each header is then located in `payload` by its unique
-// (layer, rows, cols) prefix.
-std::vector<WeightEntryHeader> golden_weight_entries(
-    const std::string& payload) {
-  runtime::CompiledGraph graph =
-      runtime::load_graph(testing::golden_v5_path(), /*pooled=*/false);
-  const auto& weights = graph.layer_weight_views();
-  std::vector<WeightEntryHeader> entries;
-  for (const runtime::ProgramInstr& instr : graph.program().instrs) {
-    if (instr.kind != runtime::ProgramInstr::Kind::kConv &&
-        instr.kind != runtime::ProgramInstr::Kind::kLinear) {
-      continue;
-    }
-    const runtime::PackedIntWeights& w = *weights[entries.size()];
-    WeightEntryHeader entry;
-    entry.layer = instr.layer;
-    entry.rows = w.rows();
-    entry.cols = w.cols();
-    entry.kernel = static_cast<std::int32_t>(w.kernel());
-    entry.split = w.split();
-    const std::size_t kernel_at =
-        weight_entry_kernel(payload, entry.layer, entry.rows, entry.cols);
-    if (kernel_at == std::string::npos) {
-      ADD_FAILURE() << "weight entry of layer " << entry.layer
-                    << " not found";
-      return {};
-    }
-    entry.offset = kernel_at - kEntryKernel;
-    entries.push_back(entry);
-  }
-  return entries;
+// Instruction field offsets: u8 kind, i32 layer, i64 kernel, kernel_w,
+// stride and pad, i32 act_bits, f32 clip, i32 kernel kind, u8 reserved.
+constexpr std::size_t kInstrLayer = 1;
+constexpr std::size_t kInstrKernelKind = 45;
+constexpr std::size_t kInstrVectors = 50;
+
+// Offset of the first i64 dim of the layer record at `record`.
+std::size_t layer_dims(const std::string& payload, std::size_t record) {
+  return record + 4 + peek<std::uint32_t>(payload, record) + 4;
 }
 
-TEST(CorruptionFuzz, GoldenV5ResealedWeightEntryCountMutantsAreRejected) {
-  // The u32 entry count just before the first entry must equal the
-  // program's conv/linear instruction count.
-  const std::string golden = golden_v5_payload();
-  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
-  ASSERT_EQ(entries.size(), 6u);
-  const std::size_t count_at = entries.front().offset - 4;
-  const auto count = static_cast<std::uint32_t>(entries.size());
-  const std::string path = temp_path("golden_entry_count");
-  for (const std::uint32_t wrong :
-       {0u, count - 1, count + 1, std::uint32_t{0xFFFFFFFFu}}) {
-    std::string mutant = golden;
-    patch<std::uint32_t>(mutant, count_at, count, wrong);
-    write_bytes(path, reseal(mutant));
-    expect_load_graph_rejects(
-        path, "a weight section claiming " + std::to_string(wrong) + " entries",
-        "weight section holds");
-  }
-  std::remove(path.c_str());
+std::uint32_t layer_rank(const std::string& payload, std::size_t record) {
+  return peek<std::uint32_t>(payload, layer_dims(payload, record) - 4);
 }
 
-TEST(CorruptionFuzz, GoldenV5ResealedWeightExtentMutantsAreRejected) {
-  // Rows outside [1, 2^20] or cols outside [1, 32767], in every entry.
-  const std::string golden = golden_v5_payload();
-  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
-  ASSERT_FALSE(entries.empty());
-  const std::string path = temp_path("golden_extents");
-  for (const WeightEntryHeader& entry : entries) {
-    const std::string where = "layer " + std::to_string(entry.layer);
-    for (const std::int64_t rows :
-         {std::int64_t{0}, std::int64_t{-1}, (std::int64_t{1} << 20) + 1}) {
+// Offset of the i32 bits field of the layer record at `record`; the f32
+// scale, f32 denominator and the i16 codes follow it.
+std::size_t layer_bits(const std::string& payload, std::size_t record) {
+  return layer_dims(payload, record) + 8 * layer_rank(payload, record);
+}
+
+GoldenLayout golden_layout(const std::string& payload) {
+  GoldenLayout layout;
+  layout.layer_count = 8;
+  std::size_t at = layout.layer_count + 4;
+  const auto layers = peek<std::uint32_t>(payload, layout.layer_count);
+  for (std::uint32_t l = 0; l < layers && at < payload.size(); ++l) {
+    layout.layers.push_back(at);
+    std::int64_t codes = 1;
+    for (std::uint32_t d = 0; d < layer_rank(payload, at); ++d) {
+      codes *= peek<std::int64_t>(payload, layer_dims(payload, at) + 8 * d);
+    }
+    at = layer_bits(payload, at) + 12 + 2 * static_cast<std::size_t>(codes);
+  }
+  layout.instr_count = at + 4 + 4 + 3 * 8 + 4;
+  at = layout.instr_count + 4;
+  const auto instrs = peek<std::uint32_t>(payload, layout.instr_count);
+  for (std::uint32_t i = 0; i < instrs && at < payload.size(); ++i) {
+    layout.instrs.push_back(at);
+    at += kInstrVectors;
+    for (int v = 0; v < 3; ++v) at += 4 + 4 * peek<std::uint32_t>(payload, at);
+  }
+  layout.edge_count = at;
+  layout.end = at + 4 + 13 * std::size_t{peek<std::uint32_t>(payload, at)};
+  return layout;
+}
+
+bool is_gemm_instr(const std::string& payload, std::size_t instr) {
+  const auto kind = static_cast<runtime::ProgramInstr::Kind>(
+      peek<std::uint8_t>(payload, instr));
+  return kind == runtime::ProgramInstr::Kind::kConv ||
+         kind == runtime::ProgramInstr::Kind::kLinear;
+}
+
+TEST(CorruptionFuzz, GoldenV6ResealedCountMutantsAreRejected) {
+  // Every count field sets how many records follow it: a wrong count, in
+  // range or absurd, misreads the rest of the payload.
+  const std::string golden = golden_v6_payload();
+  const GoldenLayout layout = golden_layout(golden);
+  ASSERT_EQ(layout.end, golden.size());
+  const std::string path = temp_path("golden_counts");
+  const struct {
+    const char* name;
+    std::size_t offset;
+  } counts[] = {{"layer count", layout.layer_count},
+                {"instruction count", layout.instr_count},
+                {"edge count", layout.edge_count}};
+  for (const auto& count : counts) {
+    const auto value = peek<std::uint32_t>(golden, count.offset);
+    for (const std::uint32_t wrong :
+         {0u, value - 1, value + 1, std::uint32_t{0xFFFFFFFFu}}) {
       std::string mutant = golden;
-      patch<std::int64_t>(mutant, entry.offset + kEntryRows, entry.rows, rows);
-      write_bytes(path, reseal(mutant));
-      expect_load_graph_rejects(path, where + " rows " + std::to_string(rows),
-                                "absurd weight extents");
-    }
-    for (const std::int64_t cols :
-         {std::int64_t{0}, std::int64_t{-1}, std::int64_t{32768}}) {
-      std::string mutant = golden;
-      patch<std::int64_t>(mutant, entry.offset + kEntryCols, entry.cols, cols);
-      write_bytes(path, reseal(mutant));
-      expect_load_graph_rejects(path, where + " cols " + std::to_string(cols),
-                                "absurd weight extents");
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CorruptionFuzz, GoldenV5ResealedWeightBlobOverrunsAreRejected) {
-  // In-range extents whose code blob alone is larger than the whole
-  // payload: the bounds check must stop the skip before it leaves the image.
-  const std::string golden = golden_v5_payload();
-  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
-  ASSERT_FALSE(entries.empty());
-  const std::string path = temp_path("golden_overrun");
-  for (const WeightEntryHeader& entry : entries) {
-    const std::string where = "layer " + std::to_string(entry.layer);
-    std::string mutant = golden;
-    patch<std::int64_t>(mutant, entry.offset + kEntryRows, entry.rows,
-                        std::int64_t{1} << 20);
-    write_bytes(path, reseal(mutant));
-    expect_load_graph_rejects(path, where + " with 2^20 rows",
-                              "weight blob overruns the payload");
-
-    mutant = golden;
-    patch<std::int64_t>(mutant, entry.offset + kEntryCols, entry.cols,
-                        std::int64_t{32767});
-    ASSERT_GT(entry.rows * 32767, static_cast<std::int64_t>(golden.size()));
-    write_bytes(path, reseal(mutant));
-    expect_load_graph_rejects(path, where + " with 32767 cols",
-                              "weight blob overruns the payload");
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CorruptionFuzz, GoldenV5ResealedSplitFlagMutantsAreRejected) {
-  // The split flag is a strict boolean, and it sets how many blobs the
-  // entry holds: flipping it misreads every later byte of the section.
-  const std::string golden = golden_v5_payload();
-  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
-  ASSERT_FALSE(entries.empty());
-  const std::string path = temp_path("golden_split");
-  for (const WeightEntryHeader& entry : entries) {
-    const std::string where = "layer " + std::to_string(entry.layer);
-    const std::uint8_t flag = entry.split ? 1 : 0;
-    std::string mutant = golden;
-    patch<std::uint8_t>(mutant, entry.offset + kEntrySplit, flag, 2);
-    write_bytes(path, reseal(mutant));
-    expect_load_graph_rejects(path, where + " split flag 2",
-                              "bad flag byte 2");
-
-    mutant = golden;
-    patch<std::uint8_t>(mutant, entry.offset + kEntrySplit, flag,
-                        static_cast<std::uint8_t>(1 - flag));
-    write_bytes(path, reseal(mutant));
-    expect_load_graph_rejects(path, where + " split flag flipped");
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CorruptionFuzz, GoldenV5ResealedWeightEntriesMustMatchTheirInstructions) {
-  // Every entry, not only the last, is keyed to its own instruction's
-  // layer and packed for that instruction's kernel.
-  const std::string golden = golden_v5_payload();
-  const std::vector<WeightEntryHeader> entries = golden_weight_entries(golden);
-  ASSERT_FALSE(entries.empty());
-  const std::string path = temp_path("golden_entry_match");
-  for (const WeightEntryHeader& entry : entries) {
-    const std::string where = "layer " + std::to_string(entry.layer);
-    std::string mutant = golden;
-    patch<std::int32_t>(mutant, entry.offset, entry.layer, entry.layer + 1);
-    write_bytes(path, reseal(mutant));
-    expect_load_graph_rejects(path, where + " keyed one layer on",
-                              "keys layer " + std::to_string(entry.layer + 1));
-
-    // Kernel kinds the parse accepts (0 s8u8, 1 bitserial, 3 bitserial
-    // w16), each relabelling an entry whose instruction selects another.
-    for (const std::int32_t kernel : {0, 1, 3}) {
-      if (kernel == entry.kernel) continue;
-      mutant = golden;
-      patch<std::int32_t>(mutant, entry.offset + kEntryKernel, entry.kernel,
-                          kernel);
+      patch<std::uint32_t>(mutant, count.offset, value, wrong);
       write_bytes(path, reseal(mutant));
       expect_load_graph_rejects(
-          path, where + " packed for kernel " + std::to_string(kernel),
-          "packed for kernel " + std::to_string(kernel));
+          path, std::string(count.name) + " " + std::to_string(wrong));
+    }
+  }
+  // The u32 length of each instruction's first float vector, one on or
+  // absurd.
+  for (const std::size_t instr : layout.instrs) {
+    const std::size_t at = instr + kInstrVectors;
+    const auto length = peek<std::uint32_t>(golden, at);
+    for (const std::uint32_t wrong : {length + 1, std::uint32_t{0xFFFFFFFFu}}) {
+      std::string mutant = golden;
+      patch<std::uint32_t>(mutant, at, length, wrong);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(path, "instruction at " + std::to_string(instr) +
+                                          " vector length " +
+                                          std::to_string(wrong));
     }
   }
   std::remove(path.c_str());
 }
 
-TEST(CorruptionFuzz, GoldenV5ResealedBitFlipsNeverCrash) {
+TEST(CorruptionFuzz, GoldenV6ResealedLayerExtentMutantsAreRejected) {
+  // The layer dims size the code array the GEMM panels are packed from:
+  // negative or absurd dims, and dims one off the saved shape, never load.
+  const std::string golden = golden_v6_payload();
+  const GoldenLayout layout = golden_layout(golden);
+  ASSERT_EQ(layout.end, golden.size());
+  ASSERT_EQ(layout.layers.size(), 6u);
+  const std::string path = temp_path("golden_layer_extents");
+  for (std::size_t l = 0; l < layout.layers.size(); ++l) {
+    const std::size_t record = layout.layers[l];
+    for (std::uint32_t d = 0; d < layer_rank(golden, record); ++d) {
+      const std::size_t at = layer_dims(golden, record) + 8 * d;
+      const auto dim = peek<std::int64_t>(golden, at);
+      const std::string where =
+          "layer " + std::to_string(l) + " dim " + std::to_string(d);
+      std::string mutant = golden;
+      patch<std::int64_t>(mutant, at, dim, -1);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(path, where + " -1", "negative dim");
+
+      mutant = golden;
+      patch<std::int64_t>(mutant, at, dim, std::int64_t{1} << 40);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(path, where + " 2^40", "absurd element count");
+
+      for (const std::int64_t off : {dim - 1, dim + 1}) {
+        mutant = golden;
+        patch<std::int64_t>(mutant, at, dim, off);
+        write_bytes(path, reseal(mutant));
+        expect_load_graph_rejects(path, where + " " + std::to_string(off));
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV6ResealedLayerFieldMutantsAreRejected) {
+  // The fields of every layer record the loader reads before packing: name
+  // length, rank, bit width, grid denominator and the codes themselves.
+  const std::string golden = golden_v6_payload();
+  const GoldenLayout layout = golden_layout(golden);
+  ASSERT_EQ(layout.end, golden.size());
+  ASSERT_EQ(layout.layers.size(), 6u);
+  const std::string path = temp_path("golden_layer_fields");
+  for (std::size_t l = 0; l < layout.layers.size(); ++l) {
+    const std::size_t record = layout.layers[l];
+    const std::string where = "layer " + std::to_string(l);
+    const auto expect_rejects = [&](const std::string& mutant,
+                                    const std::string& what,
+                                    const std::string& reason) {
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(path, where + " " + what, reason);
+    };
+
+    std::string mutant = golden;
+    patch<std::uint32_t>(mutant, record, peek<std::uint32_t>(golden, record),
+                         4097);
+    expect_rejects(mutant, "name length 4097", "absurd name length");
+
+    const std::size_t rank_at = layer_dims(golden, record) - 4;
+    mutant = golden;
+    patch<std::uint32_t>(mutant, rank_at, layer_rank(golden, record), 9);
+    expect_rejects(mutant, "rank 9", "absurd rank");
+
+    const std::size_t bits_at = layer_bits(golden, record);
+    const auto bits = peek<std::int32_t>(golden, bits_at);
+    for (const std::int32_t wrong : {-1, 9}) {
+      mutant = golden;
+      patch<std::int32_t>(mutant, bits_at, bits, wrong);
+      expect_rejects(mutant, "bits " + std::to_string(wrong),
+                     "bits out of range");
+    }
+
+    const std::size_t denominator_at = bits_at + 8;
+    const auto denominator = peek<float>(golden, denominator_at);
+    for (const float wrong : {0.5f, 256.0f}) {
+      mutant = golden;
+      patch<float>(mutant, denominator_at, denominator, wrong);
+      expect_rejects(mutant, "denominator " + std::to_string(wrong),
+                     "bad grid denominator");
+    }
+
+    const std::size_t first_code = bits_at + 12;
+    for (const std::int16_t wrong : {std::int16_t{256}, std::int16_t{-256}}) {
+      mutant = golden;
+      patch<std::int16_t>(mutant, first_code,
+                          peek<std::int16_t>(golden, first_code), wrong);
+      expect_rejects(mutant, "first code " + std::to_string(wrong),
+                     "code outside the 8-bit grid");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV6ResealedInstructionsMustNameAMatchingLayer) {
+  // Each conv/linear instruction packs the codes of the layer it names: an
+  // index outside the layer section, or a layer whose shape the
+  // instruction's geometry does not fit, is rejected at lowering.
+  const std::string golden = golden_v6_payload();
+  const GoldenLayout layout = golden_layout(golden);
+  ASSERT_EQ(layout.end, golden.size());
+  ASSERT_EQ(layout.layers.size(), 6u);
+  const std::string path = temp_path("golden_instr_layer");
+  const auto shape_of = [&](std::size_t l) {
+    const std::size_t record = layout.layers[l];
+    return golden.substr(layer_dims(golden, record) - 4,
+                         4 + 8 * layer_rank(golden, record));
+  };
+  const auto layer_count = static_cast<std::int32_t>(layout.layers.size());
+  std::size_t gemm_instrs = 0;
+  for (const std::size_t instr : layout.instrs) {
+    if (!is_gemm_instr(golden, instr)) continue;
+    ++gemm_instrs;
+    const auto layer = peek<std::int32_t>(golden, instr + kInstrLayer);
+    ASSERT_TRUE(layer >= 0 && layer < layer_count);
+    const std::string where = "layer " + std::to_string(layer);
+    for (const std::int32_t wrong : {-1, layer_count}) {
+      std::string mutant = golden;
+      patch<std::int32_t>(mutant, instr + kInstrLayer, layer, wrong);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(path, where + " keyed to " +
+                                          std::to_string(wrong),
+                                "instruction references layer");
+    }
+    for (std::int32_t other = 0; other < layer_count; ++other) {
+      if (shape_of(static_cast<std::size_t>(other)) ==
+          shape_of(static_cast<std::size_t>(layer))) {
+        continue;
+      }
+      std::string mutant = golden;
+      patch<std::int32_t>(mutant, instr + kInstrLayer, layer, other);
+      write_bytes(path, reseal(mutant));
+      expect_load_graph_rejects(
+          path, where + " keyed to layer " + std::to_string(other),
+          "lowering ");
+    }
+  }
+  EXPECT_EQ(gemm_instrs, 6u);
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV6ResealedRecordedKernelsNeverChangeTheLogits) {
+  // A recorded kernel kind picks a GEMM path, not the values it computes:
+  // every conv/linear relabelled with every other kind the parse accepts
+  // (0 s8u8, 1 bitserial, 3 bitserial-w16) either fails the packer's
+  // eligibility check against the codes or serves the golden logits bit
+  // for bit.
+  const std::string golden = golden_v6_payload();
+  const GoldenLayout layout = golden_layout(golden);
+  ASSERT_EQ(layout.end, golden.size());
+  Rng rng(9999);
+  const Tensor probe = random_tensor({2, 3, 8, 8}, rng);
+  runtime::CompiledGraph reference =
+      runtime::load_graph(testing::golden_v6_path(), /*pooled=*/false);
+  const Tensor expected = reference.forward(probe);
+  const std::string path = temp_path("golden_kernels");
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (const std::size_t instr : layout.instrs) {
+    if (!is_gemm_instr(golden, instr)) continue;
+    const auto kind = peek<std::int32_t>(golden, instr + kInstrKernelKind);
+    for (const std::int32_t wrong : {0, 1, 3}) {
+      if (wrong == kind) continue;
+      const std::string what = "instruction at " + std::to_string(instr) +
+                               " recorded as kernel " + std::to_string(wrong);
+      std::string mutant = golden;
+      patch<std::int32_t>(mutant, instr + kInstrKernelKind, kind, wrong);
+      write_bytes(path, reseal(mutant));
+      try {
+        runtime::CompiledGraph graph = runtime::load_graph(path, false);
+        const Tensor logits = graph.forward(probe);
+        ASSERT_EQ(logits.numel(), expected.numel()) << what;
+        for (std::int64_t i = 0; i < logits.numel(); ++i) {
+          EXPECT_EQ(logits[i], expected[i]) << what << ", logit " << i;
+        }
+        ++loaded;
+      } catch (const check_error& e) {
+        EXPECT_NE(std::string(e.what()).find("packed weights: "),
+                  std::string::npos)
+            << what << ": " << e.what();
+        ++rejected;
+      }
+    }
+  }
+  // The fixture holds layers each way: codes a relabelled kernel can pack
+  // and codes it cannot.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionFuzz, GoldenV6ResealedBitFlipsNeverCrash) {
   // Resealed flips pass the CRC, so they exercise every field validator
-  // behind it. A flip may legitimately load (inside a weight code, a scale
-  // or a panel byte); the guarantee is that EVERY outcome through
-  // load_graph is either a load or a clean check_error — never a crash, an
-  // out-of-bounds parse (the sanitize preset enforces that) or another
-  // exception type.
-  const std::string payload = golden_v5_payload();
+  // behind it. A flip may legitimately load (inside a weight code or a
+  // scale); the guarantee is that EVERY outcome through load_graph is
+  // either a load or a clean check_error — never a crash, an out-of-bounds
+  // parse (the sanitize preset enforces that) or another exception type.
+  // The 21-bit stride samples about 2,070 flips of the 5,437-byte payload.
+  const std::string payload = golden_v6_payload();
   const std::string path = temp_path("golden_flip");
   const std::size_t total_bits = payload.size() * 8;
   std::size_t loaded = 0;
   std::size_t rejected = 0;
-  for (std::size_t bit = 0; bit < total_bits; bit += 49) {
+  for (std::size_t bit = 0; bit < total_bits; bit += 21) {
     std::string mutant = payload;
     mutant[bit / 8] = static_cast<char>(
         static_cast<unsigned char>(mutant[bit / 8]) ^ (1u << (bit % 8)));
@@ -717,7 +818,7 @@ TEST(CorruptionFuzz, GoldenV5ResealedBitFlipsNeverCrash) {
   }
   EXPECT_GE(loaded + rejected, 2000u);
   // Both outcomes must actually occur: flips in magic/counts reject, flips
-  // deep inside code or panel payloads load.
+  // deep inside code or scale payloads load.
   EXPECT_GT(loaded, 0u);
   EXPECT_GT(rejected, 0u);
   std::remove(path.c_str());

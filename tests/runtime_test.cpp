@@ -928,7 +928,7 @@ namespace {
 
 // A small finalized-CSQ stack at fixed 3-bit precision: its conv/linear
 // layers earn the specialized low-bit GEMMs, exercising kernel selection,
-// the force_reference_kernel escape hatch and the v5 artifact's kernel
+// the force_reference_kernel escape hatch and the kernel kinds an artifact
 // records.
 Model make_lowbit_model(std::vector<CsqWeightSource*>& registry, Rng& rng) {
   Model model;

@@ -203,10 +203,10 @@ TEST(GraphArtifact, LoadedGraphOwnsItsWeightsOnceTheFileIsGone) {
 }
 
 TEST(GraphArtifact, LoadedGraphResavesByteIdentically) {
-  // load_graph validates and skips the packed-weights section, re-packing
-  // from the layer codes instead. Re-saving the loaded graph writes that
-  // section from the re-packed panels, so byte equality with the first save
-  // shows the re-pack reproduces what the writer packed.
+  // The artifact stores each weight once, as its layer codes, and
+  // load_graph packs the GEMM panels from them. Byte equality of the
+  // re-save with the first save shows the load keeps every field the
+  // writer wrote: program, codes, recorded kernels and edge scales.
   runtime::CompiledGraph graph = make_calibrated_graph();
   const std::string path = temp_path("resave_first");
   ASSERT_TRUE(runtime::save_graph(path, graph));

@@ -20,9 +20,9 @@
 
 namespace csq::testing {
 
-// The committed v5 graph artifact (tests/data/golden_v5.csqm).
-inline std::string golden_v5_path() {
-  return std::string(CSQ_TEST_DATA_DIR) + "/golden_v5.csqm";
+// The committed v6 graph artifact (tests/data/golden_v6.csqm).
+inline std::string golden_v6_path() {
+  return std::string(CSQ_TEST_DATA_DIR) + "/golden_v6.csqm";
 }
 
 inline std::string read_bytes(const std::string& path) {
@@ -48,10 +48,10 @@ inline std::string reseal(std::string payload) {
   return payload;
 }
 
-// golden_v5.csqm without its CRC trailer.
-inline std::string golden_v5_payload() {
-  const std::string bytes = read_bytes(golden_v5_path());
-  EXPECT_EQ(bytes.size(), 13188u);
+// golden_v6.csqm without its CRC trailer.
+inline std::string golden_v6_payload() {
+  const std::string bytes = read_bytes(golden_v6_path());
+  EXPECT_EQ(bytes.size(), 5441u);
   return bytes.substr(0, bytes.size() - sizeof(std::uint32_t));
 }
 
