@@ -6,7 +6,8 @@
 // then DESTROYS the float model — everything from here on is the serving
 // process: artifact-loaded int8 replicas behind a request-batching server,
 // driven by concurrent producer threads. Prints the artifact size, the
-// bit-identity of loaded-vs-direct forwards, per-request correctness under
+// bit-identity of loaded-vs-direct forwards, the integer kernel ISA
+// ("avx-vnni", "avx2" or "portable"), per-request correctness under
 // concurrency and the throughput/batching statistics.
 //
 // The second half re-serves the artifact CROSS-PROCESS: the parent loads
@@ -38,6 +39,7 @@
 #include "runtime/graph_artifact.h"
 #include "serve/batching_server.h"
 #include "serve/transport.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -170,7 +172,8 @@ int main(int argc, char** argv) {
     identical = loaded_logits[i] == direct_logits[i];
   }
   std::cout << "loaded graph forward vs direct lowering: "
-            << (identical ? "bit-identical" : "MISMATCH!") << "\n\n";
+            << (identical ? "bit-identical" : "MISMATCH!") << "\n";
+  std::cout << "integer GEMM kernels: " << gemm_int_kernel_isa() << "\n\n";
 
   serve::ServerOptions server_options;
   server_options.max_batch = 16;

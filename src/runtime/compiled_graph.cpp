@@ -17,6 +17,7 @@
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
 #include "util/check.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -1426,6 +1427,13 @@ void replay_program(CompiledGraph::Impl& impl, const GraphProgram& program,
                     const LowerOptions& options) {
   CSQ_CHECK(options.act_bits >= 1 && options.act_bits <= 8)
       << "lower: act_bits must be in [1, 8] (codes are stored in uint8)";
+  // Once per process, name the integer kernels every graph runs on, so a
+  // quoted latency can say which path it measured.
+  static const bool isa_logged = [] {
+    log_info() << "integer GEMM kernels: " << gemm_int_kernel_isa();
+    return true;
+  }();
+  (void)isa_logged;
   impl.options = options;
   impl.levels = (std::int64_t{1} << options.act_bits) - 1;
   impl.pooled = options.pooled;
@@ -1485,17 +1493,11 @@ void replay_program(CompiledGraph::Impl& impl, const GraphProgram& program,
 // persisted artifact (and every replica sharing the program) replays the
 // exact same GEMM paths. Instructions that already carry a recorded kind
 // (every loaded artifact) keep it; live lowering (kAuto) derives it with
-// select_kernel; force_reference_kernel pins everything to the s8u8
-// baseline.
-void resolve_kernel_selection(GraphProgram& program,
-                              const LowerOptions& options) {
+// select_kernel.
+void resolve_kernel_selection(GraphProgram& program) {
   for (ProgramInstr& instr : program.instrs) {
     if (instr.kind != ProgramInstr::Kind::kConv &&
         instr.kind != ProgramInstr::Kind::kLinear) {
-      continue;
-    }
-    if (options.force_reference_kernel) {
-      instr.kernel_kind = static_cast<std::int32_t>(WeightKernel::kS8U8);
       continue;
     }
     if (instr.kernel_kind >= 0) continue;  // recorded choice wins
@@ -1518,7 +1520,7 @@ void resolve_kernel_selection(GraphProgram& program,
 
 CompiledGraph build_graph(GraphProgram program, const LowerOptions& options) {
   CompiledGraph graph;
-  resolve_kernel_selection(program, options);
+  resolve_kernel_selection(program);
   replay_program(*graph.impl_, program, options);
   graph.impl_->program =
       std::make_shared<const GraphProgram>(std::move(program));

@@ -67,11 +67,6 @@ struct LowerOptions {
   // Planned and unplanned graphs are bit-identical; OFF keeps the
   // one-dedicated-slot-per-edge policy (the memory-regression baseline).
   bool plan_buffers = true;
-  // Escape hatch: run every conv/linear layer on the widened s8u8 reference
-  // GEMM, ignoring per-layer kernel selection. All kernels are bit-identical,
-  // so this only changes latency — the reference the parity tests compare
-  // the selected kernels against.
-  bool force_reference_kernel = false;
 };
 
 // Per-edge activation-quantization state, snapshotted by edge_scales() and

@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #if defined(__AVX2__)
@@ -447,11 +448,12 @@ struct F32ConvKernel : F32Kernel {
 
 // ------------------------------------------------------ integer kernel ----
 //
-// Same blocking scheme as the float path. Operands are widened to int16
-// while packing, laid out in K-PAIRS: consecutive depth steps 2p and 2p+1
-// sit adjacent per row/column, so the AVX2 micro-kernel fuses them with one
-// vpmaddwd (int16 pair dot -> int32, no saturation possible at |a| <= 255,
-// |b| <= 255). Odd kc tails are zero-padded (exact).
+// Same blocking scheme as the float path. The s8u8 kernel of AVX2 and
+// portable builds (AVX-VNNI hosts run VnniKernel below) widens operands to
+// int16 while packing, laid out in K-PAIRS: consecutive depth steps 2p and
+// 2p+1 sit adjacent per row/column, so the AVX2 micro-kernel fuses them
+// with one vpmaddwd (int16 pair dot -> int32, no saturation possible at
+// |a| <= 255, |b| <= 255). Odd kc tails are zero-padded (exact).
 //
 // A~ pair layout: panels MR-tall; entry (p, i) at [(p/2)*MR + i]*2 + p%2.
 // B~ pair layout: panels NR-wide; entry (p, j) at [(p/2)*NR + j]*2 + p%2.
@@ -461,6 +463,15 @@ inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
 
 #if defined(__AVX2__)
 #define CSQ_GEMM_AVX2_INT_KERNEL 1
+#endif
+
+// The AVX-VNNI kernel is built with a function-level target on top of the
+// AVX2 baseline, so only by compilers that accept target("avxvnni") and
+// name the feature to __builtin_cpu_supports.
+#if defined(CSQ_GEMM_AVX2_INT_KERNEL) &&                       \
+    ((defined(__clang__) && __clang_major__ >= 16) ||          \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 11))
+#define CSQ_GEMM_VNNI_INT_KERNEL 1
 #endif
 
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
@@ -633,9 +644,6 @@ struct IntKernel {
 };
 
 struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2> {
-  static constexpr std::int32_t kMaxAlpha = 2;
-  static constexpr std::int32_t kMinCode = -128, kMaxCode = 127;
-
   static void micro_kernel(const std::int16_t* pa, const std::int16_t* pb,
                            std::int64_t kc, std::int32_t* acc) {
     micro_kernel_int(pa, pb, kc, acc);
@@ -807,9 +815,6 @@ inline void micro_kernel_lowbit_wide(const std::int8_t* pa,
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
 struct LowBitKernel : IntKernel<std::int8_t, std::uint8_t, 4> {
-  static constexpr std::int32_t kMaxAlpha = 8;
-  static constexpr std::int32_t kMinCode = -64, kMaxCode = 64;
-
   static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
                            std::int64_t kc, std::int32_t* acc) {
     micro_kernel_lowbit(pa, pb, kc, acc);
@@ -822,6 +827,57 @@ struct LowBitWideKernel : LowBitKernel {
     micro_kernel_lowbit_wide(pa, pb, kc, acc);
   }
 };
+
+#ifdef CSQ_GEMM_VNNI_INT_KERNEL
+
+// The K-quad layout on one vpdpbusd per accumulator row and quad: each
+// lane's four u8 B x s8 A products are summed straight into its int32
+// accumulator. No int16 intermediate exists, so no int8 code saturates and
+// int32 headroom is the only bound — the one every kind already enforces
+// (k <= 32767, |alpha| within its range). Only called once the CPU check
+// in host_isa() found AVX-VNNI; the driver cannot inline it, so one call
+// runs a whole micro-tile.
+__attribute__((target("avxvnni"))) void micro_kernel_vnni(
+    const std::int8_t* pa, const std::uint8_t* pb, std::int64_t kc,
+    std::int32_t* acc) {
+  const std::int64_t quads = quad_kc(kc) / 4;
+  __m256i c0 = _mm256_setzero_si256(), c1 = _mm256_setzero_si256(),
+          c2 = _mm256_setzero_si256(), c3 = _mm256_setzero_si256(),
+          c4 = _mm256_setzero_si256(), c5 = _mm256_setzero_si256(),
+          c6 = _mm256_setzero_si256(), c7 = _mm256_setzero_si256();
+  for (std::int64_t q = 0; q < quads; ++q) {
+    const __m256i b = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(pb + q * kGemmNR * 4));
+    const std::int8_t* a_col = pa + q * kGemmMR * 4;
+    c0 = _mm256_dpbusd_avx_epi32(c0, b, broadcast_a_quad(a_col + 0));
+    c1 = _mm256_dpbusd_avx_epi32(c1, b, broadcast_a_quad(a_col + 4));
+    c2 = _mm256_dpbusd_avx_epi32(c2, b, broadcast_a_quad(a_col + 8));
+    c3 = _mm256_dpbusd_avx_epi32(c3, b, broadcast_a_quad(a_col + 12));
+    c4 = _mm256_dpbusd_avx_epi32(c4, b, broadcast_a_quad(a_col + 16));
+    c5 = _mm256_dpbusd_avx_epi32(c5, b, broadcast_a_quad(a_col + 20));
+    c6 = _mm256_dpbusd_avx_epi32(c6, b, broadcast_a_quad(a_col + 24));
+    c7 = _mm256_dpbusd_avx_epi32(c7, b, broadcast_a_quad(a_col + 28));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0 * 8), c0);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 1 * 8), c1);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 2 * 8), c2);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 3 * 8), c3);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4 * 8), c4);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 5 * 8), c5);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 6 * 8), c6);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 7 * 8), c7);
+}
+
+// Every kind on an AVX-VNNI host: int8 A and uint8 B K-quads (kS8U8 codes
+// in [-128, 127] fit int8 as they are) and the vpdpbusd micro-kernel.
+struct VnniKernel : IntKernel<std::int8_t, std::uint8_t, 4> {
+  static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
+                           std::int64_t kc, std::int32_t* acc) {
+    micro_kernel_vnni(pa, pb, kc, acc);
+  }
+};
+
+#endif  // CSQ_GEMM_VNNI_INT_KERNEL
 
 // One K-group row of an NR-wide B~ panel from kGroup gathered tap rows:
 // dst[j * kGroup + g] = rows[g][j] — int16 K-pairs for s8u8, uint8 K-quads
@@ -896,9 +952,80 @@ struct IntConvKernel : Base {
   }
 };
 
-// Runs `fn` with a value of the traits type of `kind`.
+// ------------------------------------------------------- integer ISA ----
+
+// The integer ISA of a build or host without AVX-VNNI.
+constexpr GemmIntIsa kBaselineIsa =
+#ifdef CSQ_GEMM_AVX2_INT_KERNEL
+    GemmIntIsa::kAvx2;
+#else
+    GemmIntIsa::kPortable;
+#endif
+
+// The ISA this host runs unforced; the CPU check runs once per process.
+GemmIntIsa host_isa() {
+#ifdef CSQ_GEMM_VNNI_INT_KERNEL
+  static const GemmIntIsa isa = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avxvnni") ? GemmIntIsa::kAvxVnni
+                                             : kBaselineIsa;
+  }();
+  return isa;
+#else
+  return kBaselineIsa;
+#endif
+}
+
+// ScopedGemmIntIsaForTest's forced ISA, or -1.
+std::atomic<std::int32_t> forced_isa{-1};
+
+// The ISA every integer GEMM call packs and runs on.
+GemmIntIsa int_isa() {
+  const std::int32_t forced = forced_isa.load();
+  return forced >= 0 ? static_cast<GemmIntIsa>(forced) : host_isa();
+}
+
+const char* isa_name(GemmIntIsa isa) {
+  switch (isa) {
+    case GemmIntIsa::kAvxVnni:
+      return "avx-vnni";
+    case GemmIntIsa::kAvx2:
+      return "avx2";
+    case GemmIntIsa::kPortable:
+      break;
+  }
+  return "portable";
+}
+
+// The exactness contract of each kind (gemm.h): its code range and
+// |alpha|. It belongs to the kind, not to the traits struct that runs it:
+// on AVX-VNNI hosts one struct runs all three.
+struct KindLimits {
+  std::int32_t min_code, max_code, max_alpha;
+};
+
+KindLimits kind_limits(PackedKernel kind) {
+  switch (kind) {
+    case PackedKernel::kS8U8:
+      return {-128, 127, 2};
+    case PackedKernel::kLowBit:
+    case PackedKernel::kLowBitWide:
+      return {-64, 64, 8};
+  }
+  CSQ_CHECK(false) << "gemm: unknown packed kernel "
+                   << static_cast<int>(kind);
+  return {};
+}
+
+// Runs `fn` with a value of the traits type that runs `kind` on `isa`.
 template <typename Fn>
-decltype(auto) with_kernel(PackedKernel kind, Fn&& fn) {
+decltype(auto) with_kernel(GemmIntIsa isa, PackedKernel kind, Fn&& fn) {
+  kind_limits(kind);  // rejects an unknown kind on every ISA
+#ifdef CSQ_GEMM_VNNI_INT_KERNEL
+  if (isa == GemmIntIsa::kAvxVnni) return fn(VnniKernel{});
+#else
+  (void)isa;
+#endif
   switch (kind) {
     case PackedKernel::kLowBit:
       return fn(LowBitKernel{});
@@ -907,10 +1034,19 @@ decltype(auto) with_kernel(PackedKernel kind, Fn&& fn) {
     case PackedKernel::kS8U8:
       break;
   }
-  CSQ_CHECK(kind == PackedKernel::kS8U8)
-      << "gemm: unknown packed kernel " << static_cast<int>(kind);
   return fn(S8U8Kernel{});
 }
+
+// Every packed A blob opens with the layout gemm_pack_a wrote it in, and
+// every call that runs a blob checks it: panels packed under one ISA, kind
+// or shape must fail under another, not compute. 16 bytes keep the
+// panels' alignment.
+struct PackedHeader {
+  std::int16_t isa, kind;
+  std::int32_t k;
+  std::int64_t m;
+};
+static_assert(sizeof(PackedHeader) == 16, "packed-A header is 16 bytes");
 
 // A~ elements of one KC block: the MR panels of the whole m extent.
 template <typename K>
@@ -1063,39 +1199,49 @@ void run(const Problem<K>& p, GemmScratch* scratch, const GemmExec& exec) {
 
 // The exactness bounds of gemm.h: alpha within the kind's derived range
 // and k <= 32767, so int32 accumulation cannot wrap.
-template <typename K>
-void check_packed_extents(std::int64_t m, std::int64_t n, std::int64_t k,
-                          std::int32_t alpha) {
+void check_packed_extents(PackedKernel kind, std::int64_t m, std::int64_t n,
+                          std::int64_t k, std::int32_t alpha) {
+  const std::int32_t max_alpha = kind_limits(kind).max_alpha;
   CSQ_CHECK(m >= 0 && n >= 0 && k >= 0) << "gemm_packed: negative extent";
-  CSQ_CHECK(alpha >= -K::kMaxAlpha && alpha <= K::kMaxAlpha)
-      << "gemm_packed: alpha " << alpha << " outside the [-" << K::kMaxAlpha
-      << ", " << K::kMaxAlpha
-      << "] range the exactness bound is derived for";
+  CSQ_CHECK(alpha >= -max_alpha && alpha <= max_alpha)
+      << "gemm_packed: alpha " << alpha << " outside the [-" << max_alpha
+      << ", " << max_alpha << "] range the exactness bound is derived for";
   CSQ_CHECK(k <= 32767) << "gemm_packed: reduction depth " << k
                         << " would overflow int32 accumulation";
 }
 
-// The body shared by gemm_packed and gemm_packed_conv: K's exactness
-// bounds, the degenerate shapes, then the driver.
-template <typename K>
-void run_packed(std::int64_t m, std::int64_t n, std::int64_t k,
-                std::int32_t alpha, const std::uint8_t* packed_a,
-                Trans trans_b, const typename K::BIn* b, std::int64_t ldb,
-                bool accumulate, std::int32_t* c, std::int64_t ldc,
-                const GemmExec& exec) {
-  check_packed_extents<K>(m, n, k, alpha);
-  if (m == 0 || n == 0) return;
+// The checks shared by gemm_packed and gemm_packed_conv: the kind's
+// exactness bounds and the blob's header, then the degenerate shapes.
+// Returns the blob's panels, or null when C needs no GEMM (it is then
+// already what the GEMM would leave).
+const std::uint8_t* packed_panels(GemmIntIsa isa, PackedKernel kind,
+                                  std::int64_t m, std::int64_t n,
+                                  std::int64_t k, std::int32_t alpha,
+                                  const std::uint8_t* packed_a,
+                                  bool accumulate, std::int32_t* c,
+                                  std::int64_t ldc) {
+  check_packed_extents(kind, m, n, k, alpha);
+  PackedHeader header;
+  std::memcpy(&header, packed_a, sizeof(header));
+  CSQ_CHECK(header.isa == static_cast<std::int16_t>(isa) &&
+            header.kind == static_cast<std::int16_t>(kind))
+      << "gemm_packed: kind " << header.kind << " panels packed for "
+      << isa_name(static_cast<GemmIntIsa>(header.isa)) << " run as kind "
+      << static_cast<int>(kind) << " on " << isa_name(isa)
+      << "; repack them under the running ISA";
+  CSQ_CHECK(header.m == m && header.k == k)
+      << "gemm_packed: panels packed for " << header.m << "x" << header.k
+      << " codes run as " << m << "x" << k;
+  if (m == 0 || n == 0) return nullptr;
   if (alpha == 0 || k == 0) {
     if (!accumulate) {
       for (std::int64_t i = 0; i < m; ++i) {
         std::fill(c + i * ldc, c + i * ldc + n, 0);
       }
     }
-    return;
+    return nullptr;
   }
-  run(Problem<K>{m, n, k, reinterpret_cast<const typename K::AElem*>(packed_a),
-                 trans_b, b, ldb, c, ldc, {alpha, accumulate}},
-      nullptr, exec);
+  return packed_a + sizeof(PackedHeader);
 }
 
 }  // namespace
@@ -1156,32 +1302,58 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
       scratch, exec);
 }
 
+const char* gemm_int_kernel_isa() { return isa_name(int_isa()); }
+
+bool gemm_int_isa_supported(GemmIntIsa isa) {
+  return isa == kBaselineIsa || isa == host_isa();
+}
+
+ScopedGemmIntIsaForTest::ScopedGemmIntIsaForTest(GemmIntIsa isa)
+    : previous_(forced_isa.load()) {
+  CSQ_CHECK(gemm_int_isa_supported(isa))
+      << "gemm: this build or host cannot run the " << isa_name(isa)
+      << " integer kernels";
+  forced_isa.store(static_cast<std::int32_t>(isa));
+}
+
+ScopedGemmIntIsaForTest::~ScopedGemmIntIsaForTest() {
+  forced_isa.store(previous_);
+}
+
 std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
                                  std::int64_t k) {
-  return with_kernel(kind, [&](auto kernel) {
+  return with_kernel(int_isa(), kind, [&](auto kernel) {
     using K = decltype(kernel);
     std::int64_t total = 0;
     for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
       total += a_block_size<K>(m, std::min(kGemmKC, k - pc));
     }
-    return total * static_cast<std::int64_t>(sizeof(typename K::AElem));
+    return static_cast<std::int64_t>(sizeof(PackedHeader)) +
+           total * static_cast<std::int64_t>(sizeof(typename K::AElem));
   });
 }
 
 void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
                  const std::int8_t* a, std::int64_t lda, std::uint8_t* packed) {
-  with_kernel(kind, [&](auto kernel) {
-    using K = decltype(kernel);
-    check_packed_extents<K>(m, 0, k, 1);
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        const std::int32_t v = a[i * lda + p];
-        CSQ_CHECK(v >= K::kMinCode && v <= K::kMaxCode)
-            << "gemm_pack_a: code " << v << " outside [" << K::kMinCode
-            << ", " << K::kMaxCode << "], the range this layout is exact for";
-      }
+  const GemmIntIsa isa = int_isa();
+  check_packed_extents(kind, m, 0, k, 1);
+  const KindLimits limits = kind_limits(kind);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const std::int32_t v = a[i * lda + p];
+      CSQ_CHECK(v >= limits.min_code && v <= limits.max_code)
+          << "gemm_pack_a: code " << v << " outside [" << limits.min_code
+          << ", " << limits.max_code << "], the range this kind is exact for";
     }
-    auto* dst = reinterpret_cast<typename K::AElem*>(packed);
+  }
+  const PackedHeader header{static_cast<std::int16_t>(isa),
+                            static_cast<std::int16_t>(kind),
+                            static_cast<std::int32_t>(k), m};
+  std::memcpy(packed, &header, sizeof(header));
+  with_kernel(isa, kind, [&](auto kernel) {
+    using K = decltype(kernel);
+    auto* dst =
+        reinterpret_cast<typename K::AElem*>(packed + sizeof(PackedHeader));
     for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
       const std::int64_t kc = std::min(kGemmKC, k - pc);
       K::pack_a(a, lda, pc, m, kc, dst);
@@ -1208,9 +1380,15 @@ void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
                  const std::uint8_t* packed_a, const std::uint8_t* b,
                  std::int64_t ldb, bool accumulate, std::int32_t* c,
                  std::int64_t ldc, GemmExec exec) {
-  with_kernel(kind, [&](auto kernel) {
-    run_packed<decltype(kernel)>(m, n, k, alpha, packed_a, trans_b, b, ldb,
-                                 accumulate, c, ldc, exec);
+  const GemmIntIsa isa = int_isa();
+  const std::uint8_t* panels = packed_panels(isa, kind, m, n, k, alpha,
+                                             packed_a, accumulate, c, ldc);
+  if (panels == nullptr) return;
+  with_kernel(isa, kind, [&](auto kernel) {
+    using K = decltype(kernel);
+    run(Problem<K>{m, n, k, reinterpret_cast<const typename K::AElem*>(panels),
+                   trans_b, b, ldb, c, ldc, {alpha, accumulate}},
+        nullptr, exec);
   });
 }
 
@@ -1219,12 +1397,17 @@ void gemm_packed_conv(PackedKernel kind, std::int64_t m, std::int32_t alpha,
                       const std::uint8_t* padded, bool accumulate,
                       std::int32_t* c, std::int64_t ldc, GemmExec exec) {
   geom.validate();
+  const std::int64_t n = geom.col_cols(), k = geom.col_rows();
+  const GemmIntIsa isa = int_isa();
+  const std::uint8_t* panels = packed_panels(isa, kind, m, n, k, alpha,
+                                             packed_a, accumulate, c, ldc);
+  if (panels == nullptr) return;
   const ConvSource<std::uint8_t> src(geom, padded);
-  with_kernel(kind, [&](auto kernel) {
-    using K = decltype(kernel);
-    run_packed<IntConvKernel<K, K::kDepthGroup>>(
-        m, geom.col_cols(), geom.col_rows(), alpha, packed_a, Trans::no, &src,
-        0, accumulate, c, ldc, exec);
+  with_kernel(isa, kind, [&](auto kernel) {
+    using K = IntConvKernel<decltype(kernel), decltype(kernel)::kDepthGroup>;
+    run(Problem<K>{m, n, k, reinterpret_cast<const typename K::AElem*>(panels),
+                   Trans::no, &src, 0, c, ldc, {alpha, accumulate}},
+        nullptr, exec);
   });
 }
 

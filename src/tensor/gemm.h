@@ -37,8 +37,9 @@
 // kinds slice their prepacked blob), the micro-kernel (a compile-time call
 // inside the tile loop) and the C-tile update. It is instantiated for
 // float, s8u8 (int16 K-pairs), low-bit and low-bit-wide (int8 K-quads),
-// and for each of those four again with a conv `pack_b` that reads a padded
-// image (Dukhan, "The Indirect Convolution Algorithm", arXiv:1907.02129).
+// the one AVX-VNNI integer kernel where the compiler can build it, and for
+// each of those again with a conv `pack_b` that reads a padded image
+// (Dukhan, "The Indirect Convolution Algorithm", arXiv:1907.02129).
 //
 // The driver has exactly two schedules:
 //  * Row schedule (shared B~): the calling thread packs B~ per (jc, pc);
@@ -169,12 +170,16 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
 // ------------------------------------------------- integer (serving) GEMM --
 //
 // The packed-A panel layouts. Numeric values equal the serving runtime's
-// persisted WeightKernel kinds (runtime/packed_weights.h).
+// persisted WeightKernel kinds (runtime/packed_weights.h). Each kind names
+// an exactness CONTRACT (code range, |alpha|, depth) that gemm_pack_a and
+// gemm_packed enforce on every host; the micro-kernel that runs it depends
+// on the integer ISA (below).
 //
-//  * kS8U8: the reference. Codes are widened to int16 while packing, laid
-//    out in K-PAIRS (depth steps 2p, 2p+1 adjacent per row/column), so the
-//    AVX2 micro-kernel fuses them with one vpmaddwd — the integer analogue
-//    of the float kernel's FMA. Headroom is TIGHT, not ample: the runtime's
+//  * kS8U8: the reference, codes in [-128, 127] and |alpha| <= 2. On AVX2
+//    and portable builds codes are widened to int16 while packing, laid out
+//    in K-PAIRS (depth steps 2p, 2p+1 adjacent per row/column), so the AVX2
+//    micro-kernel fuses them with one vpmaddwd — the integer analogue of
+//    the float kernel's FMA. Headroom is TIGHT, not ample: the runtime's
 //    split-plane chaining (codes beyond +/-127 stored as 2*hi + lo: alpha=2
 //    overwrite on a hi plane reaching -128, then the alpha=1 lo pass) costs
 //    up to 65535 per depth step, so exactness requires |alpha| <= 2 and
@@ -197,15 +202,59 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
 //    baseline MAC throughput. Exact only when `gemm_s8u8_wide_eligible`
 //    holds for the layer's depth and max |code|.
 //
-// Every kind produces EXACTLY the int32 products of the s8u8 reference.
+// AVX-VNNI hosts run every kind on ONE kernel: int8 A and uint8 B in the
+// K-quad layout (kS8U8 included, so its panels are int8, not int16) and an
+// 8x8 vpdpbusd micro-kernel, which sums each quad's four u8 x s8 products
+// straight into int32. No int16 intermediate exists, so nothing saturates
+// at any int8 code: the +/-64 bound and the wide-eligibility rule are then
+// eligibility rules of their kinds, still enforced, not exactness limits;
+// kS8U8's int32 headroom argument above holds as derived. The ISA is
+// chosen once per process by a CPU check (the kernel is built with a
+// function-level target, so the build keeps its x86-64-v3 baseline).
+// Panels are packed from codes at load and never persisted, so a
+// host-dependent layout touches no file format.
+//
+// Every kind on every ISA produces EXACTLY the int32 products of the s8u8
+// reference.
 enum class PackedKernel : std::int32_t {
   kS8U8 = 0,
   kLowBit = 1,
   kLowBitWide = 3,
 };
 
-// Bytes of the packed form of an (m x k) code matrix: the MR-tall
-// micro-panels of the whole m extent for each KC-depth block in turn.
+// The instruction sets the integer micro-kernels are built for: the scalar
+// fallbacks of a build without AVX2, the AVX2 kernels above, and the one
+// AVX-VNNI kernel.
+enum class GemmIntIsa : std::int32_t { kPortable = 0, kAvx2 = 1, kAvxVnni = 2 };
+
+// "avx-vnni", "avx2" or "portable": the integer ISA this process runs —
+// AVX-VNNI where both the build and the host have it, else the build's
+// baseline. Fixed for the life of the process (tests aside, below).
+const char* gemm_int_kernel_isa();
+
+// True when this build and host can run `isa`'s kernels.
+bool gemm_int_isa_supported(GemmIntIsa isa);
+
+// TEST ONLY: forces every integer GEMM in the process onto `isa` (which must
+// be supported) until destroyed, so the AVX2 kernels stay tested on VNNI
+// hosts. Nothing else reaches it — no LowerOptions or GemmExec field, env
+// var or artifact field selects an ISA. Construct it before packing: panels
+// record the ISA they were packed for, and running them under another one
+// fails a check. Not for use while other threads run integer GEMMs.
+class ScopedGemmIntIsaForTest {
+ public:
+  explicit ScopedGemmIntIsaForTest(GemmIntIsa isa);
+  ~ScopedGemmIntIsaForTest();
+  ScopedGemmIntIsaForTest(const ScopedGemmIntIsaForTest&) = delete;
+  ScopedGemmIntIsaForTest& operator=(const ScopedGemmIntIsaForTest&) = delete;
+
+ private:
+  std::int32_t previous_;
+};
+
+// Bytes of the packed form of an (m x k) code matrix under the running ISA:
+// a small header naming the layout, then the MR-tall micro-panels of the
+// whole m extent for each KC-depth block in turn.
 std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
                                  std::int64_t k);
 
@@ -215,13 +264,17 @@ std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
 void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
                  const std::int8_t* a, std::int64_t lda, std::uint8_t* packed);
 
-// True when int16 accumulation over one KC-depth block cannot overflow for
-// reduction depth k and weight codes bounded by max_abs_a: the per-lane sum
-// is at most quad_kc(min(k, kKC)) / 2 * 255 * max_abs_a <= 32767.
+// True when the low-bit wide kernel's int16 accumulation over one KC-depth
+// block cannot overflow for reduction depth k and weight codes bounded by
+// max_abs_a: the per-lane sum is at most quad_kc(min(k, kKC)) / 2 * 255 *
+// max_abs_a <= 32767. It bounds kLowBitWide (on VNNI hosts, as its
+// eligibility rule); s8u8 never accumulates in int16.
 bool gemm_s8u8_wide_eligible(std::int64_t k, std::int32_t max_abs_a);
 
 // C = alpha * A * op(B) from A packed by gemm_pack_a(kind, m, k, ...)
-// (`packed_a` at least 2-byte aligned: kS8U8 panels hold int16).
+// under the running ISA; a blob packed for another kind, shape or ISA fails
+// a check. `packed_a` must be at least 2-byte aligned where kS8U8 panels
+// hold int16 (AVX2 and portable); the VNNI layout is all bytes.
 // `accumulate` == false overwrites C, true adds into it — the split-plane
 // chain is two calls: alpha=2 overwrite, alpha=1 accumulate.
 void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,

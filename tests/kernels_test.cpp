@@ -9,9 +9,14 @@
 //    every headroom edge of every integer family (a generated sweep over
 //    each low-bit |code|, plus the s8u8 and split-chain extremes);
 //  * the deterministic kernel-selection policy and PackedIntWeights
-//    bit-identity across every forced kernel kind.
+//    bit-identity across every forced kernel kind;
+//  * the integer ISA: its name, the VNNI kernel at the s8u8 split chain's
+//    int8 extremes, VNNI and AVX2 accumulators compared bit for bit, and
+//    panels that refuse to run under another ISA, kind or shape. The GEMM suites above also run as *Avx2 twins with the AVX2
+//    kernels forced (CSQ_INT_ISA_TEST).
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +24,8 @@
 
 #include "runtime/packed_weights.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
+#include "test_helpers.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -86,7 +93,7 @@ void run_quad(QuadPath path, Trans trans_b, std::int64_t m, std::int64_t n,
 
 // Every specialized path against the exact reference and its own pooled
 // variant, across panel-straddling shapes and the alpha/accumulate modes.
-TEST(LowBitGemm, MatchesExactReferenceAcrossShapesAndModes) {
+CSQ_INT_ISA_TEST(LowBitGemm, MatchesExactReferenceAcrossShapesAndModes) {
   Rng rng(4201);
   const std::int64_t m_extents[] = {1, 3, 8, 17, 64, 129};
   const std::int64_t n_extents[] = {1, 5, 8, 33};
@@ -210,7 +217,7 @@ void expect_split_chain_matches_reference(std::int32_t code) {
   }
 }
 
-TEST(LowBitGemm, WorstCaseOperandsAtHeadroomEdgesMatchReference) {
+CSQ_INT_ISA_TEST(LowBitGemm, WorstCaseOperandsAtHeadroomEdgesMatchReference) {
   // The hand-derived edges: one int16 lane reaches 32640 of its 32767 at
   // |code| 2 and depth 128, and at |code| 64 and depth 4.
   ASSERT_EQ(deepest_wide_depth(2), 128);
@@ -247,7 +254,7 @@ TEST(LowBitGemm, WorstCaseOperandsAtHeadroomEdgesMatchReference) {
   expect_split_chain_matches_reference(-255);
 }
 
-TEST(LowBitGemm, ForcedWideKernelThrowsPastEligibilityEdges) {
+CSQ_INT_ISA_TEST(LowBitGemm, ForcedWideKernelThrowsPastEligibilityEdges) {
   // A recorded bitserial-w16 kind is honored only where the int16 headroom
   // holds: it packs at each |code|'s deepest eligible depth and throws one
   // depth step past it (|code| 1 is eligible at every depth). One odd code
@@ -277,7 +284,7 @@ TEST(LowBitGemm, ForcedWideKernelThrowsPastEligibilityEdges) {
   }
 }
 
-TEST(LowBitGemm, AlphaPowerOfTwoChain) {
+CSQ_INT_ISA_TEST(LowBitGemm, AlphaPowerOfTwoChain) {
   // The split-layer chain drives the low-bit paths with alpha in {1, 2} and
   // the |alpha| <= 8 headroom documented at the entry points.
   Rng rng(4203);
@@ -292,6 +299,210 @@ TEST(LowBitGemm, AlphaPowerOfTwoChain) {
     run_quad(QuadPath::kLowBit, Trans::no, m, n, k, alpha, a.data(), b.data(),
              n, /*accumulate=*/false, /*pooled=*/false, actual);
     EXPECT_EQ(expected, actual) << "alpha=" << alpha;
+  }
+}
+
+// ------------------------------------------------- integer kernel ISA ----
+
+// Why the cells that force the AVX-VNNI kernel cannot run here, or "".
+std::string vnni_skip_reason() {
+  if (!gemm_int_isa_supported(GemmIntIsa::kAvx2)) {
+    return "this build has no AVX2 baseline, so no AVX-VNNI kernel";
+  }
+  if (!gemm_int_isa_supported(GemmIntIsa::kAvxVnni)) {
+    return "this host or compiler has no AVX-VNNI";
+  }
+  return "";
+}
+
+std::vector<std::uint8_t> pack_codes(PackedKernel kind, std::int64_t m,
+                                     std::int64_t k,
+                                     const std::vector<std::int8_t>& a) {
+  std::vector<std::uint8_t> packed(
+      static_cast<std::size_t>(gemm_packed_a_bytes(kind, m, k)));
+  gemm_pack_a(kind, m, k, a.data(), k, packed.data());
+  return packed;
+}
+
+TEST(GemmIsa, NamesTheIsaItRuns) {
+  const bool avx2_build = gemm_int_isa_supported(GemmIntIsa::kAvx2);
+  const GemmIntIsa baseline =
+      avx2_build ? GemmIntIsa::kAvx2 : GemmIntIsa::kPortable;
+  const std::string baseline_name = avx2_build ? "avx2" : "portable";
+  const std::string isa = gemm_int_kernel_isa();
+  EXPECT_EQ(isa, gemm_int_isa_supported(GemmIntIsa::kAvxVnni)
+                     ? "avx-vnni"
+                     : baseline_name);
+  {
+    const ScopedGemmIntIsaForTest forced(baseline);
+    EXPECT_EQ(gemm_int_kernel_isa(), baseline_name);
+  }
+  EXPECT_EQ(gemm_int_kernel_isa(), isa);
+  // A build has one baseline, and the override forces only what can run.
+  const GemmIntIsa other =
+      avx2_build ? GemmIntIsa::kPortable : GemmIntIsa::kAvx2;
+  EXPECT_FALSE(gemm_int_isa_supported(other));
+  EXPECT_THROW(ScopedGemmIntIsaForTest{other}, check_error);
+  EXPECT_EQ(gemm_int_kernel_isa(), isa);
+}
+
+// The VNNI kernel on s8u8 codes at both int8 extremes through the split
+// chain: a hi plane of -128 or 127 (alpha 2, overwrite), a lo plane of 1
+// (alpha 1, accumulate) and activations 255 at the deepest legal
+// reduction, where the int32 headroom is tightest (255 * 255 * 32767 <
+// 2^31 - 1).
+TEST(GemmIsa, VnniS8U8SplitChainAtInt8ExtremesMatchesReference) {
+  const std::string skip = vnni_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  const ScopedGemmIntIsaForTest forced(GemmIntIsa::kAvxVnni);
+  const std::int64_t m = 3, n = 5, k = kMaxDepth;
+  const std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n), 255);
+  const auto lo = pack_codes(PackedKernel::kS8U8, m, k,
+                             std::vector<std::int8_t>(
+                                 static_cast<std::size_t>(m * k), 1));
+  for (const std::int32_t hi_code : {-128, 127}) {
+    const auto hi = pack_codes(
+        PackedKernel::kS8U8, m, k,
+        std::vector<std::int8_t>(static_cast<std::size_t>(m * k),
+                                 static_cast<std::int8_t>(hi_code)));
+    for (const bool pooled : {false, true}) {
+      std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), -1);
+      gemm_packed(PackedKernel::kS8U8, Trans::no, m, n, k, 2, hi.data(),
+                  b.data(), n, /*accumulate=*/false, c.data(), n,
+                  GemmExec{pooled});
+      gemm_packed(PackedKernel::kS8U8, Trans::no, m, n, k, 1, lo.data(),
+                  b.data(), n, /*accumulate=*/true, c.data(), n,
+                  GemmExec{pooled});
+      const std::int64_t expected = (2 * std::int64_t{hi_code} + 1) * 255 * k;
+      for (const std::int32_t v : c) {
+        EXPECT_EQ(v, expected) << "hi " << hi_code << " pooled " << pooled;
+      }
+    }
+  }
+}
+
+// The two ISAs' accumulators compared directly: every kind (s8u8 as its
+// split chain: alpha 2 overwrite, then alpha 1 accumulate) through
+// gemm_packed and gemm_packed_conv, serial and under column and grid
+// splits, over two MC row tiles and a padded 3x3 conv.
+TEST(GemmIsa, VnniAndAvx2AccumulatorsAreBitIdentical) {
+  const std::string skip = vnni_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  ConvGeometry geom;
+  geom.channels = 16;
+  geom.height = geom.width = 9;
+  geom.kernel_h = geom.kernel_w = 3;
+  geom.pad = 1;
+  geom.validate();
+  const std::int64_t m = 70, k = geom.col_rows(), n = geom.col_cols();
+  Rng rng(4402);
+  const auto image = random_u8(geom.channels * geom.height * geom.width, rng);
+  std::vector<std::uint8_t> padded(static_cast<std::size_t>(
+      geom.channels * geom.padded_h() * geom.padded_w()));
+  pad_image(geom, image.data(), padded.data(), std::uint8_t{19});
+  std::vector<std::uint8_t> columns(static_cast<std::size_t>(k * n));
+  im2col_u8(geom, image.data(), columns.data(), /*pad_code=*/19);
+  const GemmExec execs[] = {GemmExec{}, GemmExec{true, GemmSplit::kCols, 4},
+                            GemmExec{true, GemmSplit::kGrid, 2}};
+  for (const PackedKernel kind : {PackedKernel::kS8U8, PackedKernel::kLowBit,
+                                  PackedKernel::kLowBitWide}) {
+    int magnitude = kind == PackedKernel::kS8U8 ? 127 : 64;
+    while (kind == PackedKernel::kLowBitWide &&
+           !gemm_s8u8_wide_eligible(k, magnitude)) {
+      --magnitude;
+    }
+    const auto hi = random_s8(m * k, rng, magnitude);
+    const auto lo = random_s8(m * k, rng, 1);
+    const bool split = kind == PackedKernel::kS8U8;
+    const auto accumulators = [&](GemmIntIsa isa) {
+      const ScopedGemmIntIsaForTest forced(isa);
+      const auto hi_panels = pack_codes(kind, m, k, hi);
+      const auto lo_panels = pack_codes(kind, m, k, lo);
+      std::vector<std::int32_t> all;
+      for (const GemmExec& exec : execs) {
+        std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+        std::vector<std::int32_t> conv(c.size());
+        gemm_packed(kind, Trans::no, m, n, k, split ? 2 : 1, hi_panels.data(),
+                    columns.data(), n, /*accumulate=*/false, c.data(), n,
+                    exec);
+        gemm_packed_conv(kind, m, split ? 2 : 1, hi_panels.data(), geom,
+                         padded.data(), /*accumulate=*/false, conv.data(), n,
+                         exec);
+        if (split) {
+          gemm_packed(kind, Trans::no, m, n, k, 1, lo_panels.data(),
+                      columns.data(), n, /*accumulate=*/true, c.data(), n,
+                      exec);
+          gemm_packed_conv(kind, m, 1, lo_panels.data(), geom, padded.data(),
+                           /*accumulate=*/true, conv.data(), n, exec);
+        }
+        all.insert(all.end(), c.begin(), c.end());
+        all.insert(all.end(), conv.begin(), conv.end());
+      }
+      return all;
+    };
+    EXPECT_EQ(accumulators(GemmIntIsa::kAvxVnni),
+              accumulators(GemmIntIsa::kAvx2))
+        << "kind " << static_cast<int>(kind);
+  }
+}
+
+// Panels record the ISA, kind and shape they were packed for. Running them
+// as anything else fails a check instead of reading another layout's bytes.
+TEST(GemmIsa, PanelsRunOnlyAsTheyWerePacked) {
+  Rng rng(4401);
+  const std::int64_t m = 9, n = 7, k = 20;
+  ConvGeometry geom;  // a 20-deep conv with a single output position
+  geom.channels = 5;
+  geom.height = geom.width = 2;
+  geom.kernel_h = geom.kernel_w = 2;
+  geom.validate();
+  ASSERT_EQ(geom.col_rows(), k);
+  const auto codes = random_s8(m * k, rng, 1);  // eligible for every kind
+  const auto b = random_u8(k * n, rng);
+  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+  const auto run = [&](PackedKernel kind, const std::vector<std::uint8_t>& a,
+                       std::int64_t rows) {
+    gemm_packed(kind, Trans::no, rows, n, k, 1, a.data(), b.data(), n,
+                /*accumulate=*/false, c.data(), n);
+  };
+  const auto run_conv = [&](PackedKernel kind,
+                            const std::vector<std::uint8_t>& a) {
+    gemm_packed_conv(kind, m, 1, a.data(), geom, b.data(),
+                     /*accumulate=*/false, c.data(), 1);
+  };
+  const auto s8u8 = pack_codes(PackedKernel::kS8U8, m, k, codes);
+  const auto lowbit = pack_codes(PackedKernel::kLowBit, m, k, codes);
+  EXPECT_NO_THROW(run(PackedKernel::kS8U8, s8u8, m));
+  EXPECT_THROW(run(PackedKernel::kLowBit, s8u8, m), check_error);
+  EXPECT_THROW(run(PackedKernel::kS8U8, lowbit, m), check_error);
+  EXPECT_THROW(run(PackedKernel::kS8U8, s8u8, m - 1), check_error);
+  EXPECT_THROW(run_conv(PackedKernel::kLowBitWide, lowbit), check_error);
+
+  const std::string skip = vnni_skip_reason();
+  if (!skip.empty()) GTEST_SKIP() << skip;
+  const std::vector<std::int32_t> layer_codes(codes.begin(), codes.end());
+  for (const PackedKernel kind : {PackedKernel::kS8U8, PackedKernel::kLowBit,
+                                  PackedKernel::kLowBitWide}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const auto vnni = pack_codes(kind, m, k, codes);
+    const runtime::PackedIntWeights vnni_layer(
+        layer_codes, /*step=*/0.01f, /*bits=*/2, m, k,
+        static_cast<WeightKernel>(kind));
+    std::vector<std::uint8_t> avx2;
+    {
+      const ScopedGemmIntIsaForTest forced(GemmIntIsa::kAvx2);
+      avx2 = pack_codes(kind, m, k, codes);
+      EXPECT_NO_THROW(run(kind, avx2, m));
+      EXPECT_THROW(run(kind, vnni, m), check_error);
+      EXPECT_THROW(run_conv(kind, vnni), check_error);
+      EXPECT_THROW(vnni_layer.gemm(Trans::no, n, b.data(), n, c.data(), n,
+                                   /*pooled=*/false),
+                   check_error);
+    }
+    EXPECT_NO_THROW(run(kind, vnni, m));
+    EXPECT_NO_THROW(run_conv(kind, vnni));
+    EXPECT_THROW(run(kind, avx2, m), check_error);
+    EXPECT_THROW(run_conv(kind, avx2), check_error);
   }
 }
 

@@ -117,7 +117,7 @@ void s8u8_gemm(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
               ldb, accumulate, c, ldc, GemmExec{pooled});
 }
 
-TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
+CSQ_INT_ISA_TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
   Rng rng(901);
   const std::int64_t extents[] = {1, 3, 17, 64, 129};
   for (const std::int64_t m : extents) {
@@ -157,7 +157,7 @@ TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
   }
 }
 
-TEST(Int8Gemm, PooledIsBitIdenticalToSerial) {
+CSQ_INT_ISA_TEST(Int8Gemm, PooledIsBitIdenticalToSerial) {
   Rng rng(902);
   const std::int64_t m = 192, n = 160, k = 300;
   const auto a = random_s8(m * k, rng);
@@ -171,7 +171,7 @@ TEST(Int8Gemm, PooledIsBitIdenticalToSerial) {
   EXPECT_EQ(serial, pooled);
 }
 
-TEST(Int8Gemm, SplitChainAtDepthBoundaryMatchesReference) {
+CSQ_INT_ISA_TEST(Int8Gemm, SplitChainAtDepthBoundaryMatchesReference) {
   // The tightest int32 headroom in the runtime: a split layer's hi plane at
   // -128 (alpha 2, overwrite) and lo plane at 1 (alpha 1, accumulate) over
   // activations all 255 at the deepest legal reduction; one step deeper
@@ -234,7 +234,7 @@ TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
 // (unpadded: B is read from the image in place), fewer than kGemmNR output
 // columns, a kernel wider than its output, depth past one KC block and more
 // than kGemmNC output positions.
-TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
+CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
   struct Shape {
     std::int64_t channels, height, width, kernel_h, kernel_w, stride, pad;
   };
@@ -928,8 +928,8 @@ namespace {
 
 // A small finalized-CSQ stack at fixed 3-bit precision: its conv/linear
 // layers earn the specialized low-bit GEMMs, exercising kernel selection,
-// the force_reference_kernel escape hatch and the kernel kinds an artifact
-// records.
+// a program re-recorded on the s8u8 reference and the kernel kinds an
+// artifact records.
 Model make_lowbit_model(std::vector<CsqWeightSource*>& registry, Rng& rng) {
   Model model;
   CsqWeightOptions csq_options;
@@ -983,11 +983,18 @@ TEST(CompiledGraph, ForcedReferenceKernelBitIdentical) {
   EXPECT_TRUE(saw_specialized)
       << "3-bit layers should not run the s8u8 reference";
 
-  // ...while the escape hatch pins everything back to the reference.
-  runtime::LowerOptions forced = options;
-  forced.force_reference_kernel = true;
+  // ...while a program recording s8u8 for every layer replays on the
+  // reference.
+  runtime::GraphProgram program = graph.program();
+  for (runtime::ProgramInstr& instr : program.instrs) {
+    if (instr.kind == runtime::ProgramInstr::Kind::kConv ||
+        instr.kind == runtime::ProgramInstr::Kind::kLinear) {
+      instr.kernel_kind =
+          static_cast<std::int32_t>(runtime::WeightKernel::kS8U8);
+    }
+  }
   runtime::CompiledGraph reference =
-      runtime::build_graph(graph.program(), forced);
+      runtime::build_graph(std::move(program), options);
   reference.restore_edge_scales(graph.edge_scales());
   for (const auto& layer : reference.layers()) {
     EXPECT_EQ(layer.kernel, "s8u8");

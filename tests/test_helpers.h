@@ -1,6 +1,7 @@
 // Shared helpers for the csq test suite: numeric gradient checking against
 // the layers' analytic backward passes, small tensor factories, server
-// options that park a serving worker, and golden-artifact mutation.
+// options that park a serving worker, golden-artifact mutation, and the
+// integer GEMM tests that run on both integer ISAs.
 #pragma once
 
 #include <cmath>
@@ -14,6 +15,7 @@
 
 #include "nn/module.h"
 #include "serve/batching_server.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -171,4 +173,35 @@ inline serve::ServerOptions parked_worker_options(
   return options;
 }
 
+// Why the AVX2 twin of an integer GEMM test cannot add coverage here, or
+// "" when it runs: the build has no AVX2 kernels, or the host already runs
+// them unforced.
+inline std::string forced_avx2_skip_reason() {
+  if (!gemm_int_isa_supported(GemmIntIsa::kAvx2)) {
+    return "this build has no AVX2 integer kernels (portable build)";
+  }
+  if (std::string(gemm_int_kernel_isa()) == "avx2") {
+    return "the host runs the AVX2 integer kernels unforced";
+  }
+  return "";
+}
+
 }  // namespace csq::testing
+
+// CSQ_INT_ISA_TEST(Suite, Name) { body } defines Suite.Name, which runs the
+// body on the integer ISA the host picks (AVX-VNNI where it has it), and
+// SuiteAvx2.Name, which runs it again with the AVX2 kernels forced, so
+// those stay tested on VNNI hosts. The bodies' checks are exact equalities
+// (with an int64 reference, or between schedules and B sources), and
+// GemmIsa.VnniAndAvx2AccumulatorsAreBitIdentical compares the two paths'
+// outputs with each other.
+#define CSQ_INT_ISA_TEST(suite, name)                                  \
+  void suite##_##name##_body();                                        \
+  TEST(suite, name) { suite##_##name##_body(); }                       \
+  TEST(suite##Avx2, name) {                                            \
+    const std::string skip = ::csq::testing::forced_avx2_skip_reason(); \
+    if (!skip.empty()) GTEST_SKIP() << skip;                           \
+    const ::csq::ScopedGemmIntIsaForTest forced(::csq::GemmIntIsa::kAvx2); \
+    suite##_##name##_body();                                           \
+  }                                                                    \
+  void suite##_##name##_body()

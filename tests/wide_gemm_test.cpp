@@ -27,6 +27,7 @@
 
 #include "runtime/packed_weights.h"
 #include "tensor/gemm.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace csq {
@@ -203,7 +204,7 @@ struct IntCase {
 const IntCase kIntCases[] = {{1, 512, 300}, {2, 1000, 300}, {8, 1000, 300},
                              {80, 1000, 256}};
 
-TEST(WideGemm, S8U8ColumnAndGridSplitsMatchReference) {
+CSQ_INT_ISA_TEST(WideGemm, S8U8ColumnAndGridSplitsMatchReference) {
   Rng rng(9100);
   for (const IntCase& tc : kIntCases) {
     for (const Trans trans_b : {Trans::no, Trans::yes}) {
@@ -234,7 +235,7 @@ TEST(WideGemm, S8U8ColumnAndGridSplitsMatchReference) {
   }
 }
 
-TEST(WideGemm, S8U8PrepackedSplitsMatchSerial) {
+CSQ_INT_ISA_TEST(WideGemm, S8U8PrepackedSplitsMatchSerial) {
   Rng rng(9200);
   for (const IntCase& tc : kIntCases) {
     const auto a = random_s8(tc.m * tc.k, rng, 127);
@@ -264,7 +265,7 @@ TEST(WideGemm, S8U8PrepackedSplitsMatchSerial) {
   }
 }
 
-TEST(WideGemm, LowBitSplitsMatchReferenceAcrossAlphaChain) {
+CSQ_INT_ISA_TEST(WideGemm, LowBitSplitsMatchReferenceAcrossAlphaChain) {
   Rng rng(9300);
   for (const IntCase& tc : kIntCases) {
     const auto a = random_s8(tc.m * tc.k, rng, 64);  // kernel bound |a|<=64
@@ -294,7 +295,7 @@ TEST(WideGemm, LowBitSplitsMatchReferenceAcrossAlphaChain) {
   }
 }
 
-TEST(WideGemm, LowBitWideSplitsMatchReference) {
+CSQ_INT_ISA_TEST(WideGemm, LowBitWideSplitsMatchReference) {
   // int16 accumulation: only exact for codes the eligibility bound admits
   // at this depth — binary +/-1 layers qualify at every tested k.
   Rng rng(9400);
@@ -320,7 +321,7 @@ TEST(WideGemm, LowBitWideSplitsMatchReference) {
   }
 }
 
-TEST(WideGemm, PackedWeightsWideNDispatchIsBitIdentical) {
+CSQ_INT_ISA_TEST(WideGemm, PackedWeightsWideNDispatchIsBitIdentical) {
   // The serving entry point: a split (hi/lo alpha-chained) s8u8 layer at a
   // wide-N activation shape. kAuto must resolve to the column split and
   // stay bit-identical to the serial path.
