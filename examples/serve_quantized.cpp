@@ -242,8 +242,8 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   // ---- failure semantics --------------------------------------------------
-  // The typed request path: try_infer never throws — deadlines, overload
-  // shedding, shard failure and shutdown come back as ServeStatus values
+  // The typed request path: try_infer never throws — deadlines, shard
+  // failure and shutdown come back as ServeStatus values
   // (see the README "Failure semantics" section). A generous deadline on a
   // healthy server completes normally...
   std::vector<float> logits(static_cast<std::size_t>(shape.out_features));
@@ -261,8 +261,7 @@ int main(int argc, char** argv) {
             << serve::serve_status_name(late_status) << "\n";
   const auto final_stats = server.stats("resnet20");
   std::cout << "failure counters: rejected " << final_stats.rejected
-            << ", timed out " << final_stats.timed_out << ", shed "
-            << final_stats.shed << ", quarantines "
+            << ", timed out " << final_stats.timed_out << ", quarantines "
             << final_stats.quarantines << ", restores "
             << final_stats.restores << "\n";
 

@@ -10,6 +10,13 @@
 
 namespace csq {
 
+namespace {
+
+// Initial logit magnitude for the bit-representation planes.
+constexpr float kInitLogit = 0.2f;
+
+}  // namespace
+
 CsqWeightSource::CsqWeightSource(const std::string& name,
                                  std::vector<std::int64_t> shape,
                                  std::int64_t fan_in,
@@ -19,7 +26,7 @@ CsqWeightSource::CsqWeightSource(const std::string& name,
       << "csq: fixed precision out of range";
   element_count_ = shape_numel(shape_);
   quantized_ = Tensor(shape_);
-  engine_ = BitPlaneEngine(element_count_, kBits, /*cache_gates=*/true);
+  engine_ = BitPlaneEngine(element_count_, kBits);
 
   // Train-from-scratch initialization: draw a He-initialized dense weight
   // and decompose it onto the 8-bit grid; logits start at a soft +/- kappa
@@ -49,7 +56,7 @@ CsqWeightSource::CsqWeightSource(const std::string& name,
     for (int b = 0; b < kBits; ++b) {
       const bool bit_set = ((code >> b) & 1) != 0;
       // Jitter breaks the symmetry between elements sharing a bit pattern.
-      const float kappa = options.init_logit * rng.uniform(0.75f, 1.25f);
+      const float kappa = kInitLogit * rng.uniform(0.75f, 1.25f);
       float& mp = pos_logits_[static_cast<std::size_t>(b)].value[i];
       float& mn = neg_logits_[static_cast<std::size_t>(b)].value[i];
       mp = (positive && bit_set) ? kappa : -kappa;

@@ -35,8 +35,6 @@ struct CsqWeightOptions {
   // to the lowest n bits and disables mask training — the paper's
   // "CSQ-Uniform" ablation arm (Eq. 3).
   int fixed_precision = 0;
-  // Initial logit magnitude for the bit-representation planes.
-  float init_logit = 0.2f;
   // Initial logit for active bit-mask entries.
   float mask_init = 0.3f;
 };

@@ -6,12 +6,10 @@
 
 namespace csq {
 
-BitPlaneEngine::BitPlaneEngine(std::int64_t element_count, int max_planes,
-                               bool cache_gates)
+BitPlaneEngine::BitPlaneEngine(std::int64_t element_count, int max_planes)
     : element_count_(element_count),
       chunk_count_(quant_chunk_count(element_count)),
-      max_planes_(max_planes),
-      cache_allowed_(cache_gates) {
+      max_planes_(max_planes) {
   CSQ_CHECK(element_count > 0) << "bitplane engine: empty weight";
   CSQ_CHECK(max_planes >= 1 && max_planes <= kMaxPlanes)
       << "bitplane engine: plane count out of range";
@@ -41,8 +39,6 @@ void BitPlaneEngine::add_plane(const float* pos, const float* neg, float coeff,
 void BitPlaneEngine::materialize(GateKind kind, float beta, float* out,
                                  bool cache) {
   if (cache) {
-    CSQ_CHECK(cache_allowed_)
-        << "bitplane engine: gate caching was not enabled at construction";
     if (gate_cache_.empty()) {
       // Lazy: only sources that actually train pay the 2*planes*count cache.
       gate_cache_.resize(

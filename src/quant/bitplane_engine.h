@@ -40,14 +40,13 @@ class BitPlaneEngine {
   static constexpr int kMaxPlanes = 8;
 
   BitPlaneEngine() = default;
-  // `cache_gates` permits the per-plane gate cache used by the sigmoid
-  // backward; sources that never need cached gates (BSQ's clipped STE reads
-  // the latents directly) opt out. The cache itself (2 * max_planes *
+  // The per-plane gate cache used by the sigmoid backward (2 * max_planes *
   // element_count floats — 16x the weight memory for CSQ) is allocated
-  // lazily on the first caching materialize, so inference-only sources
-  // never pay for it, and can be dropped with release_gate_cache() once a
-  // source finalizes.
-  BitPlaneEngine(std::int64_t element_count, int max_planes, bool cache_gates);
+  // lazily on the first caching materialize, so sources that never cache
+  // (inference-only ones, BSQ's clipped STE that reads the latents
+  // directly) never pay for it, and can be dropped with
+  // release_gate_cache() once a source finalizes.
+  BitPlaneEngine(std::int64_t element_count, int max_planes);
 
   // Frees the gate cache (e.g. after finalize(), when no backward can ever
   // run again). A later caching materialize re-allocates it.
@@ -64,8 +63,8 @@ class BitPlaneEngine {
                  std::int32_t code_weight);
 
   // Soft materialization into `out` (size element_count). When `cache` is
-  // true the per-plane gate values are kept for backward (requires
-  // cache_gates at construction).
+  // true the per-plane gate values are kept for backward (sigmoid gates
+  // only: the other kinds' backward reads the latents).
   void materialize(GateKind kind, float beta, float* out, bool cache);
 
   // Integer-exact hard materialization: out[i] = unit * code_i with
@@ -95,7 +94,6 @@ class BitPlaneEngine {
   std::int64_t chunk_count_ = 0;
   int max_planes_ = 0;
   int num_planes_ = 0;
-  bool cache_allowed_ = false;
   bool gates_cached_ = false;
 
   std::array<BitPlane, kMaxPlanes> planes_{};

@@ -36,7 +36,7 @@ BsqWeightSource::BsqWeightSource(const std::string& name,
                   /*apply_weight_decay=*/false);
   }
   quantized_ = Tensor(shape_);
-  engine_ = BitPlaneEngine(element_count_, kMaxBits, /*cache_gates=*/false);
+  engine_ = BitPlaneEngine(element_count_, kMaxBits);
   requantize_from(dense);
 }
 

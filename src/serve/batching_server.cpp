@@ -38,8 +38,8 @@ bool deadline_after(std::int64_t us, Clock::time_point* deadline) {
 // path never allocates. Every admitted node is completed exactly once
 // before its producer returns: normally by the worker that served it,
 // force-completed with a failure status (quarantine overflow, shard death,
-// drain deadline), or cancelled by its own producer on deadline expiry (the
-// only path that removes a node without setting done).
+// stop() behind a quarantined worker), or cancelled by its own producer on
+// deadline expiry (the only path that removes a node without setting done).
 struct Request {
   const float* sample = nullptr;
   float* logits = nullptr;
@@ -409,8 +409,6 @@ const char* serve_status_name(ServeStatus status) {
       return "ok";
     case ServeStatus::kTimeout:
       return "timeout";
-    case ServeStatus::kOverloaded:
-      return "overloaded";
     case ServeStatus::kShardFailed:
       return "shard_failed";
     case ServeStatus::kShuttingDown:
@@ -425,8 +423,6 @@ BatchingServer::BatchingServer(ServerOptions options)
       << "batching server: max_batch must be at least 1";
   CSQ_CHECK(options_.queue_capacity >= 1)
       << "batching server: queue_capacity must be at least 1";
-  CSQ_CHECK(options_.drain_deadline_us >= 0)
-      << "batching server: negative drain_deadline_us";
   CSQ_CHECK(options_.restore_backoff_us >= 0)
       << "batching server: negative restore_backoff_us";
   CSQ_CHECK(options_.restore_max_attempts >= 1)
@@ -561,24 +557,6 @@ void BatchingServer::stop() {
     shard->restore_cv.notify_all();
     shard->done_cv.notify_all();
   }
-  // Deadline-bounded graceful drain: let the workers finish queued work,
-  // then complete whatever is still queued with kShuttingDown so no
-  // producer waits past the bound (in-flight batches always finish — they
-  // hold stack nodes a worker is actively writing).
-  Clock::time_point deadline;
-  if (options_.drain_deadline_us > 0 &&
-      deadline_after(options_.drain_deadline_us, &deadline)) {
-    for (auto& shard : shards_) {
-      std::unique_lock<std::mutex> lock(shard->mutex);
-      const bool drained = shard->done_cv.wait_until(
-          lock, deadline, [&] { return shard->count == 0; });
-      if (!drained) {
-        shard->complete_queued_locked(ServeStatus::kShuttingDown);
-        shard->queue_cv.notify_all();
-        shard->done_cv.notify_all();
-      }
-    }
-  }
   for (auto& shard : shards_) {
     for (std::thread& worker : shard->workers) worker.join();
     shard->workers.clear();
@@ -645,12 +623,7 @@ ServeStatus BatchingServer::try_infer(const ModelHandle& handle,
       return ServeStatus::kShuttingDown;
     }
     if (shard.count >= shard.capacity()) {
-      // Admission control at the full ring: shed immediately, or apply
-      // backpressure bounded by the caller's deadline.
-      if (shard.options->shed_overload) {
-        ++shard.stats.shed;
-        return ServeStatus::kOverloaded;
-      }
+      // Backpressure at the full ring, bounded by the caller's deadline.
       const auto has_space = [&] {
         return shard.count < shard.capacity() || !shard.accepting;
       };

@@ -42,15 +42,14 @@
 //    — served, failed with a ServeStatus, or (with a deadline) cancelled —
 //    and worker failures never abort the process.
 //  * Typed failures: try_infer never throws on the request path; it reports
-//    timeouts, load shedding (ServerOptions::shed_overload), shard failure
-//    and shutdown as ServeStatus codes, counted per shard in ShardStats.
-//    The infer() convenience wrappers keep the throwing contract.
-//  * Deadline-bounded drain: stop() finishes in-flight work (bounded by
-//    ServerOptions::drain_deadline_us when set), completes anything still
-//    queued past the deadline with kShuttingDown, and late arrivals are
-//    rejected with kShuttingDown. Stale ModelHandles — held across stop()
-//    or even across server destruction — resolve to kShuttingDown instead
-//    of touching freed memory.
+//    timeouts, shard failure and shutdown as ServeStatus codes, counted per
+//    shard in ShardStats. The infer() convenience wrappers keep the
+//    throwing contract.
+//  * Graceful drain: stop() lets the workers finish queued work, completes
+//    anything a quarantined worker left queued with kShuttingDown, and late
+//    arrivals are rejected with kShuttingDown. Stale ModelHandles — held
+//    across stop() or even across server destruction — resolve to
+//    kShuttingDown instead of touching freed memory.
 #pragma once
 
 #include <cstdint>
@@ -68,14 +67,14 @@ struct Shard;
 }  // namespace detail
 
 // Typed request-path outcome. The hot path reports failures as values, not
-// exceptions: overload and shutdown are expected states of a loaded server,
-// not programming errors.
+// exceptions: timeouts and shutdown are expected states of a loaded server,
+// not programming errors. The values are the wire status codes
+// (serve/transport.h); 2 is retired.
 enum class ServeStatus {
   kOk = 0,
-  kTimeout,       // the caller's deadline expired before completion
-  kOverloaded,    // ring full and shed_overload is set: fast-rejected
-  kShardFailed,   // every replica of the shard is dead
-  kShuttingDown,  // server stopped/stopping/destroyed (or stale handle)
+  kTimeout = 1,       // the caller's deadline expired before completion
+  kShardFailed = 3,   // every replica of the shard is dead
+  kShuttingDown = 4,  // server stopped/stopping/destroyed (or stale handle)
 };
 
 const char* serve_status_name(ServeStatus status);
@@ -83,17 +82,9 @@ const char* serve_status_name(ServeStatus status);
 struct ServerOptions {
   // Largest batch a free worker takes from the queue at once.
   std::int64_t max_batch = 16;
-  // Ring capacity per shard; producers beyond it block (backpressure) or,
-  // with shed_overload, are rejected immediately.
+  // Ring capacity per shard; producers beyond it block (backpressure),
+  // bounded by their deadline.
   std::int64_t queue_capacity = 1024;
-  // Admission control: when the ring is full, reject new requests with
-  // kOverloaded instead of blocking the producer — bounded-queue load
-  // shedding for latency-sensitive deployments.
-  bool shed_overload = false;
-  // stop() lets queued work drain for at most this long before completing
-  // the remainder with kShuttingDown. 0 = unbounded drain (in-flight
-  // batches still always finish).
-  std::int64_t drain_deadline_us = 0;
   // Quarantine recovery: backoff before a failed replica's first rebuild
   // attempt, doubling per failed attempt (capped at 1 s).
   std::int64_t restore_backoff_us = 1000;
@@ -151,9 +142,8 @@ class BatchingServer {
   // performs zero heap allocations. Warmup failures rethrow here,
   // synchronously.
   void start();
-  // Drains queued requests (bounded by drain_deadline_us), then joins the
-  // workers; anything still queued past the deadline — or left behind by
-  // quarantined workers — completes with kShuttingDown. Idempotent.
+  // Drains queued requests, then joins the workers; anything left behind by
+  // quarantined workers completes with kShuttingDown. Idempotent.
   void stop();
 
   // Resolves a model id once; infer(handle, ...) routes without a registry
@@ -201,7 +191,6 @@ class BatchingServer {
     // Failure semantics.
     std::uint64_t rejected = 0;   // kShuttingDown / kShardFailed outcomes
     std::uint64_t timed_out = 0;  // kTimeout outcomes (deadline expired)
-    std::uint64_t shed = 0;       // kOverloaded fast-rejects
     std::uint64_t quarantines = 0;  // replica failures entering quarantine
     std::uint64_t restores = 0;     // successful backoff rebuilds
     int replicas_quarantined = 0;   // gauge: currently restoring

@@ -21,15 +21,13 @@ namespace serve {
 
 namespace {
 
-// The first five wire codes are the ServeStatus values verbatim — the
-// dispatcher maps try_infer's result with a cast, and this proves it stays
-// valid if either enum is reordered.
+// Wire codes 0-4 are the ServeStatus values verbatim — the dispatcher maps
+// try_infer's result with a cast, and this proves it stays valid if either
+// enum is renumbered.
 static_assert(static_cast<int>(WireStatus::kOk) ==
                   static_cast<int>(ServeStatus::kOk) &&
               static_cast<int>(WireStatus::kTimeout) ==
                   static_cast<int>(ServeStatus::kTimeout) &&
-              static_cast<int>(WireStatus::kOverloaded) ==
-                  static_cast<int>(ServeStatus::kOverloaded) &&
               static_cast<int>(WireStatus::kShardFailed) ==
                   static_cast<int>(ServeStatus::kShardFailed) &&
               static_cast<int>(WireStatus::kShuttingDown) ==
@@ -37,6 +35,12 @@ static_assert(static_cast<int>(WireStatus::kOk) ==
               "wire status codes must mirror ServeStatus");
 
 constexpr std::size_t kMaxModelIdBytes = 256;
+// Dispatcher threads calling try_infer. Each handles one request at a time,
+// so this bounds transport-initiated concurrency into the ring.
+constexpr int kDispatchThreads = 2;
+// Frames larger than this are a protocol violation: the connection is
+// dropped (bounds a malicious or corrupt client's memory use).
+constexpr std::size_t kMaxFrameBytes = 1 << 20;
 // Pending-connection queue of the loopback listener.
 constexpr int kListenBacklog = 16;
 // Fixed part of a request body: u16 id_len + i64 deadline + u32 count.
@@ -63,8 +67,6 @@ const char* wire_status_name(WireStatus status) {
       return "ok";
     case WireStatus::kTimeout:
       return "timeout";
-    case WireStatus::kOverloaded:
-      return "overloaded";
     case WireStatus::kShardFailed:
       return "shard_failed";
     case WireStatus::kShuttingDown:
@@ -241,8 +243,7 @@ void ServeTransport::Impl::read_ready(const std::shared_ptr<Connection>& conn) {
       }
       std::lock_guard<std::mutex> lock(mutex);
       conn->buffer.insert(conn->buffer.end(), chunk, chunk + got);
-      if (static_cast<std::int64_t>(conn->buffer.size()) >
-          options.max_frame_bytes + 4) {
+      if (conn->buffer.size() > kMaxFrameBytes + 4) {
         ++stats.transport_errors;  // runaway frame: protocol violation
         conn->dead = true;
         return;
@@ -264,7 +265,7 @@ void ServeTransport::Impl::service_connection_locked(
   // One frame in flight per connection: responses go out in request order.
   if (conn->busy || conn->buffer.size() < 4) return;
   const auto body_len = read_pod_at<std::uint32_t>(conn->buffer.data());
-  if (static_cast<std::int64_t>(body_len) > options.max_frame_bytes) {
+  if (body_len > kMaxFrameBytes) {
     ++stats.transport_errors;
     conn->dead = true;
     return;
@@ -404,12 +405,7 @@ void ServeTransport::Impl::dispatch_loop() {
 
 ServeTransport::ServeTransport(BatchingServer& server,
                                TransportOptions options)
-    : impl_(std::make_unique<Impl>(server, options)) {
-  CSQ_CHECK(options.dispatch_threads >= 1)
-      << "serve transport: dispatch_threads must be at least 1";
-  CSQ_CHECK(options.max_frame_bytes >= 64)
-      << "serve transport: max_frame_bytes too small for any request";
-}
+    : impl_(std::make_unique<Impl>(server, options)) {}
 
 ServeTransport::~ServeTransport() { stop(); }
 
@@ -440,9 +436,8 @@ void ServeTransport::start() {
   impl.started = true;
   impl.stopping = false;
   impl.event_thread = std::thread([&impl] { impl.event_loop(); });
-  impl.dispatchers.reserve(
-      static_cast<std::size_t>(impl.options.dispatch_threads));
-  for (int i = 0; i < impl.options.dispatch_threads; ++i) {
+  impl.dispatchers.reserve(kDispatchThreads);
+  for (int i = 0; i < kDispatchThreads; ++i) {
     impl.dispatchers.emplace_back([&impl] { impl.dispatch_loop(); });
   }
 }
@@ -521,7 +516,21 @@ WireStatus TransportClient::infer(const std::string& model_id,
     fd_.reset();
     return WireStatus::kTransportError;
   }
+  // Accept only the codes a server sends: the retired code 2, the
+  // client-side kTransportError or any unknown byte means the peer does not
+  // speak this protocol.
   const auto status = static_cast<WireStatus>(body[0]);
+  switch (status) {
+    case WireStatus::kOk:
+    case WireStatus::kTimeout:
+    case WireStatus::kShardFailed:
+    case WireStatus::kShuttingDown:
+    case WireStatus::kBadRequest:
+      break;
+    default:
+      fd_.reset();
+      return WireStatus::kTransportError;
+  }
   const auto logit_count = read_pod_at<std::uint32_t>(body.data() + 1);
   if (body.size() != 1 + 4 + static_cast<std::size_t>(logit_count) *
                                  sizeof(float)) {

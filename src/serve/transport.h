@@ -50,13 +50,13 @@
 namespace csq {
 namespace serve {
 
-// On-the-wire status byte. The first five values are numerically identical
-// to ServeStatus (static_assert'd in transport.cpp); the rest are
-// transport-layer outcomes the in-process API cannot produce.
+// On-the-wire status byte. Codes 0-4 are numerically identical to
+// ServeStatus (static_assert'd in transport.cpp; 2 is retired and never
+// sent); the rest are transport-layer outcomes the in-process API cannot
+// produce.
 enum class WireStatus : std::uint8_t {
   kOk = 0,
   kTimeout = 1,
-  kOverloaded = 2,
   kShardFailed = 3,
   kShuttingDown = 4,
   kBadRequest = 5,      // malformed frame, unknown model, wrong sample count
@@ -68,12 +68,6 @@ const char* wire_status_name(WireStatus status);
 struct TransportOptions {
   // 0 = kernel-assigned ephemeral port; read the bound port via port().
   std::uint16_t port = 0;
-  // Dispatcher threads calling try_infer. Each handles one request at a
-  // time, so this bounds transport-initiated concurrency into the ring.
-  int dispatch_threads = 2;
-  // Frames larger than this are a protocol violation: the connection is
-  // dropped (bounds a malicious or corrupt client's memory use).
-  std::int64_t max_frame_bytes = 1 << 20;
 };
 
 class ServeTransport {
@@ -126,7 +120,8 @@ class TransportClient {
 
   // One round trip. On kOk, `logits` is resized to the returned logit
   // count. Any socket failure (including a server that vanished mid-call)
-  // returns kTransportError and closes the connection.
+  // or malformed response (a status byte no server sends, say) returns
+  // kTransportError and closes the connection.
   WireStatus infer(const std::string& model_id, const float* sample,
                    std::size_t sample_count, std::vector<float>& logits,
                    std::int64_t deadline_us = -1);

@@ -184,18 +184,15 @@ typedef float Vec8 __attribute__((vector_size(32)));
 static_assert(kGemmMR == 8 && kGemmNR == 8,
               "vector micro-kernel assumes an 8x8 tile");
 
-inline Vec8 load8(const float* p) {
-  Vec8 r;
-  __builtin_memcpy(&r, p, sizeof(r));  // unaligned vector load
-  return r;
-}
-
 inline void micro_kernel_f32(const float* pa, const float* pb,
                              std::int64_t kc, float* acc) {
   Vec8 c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* a_col = pa + p * kGemmMR;
-    const Vec8 b = load8(pb + p * kGemmNR);
+    // Unaligned vector load, in place: a function returning a Vec8 by
+    // value would change its ABI between AVX and non-AVX builds.
+    Vec8 b;
+    __builtin_memcpy(&b, pb + p * kGemmNR, sizeof(b));
     c0 += a_col[0] * b;
     c1 += a_col[1] * b;
     c2 += a_col[2] * b;

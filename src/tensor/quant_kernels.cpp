@@ -51,6 +51,11 @@ void bitplane_materialize(GateKind kind, float beta, const BitPlane* planes,
                           KernelExec exec) {
   CSQ_CHECK(kind != GateKind::step)
       << "bitplane_materialize: use bitplane_materialize_hard for step gates";
+  for (int p = 0; p < num_planes; ++p) {
+    CSQ_CHECK(kind == GateKind::sigmoid || planes[p].gate_pos == nullptr)
+        << "bitplane_materialize: plane " << p
+        << " asks for cached gates, which only the sigmoid kind keeps";
+  }
   for_each_quant_chunk(
       count, exec,
       [&](std::int64_t /*chunk*/, std::int64_t begin, std::int64_t end) {
@@ -60,21 +65,13 @@ void bitplane_materialize(GateKind kind, float beta, const BitPlane* planes,
           const float* mp = plane.pos;
           const float* mn = plane.neg;
           const float coeff = plane.coeff;
-          if (plane.gate_pos != nullptr) {
+          if (plane.gate_pos != nullptr) {  // sigmoid, checked above
             float* gp = plane.gate_pos;
             float* gn = plane.gate_neg;
-            if (kind == GateKind::sigmoid) {
-              for (std::int64_t i = begin; i < end; ++i) {
-                gp[i] = sigmoid_gate(mp[i], beta);
-                gn[i] = sigmoid_gate(mn[i], beta);
-                out[i] += coeff * (gp[i] - gn[i]);
-              }
-            } else {  // round_clip
-              for (std::int64_t i = begin; i < end; ++i) {
-                gp[i] = round_clip_gate(mp[i]);
-                gn[i] = round_clip_gate(mn[i]);
-                out[i] += coeff * (gp[i] - gn[i]);
-              }
+            for (std::int64_t i = begin; i < end; ++i) {
+              gp[i] = sigmoid_gate(mp[i], beta);
+              gn[i] = sigmoid_gate(mn[i], beta);
+              out[i] += coeff * (gp[i] - gn[i]);
             }
           } else {
             if (kind == GateKind::sigmoid) {

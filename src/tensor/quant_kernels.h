@@ -87,15 +87,17 @@ struct BitPlane {
   float coeff = 0.0f;
   // Integer plane weight (2^b) used by the integer-exact hard paths.
   std::int32_t code_weight = 0;
-  // Optional gate caches filled by the soft forward (nullable). Cached gates
-  // let the backward skip re-evaluating the sigmoid.
+  // Optional gate caches filled by the soft forward (nullable; sigmoid
+  // gates only). Cached gates let the backward skip re-evaluating the
+  // sigmoid.
   float* gate_pos = nullptr;
   float* gate_neg = nullptr;
 };
 
 // Soft materialization (paper Eq. 5 inner sum):
 //   out[i] = sum_b planes[b].coeff * (g(planes[b].pos[i]) - g(planes[b].neg[i]))
-// Gate values are written to the per-plane caches when present.
+// Gate values are written to the per-plane caches when present, which
+// only the sigmoid kind may request.
 void bitplane_materialize(GateKind kind, float beta, const BitPlane* planes,
                           int num_planes, float* out, std::int64_t count,
                           KernelExec exec);

@@ -3,16 +3,20 @@
 //
 //  * Transport.*    — the loopback TCP front of the batching server: wire
 //    round trips bit-identical to in-process infer, concurrent clients,
-//    malformed/oversized/bad-deadline frames, listener-first graceful
-//    drain, and the transport.{accept,read,write} failpoints.
+//    malformed/oversized/bad-deadline frames, the client's status-byte
+//    check, listener-first graceful drain, and the
+//    transport.{accept,read,write} failpoints.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
@@ -151,9 +155,7 @@ TEST(Transport, ConcurrentClientsGetBitIdenticalResults) {
   replicas.push_back(runtime::replicate(graph));
   server.add_model("m", std::move(replicas));
   server.start();
-  serve::TransportOptions transport_options;
-  transport_options.dispatch_threads = 4;
-  serve::ServeTransport transport(server, transport_options);
+  serve::ServeTransport transport(server);
   transport.start();
 
   std::atomic<int> failures{0};
@@ -304,16 +306,14 @@ TEST(Transport, OversizedAndRunawayFramesDropTheConnection) {
   replicas.push_back(std::move(graph));
   server.add_model("m", std::move(replicas));
   server.start();
-  serve::TransportOptions options;
-  options.max_frame_bytes = 4096;
-  serve::ServeTransport transport(server, options);
+  serve::ServeTransport transport(server);
   transport.start();
 
-  // A declared body length beyond max_frame_bytes is a protocol violation:
-  // no response, connection closed.
+  // A declared body length beyond the 1 MiB frame limit is a protocol
+  // violation: no response, connection closed.
   net::UniqueFd raw = net::connect_loopback(transport.port());
   ASSERT_TRUE(raw.valid());
-  const std::uint32_t huge = 1u << 20;
+  const std::uint32_t huge = (1u << 20) + 1;
   ASSERT_TRUE(net::write_full(raw.get(), &huge, sizeof(huge)));
   char probe = 0;
   EXPECT_FALSE(net::read_full(raw.get(), &probe, 1)) << "expected EOF";
@@ -336,6 +336,67 @@ TEST(Transport, OversizedAndRunawayFramesDropTheConnection) {
   EXPECT_TRUE(poll([&] { return transport.stats().transport_errors >= 1; }));
   transport.stop();
   server.stop();
+}
+
+// A raw loopback peer standing in for a server: answers every request
+// frame on one accepted connection with status byte `code` and no logits,
+// until the client hangs up.
+void answer_with_status(int listener, std::uint8_t code) {
+  net::UniqueFd conn(::accept(listener, nullptr, nullptr));
+  if (!conn.valid()) return;
+  std::uint32_t body_len = 0;
+  while (net::read_full(conn.get(), &body_len, sizeof(body_len))) {
+    std::vector<std::uint8_t> body(body_len);
+    if (!net::read_full(conn.get(), body.data(), body.size())) return;
+    const std::uint32_t response_len = 1 + 4;
+    const std::uint32_t logit_count = 0;
+    std::uint8_t frame[4 + 1 + 4];
+    std::memcpy(frame, &response_len, 4);
+    frame[4] = code;
+    std::memcpy(frame + 5, &logit_count, 4);
+    if (!net::write_full(conn.get(), frame, sizeof(frame))) return;
+  }
+}
+
+TEST(Transport, ClientAcceptsOnlyStatusCodesAServerSends) {
+  std::uint16_t port = 0;
+  const net::UniqueFd listener =
+      net::listen_loopback(/*port=*/0, /*backlog=*/4, &port);
+  const std::vector<float> sample(static_cast<std::size_t>(kSampleNumel),
+                                  0.0f);
+  std::vector<float> logits;
+  // The codes a server sends come back as-is, and the connection survives.
+  for (const int code : {0, 1, 3, 4, 5}) {
+    SCOPED_TRACE(code);
+    auto client = std::make_unique<serve::TransportClient>(port);
+    ASSERT_TRUE(client->connected());
+    std::thread peer([&] {
+      answer_with_status(listener.get(), static_cast<std::uint8_t>(code));
+    });
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(client->infer("m", sample.data(), sample.size(), logits),
+                static_cast<serve::WireStatus>(code));
+    }
+    EXPECT_TRUE(client->connected());
+    client.reset();  // hang up: the peer sees EOF
+    peer.join();
+  }
+  // The retired code 2, the client-only kTransportError and unknown bytes
+  // are a peer that does not speak the protocol: kTransportError, and the
+  // connection is dropped.
+  for (const int code : {2, 6, 255}) {
+    SCOPED_TRACE(code);
+    auto client = std::make_unique<serve::TransportClient>(port);
+    ASSERT_TRUE(client->connected());
+    std::thread peer([&] {
+      answer_with_status(listener.get(), static_cast<std::uint8_t>(code));
+    });
+    EXPECT_EQ(client->infer("m", sample.data(), sample.size(), logits),
+              serve::WireStatus::kTransportError);
+    EXPECT_FALSE(client->connected());
+    client.reset();
+    peer.join();
+  }
 }
 
 TEST(Transport, StopClosesTheListenerFirstAndDrains) {
