@@ -31,8 +31,11 @@ struct CsqTrainConfig {
   double target_bits = 3.0;     // precision budget
   float beta0 = 1.0f;
   float beta_max = 200.0f;      // paper Algorithm 1
-  // workers > 1 runs both phases data-parallel (opt/data_parallel.h); the
-  // result is bit-identical to workers == 1 on the same shard grid.
+  // workers > 1 runs both phases data-parallel (opt/data_parallel.h). The
+  // result depends on the shard grid, not the worker count: it is
+  // bit-identical to a one-worker DataParallelTrainer on the same grid. It
+  // differs from workers == 1, which runs the serial fit, whose BatchNorm
+  // statistics span the whole batch rather than each shard.
   DataParallelConfig data_parallel;
 };
 

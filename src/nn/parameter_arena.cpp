@@ -54,18 +54,4 @@ void ParameterArena::load_values(const float* src) {
   for (const View& view : views_) view.param->mark_updated();
 }
 
-bool ParameterArena::layout_matches(const ParameterArena& other) const {
-  if (views_.size() != other.views_.size() || size() != other.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < views_.size(); ++i) {
-    if (views_[i].offset != other.views_[i].offset ||
-        views_[i].count != other.views_[i].count ||
-        views_[i].weight_decay != other.views_[i].weight_decay) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace csq

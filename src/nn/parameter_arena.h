@@ -5,8 +5,8 @@
 // Why: the optimizer step becomes one cache-friendly sweep over two flat
 // arrays instead of a pointer chase over dozens of scattered tensors;
 // checkpoint save/load becomes a single contiguous write/read; and
-// data-parallel replicas address their gradients and broadcast values by
-// shared offsets (opt/data_parallel.h). The layout is the uchen idea from
+// data-parallel replicas borrow their parameter values from the primary's
+// span (opt/data_parallel.h). The layout is the uchen idea from
 // SNIPPETS.md: registration order defines the offsets, so two models built
 // by the same builder share one layout and their arenas are directly
 // comparable span-for-span.
@@ -55,11 +55,6 @@ class ParameterArena {
   // Overwrites this arena's values with `src` (size() floats) and bumps
   // every bound Parameter's version — the checkpoint-load path.
   void load_values(const float* src);
-
-  // True when `other` was bound from an identically shaped parameter list
-  // (same count, offsets and element counts) — the precondition for
-  // cross-arena copies between model replicas.
-  bool layout_matches(const ParameterArena& other) const;
 
  private:
   std::vector<float> values_;

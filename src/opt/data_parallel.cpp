@@ -23,32 +23,8 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
   CSQ_CHECK(micro_batch_config_ >= 0) << "data-parallel: bad micro_batch";
 
   ParameterArena& primary_arena = primary_->arena();
+  const std::vector<ParameterArena::View>& views = primary_arena.views();
   const std::vector<QuantLayer>& layers = primary_->quant_layers();
-
-  owned_replicas_.reserve(static_cast<std::size_t>(workers_ - 1));
-  replicas_.resize(static_cast<std::size_t>(workers_));
-  replicas_[0].model = primary_;
-  for (int w = 1; w < workers_; ++w) {
-    CSQ_CHECK(static_cast<bool>(replica_factory))
-        << "data-parallel: workers > 1 requires a replica factory";
-    owned_replicas_.push_back(replica_factory());
-    Model& replica = owned_replicas_.back();
-    CSQ_CHECK(replica.arena().layout_matches(primary_arena))
-        << "data-parallel: replica " << w
-        << " parameter layout differs from the primary (factory must use "
-           "the same builder)";
-    const std::vector<QuantLayer>& replica_layers = replica.quant_layers();
-    CSQ_CHECK(replica_layers.size() == layers.size())
-        << "data-parallel: replica " << w << " has " << replica_layers.size()
-        << " quant layers, the primary " << layers.size();
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      CSQ_CHECK(replica_layers[i].source->weight_shape() ==
-                layers[i].source->weight_shape())
-          << "data-parallel: replica " << w << " quant layer "
-          << layers[i].name << " weight shape differs from the primary";
-    }
-    replicas_[static_cast<std::size_t>(w)].model = &replica;
-  }
 
   // Gradient span layout: one dW slice per quant layer, then the arena
   // views no source owns.
@@ -62,12 +38,62 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
     source_params.insert(collected.begin(), collected.end());
   }
   span_floats_ = weight_floats_;
-  const std::vector<ParameterArena::View>& views = primary_arena.views();
+  std::vector<bool> source_view(views.size());
   for (std::size_t v = 0; v < views.size(); ++v) {
-    if (source_params.count(views[v].param) != 0) continue;
+    source_view[v] = source_params.count(views[v].param) != 0;
+    if (source_view[v]) continue;
     extra_views_.push_back(v);
     span_floats_ += views[v].count;
   }
+
+  owned_replicas_.reserve(static_cast<std::size_t>(workers_ - 1));
+  replicas_.resize(static_cast<std::size_t>(workers_));
+  replicas_[0].model = primary_;
+  for (int w = 1; w < workers_; ++w) {
+    CSQ_CHECK(static_cast<bool>(replica_factory))
+        << "data-parallel: workers > 1 requires a replica factory";
+    owned_replicas_.push_back(replica_factory());
+    Model& replica = owned_replicas_.back();
+    const std::vector<Parameter*>& params = replica.parameters();
+    CSQ_CHECK(params.size() == views.size())
+        << "data-parallel: replica " << w << " has " << params.size()
+        << " parameters, the primary " << views.size()
+        << " (factory must use the same builder)";
+    // Every value becomes a view of the primary's arena, so the optimizer
+    // step is visible to the replicas without a copy. Gradients stay only
+    // where a replica's backward writes them: the views no source owns.
+    // The displaced factory storage goes to the heap, not the Tensor pool,
+    // which would keep it resident.
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      Parameter& param = *params[v];
+      const Tensor& primary_value = views[v].param->value;
+      CSQ_CHECK(!param.value.is_borrowed())
+          << "data-parallel: replica " << w << " parameter " << param.name
+          << " is arena-bound (factory must return an unbound model)";
+      CSQ_CHECK(param.value.same_shape(primary_value))
+          << "data-parallel: replica " << w << " parameter " << param.name
+          << " has shape " << param.value.shape_string() << ", the primary "
+          << primary_value.shape_string()
+          << " (factory must use the same builder)";
+      param.value.free_storage();
+      param.value = Tensor::borrow(primary_arena.values() + views[v].offset,
+                                   primary_value.shape());
+      if (source_view[v]) param.grad.free_storage();
+      param.mark_updated();
+    }
+    const std::vector<QuantLayer>& replica_layers = replica.quant_layers();
+    CSQ_CHECK(replica_layers.size() == layers.size())
+        << "data-parallel: replica " << w << " has " << replica_layers.size()
+        << " quant layers, the primary " << layers.size();
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      CSQ_CHECK(replica_layers[i].source->weight_shape() ==
+                layers[i].source->weight_shape())
+          << "data-parallel: replica " << w << " quant layer "
+          << layers[i].name << " weight shape differs from the primary";
+    }
+    replicas_[static_cast<std::size_t>(w)].model = &replica;
+  }
+
   reduced_.resize(static_cast<std::size_t>(span_floats_));
   for (std::size_t i = 0; i < layers.size(); ++i) {
     reduced_weight_grads_.push_back(
@@ -81,6 +107,9 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
   // primary replay from it.
   for (int w = 0; w < workers_; ++w) {
     Replica& rep = replicas_[static_cast<std::size_t>(w)];
+    for (const std::size_t v : extra_views_) {
+      rep.extra_grads.push_back(&rep.model->parameters()[v]->grad);
+    }
     rep.model->for_each_module([&rep](Module& module) {
       if (auto* bn = dynamic_cast<BatchNorm2d*>(&module)) {
         rep.batchnorms.push_back(bn);
@@ -104,8 +133,6 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
     }
   }
 
-  broadcast_values();
-
   errors_.resize(static_cast<std::size_t>(workers_));
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int w = 1; w < workers_; ++w) {
@@ -125,21 +152,6 @@ DataParallelTrainer::~DataParallelTrainer() {
 void DataParallelTrainer::for_each_replica(
     const std::function<void(Model&)>& fn) {
   for (Model& replica : owned_replicas_) fn(replica);
-}
-
-void DataParallelTrainer::broadcast_values() {
-  // Replica sources are never called, so only the views no source owns
-  // (batchnorm affine, biases) need the primary's values.
-  const float* src = primary_->arena().values();
-  for (Model& replica : owned_replicas_) {
-    ParameterArena& arena = replica.arena();
-    for (const std::size_t v : extra_views_) {
-      const ParameterArena::View& view = arena.views()[v];
-      std::memcpy(arena.values() + view.offset, src + view.offset,
-                  static_cast<std::size_t>(view.count) * sizeof(float));
-      view.param->mark_updated();
-    }
-  }
 }
 
 void DataParallelTrainer::prepare_step(const Batch& batch) {
@@ -284,17 +296,13 @@ void DataParallelTrainer::run_shard(Replica& replica, int shard) {
                         batch.labels.begin() + end);
 
   // Point the layers' dW at this shard's span and clear the gradients of
-  // the views no source owns, which backward accumulates in the arena.
+  // the views no source owns, which backward accumulates in place.
   float* span = shard_span(shard);
   const std::vector<QuantLayer>& layers = replica.model->quant_layers();
   for (std::size_t i = 0; i < layers.size(); ++i) {
     layers[i].source->binding().grad = span + weight_offsets_[i];
   }
-  ParameterArena& arena = replica.model->arena();
-  for (const std::size_t v : extra_views_) {
-    const ParameterArena::View& view = arena.views()[v];
-    std::fill_n(arena.grads() + view.offset, view.count, 0.0f);
-  }
+  for (Tensor* grad : replica.extra_grads) grad->zero();
 
   float* stats = bn_stats_.data() +
                  static_cast<std::size_t>(shard) * 2 *
@@ -331,11 +339,10 @@ void DataParallelTrainer::run_shard(Replica& replica, int shard) {
   }
 
   float* extra = span + weight_floats_;
-  for (const std::size_t v : extra_views_) {
-    const ParameterArena::View& view = arena.views()[v];
-    std::memcpy(extra, arena.grads() + view.offset,
-                static_cast<std::size_t>(view.count) * sizeof(float));
-    extra += view.count;
+  for (const Tensor* grad : replica.extra_grads) {
+    std::memcpy(extra, grad->data(),
+                static_cast<std::size_t>(grad->numel()) * sizeof(float));
+    extra += grad->numel();
   }
 }
 
@@ -398,7 +405,6 @@ void DataParallelTrainer::combine_and_step(
 
   if (before_step) before_step();
   optimizer.step();
-  broadcast_values();
 }
 
 EpochStats train_one_epoch(DataParallelTrainer& trainer, Sgd& optimizer,

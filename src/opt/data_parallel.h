@@ -11,8 +11,15 @@
 // spans are combined by a chunk-ordered pairwise tree reduction
 // (tensor/quant_kernels.h tree_reduce_spans), the primary runs each
 // source's backward once on its reduced dW slice, and the optimizer steps
-// the primary. Only the non-source parameter values are broadcast back to
-// the replicas; the replicas' own sources are never called.
+// the primary.
+//
+// Replicas share the primary's parameters and keep their own gradients
+// (the uchen ParameterGradients shape, SNIPPETS.md). Every replica
+// Parameter::value is a view (Tensor::borrow) of the primary's arena, so
+// each optimizer step reaches the replicas with no copy. A replica owns
+// gradient storage only for the parameters no source owns (batchnorm,
+// biases), which its backward writes per shard; its sources are never
+// called, so their parameters have none.
 //
 // A source's backward is J(theta)^T g with J fixed within a step, so
 // backward of the summed dW equals the sum of per-shard backwards up to
@@ -83,9 +90,12 @@ class DataParallelTrainer {
 
   // `primary` is replica 0 and the model the optimizer steps; it must
   // outlive the trainer. `replica_factory` is invoked workers - 1 times and
-  // must produce models with an identical parameter layout (checked via
-  // ParameterArena::layout_matches) and the primary's quant-layer weight
-  // shapes. Binds the primary's arena.
+  // must rebuild the primary's architecture (same builder): the same
+  // parameter count and shapes in registration order, and the same
+  // quant-layer weight shapes, all checked. It must return models whose
+  // arena was never bound. Binds the primary's arena, then rebinds every
+  // replica parameter value to it and frees the factory-built storage this
+  // displaces.
   DataParallelTrainer(Model& primary, const ModelFactory& replica_factory,
                       const DataParallelConfig& config);
   ~DataParallelTrainer();
@@ -101,8 +111,8 @@ class DataParallelTrainer {
   // One optimizer step over `batch`: materialize the primary's weights,
   // forward/backward per shard, tree-reduce the gradient spans, run each
   // source's backward once into the primary arena, run `before_step`
-  // (budget regularizers), step the optimizer, broadcast the non-source
-  // values to the replicas.
+  // (budget regularizers), step the optimizer. The replicas see the new
+  // values through their borrowed views.
   // `optimizer` must be the arena-backed Sgd over primary().arena().
   StepStats train_step(const Batch& batch, Sgd& optimizer,
                        const std::function<void()>& before_step = {});
@@ -110,9 +120,11 @@ class DataParallelTrainer {
   Model& primary() { return *primary_; }
   int workers() const { return workers_; }
 
-  // Visits the worker replicas (NOT the primary). Replicas hold no
-  // quantizer state the step reads, so nothing needs mirroring to them; this
-  // remains only because perfbench's train workload calls it.
+  // Visits the worker replicas (NOT the primary). The step reads no replica
+  // quantizer state, so nothing needs mirroring to them; this remains only
+  // because perfbench's train workload calls it. A replica's parameter
+  // values are views of the primary's arena: `fn` must not write them, and
+  // must not bind the replica's arena.
   void for_each_replica(const std::function<void(Model&)>& fn);
 
  private:
@@ -122,6 +134,9 @@ class DataParallelTrainer {
     std::vector<int> labels;                  // shard label scratch
     std::vector<std::int64_t> shard_shape;    // {b, C, H, W} scratch
     std::vector<BatchNorm2d*> batchnorms;     // depth-first module order
+    // Gradients of the parameters no source owns, extra_views_ order: the
+    // primary's arena views, a replica's own storage.
+    std::vector<Tensor*> extra_grads;
   };
 
   void worker_loop(int w);
@@ -133,7 +148,6 @@ class DataParallelTrainer {
   void combine_and_step(Sgd& optimizer,
                         const std::function<void()>& before_step,
                         StepStats& stats);
-  void broadcast_values();
   float* shard_span(int shard) {
     return shard_spans_.data() + static_cast<std::size_t>(shard) *
                                      static_cast<std::size_t>(span_floats_);
@@ -143,7 +157,9 @@ class DataParallelTrainer {
   int workers_ = 1;
   std::int64_t micro_batch_config_ = 0;
 
-  std::vector<Model> owned_replicas_;  // workers_ - 1 factory-built models
+  // workers_ - 1 factory-built models whose parameter values borrow the
+  // primary's arena.
+  std::vector<Model> owned_replicas_;
   std::vector<Replica> replicas_;      // size workers_; [0] is the primary
 
   // BatchNorm bookkeeping shared by all replicas (layouts are identical):

@@ -428,6 +428,12 @@ Tensor Tensor::borrow(float* data, const std::vector<std::int64_t>& shape) {
   return result;
 }
 
+void Tensor::free_storage() {
+  CSQ_CHECK(borrowed_ == nullptr) << "free_storage on a borrowed tensor";
+  shape_.clear();
+  std::vector<float>().swap(data_);
+}
+
 std::int64_t Tensor::dim(int axis) const {
   CSQ_CHECK(axis >= 0 && axis < ndim())
       << "axis " << axis << " out of range for " << ndim() << "-d tensor";

@@ -89,6 +89,11 @@ class Tensor {
   void resize_unspecified(const std::vector<std::int64_t>& new_shape);
   void resize_unspecified(std::initializer_list<std::int64_t> new_shape);
 
+  // Frees owned storage straight to the heap, bypassing the recycling pool
+  // (which would keep a displaced one-off span resident), and leaves an
+  // empty tensor. Forbidden on views.
+  void free_storage();
+
   // Data access ---------------------------------------------------------
   float* data() { return borrowed_ != nullptr ? borrowed_ : data_.data(); }
   const float* data() const {

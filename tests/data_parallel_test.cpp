@@ -28,6 +28,7 @@
 #include "quant/lqnets_weight.h"
 #include "quant/ste_uniform_weight.h"
 #include "tensor/quant_kernels.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace csq {
@@ -237,6 +238,130 @@ TEST(DataParallel, ReplicasNeverMaterializeWeights) {
     for (const std::uint64_t count : wide.replica_materializations) {
       EXPECT_EQ(count, 0u) << "replica source materialized";
     }
+  }
+}
+
+// ---- replicas borrow the primary's parameters -----------------------------
+
+TEST(DataParallel, ReplicasBorrowPrimaryParameters) {
+  // Every replica parameter value is a view of the primary's arena, and a
+  // replica owns gradient storage only for the views no source owns
+  // (batchnorm affine, biases); its sources' parameters have none.
+  const SyntheticDataset data = tiny_data();
+  std::vector<int> indices(32);
+  std::iota(indices.begin(), indices.end(), 0);
+  const Batch batch = data.train.gather(indices);
+
+  for (const int workers : {2, 4}) {
+    SCOPED_TRACE(workers);
+    Model model = build_model("csq");
+    DataParallelConfig dp_config;
+    dp_config.workers = workers;
+    DataParallelTrainer trainer(
+        model, [] { return build_model("csq"); }, dp_config);
+    Sgd optimizer(model.arena(), sgd_config());
+    ParameterArena& arena = model.arena();
+    const std::vector<ParameterArena::View>& views = arena.views();
+
+    std::vector<Parameter*> source_params;
+    for (const QuantLayer& layer : model.quant_layers()) {
+      layer.source->collect_parameters(source_params);
+    }
+    std::vector<bool> source_view(views.size());
+    std::int64_t extra_floats = 0;
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      source_view[v] =
+          std::find(source_params.begin(), source_params.end(),
+                    views[v].param) != source_params.end();
+      if (!source_view[v]) extra_floats += views[v].count;
+    }
+    ASSERT_GT(extra_floats, 0);
+    ASSERT_LT(extra_floats, arena.size());
+
+    const auto expect_borrowed = [&](Model& replica) {
+      const std::vector<Parameter*>& params = replica.parameters();
+      ASSERT_EQ(params.size(), views.size());
+      std::int64_t owned_grad_floats = 0;
+      for (std::size_t v = 0; v < views.size(); ++v) {
+        const Parameter& param = *params[v];
+        EXPECT_TRUE(param.value.is_borrowed()) << param.name;
+        EXPECT_EQ(param.value.data(), arena.values() + views[v].offset)
+            << param.name << " does not alias the primary's arena";
+        EXPECT_EQ(param.value.shape(), views[v].param->value.shape())
+            << param.name;
+        EXPECT_FALSE(param.grad.is_borrowed()) << param.name;
+        if (source_view[v]) {
+          EXPECT_TRUE(param.grad.empty())
+              << param.name << ": source gradient has storage";
+        } else {
+          EXPECT_EQ(param.grad.numel(), views[v].count) << param.name;
+        }
+        owned_grad_floats += param.grad.numel();
+      }
+      EXPECT_EQ(owned_grad_floats, extra_floats);
+    };
+    int replicas = 0;
+    trainer.for_each_replica([&](Model& replica) {
+      ++replicas;
+      expect_borrowed(replica);
+    });
+    EXPECT_EQ(replicas, workers - 1);
+
+    // The shards only read the shared values: they are unchanged when the
+    // optimizer is about to run. The step then moves the non-source
+    // values, and the replicas read the moved values in place, through the
+    // same views.
+    const std::vector<float> before(arena.values(),
+                                    arena.values() + arena.size());
+    trainer.train_step(batch, optimizer, [&] {
+      EXPECT_EQ(std::memcmp(arena.values(), before.data(),
+                            before.size() * sizeof(float)),
+                0)
+          << "a shard wrote the primary's parameter values";
+    });
+    bool moved = false;
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      if (source_view[v]) continue;
+      const float* now = arena.values() + views[v].offset;
+      moved = moved || std::memcmp(now, before.data() + views[v].offset,
+                                   static_cast<std::size_t>(views[v].count) *
+                                       sizeof(float)) != 0;
+    }
+    EXPECT_TRUE(moved) << "the step left every non-source value unchanged";
+    trainer.for_each_replica(expect_borrowed);
+  }
+}
+
+TEST(DataParallel, ReplicaFactoryMustRebuildThePrimary) {
+  DataParallelConfig dp_config;
+  dp_config.workers = 2;
+  {
+    Model model = build_model("dense");
+    EXPECT_THROW(DataParallelTrainer(
+                     model,
+                     [] {
+                       Rng rng(13);
+                       ModelConfig wide;
+                       wide.num_classes = 4;
+                       wide.base_width = 8;
+                       return make_resnet_cifar(8, wide,
+                                                dense_weight_factory(),
+                                                nullptr, rng);
+                     },
+                     dp_config),
+                 check_error);
+  }
+  {
+    Model model = build_model("dense");
+    EXPECT_THROW(DataParallelTrainer(
+                     model,
+                     [] {
+                       Model bound = build_model("dense");
+                       bound.arena();
+                       return bound;
+                     },
+                     dp_config),
+                 check_error);
   }
 }
 
