@@ -146,22 +146,23 @@ void for_each_sample(bool pooled, std::int64_t batch, const Fn& fn) {
 // Round-to-nearest uint8 code with the clamp fused: clamp to [0, levels]
 // first, then add-half truncate. Equal to lround-then-clamp on this domain
 // (values are non-negative after the clamp) and free of the per-element
-// libm call.
+// libm call. NaN fails `value > 0` and maps to code 0, like -inf, so no
+// wire sample reaches the cast out of range.
 inline std::uint8_t round_clamp_code(float value, float levels) {
-  value = value < 0.0f ? 0.0f : (value > levels ? levels : value);
+  value = value > 0.0f ? (value < levels ? value : levels) : 0.0f;
   return static_cast<std::uint8_t>(value + 0.5f);
 }
 
 // -------------------------------------------------- requantization span --
 //
-// The accumulator-to-code sweep of the integer path, shared by every
-// requantization and the fixed-divisor average pool. The skip term is the
-// second addend of a residual join: NoSkip, an i32 downsample accumulator
-// or u8 identity-skip codes. The AVX2 form processes 32 outputs per
-// iteration (convert, FMA, clamp, truncate, pack 32->16->8 with a lane-fix
-// permute) — the auto-vectorizer refuses the narrowing u8 store chain, and
-// this sweep is ~20% of the serving forward. The scalar tail/fallback
-// computes the identical value.
+// The accumulator-to-code sweep of the integer path, run by every
+// requantization. The skip term is the second addend of a residual join:
+// NoSkip, an i32 downsample accumulator or u8 identity-skip codes. The AVX2
+// form processes 32 outputs per iteration (convert, FMA, clamp, truncate,
+// pack 32->16->8 with a lane-fix permute), since the auto-vectorizer
+// refuses the narrowing u8 store chain, then 8 per step, so the 16-value
+// planes of 4x4 maps vectorize too. The scalar tail/fallback computes the
+// identical value.
 
 struct NoSkip {};
 
@@ -224,6 +225,13 @@ void requant_span(const std::int32_t* acc, const Skip* skip,
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(out + p),
         pack32(fuse8(p), fuse8(p + 8), fuse8(p + 16), fuse8(p + 24)));
+  }
+  for (; p + 8 <= count; p += 8) {
+    const __m256i q = fuse8(p);
+    const __m128i words = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                          _mm256_extracti128_si256(q, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + p),
+                     _mm_packus_epi16(words, words));
   }
 #endif
   for (; p < count; ++p) {

@@ -876,27 +876,43 @@ struct VnniKernel : IntKernel<std::int8_t, std::uint8_t, 4> {
 
 #endif  // CSQ_GEMM_VNNI_INT_KERNEL
 
-// One K-group row of an NR-wide B~ panel from kGroup gathered tap rows:
-// dst[j * kGroup + g] = rows[g][j] — int16 K-pairs for s8u8, uint8 K-quads
-// for the low-bit kinds.
-template <std::int64_t kGroup, typename BElem>
-inline void interleave_group(const std::uint8_t (&rows)[kGroup][kGemmNR],
-                             BElem* dst) {
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
-  const auto row = [&](int g) {
-    return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rows[g]));
-  };
-  const __m128i pairs = _mm_unpacklo_epi8(row(0), row(1));
+// One K-group row of an NR-wide B~ panel from kGroup tap rows, each in the
+// low 8 bytes of a register: dst[j * kGroup + g] = byte j of rows[g] —
+// int16 K-pairs for s8u8, uint8 K-quads for the low-bit kinds.
+template <std::int64_t kGroup, typename BElem>
+inline void interleave_rows(const __m128i (&rows)[kGroup], BElem* dst) {
+  const __m128i pairs = _mm_unpacklo_epi8(rows[0], rows[1]);
   if constexpr (kGroup == 2) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
                         _mm256_cvtepu8_epi16(pairs));
   } else {
-    const __m128i high_pairs = _mm_unpacklo_epi8(row(2), row(3));
+    const __m128i high_pairs = _mm_unpacklo_epi8(rows[2], rows[3]);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
                      _mm_unpacklo_epi16(pairs, high_pairs));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
                      _mm_unpackhi_epi16(pairs, high_pairs));
   }
+}
+
+// Four bytes from an unaligned address, in the low lane.
+inline __m128i load4(const std::uint8_t* p) {
+  std::int32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return _mm_cvtsi32_si128(v);
+}
+#endif  // CSQ_GEMM_AVX2_INT_KERNEL
+
+// interleave_rows over kGroup staged NR-byte rows.
+template <std::int64_t kGroup, typename BElem>
+inline void interleave_group(const std::uint8_t (&rows)[kGroup][kGemmNR],
+                             BElem* dst) {
+#ifdef CSQ_GEMM_AVX2_INT_KERNEL
+  __m128i regs[kGroup];
+  for (std::int64_t g = 0; g < kGroup; ++g) {
+    regs[g] = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rows[g]));
+  }
+  interleave_rows<kGroup>(regs, dst);
 #else
   for (std::int64_t j = 0; j < kGemmNR; ++j) {
     for (std::int64_t g = 0; g < kGroup; ++g) dst[j * kGroup + g] = rows[g][j];
@@ -908,9 +924,14 @@ inline void interleave_group(const std::uint8_t (&rows)[kGroup][kGemmNR],
 // (gemm_packed_conv): Base's A~, micro-kernel and C update, and B~ panels
 // byte-equal to Base::pack_b over im2col_u8's matrix. The border already
 // holds the edge's zero point (pad_image's fill); depth and column tails
-// are zero-filled as Base::pack_b fills them. Each kGroup taps of a panel
-// are gathered into NR-byte rows — one 8-byte run per tap when the panel's
-// positions are adjacent in the image — and then interleaved.
+// are zero-filled as Base::pack_b fills them. Each full panel is classed
+// once by its positions' image offsets, which rise by at least 1 per step:
+// one 8-byte run (stride 1 within one output row), two 4-byte runs (each
+// half in one row, as on stride-1 4-wide outputs) or neither. In AVX2
+// builds every whole K-group of a run panel loads each tap's run straight
+// into a register (one 8-byte or two 4-byte loads) and interleaves it
+// there. The depth tail, gather panels and portable builds stage kGroup
+// NR-byte rows first.
 template <typename Base, std::int64_t kGroup>
 struct IntConvKernel : Base {
   using BIn = ConvSource<std::uint8_t>;
@@ -929,7 +950,32 @@ struct IntConvKernel : Base {
       src.position_offsets(jc + s, cols, at);
       const bool adjacent =
           cols == kGemmNR && at[kGemmNR - 1] - at[0] == kGemmNR - 1;
-      for (std::int64_t p = 0; p < kcg; p += kGroup) {
+      std::int64_t p = 0;
+#ifdef CSQ_GEMM_AVX2_INT_KERNEL
+      const auto load_groups = [&](auto load_run) {
+        for (; p + kGroup <= kc; p += kGroup) {
+          __m128i runs[kGroup];
+          for (std::int64_t g = 0; g < kGroup; ++g) {
+            runs[g] = load_run(taps[p + g]);
+          }
+          interleave_rows<kGroup>(runs, dst + p * kGemmNR);
+        }
+      };
+      if (cols == kGemmNR) {
+        const std::int64_t first = at[0], second = at[kGemmNR / 2];
+        if (adjacent) {
+          load_groups([first](const std::uint8_t* tap) {
+            return _mm_loadl_epi64(
+                reinterpret_cast<const __m128i*>(tap + first));
+          });
+        } else if (at[3] - first == 3 && at[kGemmNR - 1] - second == 3) {
+          load_groups([first, second](const std::uint8_t* tap) {
+            return _mm_unpacklo_epi32(load4(tap + first), load4(tap + second));
+          });
+        }
+      }
+#endif
+      for (; p < kcg; p += kGroup) {
         std::uint8_t rows[kGroup][kGemmNR];
         for (std::int64_t g = 0; g < kGroup; ++g) {
           if (p + g >= kc) {

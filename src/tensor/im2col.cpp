@@ -98,6 +98,28 @@ void im2col_u8(const ConvGeometry& geom, const std::uint8_t* image,
   }
 }
 
+namespace {
+
+// Copies one image row in fixed-size pieces that inline to plain loads and
+// stores: 8-byte words, the last one overlapping its neighbour, or two
+// overlapping 4-byte pieces, or bytes. CIFAR ResNet-20 rows are 4 to 128
+// bytes, where a memcpy call per row costs more than the copy.
+inline void copy_row(void* dst, const void* src, std::size_t bytes) {
+  auto* d = static_cast<unsigned char*>(dst);
+  const auto* s = static_cast<const unsigned char*>(src);
+  if (bytes >= 8) {
+    for (std::size_t i = 0; i + 8 < bytes; i += 8) std::memcpy(d + i, s + i, 8);
+    std::memcpy(d + bytes - 8, s + bytes - 8, 8);
+  } else if (bytes >= 4) {
+    std::memcpy(d, s, 4);
+    std::memcpy(d + bytes - 4, s + bytes - 4, 4);
+  } else {
+    for (std::size_t i = 0; i < bytes; ++i) d[i] = s[i];
+  }
+}
+
+}  // namespace
+
 template <typename T>
 void pad_image(const ConvGeometry& geom, const T* image, T* padded, T fill) {
   const std::int64_t pad = geom.pad;
@@ -110,9 +132,16 @@ void pad_image(const ConvGeometry& geom, const T* image, T* padded, T fill) {
     std::fill(dst, dst + pad * row, fill);
     dst += pad * row;
     for (std::int64_t y = 0; y < geom.height; ++y, dst += row) {
-      std::fill(dst, dst + pad, fill);
-      std::memcpy(dst + pad, src + y * geom.width, width_bytes);
-      std::fill(dst + pad + geom.width, dst + row, fill);
+      // A 3x3 conv's one-element borders are two stores; a fill loop
+      // compiles to two memset calls per row.
+      if (pad == 1) {
+        dst[0] = fill;
+        dst[row - 1] = fill;
+      } else {
+        std::fill(dst, dst + pad, fill);
+        std::fill(dst + pad + geom.width, dst + row, fill);
+      }
+      copy_row(dst + pad, src + y * geom.width, width_bytes);
     }
     std::fill(dst, dst + pad * row, fill);
   }

@@ -165,8 +165,8 @@ TEST(AllocationRegression, EvalForwardIsAllocationFreeAndSkipsMaterialize) {
 TEST(AllocationRegression, CompiledGraphBatchedForwardIsAllocationFree) {
   // The serving path: a finalized ResNet-20 lowered into the int8 compiled
   // graph. After warmup, a steady-state batched forward must not touch the
-  // heap — activation edges, im2col stripes and GEMM packing scratch all
-  // come from grow-once storage.
+  // heap — activation edges, padded-image scratch and GEMM packing scratch
+  // all come from grow-once storage.
   Rng rng(320);
   std::vector<CsqWeightSource*> registry;
   ModelConfig model_config;

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -233,7 +234,10 @@ TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
 // tasks. The geometries cover stride 2, a rectangular kernel, 1x1 kernels
 // (unpadded: B is read from the image in place), fewer than kGemmNR output
 // columns, a kernel wider than its output, depth past one KC block and more
-// than kGemmNC output positions.
+// than kGemmNC output positions. The last three are ResNet-20's stride-1
+// layers: 4-wide outputs (two 4-byte runs per panel, 4-byte padded rows),
+// 8-wide ones (one 8-byte run) and the 3-channel stem (k = 27, a depth
+// tail past the last whole K-group).
 CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
   struct Shape {
     std::int64_t channels, height, width, kernel_h, kernel_w, stride, pad;
@@ -242,7 +246,9 @@ CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
       {8, 9, 9, 3, 3, 2, 1},   {3, 7, 11, 3, 5, 1, 2},
       {16, 6, 6, 1, 1, 1, 0},  {16, 8, 8, 1, 1, 2, 0},
       {4, 5, 5, 3, 3, 1, 1},   {1, 1, 1, 7, 7, 1, 3},
-      {64, 6, 6, 3, 3, 1, 1},  {2, 36, 40, 3, 3, 1, 1}};
+      {64, 6, 6, 3, 3, 1, 1},  {2, 36, 40, 3, 3, 1, 1},
+      {64, 4, 4, 3, 3, 1, 1},  {32, 8, 8, 3, 3, 1, 1},
+      {3, 16, 16, 3, 3, 1, 1}};
   struct Kind {
     const char* name;
     PackedKernel kernel;
@@ -880,6 +886,61 @@ TEST(CompiledGraph, ConvScratchHoldsPaddedImageNotColumns) {
   };
   EXPECT_EQ(workspace(3, 1, 1), pool_slot_count() * c * (h + 2) * (w + 2));
   EXPECT_EQ(workspace(1, 2, 0), 0);
+}
+
+// NaN and +-inf input samples quantize to the input edge's end codes: the
+// logits equal those of the same input with -1e30 for NaN and -inf and
+// +1e30 for +inf, serial and pooled.
+TEST(CompiledGraph, NonFiniteInputsQuantizeToEdgeCodes) {
+  const std::int64_t c = 3, h = 6, w = 6, oc = 4, features = 3, batch = 4;
+  Rng rng(932);
+  Model model;
+  const WeightSourceFactory factory =
+      model.recording_factory(ste_uniform_weight_factory(/*bits=*/4));
+  auto net = std::make_unique<Sequential>("net");
+  Conv2dConfig conv;
+  conv.in_channels = c;
+  conv.out_channels = oc;
+  conv.kernel = 3;
+  conv.stride = 1;
+  conv.pad = 1;
+  net->add(std::make_unique<Conv2d>("conv", conv, factory, rng));
+  net->add(std::make_unique<BatchNorm2d>("bn", oc));
+  net->add(std::make_unique<ReLU>("relu"));
+  net->add(std::make_unique<GlobalAvgPool>("gap"));
+  net->add(std::make_unique<Flatten>("flatten"));
+  net->add(std::make_unique<Linear>("fc", oc, features, factory, rng));
+  model.set_root(std::move(net));
+  Rng data_rng(933);
+  const Tensor calib = random_tensor({batch, c, h, w}, data_rng);
+  model.forward(calib, /*training=*/true);
+
+  runtime::LowerOptions options;
+  options.in_channels = c;
+  options.in_height = h;
+  options.in_width = w;
+  runtime::CompiledGraph graph = runtime::lower(model, options);
+  graph.calibrate(calib);
+
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor non_finite = calib;
+  Tensor edge_values = calib;
+  for (std::int64_t i = 0; i < calib.numel(); i += 5) {
+    const std::int64_t kind = i / 5 % 3;
+    non_finite[i] = kind == 0 ? nan : (kind == 1 ? inf : -inf);
+    edge_values[i] = kind == 1 ? 1e30f : -1e30f;
+  }
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pooled" : "serial");
+    graph.set_pooled(pooled);
+    const Tensor expected = graph.forward(edge_values);
+    const Tensor actual = graph.forward(non_finite);
+    ASSERT_TRUE(expected.same_shape(actual));
+    EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
+                             sizeof(float) *
+                                 static_cast<std::size_t>(expected.numel())));
+  }
 }
 
 TEST(CompiledGraph, RejectsModelWithoutLinearHead) {
