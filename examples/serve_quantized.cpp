@@ -7,7 +7,7 @@
 // process: artifact-loaded int8 replicas behind a request-batching server,
 // driven by concurrent producer threads. Prints the artifact size, the
 // bit-identity of loaded-vs-direct forwards, the integer kernel ISA
-// ("avx-vnni", "avx2" or "portable"), per-request correctness under
+// ("amx", "avx2" or "portable"), per-request correctness under
 // concurrency and the throughput/batching statistics.
 //
 // The second half re-serves the artifact CROSS-PROCESS: the parent loads
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "loaded graph forward vs direct lowering: "
             << (identical ? "bit-identical" : "MISMATCH!") << "\n";
-  std::cout << "integer GEMM kernels: " << gemm_int_kernel_isa() << "\n\n";
+  std::cout << "integer GEMM kernels: " << gemm_int_isa_summary() << "\n\n";
 
   serve::ServerOptions server_options;
   server_options.max_batch = 16;

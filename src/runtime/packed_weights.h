@@ -30,8 +30,9 @@
 // so the choice never changes served outputs, only latency.
 //
 // The kernel is the layer's contract (code range, eligibility, persisted
-// name), not its instruction sequence: on AVX-VNNI hosts tensor/gemm runs
-// all three kinds on one exact vpdpbusd K-quad kernel (gemm.h). The panels
+// name), not its instruction sequence: on AMX hosts tensor/gemm runs all
+// three kinds on one exact kernel of 16x16 AMX-INT8 tiles (gemm.h), where
+// the bitserial-w16 rule only decides the name a layer records. The panels
 // are packed from the codes when a layer is built and never persisted, so
 // their host-dependent layout reaches no artifact.
 #pragma once
@@ -49,7 +50,7 @@ namespace runtime {
 // (ProgramInstr::kernel_kind); kAuto (-1) means "resolve at lowering".
 enum class WeightKernel : std::int32_t {
   kAuto = -1,
-  kS8U8 = 0,        // reference path (int16 K-pairs unless AVX-VNNI)
+  kS8U8 = 0,        // reference path (int16 K-pairs unless AMX)
   kBitSerial = 1,   // int8 codes, K-quad vpmaddubsw
   kBitSerialWide = 3,  // bit-serial with int16 accumulators (3x MACs)
   // 2 was the retired nibble kernel; artifacts recording it are rejected.

@@ -11,6 +11,7 @@
 #include "runtime/graph_artifact.h"
 #include "util/check.h"
 #include "util/failpoint.h"
+#include "util/logging.h"
 
 namespace csq {
 namespace serve {
@@ -123,8 +124,8 @@ struct Shard {
                   std::size_t& n, Tensor& staging);
   std::vector<Tensor> warmup_replica(runtime::CompiledGraph& graph,
                                      Tensor& staging);
-  bool quarantine_and_restore(int worker_index, std::vector<Request*>& taken,
-                              std::size_t& n);
+  bool quarantine_and_restore(int worker_index, const std::string& reason,
+                              std::vector<Request*>& taken, std::size_t& n);
   RestoreOutcome restore_with_backoff(int worker_index);
   // Restores exhausted: empties the slot (freeing the replica's memory),
   // drops live_workers and — when the last live worker dies — fails the
@@ -215,12 +216,16 @@ void Shard::worker_loop(int worker_index) {
   // replica only — the popped batch is requeued for siblings, and a
   // backoff-restore loop rebuilds the replica before rejoining.
   while (true) {
+    std::string reason;
     try {
       run_worker(worker_index, taken, n, staging);
       break;
+    } catch (const std::exception& error) {
+      reason = error.what();
     } catch (...) {
-      if (!quarantine_and_restore(worker_index, taken, n)) return;
+      reason = "non-standard exception";
     }
+    if (!quarantine_and_restore(worker_index, reason, taken, n)) return;
   }
   std::lock_guard<std::mutex> lock(mutex);
   --live_workers;
@@ -296,9 +301,40 @@ void Shard::run_worker(int worker_index, std::vector<Request*>& taken,
   }
 }
 
-bool Shard::quarantine_and_restore(int worker_index,
+namespace {
+
+// `value` as a logfmt value: bare when it is a plain word, else
+// double-quoted with quotes, backslashes and line breaks escaped, so a
+// lifecycle line stays one parseable line.
+std::string logfmt_value(const std::string& value) {
+  if (!value.empty() &&
+      value.find_first_of(" \"=\\\n") == std::string::npos) {
+    return value;
+  }
+  std::string out = "\"";
+  for (const char ch : value) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (ch == '\n') {
+      out += "\\n";
+    } else {
+      out += ch;
+    }
+  }
+  return out + '"';
+}
+
+}  // namespace
+
+// Lifecycle events log one warn line each, `event=<name> model=<id>
+// worker=<index>` and the event's own keys; the request path logs nothing.
+bool Shard::quarantine_and_restore(int worker_index, const std::string& reason,
                                    std::vector<Request*>& taken,
                                    std::size_t& n) {
+  log_warn() << "event=quarantine model=" << logfmt_value(id)
+             << " worker=" << worker_index
+             << " reason=" << logfmt_value(reason);
   {
     std::lock_guard<std::mutex> lock(mutex);
     ++stats.quarantines;
@@ -327,6 +363,14 @@ bool Shard::quarantine_and_restore(int worker_index,
   done_cv.notify_all();   // overflow completions
 
   const RestoreOutcome outcome = restore_with_backoff(worker_index);
+  if (outcome == RestoreOutcome::kRestored) {
+    log_warn() << "event=restore model=" << logfmt_value(id)
+               << " worker=" << worker_index;
+  } else if (outcome == RestoreOutcome::kExhausted) {
+    log_warn() << "event=replica_death model=" << logfmt_value(id)
+               << " worker=" << worker_index
+               << " restore_attempts=" << options->restore_max_attempts;
+  }
   {
     std::lock_guard<std::mutex> lock(mutex);
     --quarantined_now;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -82,15 +85,15 @@ void apply_beta(std::int64_t m_begin, std::int64_t m_end, std::int64_t n,
 //
 // Task decomposition of the column/grid schedule: the C tile grid is carved
 // into row_groups x col_stripes tasks, each a contiguous run of MC row tiles
-// x one NR-aligned column stripe (see the determinism contract in gemm.h).
-// Stripes are capped at kGemmNC columns so the per-task packed panel keeps
-// the row schedule's cache footprint.
+// x one column stripe aligned to the kernel's panel width `nr` (see the
+// determinism contract in gemm.h). Stripes are capped at kGemmNC columns so
+// the per-task packed panel keeps the row schedule's cache footprint.
 
 struct TileGrid {
   std::int64_t row_groups = 1;         // groups of consecutive MC row tiles
   std::int64_t tiles_per_group = 1;    // MC tiles per group (last may be short)
-  std::int64_t col_stripes = 1;        // NR-aligned column stripes
-  std::int64_t panels_per_stripe = 1;  // NR panels per stripe (last may be short)
+  std::int64_t col_stripes = 1;        // nr-aligned column stripes
+  std::int64_t panels_per_stripe = 1;  // panels per stripe (last may be short)
   std::int64_t tasks() const { return row_groups * col_stripes; }
 };
 
@@ -103,9 +106,9 @@ int resolve_split_ways(int split_ways) {
 // (tasks queue on the pool, which is fine) and fewer when the shape has too
 // few tiles to split that finely.
 TileGrid make_tile_grid(GemmSplit split, std::int64_t m, std::int64_t n,
-                        int ways) {
+                        int ways, std::int64_t nr) {
   const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  const std::int64_t col_panels = (n + kGemmNR - 1) / kGemmNR;
+  const std::int64_t col_panels = (n + nr - 1) / nr;
   TileGrid grid;
   grid.tiles_per_group = std::max<std::int64_t>(ic_tiles, 1);
   std::int64_t col_ways = std::max<std::int64_t>(ways, 1);
@@ -122,10 +125,22 @@ TileGrid make_tile_grid(GemmSplit split, std::int64_t m, std::int64_t n,
   grid.panels_per_stripe =
       (col_panels + grid.col_stripes - 1) / grid.col_stripes;
   grid.panels_per_stripe =
-      std::min<std::int64_t>(grid.panels_per_stripe, kGemmNC / kGemmNR);
+      std::min<std::int64_t>(grid.panels_per_stripe, kGemmNC / nr);
   grid.col_stripes =
       (col_panels + grid.panels_per_stripe - 1) / grid.panels_per_stripe;
   return grid;
+}
+
+// gemm_choose_split for panels `nr` columns wide.
+GemmSplit choose_split(std::int64_t m, std::int64_t n, int ways,
+                       std::int64_t nr) {
+  const int w = resolve_split_ways(ways);
+  const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
+  const std::int64_t col_panels = (n + nr - 1) / nr;
+  if (w <= 1 || col_panels <= 1) return GemmSplit::kRows;
+  if (ic_tiles >= w) return GemmSplit::kRows;
+  if (ic_tiles <= 1) return GemmSplit::kCols;
+  return GemmSplit::kGrid;
 }
 
 // --------------------------------------------------------------- packing --
@@ -235,15 +250,25 @@ inline void micro_kernel_f32(const float* pa, const float* pb,
 // ---------------------------------------------------------- kernel traits --
 //
 // Each family's traits struct is everything the driver below knows about
-// it: element types, the padded packed depth of a KC block (`depth`; an
-// MR-tall A~ micro-panel holds MR * depth elements), the A~ source of one
-// (ic, pc) tile, pack_b, the micro-kernel and the C-tile update.
+// it: element types, its micro-tile (kMR x kNR), the padded packed depth of
+// a KC block (`depth`; a kMR-tall A~ micro-panel holds kMR * depth
+// elements), the A~ source of one (ic, pc) tile, pack_b, `tile` (one
+// micro-tile: the micro-kernel fused with the C-tile update) and
+// `TileState`, which every thread running tiles of a call holds while it
+// does (the AMX kernel configures its tile registers there).
+
+// The TileState of the families that keep no per-thread state.
+struct NoTileState {
+  explicit NoTileState(std::int64_t /*k*/) {}
+};
 
 struct F32Kernel {
+  static constexpr std::int64_t kMR = kGemmMR;
+  static constexpr std::int64_t kNR = kGemmNR;
+  using TileState = NoTileState;
   using AElem = float;
   using BIn = float;
   using BElem = float;
-  using Acc = float;
   using CElem = float;
   struct ASource {
     Trans trans;
@@ -292,9 +317,12 @@ struct F32Kernel {
     }
   }
 
-  static void micro_kernel(const float* pa, const float* pb, std::int64_t kc,
-                           float* acc) {
+  static void tile(const float* pa, const float* pb, std::int64_t kc,
+                   float* c, std::int64_t ldc, std::int64_t m_sub,
+                   std::int64_t n_sub, const Epilogue& e, bool first_pc) {
+    float acc[kMR * kNR];
     micro_kernel_f32(pa, pb, kc, acc);
+    update(c, ldc, acc, m_sub, n_sub, e, first_pc);
   }
 
   // C tile update: c = beta_eff * c + alpha * acc over the valid m_sub x
@@ -446,7 +474,7 @@ struct F32ConvKernel : F32Kernel {
 // ------------------------------------------------------ integer kernel ----
 //
 // Same blocking scheme as the float path. The s8u8 kernel of AVX2 and
-// portable builds (AVX-VNNI hosts run VnniKernel below) widens operands to
+// portable builds (AMX hosts run AmxKernel below) widens operands to
 // int16 while packing, laid out in K-PAIRS: consecutive depth steps 2p and
 // 2p+1 sit adjacent per row/column, so the AVX2 micro-kernel fuses them
 // with one vpmaddwd (int16 pair dot -> int32, no saturation possible at
@@ -462,13 +490,17 @@ inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
 #define CSQ_GEMM_AVX2_INT_KERNEL 1
 #endif
 
-// The AVX-VNNI kernel is built with a function-level target on top of the
-// AVX2 baseline, so only by compilers that accept target("avxvnni") and
-// name the feature to __builtin_cpu_supports.
-#if defined(CSQ_GEMM_AVX2_INT_KERNEL) &&                       \
-    ((defined(__clang__) && __clang_major__ >= 16) ||          \
+// The AMX kernel is x86-64 inline assembly on top of the AVX2 baseline
+// (its conv packing reuses the AVX2 interleave), built where the compiler's
+// assembler knows the AMX mnemonics and Linux grants the tile state.
+#if defined(CSQ_GEMM_AVX2_INT_KERNEL) && defined(__x86_64__) &&  \
+    defined(__linux__) &&                                         \
+    ((defined(__clang__) && __clang_major__ >= 12) ||             \
      (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 11))
-#define CSQ_GEMM_VNNI_INT_KERNEL 1
+#define CSQ_GEMM_AMX_INT_KERNEL 1
+#include <cpuid.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 #endif
 
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
@@ -549,13 +581,19 @@ inline void micro_kernel_int(const std::int16_t* pa, const std::int16_t* pb,
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
 // Integer families: A~ is a slice of the prepacked blob. `kGroup` is the K
-// grouping (2 = pairs, 4 = quads).
-template <typename AElemT, typename BElemT, std::int64_t kGroup>
+// grouping (2 = pairs, 4 = quads) and `kTile` the micro-tile's rows and
+// columns.
+template <typename AElemT, typename BElemT, std::int64_t kGroup,
+          std::int64_t kTile>
 struct IntKernel {
+  static constexpr std::int64_t kMR = kTile;
+  static constexpr std::int64_t kNR = kTile;
+  static_assert(kGemmMC % kMR == 0 && kGemmNC % kNR == 0,
+                "MC and NC must be multiples of the micro-tile");
+  using TileState = NoTileState;
   using AElem = AElemT;
   using BIn = std::uint8_t;
   using BElem = BElemT;
-  using Acc = std::int32_t;
   using CElem = std::int32_t;
   using ASource = const AElem*;
   struct Epilogue {
@@ -573,53 +611,53 @@ struct IntKernel {
     return ((p / kGroup) * width + i) * kGroup + p % kGroup;
   }
 
-  // A is (m x k) row-major int8 (the weight codes); panels MR-tall,
+  // A is (m x k) row-major int8 (the weight codes); panels kMR-tall,
   // zero-padded.
   static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
                      std::int64_t mc, std::int64_t kc, AElem* dst) {
-    for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-      const std::int64_t rows = std::min(kGemmMR, mc - r);
-      std::fill(dst, dst + kGemmMR * depth(kc), AElem{0});
+    for (std::int64_t r = 0; r < mc; r += kMR) {
+      const std::int64_t rows = std::min(kMR, mc - r);
+      std::fill(dst, dst + kMR * depth(kc), AElem{0});
       for (std::int64_t i = 0; i < rows; ++i) {
         const std::int8_t* src = a + (r + i) * lda + pc;
-        for (std::int64_t p = 0; p < kc; ++p) dst[slot(p, i, kGemmMR)] = src[p];
+        for (std::int64_t p = 0; p < kc; ++p) dst[slot(p, i, kMR)] = src[p];
       }
-      dst += kGemmMR * depth(kc);
+      dst += kMR * depth(kc);
     }
   }
 
-  // op(B) is (k x n) uint8 activation codes; panels NR-wide, zero-padded.
+  // op(B) is (k x n) uint8 activation codes; panels kNR-wide, zero-padded.
   static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
                      std::int64_t pc, std::int64_t jc, std::int64_t kc,
                      std::int64_t nc, BElem* dst) {
-    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-      const std::int64_t cols = std::min(kGemmNR, nc - s);
-      std::fill(dst, dst + kGemmNR * depth(kc), BElem{0});
+    for (std::int64_t s = 0; s < nc; s += kNR) {
+      const std::int64_t cols = std::min(kNR, nc - s);
+      std::fill(dst, dst + kNR * depth(kc), BElem{0});
       if (trans == Trans::no) {
         for (std::int64_t p = 0; p < kc; ++p) {
           const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
           for (std::int64_t j = 0; j < cols; ++j) {
-            dst[slot(p, j, kGemmNR)] = src[j];
+            dst[slot(p, j, kNR)] = src[j];
           }
         }
       } else {
         for (std::int64_t j = 0; j < cols; ++j) {
           const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
           for (std::int64_t p = 0; p < kc; ++p) {
-            dst[slot(p, j, kGemmNR)] = src[p];
+            dst[slot(p, j, kNR)] = src[p];
           }
         }
       }
-      dst += kGemmNR * depth(kc);
+      dst += kNR * depth(kc);
     }
   }
 
-  // The blob holds every MR panel of the full m extent per KC block, so a
-  // tile's panels start at its block's offset plus ic / MR panels.
+  // The blob holds every kMR panel of the full m extent per KC block, so a
+  // tile's panels start at its block's offset plus ic / kMR panels.
   static const AElem* a_tile(ASource blob, std::int64_t ic, std::int64_t,
                              std::int64_t, std::int64_t kc,
                              std::int64_t a_offset, GemmScratch&) {
-    return blob + a_offset + (ic / kGemmMR) * kGemmMR * depth(kc);
+    return blob + a_offset + (ic / kMR) * kMR * depth(kc);
   }
 
   // C = alpha * acc, or C += alpha * acc with `accumulate` or past pc == 0.
@@ -630,7 +668,7 @@ struct IntKernel {
     const bool add_into_c = e.accumulate || !first_pc;
     for (std::int64_t i = 0; i < m_sub; ++i) {
       std::int32_t* c_row = c + i * ldc;
-      const std::int32_t* acc_row = acc + i * kGemmNR;
+      const std::int32_t* acc_row = acc + i * kNR;
       if (add_into_c) {
         for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
       } else {
@@ -640,12 +678,25 @@ struct IntKernel {
   }
 };
 
-struct S8U8Kernel : IntKernel<std::int16_t, std::int16_t, 2> {
-  static void micro_kernel(const std::int16_t* pa, const std::int16_t* pb,
-                           std::int64_t kc, std::int32_t* acc) {
-    micro_kernel_int(pa, pb, kc, acc);
+// The families of AVX2 and portable builds: an 8x8 micro-kernel fills a
+// stack accumulator tile that update() then folds into C.
+template <typename AElemT, typename BElemT, std::int64_t kGroup,
+          void (*kMicroKernel)(const AElemT*, const BElemT*, std::int64_t,
+                               std::int32_t*)>
+struct StackTileKernel : IntKernel<AElemT, BElemT, kGroup, kGemmMR> {
+  using Base = IntKernel<AElemT, BElemT, kGroup, kGemmMR>;
+  static void tile(const AElemT* pa, const BElemT* pb, std::int64_t kc,
+                   std::int32_t* c, std::int64_t ldc, std::int64_t m_sub,
+                   std::int64_t n_sub, const typename Base::Epilogue& e,
+                   bool first_pc) {
+    std::int32_t acc[Base::kMR * Base::kNR];
+    kMicroKernel(pa, pb, kc, acc);
+    Base::update(c, ldc, acc, m_sub, n_sub, e, first_pc);
   }
 };
+
+using S8U8Kernel =
+    StackTileKernel<std::int16_t, std::int16_t, 2, micro_kernel_int>;
 
 // ----------------------------------------------- low-bit K-quad kernels --
 //
@@ -811,77 +862,180 @@ inline void micro_kernel_lowbit_wide(const std::int8_t* pa,
 
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
-struct LowBitKernel : IntKernel<std::int8_t, std::uint8_t, 4> {
-  static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
-                           std::int64_t kc, std::int32_t* acc) {
-    micro_kernel_lowbit(pa, pb, kc, acc);
-  }
+using LowBitKernel =
+    StackTileKernel<std::int8_t, std::uint8_t, 4, micro_kernel_lowbit>;
+using LowBitWideKernel =
+    StackTileKernel<std::int8_t, std::uint8_t, 4, micro_kernel_lowbit_wide>;
+
+#ifdef CSQ_GEMM_AMX_INT_KERNEL
+
+// ------------------------------------------------------ AMX-INT8 tiles ----
+//
+// Every kind on an AMX host runs 16x16 tdpbsud tiles: each int32 lane of
+// the C tile gains the four s8 A x u8 B products of each depth quad, summed
+// straight into int32. No int16 intermediate exists, so no int8 code
+// saturates and int32 headroom is the only bound — the one every kind
+// already enforces (k <= 32767, |alpha| within its range).
+//
+// A~ panels are 16 rows of int8 codes, row-major over the quad-padded KC
+// depth, so one tile row is 64 consecutive depth bytes of a weight row.
+// B~ panels are the uint8 K-quad layout at 16 columns, so one tile row is
+// one depth quad of all 16 columns. KC is a multiple of 64: a call's only
+// partial depth step is its last KC block's depth mod 64, and one tile
+// configuration per call and thread covers it (TileState).
+//
+// The tile instructions are inline assembly with a "memory" clobber, not
+// <immintrin.h>'s AMX macros: their tileloadd passes only the address in a
+// register, so stores to the panels it reads may be moved past it, and
+// their ldtilecfg names only the first 8 bytes of the 64-byte
+// configuration, so GCC 12 at -O2 drops the stores to a stack-local one
+// and the first tile op faults. The configurations are constants.
+
+constexpr std::int64_t kAmxTile = 16;   // C tile rows and int32 columns
+constexpr std::int64_t kAmxStep = 64;   // depth bytes per tdpbsud
+static_assert(kGemmKC % kAmxStep == 0,
+              "only a call's last KC block may end in a partial tile step");
+
+// The 64-byte ldtilecfg operand (palette 1). tmm0 holds the C tile,
+// tmm1/tmm2 a whole 64-deep step of A and B, tmm3/tmm4 the partial step of
+// `tail` depth bytes (unconfigured when tail is 0).
+struct alignas(64) TileConfig {
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {};
+  std::uint8_t rows[16] = {};
 };
+static_assert(sizeof(TileConfig) == 64, "ldtilecfg reads 64 bytes");
 
-struct LowBitWideKernel : LowBitKernel {
-  static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
-                           std::int64_t kc, std::int32_t* acc) {
-    micro_kernel_lowbit_wide(pa, pb, kc, acc);
+constexpr TileConfig make_tile_config(std::int64_t tail) {
+  TileConfig config;
+  for (int t = 0; t < 3; ++t) {
+    config.colsb[t] = kAmxStep;
+    config.rows[t] = kAmxTile;
   }
-};
-
-#ifdef CSQ_GEMM_VNNI_INT_KERNEL
-
-// The K-quad layout on one vpdpbusd per accumulator row and quad: each
-// lane's four u8 B x s8 A products are summed straight into its int32
-// accumulator. No int16 intermediate exists, so no int8 code saturates and
-// int32 headroom is the only bound — the one every kind already enforces
-// (k <= 32767, |alpha| within its range). Only called once the CPU check
-// in host_isa() found AVX-VNNI; the driver cannot inline it, so one call
-// runs a whole micro-tile.
-__attribute__((target("avxvnni"))) void micro_kernel_vnni(
-    const std::int8_t* pa, const std::uint8_t* pb, std::int64_t kc,
-    std::int32_t* acc) {
-  const std::int64_t quads = quad_kc(kc) / 4;
-  __m256i c0 = _mm256_setzero_si256(), c1 = _mm256_setzero_si256(),
-          c2 = _mm256_setzero_si256(), c3 = _mm256_setzero_si256(),
-          c4 = _mm256_setzero_si256(), c5 = _mm256_setzero_si256(),
-          c6 = _mm256_setzero_si256(), c7 = _mm256_setzero_si256();
-  for (std::int64_t q = 0; q < quads; ++q) {
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(pb + q * kGemmNR * 4));
-    const std::int8_t* a_col = pa + q * kGemmMR * 4;
-    c0 = _mm256_dpbusd_avx_epi32(c0, b, broadcast_a_quad(a_col + 0));
-    c1 = _mm256_dpbusd_avx_epi32(c1, b, broadcast_a_quad(a_col + 4));
-    c2 = _mm256_dpbusd_avx_epi32(c2, b, broadcast_a_quad(a_col + 8));
-    c3 = _mm256_dpbusd_avx_epi32(c3, b, broadcast_a_quad(a_col + 12));
-    c4 = _mm256_dpbusd_avx_epi32(c4, b, broadcast_a_quad(a_col + 16));
-    c5 = _mm256_dpbusd_avx_epi32(c5, b, broadcast_a_quad(a_col + 20));
-    c6 = _mm256_dpbusd_avx_epi32(c6, b, broadcast_a_quad(a_col + 24));
-    c7 = _mm256_dpbusd_avx_epi32(c7, b, broadcast_a_quad(a_col + 28));
+  if (tail > 0) {
+    config.colsb[3] = static_cast<std::uint16_t>(tail);
+    config.rows[3] = kAmxTile;
+    config.colsb[4] = kAmxStep;
+    config.rows[4] = static_cast<std::uint8_t>(tail / 4);
   }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0 * 8), c0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 1 * 8), c1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 2 * 8), c2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 3 * 8), c3);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4 * 8), c4);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 5 * 8), c5);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 6 * 8), c6);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 7 * 8), c7);
+  return config;
 }
 
-// Every kind on an AVX-VNNI host: int8 A and uint8 B K-quads (kS8U8 codes
-// in [-128, 127] fit int8 as they are) and the vpdpbusd micro-kernel.
-struct VnniKernel : IntKernel<std::int8_t, std::uint8_t, 4> {
-  static void micro_kernel(const std::int8_t* pa, const std::uint8_t* pb,
-                           std::int64_t kc, std::int32_t* acc) {
-    micro_kernel_vnni(pa, pb, kc, acc);
+// One configuration per quad-padded tail depth (0, 4, ..., 60).
+struct TileConfigs {
+  TileConfig by_tail_quads[kAmxStep / 4];
+};
+constexpr TileConfigs make_tile_configs() {
+  TileConfigs configs;
+  for (std::int64_t q = 0; q < kAmxStep / 4; ++q) {
+    configs.by_tail_quads[q] = make_tile_config(q * 4);
+  }
+  return configs;
+}
+constexpr TileConfigs kTileConfigs = make_tile_configs();
+
+// Tile register numbers are part of the mnemonic, hence macros.
+#define CSQ_TILE_LOAD(tmm, base, stride)                          \
+  __asm__ volatile("tileloadd (%0,%1,1), %%tmm" #tmm ::"r"(base), \
+                   "r"(stride)                                    \
+                   : "memory")
+#define CSQ_TILE_STORE(tmm, base, stride)                          \
+  __asm__ volatile("tilestored %%tmm" #tmm ", (%0,%1,1)" ::"r"(base), \
+                   "r"(stride)                                     \
+                   : "memory")
+#define CSQ_TILE_ZERO(tmm) __asm__ volatile("tilezero %%tmm" #tmm ::)
+// tmm[c] += tmm[a] (s8, 16 x 64 bytes) * tmm[b] (u8 quads, 16 x 16).
+#define CSQ_TILE_DPBSUD(c, a, b) \
+  __asm__ volatile("tdpbsud %%tmm" #b ", %%tmm" #a ", %%tmm" #c ::)
+
+struct AmxKernel : IntKernel<std::int8_t, std::uint8_t, 4, kAmxTile> {
+  // A~: kMR-row panels, each row the kc codes of a weight row, zero-padded
+  // to the quad depth (and past the last row).
+  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
+                     std::int64_t mc, std::int64_t kc, std::int8_t* dst) {
+    const std::int64_t row = depth(kc);
+    for (std::int64_t r = 0; r < mc; r += kMR) {
+      const std::int64_t rows = std::min(kMR, mc - r);
+      std::fill(dst, dst + kMR * row, std::int8_t{0});
+      for (std::int64_t i = 0; i < rows; ++i) {
+        std::memcpy(dst + i * row, a + (r + i) * lda + pc,
+                    static_cast<std::size_t>(kc));
+      }
+      dst += kMR * row;
+    }
+  }
+
+  // Loads the tile configuration of a depth-k call and releases the tiles
+  // when the thread is done with the call, so no sleeping pool or replica
+  // thread carries live tile state.
+  class TileState {
+   public:
+    explicit TileState(std::int64_t k) {
+      const std::int64_t last_kc = k - (k - 1) / kGemmKC * kGemmKC;
+      const TileConfig& config =
+          kTileConfigs.by_tail_quads[depth(last_kc) % kAmxStep / 4];
+      __asm__ volatile("ldtilecfg %0" ::"m"(config));
+    }
+    ~TileState() { __asm__ volatile("tilerelease" ::: "memory"); }
+    TileState(const TileState&) = delete;
+    TileState& operator=(const TileState&) = delete;
+  };
+
+  // One 16x16 C tile over a KC block. With alpha 1 a full tile runs on C
+  // itself: loaded when accumulating (or past pc == 0), else zeroed, and
+  // stored straight back. Edge tiles and other alphas (the split chain's
+  // alpha-2 hi pass) go through a stack tile and update().
+  static void tile(const std::int8_t* pa, const std::uint8_t* pb,
+                   std::int64_t kc, std::int32_t* c, std::int64_t ldc,
+                   std::int64_t m_sub, std::int64_t n_sub, const Epilogue& e,
+                   bool first_pc) {
+    const std::int64_t row = depth(kc);
+    const std::int64_t c_stride = ldc * std::int64_t{sizeof(std::int32_t)};
+    const bool in_place = e.alpha == 1 && m_sub == kMR && n_sub == kNR;
+    if (in_place && (e.accumulate || !first_pc)) {
+      CSQ_TILE_LOAD(0, c, c_stride);
+    } else {
+      CSQ_TILE_ZERO(0);
+    }
+    std::int64_t p = 0;
+    for (; p + kAmxStep <= row; p += kAmxStep) {
+      CSQ_TILE_LOAD(1, pa + p, row);
+      CSQ_TILE_LOAD(2, pb + p * kNR, kAmxStep);
+      CSQ_TILE_DPBSUD(0, 1, 2);
+    }
+    if (p < row) {
+      CSQ_TILE_LOAD(3, pa + p, row);
+      CSQ_TILE_LOAD(4, pb + p * kNR, kAmxStep);
+      CSQ_TILE_DPBSUD(0, 3, 4);
+    }
+    if (in_place) {
+      CSQ_TILE_STORE(0, c, c_stride);
+      return;
+    }
+    std::int32_t acc[kMR * kNR];
+    CSQ_TILE_STORE(0, acc, kNR * std::int64_t{sizeof(std::int32_t)});
+    update(c, ldc, acc, m_sub, n_sub, e, first_pc);
   }
 };
 
-#endif  // CSQ_GEMM_VNNI_INT_KERNEL
+#undef CSQ_TILE_LOAD
+#undef CSQ_TILE_STORE
+#undef CSQ_TILE_ZERO
+#undef CSQ_TILE_DPBSUD
+
+#endif  // CSQ_GEMM_AMX_INT_KERNEL
 
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
-// One K-group row of an NR-wide B~ panel from kGroup tap rows, each in the
-// low 8 bytes of a register: dst[j * kGroup + g] = byte j of rows[g] —
-// int16 K-pairs for s8u8, uint8 K-quads for the low-bit kinds.
-template <std::int64_t kGroup, typename BElem>
+// One K-group row of a kNR-wide B~ panel from kGroup tap rows, each in the
+// low kNR bytes of a register: dst[j * kGroup + g] = byte j of rows[g] —
+// int16 K-pairs for s8u8 (8 wide), uint8 K-quads for the low-bit kinds
+// (8 wide) and AMX (16 wide).
+template <std::int64_t kGroup, std::int64_t kNR, typename BElem>
 inline void interleave_rows(const __m128i (&rows)[kGroup], BElem* dst) {
+  static_assert(kNR == 8 || (kNR == 16 && kGroup == 4),
+                "8-wide pairs or quads, or 16-wide quads");
   const __m128i pairs = _mm_unpacklo_epi8(rows[0], rows[1]);
   if constexpr (kGroup == 2) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
@@ -892,6 +1046,14 @@ inline void interleave_rows(const __m128i (&rows)[kGroup], BElem* dst) {
                      _mm_unpacklo_epi16(pairs, high_pairs));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
                      _mm_unpackhi_epi16(pairs, high_pairs));
+    if constexpr (kNR == 16) {  // columns 8..15
+      const __m128i pairs8 = _mm_unpackhi_epi8(rows[0], rows[1]);
+      const __m128i high_pairs8 = _mm_unpackhi_epi8(rows[2], rows[3]);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 32),
+                       _mm_unpacklo_epi16(pairs8, high_pairs8));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
+                       _mm_unpackhi_epi16(pairs8, high_pairs8));
+    }
   }
 }
 
@@ -901,41 +1063,81 @@ inline __m128i load4(const std::uint8_t* p) {
   std::memcpy(&v, p, sizeof(v));
   return _mm_cvtsi32_si128(v);
 }
+
+// The kNR bytes of one tap row at positions that form kNR / kRun runs of
+// kRun consecutive bytes, run r starting at tap + starts[r], gathered in
+// order into the low kNR bytes of a register.
+template <std::int64_t kNR, std::int64_t kRun>
+inline __m128i load_runs(const std::uint8_t* tap, const std::int64_t* starts) {
+  if constexpr (kRun == 16) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(tap + starts[0]));
+  } else if constexpr (kRun == 8) {
+    const __m128i first =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(tap + starts[0]));
+    if constexpr (kNR == 8) return first;
+    return _mm_unpacklo_epi64(
+        first,
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(tap + starts[1])));
+  } else {
+    static_assert(kRun == 4, "runs of 16, 8 or 4 bytes");
+    const __m128i first =
+        _mm_unpacklo_epi32(load4(tap + starts[0]), load4(tap + starts[1]));
+    if constexpr (kNR == 8) return first;
+    return _mm_unpacklo_epi64(
+        first,
+        _mm_unpacklo_epi32(load4(tap + starts[2]), load4(tap + starts[3])));
+  }
+}
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
-// interleave_rows over kGroup staged NR-byte rows.
-template <std::int64_t kGroup, typename BElem>
-inline void interleave_group(const std::uint8_t (&rows)[kGroup][kGemmNR],
+// interleave_rows over kGroup staged kNR-byte rows.
+template <std::int64_t kGroup, std::int64_t kNR, typename BElem>
+inline void interleave_group(const std::uint8_t (&rows)[kGroup][kNR],
                              BElem* dst) {
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
   __m128i regs[kGroup];
   for (std::int64_t g = 0; g < kGroup; ++g) {
-    regs[g] = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rows[g]));
+    regs[g] = kNR == 16 ? _mm_loadu_si128(
+                              reinterpret_cast<const __m128i*>(rows[g]))
+                        : _mm_loadl_epi64(
+                              reinterpret_cast<const __m128i*>(rows[g]));
   }
-  interleave_rows<kGroup>(regs, dst);
+  interleave_rows<kGroup, kNR>(regs, dst);
 #else
-  for (std::int64_t j = 0; j < kGemmNR; ++j) {
+  for (std::int64_t j = 0; j < kNR; ++j) {
     for (std::int64_t g = 0; g < kGroup; ++g) dst[j * kGroup + g] = rows[g][j];
   }
 #endif
 }
 
+// True when the kNR panel positions at image offsets `at` form runs of
+// `run` consecutive bytes: offsets rise by at least 1 per step, so a run's
+// last offset is `run - 1` past its first exactly when it has no gap.
+template <std::int64_t kNR>
+bool in_runs(const std::int64_t (&at)[kNR], std::int64_t run) {
+  for (std::int64_t r = 0; r < kNR; r += run) {
+    if (at[r + run - 1] - at[r] != run - 1) return false;
+  }
+  return true;
+}
+
 // An integer kernel with B packed from a ConvSource<uint8_t>
-// (gemm_packed_conv): Base's A~, micro-kernel and C update, and B~ panels
+// (gemm_packed_conv): Base's A~, micro-tile and C update, and B~ panels
 // byte-equal to Base::pack_b over im2col_u8's matrix. The border already
 // holds the edge's zero point (pad_image's fill); depth and column tails
 // are zero-filled as Base::pack_b fills them. Each full panel is classed
-// once by its positions' image offsets, which rise by at least 1 per step:
-// one 8-byte run (stride 1 within one output row), two 4-byte runs (each
-// half in one row, as on stride-1 4-wide outputs) or neither. In AVX2
-// builds every whole K-group of a run panel loads each tap's run straight
-// into a register (one 8-byte or two 4-byte loads) and interleaves it
-// there. The depth tail, gather panels and portable builds stage kGroup
-// NR-byte rows first.
+// once by its positions' image offsets: one kNR-byte run (stride 1 within
+// one output row), two kNR/2-byte runs (each half in one row, as 16-wide
+// panels on 8-wide outputs or 8-wide ones on 4-wide outputs), four 4-byte
+// runs (16-wide panels on 4-wide outputs) or none. In AVX2 builds every
+// whole K-group of a run panel loads each tap's runs straight into a
+// register and interleaves them there. The depth tail, gather panels and
+// portable builds stage kGroup kNR-byte rows first.
 template <typename Base, std::int64_t kGroup>
 struct IntConvKernel : Base {
   using BIn = ConvSource<std::uint8_t>;
   using BElem = typename Base::BElem;
+  static constexpr std::int64_t kNR = Base::kNR;
 
   static void pack_b(Trans /*trans*/, const BIn* b, std::int64_t /*ldb*/,
                      std::int64_t pc, std::int64_t jc, std::int64_t kc,
@@ -944,60 +1146,59 @@ struct IntConvKernel : Base {
     const std::uint8_t* taps[kGemmKC];
     src.tap_bases(pc, kc, taps);
     const std::int64_t kcg = Base::depth(kc);
-    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-      const std::int64_t cols = std::min(kGemmNR, nc - s);
-      std::int64_t at[kGemmNR];
+    for (std::int64_t s = 0; s < nc; s += kNR) {
+      const std::int64_t cols = std::min(kNR, nc - s);
+      std::int64_t at[kNR];
       src.position_offsets(jc + s, cols, at);
-      const bool adjacent =
-          cols == kGemmNR && at[kGemmNR - 1] - at[0] == kGemmNR - 1;
+      const bool adjacent = cols == kNR && in_runs(at, kNR);
       std::int64_t p = 0;
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
-      const auto load_groups = [&](auto load_run) {
+      const auto load_groups = [&](auto run) {
+        constexpr std::int64_t kRun = decltype(run)::value;
+        std::int64_t starts[kNR / kRun];
+        for (std::int64_t r = 0; r < kNR / kRun; ++r) starts[r] = at[r * kRun];
         for (; p + kGroup <= kc; p += kGroup) {
           __m128i runs[kGroup];
           for (std::int64_t g = 0; g < kGroup; ++g) {
-            runs[g] = load_run(taps[p + g]);
+            runs[g] = load_runs<kNR, kRun>(taps[p + g], starts);
           }
-          interleave_rows<kGroup>(runs, dst + p * kGemmNR);
+          interleave_rows<kGroup, kNR>(runs, dst + p * kNR);
         }
       };
-      if (cols == kGemmNR) {
-        const std::int64_t first = at[0], second = at[kGemmNR / 2];
-        if (adjacent) {
-          load_groups([first](const std::uint8_t* tap) {
-            return _mm_loadl_epi64(
-                reinterpret_cast<const __m128i*>(tap + first));
-          });
-        } else if (at[3] - first == 3 && at[kGemmNR - 1] - second == 3) {
-          load_groups([first, second](const std::uint8_t* tap) {
-            return _mm_unpacklo_epi32(load4(tap + first), load4(tap + second));
-          });
-        }
+      using Run = std::integral_constant<std::int64_t, kNR>;
+      using HalfRun = std::integral_constant<std::int64_t, kNR / 2>;
+      using QuadRun = std::integral_constant<std::int64_t, 4>;
+      if (adjacent) {
+        load_groups(Run{});
+      } else if (cols == kNR && in_runs(at, kNR / 2)) {
+        load_groups(HalfRun{});
+      } else if (kNR == 16 && cols == kNR && in_runs(at, 4)) {
+        load_groups(QuadRun{});
       }
 #endif
       for (; p < kcg; p += kGroup) {
-        std::uint8_t rows[kGroup][kGemmNR];
+        std::uint8_t rows[kGroup][kNR];
         for (std::int64_t g = 0; g < kGroup; ++g) {
           if (p + g >= kc) {
-            std::memset(rows[g], 0, kGemmNR);
+            std::memset(rows[g], 0, kNR);
           } else if (adjacent) {
-            std::memcpy(rows[g], taps[p + g] + at[0], kGemmNR);
+            std::memcpy(rows[g], taps[p + g] + at[0], kNR);
           } else {
             std::int64_t j = 0;
             for (; j < cols; ++j) rows[g][j] = taps[p + g][at[j]];
-            for (; j < kGemmNR; ++j) rows[g][j] = 0;
+            for (; j < kNR; ++j) rows[g][j] = 0;
           }
         }
-        interleave_group<kGroup>(rows, dst + p * kGemmNR);
+        interleave_group<kGroup, kNR>(rows, dst + p * kNR);
       }
-      dst += kGemmNR * kcg;
+      dst += kNR * kcg;
     }
   }
 };
 
 // ------------------------------------------------------- integer ISA ----
 
-// The integer ISA of a build or host without AVX-VNNI.
+// The integer ISA of a build or host that cannot run AMX.
 constexpr GemmIntIsa kBaselineIsa =
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
     GemmIntIsa::kAvx2;
@@ -1005,19 +1206,32 @@ constexpr GemmIntIsa kBaselineIsa =
     GemmIntIsa::kPortable;
 #endif
 
-// The ISA this host runs unforced; the CPU check runs once per process.
-GemmIntIsa host_isa() {
-#ifdef CSQ_GEMM_VNNI_INT_KERNEL
-  static const GemmIntIsa isa = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avxvnni") ? GemmIntIsa::kAvxVnni
-                                             : kBaselineIsa;
-  }();
-  return isa;
+// The ISA this host runs unforced, probed once per process: whether the
+// CPU reports AMX-TILE and AMX-INT8 (CPUID leaf 7, EDX bits 24 and 25) and,
+// if so, whether Linux grants the process the AMX tile-data state.
+const GemmIntIsaChoice& host_choice() {
+  static const GemmIntIsaChoice choice = [] {
+#ifdef CSQ_GEMM_AMX_INT_KERNEL
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    const bool cpu_amx =
+        __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+        ((edx >> 24) & 1) != 0 && ((edx >> 25) & 1) != 0;
+    constexpr long kArchReqXcompPerm = 0x1023;
+    constexpr long kXfeatureXtiledata = 18;
+    const int refused =
+        !cpu_amx || syscall(SYS_arch_prctl, kArchReqXcompPerm,
+                            kXfeatureXtiledata) == 0
+            ? 0
+            : errno;
+    return gemm_choose_int_isa(true, cpu_amx, refused);
 #else
-  return kBaselineIsa;
+    return gemm_choose_int_isa(false, false, 0);
 #endif
+  }();
+  return choice;
 }
+
+GemmIntIsa host_isa() { return host_choice().isa; }
 
 // ScopedGemmIntIsaForTest's forced ISA, or -1.
 std::atomic<std::int32_t> forced_isa{-1};
@@ -1030,8 +1244,8 @@ GemmIntIsa int_isa() {
 
 const char* isa_name(GemmIntIsa isa) {
   switch (isa) {
-    case GemmIntIsa::kAvxVnni:
-      return "avx-vnni";
+    case GemmIntIsa::kAmx:
+      return "amx";
     case GemmIntIsa::kAvx2:
       return "avx2";
     case GemmIntIsa::kPortable:
@@ -1042,7 +1256,7 @@ const char* isa_name(GemmIntIsa isa) {
 
 // The exactness contract of each kind (gemm.h): its code range and
 // |alpha|. It belongs to the kind, not to the traits struct that runs it:
-// on AVX-VNNI hosts one struct runs all three.
+// on AMX hosts one struct runs all three.
 struct KindLimits {
   std::int32_t min_code, max_code, max_alpha;
 };
@@ -1064,8 +1278,8 @@ KindLimits kind_limits(PackedKernel kind) {
 template <typename Fn>
 decltype(auto) with_kernel(GemmIntIsa isa, PackedKernel kind, Fn&& fn) {
   kind_limits(kind);  // rejects an unknown kind on every ISA
-#ifdef CSQ_GEMM_VNNI_INT_KERNEL
-  if (isa == GemmIntIsa::kAvxVnni) return fn(VnniKernel{});
+#ifdef CSQ_GEMM_AMX_INT_KERNEL
+  if (isa == GemmIntIsa::kAmx) return fn(AmxKernel{});
 #else
   (void)isa;
 #endif
@@ -1091,10 +1305,10 @@ struct PackedHeader {
 };
 static_assert(sizeof(PackedHeader) == 16, "packed-A header is 16 bytes");
 
-// A~ elements of one KC block: the MR panels of the whole m extent.
+// A~ elements of one KC block: the kMR panels of the whole m extent.
 template <typename K>
 std::int64_t a_block_size(std::int64_t m, std::int64_t kc) {
-  return (m + kGemmMR - 1) / kGemmMR * kGemmMR * K::depth(kc);
+  return (m + K::kMR - 1) / K::kMR * K::kMR * K::depth(kc);
 }
 
 // ---------------------------------------------------------------- driver --
@@ -1118,41 +1332,46 @@ struct Block {
 };
 
 // One MC-tall row tile of C inside a (jc, pc) block: sweeps the jr/ir
-// micro-tile grid over the packed B~ (read-only, possibly shared).
+// micro-tile grid over the packed B~ (read-only, possibly shared). The
+// executing thread holds a K::TileState for the call.
 template <typename K>
 void run_tile(const Problem<K>& p, const Block& blk, std::int64_t ic,
               const typename K::BElem* packed_b, GemmScratch& scratch) {
   const std::int64_t mc = std::min(kGemmMC, p.m - ic);
   const typename K::AElem* packed_a =
       K::a_tile(p.a, ic, blk.pc, mc, blk.kc, blk.a_offset, scratch);
-  const std::int64_t a_stride = kGemmMR * K::depth(blk.kc);
-  const std::int64_t b_stride = kGemmNR * K::depth(blk.kc);
-  typename K::Acc acc[kGemmMR * kGemmNR];
-  for (std::int64_t jr = 0; jr < blk.nc; jr += kGemmNR) {
-    const std::int64_t n_sub = std::min(kGemmNR, blk.nc - jr);
-    const typename K::BElem* pb = packed_b + (jr / kGemmNR) * b_stride;
-    for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
-      const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
-      K::micro_kernel(packed_a + (ir / kGemmMR) * a_stride, pb, blk.kc, acc);
-      K::update(p.c + (ic + ir) * p.ldc + blk.jc + jr, p.ldc, acc, m_sub,
-                n_sub, p.epilogue, blk.pc == 0);
+  const std::int64_t a_stride = K::kMR * K::depth(blk.kc);
+  const std::int64_t b_stride = K::kNR * K::depth(blk.kc);
+  for (std::int64_t jr = 0; jr < blk.nc; jr += K::kNR) {
+    const std::int64_t n_sub = std::min(K::kNR, blk.nc - jr);
+    const typename K::BElem* pb = packed_b + (jr / K::kNR) * b_stride;
+    for (std::int64_t ir = 0; ir < mc; ir += K::kMR) {
+      const std::int64_t m_sub = std::min(K::kMR, mc - ir);
+      K::tile(packed_a + (ir / K::kMR) * a_stride, pb, blk.kc,
+              p.c + (ic + ir) * p.ldc + blk.jc + jr, p.ldc, m_sub, n_sub,
+              p.epilogue, blk.pc == 0);
     }
   }
 }
 
 // Row schedule: B~ is packed once per (jc, pc) on the calling thread and
-// shared by the whole ic sweep, which runs in order or across the pool.
+// shared by the whole ic sweep, which runs in order or across the pool. A
+// serial sweep holds one TileState for the call; a pooled one, one per
+// chunk of row tiles.
 template <typename K>
 void run_rows(const Problem<K>& p, GemmScratch& scratch, bool pooled) {
   using BElem = typename K::BElem;
   const std::int64_t ic_tiles = (p.m + kGemmMC - 1) / kGemmMC;
+  const bool serial = !pooled || ic_tiles <= 1;
+  std::optional<typename K::TileState> tiles;
+  if (serial) tiles.emplace(p.k);
   BElem* packed_b = panel<BElem>(scratch.packed_b);
   for (std::int64_t jc = 0; jc < p.n; jc += kGemmNC) {
     Block blk{jc, std::min(kGemmNC, p.n - jc), 0, 0, 0};
     for (; blk.pc < p.k; blk.pc += kGemmKC) {
       blk.kc = std::min(kGemmKC, p.k - blk.pc);
       K::pack_b(p.trans_b, p.b, p.ldb, blk.pc, jc, blk.kc, blk.nc, packed_b);
-      if (!pooled || ic_tiles <= 1) {
+      if (serial) {
         for (std::int64_t t = 0; t < ic_tiles; ++t) {
           run_tile(p, blk, t * kGemmMC, packed_b, scratch);
         }
@@ -1167,6 +1386,7 @@ void run_rows(const Problem<K>& p, GemmScratch& scratch, bool pooled) {
         parallel_for_chunked(
             0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
               GemmScratch& own = thread_scratch();
+              const typename K::TileState chunk_tiles(ctx.p->k);
               for (std::int64_t t = begin; t < end; ++t) {
                 run_tile(*ctx.p, *ctx.blk, t * kGemmMC, ctx.packed_b, own);
               }
@@ -1179,7 +1399,8 @@ void run_rows(const Problem<K>& p, GemmScratch& scratch, bool pooled) {
 
 // Column/grid schedule: every task owns a (row-tile group x column stripe)
 // block of C and runs the ascending pc loop itself, packing B~ for its
-// stripe into the executing thread's scratch.
+// stripe into the executing thread's scratch. Each chunk of tasks holds one
+// TileState.
 template <typename K>
 void run_grid(const Problem<K>& p, const TileGrid& grid) {
   struct GridContext {
@@ -1191,10 +1412,11 @@ void run_grid(const Problem<K>& p, const TileGrid& grid) {
       0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
         const Problem<K>& p = *ctx.p;
         GemmScratch& scratch = thread_scratch();
+        const typename K::TileState tiles(p.k);
         typename K::BElem* packed_b =
             panel<typename K::BElem>(scratch.packed_b);
         const std::int64_t stripe_cols =
-            ctx.grid.panels_per_stripe * kGemmNR;
+            ctx.grid.panels_per_stripe * K::kNR;
         for (std::int64_t t = begin; t < end; ++t) {
           const std::int64_t group = t / ctx.grid.col_stripes;
           const std::int64_t jc = (t % ctx.grid.col_stripes) * stripe_cols;
@@ -1224,10 +1446,10 @@ void run(const Problem<K>& p, GemmScratch* scratch, const GemmExec& exec) {
   if (pooled) {
     const int ways = resolve_split_ways(exec.ways);
     const GemmSplit split = exec.split == GemmSplit::kAuto
-                                ? gemm_choose_split(p.m, p.n, ways)
+                                ? choose_split(p.m, p.n, ways, K::kNR)
                                 : exec.split;
     if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, p.m, p.n, ways);
+      const TileGrid grid = make_tile_grid(split, p.m, p.n, ways, K::kNR);
       if (grid.tasks() > 1) {
         run_grid(p, grid);
         return;
@@ -1290,13 +1512,7 @@ const std::uint8_t* packed_panels(GemmIntIsa isa, PackedKernel kind,
 }  // namespace
 
 GemmSplit gemm_choose_split(std::int64_t m, std::int64_t n, int ways) {
-  const int w = resolve_split_ways(ways);
-  const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  const std::int64_t col_panels = (n + kGemmNR - 1) / kGemmNR;
-  if (w <= 1 || col_panels <= 1) return GemmSplit::kRows;
-  if (ic_tiles >= w) return GemmSplit::kRows;
-  if (ic_tiles <= 1) return GemmSplit::kCols;
-  return GemmSplit::kGrid;
+  return choose_split(m, n, ways, kGemmNR);
 }
 
 std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
@@ -1305,7 +1521,7 @@ std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
   const int w = resolve_split_ways(ways);
   if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, w);
   if (split == GemmSplit::kRows) return (m + kGemmMC - 1) / kGemmMC;
-  return make_tile_grid(split, m, n, w).tasks();
+  return make_tile_grid(split, m, n, w, kGemmNR).tasks();
 }
 
 void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
@@ -1345,7 +1561,23 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
       scratch, exec);
 }
 
+GemmIntIsaChoice gemm_choose_int_isa(bool build_has_amx, bool cpu_has_amx,
+                                     int xtiledata_errno) {
+  if (!build_has_amx || !cpu_has_amx) return {kBaselineIsa, ""};
+  if (xtiledata_errno == 0) return {GemmIntIsa::kAmx, ""};
+  return {kBaselineIsa,
+          "the CPU has AMX-INT8 but the kernel refused XTILEDATA: errno " +
+              std::to_string(xtiledata_errno)};
+}
+
 const char* gemm_int_kernel_isa() { return isa_name(int_isa()); }
+
+std::string gemm_int_isa_summary() {
+  std::string summary = gemm_int_kernel_isa();
+  const std::string& fallback = host_choice().fallback;
+  if (!fallback.empty()) summary += " (" + fallback + ")";
+  return summary;
+}
 
 bool gemm_int_isa_supported(GemmIntIsa isa) {
   return isa == kBaselineIsa || isa == host_isa();

@@ -32,14 +32,16 @@
 //
 // ONE driver runs this nest for every family. It is a template over a
 // kernel-traits struct that supplies the element types (packed A, packed B,
-// accumulator, C), the K grouping of the packed layouts, `pack_b`, the A~
-// source (float packs op(A) per (ic, pc) tile into scratch; the integer
-// kinds slice their prepacked blob), the micro-kernel (a compile-time call
-// inside the tile loop) and the C-tile update. It is instantiated for
-// float, s8u8 (int16 K-pairs), low-bit and low-bit-wide (int8 K-quads),
-// the one AVX-VNNI integer kernel where the compiler can build it, and for
-// each of those again with a conv `pack_b` that reads a padded image
-// (Dukhan, "The Indirect Convolution Algorithm", arXiv:1907.02129).
+// C), the K grouping of the packed layouts, `pack_b`, the A~ source (float
+// packs op(A) per (ic, pc) tile into scratch; the integer kinds slice
+// their prepacked blob), the micro-tile (rows x columns, and `tile`: the
+// micro-kernel fused with the C-tile update, a compile-time call inside
+// the tile loop) and the per-thread tile state a call holds.
+// It is instantiated for float, s8u8 (int16 K-pairs), low-bit and
+// low-bit-wide (int8 K-quads), all 8x8, the one 16x16 AMX integer kernel
+// where the build has it, and for each of those again with a conv `pack_b`
+// that reads a padded image (Dukhan, "The Indirect Convolution Algorithm",
+// arXiv:1907.02129).
 //
 // The driver has exactly two schedules:
 //  * Row schedule (shared B~): the calling thread packs B~ per (jc, pc);
@@ -47,10 +49,11 @@
 //    case) or across the thread pool (`GemmSplit::kRows`), every tile
 //    reading the same B~.
 //  * Column/grid schedule (per-task B~): C's tile grid is carved into
-//    (group of MC row tiles) x (NR-aligned column stripe) tasks. Each task
-//    runs the whole ascending pc loop itself and packs B~ for its stripe
-//    into the executing thread's scratch. This is what lets wide-N/small-M
-//    shapes (batch-1 conv GEMMs, Linear heads) use the pool at all.
+//    (group of MC row tiles) x (NR-aligned column stripe) tasks, NR being
+//    the kernel's panel width. Each task runs the whole ascending pc loop
+//    itself and packs B~ for its stripe into the executing thread's
+//    scratch. This is what lets wide-N/small-M shapes (batch-1 conv
+//    GEMMs, Linear heads) use the pool at all.
 //
 // Determinism contract: for fixed operands, every schedule, split, way count
 // and thread count produces BIT-IDENTICAL C.
@@ -70,15 +73,17 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 namespace csq {
 
 enum class Trans { no, yes };
 
-// Register micro-tile (rows x cols of C held in accumulators) and the cache
-// blocking constants. kMC/kKC size the packed A panel for L2 (64 KiB), kKC *
-// kNC bounds the packed B panel (1 MiB); all are multiples of the micro-tile
-// so packing never splits a micro-panel.
+// Register micro-tile (rows x cols of C held in accumulators) of the float
+// and the AVX2/portable integer kernels, and the cache blocking constants.
+// kMC/kKC size the packed A panel for L2 (64 KiB), kKC * kNC bounds the
+// packed B panel (1 MiB); all are multiples of every kernel's micro-tile
+// (the AMX kernel's is 16x16) so packing never splits a micro-panel.
 constexpr std::int64_t kGemmMR = 8;
 constexpr std::int64_t kGemmNR = 8;
 constexpr std::int64_t kGemmMC = 64;
@@ -98,17 +103,21 @@ constexpr std::int64_t kGemmNC = 1024;
 enum class GemmSplit { kAuto = -1, kRows = 0, kCols = 1, kGrid = 2 };
 
 // Shape policy for GemmSplit::kAuto with `ways` workers (0 = pool width):
-// row tiles >= ways -> kRows (classic split already fills the pool);
-// otherwise a single row tile -> kCols; otherwise kGrid. Exposed so tests
-// can pin the policy (an m<=kGemmMC wide-N GEMM must never fall back to the
-// serial row branch).
+// a single kGemmNR-wide column panel, or row tiles >= ways -> kRows
+// (classic split already fills the pool); otherwise a single row tile ->
+// kCols; otherwise kGrid. Exposed so tests can pin the policy (an
+// m<=kGemmMC wide-N GEMM must never fall back to the serial row branch).
+// It counts kGemmNR-wide panels, as the float and AVX2/portable integer
+// kernels pack them; a call on the AMX kernel applies the same policy to
+// its 16-wide panels.
 GemmSplit gemm_choose_split(std::int64_t m, std::int64_t n, int ways);
 
-// Number of independent tasks a pooled GEMM schedules for this shape under
-// `split` (kAuto resolved first) with `ways` workers. 1 means the work runs
-// on the calling thread — the regression tests pin that wide-N shapes with
-// m as small as 1 still report > 1. Column stripes are capped at kGemmNC
-// columns, so a split may schedule more than `ways` tasks.
+// Number of independent tasks a pooled GEMM on kGemmNR-wide panels
+// schedules for this shape under `split` (kAuto resolved first) with `ways`
+// workers. 1 means the work runs on the calling thread — the regression
+// tests pin that wide-N shapes with m as small as 1 still report > 1.
+// Column stripes are capped at kGemmNC columns, so a split may schedule
+// more than `ways` tasks.
 std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
                                    std::int64_t n, int ways);
 
@@ -202,17 +211,22 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
 //    baseline MAC throughput. Exact only when `gemm_s8u8_wide_eligible`
 //    holds for the layer's depth and max |code|.
 //
-// AVX-VNNI hosts run every kind on ONE kernel: int8 A and uint8 B in the
-// K-quad layout (kS8U8 included, so its panels are int8, not int16) and an
-// 8x8 vpdpbusd micro-kernel, which sums each quad's four u8 x s8 products
-// straight into int32. No int16 intermediate exists, so nothing saturates
-// at any int8 code: the +/-64 bound and the wide-eligibility rule are then
-// eligibility rules of their kinds, still enforced, not exactness limits;
-// kS8U8's int32 headroom argument above holds as derived. The ISA is
-// chosen once per process by a CPU check (the kernel is built with a
-// function-level target, so the build keeps its x86-64-v3 baseline).
-// Panels are packed from codes at load and never persisted, so a
-// host-dependent layout touches no file format.
+// AMX hosts run every kind on ONE kernel of 16x16 AMX-INT8 tiles: A as
+// 16-row int8 panels, row-major over the quad-padded KC depth (kS8U8
+// included, so its panels are int8, not int16), B as 16-wide uint8 K-quad
+// panels, and tdpbsud, which sums each quad's four s8 x u8 products
+// straight into the int32 C tile. A full tile at alpha 1 is loaded from C
+// (when accumulating) and stored straight back; edge tiles and other
+// alphas go through a stack tile. No int16 intermediate exists, so nothing
+// saturates at any int8 code: the +/-64 bound and the wide-eligibility
+// rule are then eligibility rules of their kinds, still enforced, not
+// exactness limits; kS8U8's int32 headroom argument above holds as
+// derived. The ISA is chosen once per process: AMX when the build has the
+// kernel, the CPU reports AMX-TILE and AMX-INT8, and Linux grants the
+// process the tile-data state (arch_prctl ARCH_REQ_XCOMP_PERM); otherwise
+// the AVX2 kernels (x86-64-v3 builds) or the portable ones. Panels are
+// packed from codes at load and never persisted, so a host-dependent
+// layout touches no file format.
 //
 // Every kind on every ISA produces EXACTLY the int32 products of the s8u8
 // reference.
@@ -224,19 +238,38 @@ enum class PackedKernel : std::int32_t {
 
 // The instruction sets the integer micro-kernels are built for: the scalar
 // fallbacks of a build without AVX2, the AVX2 kernels above, and the one
-// AVX-VNNI kernel.
-enum class GemmIntIsa : std::int32_t { kPortable = 0, kAvx2 = 1, kAvxVnni = 2 };
+// AMX-INT8 kernel (built into x86-64 Linux builds with AVX2; a host with
+// AVX-VNNI but no AMX runs the AVX2 kernels).
+enum class GemmIntIsa : std::int32_t { kPortable = 0, kAvx2 = 1, kAmx = 2 };
 
-// "avx-vnni", "avx2" or "portable": the integer ISA this process runs —
-// AVX-VNNI where both the build and the host have it, else the build's
-// baseline. Fixed for the life of the process (tests aside, below).
+// The integer ISA of a process and, when a CPU with AMX-INT8 runs the
+// baseline instead, why.
+struct GemmIntIsaChoice {
+  GemmIntIsa isa;
+  std::string fallback;  // empty unless the kernel refused the tile state
+};
+
+// The choice as a pure function of what the process probed: whether the
+// build has the AMX kernel, whether the CPU reports AMX-TILE and AMX-INT8,
+// and the errno of the tile-data request (0 = granted; only asked for when
+// both hold). Anything short of all three picks the build's baseline.
+GemmIntIsaChoice gemm_choose_int_isa(bool build_has_amx, bool cpu_has_amx,
+                                     int xtiledata_errno);
+
+// "amx", "avx2" or "portable": the integer ISA this process runs — AMX
+// where both the build and the host have it, else the build's baseline.
+// Fixed for the life of the process (tests aside, below).
 const char* gemm_int_kernel_isa();
+
+// gemm_int_kernel_isa(), followed by the fallback reason in parentheses
+// when the host's CPU has AMX-INT8 but the kernel refused the tile state.
+std::string gemm_int_isa_summary();
 
 // True when this build and host can run `isa`'s kernels.
 bool gemm_int_isa_supported(GemmIntIsa isa);
 
 // TEST ONLY: forces every integer GEMM in the process onto `isa` (which must
-// be supported) until destroyed, so the AVX2 kernels stay tested on VNNI
+// be supported) until destroyed, so the AVX2 kernels stay tested on AMX
 // hosts. Nothing else reaches it — no LowerOptions or GemmExec field, env
 // var or artifact field selects an ISA. Construct it before packing: panels
 // record the ISA they were packed for, and running them under another one
@@ -253,8 +286,8 @@ class ScopedGemmIntIsaForTest {
 };
 
 // Bytes of the packed form of an (m x k) code matrix under the running ISA:
-// a small header naming the layout, then the MR-tall micro-panels of the
-// whole m extent for each KC-depth block in turn.
+// a small header naming the layout, then the kernel's row panels (8 or 16
+// tall) of the whole m extent for each KC-depth block in turn.
 std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
                                  std::int64_t k);
 
@@ -267,14 +300,14 @@ void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
 // True when the low-bit wide kernel's int16 accumulation over one KC-depth
 // block cannot overflow for reduction depth k and weight codes bounded by
 // max_abs_a: the per-lane sum is at most quad_kc(min(k, kKC)) / 2 * 255 *
-// max_abs_a <= 32767. It bounds kLowBitWide (on VNNI hosts, as its
+// max_abs_a <= 32767. It bounds kLowBitWide (on AMX hosts, as its
 // eligibility rule); s8u8 never accumulates in int16.
 bool gemm_s8u8_wide_eligible(std::int64_t k, std::int32_t max_abs_a);
 
 // C = alpha * A * op(B) from A packed by gemm_pack_a(kind, m, k, ...)
 // under the running ISA; a blob packed for another kind, shape or ISA fails
 // a check. `packed_a` must be at least 2-byte aligned where kS8U8 panels
-// hold int16 (AVX2 and portable); the VNNI layout is all bytes.
+// hold int16 (AVX2 and portable); the AMX layout is all bytes.
 // `accumulate` == false overwrites C, true adds into it — the split-plane
 // chain is two calls: alpha=2 overwrite, alpha=1 accumulate.
 void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,

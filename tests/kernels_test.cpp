@@ -10,9 +10,10 @@
 //    each low-bit |code|, plus the s8u8 and split-chain extremes);
 //  * the deterministic kernel-selection policy and PackedIntWeights
 //    bit-identity across every forced kernel kind;
-//  * the integer ISA: its name, the VNNI kernel at the s8u8 split chain's
-//    int8 extremes, VNNI and AVX2 accumulators compared bit for bit, and
-//    panels that refuse to run under another ISA, kind or shape. The GEMM suites above also run as *Avx2 twins with the AVX2
+//  * the integer ISA: its name, the choice table, the AMX kernel at the
+//    s8u8 split chain's int8 extremes, AMX and AVX2 accumulators compared
+//    bit for bit, and panels that refuse to run under another ISA, kind or
+//    shape. The GEMM suites above also run as *Avx2 twins with the AVX2
 //    kernels forced (CSQ_INT_ISA_TEST).
 #include <algorithm>
 #include <cstdint>
@@ -304,13 +305,13 @@ CSQ_INT_ISA_TEST(LowBitGemm, AlphaPowerOfTwoChain) {
 
 // ------------------------------------------------- integer kernel ISA ----
 
-// Why the cells that force the AVX-VNNI kernel cannot run here, or "".
-std::string vnni_skip_reason() {
+// Why the cells that force the AMX kernel cannot run here, or "".
+std::string amx_skip_reason() {
   if (!gemm_int_isa_supported(GemmIntIsa::kAvx2)) {
-    return "this build has no AVX2 baseline, so no AVX-VNNI kernel";
+    return "this build has no AVX2 baseline, so no AMX kernel";
   }
-  if (!gemm_int_isa_supported(GemmIntIsa::kAvxVnni)) {
-    return "this host or compiler has no AVX-VNNI";
+  if (!gemm_int_isa_supported(GemmIntIsa::kAmx)) {
+    return "this host, its kernel or the compiler has no AMX-INT8";
   }
   return "";
 }
@@ -330,9 +331,16 @@ TEST(GemmIsa, NamesTheIsaItRuns) {
       avx2_build ? GemmIntIsa::kAvx2 : GemmIntIsa::kPortable;
   const std::string baseline_name = avx2_build ? "avx2" : "portable";
   const std::string isa = gemm_int_kernel_isa();
-  EXPECT_EQ(isa, gemm_int_isa_supported(GemmIntIsa::kAvxVnni)
-                     ? "avx-vnni"
-                     : baseline_name);
+  EXPECT_EQ(isa, gemm_int_isa_supported(GemmIntIsa::kAmx) ? "amx"
+                                                          : baseline_name);
+  // The summary starts with the name; anything after it is a fallback
+  // reason in parentheses.
+  const std::string summary = gemm_int_isa_summary();
+  EXPECT_EQ(summary.substr(0, isa.size()), isa);
+  if (summary.size() > isa.size()) {
+    EXPECT_EQ(summary.substr(isa.size(), 2), " (");
+    EXPECT_EQ(summary.back(), ')');
+  }
   {
     const ScopedGemmIntIsaForTest forced(baseline);
     EXPECT_EQ(gemm_int_kernel_isa(), baseline_name);
@@ -346,16 +354,49 @@ TEST(GemmIsa, NamesTheIsaItRuns) {
   EXPECT_EQ(gemm_int_kernel_isa(), isa);
 }
 
-// The VNNI kernel on s8u8 codes at both int8 extremes through the split
+// The ISA choice as a table over its three probes: AMX only when the build
+// has the kernel, the CPU reports AMX and the kernel granted the tile
+// state; a refusal names its errno; every other row is the baseline with
+// no reason given.
+TEST(GemmIsa, ChoosesAmxOnlyWhenBuildCpuAndKernelAllow) {
+  const GemmIntIsa baseline = gemm_int_isa_supported(GemmIntIsa::kAvx2)
+                                  ? GemmIntIsa::kAvx2
+                                  : GemmIntIsa::kPortable;
+  const GemmIntIsaChoice granted = gemm_choose_int_isa(true, true, 0);
+  EXPECT_EQ(granted.isa, GemmIntIsa::kAmx);
+  EXPECT_EQ(granted.fallback, "");
+
+  for (const int refusal : {1, 22}) {  // EPERM, EINVAL
+    const GemmIntIsaChoice refused = gemm_choose_int_isa(true, true, refusal);
+    EXPECT_EQ(refused.isa, baseline);
+    EXPECT_EQ(refused.fallback,
+              "the CPU has AMX-INT8 but the kernel refused XTILEDATA: errno " +
+                  std::to_string(refusal));
+  }
+  struct Row {
+    bool build_has_amx, cpu_has_amx;
+  };
+  for (const Row row :
+       {Row{true, false}, Row{false, true}, Row{false, false}}) {
+    const GemmIntIsaChoice choice =
+        gemm_choose_int_isa(row.build_has_amx, row.cpu_has_amx, 0);
+    EXPECT_EQ(choice.isa, baseline)
+        << row.build_has_amx << " " << row.cpu_has_amx;
+    EXPECT_EQ(choice.fallback, "");
+  }
+}
+
+// The AMX kernel on s8u8 codes at both int8 extremes through the split
 // chain: a hi plane of -128 or 127 (alpha 2, overwrite), a lo plane of 1
 // (alpha 1, accumulate) and activations 255 at the deepest legal
 // reduction, where the int32 headroom is tightest (255 * 255 * 32767 <
-// 2^31 - 1).
-TEST(GemmIsa, VnniS8U8SplitChainAtInt8ExtremesMatchesReference) {
-  const std::string skip = vnni_skip_reason();
+// 2^31 - 1). 17 x 33 has full tiles (alpha 2 through the stack tile, the
+// alpha-1 pass loading and storing C in place) and edge tiles.
+TEST(GemmIsa, AmxS8U8SplitChainAtInt8ExtremesMatchesReference) {
+  const std::string skip = amx_skip_reason();
   if (!skip.empty()) GTEST_SKIP() << skip;
-  const ScopedGemmIntIsaForTest forced(GemmIntIsa::kAvxVnni);
-  const std::int64_t m = 3, n = 5, k = kMaxDepth;
+  const ScopedGemmIntIsaForTest forced(GemmIntIsa::kAmx);
+  const std::int64_t m = 17, n = 33, k = kMaxDepth;
   const std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n), 255);
   const auto lo = pack_codes(PackedKernel::kS8U8, m, k,
                              std::vector<std::int8_t>(
@@ -375,7 +416,7 @@ TEST(GemmIsa, VnniS8U8SplitChainAtInt8ExtremesMatchesReference) {
                   GemmExec{pooled});
       const std::int64_t expected = (2 * std::int64_t{hi_code} + 1) * 255 * k;
       for (const std::int32_t v : c) {
-        EXPECT_EQ(v, expected) << "hi " << hi_code << " pooled " << pooled;
+        ASSERT_EQ(v, expected) << "hi " << hi_code << " pooled " << pooled;
       }
     }
   }
@@ -383,10 +424,11 @@ TEST(GemmIsa, VnniS8U8SplitChainAtInt8ExtremesMatchesReference) {
 
 // The two ISAs' accumulators compared directly: every kind (s8u8 as its
 // split chain: alpha 2 overwrite, then alpha 1 accumulate) through
-// gemm_packed and gemm_packed_conv, serial and under column and grid
-// splits, over two MC row tiles and a padded 3x3 conv.
-TEST(GemmIsa, VnniAndAvx2AccumulatorsAreBitIdentical) {
-  const std::string skip = vnni_skip_reason();
+// gemm_packed (NN over two MC row tiles, and Trans::yes at m = 10, below
+// one 16-row tile) and gemm_packed_conv, serial and under row, column and
+// grid splits, over a padded 3x3 conv.
+TEST(GemmIsa, AmxAndAvx2AccumulatorsAreBitIdentical) {
+  const std::string skip = amx_skip_reason();
   if (!skip.empty()) GTEST_SKIP() << skip;
   ConvGeometry geom;
   geom.channels = 16;
@@ -394,7 +436,8 @@ TEST(GemmIsa, VnniAndAvx2AccumulatorsAreBitIdentical) {
   geom.kernel_h = geom.kernel_w = 3;
   geom.pad = 1;
   geom.validate();
-  const std::int64_t m = 70, k = geom.col_rows(), n = geom.col_cols();
+  const std::int64_t m = 70, m_t = 10, k = geom.col_rows(),
+                     n = geom.col_cols();
   Rng rng(4402);
   const auto image = random_u8(geom.channels * geom.height * geom.width, rng);
   std::vector<std::uint8_t> padded(static_cast<std::size_t>(
@@ -402,7 +445,16 @@ TEST(GemmIsa, VnniAndAvx2AccumulatorsAreBitIdentical) {
   pad_image(geom, image.data(), padded.data(), std::uint8_t{19});
   std::vector<std::uint8_t> columns(static_cast<std::size_t>(k * n));
   im2col_u8(geom, image.data(), columns.data(), /*pad_code=*/19);
-  const GemmExec execs[] = {GemmExec{}, GemmExec{true, GemmSplit::kCols, 4},
+  // columnsᵀ: n x k, so op(B) = its transpose is the same k x n matrix.
+  std::vector<std::uint8_t> rows(columns.size());
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      rows[static_cast<std::size_t>(j * k + p)] =
+          columns[static_cast<std::size_t>(p * n + j)];
+    }
+  }
+  const GemmExec execs[] = {GemmExec{}, GemmExec{true, GemmSplit::kRows, 2},
+                            GemmExec{true, GemmSplit::kCols, 4},
                             GemmExec{true, GemmSplit::kGrid, 2}};
   for (const PackedKernel kind : {PackedKernel::kS8U8, PackedKernel::kLowBit,
                                   PackedKernel::kLowBitWide}) {
@@ -414,34 +466,46 @@ TEST(GemmIsa, VnniAndAvx2AccumulatorsAreBitIdentical) {
     const auto hi = random_s8(m * k, rng, magnitude);
     const auto lo = random_s8(m * k, rng, 1);
     const bool split = kind == PackedKernel::kS8U8;
+    const std::int32_t alpha = split ? 2 : 1;
     const auto accumulators = [&](GemmIntIsa isa) {
       const ScopedGemmIntIsaForTest forced(isa);
       const auto hi_panels = pack_codes(kind, m, k, hi);
       const auto lo_panels = pack_codes(kind, m, k, lo);
+      const std::vector<std::int8_t> hi_t(hi.begin(), hi.begin() + m_t * k);
+      const std::vector<std::int8_t> lo_t(lo.begin(), lo.begin() + m_t * k);
+      const auto hi_t_panels = pack_codes(kind, m_t, k, hi_t);
+      const auto lo_t_panels = pack_codes(kind, m_t, k, lo_t);
       std::vector<std::int32_t> all;
       for (const GemmExec& exec : execs) {
         std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
         std::vector<std::int32_t> conv(c.size());
-        gemm_packed(kind, Trans::no, m, n, k, split ? 2 : 1, hi_panels.data(),
+        std::vector<std::int32_t> c_t(static_cast<std::size_t>(m_t * n));
+        gemm_packed(kind, Trans::no, m, n, k, alpha, hi_panels.data(),
                     columns.data(), n, /*accumulate=*/false, c.data(), n,
                     exec);
-        gemm_packed_conv(kind, m, split ? 2 : 1, hi_panels.data(), geom,
+        gemm_packed(kind, Trans::yes, m_t, n, k, alpha, hi_t_panels.data(),
+                    rows.data(), k, /*accumulate=*/false, c_t.data(), n,
+                    exec);
+        gemm_packed_conv(kind, m, alpha, hi_panels.data(), geom,
                          padded.data(), /*accumulate=*/false, conv.data(), n,
                          exec);
         if (split) {
           gemm_packed(kind, Trans::no, m, n, k, 1, lo_panels.data(),
                       columns.data(), n, /*accumulate=*/true, c.data(), n,
                       exec);
+          gemm_packed(kind, Trans::yes, m_t, n, k, 1, lo_t_panels.data(),
+                      rows.data(), k, /*accumulate=*/true, c_t.data(), n,
+                      exec);
           gemm_packed_conv(kind, m, 1, lo_panels.data(), geom, padded.data(),
                            /*accumulate=*/true, conv.data(), n, exec);
         }
         all.insert(all.end(), c.begin(), c.end());
+        all.insert(all.end(), c_t.begin(), c_t.end());
         all.insert(all.end(), conv.begin(), conv.end());
       }
       return all;
     };
-    EXPECT_EQ(accumulators(GemmIntIsa::kAvxVnni),
-              accumulators(GemmIntIsa::kAvx2))
+    EXPECT_EQ(accumulators(GemmIntIsa::kAmx), accumulators(GemmIntIsa::kAvx2))
         << "kind " << static_cast<int>(kind);
   }
 }
@@ -478,14 +542,14 @@ TEST(GemmIsa, PanelsRunOnlyAsTheyWerePacked) {
   EXPECT_THROW(run(PackedKernel::kS8U8, s8u8, m - 1), check_error);
   EXPECT_THROW(run_conv(PackedKernel::kLowBitWide, lowbit), check_error);
 
-  const std::string skip = vnni_skip_reason();
+  const std::string skip = amx_skip_reason();
   if (!skip.empty()) GTEST_SKIP() << skip;
   const std::vector<std::int32_t> layer_codes(codes.begin(), codes.end());
   for (const PackedKernel kind : {PackedKernel::kS8U8, PackedKernel::kLowBit,
                                   PackedKernel::kLowBitWide}) {
     SCOPED_TRACE(static_cast<int>(kind));
-    const auto vnni = pack_codes(kind, m, k, codes);
-    const runtime::PackedIntWeights vnni_layer(
+    const auto amx = pack_codes(kind, m, k, codes);
+    const runtime::PackedIntWeights amx_layer(
         layer_codes, /*step=*/0.01f, /*bits=*/2, m, k,
         static_cast<WeightKernel>(kind));
     std::vector<std::uint8_t> avx2;
@@ -493,14 +557,14 @@ TEST(GemmIsa, PanelsRunOnlyAsTheyWerePacked) {
       const ScopedGemmIntIsaForTest forced(GemmIntIsa::kAvx2);
       avx2 = pack_codes(kind, m, k, codes);
       EXPECT_NO_THROW(run(kind, avx2, m));
-      EXPECT_THROW(run(kind, vnni, m), check_error);
-      EXPECT_THROW(run_conv(kind, vnni), check_error);
-      EXPECT_THROW(vnni_layer.gemm(Trans::no, n, b.data(), n, c.data(), n,
+      EXPECT_THROW(run(kind, amx, m), check_error);
+      EXPECT_THROW(run_conv(kind, amx), check_error);
+      EXPECT_THROW(amx_layer.gemm(Trans::no, n, b.data(), n, c.data(), n,
                                    /*pooled=*/false),
                    check_error);
     }
-    EXPECT_NO_THROW(run(kind, vnni, m));
-    EXPECT_NO_THROW(run_conv(kind, vnni));
+    EXPECT_NO_THROW(run(kind, amx, m));
+    EXPECT_NO_THROW(run_conv(kind, amx));
     EXPECT_THROW(run(kind, avx2, m), check_error);
     EXPECT_THROW(run_conv(kind, avx2), check_error);
   }

@@ -232,12 +232,14 @@ TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
 // memcmp-equal for every integer kind and the split chain (alpha 2, then
 // alpha 1 accumulating), serial and split across column stripes and grid
 // tasks. The geometries cover stride 2, a rectangular kernel, 1x1 kernels
-// (unpadded: B is read from the image in place), fewer than kGemmNR output
-// columns, a kernel wider than its output, depth past one KC block and more
-// than kGemmNC output positions. The last three are ResNet-20's stride-1
-// layers: 4-wide outputs (two 4-byte runs per panel, 4-byte padded rows),
-// 8-wide ones (one 8-byte run) and the 3-channel stem (k = 27, a depth
-// tail past the last whole K-group).
+// (unpadded: B is read from the image in place), fewer output columns than
+// the kernel's panel width (NR: 8, or 16 on AMX), a kernel wider than its
+// output, depth past one KC block and more than kGemmNC output positions.
+// Then come ResNet-20's stride-1 layers: 4-wide outputs (runs of 4 bytes,
+// 4-byte padded rows), 8-wide ones (one 8-byte run per 8-wide panel, two
+// per 16-wide one) and the 3-channel stem (k = 27, a depth tail past the
+// last whole K-group). The last two have 2-wide and 12-wide outputs, so a
+// 16-wide panel spans eight output rows or parts of two and gathers.
 CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
   struct Shape {
     std::int64_t channels, height, width, kernel_h, kernel_w, stride, pad;
@@ -248,7 +250,8 @@ CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
       {4, 5, 5, 3, 3, 1, 1},   {1, 1, 1, 7, 7, 1, 3},
       {64, 6, 6, 3, 3, 1, 1},  {2, 36, 40, 3, 3, 1, 1},
       {64, 4, 4, 3, 3, 1, 1},  {32, 8, 8, 3, 3, 1, 1},
-      {3, 16, 16, 3, 3, 1, 1}};
+      {3, 16, 16, 3, 3, 1, 1}, {16, 10, 2, 3, 3, 1, 1},
+      {8, 6, 12, 3, 3, 1, 1}};
   struct Kind {
     const char* name;
     PackedKernel kernel;

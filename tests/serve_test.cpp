@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -39,6 +40,7 @@
 #include "test_helpers.h"
 #include "util/check.h"
 #include "util/failpoint.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace csq {
@@ -799,6 +801,120 @@ TEST(BatchingServer, StatsSnapshotsRaceProducersSafely) {
   EXPECT_GE(stats.batches, stats.requests / 4);
   server.stop();
 }
+
+#if CSQ_FAILPOINTS_ENABLED
+
+// The lifecycle lines in captured stderr, without the logger's prefix.
+std::vector<std::string> lifecycle_lines(const std::string& captured) {
+  const std::string prefix = "[csq WARN ] ";
+  std::vector<std::string> lines;
+  std::size_t begin = 0;
+  while (begin < captured.size()) {
+    std::size_t end = captured.find('\n', begin);
+    if (end == std::string::npos) end = captured.size();
+    const std::string line = captured.substr(begin, end - begin);
+    if (line.rfind(prefix + "event=", 0) == 0) {
+      lines.push_back(line.substr(prefix.size()));
+    }
+    begin = end + 1;
+  }
+  return lines;
+}
+
+// The worker=<index> value of a lifecycle line, or "" without one.
+std::string worker_of(const std::string& line) {
+  const std::size_t at = line.find(" worker=");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + 8;
+  return line.substr(begin, line.find(' ', begin) - begin);
+}
+
+// Quarantine, restore and replica death each log exactly one key=value
+// warn line naming the model and worker (quarantine also the fault);
+// successful requests log nothing.
+TEST(BatchingServer, LifecycleEventsLogOneKeyValueLineEach) {
+  fail::disarm_all();
+  struct RestoreLevel {
+    LogLevel level;
+    ~RestoreLevel() { set_log_level(level); }
+  } restore_level{log_level()};
+  set_log_level(LogLevel::warn);
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  const auto shape = graph.io_shape();
+  Rng rng(7301);
+  const Tensor sample = random_tensor({1, kChannels, kSide, kSide}, rng);
+  std::vector<float> logits(static_cast<std::size_t>(shape.out_features));
+  const std::string fault =
+      "reason=\"injected fault at failpoint 'serve.replica_forward'\"";
+  const auto wait_for = [](auto&& predicate) {
+    for (int i = 0; i < 2000 && !predicate(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return predicate();
+  };
+
+  {  // One forward fails: quarantine, then restore; siblings keep serving.
+    serve::ServerOptions options;
+    options.max_batch = 1;
+    options.restore_backoff_us = 100;
+    serve::BatchingServer server(options);
+    std::vector<runtime::CompiledGraph> replicas;
+    replicas.push_back(runtime::replicate(graph));
+    replicas.push_back(runtime::replicate(graph));
+    server.add_model("m", std::move(replicas));
+    ::testing::internal::CaptureStderr();
+    fail::arm("serve.replica_forward", fail::Policy::kOnce);
+    server.start();
+    const serve::ModelHandle handle = server.handle("m");
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(server.try_infer(handle, sample.data(), logits.data()),
+                serve::ServeStatus::kOk);
+    }
+    EXPECT_TRUE(wait_for([&] { return server.stats("m").restores >= 1; }));
+    server.stop();
+    fail::disarm_all();
+    const auto lines =
+        lifecycle_lines(::testing::internal::GetCapturedStderr());
+    ASSERT_EQ(lines.size(), 2u);
+    const std::string worker = worker_of(lines[0]);
+    ASSERT_FALSE(worker.empty()) << lines[0];
+    EXPECT_EQ(lines[0],
+              "event=quarantine model=m worker=" + worker + " " + fault);
+    EXPECT_EQ(lines[1], "event=restore model=m worker=" + worker);
+  }
+
+  {  // The lone replica's forward and every rebuild fail: it dies.
+    serve::ServerOptions options;
+    options.max_batch = 1;
+    options.restore_backoff_us = 100;
+    options.restore_max_attempts = 2;
+    serve::BatchingServer server(options);
+    std::vector<runtime::CompiledGraph> replicas;
+    replicas.push_back(runtime::replicate(graph));
+    server.add_model("solo model", std::move(replicas));
+    ::testing::internal::CaptureStderr();
+    fail::arm("serve.replica_forward", fail::Policy::kOnce);
+    fail::arm("serve.restore", fail::Policy::kEveryN, 1);
+    server.start();
+    EXPECT_EQ(server.try_infer(server.handle("solo model"), sample.data(),
+                               logits.data()),
+              serve::ServeStatus::kShardFailed);
+    EXPECT_TRUE(
+        wait_for([&] { return server.stats("solo model").replicas_dead; }));
+    server.stop();
+    fail::disarm_all();
+    const auto lines =
+        lifecycle_lines(::testing::internal::GetCapturedStderr());
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0], "event=quarantine model=\"solo model\" worker=0 " +
+                            fault);
+    EXPECT_EQ(lines[1],
+              "event=replica_death model=\"solo model\" worker=0 "
+              "restore_attempts=2");
+  }
+}
+
+#endif  // CSQ_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace csq

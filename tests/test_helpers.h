@@ -189,11 +189,11 @@ inline std::string forced_avx2_skip_reason() {
 }  // namespace csq::testing
 
 // CSQ_INT_ISA_TEST(Suite, Name) { body } defines Suite.Name, which runs the
-// body on the integer ISA the host picks (AVX-VNNI where it has it), and
+// body on the integer ISA the host picks (AMX where it has it), and
 // SuiteAvx2.Name, which runs it again with the AVX2 kernels forced, so
-// those stay tested on VNNI hosts. The bodies' checks are exact equalities
+// those stay tested on AMX hosts. The bodies' checks are exact equalities
 // (with an int64 reference, or between schedules and B sources), and
-// GemmIsa.VnniAndAvx2AccumulatorsAreBitIdentical compares the two paths'
+// GemmIsa.AmxAndAvx2AccumulatorsAreBitIdentical compares the two paths'
 // outputs with each other.
 #define CSQ_INT_ISA_TEST(suite, name)                                  \
   void suite##_##name##_body();                                        \

@@ -4,7 +4,11 @@
 //  * split-policy pins: gemm_choose_split / gemm_split_task_count for the
 //    shapes the policy exists for — a wide-N GEMM with m as small as 1 (or
 //    the m=2 batch loops the serial_threshold audit flagged) must schedule
-//    more than one task, while tall-M shapes keep the classic row split;
+//    more than one task, while tall-M shapes keep the classic row split.
+//    The pins count kGemmNR-wide (8-column) panels, the width of the float
+//    and AVX2/portable integer kernels; the AMX kernel runs the same policy
+//    over its 16-column panels, which the integer bit-identity cells below
+//    exercise on AMX hosts;
 //  * float bit-identity: serial gemm vs pooled gemm under every forced
 //    split mode at 1/2/4/8-way grids, all three transpose forms, beta and
 //    alpha variations — exact equality, per the determinism contract;
@@ -94,6 +98,8 @@ const GemmSplit kForcedSplits[] = {GemmSplit::kAuto, GemmSplit::kCols,
 const int kWays[] = {1, 2, 4, 8};
 
 // ------------------------------------------------------- split policy ----
+//
+// Every count here is of 8-column (kGemmNR) panels.
 
 TEST(WideGemm, ChoosesColumnSplitForWideSmallM) {
   // The head-matmul family: one row tile, many column panels.
@@ -123,7 +129,7 @@ TEST(WideGemm, KeepsRowSplitWhereItAlreadyFillsThePool) {
   // Tall-M shapes: the classic MC row split already yields >= ways tasks.
   EXPECT_EQ(gemm_choose_split(256, 1000, 4), GemmSplit::kRows);
   EXPECT_EQ(gemm_split_task_count(GemmSplit::kAuto, 256, 1000, 4), 4);
-  // One worker, or a single NR column panel: nothing to column-split.
+  // One worker, or a single 8-wide column panel: nothing to column-split.
   EXPECT_EQ(gemm_choose_split(2, 1000, 1), GemmSplit::kRows);
   EXPECT_EQ(gemm_choose_split(8, 8, 4), GemmSplit::kRows);
 }
