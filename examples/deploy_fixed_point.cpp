@@ -1,24 +1,26 @@
 // Deployment path: train a CSQ model, finalize it to exact fixed-point
-// form, export + serialize the integer weight codes, then lower the WHOLE
-// network into the integer inference runtime (runtime/compiled_graph.h) and
-// run it end to end — int8 weight codes, uint8 activation codes, int32
-// accumulation, BatchNorm folded into the requantization and ReLU fused
-// into its clamp. Prints the bit-exactness of the lowered weights and the
+// form, lower the WHOLE network into the integer inference runtime
+// (runtime/compiled_graph.h), calibrate it, ship it as a graph artifact
+// (runtime/graph_artifact.h) and run it end to end — int8 weight codes,
+// uint8 activation codes, int32 accumulation, BatchNorm folded into the
+// requantization and ReLU fused into its clamp. Prints the bit-exactness of
+// the exported codes, the lowered weights and the reloaded artifact, and the
 // top-1 accuracy delta between the float eval path and the int8 graph.
 //
 //   $ ./examples/deploy_fixed_point
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 
 #include "core/csq_trainer.h"
 #include "core/export.h"
-#include "core/model_io.h"
 #include "data/synthetic.h"
 #include "nn/models.h"
 #include "opt/trainer.h"
 #include "runtime/compiled_graph.h"
+#include "runtime/graph_artifact.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -67,19 +69,7 @@ int main() {
             << " KiB vs FP32 "
             << model.total_weight_count() * 4 / 1024.0 << " KiB\n\n";
 
-  // 2. Ship the model: serialize all integer codes + scales to a container
-  //    file and read it back (the artifact a runtime would load).
-  const std::string model_path = "csq_model.bin";
-  const std::vector<QuantizedLayerExport> exported = export_model(model);
-  if (save_quantized_model(model_path, exported)) {
-    const auto loaded = load_quantized_model(model_path);
-    std::cout << "serialized " << loaded.size() << " layers to " << model_path
-              << " (" << model_storage_bits(loaded) / 8 / 1024.0
-              << " KiB payload), reloaded OK\n\n";
-    std::remove(model_path.c_str());
-  }
-
-  // 3. Lower the WHOLE network into the integer compiled graph, calibrate
+  // 2. Lower the WHOLE network into the integer compiled graph, calibrate
   //    the activation edges on training batches, and serve.
   runtime::LowerOptions options;
   options.in_channels = data.train.channels();
@@ -117,6 +107,33 @@ int main() {
     std::cout << "  " << layer.name << ": " << layer.bits << "b x "
               << layer.weight_count << (layer.split ? " (split planes)" : "")
               << " -> " << layer.kernel << " kernel\n";
+  }
+
+  // 3. Ship the model: save the calibrated graph as an artifact (integer
+  //    codes, program and edge scales) and load it back the way a serving
+  //    process would. The reloaded graph must reproduce every test-set logit
+  //    of the in-memory graph bit for bit.
+  const std::string artifact_path = "csq_model.csqm";
+  if (runtime::save_graph(artifact_path, graph)) {
+    const std::streamoff artifact_bytes =
+        std::ifstream(artifact_path, std::ios::binary | std::ios::ate)
+            .tellg();
+    runtime::CompiledGraph shipped = runtime::load_graph(artifact_path);
+    std::remove(artifact_path.c_str());
+    const Tensor expected = graph.forward(data.test.images());
+    const Tensor reloaded = shipped.forward(data.test.images());
+    bool identical = expected.same_shape(reloaded);
+    for (std::int64_t i = 0; identical && i < expected.numel(); ++i) {
+      identical = expected[i] == reloaded[i];
+    }
+    std::cout << "\nshipped " << artifact_path << ": " << artifact_bytes
+              << " bytes (" << graph.weight_storage_bits() / 8 / 1024.0
+              << " KiB weight payload)\n"
+              << "reloaded artifact test-set logits: "
+              << (identical ? "bit-exact" : "NOT exact!") << '\n';
+  } else {
+    std::cout << "\nsave_graph failed: cannot write " << artifact_path
+              << '\n';
   }
 
   // 4. End-to-end accuracy: float eval path vs the int8 graph.

@@ -3,10 +3,11 @@
 // A finalized weight source stores its weights as integer codes times
 // scale / denominator (the paper's "exact quantized model" property, surfaced
 // through WeightSource::finalized_codes — any fixed-grid family exports, not
-// just CSQ). This module packages those codes for serialization (model_io.h),
-// verifies that the float materialization is bit-exact with the integer
-// reconstruction. Integer inference over the exported codes lives in
-// runtime/compiled_graph.h.
+// just CSQ). This module packages those codes as the layer records that
+// lowering (runtime/graph_program.h) and the graph artifact
+// (runtime/graph_artifact.h) carry, and verifies that the float
+// materialization is bit-exact with the integer reconstruction. Integer
+// inference over the exported codes lives in runtime/compiled_graph.h.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,8 @@ struct QuantizedLayerExport {
   // Real value of one quantization step.
   float step() const { return scale / denominator; }
   // Storage estimate: bits * elements for codes (sign handled by the
-  // positive/negative planes) plus the two per-layer floats of the v2
-  // container (scale + grid denominator).
+  // positive/negative planes) plus the two per-layer floats of the layer
+  // record (scale + grid denominator).
   std::int64_t storage_bits() const;
 };
 

@@ -53,7 +53,7 @@ class Model {
   // Binding rebinds every Parameter's value/grad to an arena view (see
   // nn/parameter_arena.h) — transparent to modules, but callers that cache
   // raw data() pointers across the first arena() call would go stale, so
-  // the optimizer/checkpoint/data-parallel layers bind before training.
+  // the optimizer and data-parallel layers bind before training.
   ParameterArena& arena();
 
   const std::vector<QuantLayer>& quant_layers() const { return quant_layers_; }

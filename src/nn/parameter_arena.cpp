@@ -25,8 +25,7 @@ ParameterArena::ParameterArena(const std::vector<Parameter*>& params) {
   }
 
   // Offsets are unpadded: the value span is exactly the concatenation of the
-  // per-parameter tensors, which is what makes the arena checkpoint blob
-  // byte-identical to per-tensor serialization (core/model_io checkpoints).
+  // per-parameter tensors, in registration order.
   values_.resize(static_cast<std::size_t>(total));
   grads_.resize(static_cast<std::size_t>(total));
 
@@ -47,11 +46,6 @@ ParameterArena::ParameterArena(const std::vector<Parameter*>& params) {
 
 void ParameterArena::zero_grads() {
   std::memset(grads_.data(), 0, grads_.size() * sizeof(float));
-}
-
-void ParameterArena::load_values(const float* src) {
-  std::memcpy(values_.data(), src, values_.size() * sizeof(float));
-  for (const View& view : views_) view.param->mark_updated();
 }
 
 }  // namespace csq

@@ -4,8 +4,7 @@
 //
 // Why: the optimizer step becomes one cache-friendly sweep over two flat
 // arrays instead of a pointer chase over dozens of scattered tensors;
-// checkpoint save/load becomes a single contiguous write/read; and
-// data-parallel replicas borrow their parameter values from the primary's
+// and data-parallel replicas borrow their parameter values from the primary's
 // span (opt/data_parallel.h). The layout is the uchen idea from
 // SNIPPETS.md: registration order defines the offsets, so two models built
 // by the same builder share one layout and their arenas are directly
@@ -51,10 +50,6 @@ class ParameterArena {
 
   // One flat sweep; replaces the per-parameter zero_grad loop.
   void zero_grads();
-
-  // Overwrites this arena's values with `src` (size() floats) and bumps
-  // every bound Parameter's version — the checkpoint-load path.
-  void load_values(const float* src);
 
  private:
   std::vector<float> values_;

@@ -79,7 +79,7 @@ class WeightSource {
   // True when the source's CURRENT weights have an exact integer fixed-point
   // form (finalized CSQ, BSQ's rounded planes, STE-Uniform's fake-quant
   // grid). Replaces the former dynamic_cast<CsqWeightSource*> coupling in
-  // export/model_io, so any fixed-grid family can export and lower.
+  // export, so any fixed-grid family can export and lower.
   virtual bool has_finalized_codes() const { return false; }
 
   // The integer form itself. Throws unless has_finalized_codes().

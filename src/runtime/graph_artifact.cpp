@@ -10,10 +10,10 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <ostream>
 #include <sstream>
 #include <streambuf>
 
-#include "core/model_io.h"
 #include "runtime/packed_weights.h"
 #include "util/check.h"
 #include "util/crc32.h"
@@ -24,7 +24,11 @@ namespace runtime {
 
 namespace {
 
+constexpr char kContainerMagic[4] = {'C', 'S', 'Q', 'M'};
 constexpr char kGraphMagic[4] = {'C', 'S', 'Q', 'G'};
+// The container version marks a layer section followed by a graph section;
+// v3 is the only container this module writes or reads.
+constexpr std::uint32_t kContainerVersion = 3;
 // The graph section is versioned on its own. save_graph writes v6: the
 // program (instructions carry kernel_w, the resolved kernel_kind and one
 // reserved byte, always 0) and the edge records, then a CRC-32 trailer over
@@ -33,14 +37,98 @@ constexpr char kGraphMagic[4] = {'C', 'S', 'Q', 'G'};
 // load_graph accepts exactly that: every other section version is rejected.
 constexpr std::uint32_t kGraphSectionVersion = 6;
 // Sanity bounds for reading untrusted artifacts.
+constexpr std::uint32_t kMaxLayers = 1 << 16;
+constexpr std::uint32_t kMaxNameLength = 1 << 12;
+constexpr std::uint32_t kMaxRank = 8;
+constexpr std::int64_t kMaxElements = std::int64_t{1} << 32;
 constexpr std::uint32_t kMaxInstrs = 1 << 20;
 constexpr std::uint32_t kMaxEdges = 1 << 20;
 constexpr std::uint32_t kMaxVectorLength = 1 << 24;
 constexpr std::int64_t kMaxExtent = 1 << 20;
 constexpr std::size_t kCrcTrailerBytes = sizeof(std::uint32_t);
 
-using model_io::read_pod;
-using model_io::write_pod;
+// Little-endian POD field encoding, the one definition for every section.
+template <typename T>
+void write_pod(std::ostream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+template <typename T>
+T read_pod(std::istream& in) {
+  T value{};
+  in.read(reinterpret_cast<char*>(&value), sizeof(T));
+  CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated";
+  return value;
+}
+
+// One layer record: u32 name_len | name | u32 ndim | i64 dims[ndim] | i32
+// bits | f32 scale | f32 denominator | i16 codes[numel]. Codes fit i16
+// (|q| <= 255 by construction; checked on save).
+void write_layer_record(std::ostream& out, const QuantizedLayerExport& layer) {
+  CSQ_CHECK(shape_numel(layer.shape) ==
+            static_cast<std::int64_t>(layer.codes.size()))
+      << "save_graph: layer " << layer.name << " shape/code mismatch";
+  write_pod(out, static_cast<std::uint32_t>(layer.name.size()));
+  out.write(layer.name.data(),
+            static_cast<std::streamsize>(layer.name.size()));
+  write_pod(out, static_cast<std::uint32_t>(layer.shape.size()));
+  for (const std::int64_t dim : layer.shape) write_pod(out, dim);
+  write_pod(out, static_cast<std::int32_t>(layer.bits));
+  write_pod(out, layer.scale);
+  write_pod(out, layer.denominator);
+  for (const std::int32_t code : layer.codes) {
+    CSQ_CHECK(code >= -255 && code <= 255)
+        << "save_graph: layer " << layer.name << " code " << code
+        << " outside the 8-bit grid";
+    write_pod(out, static_cast<std::int16_t>(code));
+  }
+}
+
+QuantizedLayerExport read_layer_record(std::istream& in) {
+  QuantizedLayerExport layer;
+  const auto name_length = read_pod<std::uint32_t>(in);
+  CSQ_CHECK(name_length <= kMaxNameLength)
+      << "graph artifact: absurd name length";
+  layer.name.resize(name_length);
+  in.read(layer.name.data(), name_length);
+  CSQ_CHECK(static_cast<bool>(in)) << "graph artifact: truncated name";
+
+  const auto rank = read_pod<std::uint32_t>(in);
+  CSQ_CHECK(rank <= kMaxRank) << "graph artifact: absurd rank";
+  layer.shape.resize(rank);
+  // Overflow-safe element count: bound every partial product, so a
+  // corrupted dim can neither wrap the int64 product past the bound check
+  // nor drive the code-vector allocation below to an absurd size.
+  std::int64_t count = 1;
+  for (std::uint32_t d = 0; d < rank; ++d) {
+    layer.shape[d] = read_pod<std::int64_t>(in);
+    CSQ_CHECK(layer.shape[d] >= 0) << "graph artifact: negative dim";
+    CSQ_CHECK(layer.shape[d] == 0 || count <= kMaxElements / layer.shape[d])
+        << "graph artifact: absurd element count";
+    count *= layer.shape[d];
+  }
+
+  layer.bits = read_pod<std::int32_t>(in);
+  CSQ_CHECK(layer.bits >= 0 && layer.bits <= 8)
+      << "graph artifact: bits out of range";
+  layer.scale = read_pod<float>(in);
+  layer.denominator = read_pod<float>(in);
+  CSQ_CHECK(layer.denominator >= 1.0f && layer.denominator <= 255.0f)
+      << "graph artifact: bad grid denominator";
+
+  // Demand-driven growth (not an up-front resize): a corrupt count larger
+  // than the actual payload throws on the first truncated read instead of
+  // attempting a multi-gigabyte allocation first.
+  layer.codes.reserve(static_cast<std::size_t>(
+      std::min<std::int64_t>(count, std::int64_t{1} << 20)));
+  for (std::int64_t i = 0; i < count; ++i) {
+    const auto code = read_pod<std::int16_t>(in);
+    CSQ_CHECK(code >= -255 && code <= 255)
+        << "graph artifact: code outside the 8-bit grid";
+    layer.codes.push_back(code);
+  }
+  return layer;
+}
 
 void write_float_vector(std::ostream& out, const std::vector<float>& values) {
   write_pod(out, static_cast<std::uint32_t>(values.size()));
@@ -72,11 +160,11 @@ bool read_flag(std::istream& in) {
 void write_payload(std::ostream& out, const GraphProgram& program,
                    const LowerOptions& options,
                    const std::vector<EdgeScaleRecord>& edges) {
-  model_io::write_container_header(
-      out, model_io::kGraphContainerVersion,
-      static_cast<std::uint32_t>(program.layers.size()));
+  out.write(kContainerMagic, sizeof(kContainerMagic));
+  write_pod(out, kContainerVersion);
+  write_pod(out, static_cast<std::uint32_t>(program.layers.size()));
   for (const QuantizedLayerExport& layer : program.layers) {
-    model_io::write_layer_record(out, layer);
+    write_layer_record(out, layer);
   }
 
   out.write(kGraphMagic, sizeof(kGraphMagic));
@@ -167,18 +255,24 @@ ParsedArtifact parse_artifact(const char* data, std::size_t size,
   SpanStreamBuf buf(data, payload_size);
   std::istream in(&buf);
   ParsedArtifact parsed;
-  const auto [version, layer_count] = model_io::read_container_header(in);
-  CSQ_CHECK(version == model_io::kGraphContainerVersion)
-      << "graph artifact: file is a plain quantized-model container "
-      << "(version " << version << ") with no graph section";
+  char magic[4] = {};
+  in.read(magic, sizeof(magic));
+  CSQ_CHECK(in && std::equal(magic, magic + 4, kContainerMagic))
+      << "graph artifact: bad magic";
+  const auto version = read_pod<std::uint32_t>(in);
+  CSQ_CHECK(version == kContainerVersion)
+      << "graph artifact: unsupported container version " << version
+      << " (this build reads v" << kContainerVersion << ")";
+  const auto layer_count = read_pod<std::uint32_t>(in);
+  CSQ_CHECK(layer_count <= kMaxLayers)
+      << "graph artifact: absurd layer count " << layer_count;
 
   GraphProgram& program = parsed.program;
   program.layers.reserve(layer_count);
   for (std::uint32_t l = 0; l < layer_count; ++l) {
-    program.layers.push_back(model_io::read_layer_record(in));
+    program.layers.push_back(read_layer_record(in));
   }
 
-  char magic[4] = {};
   in.read(magic, sizeof(magic));
   CSQ_CHECK(in && std::equal(magic, magic + 4, kGraphMagic))
       << "graph artifact: bad graph-section magic";

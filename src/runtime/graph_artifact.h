@@ -1,11 +1,11 @@
-// Persisted CompiledGraph artifacts — the serving deployment container.
+// Persisted CompiledGraph artifacts — the one on-disk format of the stack.
 //
 // save_graph serializes a calibrated graph into a version-3 "CSQM"
-// container (core/model_io.h): the standard quantized-layer section (so
-// load_quantized_model still reads the weights of a serving artifact),
-// followed by a "CSQG" graph section holding the recorded lowering program
-// (topology, folded batch-norm affines, biases, act-quant pins) and the
-// resolved per-edge activation scales/zero-points.
+// container: a layer section (each quantized layer's name, shape, bit
+// width, scale, grid denominator and i16 integer codes), followed by a
+// "CSQG" graph section holding the recorded lowering program (topology,
+// folded batch-norm affines, biases, act-quant pins) and the resolved
+// per-edge activation scales/zero-points. Fields are little-endian.
 //
 // Each weight is stored once, as its layer record's integer codes. load_graph
 // replays the program through runtime::build_graph, which packs every GEMM
@@ -26,7 +26,7 @@
 // Support window: the graph section is written at v6 and load_graph
 // accepts exactly the bytes save_graph writes — graph-section v6 in a v3
 // container, ending exactly at the CRC trailer after the edge records.
-// Every other section version, older or newer, is rejected.
+// Every other container or section version, older or newer, is rejected.
 #pragma once
 
 #include <string>
@@ -38,12 +38,14 @@ namespace runtime {
 
 // Serializes `graph` to `path`. The graph must have resolved edge scales
 // (calibrate() ran, or every edge is act-quant-pinned and the input edge
-// calibrated) — throws check_error otherwise; returns false on I/O failure.
+// calibrated) — throws check_error otherwise, and on a layer code outside
+// the 8-bit grid; returns false on I/O failure.
 bool save_graph(const std::string& path, CompiledGraph& graph);
 
 // Deserializes a graph artifact. Throws check_error on format violations
-// (CRC mismatch, bad magic, truncated or trailing bytes, absurd counts,
-// versions other than v6).
+// (missing file, CRC mismatch, bad magic, truncated or trailing bytes,
+// absurd counts, a container other than v3 or a graph section other than
+// v6).
 // `pooled` selects thread-pool execution of the loaded graph's forwards.
 CompiledGraph load_graph(const std::string& path, bool pooled = true);
 

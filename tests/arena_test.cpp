@@ -135,21 +135,6 @@ TEST(ParameterArena, ZeroGradsClearsEverything) {
   }
 }
 
-TEST(ParameterArena, LoadValuesBumpsEveryVersion) {
-  Model model = tiny_model(8);
-  ParameterArena& arena = model.arena();
-  std::vector<std::uint64_t> versions;
-  for (Parameter* param : model.parameters()) {
-    versions.push_back(param->version);
-  }
-  std::vector<float> snapshot(arena.values(), arena.values() + arena.size());
-  arena.load_values(snapshot.data());
-  const std::vector<Parameter*>& params = model.parameters();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    EXPECT_GT(params[i]->version, versions[i]) << params[i]->name;
-  }
-}
-
 TEST(ParameterArena, RebindingIsRejected) {
   Model model = tiny_model(12);
   model.arena();

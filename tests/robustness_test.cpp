@@ -44,7 +44,6 @@
 #include <gtest/gtest.h>
 
 #include "core/csq_weight.h"
-#include "core/model_io.h"
 #include "nn/models.h"
 #include "nn/weight_source.h"
 #include "runtime/compiled_graph.h"
@@ -822,74 +821,6 @@ TEST(CorruptionFuzz, GoldenV6ResealedBitFlipsNeverCrash) {
   EXPECT_GT(loaded, 0u);
   EXPECT_GT(rejected, 0u);
   std::remove(path.c_str());
-}
-
-// A small dense model for checkpoint-container fuzzing (mirrors
-// model_io_test.cpp's fixture).
-Model checkpoint_model(std::uint64_t seed) {
-  Rng rng(seed);
-  ModelConfig config;
-  config.num_classes = 4;
-  config.base_width = 4;
-  return make_resnet_cifar(8, config, dense_weight_factory(), nullptr, rng);
-}
-
-TEST(CorruptionFuzz, CheckpointV2EverySampledTruncationFailsCleanly) {
-  // The CSQC v2 arena checkpoint, truncated across the metadata table and
-  // the flat f32 blob: every prefix must be rejected with a clean
-  // check_error and must leave the destination model untouched enough to
-  // keep loading further mutants (no partial-write crashes).
-  Model model = checkpoint_model(61);
-  const std::string path = temp_path("ckpt_trunc");
-  ASSERT_TRUE(save_checkpoint(path, model));
-  const std::string bytes = read_bytes(path);
-  ASSERT_GT(bytes.size(), 64u);
-  Model victim = checkpoint_model(62);
-  const std::string cut_path = temp_path("ckpt_trunc_cut");
-  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 512);
-  for (std::size_t cut = 0; cut < bytes.size(); cut += stride) {
-    write_bytes(cut_path, bytes.substr(0, cut));
-    EXPECT_THROW(load_checkpoint(cut_path, victim), check_error)
-        << "cut at " << cut;
-  }
-  // The intact file still loads after the whole gauntlet.
-  load_checkpoint(path, victim);
-  std::remove(path.c_str());
-  std::remove(cut_path.c_str());
-}
-
-TEST(CorruptionFuzz, CheckpointV2BitFlipsNeverCrash) {
-  // CSQC carries no integrity trailer, so a flip deep inside the f32 blob
-  // may legitimately load (as different weights). The guarantee is the
-  // weaker memory-safety one: every sampled flip either loads or throws a
-  // clean check_error — never a crash or out-of-bounds parse.
-  Model model = checkpoint_model(63);
-  const std::string path = temp_path("ckpt_flip");
-  ASSERT_TRUE(save_checkpoint(path, model));
-  const std::string bytes = read_bytes(path);
-  Model victim = checkpoint_model(64);
-  const std::string mutant_path = temp_path("ckpt_flip_mut");
-  const std::size_t total_bits = bytes.size() * 8;
-  const std::size_t stride = std::max<std::size_t>(1, total_bits / 256);
-  std::size_t loaded = 0;
-  std::size_t rejected = 0;
-  for (std::size_t bit = 0; bit < total_bits; bit += stride) {
-    std::string mutant = bytes;
-    mutant[bit / 8] = static_cast<char>(
-        static_cast<unsigned char>(mutant[bit / 8]) ^ (1u << (bit % 8)));
-    write_bytes(mutant_path, mutant);
-    try {
-      load_checkpoint(mutant_path, victim);
-      ++loaded;
-    } catch (const check_error&) {
-      ++rejected;
-    }
-  }
-  // Both outcomes occur: header/metadata flips reject, blob flips load.
-  EXPECT_GT(loaded, 0u);
-  EXPECT_GT(rejected, 0u);
-  std::remove(path.c_str());
-  std::remove(mutant_path.c_str());
 }
 
 #if CSQ_FAILPOINTS_ENABLED

@@ -2,8 +2,8 @@
 // request-batching server.
 //
 //  * artifact round trip: save -> load -> forward is BIT-identical to the
-//    directly-lowered graph, with the layer section still readable by the
-//    plain model-container loader (v3 = v2 layers + graph section);
+//    directly-lowered graph, and the layer section carries every quantized
+//    layer of the source model;
 //  * replicate(): in-memory program replay is bit-identical too;
 //  * N-producer concurrency stress with per-request result verification
 //    against precomputed single-sample forwards (serial and pooled
@@ -32,7 +32,6 @@
 
 #include "alloc_probe.h"
 #include "core/csq_weight.h"
-#include "core/model_io.h"
 #include "nn/models.h"
 #include "runtime/compiled_graph.h"
 #include "runtime/graph_artifact.h"
@@ -126,15 +125,16 @@ TEST(GraphArtifact, SaveLoadForwardIsBitIdenticalToDirectLowering) {
   std::remove(path.c_str());
 }
 
-TEST(GraphArtifact, LayerSectionReadsAsPlainModelContainer) {
+TEST(GraphArtifact, LayerSectionCarriesEveryQuantLayer) {
   Model model;
   runtime::CompiledGraph graph = make_calibrated_graph(&model);
   const std::string path = temp_path("layer_section");
   ASSERT_TRUE(runtime::save_graph(path, graph));
 
-  // v3 = v2 layer section + graph section: the plain loader reads the
-  // weights and ignores the graph payload.
-  const auto layers = load_quantized_model(path);
+  // The layer section holds one record per quantized layer of the model,
+  // in registry order.
+  const runtime::CompiledGraph loaded = runtime::load_graph(path);
+  const auto& layers = loaded.program().layers;
   ASSERT_EQ(layers.size(), model.quant_layers().size());
   for (std::size_t l = 0; l < layers.size(); ++l) {
     EXPECT_EQ(layers[l].name, model.quant_layers()[l].name);
@@ -144,7 +144,7 @@ TEST(GraphArtifact, LayerSectionReadsAsPlainModelContainer) {
   std::remove(path.c_str());
 }
 
-TEST(GraphArtifact, RejectsUncalibratedGraphsAndPlainContainers) {
+TEST(GraphArtifact, RejectsUncalibratedGraphs) {
   // Saving before calibrate(): edge scales are unresolved.
   Rng rng(7004);
   std::vector<CsqWeightSource*> registry;
@@ -167,12 +167,6 @@ TEST(GraphArtifact, RejectsUncalibratedGraphsAndPlainContainers) {
   replicas.push_back(std::move(graph));
   EXPECT_THROW(server.add_model("uncalibrated", std::move(replicas)),
                check_error);
-
-  // load_graph refuses a v2 container (no graph section).
-  const std::string plain = temp_path("plain_v2");
-  ASSERT_TRUE(save_quantized_model(plain, export_model(model)));
-  EXPECT_THROW(runtime::load_graph(plain), check_error);
-  std::remove(plain.c_str());
 }
 
 TEST(GraphArtifact, ReplicateIsBitIdentical) {
