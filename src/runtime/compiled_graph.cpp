@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "data/dataloader.h"
 #include "nn/pooling.h"
@@ -45,8 +48,29 @@ struct EdgeData {
   float observed_min = 0.0f;
   bool observed = false;
   int slot = -1;  // byte-slot space (u8) or int-slot space (i32)
+  // The integer layout, planned once the graph's consumers are known
+  // (GraphBuilder::plan_layouts). A u8 edge is a channels-last image inside
+  // a `border` of zero-point pixels, in rows of `pitch` pixels; an i32
+  // edge holds a convolution's accumulators over a grid `pitch` positions
+  // wide with `ldc` int32 per position (gemm_conv_nhwc). Samples are
+  // `sample` elements apart: at least the image, and what a convolution's
+  // tiles read past it, and the same for every edge of a workspace slot,
+  // so no sample's region of one edge overlaps another sample's of another.
+  std::int64_t border = 0;
+  std::int64_t pitch = 0;
+  std::int64_t ldc = 0;
+  std::int64_t sample = 0;
 
+  // Values per sample: the float walk's dense (C, H, W) span.
   std::int64_t per_sample() const { return channels * height * width; }
+  // Elements of the integer buffer of `batch` samples.
+  std::int64_t buffer(std::int64_t batch) const { return batch * sample; }
+  // Offset of interior pixel (y, x) of a u8 edge, or of output (y, x) of
+  // an i32 edge, within one sample.
+  std::int64_t at(std::int64_t y, std::int64_t x) const {
+    return is_acc ? (y * pitch + x) * ldc
+                  : ((border + y) * pitch + border + x) * channels;
+  }
 };
 
 class Op;
@@ -91,11 +115,11 @@ struct CompiledGraph::Impl {
 
   std::uint8_t* u8(int edge) {
     const EdgeData& e = edges[static_cast<std::size_t>(edge)];
-    return ws->bytes(e.slot, batch * e.per_sample());
+    return ws->bytes(e.slot, e.buffer(batch));
   }
   std::int32_t* i32(int edge) {
     const EdgeData& e = edges[static_cast<std::size_t>(edge)];
-    return ws->ints(e.slot, batch * e.per_sample());
+    return ws->ints(e.slot, e.buffer(batch));
   }
   float* f32(int edge) {
     const EdgeData& e = edges[static_cast<std::size_t>(edge)];
@@ -139,10 +163,58 @@ void for_each_sample(bool pooled, std::int64_t batch, const Fn& fn) {
   parallel_for(0, batch, fn);
 }
 
+// Writes the zero-point border of one sample of a u8 edge, whose producer
+// writes the interior. The planner shares byte slots between edges, so a
+// border written once could be overwritten by the slot's next owner: every
+// producer rewrites it on every forward. A row's right border and the next
+// row's left border are adjacent (pitch = width + 2 border), one store.
+void write_border(const EdgeData& e, std::uint8_t* image) {
+  if (e.border == 0) return;
+  const auto zp = static_cast<std::uint8_t>(e.zero_point);
+  const std::int64_t row = e.pitch * e.channels;
+  const std::int64_t side = e.border * e.channels;
+  const std::int64_t interior = e.width * e.channels;
+  std::memset(image, zp, static_cast<std::size_t>(e.border * row + side));
+  for (std::int64_t y = 0; y + 1 < e.height; ++y) {
+    std::memset(image + (e.border + y) * row + side + interior, zp,
+                static_cast<std::size_t>(2 * side));
+  }
+  std::memset(image + (e.border + e.height - 1) * row + side + interior, zp,
+              static_cast<std::size_t>(side + e.border * row));
+}
+
+// The alive ScopedBorderAuditForTest, if any.
+std::atomic<ScopedBorderAuditForTest*> border_audit{nullptr};
+
+// Counts, for the alive audit, one sample of a u8 edge, faulted when its
+// border holds a byte other than the edge's zero point.
+void audit_border(const EdgeData& e, const std::uint8_t* image) {
+  ScopedBorderAuditForTest* audit =
+      border_audit.load(std::memory_order_relaxed);
+  if (audit == nullptr) return;
+  const auto zp = static_cast<std::uint8_t>(e.zero_point);
+  const std::int64_t row = e.pitch * e.channels;
+  bool faulted = false;
+  for (std::int64_t y = 0; y < e.height + 2 * e.border; ++y) {
+    const bool interior_row = y >= e.border && y < e.border + e.height;
+    for (std::int64_t i = 0; i < row; ++i) {
+      const std::int64_t x = i / e.channels;
+      const bool interior =
+          interior_row && x >= e.border && x < e.border + e.width;
+      faulted |= !interior && image[y * row + i] != zp;
+    }
+  }
+  audit->checked.fetch_add(1);
+  if (faulted) audit->faulted.fetch_add(1);
+}
+
 class Op {
  public:
   virtual ~Op() = default;
-  virtual void run_int(CompiledGraph::Impl& g) = 0;
+  // Sample b of the integer forward.
+  virtual void run_sample(CompiledGraph::Impl& g, std::int64_t b) = 0;
+  // The whole batch: each sample in turn, unless the op has a batched form.
+  virtual void run_batch(CompiledGraph::Impl& g);
   virtual void run_float(CompiledGraph::Impl& g) = 0;
   // Resolves requantization constants once every edge scale is known.
   virtual void finalize(CompiledGraph::Impl& g) { (void)g; }
@@ -154,11 +226,18 @@ class Op {
     (void)g;
     (void)batch;
   }
-  // Installs the workspace slot of the op's private scratch buffer (a
-  // padding conv's padded stripes, the linear accumulator). Called by the
-  // buffer planner after the walk; ops without scratch ignore it.
-  virtual void set_scratch_slot(int slot) { (void)slot; }
+  // Installs the workspace slots of the op's private scratch (the linear
+  // head's gathered input and accumulator). Called by the buffer planner
+  // after the walk; ops without scratch ignore it.
+  virtual void set_scratch_slots(int byte_slot, int int_slot) {
+    (void)byte_slot;
+    (void)int_slot;
+  }
 };
+
+void Op::run_batch(CompiledGraph::Impl& g) {
+  for (std::int64_t b = 0; b < g.batch; ++b) run_sample(g, b);
+}
 
 // Dequantized weight matrix for the float reference walk, materialized on
 // first use — serving-only graphs (calibrate once, then integer forwards)
@@ -181,21 +260,25 @@ class QuantizeInputOp final : public Op {
  public:
   explicit QuantizeInputOp(int out_edge) : out_edge_(out_edge) {}
 
-  void run_int(CompiledGraph::Impl& g) override {
+  // (C, H, W) floats in, channels-last codes out.
+  void run_sample(CompiledGraph::Impl& g, std::int64_t b) override {
     const EdgeData& e = g.edges[static_cast<std::size_t>(out_edge_)];
-    const float* in = g.run_input->data();
-    std::uint8_t* out = g.u8(out_edge_);
-    const std::int64_t stride = e.per_sample();
+    const float* src = g.run_input->data() + b * e.per_sample();
+    std::uint8_t* dst = g.u8(out_edge_) + b * e.sample;
+    const std::int64_t plane = e.height * e.width;
     const float inv_scale = 1.0f / e.scale;
     const auto zp = static_cast<float>(e.zero_point);
-    const float levels = e.levels;
-    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
-      const float* src = in + b * stride;
-      std::uint8_t* dst = out + b * stride;
-      for (std::int64_t i = 0; i < stride; ++i) {
-        dst[i] = round_clamp_code(src[i] * inv_scale + zp, levels);
+    write_border(e, dst);
+    for (std::int64_t y = 0; y < e.height; ++y) {
+      std::uint8_t* pixel = dst + e.at(y, 0);
+      for (std::int64_t x = 0; x < e.width; ++x, pixel += e.channels) {
+        const float* value = src + y * e.width + x;
+        for (std::int64_t c = 0; c < e.channels; ++c) {
+          pixel[c] =
+              round_clamp_code(value[c * plane] * inv_scale + zp, e.levels);
+        }
       }
-    });
+    }
   }
 
   void run_float(CompiledGraph::Impl& g) override {
@@ -228,60 +311,25 @@ class ConvOp final : public Op {
         geom_(geom),
         weights_(std::move(weights)) {}
 
+  int in_edge() const { return in_edge_; }
+  int acc_edge() const { return acc_edge_; }
+  const ConvGeometry& geometry() const { return geom_; }
   const PackedIntWeights& weights() const { return weights_; }
   void release_float_cache() override {
     float_weights_.clear();
     float_weights_.shrink_to_fit();
   }
-  void set_scratch_slot(int slot) override { pad_slot_ = slot; }
 
-  // Elements of one padded sample; 0 when the convolution does not pad and
-  // reads its input edge in place.
-  std::int64_t padded_size() const {
-    return geom_.pad > 0
-               ? geom_.channels * geom_.padded_h() * geom_.padded_w()
-               : 0;
+  // Reads its channels-last input edge in place: the edge's border is at
+  // least this convolution's pad, and its samples are spaced for the
+  // tiles' reach.
+  void run_sample(CompiledGraph::Impl& g, std::int64_t b) override {
+    run(g, b, 1, false);
   }
-
-  void prepare(CompiledGraph::Impl& g, std::int64_t batch) override {
-    (void)batch;
-    if (padded_size() > 0) {
-      g.ws->bytes(pad_slot_, pool_slot_count() * padded_size());
-    }
-  }
-
-  void run_int(CompiledGraph::Impl& g) override {
-    const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    const std::uint8_t* src = g.u8(in_edge_);
-    // One padded stripe per pool slot, bordered with the edge's zero point.
-    std::uint8_t* pad_base =
-        padded_size() > 0
-            ? g.ws->bytes(pad_slot_, pool_slot_count() * padded_size())
-            : nullptr;
-    std::int32_t* acc = g.i32(acc_edge_);
-    const std::int64_t acc_stride =
-        g.edges[static_cast<std::size_t>(acc_edge_)].per_sample();
-    const auto pad_code = static_cast<std::uint8_t>(in.zero_point);
-    // Parallelism picks the outermost productive level: larger batches
-    // split across samples; batches at or below the sample-loop's pooling
-    // threshold (kParallelForSerialThreshold) run pooled GEMMs instead so
-    // latency-critical small requests still fan out. These GEMMs are the
-    // canonical wide-N/small-M shape (m = out_channels, one MC tile; n =
-    // spatial positions), so the kAuto split resolves to the column split —
-    // a batch-1 conv forward now uses the whole pool instead of one core.
-    const bool gemm_pooled =
-        g.pooled && g.batch <= kParallelForSerialThreshold;
-    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
-      const std::uint8_t* image = src + b * in.per_sample();
-      if (pad_base != nullptr) {
-        std::uint8_t* stripe = pad_base + pool_slot() * padded_size();
-        pad_image(geom_, image, stripe, pad_code);
-        image = stripe;
-      }
-      // acc_b(OC, P) = W_codes(OC, K) * im2col_u8(x_b)(K, P), never built.
-      weights_.gemm_conv(geom_, image, acc + b * acc_stride,
-                         geom_.col_cols(), gemm_pooled);
-    });
+  // One call for the batch: the pool takes the samples' blocks of C, so a
+  // batch of one or two samples fans out too.
+  void run_batch(CompiledGraph::Impl& g) override {
+    run(g, 0, g.batch, g.pooled);
   }
 
   void run_float(CompiledGraph::Impl& g) override {
@@ -293,7 +341,9 @@ class ConvOp final : public Op {
     const std::vector<float>& w = float_weights(weights_, float_weights_);
     // The float walk is transient (see Impl::float_edges): one zero-padded
     // sample, when the convolution pads at all.
-    std::vector<float> padded(static_cast<std::size_t>(padded_size()));
+    std::vector<float> padded(static_cast<std::size_t>(
+        geom_.pad > 0 ? geom_.channels * geom_.padded_h() * geom_.padded_w()
+                      : 0));
     for (std::int64_t b = 0; b < g.batch; ++b) {
       const float* sample = src + b * in.per_sample();
       if (!padded.empty()) {
@@ -306,12 +356,24 @@ class ConvOp final : public Op {
   }
 
  private:
+  void run(CompiledGraph::Impl& g, std::int64_t first, std::int64_t count,
+           bool pooled) {
+    const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
+    const EdgeData& acc = g.edges[static_cast<std::size_t>(acc_edge_)];
+    const std::uint8_t* src = g.u8(in_edge_) + first * in.sample;
+    for (std::int64_t b = 0; b < count; ++b) {
+      audit_border(in, src + b * in.sample);
+    }
+    weights_.conv(in.pitch, count, src + in.at(-geom_.pad, -geom_.pad),
+                  in.sample, g.i32(acc_edge_) + first * acc.sample,
+                  acc.sample, pooled);
+  }
+
   int in_edge_;
   int acc_edge_;
   ConvGeometry geom_;
   PackedIntWeights weights_;
   std::vector<float> float_weights_;
-  int pad_slot_ = -1;
 };
 
 // ------------------------------------------------------- requantization --
@@ -399,16 +461,31 @@ class RequantOp final : public Op {
       mul2_.assign(add_.size(), ratio);
       for (float& add : add_) add += offset;
     }
+    // Channels-last outputs cycle through the channels, so the constants
+    // repeat to lcm(C, 32) values: a run of positions is one sweep.
+    const auto channels = static_cast<std::int64_t>(add_.size());
+    period_ = std::lcm(channels, std::int64_t{32});
+    const auto tile = [this, channels](std::vector<float> values) {
+      values.resize(static_cast<std::size_t>(period_));
+      for (std::int64_t i = channels; i < period_; ++i) {
+        values[static_cast<std::size_t>(i)] =
+            values[static_cast<std::size_t>(i % channels)];
+      }
+      return values;
+    };
+    mul1_ = tile(main_.mul);
+    mul2_ = tile(std::move(mul2_));
+    add_ = tile(std::move(add_));
   }
 
-  void run_int(CompiledGraph::Impl& g) override {
+  void run_sample(CompiledGraph::Impl& g, std::int64_t b) override {
     switch (skip_.kind) {
       case SkipTerm::Kind::kNone:
-        return sweep<NoSkip>(g, nullptr);
+        return sweep<NoSkip>(g, b, nullptr);
       case SkipTerm::Kind::kAcc:
-        return sweep(g, g.i32(skip_.edge));
+        return sweep(g, b, g.i32(skip_.edge));
       case SkipTerm::Kind::kCodes:
-        return sweep(g, g.u8(skip_.edge));
+        return sweep(g, b, g.u8(skip_.edge));
     }
   }
 
@@ -456,31 +533,49 @@ class RequantOp final : public Op {
   }
 
  private:
+  // Vectorized along the channels of each output row, or of each position
+  // where the accumulator rows have padding columns; the codes go straight
+  // into the interior of the output edge (for a convolution: its padded
+  // input).
   template <typename Skip>
-  void sweep(CompiledGraph::Impl& g, const Skip* skip) {
-    const std::int32_t* acc = g.i32(main_.acc_edge);
-    std::uint8_t* out = g.u8(out_edge_);
-    const std::int64_t plane = main_.plane;
-    const std::int64_t stride = main_.channels * plane;
-    const float levels = g.edges[static_cast<std::size_t>(out_edge_)].levels;
-    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
-      for (std::int64_t ch = 0; ch < main_.channels; ++ch) {
-        const std::int64_t base = b * stride + ch * plane;
-        const Skip* skip_at = nullptr;
-        if constexpr (kHasSkip<Skip>) skip_at = skip + base;
+  void sweep(CompiledGraph::Impl& g, std::int64_t b, const Skip* skip) {
+    const EdgeData& acc_e = g.edges[static_cast<std::size_t>(main_.acc_edge)];
+    const EdgeData& out_e = g.edges[static_cast<std::size_t>(out_edge_)];
+    const EdgeData& skip_e = g.edges[static_cast<std::size_t>(
+        kHasSkip<Skip> ? skip_.edge : main_.acc_edge)];
+    const std::int64_t channels = out_e.channels;
+    const std::int64_t skip_step = skip_e.is_acc ? skip_e.ldc : channels;
+    const bool rows = acc_e.ldc == channels && skip_step == channels;
+    const std::int64_t run = rows ? out_e.width * channels : channels;
+    const std::int64_t runs = rows ? 1 : out_e.width;
+    const std::int32_t* acc = g.i32(main_.acc_edge) + b * acc_e.sample;
+    std::uint8_t* image = g.u8(out_edge_) + b * out_e.sample;
+    write_border(out_e, image);
+    for (std::int64_t y = 0; y < out_e.height; ++y) {
+      const std::int32_t* acc_at = acc + acc_e.at(y, 0);
+      const Skip* skip_at = nullptr;
+      if constexpr (kHasSkip<Skip>) {
+        skip_at = skip + b * skip_e.sample + skip_e.at(y, 0);
+      }
+      std::uint8_t* out_at = image + out_e.at(y, 0);
+      for (std::int64_t r = 0; r < runs; ++r) {
         // The clamp at zero IS the fused ReLU (negative pre-activations
         // fall below code 0 because the output zero point is 0).
-        const auto c = static_cast<std::size_t>(ch);
-        requant_span(acc + base, skip_at, out + base, plane, main_.mul[c],
-                     mul2_[c], add_[c], levels);
+        requant_channels(acc_at, skip_at, out_at, run, mul1_.data(),
+                         mul2_.data(), add_.data(), period_, out_e.levels);
+        acc_at += acc_e.ldc;
+        if constexpr (kHasSkip<Skip>) skip_at += skip_step;
+        out_at += channels;
       }
-    });
+    }
   }
 
   AccRequant main_;
   SkipTerm skip_;
   int out_edge_;
-  std::vector<float> mul2_, add_;  // per channel, resolved in finalize()
+  // Per channel, resolved in finalize() and repeated to period_ values.
+  std::vector<float> mul1_, mul2_, add_;
+  std::int64_t period_ = 0;
 };
 
 // ------------------------------------------------------------- pooling --
@@ -490,15 +585,35 @@ class MaxPoolOp final : public Op {
   MaxPoolOp(int in_edge, int out_edge, const Pool2dConfig& config)
       : in_edge_(in_edge), out_edge_(out_edge), config_(config) {}
 
-  void run_int(CompiledGraph::Impl& g) override {
+  // Max over the in-bounds window only — padded taps are the implicit -inf
+  // of the float module, and the max is order-preserving on codes, so the
+  // integer and float walks pick the same taps. Channels-last: each tap is
+  // a run of C codes.
+  void run_sample(CompiledGraph::Impl& g, std::int64_t b) override {
     const EdgeData& in_e = g.edges[static_cast<std::size_t>(in_edge_)];
     const EdgeData& out_e = g.edges[static_cast<std::size_t>(out_edge_)];
-    const std::uint8_t* in = g.u8(in_edge_);
-    std::uint8_t* out = g.u8(out_edge_);
-    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
-      pool_sample<std::uint8_t>(in_e, out_e, in + b * in_e.per_sample(),
-                                out + b * out_e.per_sample());
-    });
+    const std::uint8_t* src = g.u8(in_edge_) + b * in_e.sample;
+    std::uint8_t* image = g.u8(out_edge_) + b * out_e.sample;
+    const std::int64_t channels = in_e.channels;
+    write_border(out_e, image);
+    for (std::int64_t oy = 0; oy < out_e.height; ++oy) {
+      for (std::int64_t ox = 0; ox < out_e.width; ++ox) {
+        std::int64_t y0, y1, x0, x1;
+        config_.window(oy, config_.kernel_h, in_e.height, y0, y1);
+        config_.window(ox, config_.kernel_w, in_e.width, x0, x1);
+        std::uint8_t* dst = image + out_e.at(oy, ox);
+        std::memcpy(dst, src + in_e.at(y0, x0),
+                    static_cast<std::size_t>(channels));
+        for (std::int64_t iy = y0; iy < y1; ++iy) {
+          for (std::int64_t ix = x0; ix < x1; ++ix) {
+            const std::uint8_t* tap = src + in_e.at(iy, ix);
+            for (std::int64_t c = 0; c < channels; ++c) {
+              dst[c] = std::max(dst[c], tap[c]);
+            }
+          }
+        }
+      }
+    }
   }
 
   void run_float(CompiledGraph::Impl& g) override {
@@ -507,38 +622,30 @@ class MaxPoolOp final : public Op {
     const float* in = g.f32(in_edge_);
     float* out = g.f32(out_edge_);
     for (std::int64_t b = 0; b < g.batch; ++b) {
-      pool_sample<float>(in_e, out_e, in + b * in_e.per_sample(),
-                         out + b * out_e.per_sample());
-    }
-  }
-
- private:
-  // Max over the in-bounds window only — padded taps are the implicit -inf
-  // of the float module, and the max is order-preserving on codes, so the
-  // integer and float walks pick the same taps.
-  template <typename T>
-  void pool_sample(const EdgeData& in_e, const EdgeData& out_e, const T* in,
-                   T* out) const {
-    for (std::int64_t c = 0; c < in_e.channels; ++c) {
-      const T* plane = in + c * in_e.height * in_e.width;
-      T* dst = out + c * out_e.height * out_e.width;
-      for (std::int64_t oy = 0; oy < out_e.height; ++oy) {
-        for (std::int64_t ox = 0; ox < out_e.width; ++ox) {
-          std::int64_t y0, y1, x0, x1;
-          config_.window(oy, config_.kernel_h, in_e.height, y0, y1);
-          config_.window(ox, config_.kernel_w, in_e.width, x0, x1);
-          T best = plane[y0 * in_e.width + x0];
-          for (std::int64_t iy = y0; iy < y1; ++iy) {
-            for (std::int64_t ix = x0; ix < x1; ++ix) {
-              best = std::max(best, plane[iy * in_e.width + ix]);
+      for (std::int64_t c = 0; c < in_e.channels; ++c) {
+        const float* plane = in + (b * in_e.channels + c) * in_e.height *
+                                      in_e.width;
+        float* dst = out + (b * in_e.channels + c) * out_e.height *
+                               out_e.width;
+        for (std::int64_t oy = 0; oy < out_e.height; ++oy) {
+          for (std::int64_t ox = 0; ox < out_e.width; ++ox) {
+            std::int64_t y0, y1, x0, x1;
+            config_.window(oy, config_.kernel_h, in_e.height, y0, y1);
+            config_.window(ox, config_.kernel_w, in_e.width, x0, x1);
+            float best = plane[y0 * in_e.width + x0];
+            for (std::int64_t iy = y0; iy < y1; ++iy) {
+              for (std::int64_t ix = x0; ix < x1; ++ix) {
+                best = std::max(best, plane[iy * in_e.width + ix]);
+              }
             }
+            dst[oy * out_e.width + ox] = best;
           }
-          dst[oy * out_e.width + ox] = best;
         }
       }
     }
   }
 
+ private:
   int in_edge_;
   int out_edge_;
   Pool2dConfig config_;
@@ -549,24 +656,32 @@ class GlobalAvgPoolOp final : public Op {
   GlobalAvgPoolOp(int in_edge, int out_edge)
       : in_edge_(in_edge), out_edge_(out_edge) {}
 
-  void run_int(CompiledGraph::Impl& g) override {
+  void run_sample(CompiledGraph::Impl& g, std::int64_t b) override {
     const EdgeData& in_e = g.edges[static_cast<std::size_t>(in_edge_)];
-    const std::uint8_t* in = g.u8(in_edge_);
-    std::uint8_t* out = g.u8(out_edge_);
-    const std::int64_t channels = in_e.channels;
+    const EdgeData& out_e = g.edges[static_cast<std::size_t>(out_edge_)];
+    const std::uint8_t* src = g.u8(in_edge_) + b * in_e.sample;
+    std::uint8_t* image = g.u8(out_edge_) + b * out_e.sample;
     const std::int64_t plane = in_e.height * in_e.width;
-    for_each_sample(g.pooled, g.batch, [&](std::int64_t b) {
-      const std::uint8_t* src = in + b * channels * plane;
-      std::uint8_t* dst = out + b * channels;
-      for (std::int64_t ch = 0; ch < channels; ++ch) {
-        std::int64_t sum = 0;
-        const std::uint8_t* values = src + ch * plane;
-        for (std::int64_t p = 0; p < plane; ++p) sum += values[p];
-        // Integer round-half-up mean; codes are unsigned so this matches
-        // round-to-nearest. Same scale as the input edge (derived).
-        dst[ch] = static_cast<std::uint8_t>((2 * sum + plane) / (2 * plane));
+    write_border(out_e, image);
+    std::uint8_t* dst = image + out_e.at(0, 0);
+    // Channels in blocks of a fixed-size sum array: no allocation.
+    constexpr std::int64_t kBlock = 256;
+    for (std::int64_t c0 = 0; c0 < in_e.channels; c0 += kBlock) {
+      const std::int64_t count = std::min(kBlock, in_e.channels - c0);
+      std::int64_t sums[kBlock] = {};
+      for (std::int64_t y = 0; y < in_e.height; ++y) {
+        for (std::int64_t x = 0; x < in_e.width; ++x) {
+          const std::uint8_t* pixel = src + in_e.at(y, x) + c0;
+          for (std::int64_t c = 0; c < count; ++c) sums[c] += pixel[c];
+        }
       }
-    });
+      // Integer round-half-up mean; codes are unsigned so this matches
+      // round-to-nearest. Same scale as the input edge (derived).
+      for (std::int64_t c = 0; c < count; ++c) {
+        dst[c0 + c] =
+            static_cast<std::uint8_t>((2 * sums[c] + plane) / (2 * plane));
+      }
+    }
   }
 
   void run_float(CompiledGraph::Impl& g) override {
@@ -605,23 +720,49 @@ class LinearOp final : public Op {
     float_weights_.clear();
     float_weights_.shrink_to_fit();
   }
-  void set_scratch_slot(int slot) override { acc_slot_ = slot; }
+  void set_scratch_slots(int byte_slot, int int_slot) override {
+    in_slot_ = byte_slot;
+    acc_slot_ = int_slot;
+  }
 
   void prepare(CompiledGraph::Impl& g, std::int64_t batch) override {
+    g.ws->bytes(in_slot_, weights_.cols() * batch);
     g.ws->ints(acc_slot_, weights_.rows() * batch);
   }
 
-  void run_int(CompiledGraph::Impl& g) override {
+  // The head multiplies the whole batch at once (the graph runs it last).
+  void run_sample(CompiledGraph::Impl& g, std::int64_t b) override {
+    (void)g;
+    (void)b;
+    CSQ_CHECK(false) << "integer graph: the Linear head runs on the batch";
+  }
+
+  void run_batch(CompiledGraph::Impl& g) override {
     const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
     const std::int64_t out_f = weights_.rows();
     const std::int64_t in_f = weights_.cols();
+    // The input in the (C, H, W) order of the weight columns: one run of
+    // C codes per sample behind a global pool.
+    std::uint8_t* x = g.ws->bytes(in_slot_, in_f * g.batch);
+    const std::uint8_t* codes = g.u8(in_edge_);
+    for (std::int64_t b = 0; b < g.batch; ++b) {
+      const std::uint8_t* image = codes + b * in.sample;
+      std::uint8_t* row = x + b * in_f;
+      for (std::int64_t y = 0; y < in.height; ++y) {
+        for (std::int64_t w = 0; w < in.width; ++w) {
+          const std::uint8_t* pixel = image + in.at(y, w);
+          for (std::int64_t c = 0; c < in.channels; ++c) {
+            row[(c * in.height + y) * in.width + w] = pixel[c];
+          }
+        }
+      }
+    }
     std::int32_t* acc = g.ws->ints(acc_slot_, out_f * g.batch);
     // acc(OUT, B) = W_codes(OUT, IN) * X^T — the one top-level integer GEMM.
     // n here is the BATCH (kAuto keeps the row split: at batch 1 there is a
     // single output column, so there is nothing for a column split to carve;
     // the head matmul only fans out via its m = OUT row tiles).
-    weights_.gemm(Trans::yes, g.batch, g.u8(in_edge_), in_f, acc, g.batch,
-                  g.pooled);
+    weights_.gemm(Trans::yes, g.batch, x, in_f, acc, g.batch, g.pooled);
 
     g.run_output = Tensor::uninitialized({g.batch, out_f});
     float* logits = g.run_output.data();
@@ -666,6 +807,7 @@ class LinearOp final : public Op {
   PackedIntWeights weights_;
   std::vector<float> float_weights_;
   std::vector<float> bias_;
+  int in_slot_ = -1;
   int acc_slot_ = -1;
 };
 
@@ -687,9 +829,9 @@ void CompiledGraph::Impl::prepare(std::int64_t new_batch) {
   batch = new_batch;
   for (EdgeData& e : edges) {
     if (e.is_acc) {
-      ws->ints(e.slot, new_batch * e.per_sample());
+      ws->ints(e.slot, e.buffer(new_batch));
     } else {
-      ws->bytes(e.slot, new_batch * e.per_sample());
+      ws->bytes(e.slot, e.buffer(new_batch));
     }
   }
   for (auto& op : ops) op->prepare(*this, new_batch);
@@ -724,9 +866,24 @@ void CompiledGraph::Impl::finalize_scales() {
   scales_final = true;
 }
 
+// Batches above the sample loop's pooling threshold run sample-major: each
+// sample runs every op up to the head on one thread, so its activations
+// stay in that core's cache and the pool is entered once. Smaller batches
+// run layer by layer, where each convolution spreads its blocks over the
+// pool. The Linear head, always the last op, multiplies the whole batch.
+// Every op's integer arithmetic is exact and per sample, so both orders
+// are bit-identical.
 void CompiledGraph::Impl::run_int_all() {
   prepare(batch);
-  for (auto& op : ops) op->run_int(*this);
+  const std::size_t head = ops.size() - 1;
+  if (batch > kParallelForSerialThreshold) {
+    for_each_sample(pooled, batch, [this, head](std::int64_t b) {
+      for (std::size_t i = 0; i < head; ++i) ops[i]->run_sample(*this, b);
+    });
+  } else {
+    for (std::size_t i = 0; i < head; ++i) ops[i]->run_batch(*this);
+  }
+  ops[head]->run_batch(*this);
 }
 
 void CompiledGraph::Impl::run_float_all() {
@@ -786,14 +943,15 @@ class GraphBuilder {
 
     PackedIntWeights packed(layer.codes, layer.step(), layer.bits,
                             out_channels, geom.col_rows(),
-                            static_cast<WeightKernel>(instr.kernel_kind));
+                            static_cast<WeightKernel>(instr.kernel_kind),
+                            &geom);
     const int acc = new_acc_edge(out_channels, geom.out_h(), geom.out_w());
 
     auto op = std::make_unique<ConvOp>(in, acc, geom, std::move(packed));
     const ConvOp* raw = op.get();
+    convs_.push_back(raw);
     record_layer(layer.name, raw->weights());
-    add_op(std::move(op), {in}, {acc},
-           geom.pad > 0 ? ScratchKind::kByte : ScratchKind::kNone);
+    add_op(std::move(op), {in}, {acc});
 
     pending_.active = true;
     pending_.main.acc_edge = acc;
@@ -827,7 +985,7 @@ class GraphBuilder {
     auto op = std::make_unique<LinearOp>(in, std::move(packed), instr.bias);
     record_layer(layer.name, op->weights());
     g_.out_features = out_features;
-    add_op(std::move(op), {in}, {}, ScratchKind::kInt);
+    add_op(std::move(op), {in}, {}, /*scratch=*/true);
     current_edge_ = -1;  // the graph output is the float logits tensor
   }
 
@@ -955,6 +1113,7 @@ class GraphBuilder {
            "was lowered)";
     CSQ_CHECK(!pending_.active)
         << "integer graph: dangling un-realized ops after the walk";
+    plan_layouts();
     plan_slots();
     const int slots =
         std::max({g_.byte_slots_used, g_.int_slots_used, 1});
@@ -962,32 +1121,56 @@ class GraphBuilder {
   }
 
  private:
-  enum class ScratchKind { kNone, kByte, kInt };
-
   // Edge traffic of one op, in topological (execution) order — the liveness
-  // intervals the buffer planner colors.
+  // intervals the buffer planner colors — and whether the op has private
+  // scratch (a byte and an int buffer).
   struct OpMeta {
     std::vector<int> reads;
     std::vector<int> writes;
-    ScratchKind scratch = ScratchKind::kNone;
+    bool scratch = false;
   };
 
   void add_op(std::unique_ptr<Op> op, std::vector<int> reads,
-              std::vector<int> writes,
-              ScratchKind scratch = ScratchKind::kNone) {
+              std::vector<int> writes, bool scratch = false) {
     g_.ops.push_back(std::move(op));
     op_meta_.push_back(OpMeta{std::move(reads), std::move(writes), scratch});
+  }
+
+  // Lays out every edge once its consumers are known. A u8 edge's border is
+  // the widest pad of the convolutions that read it, so each reads its
+  // input in place from its window origin; a convolution's accumulators
+  // span its grid (gemm_conv_grid), which is as wide as its input's rows,
+  // and its input's samples are far enough apart for what its tiles read.
+  void plan_layouts() {
+    for (const ConvOp* conv : convs_) {
+      EdgeData& in = g_.edges[static_cast<std::size_t>(conv->in_edge())];
+      in.border = std::max(in.border, conv->geometry().pad);
+    }
+    for (EdgeData& e : g_.edges) {
+      if (e.is_acc) continue;
+      e.pitch = e.width + 2 * e.border;
+      e.sample = (e.height + 2 * e.border) * e.pitch * e.channels;
+    }
+    for (const ConvOp* conv : convs_) {
+      EdgeData& in = g_.edges[static_cast<std::size_t>(conv->in_edge())];
+      EdgeData& acc = g_.edges[static_cast<std::size_t>(conv->acc_edge())];
+      const std::int64_t pad = conv->geometry().pad;
+      const ConvGrid grid =
+          gemm_conv_grid(conv->geometry(), in.pitch, acc.channels);
+      acc.pitch = in.pitch;
+      acc.ldc = grid.ldc;
+      acc.sample = grid.rows * grid.ldc;
+      in.sample = std::max(in.sample, in.at(-pad, -pad) + grid.reach);
+    }
   }
 
   // Assigns every edge (and op scratch buffer) its workspace slot. Planned
   // mode colors the liveness intervals over the op order: an edge's slot
   // returns to its class free list after the edge's last consumer, and ops'
-  // private scratch (padded conv inputs, linear accumulator) lives only for
-  // its own op — so all padding convolutions share one set of padded-image
-  // stripes, sized for the largest. Outputs and
-  // scratch of op i never recycle a slot freed AT op i (an op must not
-  // write into a buffer it is still reading), which keeps planned and
-  // unplanned graphs bit-identical.
+  // private scratch lives only for its own op. Outputs and scratch of op i
+  // never recycle a slot freed AT op i (an op must not write into a buffer
+  // it is still reading), which keeps planned and unplanned graphs
+  // bit-identical.
   void plan_slots() {
     const int n_ops = static_cast<int>(g_.ops.size());
     if (!g_.options.plan_buffers) {
@@ -997,14 +1180,9 @@ class GraphBuilder {
         e.slot = e.is_acc ? g_.int_slots_used++ : g_.byte_slots_used++;
       }
       for (int i = 0; i < n_ops; ++i) {
-        if (op_meta_[static_cast<std::size_t>(i)].scratch ==
-            ScratchKind::kByte) {
-          g_.ops[static_cast<std::size_t>(i)]->set_scratch_slot(
-              g_.byte_slots_used++);
-        } else if (op_meta_[static_cast<std::size_t>(i)].scratch ==
-                   ScratchKind::kInt) {
-          g_.ops[static_cast<std::size_t>(i)]->set_scratch_slot(
-              g_.int_slots_used++);
+        if (op_meta_[static_cast<std::size_t>(i)].scratch) {
+          g_.ops[static_cast<std::size_t>(i)]->set_scratch_slots(
+              g_.byte_slots_used++, g_.int_slots_used++);
         }
       }
       return;
@@ -1038,14 +1216,12 @@ class GraphBuilder {
         edge.slot = edge.is_acc ? take(free_ints, g_.int_slots_used)
                                 : take(free_bytes, g_.byte_slots_used);
       }
-      int scratch = -1;
-      if (meta.scratch == ScratchKind::kByte) {
-        scratch = take(free_bytes, g_.byte_slots_used);
-      } else if (meta.scratch == ScratchKind::kInt) {
-        scratch = take(free_ints, g_.int_slots_used);
-      }
-      if (scratch >= 0) {
-        g_.ops[static_cast<std::size_t>(i)]->set_scratch_slot(scratch);
+      int byte_scratch = -1, int_scratch = -1;
+      if (meta.scratch) {
+        byte_scratch = take(free_bytes, g_.byte_slots_used);
+        int_scratch = take(free_ints, g_.int_slots_used);
+        g_.ops[static_cast<std::size_t>(i)]->set_scratch_slots(byte_scratch,
+                                                               int_scratch);
       }
       const auto release_dead = [&](int e) {
         if (last[static_cast<std::size_t>(e)] != i ||
@@ -1058,16 +1234,25 @@ class GraphBuilder {
       };
       for (const int e : meta.reads) release_dead(e);
       for (const int e : meta.writes) release_dead(e);
-      if (meta.scratch == ScratchKind::kByte) {
-        free_bytes.push_back(scratch);
-      } else if (meta.scratch == ScratchKind::kInt) {
-        free_ints.push_back(scratch);
+      if (meta.scratch) {
+        free_bytes.push_back(byte_scratch);
+        free_ints.push_back(int_scratch);
       }
     }
     for (std::size_t e = 0; e < g_.edges.size(); ++e) {
       CSQ_CHECK(g_.edges[e].slot >= 0)
           << "buffer plan: edge " << e << " was never written";
     }
+    // One sample stride per slot: a sample-major forward writes one
+    // sample's region of an edge while other threads use other samples'
+    // regions of the slot's earlier and later edges.
+    std::vector<std::int64_t> bytes(g_.byte_slots_used), ints(
+                                                             g_.int_slots_used);
+    for (const EdgeData& e : g_.edges) {
+      std::int64_t& stride = (e.is_acc ? ints : bytes)[e.slot];
+      stride = std::max(stride, e.sample);
+    }
+    for (EdgeData& e : g_.edges) e.sample = (e.is_acc ? ints : bytes)[e.slot];
   }
 
   struct Pending {
@@ -1156,6 +1341,7 @@ class GraphBuilder {
   Pending pending_;
   std::vector<Frame> residual_stack_;
   std::vector<OpMeta> op_meta_;  // parallel to g_.ops
+  std::vector<const ConvOp*> convs_;
   int current_edge_ = -1;
 };
 
@@ -1446,6 +1632,16 @@ CompiledGraph rebuild_replica(std::shared_ptr<const GraphProgram> program,
   copy.impl_->program = std::move(program);  // shared: no deep copy
   copy.restore_edge_scales(records);
   return copy;
+}
+
+ScopedBorderAuditForTest::ScopedBorderAuditForTest() {
+  ScopedBorderAuditForTest* none = nullptr;
+  CSQ_CHECK(border_audit.compare_exchange_strong(none, this))
+      << "ScopedBorderAuditForTest: an audit is already alive";
+}
+
+ScopedBorderAuditForTest::~ScopedBorderAuditForTest() {
+  border_audit.store(nullptr);
 }
 
 float evaluate_graph_accuracy(CompiledGraph& graph,

@@ -23,12 +23,16 @@
 //                         when the graph is built.
 //
 // Execution: `forward` runs the integer path — quantize input once, then
-// uint8 GEMM operands, int32 accumulators and one fused scale/clamp pass per
-// layer. Every activation buffer and scratch stripe is drawn from a
-// grow-once Workspace, so a steady-state batched forward performs ZERO heap
-// allocations (asserted by the operator-new counter tests). Serial and
-// pooled execution are bit-identical (integer arithmetic plus the fixed
-// blocking of the int8 GEMM).
+// uint8 activation codes, int32 accumulators and one fused scale/clamp pass
+// per layer. Activations are channels-last (NHWC) with a border of the
+// edge's zero point as wide as the widest pad of the convolutions reading
+// them, so every convolution reads its input in place (gemm_conv_nhwc) and
+// every requantization writes its codes straight into the interior of the
+// next one's padded input. Every activation buffer and scratch buffer is
+// drawn from a grow-once Workspace, so a steady-state batched forward
+// performs ZERO heap allocations (asserted by the operator-new counter
+// tests). Serial and pooled execution are bit-identical (integer
+// arithmetic).
 //
 // Calibration: `calibrate` runs the float reference walk of the same
 // lowered ops (dequantized weights, folded BN) recording per-edge activation
@@ -37,6 +41,7 @@
 // interior edges are post-ReLU and unsigned.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -220,6 +225,25 @@ CompiledGraph replicate(CompiledGraph& graph);
 CompiledGraph rebuild_replica(std::shared_ptr<const GraphProgram> program,
                               const LowerOptions& options,
                               const std::vector<EdgeScaleRecord>& records);
+
+// TEST ONLY: while alive, every integer convolution first checks, for each
+// sample, that the border of the activation edge it reads holds the edge's
+// zero point. The planner shares byte slots between edges, so a producer
+// that skipped a border write would leave another edge's codes there.
+// Nothing else reaches it; when none is alive a forward pays one relaxed
+// atomic load per convolution and sample.
+class ScopedBorderAuditForTest {
+ public:
+  ScopedBorderAuditForTest();
+  ~ScopedBorderAuditForTest();
+  ScopedBorderAuditForTest(const ScopedBorderAuditForTest&) = delete;
+  ScopedBorderAuditForTest& operator=(const ScopedBorderAuditForTest&) =
+      delete;
+
+  // Samples checked, and those with a border byte off the zero point.
+  std::atomic<std::int64_t> checked{0};
+  std::atomic<std::int64_t> faulted{0};
+};
 
 // Top-1 accuracy (percent) of the integer graph on a dataset — the
 // integer-path counterpart of evaluate_accuracy (opt/trainer.h).

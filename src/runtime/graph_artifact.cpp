@@ -76,10 +76,9 @@ void write_layer_record(std::ostream& out, const QuantizedLayerExport& layer) {
   write_pod(out, static_cast<std::int32_t>(layer.bits));
   write_pod(out, layer.scale);
   write_pod(out, layer.denominator);
+  // build_graph refuses codes outside the 8-bit grid (PackedIntWeights), so
+  // each fits the int16 record.
   for (const std::int32_t code : layer.codes) {
-    CSQ_CHECK(code >= -255 && code <= 255)
-        << "save_graph: layer " << layer.name << " code " << code
-        << " outside the 8-bit grid";
     write_pod(out, static_cast<std::int16_t>(code));
   }
 }

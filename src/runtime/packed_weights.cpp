@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "tensor/im2col.h"
 #include "util/check.h"
 
 namespace csq {
@@ -54,16 +53,6 @@ WeightKernel auto_kernel(int bits, std::int32_t max_abs, bool split,
 
 }  // namespace
 
-template <typename Pass>
-void PackedIntWeights::for_each_pass(Pass pass) const {
-  if (!split_) {
-    pass(1, panels_.data(), false);
-    return;
-  }
-  pass(2, panels_.data(), false);
-  pass(1, low_panels_.data(), true);
-}
-
 const char* weight_kernel_name(WeightKernel kernel) {
   switch (kernel) {
     case WeightKernel::kAuto:
@@ -95,7 +84,8 @@ PackedIntWeights::PackedIntWeights(const WeightCodes& codes, std::int64_t rows,
 
 PackedIntWeights::PackedIntWeights(const std::vector<std::int32_t>& codes,
                                    float step, int bits, std::int64_t rows,
-                                   std::int64_t cols, WeightKernel kernel)
+                                   std::int64_t cols, WeightKernel kernel,
+                                   const ConvGeometry* conv)
     : rows_(rows), cols_(cols), bits_(bits) {
   const std::int64_t count = rows * cols;
   CSQ_CHECK(count == static_cast<std::int64_t>(codes.size()))
@@ -125,11 +115,12 @@ PackedIntWeights::PackedIntWeights(const std::vector<std::int32_t>& codes,
   if (needs_split) low_.resize(static_cast<std::size_t>(count));
   row_sums_.assign(static_cast<std::size_t>(rows), 0);
   for (std::int64_t i = 0; i < count; ++i) {
-    const std::int32_t shifted =
-        codes[static_cast<std::size_t>(i)] / (1 << shift_);
-    CSQ_CHECK(shifted >= -255 && shifted <= 255)
-        << "packed weights: code " << codes[static_cast<std::size_t>(i)]
-        << " outside the 8-bit grid";
+    // The stored code, not code >> shift: the artifact layer holds each
+    // code as is, so a layer this accepts is one save_graph can write.
+    const std::int32_t code = codes[static_cast<std::size_t>(i)];
+    CSQ_CHECK(code >= -255 && code <= 255)
+        << "packed weights: code " << code << " outside the 8-bit grid";
+    const std::int32_t shifted = code / (1 << shift_);
     if (needs_split) {
       const std::int32_t lo = shifted & 1;
       const std::int32_t hi = (shifted - lo) / 2;
@@ -146,13 +137,34 @@ PackedIntWeights::PackedIntWeights(const std::vector<std::int32_t>& codes,
                 : kernel;
   check_kernel_eligibility();
 
+  if (conv == nullptr) {
+    pack_gemm_panels();
+    return;
+  }
+  CSQ_CHECK(conv->col_rows() == cols_)
+      << "packed weights: conv depth " << conv->col_rows() << " != " << cols_;
+  conv_geom_ = *conv;
+  gemm_once_ = std::make_unique<std::once_flag>();
+  const PackedKernel kind = packed_kernel(kernel_);
+  const auto pack = [&](const std::vector<std::int8_t>& plane,
+                        std::vector<std::uint8_t>& panels) {
+    panels.resize(static_cast<std::size_t>(
+        gemm_conv_weights_bytes(kind, conv_geom_, rows_)));
+    gemm_pack_conv_weights(kind, conv_geom_, rows_, plane.data(),
+                           panels.data());
+  };
+  pack(primary_, conv_panels_);
+  if (split_) pack(low_, low_conv_panels_);
+}
+
+void PackedIntWeights::pack_gemm_panels() const {
   const PackedKernel kind = packed_kernel(kernel_);
   panels_.resize(
-      static_cast<std::size_t>(gemm_packed_a_bytes(kind, rows, cols)));
-  gemm_pack_a(kind, rows, cols, primary_.data(), cols, panels_.data());
-  if (needs_split) {
+      static_cast<std::size_t>(gemm_packed_a_bytes(kind, rows_, cols_)));
+  gemm_pack_a(kind, rows_, cols_, primary_.data(), cols_, panels_.data());
+  if (split_) {
     low_panels_.resize(panels_.size());
-    gemm_pack_a(kind, rows, cols, low_.data(), cols, low_panels_.data());
+    gemm_pack_a(kind, rows_, cols_, low_.data(), cols_, low_panels_.data());
   }
 }
 
@@ -182,23 +194,30 @@ void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
                             const std::uint8_t* b, std::int64_t ldb,
                             std::int32_t* c, std::int64_t ldc,
                             GemmExec exec) const {
-  for_each_pass([&](std::int32_t alpha, const std::uint8_t* panels,
-                    bool accumulate) {
-    gemm_packed(packed_kernel(kernel_), trans_b, rows_, n, cols_, alpha,
-                panels, b, ldb, accumulate, c, ldc, exec);
-  });
+  if (gemm_once_ != nullptr) {
+    std::call_once(*gemm_once_, [this] { pack_gemm_panels(); });
+  }
+  // One pass over the plane, or for split layers (code = 2*hi + lo) the
+  // alpha-chained hi/lo pair, both exact in int32.
+  const PackedKernel kind = packed_kernel(kernel_);
+  gemm_packed(kind, trans_b, rows_, n, cols_, split_ ? 2 : 1, panels_.data(),
+              b, ldb, /*accumulate=*/false, c, ldc, exec);
+  if (split_) {
+    gemm_packed(kind, trans_b, rows_, n, cols_, 1, low_panels_.data(), b, ldb,
+                /*accumulate=*/true, c, ldc, exec);
+  }
 }
 
-void PackedIntWeights::gemm_conv(const ConvGeometry& geom,
-                                 const std::uint8_t* padded, std::int32_t* c,
-                                 std::int64_t ldc, GemmExec exec) const {
-  CSQ_CHECK(geom.col_rows() == cols_)
-      << "packed weights: conv depth " << geom.col_rows() << " != " << cols_;
-  for_each_pass([&](std::int32_t alpha, const std::uint8_t* panels,
-                    bool accumulate) {
-    gemm_packed_conv(packed_kernel(kernel_), rows_, alpha, panels, geom,
-                     padded, accumulate, c, ldc, exec);
-  });
+void PackedIntWeights::conv(std::int64_t pitch, std::int64_t batch,
+                            const std::uint8_t* image,
+                            std::int64_t image_stride, std::int32_t* c,
+                            std::int64_t c_stride, bool pooled) const {
+  CSQ_CHECK(!conv_panels_.empty())
+      << "packed weights: conv() on weights packed without a geometry";
+  gemm_conv_nhwc(packed_kernel(kernel_), conv_geom_, pitch, rows_,
+                 conv_panels_.data(),
+                 split_ ? low_conv_panels_.data() : nullptr, batch, image,
+                 image_stride, c, c_stride, pooled);
 }
 
 std::int64_t PackedIntWeights::storage_bits() const {

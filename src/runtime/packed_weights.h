@@ -32,16 +32,21 @@
 // The kernel is the layer's contract (code range, eligibility, persisted
 // name), not its instruction sequence: on AMX hosts tensor/gemm runs all
 // three kinds on one exact kernel of 16x16 AMX-INT8 tiles (gemm.h), where
-// the bitserial-w16 rule only decides the name a layer records. The panels
-// are packed from the codes when a layer is built and never persisted, so
-// their host-dependent layout reaches no artifact.
+// the bitserial-w16 rule only decides the name a layer records. A
+// convolution's channels-last kernel (gemm_conv_nhwc) runs bitserial-w16
+// layers on the bitserial one on every ISA. The panels are packed from the
+// codes when a layer is built and never persisted, so their host-dependent
+// layout reaches no artifact.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "nn/weight_source.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 
 namespace csq {
 namespace runtime {
@@ -78,10 +83,14 @@ class PackedIntWeights {
 
   // Borrowing form: packs a caller-owned code vector (e.g. a layer record
   // inside a shared GraphProgram) without the WeightCodes wrapper copy.
-  // `step` is the real value of one grid unit (WeightCodes::step()).
+  // `step` is the real value of one grid unit (WeightCodes::step()). With
+  // `conv`, the weights of a convolution over that geometry (cols must be
+  // its col_rows()): the planes are packed for conv(), and gemm()'s panels
+  // only on gemm()'s first call.
   PackedIntWeights(const std::vector<std::int32_t>& codes, float step,
                    int bits, std::int64_t rows, std::int64_t cols,
-                   WeightKernel kernel = WeightKernel::kAuto);
+                   WeightKernel kernel = WeightKernel::kAuto,
+                   const ConvGeometry* conv = nullptr);
 
   // The deterministic auto-selection policy: the kernel a layer with these
   // codes earns. Pure function of the codes/bits/shape, so every replica of
@@ -131,10 +140,12 @@ class PackedIntWeights {
             std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
             GemmExec exec) const;
 
-  // The same product with B the unfolded convolution matrix of `padded`
-  // (gemm_packed_conv): C(rows, geom.col_cols()), cols() == geom.col_rows().
-  void gemm_conv(const ConvGeometry& geom, const std::uint8_t* padded,
-                 std::int32_t* c, std::int64_t ldc, GemmExec exec) const;
+  // The convolution of `batch` channels-last images under the packed
+  // geometry (gemm_conv_nhwc): C = positions x channels per sample, the
+  // hi/lo pair of split layers fused. Only for convolution weights.
+  void conv(std::int64_t pitch, std::int64_t batch, const std::uint8_t* image,
+            std::int64_t image_stride, std::int32_t* c, std::int64_t c_stride,
+            bool pooled) const;
 
   // Storage of the packed planes in bits (bits() per weight, doubled for
   // split layers, plus the scale).
@@ -146,12 +157,8 @@ class PackedIntWeights {
   // produce wrong logits. Requires max_abs_code_/split_/cols_ set.
   void check_kernel_eligibility() const;
 
-  // Runs the layer's GEMM passes as pass(alpha, panels, accumulate): one
-  // over its plane, or for split layers (code = 2*hi + lo) the
-  // alpha-chained hi/lo pair, both exact in int32. The panels are the
-  // planes in the kernel's gemm_pack_a layout, which no file persists.
-  template <typename Pass>
-  void for_each_pass(Pass pass) const;
+  // Packs the planes in gemm_pack_a's layout (panels_, low_panels_).
+  void pack_gemm_panels() const;
 
   // Stored-plane code of element i: the hi/lo pair re-assembled for split
   // layers, the single plane otherwise (GEMM-accumulator units).
@@ -163,10 +170,17 @@ class PackedIntWeights {
 
   std::vector<std::int8_t> primary_;
   std::vector<std::int8_t> low_;  // empty unless split()
-  // Kernel micro-panel form of the planes, packed once at construction
-  // (weights are static at serving time) so gemm() skips per-call A packing.
-  std::vector<std::uint8_t> panels_;
-  std::vector<std::uint8_t> low_panels_;  // empty unless split()
+  // Kernel micro-panel form of the planes, packed once (weights are static
+  // at serving time) so gemm() skips per-call A packing: at construction,
+  // or for convolution weights, whose forward never runs them, on gemm()'s
+  // first call (gemm_once_).
+  mutable std::vector<std::uint8_t> panels_;
+  mutable std::vector<std::uint8_t> low_panels_;  // empty unless split()
+  std::unique_ptr<std::once_flag> gemm_once_;
+  // Convolution weights only: the planes in gemm_pack_conv_weights' layout.
+  std::vector<std::uint8_t> conv_panels_;
+  std::vector<std::uint8_t> low_conv_panels_;  // empty unless split()
+  ConvGeometry conv_geom_;
   std::vector<std::int64_t> row_sums_;
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;

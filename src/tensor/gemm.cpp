@@ -6,6 +6,7 @@
 #include <cstring>
 #include <optional>
 #include <type_traits>
+#include <utility>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -355,15 +356,13 @@ struct F32Kernel {
 // j % out_w); its element is the padded image at row oy * stride + ki,
 // column ox * stride + kj. The two halves of that address are walked for a
 // run of consecutive taps or positions at a time, so a run costs one
-// division however short its panels are. `T` is the image element: float
-// for gemm_conv, uint8 activation codes for gemm_packed_conv.
-template <typename T>
+// division however short its panels are.
 struct ConvSource {
-  const T* image;  // padded, channels x padded_h x padded_w
+  const float* image;  // padded, channels x padded_h x padded_w
   std::int64_t row, plane;  // padded row and channel pitch, in elements
   std::int64_t kernel_h, kernel_w, stride, out_w;
 
-  ConvSource(const ConvGeometry& geom, const T* padded)
+  ConvSource(const ConvGeometry& geom, const float* padded)
       : image(padded),
         row(geom.padded_w()),
         plane(geom.padded_h() * geom.padded_w()),
@@ -374,7 +373,7 @@ struct ConvSource {
 
   // out[i] = the window origin of tap first + i, for i < count.
   void tap_bases(std::int64_t first, std::int64_t count,
-                 const T** out) const {
+                 const float** out) const {
     const std::int64_t taps = kernel_h * kernel_w;
     std::int64_t c = first / taps, ki = first % taps / kernel_w,
                  kj = first % kernel_w;
@@ -421,7 +420,7 @@ inline void pack_row(float* d, std::int64_t cols, Value value) {
 // C update, and B~ panels byte-equal to F32Kernel::pack_b over im2col's
 // matrix (zero padding comes from the padded image, tails are zero-filled).
 struct F32ConvKernel : F32Kernel {
-  using BIn = ConvSource<float>;
+  using BIn = ConvSource;
 
   static void pack_b(Trans trans, const BIn* b, std::int64_t /*ldb*/,
                      std::int64_t pc, std::int64_t jc, std::int64_t kc,
@@ -490,9 +489,9 @@ inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
 #define CSQ_GEMM_AVX2_INT_KERNEL 1
 #endif
 
-// The AMX kernel is x86-64 inline assembly on top of the AVX2 baseline
-// (its conv packing reuses the AVX2 interleave), built where the compiler's
-// assembler knows the AMX mnemonics and Linux grants the tile state.
+// The AMX kernel is x86-64 inline assembly on top of the AVX2 baseline,
+// built where the compiler's assembler knows the AMX mnemonics and Linux
+// grants the tile state.
 #if defined(CSQ_GEMM_AVX2_INT_KERNEL) && defined(__x86_64__) &&  \
     defined(__linux__) &&                                         \
     ((defined(__clang__) && __clang_major__ >= 12) ||             \
@@ -867,6 +866,206 @@ using LowBitKernel =
 using LowBitWideKernel =
     StackTileKernel<std::int8_t, std::uint8_t, 4, micro_kernel_lowbit_wide>;
 
+// ------------------------------------------ channels-last convolution ----
+//
+// gemm_conv_nhwc (gemm.h): C(positions x channels) = image taps * weights,
+// the activations as the A operand, read in place. The depth of grid
+// position q is kernel_h tap rows of kernel_w * C contiguous image bytes,
+// row_step bytes apart, starting at q * pos_step (pos_step = stride * C,
+// across output rows too: the grid is as wide as the image's rows). The
+// weights are the packed B operand: panels of output channels over the
+// depth in (ki, kj, c) order, each tap row zero-padded to `tap` bytes
+// (conv_steps), so a kernel reads a few bytes past a tap row, which meet
+// zero weights. C is carved into 16-position x 16-channel blocks that
+// every ISA computes whole, so a block's accumulators depend on its
+// operands alone.
+
+constexpr std::int64_t kConvBlock = 16;
+
+// x rounded up to whole blocks.
+inline std::int64_t whole_blocks(std::int64_t x) {
+  return (x + kConvBlock - 1) / kConvBlock * kConvBlock;
+}
+
+// The depth steps of one tap row: its kernel_w * C bytes in the fewest
+// equal steps of at most 64 bytes (one AMX tile row), each whole K-quads.
+// `tap` = width * count bytes: a tap row's depth in the packed weights.
+struct ConvSteps {
+  std::int64_t width, count;
+  std::int64_t tap() const { return width * count; }
+};
+inline ConvSteps conv_steps(const ConvGeometry& geom) {
+  const std::int64_t row = geom.kernel_w * geom.channels;
+  const std::int64_t count = (row + 63) / 64;
+  return {quad_kc((row + count - 1) / count), count};
+}
+
+// One sample's convolution: C = weights * image, or (2 hi + lo) * image
+// for a split layer (weights = hi, low = lo).
+struct ConvCall {
+  const std::uint8_t* image;  // the window origin of grid position 0
+  std::int64_t pos_step, row_step, kernel_h, tap, step;
+  const std::uint8_t* weights;  // the panels, past the blobs' headers
+  const std::uint8_t* low;      // null unless split
+  std::int32_t* c;
+  std::int64_t ldc;
+};
+
+// The AVX2 and portable conv: 8x8 micro-tiles (8 positions x 8 channels)
+// over 8-channel weight panels in K-groups: int16 K-pairs for s8u8, int8
+// K-quads for the low-bit kinds, as their GEMM panels hold them. Entry
+// (depth d, channel j) of a tap row's panel sits at
+// [(d / kGroup) * 8 + j] * kGroup + d % kGroup.
+
+#ifdef CSQ_GEMM_AVX2_INT_KERNEL
+
+// Four image bytes broadcast to every 32-bit lane.
+inline __m256i broadcast4(const std::uint8_t* p) {
+  std::int32_t quad;
+  __builtin_memcpy(&quad, p, sizeof(quad));
+  return _mm256_set1_epi32(quad);
+}
+
+// One 8x8 micro-tile: dot(x, w) folds the activation quad at x into the 8
+// channels of the K-quad's weights at w, and w advances one K-quad of
+// 8-channel panel per step.
+template <typename WElem, typename Dot>
+inline void conv_micro_tile(const ConvCall& p, const std::uint8_t* a,
+                            const WElem* w, std::int32_t* acc, Dot dot) {
+  const std::int64_t s = p.pos_step;
+  __m256i c0 = _mm256_setzero_si256(), c1 = _mm256_setzero_si256(),
+          c2 = _mm256_setzero_si256(), c3 = _mm256_setzero_si256(),
+          c4 = _mm256_setzero_si256(), c5 = _mm256_setzero_si256(),
+          c6 = _mm256_setzero_si256(), c7 = _mm256_setzero_si256();
+  for (std::int64_t ki = 0; ki < p.kernel_h; ++ki, a += p.row_step) {
+    for (std::int64_t d = 0; d < p.tap; d += 4, w += 32) {
+      const std::uint8_t* x = a + d;
+      c0 = _mm256_add_epi32(c0, dot(x, w));
+      c1 = _mm256_add_epi32(c1, dot(x + s, w));
+      c2 = _mm256_add_epi32(c2, dot(x + 2 * s, w));
+      c3 = _mm256_add_epi32(c3, dot(x + 3 * s, w));
+      c4 = _mm256_add_epi32(c4, dot(x + 4 * s, w));
+      c5 = _mm256_add_epi32(c5, dot(x + 5 * s, w));
+      c6 = _mm256_add_epi32(c6, dot(x + 6 * s, w));
+      c7 = _mm256_add_epi32(c7, dot(x + 7 * s, w));
+    }
+  }
+  const __m256i rows[] = {c0, c1, c2, c3, c4, c5, c6, c7};
+  for (int i = 0; i < 8; ++i) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i * 8), rows[i]);
+  }
+}
+
+// Low-bit kinds: the quad broadcast against a K-quad row of 8 channels,
+// one vpmaddubsw + vpmaddwd, as micro_kernel_lowbit (|code| <= 64 keeps the
+// int16 pair sums exact).
+inline void conv_micro(const ConvCall& p, const std::uint8_t* a,
+                       const std::int8_t* w, std::int32_t* acc) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  conv_micro_tile(p, a, w, acc, [&](const std::uint8_t* x,
+                                    const std::int8_t* quad) {
+    return _mm256_madd_epi16(
+        _mm256_maddubs_epi16(
+            broadcast4(x),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(quad))),
+        ones);
+  });
+}
+
+// s8u8: the quad's two activation pairs widened to int16 in every lane
+// (vpshufb), each fused with its K-pair row of 8 channels by vpmaddwd, as
+// micro_kernel_int.
+inline void conv_micro(const ConvCall& p, const std::uint8_t* a,
+                       const std::int16_t* w, std::int32_t* acc) {
+  const __m256i first = _mm256_setr_epi8(
+      0, -1, 1, -1, 0, -1, 1, -1, 0, -1, 1, -1, 0, -1, 1, -1, 0, -1, 1, -1, 0,
+      -1, 1, -1, 0, -1, 1, -1, 0, -1, 1, -1);
+  const __m256i second =
+      _mm256_add_epi8(first, _mm256_set1_epi32(0x00020002));
+  conv_micro_tile(p, a, w, acc, [&](const std::uint8_t* x,
+                                    const std::int16_t* pairs) {
+    const __m256i quad = broadcast4(x);
+    return _mm256_add_epi32(
+        _mm256_madd_epi16(
+            _mm256_shuffle_epi8(quad, first),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pairs))),
+        _mm256_madd_epi16(
+            _mm256_shuffle_epi8(quad, second),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pairs + 16))));
+  });
+}
+
+#else  // portable fallback over the same panel layouts
+
+template <typename WElem>
+inline void conv_micro(const ConvCall& p, const std::uint8_t* a,
+                       const WElem* w, std::int32_t* acc) {
+  constexpr std::int64_t kGroup = sizeof(WElem) == 2 ? 2 : 4;
+  std::fill(acc, acc + kGemmMR * kGemmNR, 0);
+  for (std::int64_t ki = 0; ki < p.kernel_h; ++ki, a += p.row_step) {
+    for (std::int64_t d = 0; d < p.tap; d += kGroup, w += kGemmNR * kGroup) {
+      for (std::int64_t i = 0; i < kGemmMR; ++i) {
+        const std::uint8_t* x = a + i * p.pos_step + d;
+        for (std::int64_t j = 0; j < kGemmNR; ++j) {
+          for (std::int64_t t = 0; t < kGroup; ++t) {
+            acc[i * kGemmNR + j] +=
+                static_cast<std::int32_t>(w[j * kGroup + t]) * x[t];
+          }
+        }
+      }
+    }
+  }
+}
+
+#endif  // CSQ_GEMM_AVX2_INT_KERNEL
+
+template <typename WElem, std::int64_t kGroupT>
+struct StackConv {
+  static constexpr std::int64_t kPanel = kGemmNR;
+  static constexpr std::int64_t kGroup = kGroupT;
+  using Weight = WElem;
+  struct State {
+    explicit State(std::int64_t /*step*/) {}
+  };
+  // Blocks of C per task: one.
+  static std::int64_t task_rows(std::int64_t /*col_blocks*/, bool /*split*/) {
+    return 1;
+  }
+  static std::int64_t task_cols(std::int64_t /*col_blocks*/, bool /*split*/) {
+    return 1;
+  }
+
+  static void block(const ConvCall& p, std::int64_t row, std::int64_t col,
+                    std::int64_t /*row_blocks*/, std::int64_t /*col_blocks*/) {
+    const std::int64_t panel = p.kernel_h * p.tap * kPanel;
+    const auto panel_at = [&](const std::uint8_t* weights, std::int64_t j) {
+      return reinterpret_cast<const WElem*>(weights) +
+             (col + j) / kPanel * panel;
+    };
+    for (std::int64_t i = 0; i < kConvBlock; i += kGemmMR) {
+      const std::uint8_t* a = p.image + (row + i) * p.pos_step;
+      for (std::int64_t j = 0; j < kConvBlock; j += kPanel) {
+        std::int32_t acc[kGemmMR * kPanel];
+        conv_micro(p, a, panel_at(p.weights, j), acc);
+        if (p.low != nullptr) {
+          std::int32_t low[kGemmMR * kPanel];
+          conv_micro(p, a, panel_at(p.low, j), low);
+          for (std::int64_t x = 0; x < kGemmMR * kPanel; ++x) {
+            acc[x] = 2 * acc[x] + low[x];
+          }
+        }
+        for (std::int64_t r = 0; r < kGemmMR; ++r) {
+          std::memcpy(p.c + (row + i + r) * p.ldc + col + j, acc + r * kPanel,
+                      sizeof(std::int32_t) * kPanel);
+        }
+      }
+    }
+  }
+};
+
+using PairConv = StackConv<std::int16_t, 2>;
+using QuadConv = StackConv<std::int8_t, 4>;
+
 #ifdef CSQ_GEMM_AMX_INT_KERNEL
 
 // ------------------------------------------------------ AMX-INT8 tiles ----
@@ -936,19 +1135,48 @@ constexpr TileConfigs make_tile_configs() {
 }
 constexpr TileConfigs kTileConfigs = make_tile_configs();
 
-// Tile register numbers are part of the mnemonic, hence macros.
-#define CSQ_TILE_LOAD(tmm, base, stride)                          \
-  __asm__ volatile("tileloadd (%0,%1,1), %%tmm" #tmm ::"r"(base), \
-                   "r"(stride)                                    \
-                   : "memory")
-#define CSQ_TILE_STORE(tmm, base, stride)                          \
-  __asm__ volatile("tilestored %%tmm" #tmm ", (%0,%1,1)" ::"r"(base), \
-                   "r"(stride)                                     \
-                   : "memory")
-#define CSQ_TILE_ZERO(tmm) __asm__ volatile("tilezero %%tmm" #tmm ::)
-// tmm[c] += tmm[a] (s8, 16 x 64 bytes) * tmm[b] (u8 quads, 16 x 16).
-#define CSQ_TILE_DPBSUD(c, a, b) \
-  __asm__ volatile("tdpbsud %%tmm" #b ", %%tmm" #a ", %%tmm" #c ::)
+// Loads a tile configuration and releases the tiles when the thread is done
+// with the call, so no sleeping pool or replica thread carries live tile
+// state.
+class AmxTiles {
+ public:
+  explicit AmxTiles(const TileConfig& config) {
+    __asm__ volatile("ldtilecfg %0" ::"m"(config));
+  }
+  ~AmxTiles() { __asm__ volatile("tilerelease" ::: "memory"); }
+  AmxTiles(const AmxTiles&) = delete;
+  AmxTiles& operator=(const AmxTiles&) = delete;
+};
+
+// Tile register numbers are part of the mnemonic: template constants.
+template <int kTile>
+inline void tile_load(const void* base, std::int64_t stride) {
+  __asm__ volatile("tileloadd (%0,%1,1), %%tmm%c[t]" ::"r"(base),
+                   "r"(stride), [t] "i"(kTile)
+                   : "memory");
+}
+template <int kTile>
+inline void tile_store(void* base, std::int64_t stride) {
+  __asm__ volatile("tilestored %%tmm%c[t], (%0,%1,1)" ::"r"(base),
+                   "r"(stride), [t] "i"(kTile)
+                   : "memory");
+}
+template <int kTile>
+inline void tile_zero() {
+  __asm__ volatile("tilezero %%tmm%c[t]" ::[t] "i"(kTile));
+}
+// tmm[c] += tmm[a] (s8 rows) * tmm[b] (u8 quads), 16 x 16 int32.
+template <int kC, int kA, int kB>
+inline void tile_dpbsud() {
+  __asm__ volatile("tdpbsud %%tmm%c[b], %%tmm%c[a], %%tmm%c[c]" ::[c] "i"(kC),
+                   [a] "i"(kA), [b] "i"(kB));
+}
+// tmm[c] += tmm[a] (u8 rows) * tmm[b] (s8 quads), 16 x 16 int32.
+template <int kC, int kA, int kB>
+inline void tile_dpbusd() {
+  __asm__ volatile("tdpbusd %%tmm%c[b], %%tmm%c[a], %%tmm%c[c]" ::[c] "i"(kC),
+                   [a] "i"(kA), [b] "i"(kB));
+}
 
 struct AmxKernel : IntKernel<std::int8_t, std::uint8_t, 4, kAmxTile> {
   // A~: kMR-row panels, each row the kc codes of a weight row, zero-padded
@@ -967,20 +1195,13 @@ struct AmxKernel : IntKernel<std::int8_t, std::uint8_t, 4, kAmxTile> {
     }
   }
 
-  // Loads the tile configuration of a depth-k call and releases the tiles
-  // when the thread is done with the call, so no sleeping pool or replica
-  // thread carries live tile state.
-  class TileState {
-   public:
-    explicit TileState(std::int64_t k) {
-      const std::int64_t last_kc = k - (k - 1) / kGemmKC * kGemmKC;
-      const TileConfig& config =
-          kTileConfigs.by_tail_quads[depth(last_kc) % kAmxStep / 4];
-      __asm__ volatile("ldtilecfg %0" ::"m"(config));
-    }
-    ~TileState() { __asm__ volatile("tilerelease" ::: "memory"); }
-    TileState(const TileState&) = delete;
-    TileState& operator=(const TileState&) = delete;
+  // The tile configuration of a depth-k call: its last KC block's partial
+  // step.
+  struct TileState : AmxTiles {
+    explicit TileState(std::int64_t k)
+        : AmxTiles(kTileConfigs.by_tail_quads[depth(k - (k - 1) / kGemmKC *
+                                                            kGemmKC) %
+                                              kAmxStep / 4]) {}
   };
 
   // One 16x16 C tile over a KC block. With alpha 1 a full tile runs on C
@@ -995,206 +1216,159 @@ struct AmxKernel : IntKernel<std::int8_t, std::uint8_t, 4, kAmxTile> {
     const std::int64_t c_stride = ldc * std::int64_t{sizeof(std::int32_t)};
     const bool in_place = e.alpha == 1 && m_sub == kMR && n_sub == kNR;
     if (in_place && (e.accumulate || !first_pc)) {
-      CSQ_TILE_LOAD(0, c, c_stride);
+      tile_load<0>(c, c_stride);
     } else {
-      CSQ_TILE_ZERO(0);
+      tile_zero<0>();
     }
     std::int64_t p = 0;
     for (; p + kAmxStep <= row; p += kAmxStep) {
-      CSQ_TILE_LOAD(1, pa + p, row);
-      CSQ_TILE_LOAD(2, pb + p * kNR, kAmxStep);
-      CSQ_TILE_DPBSUD(0, 1, 2);
+      tile_load<1>(pa + p, row);
+      tile_load<2>(pb + p * kNR, kAmxStep);
+      tile_dpbsud<0, 1, 2>();
     }
     if (p < row) {
-      CSQ_TILE_LOAD(3, pa + p, row);
-      CSQ_TILE_LOAD(4, pb + p * kNR, kAmxStep);
-      CSQ_TILE_DPBSUD(0, 3, 4);
+      tile_load<3>(pa + p, row);
+      tile_load<4>(pb + p * kNR, kAmxStep);
+      tile_dpbsud<0, 3, 4>();
     }
     if (in_place) {
-      CSQ_TILE_STORE(0, c, c_stride);
+      tile_store<0>(c, c_stride);
       return;
     }
     std::int32_t acc[kMR * kNR];
-    CSQ_TILE_STORE(0, acc, kNR * std::int64_t{sizeof(std::int32_t)});
+    tile_store<0>(acc, kNR * std::int64_t{sizeof(std::int32_t)});
     update(c, ldc, acc, m_sub, n_sub, e, first_pc);
   }
 };
 
-#undef CSQ_TILE_LOAD
-#undef CSQ_TILE_STORE
-#undef CSQ_TILE_ZERO
-#undef CSQ_TILE_DPBSUD
+// The channels-last convolution on tiles. A task runs up to four C tiles
+// (2 position blocks x 2 channel panels, or up to 4 x 1 where the layer
+// has one panel or is split), so each A tile feeds several tdpbusd. Per
+// depth step, tileloadd reads A straight from the image (16 positions
+// pos_step bytes apart, `step` bytes each) and B from the weights'
+// 16-channel K-quad panel rows, and tdpbusd sums the u8 x s8 quads into
+// the zeroed int32 C tiles, which are stored straight into C. A split
+// layer runs hi twice and lo once per step: C = 2 hi + lo, exactly. Tiles
+// 0-3 hold C, 4-5 A and 6-7 B; every step of a call has one width, so one
+// configuration covers it.
+constexpr TileConfig make_conv_tile_config(std::int64_t step) {
+  TileConfig config;
+  for (int t = 0; t < 8; ++t) {
+    const bool a = t == 4 || t == 5, b = t >= 6;
+    config.colsb[t] = static_cast<std::uint16_t>(a ? step : kAmxStep);
+    config.rows[t] = static_cast<std::uint8_t>(b ? step / 4 : kAmxTile);
+  }
+  return config;
+}
 
-#endif  // CSQ_GEMM_AMX_INT_KERNEL
+// One configuration per step width (4, 8, ..., 64 bytes).
+struct ConvTileConfigs {
+  TileConfig by_step_quads[kAmxStep / 4];
+};
+constexpr ConvTileConfigs make_conv_tile_configs() {
+  ConvTileConfigs configs;
+  for (std::int64_t q = 0; q < kAmxStep / 4; ++q) {
+    configs.by_step_quads[q] = make_conv_tile_config((q + 1) * 4);
+  }
+  return configs;
+}
+constexpr ConvTileConfigs kConvTileConfigs = make_conv_tile_configs();
 
-#ifdef CSQ_GEMM_AVX2_INT_KERNEL
-// One K-group row of a kNR-wide B~ panel from kGroup tap rows, each in the
-// low kNR bytes of a register: dst[j * kGroup + g] = byte j of rows[g] —
-// int16 K-pairs for s8u8 (8 wide), uint8 K-quads for the low-bit kinds
-// (8 wide) and AMX (16 wide).
-template <std::int64_t kGroup, std::int64_t kNR, typename BElem>
-inline void interleave_rows(const __m128i (&rows)[kGroup], BElem* dst) {
-  static_assert(kNR == 8 || (kNR == 16 && kGroup == 4),
-                "8-wide pairs or quads, or 16-wide quads");
-  const __m128i pairs = _mm_unpacklo_epi8(rows[0], rows[1]);
-  if constexpr (kGroup == 2) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                        _mm256_cvtepu8_epi16(pairs));
-  } else {
-    const __m128i high_pairs = _mm_unpacklo_epi8(rows[2], rows[3]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
-                     _mm_unpacklo_epi16(pairs, high_pairs));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
-                     _mm_unpackhi_epi16(pairs, high_pairs));
-    if constexpr (kNR == 16) {  // columns 8..15
-      const __m128i pairs8 = _mm_unpackhi_epi8(rows[0], rows[1]);
-      const __m128i high_pairs8 = _mm_unpackhi_epi8(rows[2], rows[3]);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 32),
-                       _mm_unpacklo_epi16(pairs8, high_pairs8));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
-                       _mm_unpackhi_epi16(pairs8, high_pairs8));
+// fn(std::integral_constant<int, i>) for i < kCount.
+template <typename Fn, int... kI>
+inline void each_index(Fn& fn, std::integer_sequence<int, kI...>) {
+  (fn(std::integral_constant<int, kI>{}), ...);
+}
+template <int kCount, typename Fn>
+inline void each_index(Fn&& fn) {
+  each_index(fn, std::make_integer_sequence<int, kCount>{});
+}
+
+struct AmxConv {
+  static constexpr std::int64_t kPanel = kAmxTile;
+  static constexpr std::int64_t kGroup = 4;
+  using Weight = std::int8_t;
+  struct State : AmxTiles {
+    explicit State(std::int64_t step)
+        : AmxTiles(kConvTileConfigs.by_step_quads[step / 4 - 1]) {}
+  };
+  static std::int64_t task_rows(std::int64_t col_blocks, bool split) {
+    return col_blocks > 1 && !split ? 2 : 4;
+  }
+  static std::int64_t task_cols(std::int64_t col_blocks, bool split) {
+    return col_blocks > 1 && !split ? 2 : 1;
+  }
+
+  static void block(const ConvCall& p, std::int64_t row, std::int64_t col,
+                    std::int64_t row_blocks, std::int64_t col_blocks) {
+    if (col_blocks == 2) {
+      return row_blocks == 2 ? tiles<2, 2>(p, row, col)
+                             : tiles<1, 2>(p, row, col);
+    }
+    switch (row_blocks) {
+      case 4:
+        return tiles<4, 1>(p, row, col);
+      case 3:
+        return tiles<3, 1>(p, row, col);
+      case 2:
+        return tiles<2, 1>(p, row, col);
+      default:
+        return tiles<1, 1>(p, row, col);
     }
   }
-}
 
-// Four bytes from an unaligned address, in the low lane.
-inline __m128i load4(const std::uint8_t* p) {
-  std::int32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return _mm_cvtsi32_si128(v);
-}
-
-// The kNR bytes of one tap row at positions that form kNR / kRun runs of
-// kRun consecutive bytes, run r starting at tap + starts[r], gathered in
-// order into the low kNR bytes of a register.
-template <std::int64_t kNR, std::int64_t kRun>
-inline __m128i load_runs(const std::uint8_t* tap, const std::int64_t* starts) {
-  if constexpr (kRun == 16) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(tap + starts[0]));
-  } else if constexpr (kRun == 8) {
-    const __m128i first =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(tap + starts[0]));
-    if constexpr (kNR == 8) return first;
-    return _mm_unpacklo_epi64(
-        first,
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(tap + starts[1])));
-  } else {
-    static_assert(kRun == 4, "runs of 16, 8 or 4 bytes");
-    const __m128i first =
-        _mm_unpacklo_epi32(load4(tap + starts[0]), load4(tap + starts[1]));
-    if constexpr (kNR == 8) return first;
-    return _mm_unpacklo_epi64(
-        first,
-        _mm_unpacklo_epi32(load4(tap + starts[2]), load4(tap + starts[3])));
-  }
-}
-#endif  // CSQ_GEMM_AVX2_INT_KERNEL
-
-// interleave_rows over kGroup staged kNR-byte rows.
-template <std::int64_t kGroup, std::int64_t kNR, typename BElem>
-inline void interleave_group(const std::uint8_t (&rows)[kGroup][kNR],
-                             BElem* dst) {
-#ifdef CSQ_GEMM_AVX2_INT_KERNEL
-  __m128i regs[kGroup];
-  for (std::int64_t g = 0; g < kGroup; ++g) {
-    regs[g] = kNR == 16 ? _mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(rows[g]))
-                        : _mm_loadl_epi64(
-                              reinterpret_cast<const __m128i*>(rows[g]));
-  }
-  interleave_rows<kGroup, kNR>(regs, dst);
-#else
-  for (std::int64_t j = 0; j < kNR; ++j) {
-    for (std::int64_t g = 0; g < kGroup; ++g) dst[j * kGroup + g] = rows[g][j];
-  }
-#endif
-}
-
-// True when the kNR panel positions at image offsets `at` form runs of
-// `run` consecutive bytes: offsets rise by at least 1 per step, so a run's
-// last offset is `run - 1` past its first exactly when it has no gap.
-template <std::int64_t kNR>
-bool in_runs(const std::int64_t (&at)[kNR], std::int64_t run) {
-  for (std::int64_t r = 0; r < kNR; r += run) {
-    if (at[r + run - 1] - at[r] != run - 1) return false;
-  }
-  return true;
-}
-
-// An integer kernel with B packed from a ConvSource<uint8_t>
-// (gemm_packed_conv): Base's A~, micro-tile and C update, and B~ panels
-// byte-equal to Base::pack_b over im2col_u8's matrix. The border already
-// holds the edge's zero point (pad_image's fill); depth and column tails
-// are zero-filled as Base::pack_b fills them. Each full panel is classed
-// once by its positions' image offsets: one kNR-byte run (stride 1 within
-// one output row), two kNR/2-byte runs (each half in one row, as 16-wide
-// panels on 8-wide outputs or 8-wide ones on 4-wide outputs), four 4-byte
-// runs (16-wide panels on 4-wide outputs) or none. In AVX2 builds every
-// whole K-group of a run panel loads each tap's runs straight into a
-// register and interleaves them there. The depth tail, gather panels and
-// portable builds stage kGroup kNR-byte rows first.
-template <typename Base, std::int64_t kGroup>
-struct IntConvKernel : Base {
-  using BIn = ConvSource<std::uint8_t>;
-  using BElem = typename Base::BElem;
-  static constexpr std::int64_t kNR = Base::kNR;
-
-  static void pack_b(Trans /*trans*/, const BIn* b, std::int64_t /*ldb*/,
-                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
-                     std::int64_t nc, BElem* dst) {
-    const BIn& src = *b;
-    const std::uint8_t* taps[kGemmKC];
-    src.tap_bases(pc, kc, taps);
-    const std::int64_t kcg = Base::depth(kc);
-    for (std::int64_t s = 0; s < nc; s += kNR) {
-      const std::int64_t cols = std::min(kNR, nc - s);
-      std::int64_t at[kNR];
-      src.position_offsets(jc + s, cols, at);
-      const bool adjacent = cols == kNR && in_runs(at, kNR);
-      std::int64_t p = 0;
-#ifdef CSQ_GEMM_AVX2_INT_KERNEL
-      const auto load_groups = [&](auto run) {
-        constexpr std::int64_t kRun = decltype(run)::value;
-        std::int64_t starts[kNR / kRun];
-        for (std::int64_t r = 0; r < kNR / kRun; ++r) starts[r] = at[r * kRun];
-        for (; p + kGroup <= kc; p += kGroup) {
-          __m128i runs[kGroup];
-          for (std::int64_t g = 0; g < kGroup; ++g) {
-            runs[g] = load_runs<kNR, kRun>(taps[p + g], starts);
-          }
-          interleave_rows<kGroup, kNR>(runs, dst + p * kNR);
+  // kRows position blocks x kPanels channel panels; C tile r * kPanels + j.
+  template <int kRows, int kPanels>
+  static void tiles(const ConvCall& p, std::int64_t row, std::int64_t col) {
+    static_assert(kRows * kPanels <= 4 && kPanels <= 2, "four C tiles");
+    const std::int64_t panel = p.kernel_h * p.tap * kPanel;
+    const std::int64_t offset = col / kPanel * panel;
+    const auto* w = reinterpret_cast<const std::int8_t*>(p.weights) + offset;
+    const auto* low =
+        p.low == nullptr
+            ? nullptr
+            : reinterpret_cast<const std::int8_t*>(p.low) + offset;
+    each_index<kRows * kPanels>([](auto t) {
+      tile_zero<decltype(t)::value>();
+    });
+    const std::uint8_t* a = p.image + row * p.pos_step;
+    for (std::int64_t ki = 0; ki < p.kernel_h; ++ki, a += p.row_step) {
+      for (std::int64_t d = 0; d < p.tap; d += p.step) {
+        const std::int64_t at = (ki * p.tap + d) * kPanel;
+        each_index<kPanels>([&](auto j) {
+          constexpr int kJ = decltype(j)::value;
+          tile_load<6 + kJ>(w + kJ * panel + at, kAmxStep);
+        });
+        if constexpr (kPanels == 1) {
+          if (low != nullptr) tile_load<7>(low + at, kAmxStep);
         }
-      };
-      using Run = std::integral_constant<std::int64_t, kNR>;
-      using HalfRun = std::integral_constant<std::int64_t, kNR / 2>;
-      using QuadRun = std::integral_constant<std::int64_t, 4>;
-      if (adjacent) {
-        load_groups(Run{});
-      } else if (cols == kNR && in_runs(at, kNR / 2)) {
-        load_groups(HalfRun{});
-      } else if (kNR == 16 && cols == kNR && in_runs(at, 4)) {
-        load_groups(QuadRun{});
-      }
-#endif
-      for (; p < kcg; p += kGroup) {
-        std::uint8_t rows[kGroup][kNR];
-        for (std::int64_t g = 0; g < kGroup; ++g) {
-          if (p + g >= kc) {
-            std::memset(rows[g], 0, kNR);
-          } else if (adjacent) {
-            std::memcpy(rows[g], taps[p + g] + at[0], kNR);
-          } else {
-            std::int64_t j = 0;
-            for (; j < cols; ++j) rows[g][j] = taps[p + g][at[j]];
-            for (; j < kNR; ++j) rows[g][j] = 0;
+        each_index<kRows>([&](auto r) {
+          constexpr int kR = decltype(r)::value;
+          tile_load<4 + kR % 2>(a + kR * kAmxTile * p.pos_step + d,
+                                p.pos_step);
+          each_index<kPanels>([&](auto j) {
+            constexpr int kJ = decltype(j)::value;
+            tile_dpbusd<kR * kPanels + kJ, 4 + kR % 2, 6 + kJ>();
+          });
+          if constexpr (kPanels == 1) {
+            if (low != nullptr) {
+              tile_dpbusd<kR, 4 + kR % 2, 6>();
+              tile_dpbusd<kR, 4 + kR % 2, 7>();
+            }
           }
-        }
-        interleave_group<kGroup, kNR>(rows, dst + p * kNR);
+        });
       }
-      dst += kNR * kcg;
     }
+    each_index<kRows * kPanels>([&](auto t) {
+      constexpr int kT = decltype(t)::value;
+      tile_store<kT>(p.c + (row + kT / kPanels * kAmxTile) * p.ldc + col +
+                         kT % kPanels * kAmxTile,
+                     p.ldc * std::int64_t{sizeof(std::int32_t)});
+    });
   }
 };
+
+#endif  // CSQ_GEMM_AMX_INT_KERNEL
 
 // ------------------------------------------------------- integer ISA ----
 
@@ -1475,8 +1649,8 @@ void check_packed_extents(PackedKernel kind, std::int64_t m, std::int64_t n,
                         << " would overflow int32 accumulation";
 }
 
-// The checks shared by gemm_packed and gemm_packed_conv: the kind's
-// exactness bounds and the blob's header, then the degenerate shapes.
+// The checks of gemm_packed: the kind's exactness bounds and the blob's
+// header, then the degenerate shapes.
 // Returns the blob's panels, or null when C needs no GEMM (it is then
 // already what the GEMM would leave).
 const std::uint8_t* packed_panels(GemmIntIsa isa, PackedKernel kind,
@@ -1507,6 +1681,113 @@ const std::uint8_t* packed_panels(GemmIntIsa isa, PackedKernel kind,
     return nullptr;
   }
   return packed_a + sizeof(PackedHeader);
+}
+
+// Throws unless every code of a packing call is in its kind's exact range.
+void check_codes(PackedKernel kind, std::int64_t m, std::int64_t k,
+                 const std::int8_t* a, std::int64_t lda, const char* what) {
+  const KindLimits limits = kind_limits(kind);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const std::int32_t v = a[i * lda + p];
+      CSQ_CHECK(v >= limits.min_code && v <= limits.max_code)
+          << what << ": code " << v << " outside [" << limits.min_code
+          << ", " << limits.max_code << "], the range this kind is exact for";
+    }
+  }
+}
+
+// ---------------------------------------- channels-last conv driver ----
+
+// The traits type that runs a conv of `kind` on `isa`.
+template <typename Fn>
+decltype(auto) with_conv_kernel(GemmIntIsa isa, PackedKernel kind, Fn&& fn) {
+  kind_limits(kind);
+#ifdef CSQ_GEMM_AMX_INT_KERNEL
+  if (isa == GemmIntIsa::kAmx) return fn(AmxConv{});
+#else
+  (void)isa;
+#endif
+  return kind == PackedKernel::kS8U8 ? fn(PairConv{}) : fn(QuadConv{});
+}
+
+// Packed conv weights open with the layout they were packed for, like a
+// packed A blob (PackedHeader).
+struct ConvHeader {
+  std::int16_t isa, kind, kernel_h, kernel_w;
+  std::int32_t channels, oc;
+};
+static_assert(sizeof(ConvHeader) == 16, "conv weights header is 16 bytes");
+
+ConvHeader conv_header(GemmIntIsa isa, PackedKernel kind,
+                       const ConvGeometry& geom, std::int64_t oc) {
+  return {static_cast<std::int16_t>(isa), static_cast<std::int16_t>(kind),
+          static_cast<std::int16_t>(geom.kernel_h),
+          static_cast<std::int16_t>(geom.kernel_w),
+          static_cast<std::int32_t>(geom.channels),
+          static_cast<std::int32_t>(oc)};
+}
+
+// K's panels of the (oc x C*kh*kw) codes: per kPanel output channels, per
+// tap row, its tap bytes in K-groups, zero past the tap row and past oc.
+template <typename K>
+void pack_conv(const std::int8_t* codes, const ConvGeometry& geom,
+               std::int64_t oc, std::int64_t ldc, typename K::Weight* dst) {
+  const std::int64_t tap = conv_steps(geom).tap();
+  const std::int64_t row = geom.kernel_w * geom.channels;
+  const std::int64_t taps = geom.kernel_h * geom.kernel_w;
+  const std::int64_t depth = geom.col_rows();
+  for (std::int64_t o0 = 0; o0 < ldc; o0 += K::kPanel) {
+    for (std::int64_t ki = 0; ki < geom.kernel_h; ++ki) {
+      for (std::int64_t d0 = 0; d0 < tap; d0 += K::kGroup) {
+        for (std::int64_t j = 0; j < K::kPanel; ++j) {
+          for (std::int64_t t = 0; t < K::kGroup; ++t) {
+            const std::int64_t o = o0 + j, d = d0 + t;
+            const std::int64_t kj = d / geom.channels, c = d % geom.channels;
+            *dst++ = o < oc && d < row
+                         ? codes[o * depth + c * taps + ki * geom.kernel_w + kj]
+                         : 0;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Runs every 16x16 block of C of every sample, in tasks of K's task_rows x
+// task_cols blocks of one sample, in order, on the calling thread or across
+// the pool; each thread holds one K::State for its share.
+template <typename K>
+void run_conv(const ConvCall& p, std::int64_t rows, std::int64_t batch,
+              std::int64_t image_stride, std::int64_t c_stride, bool pooled) {
+  const std::int64_t row_blocks = rows / kConvBlock;
+  const std::int64_t col_blocks = p.ldc / kConvBlock;
+  const bool split = p.low != nullptr;
+  const std::int64_t task_rows = K::task_rows(col_blocks, split);
+  const std::int64_t task_cols = K::task_cols(col_blocks, split);
+  const std::int64_t col_tasks = (col_blocks + task_cols - 1) / task_cols;
+  const std::int64_t sample_tasks =
+      (row_blocks + task_rows - 1) / task_rows * col_tasks;
+  const auto run = [&](std::int64_t begin, std::int64_t end) {
+    const typename K::State state(p.step);
+    for (std::int64_t t = begin; t < end; ++t) {
+      const std::int64_t sample = t / sample_tasks;
+      const std::int64_t task = t % sample_tasks;
+      ConvCall q = p;
+      q.image += sample * image_stride;
+      q.c += sample * c_stride;
+      const std::int64_t rb = task / col_tasks * task_rows;
+      const std::int64_t cb = task % col_tasks * task_cols;
+      K::block(q, rb * kConvBlock, cb * kConvBlock,
+               std::min(task_rows, row_blocks - rb),
+               std::min(task_cols, col_blocks - cb));
+    }
+  };
+  if (pooled) {
+    parallel_for_chunked(0, batch * sample_tasks, run);
+  } else {
+    run(0, batch * sample_tasks);
+  }
 }
 
 }  // namespace
@@ -1555,7 +1836,7 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
     apply_beta(0, m, n, beta, c, ldc);
     return;
   }
-  const ConvSource<float> src(geom, padded);
+  const ConvSource src(geom, padded);
   run(Problem<F32ConvKernel>{m, n, k, {Trans::no, a, lda}, trans_b, &src, 0,
                              c, ldc, {alpha, beta}},
       scratch, exec);
@@ -1612,15 +1893,7 @@ void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
                  const std::int8_t* a, std::int64_t lda, std::uint8_t* packed) {
   const GemmIntIsa isa = int_isa();
   check_packed_extents(kind, m, 0, k, 1);
-  const KindLimits limits = kind_limits(kind);
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const std::int32_t v = a[i * lda + p];
-      CSQ_CHECK(v >= limits.min_code && v <= limits.max_code)
-          << "gemm_pack_a: code " << v << " outside [" << limits.min_code
-          << ", " << limits.max_code << "], the range this kind is exact for";
-    }
-  }
+  check_codes(kind, m, k, a, lda, "gemm_pack_a");
   const PackedHeader header{static_cast<std::int16_t>(isa),
                             static_cast<std::int16_t>(kind),
                             static_cast<std::int32_t>(k), m};
@@ -1667,22 +1940,95 @@ void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
   });
 }
 
-void gemm_packed_conv(PackedKernel kind, std::int64_t m, std::int32_t alpha,
-                      const std::uint8_t* packed_a, const ConvGeometry& geom,
-                      const std::uint8_t* padded, bool accumulate,
-                      std::int32_t* c, std::int64_t ldc, GemmExec exec) {
+ConvGrid gemm_conv_grid(const ConvGeometry& geom, std::int64_t pitch,
+                        std::int64_t oc) {
   geom.validate();
-  const std::int64_t n = geom.col_cols(), k = geom.col_rows();
+  CSQ_CHECK(pitch >= geom.padded_w() && oc > 0)
+      << "gemm_conv_nhwc: pitch " << pitch << " narrower than the padded "
+      << geom.padded_w() << "-pixel row, or " << oc << " output channels";
+  ConvGrid grid;
+  grid.rows = whole_blocks((geom.out_h() - 1) * pitch + geom.out_w());
+  grid.ldc = whole_blocks(oc);
+  grid.reach = (grid.rows - 1) * geom.stride * geom.channels +
+               (geom.kernel_h - 1) * pitch * geom.channels +
+               conv_steps(geom).tap();
+  return grid;
+}
+
+std::int64_t gemm_conv_weights_bytes(PackedKernel kind,
+                                     const ConvGeometry& geom,
+                                     std::int64_t oc) {
+  return with_conv_kernel(int_isa(), kind, [&](auto kernel) {
+    using K = decltype(kernel);
+    return static_cast<std::int64_t>(sizeof(ConvHeader)) +
+           whole_blocks(oc) * geom.kernel_h * conv_steps(geom).tap() *
+               static_cast<std::int64_t>(sizeof(typename K::Weight));
+  });
+}
+
+void gemm_pack_conv_weights(PackedKernel kind, const ConvGeometry& geom,
+                            std::int64_t oc, const std::int8_t* codes,
+                            std::uint8_t* packed) {
   const GemmIntIsa isa = int_isa();
-  const std::uint8_t* panels = packed_panels(isa, kind, m, n, k, alpha,
-                                             packed_a, accumulate, c, ldc);
-  if (panels == nullptr) return;
-  const ConvSource<std::uint8_t> src(geom, padded);
-  with_kernel(isa, kind, [&](auto kernel) {
-    using K = IntConvKernel<decltype(kernel), decltype(kernel)::kDepthGroup>;
-    run(Problem<K>{m, n, k, reinterpret_cast<const typename K::AElem*>(panels),
-                   Trans::no, &src, 0, c, ldc, {alpha, accumulate}},
-        nullptr, exec);
+  const std::int64_t k = geom.col_rows();
+  geom.validate();
+  check_packed_extents(kind, oc, 0, k, 1);
+  check_codes(kind, oc, k, codes, k, "gemm_pack_conv_weights");
+  const ConvHeader header = conv_header(isa, kind, geom, oc);
+  std::memcpy(packed, &header, sizeof(header));
+  with_conv_kernel(isa, kind, [&](auto kernel) {
+    using K = decltype(kernel);
+    pack_conv<K>(codes, geom, oc, whole_blocks(oc),
+                 reinterpret_cast<typename K::Weight*>(packed +
+                                                       sizeof(ConvHeader)));
+  });
+}
+
+void gemm_conv_nhwc(PackedKernel kind, const ConvGeometry& geom,
+                    std::int64_t pitch, std::int64_t oc,
+                    const std::uint8_t* weights,
+                    const std::uint8_t* low_weights, std::int64_t batch,
+                    const std::uint8_t* image, std::int64_t image_stride,
+                    std::int32_t* c, std::int64_t c_stride, bool pooled) {
+  const GemmIntIsa isa = int_isa();
+  const ConvGrid grid = gemm_conv_grid(geom, pitch, oc);
+  check_packed_extents(kind, oc, grid.rows, geom.col_rows(),
+                       low_weights == nullptr ? 1 : 2);
+  CSQ_CHECK(batch >= 0 && (low_weights == nullptr ||
+                            kind == PackedKernel::kS8U8))
+      << "gemm_conv_nhwc: negative batch, or a split layer of kind "
+      << static_cast<int>(kind);
+  const ConvHeader expected = conv_header(isa, kind, geom, oc);
+  for (const std::uint8_t* blob : {weights, low_weights}) {
+    if (blob == nullptr) continue;
+    ConvHeader header;
+    std::memcpy(&header, blob, sizeof(header));
+    CSQ_CHECK(std::memcmp(&header, &expected, sizeof(header)) == 0)
+        << "gemm_conv_nhwc: kind " << header.kind << " weights packed for "
+        << isa_name(static_cast<GemmIntIsa>(header.isa)) << " as "
+        << header.oc << " x " << header.channels << "x" << header.kernel_h
+        << "x" << header.kernel_w << " run as kind " << static_cast<int>(kind)
+        << " on " << isa_name(isa) << " as " << oc << " x " << geom.channels
+        << "x" << geom.kernel_h << "x" << geom.kernel_w;
+  }
+  const ConvSteps steps = conv_steps(geom);
+  const ConvCall call{
+      image,
+      geom.stride * geom.channels,
+      pitch * geom.channels,
+      geom.kernel_h,
+      steps.tap(),
+      steps.width,
+      weights + sizeof(ConvHeader),
+      low_weights == nullptr ? nullptr : low_weights + sizeof(ConvHeader),
+      c,
+      grid.ldc};
+  pooled = pooled && 2 * batch * grid.rows * grid.ldc * geom.kernel_h *
+                             steps.tap() >=
+                         (1 << 18);
+  with_conv_kernel(isa, kind, [&](auto kernel) {
+    run_conv<decltype(kernel)>(call, grid.rows, batch, image_stride, c_stride,
+                               pooled);
   });
 }
 

@@ -13,8 +13,9 @@
 // GEMMs are the fixed-point serving kernels: A holds a layer's weight codes,
 // packed ONCE into its kernel's panel layout (`gemm_pack_a`, weights are
 // static at serving time), B holds uint8 activation codes, and accumulation
-// is exact int32; `gemm_packed_conv` packs B from the padded uint8
-// activation, which is how the runtime runs every convolution.
+// is exact int32. The runtime's convolutions run `gemm_conv_nhwc` instead:
+// the weights are the packed operand and the activations are read in place
+// from a channels-last image, outside this loop nest.
 //
 // Blocking scheme (GotoBLAS/BLIS-style):
 //
@@ -39,7 +40,7 @@
 // the tile loop) and the per-thread tile state a call holds.
 // It is instantiated for float, s8u8 (int16 K-pairs), low-bit and
 // low-bit-wide (int8 K-quads), all 8x8, the one 16x16 AMX integer kernel
-// where the build has it, and for each of those again with a conv `pack_b`
+// where the build has it, and the float one again with a conv `pack_b`
 // that reads a padded image (Dukhan, "The Indirect Convolution Algorithm",
 // arXiv:1907.02129).
 //
@@ -316,15 +317,62 @@ void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
                  std::int64_t ldb, bool accumulate, std::int32_t* c,
                  std::int64_t ldc, GemmExec exec = {});
 
-// C(int32) = alpha * A * B [+ C] with A packed as for gemm_packed (m x
-// geom.col_rows()) and B the matrix im2col_u8(geom, image, pad_code) would
-// build, so n = geom.col_cols(). pack_b reads its panels from `padded`: the
-// image bordered by geom.pad values of pad_code on every side
-// (pad_image(geom, image, padded, pad_code)), or the image itself when
-// geom.pad is 0. C is bit-identical to gemm_packed over im2col_u8's matrix.
-void gemm_packed_conv(PackedKernel kind, std::int64_t m, std::int32_t alpha,
-                      const std::uint8_t* packed_a, const ConvGeometry& geom,
-                      const std::uint8_t* padded, bool accumulate,
-                      std::int32_t* c, std::int64_t ldc, GemmExec exec = {});
+// ------------------------------------------ channels-last convolution --
+//
+// The integer runtime's convolution, with the activations as the A operand
+// read in place and the weights as the packed operand:
+//
+//   C(q, o) = sum over (ki, kj, c) of
+//             image[(q * stride + ki * pitch + kj) * C + c] * w[o, c, ki, kj]
+//
+// `image` is one sample's uint8 codes, channels-last (C bytes per pixel),
+// in rows of `pitch` pixels (pitch >= geom.padded_w()), pointing at pixel
+// (0, 0) of the convolution's padded frame: the caller keeps geom.pad
+// pixels of the edge's zero point around the H x W interior. Output (oy, ox)
+// is grid position q = oy * pitch + ox, so one load stride (stride * C
+// bytes) walks positions across output rows; the rows with ox >= out_w,
+// those past the last output, and the columns o >= oc hold values no
+// caller may read. Tiles read up to ConvGrid::reach bytes from `image`.
+// Every kind on every ISA yields the int32 accumulators of the s8u8
+// reference; AMX hosts run 16x16 tdpbusd tiles, others 8x8 AVX2 (or
+// portable) micro-tiles that broadcast each position's activations.
+struct ConvGrid {
+  std::int64_t rows;   // C rows: grid positions, whole 16-row tiles
+  std::int64_t ldc;    // C columns (int32 per row): oc in whole 16s
+  std::int64_t reach;  // bytes from `image` the tiles read
+};
+ConvGrid gemm_conv_grid(const ConvGeometry& geom, std::int64_t pitch,
+                        std::int64_t oc);
+
+// Bytes of the packed form of oc output channels' codes for `geom` under
+// the running ISA: a small header naming the layout, then panels of output
+// channels over the depth in (ki, kj, c) order, each tap row's kw * C codes
+// zero-padded to whole K-quads.
+std::int64_t gemm_conv_weights_bytes(PackedKernel kind,
+                                     const ConvGeometry& geom,
+                                     std::int64_t oc);
+
+// Packs the (oc x geom.col_rows()) row-major int8 codes, depth in im2col's
+// (c, ki, kj) order, into `packed` (gemm_conv_weights_bytes bytes). Throws
+// when a code falls outside the kind's exact range, as gemm_pack_a does.
+void gemm_pack_conv_weights(PackedKernel kind, const ConvGeometry& geom,
+                            std::int64_t oc, const std::int8_t* codes,
+                            std::uint8_t* packed);
+
+// For each of `batch` samples (images image_stride bytes apart, C blocks
+// c_stride int32 apart): C (gemm_conv_grid(geom, pitch, oc).rows x .ldc
+// int32) = image ⊛ weights, overwritten; with `low_weights` (a split
+// layer's lo plane, code = 2 hi + lo, kS8U8 only) C = image ⊛ (2 weights +
+// low_weights), exactly. Weights packed for another kind, geometry or ISA
+// fail a check. `pooled` spreads the samples' 16x16 blocks of C over the
+// thread pool when there is enough work, so a 1-sample call fans out too;
+// the result is bit-identical either way.
+void gemm_conv_nhwc(PackedKernel kind, const ConvGeometry& geom,
+                    std::int64_t pitch, std::int64_t oc,
+                    const std::uint8_t* weights,
+                    const std::uint8_t* low_weights, std::int64_t batch,
+                    const std::uint8_t* image, std::int64_t image_stride,
+                    std::int32_t* c, std::int64_t c_stride,
+                    bool pooled = false);
 
 }  // namespace csq

@@ -120,36 +120,31 @@ inline void copy_row(void* dst, const void* src, std::size_t bytes) {
 
 }  // namespace
 
-template <typename T>
-void pad_image(const ConvGeometry& geom, const T* image, T* padded, T fill) {
+void pad_image(const ConvGeometry& geom, const float* image, float* padded) {
   const std::int64_t pad = geom.pad;
   const std::int64_t row = geom.padded_w();
   const std::size_t width_bytes =
-      static_cast<std::size_t>(geom.width) * sizeof(T);
+      static_cast<std::size_t>(geom.width) * sizeof(float);
   for (std::int64_t c = 0; c < geom.channels; ++c) {
-    const T* src = image + c * geom.height * geom.width;
-    T* dst = padded + c * geom.padded_h() * row;
-    std::fill(dst, dst + pad * row, fill);
+    const float* src = image + c * geom.height * geom.width;
+    float* dst = padded + c * geom.padded_h() * row;
+    std::fill(dst, dst + pad * row, 0.0f);
     dst += pad * row;
     for (std::int64_t y = 0; y < geom.height; ++y, dst += row) {
       // A 3x3 conv's one-element borders are two stores; a fill loop
       // compiles to two memset calls per row.
       if (pad == 1) {
-        dst[0] = fill;
-        dst[row - 1] = fill;
+        dst[0] = 0.0f;
+        dst[row - 1] = 0.0f;
       } else {
-        std::fill(dst, dst + pad, fill);
-        std::fill(dst + pad + geom.width, dst + row, fill);
+        std::fill(dst, dst + pad, 0.0f);
+        std::fill(dst + pad + geom.width, dst + row, 0.0f);
       }
       copy_row(dst + pad, src + y * geom.width, width_bytes);
     }
-    std::fill(dst, dst + pad * row, fill);
+    std::fill(dst, dst + pad * row, 0.0f);
   }
 }
-
-template void pad_image(const ConvGeometry&, const float*, float*, float);
-template void pad_image(const ConvGeometry&, const std::uint8_t*,
-                        std::uint8_t*, std::uint8_t);
 
 void col2im(const ConvGeometry& geom, const float* col, float* image) {
   const std::int64_t out_h = geom.out_h();

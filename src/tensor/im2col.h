@@ -7,14 +7,14 @@
 // weight (OC, C, kh, kw) becomes one GEMM: out = W_mat(OC, C*kh*kw) * col.
 //
 // Neither training nor the integer runtime builds this matrix: `gemm_conv`
-// and `gemm_packed_conv` (tensor/gemm.h) pack its panels straight from a
-// `pad_image` copy (or, unpadded, from the image itself). `im2col` and
-// `im2col_u8` remain as the references those panels are checked against,
-// and `im2col_u8` as perfbench's per-layer replay. `col2im`, the adjoint
-// scatter-add, serves only the input gradient of stride > 1 layers. There
-// a zero-dilated transposed convolution would multiply stride² times the
-// terms, most of them zeros: on ResNet-20 w16's two 3x3 stride-2 layers it
-// took 0.77-0.92 ms per 8-sample shard against 0.21-0.27 ms for Wᵀ·dOut
+// (tensor/gemm.h) packs its panels straight from a `pad_image` copy, and
+// the runtime's `gemm_conv_nhwc` reads channels-last activations in place.
+// `im2col` and `im2col_u8` remain as the references those are checked
+// against, and `im2col_u8` as perfbench's per-layer replay. `col2im`, the
+// adjoint scatter-add, serves only the input gradient of stride > 1 layers.
+// There a zero-dilated transposed convolution would multiply stride² times
+// the terms, most of them zeros: on ResNet-20 w16's two 3x3 stride-2 layers
+// it took 0.77-0.92 ms per 8-sample shard against 0.21-0.27 ms for Wᵀ·dOut
 // plus col2im (serial, x86-64 AVX2, 4-vCPU host).
 #pragma once
 
@@ -59,13 +59,9 @@ void im2col(const ConvGeometry& geom, const float* image, float* col);
 void im2col_u8(const ConvGeometry& geom, const std::uint8_t* image,
                std::uint8_t* col, std::uint8_t pad_code);
 
-// padded: channels*padded_h()*padded_w() elements (fully overwritten), the
-// image inside a border of `pad` fill values — the B source of gemm_conv
-// (float, fill 0) and gemm_packed_conv (uint8, fill = the edge's zero point,
-// as for im2col_u8's pad_code). Instantiated for float and std::uint8_t.
-template <typename T>
-void pad_image(const ConvGeometry& geom, const T* image, T* padded,
-               T fill = T{});
+// padded: channels*padded_h()*padded_w() floats (fully overwritten), the
+// image inside a border of `pad` zeros — the B source of gemm_conv.
+void pad_image(const ConvGeometry& geom, const float* image, float* padded);
 
 // Adjoint: accumulates col back into image. `image` must be zeroed by the
 // caller when a fresh gradient is wanted.

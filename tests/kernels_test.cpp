@@ -425,8 +425,9 @@ TEST(GemmIsa, AmxS8U8SplitChainAtInt8ExtremesMatchesReference) {
 // The two ISAs' accumulators compared directly: every kind (s8u8 as its
 // split chain: alpha 2 overwrite, then alpha 1 accumulate) through
 // gemm_packed (NN over two MC row tiles, and Trans::yes at m = 10, below
-// one 16-row tile) and gemm_packed_conv, serial and under row, column and
-// grid splits, over a padded 3x3 conv.
+// one 16-row tile) under row, column and grid splits, and gemm_conv_nhwc
+// over the same padded 3x3 conv, serial and pooled: every grid position,
+// the discarded ones included, is a function of the operands alone.
 TEST(GemmIsa, AmxAndAvx2AccumulatorsAreBitIdentical) {
   const std::string skip = amx_skip_reason();
   if (!skip.empty()) GTEST_SKIP() << skip;
@@ -440,9 +441,9 @@ TEST(GemmIsa, AmxAndAvx2AccumulatorsAreBitIdentical) {
                      n = geom.col_cols();
   Rng rng(4402);
   const auto image = random_u8(geom.channels * geom.height * geom.width, rng);
-  std::vector<std::uint8_t> padded(static_cast<std::size_t>(
-      geom.channels * geom.padded_h() * geom.padded_w()));
-  pad_image(geom, image.data(), padded.data(), std::uint8_t{19});
+  const testing::NhwcImage padded = testing::conv_input(
+      geom, m, image.data(), geom.pad, /*fill=*/19, /*tail_fill=*/0xEE);
+  const ConvGrid grid = gemm_conv_grid(geom, padded.pitch, m);
   std::vector<std::uint8_t> columns(static_cast<std::size_t>(k * n));
   im2col_u8(geom, image.data(), columns.data(), /*pad_code=*/19);
   // columnsᵀ: n x k, so op(B) = its transpose is the same k x n matrix.
@@ -471,6 +472,8 @@ TEST(GemmIsa, AmxAndAvx2AccumulatorsAreBitIdentical) {
       const ScopedGemmIntIsaForTest forced(isa);
       const auto hi_panels = pack_codes(kind, m, k, hi);
       const auto lo_panels = pack_codes(kind, m, k, lo);
+      const auto hi_conv = testing::pack_conv_codes(kind, geom, m, hi);
+      const auto lo_conv = testing::pack_conv_codes(kind, geom, m, lo);
       const std::vector<std::int8_t> hi_t(hi.begin(), hi.begin() + m_t * k);
       const std::vector<std::int8_t> lo_t(lo.begin(), lo.begin() + m_t * k);
       const auto hi_t_panels = pack_codes(kind, m_t, k, hi_t);
@@ -478,7 +481,8 @@ TEST(GemmIsa, AmxAndAvx2AccumulatorsAreBitIdentical) {
       std::vector<std::int32_t> all;
       for (const GemmExec& exec : execs) {
         std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-        std::vector<std::int32_t> conv(c.size());
+        std::vector<std::int32_t> conv(
+            static_cast<std::size_t>(grid.rows * grid.ldc));
         std::vector<std::int32_t> c_t(static_cast<std::size_t>(m_t * n));
         gemm_packed(kind, Trans::no, m, n, k, alpha, hi_panels.data(),
                     columns.data(), n, /*accumulate=*/false, c.data(), n,
@@ -486,9 +490,10 @@ TEST(GemmIsa, AmxAndAvx2AccumulatorsAreBitIdentical) {
         gemm_packed(kind, Trans::yes, m_t, n, k, alpha, hi_t_panels.data(),
                     rows.data(), k, /*accumulate=*/false, c_t.data(), n,
                     exec);
-        gemm_packed_conv(kind, m, alpha, hi_panels.data(), geom,
-                         padded.data(), /*accumulate=*/false, conv.data(), n,
-                         exec);
+        gemm_conv_nhwc(kind, geom, padded.pitch, m, hi_conv.data(),
+                       split ? lo_conv.data() : nullptr, /*batch=*/1,
+                       padded.origin(geom.pad), 0, conv.data(), 0,
+                       exec.pooled);
         if (split) {
           gemm_packed(kind, Trans::no, m, n, k, 1, lo_panels.data(),
                       columns.data(), n, /*accumulate=*/true, c.data(), n,
@@ -496,8 +501,6 @@ TEST(GemmIsa, AmxAndAvx2AccumulatorsAreBitIdentical) {
           gemm_packed(kind, Trans::yes, m_t, n, k, 1, lo_t_panels.data(),
                       rows.data(), k, /*accumulate=*/true, c_t.data(), n,
                       exec);
-          gemm_packed_conv(kind, m, 1, lo_panels.data(), geom, padded.data(),
-                           /*accumulate=*/true, conv.data(), n, exec);
         }
         all.insert(all.end(), c.begin(), c.end());
         all.insert(all.end(), c_t.begin(), c_t.end());
@@ -529,10 +532,17 @@ TEST(GemmIsa, PanelsRunOnlyAsTheyWerePacked) {
     gemm_packed(kind, Trans::no, rows, n, k, 1, a.data(), b.data(), n,
                 /*accumulate=*/false, c.data(), n);
   };
+  const ConvGrid grid = gemm_conv_grid(geom, geom.padded_w(), m);
+  const std::vector<std::uint8_t> image(static_cast<std::size_t>(grid.reach));
+  std::vector<std::int32_t> conv_c(
+      static_cast<std::size_t>(grid.rows * grid.ldc));
   const auto run_conv = [&](PackedKernel kind,
-                            const std::vector<std::uint8_t>& a) {
-    gemm_packed_conv(kind, m, 1, a.data(), geom, b.data(),
-                     /*accumulate=*/false, c.data(), 1);
+                            const std::vector<std::uint8_t>& w) {
+    gemm_conv_nhwc(kind, geom, geom.padded_w(), m, w.data(), nullptr,
+                   /*batch=*/1, image.data(), 0, conv_c.data(), 0);
+  };
+  const auto pack_conv = [&](PackedKernel kind) {
+    return testing::pack_conv_codes(kind, geom, m, codes);
   };
   const auto s8u8 = pack_codes(PackedKernel::kS8U8, m, k, codes);
   const auto lowbit = pack_codes(PackedKernel::kLowBit, m, k, codes);
@@ -540,7 +550,19 @@ TEST(GemmIsa, PanelsRunOnlyAsTheyWerePacked) {
   EXPECT_THROW(run(PackedKernel::kLowBit, s8u8, m), check_error);
   EXPECT_THROW(run(PackedKernel::kS8U8, lowbit, m), check_error);
   EXPECT_THROW(run(PackedKernel::kS8U8, s8u8, m - 1), check_error);
-  EXPECT_THROW(run_conv(PackedKernel::kLowBitWide, lowbit), check_error);
+  EXPECT_NO_THROW(run_conv(PackedKernel::kLowBit,
+                           pack_conv(PackedKernel::kLowBit)));
+  EXPECT_THROW(run_conv(PackedKernel::kLowBitWide,
+                        pack_conv(PackedKernel::kLowBit)),
+               check_error);
+  // Same depth, another geometry: 20 channels under a 1x1 kernel.
+  ConvGeometry wide = geom;
+  wide.channels = 20;
+  wide.kernel_h = wide.kernel_w = 1;
+  EXPECT_THROW(run_conv(PackedKernel::kS8U8, testing::pack_conv_codes(
+                                                 PackedKernel::kS8U8, wide,
+                                                 m, codes)),
+               check_error);
 
   const std::string skip = amx_skip_reason();
   if (!skip.empty()) GTEST_SKIP() << skip;
@@ -549,24 +571,27 @@ TEST(GemmIsa, PanelsRunOnlyAsTheyWerePacked) {
                                   PackedKernel::kLowBitWide}) {
     SCOPED_TRACE(static_cast<int>(kind));
     const auto amx = pack_codes(kind, m, k, codes);
+    const auto amx_conv = pack_conv(kind);
     const runtime::PackedIntWeights amx_layer(
         layer_codes, /*step=*/0.01f, /*bits=*/2, m, k,
         static_cast<WeightKernel>(kind));
-    std::vector<std::uint8_t> avx2;
+    std::vector<std::uint8_t> avx2, avx2_conv;
     {
       const ScopedGemmIntIsaForTest forced(GemmIntIsa::kAvx2);
       avx2 = pack_codes(kind, m, k, codes);
+      avx2_conv = pack_conv(kind);
       EXPECT_NO_THROW(run(kind, avx2, m));
+      EXPECT_NO_THROW(run_conv(kind, avx2_conv));
       EXPECT_THROW(run(kind, amx, m), check_error);
-      EXPECT_THROW(run_conv(kind, amx), check_error);
+      EXPECT_THROW(run_conv(kind, amx_conv), check_error);
       EXPECT_THROW(amx_layer.gemm(Trans::no, n, b.data(), n, c.data(), n,
                                    /*pooled=*/false),
                    check_error);
     }
     EXPECT_NO_THROW(run(kind, amx, m));
-    EXPECT_NO_THROW(run_conv(kind, amx));
+    EXPECT_NO_THROW(run_conv(kind, amx_conv));
     EXPECT_THROW(run(kind, avx2, m), check_error);
-    EXPECT_THROW(run_conv(kind, avx2), check_error);
+    EXPECT_THROW(run_conv(kind, avx2_conv), check_error);
   }
 }
 

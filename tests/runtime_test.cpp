@@ -2,7 +2,8 @@
 //
 //  * the int8 x uint8 -> int32 GEMM against an exact int64 reference, over
 //    the transpose forms, alpha/accumulate modes and pooled execution, and
-//    the conv B source (gemm_packed_conv) against explicit im2col_u8 columns;
+//    the channels-last conv (gemm_conv_nhwc) against explicit im2col_u8
+//    columns;
 //  * PackedIntWeights shift/split normalization: bit-exact reconstruction
 //    of full-range sign-magnitude codes from int8 planes;
 //  * integer Conv2d forward parity: exact accumulator match against an
@@ -20,7 +21,7 @@
 //    gaps are enumerated as skipped cases;
 //  * the liveness-colored buffer planner: workspace_bytes() regression
 //    against the one-slot-per-edge baseline and bit-identity of planned
-//    vs unplanned forwards, a conv's padded-image scratch, plus artifact
+//    vs unplanned forwards, a conv's in-place padded input, plus artifact
 //    round trips of the pool records (rectangular strided and padded
 //    windows), and the rejection of a graph without a Linear head;
 //  * deterministic fuzz over PackedIntWeights' shift/split normalization
@@ -227,19 +228,18 @@ TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
   for (const std::uint8_t byte : guard) EXPECT_EQ(byte, 0x5B);
 }
 
-// gemm_packed_conv packs B~ from the padded uint8 image; every panel must
-// hold the bytes gemm_packed packs from im2col_u8's matrix, so C is
-// memcmp-equal for every integer kind and the split chain (alpha 2, then
-// alpha 1 accumulating), serial and split across column stripes and grid
-// tasks. The geometries cover stride 2, a rectangular kernel, 1x1 kernels
-// (unpadded: B is read from the image in place), fewer output columns than
-// the kernel's panel width (NR: 8, or 16 on AMX), a kernel wider than its
-// output, depth past one KC block and more than kGemmNC output positions.
-// Then come ResNet-20's stride-1 layers: 4-wide outputs (runs of 4 bytes,
-// 4-byte padded rows), 8-wide ones (one 8-byte run per 8-wide panel, two
-// per 16-wide one) and the 3-channel stem (k = 27, a depth tail past the
-// last whole K-group). The last two have 2-wide and 12-wide outputs, so a
-// 16-wide panel spans eight output rows or parts of two and gathers.
+// gemm_conv_nhwc reads the channels-last image in place; its accumulators
+// at every output position must equal those gemm_packed computes over
+// im2col_u8's matrix, for every integer kind and the split chain (alpha 2,
+// then alpha 1 accumulating; one fused call for the conv), serial and
+// pooled. The geometries cover
+// stride 2, a rectangular kernel, 1x1 kernels, fewer output columns than a
+// 16-row tile, a kernel wider than its output, depth past one KC block and
+// more than kGemmNC output positions. Then come ResNet-20's stride-1
+// layers: 4-wide outputs, 8-wide ones and the 3-channel stem (k = 27, tap
+// rows of 9 bytes padded to 12). The last two have 2-wide and 12-wide
+// outputs. The image's tail, which only discarded grid positions read,
+// holds 0xEE.
 CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
   struct Shape {
     std::int64_t channels, height, width, kernel_h, kernel_w, stride, pad;
@@ -261,11 +261,6 @@ CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
                         {"s8u8-split", PackedKernel::kS8U8, true},
                         {"bitserial", PackedKernel::kLowBit, false},
                         {"bitserial-w16", PackedKernel::kLowBitWide, false}};
-  const GemmExec execs[] = {GemmExec{},
-                            GemmExec{true, GemmSplit::kCols, 2},
-                            GemmExec{true, GemmSplit::kCols, 4},
-                            GemmExec{true, GemmSplit::kGrid, 2},
-                            GemmExec{true, GemmSplit::kGrid, 4}};
   const std::uint8_t pad_code = 37;
   Rng rng(929);
   for (const Shape& shape : shapes) {
@@ -282,10 +277,6 @@ CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
     const auto image = random_u8(g.channels * g.height * g.width, rng);
     std::vector<std::uint8_t> col(static_cast<std::size_t>(k * n));
     im2col_u8(g, image.data(), col.data(), pad_code);
-    std::vector<std::uint8_t> padded(
-        static_cast<std::size_t>(g.channels * g.padded_h() * g.padded_w()));
-    pad_image(g, image.data(), padded.data(), pad_code);
-    const std::uint8_t* source = g.pad > 0 ? padded.data() : image.data();
 
     for (const Kind& kind : kinds) {
       int magnitude = kind.kernel == PackedKernel::kS8U8 ? 127 : 64;
@@ -294,43 +285,56 @@ CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
         --magnitude;
       }
       for (const std::int64_t m : {std::int64_t{5}, std::int64_t{70}}) {
+        const testing::NhwcImage source = testing::conv_input(
+            g, m, image.data(), g.pad, pad_code, /*tail_fill=*/0xEE);
+        const ConvGrid grid = gemm_conv_grid(g, source.pitch, m);
         const auto pack = [&](const std::vector<std::int8_t>& codes) {
           std::vector<std::uint8_t> packed(static_cast<std::size_t>(
               gemm_packed_a_bytes(kind.kernel, m, k)));
           gemm_pack_a(kind.kernel, m, k, codes.data(), k, packed.data());
           return packed;
         };
-        const auto hi = pack(random_s8(m * k, rng, magnitude));
+        const auto hi_codes = random_s8(m * k, rng, magnitude);
         std::vector<std::int8_t> lo_codes(static_cast<std::size_t>(m * k));
         for (auto& v : lo_codes) {
           v = static_cast<std::int8_t>(rng.uniform(0.0f, 2.0f));
         }
+        const auto hi = pack(hi_codes);
         const auto lo = pack(lo_codes);
+        const auto hi_conv = testing::pack_conv_codes(kind.kernel, g, m,
+                                                      hi_codes);
+        const auto lo_conv = testing::pack_conv_codes(kind.kernel, g, m,
+                                                      lo_codes);
         const std::int32_t alpha = kind.split ? 2 : 1;
-        for (const GemmExec& exec : execs) {
+        std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
+        gemm_packed(kind.kernel, Trans::no, m, n, k, alpha, hi.data(),
+                    col.data(), n, /*accumulate=*/false, expected.data(), n);
+        if (kind.split) {
+          gemm_packed(kind.kernel, Trans::no, m, n, k, 1, lo.data(),
+                      col.data(), n, /*accumulate=*/true, expected.data(), n);
+        }
+        for (const bool pooled : {false, true}) {
           SCOPED_TRACE(::testing::Message()
                        << kind.name << ", geometry " << g.channels << "x"
                        << g.height << "x" << g.width << " k" << g.kernel_h
                        << "x" << g.kernel_w << " s" << g.stride << " p"
-                       << g.pad << ", m " << m << ", split "
-                       << static_cast<int>(exec.split) << "/" << exec.ways);
-          std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n),
-                                             0x5A5A5A5A);
-          std::vector<std::int32_t> actual = expected;
-          gemm_packed(kind.kernel, Trans::no, m, n, k, alpha, hi.data(),
-                      col.data(), n, /*accumulate=*/false, expected.data(), n,
-                      exec);
-          gemm_packed_conv(kind.kernel, m, alpha, hi.data(), g, source,
-                           /*accumulate=*/false, actual.data(), n, exec);
-          if (kind.split) {
-            gemm_packed(kind.kernel, Trans::no, m, n, k, 1, lo.data(),
-                        col.data(), n, /*accumulate=*/true, expected.data(),
-                        n, exec);
-            gemm_packed_conv(kind.kernel, m, 1, lo.data(), g, source,
-                             /*accumulate=*/true, actual.data(), n, exec);
+                       << g.pad << ", m " << m << ", pooled " << pooled);
+          std::vector<std::int32_t> actual(
+              static_cast<std::size_t>(grid.rows * grid.ldc), 0x5A5A5A5A);
+          gemm_conv_nhwc(kind.kernel, g, source.pitch, m, hi_conv.data(),
+                         kind.split ? lo_conv.data() : nullptr, /*batch=*/1,
+                         source.origin(g.pad), 0, actual.data(), 0, pooled);
+          std::int64_t mismatches = 0;
+          for (std::int64_t o = 0; o < m; ++o) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              const std::int64_t q =
+                  j / g.out_w() * source.pitch + j % g.out_w();
+              mismatches +=
+                  actual[static_cast<std::size_t>(q * grid.ldc + o)] !=
+                  expected[static_cast<std::size_t>(o * n + j)];
+            }
           }
-          EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
-                                   sizeof(std::int32_t) * expected.size()));
+          EXPECT_EQ(mismatches, 0);
         }
       }
     }
@@ -769,6 +773,42 @@ TEST(CompiledGraph, LivenessPlanShrinksWorkspaceAndPreservesBits) {
   EXPECT_EQ(planned.buffer_growth_count(), growth);
 }
 
+// Every padding convolution reads its input edge's border, which must hold
+// the edge's zero point. The planner shares byte slots between edges, so a
+// border written once would hold the codes of the slot's next owner at the
+// next forward; the producers rewrite it every forward. The audit checks
+// every border a convolution reads, sample by sample, across forwards at
+// batch 32, 1, 2 and 32 again in one graph (sample-major and layer-major
+// runs, pooled and serial); the input edge's zero point is not 0.
+TEST(GraphBorders, EveryBorderHoldsItsZeroPointAcrossBatchSizes) {
+  Rng rng(3702);
+  std::vector<CsqWeightSource*> sources;
+  ModelConfig model_config;
+  model_config.base_width = 8;
+  Model model = make_resnet20(model_config, csq_weight_factory(&sources),
+                              fixed_act_quant_factory(/*bits=*/8), rng);
+  const Tensor calib = random_tensor({32, 3, 16, 16}, rng);
+  model.forward(calib, /*training=*/true);
+  for (CsqWeightSource* source : sources) source->finalize();
+  runtime::LowerOptions options;
+  options.in_height = 16;
+  options.in_width = 16;
+  runtime::CompiledGraph graph = runtime::lower(model, options);
+  graph.calibrate(calib);
+  ASSERT_NE(graph.edge_scales().front().zero_point, 0);
+
+  const runtime::ScopedBorderAuditForTest audit;
+  for (const bool pooled : {true, false}) {
+    graph.set_pooled(pooled);
+    for (const std::int64_t batch : {32, 1, 2, 32}) {
+      graph.forward(random_tensor({batch, 3, 16, 16}, rng));
+    }
+  }
+  EXPECT_GT(audit.checked.load(), 0);
+  EXPECT_EQ(audit.faulted.load(), 0)
+      << "of " << audit.checked.load() << " samples checked";
+}
+
 TEST(GraphArtifact, PoolRecordsRoundTrip) {
   // A graph exercising both pool record forms: a rectangular strided max
   // pool and a padded square one, ending in the Linear head. Saving and
@@ -840,13 +880,14 @@ TEST(GraphArtifact, PoolRecordsRoundTrip) {
   EXPECT_EQ(pools[1].pad, 1);
 }
 
-// A convolution's only scratch is its padded input: pool_slot_count()
-// stripes of C x (H + 2 pad) x (W + 2 pad) bytes when it pads, none when it
-// reads its input edge in place. With one dedicated slot per buffer
-// (plan_buffers = false) the workspace is the plain sum of the edges — the
-// input codes, the conv accumulator and its requantized codes, the pooled
-// codes — the Linear head's accumulator, and that scratch.
-TEST(CompiledGraph, ConvScratchHoldsPaddedImageNotColumns) {
+// A convolution has no scratch: it reads its input edge in place, kept
+// channels-last inside a border as wide as the conv's pad, with samples
+// spaced for what its tiles read (gemm_conv_grid's reach), and writes
+// accumulators over its grid (ldc int32 per position). With one dedicated
+// slot per buffer (plan_buffers = false) the workspace is the plain sum of
+// those, the requantized codes, the pooled codes and the Linear head's
+// gathered input and accumulator: no padded stripes, no columns.
+TEST(CompiledGraph, ConvReadsItsPaddedInputEdgeInPlace) {
   const std::int64_t c = 5, h = 11, w = 9, oc = 6, features = 4, batch = 8;
   const auto workspace = [&](std::int64_t kernel, std::int64_t stride,
                              std::int64_t pad) {
@@ -880,15 +921,27 @@ TEST(CompiledGraph, ConvScratchHoldsPaddedImageNotColumns) {
     runtime::CompiledGraph graph = runtime::lower(model, options);
     graph.calibrate(calib);
     graph.prepare(batch);
-    const std::int64_t out_h = (h + 2 * pad - kernel) / stride + 1;
-    const std::int64_t out_w = (w + 2 * pad - kernel) / stride + 1;
-    const std::int64_t edges =
-        batch * (c * h * w + oc * out_h * out_w * (4 + 1) + oc) +
-        4 * features * batch;
-    return graph.workspace_bytes() - edges;
+    return graph.workspace_bytes();
   };
-  EXPECT_EQ(workspace(3, 1, 1), pool_slot_count() * c * (h + 2) * (w + 2));
-  EXPECT_EQ(workspace(1, 2, 0), 0);
+  const auto expected = [&](std::int64_t kernel, std::int64_t stride,
+                            std::int64_t pad) {
+    ConvGeometry geom;
+    geom.channels = c;
+    geom.height = h;
+    geom.width = w;
+    geom.kernel_h = geom.kernel_w = kernel;
+    geom.stride = stride;
+    geom.pad = pad;
+    const std::int64_t pitch = geom.padded_w();
+    const ConvGrid grid = gemm_conv_grid(geom, pitch, oc);
+    const std::int64_t input =
+        std::max(c * geom.padded_h() * pitch, grid.reach);
+    const std::int64_t plane = geom.out_h() * geom.out_w();
+    return batch * (input + 4 * grid.rows * grid.ldc + oc * plane + oc) +
+           batch * (oc + 4 * features);
+  };
+  EXPECT_EQ(workspace(3, 1, 1), expected(3, 1, 1));
+  EXPECT_EQ(workspace(1, 2, 0), expected(1, 2, 0));
 }
 
 // NaN and +-inf input samples quantize to the input edge's end codes: the

@@ -1,10 +1,13 @@
 // Shared helpers for the csq test suite: numeric gradient checking against
 // the layers' analytic backward passes, small tensor factories, server
-// options that park a serving worker, golden-artifact mutation, and the
-// integer GEMM tests that run on both integer ISAs.
+// options that park a serving worker, golden-artifact mutation, the
+// integer GEMM tests that run on both integer ISAs, and the channels-last
+// images and naive convolution the integer conv tests check against.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -16,6 +19,7 @@
 #include "nn/module.h"
 #include "serve/batching_server.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -184,6 +188,105 @@ inline std::string forced_avx2_skip_reason() {
     return "the host runs the AVX2 integer kernels unforced";
   }
   return "";
+}
+
+// One sample of a (C, H, W) uint8 image laid out as the compiled graph
+// keeps its activations: channels-last, inside a border of `border` pixels
+// of `fill`, in rows of `pitch` = W + 2 border pixels, then `tail` bytes of
+// `tail_fill` that only the discarded grid positions of a convolution
+// read.
+struct NhwcImage {
+  std::vector<std::uint8_t> bytes;
+  std::int64_t pitch = 0;
+  std::int64_t border = 0;
+  std::int64_t channels = 0;
+  // The window origin of a convolution with padding `pad` <= border.
+  const std::uint8_t* origin(std::int64_t pad) const {
+    return bytes.data() + ((border - pad) * pitch + border - pad) * channels;
+  }
+};
+
+inline NhwcImage nhwc_image(std::int64_t channels, std::int64_t height,
+                            std::int64_t width, const std::uint8_t* chw,
+                            std::int64_t border, std::uint8_t fill,
+                            std::int64_t tail, std::uint8_t tail_fill) {
+  NhwcImage image;
+  image.pitch = width + 2 * border;
+  image.border = border;
+  image.channels = channels;
+  const std::int64_t size = (height + 2 * border) * image.pitch * channels;
+  image.bytes.assign(static_cast<std::size_t>(size), fill);
+  image.bytes.resize(static_cast<std::size_t>(size + std::max<std::int64_t>(
+                                                         tail, 0)),
+                     tail_fill);
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t y = 0; y < height; ++y) {
+      for (std::int64_t x = 0; x < width; ++x) {
+        image.bytes[static_cast<std::size_t>(
+            ((border + y) * image.pitch + border + x) * channels + c)] =
+            chw[(c * height + y) * width + x];
+      }
+    }
+  }
+  return image;
+}
+
+// An NhwcImage with the tail a convolution of `geom` (pad <= border) with
+// `oc` output channels reads (gemm_conv_grid's reach past the image).
+inline NhwcImage conv_input(const ConvGeometry& geom, std::int64_t oc,
+                            const std::uint8_t* chw, std::int64_t border,
+                            std::uint8_t fill, std::uint8_t tail_fill) {
+  const std::int64_t pitch = geom.width + 2 * border;
+  const std::int64_t size =
+      (geom.height + 2 * border) * pitch * geom.channels;
+  const std::int64_t origin =
+      ((border - geom.pad) * pitch + border - geom.pad) * geom.channels;
+  const std::int64_t reach = gemm_conv_grid(geom, pitch, oc).reach;
+  return nhwc_image(geom.channels, geom.height, geom.width, chw, border, fill,
+                    origin + reach - size, tail_fill);
+}
+
+// The naive convolution of one channels-last image at its window origin:
+// out[(oy * out_w + ox) * oc + o] = sum over (c, ki, kj) of
+// pixel (oy * stride + ki, ox * stride + kj) channel c times
+// codes[o][c][ki][kj], summed in int64.
+inline std::vector<std::int64_t> naive_conv_nhwc(
+    const ConvGeometry& geom, std::int64_t pitch, std::int64_t oc,
+    const std::uint8_t* origin, const std::int8_t* codes) {
+  const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
+  const std::int64_t c_in = geom.channels;
+  std::vector<std::int64_t> out(static_cast<std::size_t>(out_h * out_w * oc));
+  for (std::int64_t oy = 0; oy < out_h; ++oy) {
+    for (std::int64_t ox = 0; ox < out_w; ++ox) {
+      for (std::int64_t o = 0; o < oc; ++o) {
+        std::int64_t sum = 0;
+        for (std::int64_t c = 0; c < c_in; ++c) {
+          for (std::int64_t ki = 0; ki < geom.kernel_h; ++ki) {
+            for (std::int64_t kj = 0; kj < geom.kernel_w; ++kj) {
+              const std::int64_t pixel = (oy * geom.stride + ki) * pitch +
+                                         ox * geom.stride + kj;
+              sum += static_cast<std::int64_t>(origin[pixel * c_in + c]) *
+                     codes[((o * c_in + c) * geom.kernel_h + ki) *
+                               geom.kernel_w +
+                           kj];
+            }
+          }
+        }
+        out[static_cast<std::size_t>((oy * out_w + ox) * oc + o)] = sum;
+      }
+    }
+  }
+  return out;
+}
+
+// Packed conv weights of `codes` for the running ISA.
+inline std::vector<std::uint8_t> pack_conv_codes(
+    PackedKernel kind, const ConvGeometry& geom, std::int64_t oc,
+    const std::vector<std::int8_t>& codes) {
+  std::vector<std::uint8_t> packed(
+      static_cast<std::size_t>(gemm_conv_weights_bytes(kind, geom, oc)));
+  gemm_pack_conv_weights(kind, geom, oc, codes.data(), packed.data());
+  return packed;
 }
 
 }  // namespace csq::testing
