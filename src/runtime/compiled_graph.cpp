@@ -113,6 +113,10 @@ struct CompiledGraph::Impl {
   std::vector<std::vector<float>> float_edges;
   bool calibrating = false;
 
+  // Edges with a quantization record (edge_scales): all but the last, the
+  // Linear head's accumulators, which the v6 artifact has no record for.
+  std::size_t recorded_edges() const { return edges.size() - 1; }
+
   std::uint8_t* u8(int edge) {
     const EdgeData& e = edges[static_cast<std::size_t>(edge)];
     return ws->bytes(e.slot, e.buffer(batch));
@@ -221,18 +225,6 @@ class Op {
   // Frees buffers only the float reference walk needs (re-materialized on
   // demand if another walk runs).
   virtual void release_float_cache() {}
-  // Grows op-private scratch for the given batch.
-  virtual void prepare(CompiledGraph::Impl& g, std::int64_t batch) {
-    (void)g;
-    (void)batch;
-  }
-  // Installs the workspace slots of the op's private scratch (the linear
-  // head's gathered input and accumulator). Called by the buffer planner
-  // after the walk; ops without scratch ignore it.
-  virtual void set_scratch_slots(int byte_slot, int int_slot) {
-    (void)byte_slot;
-    (void)int_slot;
-  }
 };
 
 void Op::run_batch(CompiledGraph::Impl& g) {
@@ -707,91 +699,43 @@ class GlobalAvgPoolOp final : public Op {
 
 // ---------------------------------------------------------------- linear --
 
+// The Linear head: the convolution whose kernel covers its whole H x W input
+// edge (stride 1, no padding; the weights' (c, h, w) column order is
+// im2col's), then each sample's logits from its accumulators.
 class LinearOp final : public Op {
  public:
-  LinearOp(int in_edge, PackedIntWeights weights, std::vector<float> bias)
-      : in_edge_(in_edge),
-        weights_(std::move(weights)),
+  LinearOp(int in_edge, int acc_edge, ConvGeometry geom,
+           PackedIntWeights weights, std::vector<float> bias)
+      : conv_(in_edge, acc_edge, geom, std::move(weights)),
         bias_(std::move(bias)) {}
 
-  const PackedIntWeights& weights() const { return weights_; }
-  std::int64_t out_features() const { return weights_.rows(); }
+  const ConvOp& conv() const { return conv_; }
+  const PackedIntWeights& weights() const { return conv_.weights(); }
   void release_float_cache() override {
     float_weights_.clear();
     float_weights_.shrink_to_fit();
   }
-  void set_scratch_slots(int byte_slot, int int_slot) override {
-    in_slot_ = byte_slot;
-    acc_slot_ = int_slot;
-  }
 
-  void prepare(CompiledGraph::Impl& g, std::int64_t batch) override {
-    g.ws->bytes(in_slot_, weights_.cols() * batch);
-    g.ws->ints(acc_slot_, weights_.rows() * batch);
-  }
-
-  // The head multiplies the whole batch at once (the graph runs it last).
   void run_sample(CompiledGraph::Impl& g, std::int64_t b) override {
-    (void)g;
-    (void)b;
-    CSQ_CHECK(false) << "integer graph: the Linear head runs on the batch";
+    conv_.run_sample(g, b);
+    logits(g, b);
   }
-
   void run_batch(CompiledGraph::Impl& g) override {
-    const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    const std::int64_t out_f = weights_.rows();
-    const std::int64_t in_f = weights_.cols();
-    // The input in the (C, H, W) order of the weight columns: one run of
-    // C codes per sample behind a global pool.
-    std::uint8_t* x = g.ws->bytes(in_slot_, in_f * g.batch);
-    const std::uint8_t* codes = g.u8(in_edge_);
-    for (std::int64_t b = 0; b < g.batch; ++b) {
-      const std::uint8_t* image = codes + b * in.sample;
-      std::uint8_t* row = x + b * in_f;
-      for (std::int64_t y = 0; y < in.height; ++y) {
-        for (std::int64_t w = 0; w < in.width; ++w) {
-          const std::uint8_t* pixel = image + in.at(y, w);
-          for (std::int64_t c = 0; c < in.channels; ++c) {
-            row[(c * in.height + y) * in.width + w] = pixel[c];
-          }
-        }
-      }
-    }
-    std::int32_t* acc = g.ws->ints(acc_slot_, out_f * g.batch);
-    // acc(OUT, B) = W_codes(OUT, IN) * X^T — the one top-level integer GEMM.
-    // n here is the BATCH (kAuto keeps the row split: at batch 1 there is a
-    // single output column, so there is nothing for a column split to carve;
-    // the head matmul only fans out via its m = OUT row tiles).
-    weights_.gemm(Trans::yes, g.batch, x, in_f, acc, g.batch, g.pooled);
-
-    g.run_output = Tensor::uninitialized({g.batch, out_f});
-    float* logits = g.run_output.data();
-    const float step = weights_.effective_step();
-    const float s_in = in.scale;
-    const std::int32_t zp = in.zero_point;
-    for (std::int64_t o = 0; o < out_f; ++o) {
-      const float combined = step * s_in;
-      const float offset =
-          bias_.empty() ? 0.0f : bias_[static_cast<std::size_t>(o)];
-      const std::int64_t zp_correction =
-          zp * weights_.row_code_sums()[static_cast<std::size_t>(o)];
-      const std::int32_t* row = acc + o * g.batch;
-      for (std::int64_t b = 0; b < g.batch; ++b) {
-        logits[b * out_f + o] =
-            combined * static_cast<float>(static_cast<std::int64_t>(row[b]) -
-                                          zp_correction) +
-            offset;
-      }
-    }
+    conv_.run_batch(g);
+    for (std::int64_t b = 0; b < g.batch; ++b) logits(g, b);
   }
 
+  // The float walk of the flat (C, H, W) input, independent of the
+  // convolution's geometry.
   void run_float(CompiledGraph::Impl& g) override {
-    const std::int64_t out_f = weights_.rows();
-    const std::int64_t in_f = weights_.cols();
+    const PackedIntWeights& weights = conv_.weights();
+    const std::int64_t out_f = weights.rows();
+    const std::int64_t in_f = weights.cols();
     g.run_output = Tensor::uninitialized({g.batch, out_f});
-    const std::vector<float>& w = float_weights(weights_, float_weights_);
-    gemm(Trans::no, Trans::yes, g.batch, out_f, in_f, 1.0f, g.f32(in_edge_),
-         in_f, w.data(), in_f, 0.0f, g.run_output.data(), out_f);
+    const std::vector<float>& w = float_weights(weights, float_weights_);
+    gemm(Trans::no, Trans::yes, g.batch, out_f, in_f, 1.0f,
+         g.f32(conv_.in_edge()), in_f, w.data(), in_f, 0.0f,
+         g.run_output.data(), out_f);
     if (!bias_.empty()) {
       float* logits = g.run_output.data();
       for (std::int64_t b = 0; b < g.batch; ++b) {
@@ -803,12 +747,33 @@ class LinearOp final : public Op {
   }
 
  private:
-  int in_edge_;
-  PackedIntWeights weights_;
+  // Row b of the graph's logits: the single output position's accumulators
+  // in real units (the zero-point correction of the input edge folded
+  // out), plus the bias.
+  void logits(CompiledGraph::Impl& g, std::int64_t b) const {
+    const PackedIntWeights& weights = conv_.weights();
+    const EdgeData& in = g.edges[static_cast<std::size_t>(conv_.in_edge())];
+    const EdgeData& acc_e =
+        g.edges[static_cast<std::size_t>(conv_.acc_edge())];
+    const std::int32_t* acc = g.i32(conv_.acc_edge()) + b * acc_e.sample;
+    const std::int64_t out_f = weights.rows();
+    float* row = g.run_output.data() + b * out_f;
+    const float combined = weights.effective_step() * in.scale;
+    for (std::int64_t o = 0; o < out_f; ++o) {
+      const float offset =
+          bias_.empty() ? 0.0f : bias_[static_cast<std::size_t>(o)];
+      const std::int64_t zp_correction =
+          in.zero_point * weights.row_code_sums()[static_cast<std::size_t>(o)];
+      row[o] = combined * static_cast<float>(
+                              static_cast<std::int64_t>(acc[o]) -
+                              zp_correction) +
+               offset;
+    }
+  }
+
+  ConvOp conv_;
   std::vector<float> float_weights_;
   std::vector<float> bias_;
-  int in_slot_ = -1;
-  int acc_slot_ = -1;
 };
 
 }  // namespace
@@ -834,7 +799,6 @@ void CompiledGraph::Impl::prepare(std::int64_t new_batch) {
       ws->bytes(e.slot, e.buffer(new_batch));
     }
   }
-  for (auto& op : ops) op->prepare(*this, new_batch);
   prepared_batch = new_batch;
   batch = saved;
 }
@@ -867,23 +831,21 @@ void CompiledGraph::Impl::finalize_scales() {
 }
 
 // Batches above the sample loop's pooling threshold run sample-major: each
-// sample runs every op up to the head on one thread, so its activations
-// stay in that core's cache and the pool is entered once. Smaller batches
-// run layer by layer, where each convolution spreads its blocks over the
-// pool. The Linear head, always the last op, multiplies the whole batch.
-// Every op's integer arithmetic is exact and per sample, so both orders
-// are bit-identical.
+// sample runs every op, the Linear head's logits included, on one thread,
+// so its activations stay in that core's cache and the pool is entered
+// once. Smaller batches run layer by layer, where each convolution spreads
+// its blocks over the pool. Every op's integer arithmetic is exact and per
+// sample, so both orders are bit-identical.
 void CompiledGraph::Impl::run_int_all() {
   prepare(batch);
-  const std::size_t head = ops.size() - 1;
+  run_output = Tensor::uninitialized({batch, out_features});
   if (batch > kParallelForSerialThreshold) {
-    for_each_sample(pooled, batch, [this, head](std::int64_t b) {
-      for (std::size_t i = 0; i < head; ++i) ops[i]->run_sample(*this, b);
+    for_each_sample(pooled, batch, [this](std::int64_t b) {
+      for (auto& op : ops) op->run_sample(*this, b);
     });
   } else {
-    for (std::size_t i = 0; i < head; ++i) ops[i]->run_batch(*this);
+    for (auto& op : ops) op->run_batch(*this);
   }
-  ops[head]->run_batch(*this);
 }
 
 void CompiledGraph::Impl::run_float_all() {
@@ -964,7 +926,7 @@ class GraphBuilder {
 
   void linear(const QuantizedLayerExport& layer, const ProgramInstr& instr) {
     const int in = realize();
-    const EdgeData& in_e = g_.edges[static_cast<std::size_t>(in)];
+    const EdgeData in_e = g_.edges[static_cast<std::size_t>(in)];
     CSQ_CHECK(layer.shape.size() == 2)
         << "lowering " << layer.name << ": linear weights must be rank 2, "
         << "got " << layer.shape.size();
@@ -979,13 +941,24 @@ class GraphBuilder {
               static_cast<std::int64_t>(instr.bias.size()) == out_features)
         << "lowering " << layer.name << ": bias length mismatch";
 
+    // A kernel as large as the input: one output position, whose depth in
+    // im2col's (c, ki, kj) order is the flattened (c, h, w) input.
+    ConvGeometry geom;
+    geom.channels = in_e.channels;
+    geom.height = geom.kernel_h = in_e.height;
+    geom.width = geom.kernel_w = in_e.width;
+    geom.validate();
     PackedIntWeights packed(layer.codes, layer.step(), layer.bits,
                             out_features, in_features,
-                            static_cast<WeightKernel>(instr.kernel_kind));
-    auto op = std::make_unique<LinearOp>(in, std::move(packed), instr.bias);
+                            static_cast<WeightKernel>(instr.kernel_kind),
+                            &geom);
+    const int acc = new_acc_edge(out_features, 1, 1);
+    auto op = std::make_unique<LinearOp>(in, acc, geom, std::move(packed),
+                                         instr.bias);
+    convs_.push_back(&op->conv());
     record_layer(layer.name, op->weights());
     g_.out_features = out_features;
-    add_op(std::move(op), {in}, {}, /*scratch=*/true);
+    add_op(std::move(op), {in}, {acc});
     current_edge_ = -1;  // the graph output is the float logits tensor
   }
 
@@ -1122,18 +1095,16 @@ class GraphBuilder {
 
  private:
   // Edge traffic of one op, in topological (execution) order — the liveness
-  // intervals the buffer planner colors — and whether the op has private
-  // scratch (a byte and an int buffer).
+  // intervals the buffer planner colors.
   struct OpMeta {
     std::vector<int> reads;
     std::vector<int> writes;
-    bool scratch = false;
   };
 
   void add_op(std::unique_ptr<Op> op, std::vector<int> reads,
-              std::vector<int> writes, bool scratch = false) {
+              std::vector<int> writes) {
     g_.ops.push_back(std::move(op));
-    op_meta_.push_back(OpMeta{std::move(reads), std::move(writes), scratch});
+    op_meta_.push_back(OpMeta{std::move(reads), std::move(writes)});
   }
 
   // Lays out every edge once its consumers are known. A u8 edge's border is
@@ -1141,6 +1112,7 @@ class GraphBuilder {
   // input in place from its window origin; a convolution's accumulators
   // span its grid (gemm_conv_grid), which is as wide as its input's rows,
   // and its input's samples are far enough apart for what its tiles read.
+  // The Linear head is one of these convolutions.
   void plan_layouts() {
     for (const ConvOp* conv : convs_) {
       EdgeData& in = g_.edges[static_cast<std::size_t>(conv->in_edge())];
@@ -1164,26 +1136,18 @@ class GraphBuilder {
     }
   }
 
-  // Assigns every edge (and op scratch buffer) its workspace slot. Planned
-  // mode colors the liveness intervals over the op order: an edge's slot
-  // returns to its class free list after the edge's last consumer, and ops'
-  // private scratch lives only for its own op. Outputs and scratch of op i
-  // never recycle a slot freed AT op i (an op must not write into a buffer
-  // it is still reading), which keeps planned and unplanned graphs
-  // bit-identical.
+  // Assigns every edge its workspace slot. Planned mode colors the liveness
+  // intervals over the op order: an edge's slot returns to its class free
+  // list after the edge's last consumer. Outputs of op i never recycle a
+  // slot freed AT op i (an op must not write into a buffer it is still
+  // reading), which keeps planned and unplanned graphs bit-identical.
   void plan_slots() {
     const int n_ops = static_cast<int>(g_.ops.size());
     if (!g_.options.plan_buffers) {
-      // Baseline policy: one dedicated slot per edge / scratch buffer for
-      // the graph's lifetime (the memory-regression comparison point).
+      // Baseline policy: one dedicated slot per edge for the graph's
+      // lifetime (the memory-regression comparison point).
       for (EdgeData& e : g_.edges) {
         e.slot = e.is_acc ? g_.int_slots_used++ : g_.byte_slots_used++;
-      }
-      for (int i = 0; i < n_ops; ++i) {
-        if (op_meta_[static_cast<std::size_t>(i)].scratch) {
-          g_.ops[static_cast<std::size_t>(i)]->set_scratch_slots(
-              g_.byte_slots_used++, g_.int_slots_used++);
-        }
       }
       return;
     }
@@ -1216,13 +1180,6 @@ class GraphBuilder {
         edge.slot = edge.is_acc ? take(free_ints, g_.int_slots_used)
                                 : take(free_bytes, g_.byte_slots_used);
       }
-      int byte_scratch = -1, int_scratch = -1;
-      if (meta.scratch) {
-        byte_scratch = take(free_bytes, g_.byte_slots_used);
-        int_scratch = take(free_ints, g_.int_slots_used);
-        g_.ops[static_cast<std::size_t>(i)]->set_scratch_slots(byte_scratch,
-                                                               int_scratch);
-      }
       const auto release_dead = [&](int e) {
         if (last[static_cast<std::size_t>(e)] != i ||
             released[static_cast<std::size_t>(e)]) {
@@ -1234,10 +1191,6 @@ class GraphBuilder {
       };
       for (const int e : meta.reads) release_dead(e);
       for (const int e : meta.writes) release_dead(e);
-      if (meta.scratch) {
-        free_bytes.push_back(byte_scratch);
-        free_ints.push_back(int_scratch);
-      }
     }
     for (std::size_t e = 0; e < g_.edges.size(); ++e) {
       CSQ_CHECK(g_.edges[e].slot >= 0)
@@ -1461,8 +1414,9 @@ std::shared_ptr<const GraphProgram> CompiledGraph::shared_program() const {
 std::vector<EdgeScaleRecord> CompiledGraph::edge_scales() {
   if (!impl_->scales_final) impl_->finalize_scales();
   std::vector<EdgeScaleRecord> records;
-  records.reserve(impl_->edges.size());
-  for (const EdgeData& e : impl_->edges) {
+  records.reserve(impl_->recorded_edges());
+  for (std::size_t i = 0; i < impl_->recorded_edges(); ++i) {
+    const EdgeData& e = impl_->edges[i];
     EdgeScaleRecord record;
     record.is_acc = e.is_acc;
     if (!e.is_acc) {
@@ -1478,9 +1432,9 @@ std::vector<EdgeScaleRecord> CompiledGraph::edge_scales() {
 void CompiledGraph::restore_edge_scales(
     const std::vector<EdgeScaleRecord>& records) {
   Impl& g = *impl_;
-  CSQ_CHECK(records.size() == g.edges.size())
+  CSQ_CHECK(records.size() == g.recorded_edges())
       << "graph artifact: edge count " << records.size()
-      << " does not match the program's " << g.edges.size();
+      << " does not match the program's " << g.recorded_edges();
   for (std::size_t i = 0; i < records.size(); ++i) {
     EdgeData& e = g.edges[i];
     const EdgeScaleRecord& record = records[i];

@@ -4,8 +4,9 @@
 // `lower(model, options)` walks the module tree through the nn lowering seam
 // (nn/lowering.h) and emits a flat list of integer ops over typed edges:
 //
-//   * Conv2d / Linear  -> int8 weight-code GEMMs (runtime/packed_weights.h)
-//                         with int32 accumulation into an i32 edge;
+//   * Conv2d           -> int8 weight-code convolutions (gemm_conv_nhwc,
+//                         runtime/packed_weights.h) with int32
+//                         accumulation into an i32 edge;
 //   * BatchNorm2d      -> folded into the consuming requantization's
 //                         per-channel scale/bias (running statistics — the
 //                         eval-mode semantics);
@@ -18,9 +19,10 @@
 //     (independent stride/padding; padded taps are skipped, the implicit
 //     -inf);
 //   * GlobalAvgPool    -> integer rounded mean over each channel's codes;
-//   * Linear head      -> required: the graph's float logits are the last
-//                         Linear's output; a model without one is rejected
-//                         when the graph is built.
+//   * Linear head      -> required: the convolution whose kernel covers its
+//                         whole input edge, then the graph's float logits;
+//                         a model without one is rejected when the graph
+//                         is built.
 //
 // Execution: `forward` runs the integer path — quantize input once, then
 // uint8 activation codes, int32 accumulators and one fused scale/clamp pass
@@ -106,8 +108,7 @@ class CompiledGraph {
 
   // Grows every activation buffer for batches up to `batch`. STEADY-STATE
   // forwards at or below that size perform zero heap allocations; the first
-  // forward may still create the GEMM packing scratch (every pool slot's at
-  // once, plus the calling thread's) and the pooled output span, so
+  // forward may still allocate the logits tensor's pooled storage, so
   // latency-critical deployments should warm with one real forward (the
   // allocation-regression test measures after exactly that warmup).
   // forward() prepares on demand, so this is an optional hook.
@@ -136,7 +137,7 @@ class CompiledGraph {
     bool split = false;        // full-span layer stored as two int8 planes
     std::int64_t weight_count = 0;
     std::int64_t storage_bits = 0;
-    std::string kernel;        // selected GEMM path (weight_kernel_name)
+    std::string kernel;        // selected kernel kind (weight_kernel_name)
   };
   const std::vector<LayerInfo>& layers() const;
   std::int64_t weight_storage_bits() const;
@@ -173,7 +174,8 @@ class CompiledGraph {
   // deep-copying the codes.
   std::shared_ptr<const GraphProgram> shared_program() const;
 
-  // Snapshot of every edge's resolved quantization state. Finalizes scales
+  // Snapshot of every edge's resolved quantization state (the Linear
+  // head's accumulators, the last edge, have none). Finalizes scales
   // first, so the graph must be calibrated (or act-quant-pinned everywhere
   // with a calibrated input edge); throws otherwise.
   std::vector<EdgeScaleRecord> edge_scales();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/check.h"
 
@@ -49,6 +50,15 @@ WeightKernel auto_kernel(int bits, std::int32_t max_abs, bool split,
                : WeightKernel::kBitSerial;
   }
   return WeightKernel::kS8U8;
+}
+
+// A 1x1 convolution of `channels` channels over one pixel.
+ConvGeometry one_by_one(std::int64_t channels) {
+  ConvGeometry geom;
+  geom.channels = channels;
+  geom.height = geom.width = 1;
+  geom.kernel_h = geom.kernel_w = 1;
+  return geom;
 }
 
 }  // namespace
@@ -137,35 +147,30 @@ PackedIntWeights::PackedIntWeights(const std::vector<std::int32_t>& codes,
                 : kernel;
   check_kernel_eligibility();
 
-  if (conv == nullptr) {
-    pack_gemm_panels();
-    return;
+  if (conv != nullptr) {
+    CSQ_CHECK(conv->col_rows() == cols_)
+        << "packed weights: conv depth " << conv->col_rows() << " != "
+        << cols_;
+    conv_geom_ = *conv;
+  } else {
+    conv_geom_ = one_by_one(cols_);
   }
-  CSQ_CHECK(conv->col_rows() == cols_)
-      << "packed weights: conv depth " << conv->col_rows() << " != " << cols_;
-  conv_geom_ = *conv;
+  pack_planes(conv_geom_, conv_panels_, low_conv_panels_);
   gemm_once_ = std::make_unique<std::once_flag>();
+}
+
+void PackedIntWeights::pack_planes(const ConvGeometry& geom,
+                                   std::vector<std::uint8_t>& hi,
+                                   std::vector<std::uint8_t>& lo) const {
   const PackedKernel kind = packed_kernel(kernel_);
   const auto pack = [&](const std::vector<std::int8_t>& plane,
                         std::vector<std::uint8_t>& panels) {
-    panels.resize(static_cast<std::size_t>(
-        gemm_conv_weights_bytes(kind, conv_geom_, rows_)));
-    gemm_pack_conv_weights(kind, conv_geom_, rows_, plane.data(),
-                           panels.data());
+    panels.resize(
+        static_cast<std::size_t>(gemm_conv_weights_bytes(kind, geom, rows_)));
+    gemm_pack_conv_weights(kind, geom, rows_, plane.data(), panels.data());
   };
-  pack(primary_, conv_panels_);
-  if (split_) pack(low_, low_conv_panels_);
-}
-
-void PackedIntWeights::pack_gemm_panels() const {
-  const PackedKernel kind = packed_kernel(kernel_);
-  panels_.resize(
-      static_cast<std::size_t>(gemm_packed_a_bytes(kind, rows_, cols_)));
-  gemm_pack_a(kind, rows_, cols_, primary_.data(), cols_, panels_.data());
-  if (split_) {
-    low_panels_.resize(panels_.size());
-    gemm_pack_a(kind, rows_, cols_, low_.data(), cols_, low_panels_.data());
-  }
+  pack(primary_, hi);
+  if (split_) pack(low_, lo);
 }
 
 void PackedIntWeights::check_kernel_eligibility() const {
@@ -194,17 +199,41 @@ void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
                             const std::uint8_t* b, std::int64_t ldb,
                             std::int32_t* c, std::int64_t ldc,
                             GemmExec exec) const {
-  if (gemm_once_ != nullptr) {
-    std::call_once(*gemm_once_, [this] { pack_gemm_panels(); });
+  CSQ_CHECK(n >= 0) << "packed weights: gemm over " << n << " columns";
+  if (n == 0) return;
+  const bool one_by_one_weights =
+      conv_geom_.kernel_h == 1 && conv_geom_.kernel_w == 1;
+  if (!one_by_one_weights) {
+    std::call_once(*gemm_once_, [this] {
+      pack_planes(one_by_one(cols_), gemm_panels_, low_gemm_panels_);
+    });
   }
-  // One pass over the plane, or for split layers (code = 2*hi + lo) the
-  // alpha-chained hi/lo pair, both exact in int32.
-  const PackedKernel kind = packed_kernel(kernel_);
-  gemm_packed(kind, trans_b, rows_, n, cols_, split_ ? 2 : 1, panels_.data(),
-              b, ldb, /*accumulate=*/false, c, ldc, exec);
-  if (split_) {
-    gemm_packed(kind, trans_b, rows_, n, cols_, 1, low_panels_.data(), b, ldb,
-                /*accumulate=*/true, c, ldc, exec);
+  const std::vector<std::uint8_t>& hi =
+      one_by_one_weights ? conv_panels_ : gemm_panels_;
+  const std::vector<std::uint8_t>& lo =
+      one_by_one_weights ? low_conv_panels_ : low_gemm_panels_;
+  // op(B)'s columns as the pixels of a 1 x n channels-last image, followed
+  // by the zeros the grid's discarded positions read.
+  ConvGeometry geom = one_by_one(cols_);
+  geom.width = n;
+  const ConvGrid grid = gemm_conv_grid(geom, n, rows_);
+  std::vector<std::uint8_t> image(static_cast<std::size_t>(grid.reach));
+  for (std::int64_t j = 0; j < n; ++j) {
+    std::uint8_t* pixel = image.data() + j * cols_;
+    if (trans_b == Trans::yes) {
+      std::memcpy(pixel, b + j * ldb, static_cast<std::size_t>(cols_));
+    } else {
+      for (std::int64_t p = 0; p < cols_; ++p) pixel[p] = b[p * ldb + j];
+    }
+  }
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(grid.rows * grid.ldc));
+  gemm_conv_nhwc(packed_kernel(kernel_), geom, n, rows_, hi.data(),
+                 split_ ? lo.data() : nullptr, /*batch=*/1, image.data(), 0,
+                 acc.data(), 0, exec.pooled);
+  for (std::int64_t o = 0; o < rows_; ++o) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      c[o * ldc + j] = acc[static_cast<std::size_t>(j * grid.ldc + o)];
+    }
   }
 }
 
@@ -212,8 +241,6 @@ void PackedIntWeights::conv(std::int64_t pitch, std::int64_t batch,
                             const std::uint8_t* image,
                             std::int64_t image_stride, std::int32_t* c,
                             std::int64_t c_stride, bool pooled) const {
-  CSQ_CHECK(!conv_panels_.empty())
-      << "packed weights: conv() on weights packed without a geometry";
   gemm_conv_nhwc(packed_kernel(kernel_), conv_geom_, pitch, rows_,
                  conv_panels_.data(),
                  split_ ? low_conv_panels_.data() : nullptr, batch, image,

@@ -10,8 +10,8 @@
 //      effective scale exactly (power-of-two float scaling is lossless).
 //   2. If the shifted codes still exceed +/-127 (a full-span 8-bit layer),
 //      a hi/lo split: code = 2*hi + lo with hi in [-128, 127] and lo in
-//      {0, 1}. The GEMM then runs two int8 passes chained through the
-//      kernel's integer alpha (alpha=2 overwrite, alpha=1 accumulate).
+//      {0, 1}. The convolution then runs both int8 planes in one call and
+//      fuses them exactly (C = 2 * hi + lo).
 //
 // Both transforms are integer-exact, so reconstructing
 //   weight[i] = effective_step() * full_code(i)
@@ -19,24 +19,25 @@
 // bit (one float multiply of the step by an exactly-representable integer —
 // the same operation materialize_hard performs).
 //
-// On top of the representation, each layer carries a KERNEL: the GEMM path
-// its precision earns. Layers of at most 3 bits run "bitserial", the K-quad
+// On top of the representation, each layer carries a KERNEL: the path its
+// precision earns. Layers of at most 3 bits run "bitserial", the K-quad
 // vpmaddubsw kernel over the int8 codes (the name is persisted and reported;
-// the bit planes' shift-and-add is already folded into the codes), or its
-// int16-accumulator variant "bitserial-w16" when the depth headroom proves
-// no overflow. Every other layer, 4-bit layers included (their codes reach
-// +/-15), runs the s8u8 reference, split layers as its alpha-chained pair.
-// Every kernel produces the SAME int32 accumulators as the s8u8 reference,
-// so the choice never changes served outputs, only latency.
+// the bit planes' shift-and-add is already folded into the codes), recorded
+// as "bitserial-w16" where gemm_s8u8_wide_eligible's int16 depth rule holds.
+// Every other layer, 4-bit layers included (their codes reach +/-15), runs
+// the s8u8 reference, split layers as its fused hi/lo pair. Every kernel
+// produces the SAME int32 accumulators as the s8u8 reference, so the choice
+// never changes served outputs, only latency.
 //
 // The kernel is the layer's contract (code range, eligibility, persisted
-// name), not its instruction sequence: on AMX hosts tensor/gemm runs all
-// three kinds on one exact kernel of 16x16 AMX-INT8 tiles (gemm.h), where
-// the bitserial-w16 rule only decides the name a layer records. A
-// convolution's channels-last kernel (gemm_conv_nhwc) runs bitserial-w16
-// layers on the bitserial one on every ISA. The panels are packed from the
-// codes when a layer is built and never persisted, so their host-dependent
-// layout reaches no artifact.
+// name), not its instruction sequence: the channels-last convolution
+// (gemm_conv_nhwc) runs bitserial-w16 layers on the bitserial kernel on
+// every ISA, so the w16 rule only decides the name a layer records (its
+// formula is kept: the benchmark's serve set-up throws if any family
+// disappears from its model), and on AMX hosts all three kinds run one
+// exact kernel of 16x16 AMX-INT8 tiles (gemm.h). The panels are packed
+// from the codes when a layer is built and never persisted, so their
+// host-dependent layout reaches no artifact.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +52,13 @@
 namespace csq {
 namespace runtime {
 
-// Per-layer GEMM path. Numeric values are persisted in graph artifacts
+// Per-layer kernel kind. Numeric values are persisted in graph artifacts
 // (ProgramInstr::kernel_kind); kAuto (-1) means "resolve at lowering".
 enum class WeightKernel : std::int32_t {
   kAuto = -1,
-  kS8U8 = 0,        // reference path (int16 K-pairs unless AMX)
-  kBitSerial = 1,   // int8 codes, K-quad vpmaddubsw
-  kBitSerialWide = 3,  // bit-serial with int16 accumulators (3x MACs)
+  kS8U8 = 0,           // reference path (int16 K-pairs unless AMX)
+  kBitSerial = 1,      // int8 codes, K-quad vpmaddubsw
+  kBitSerialWide = 3,  // bit-serial within the int16 depth rule
   // 2 was the retired nibble kernel; artifacts recording it are rejected.
 };
 
@@ -65,7 +66,7 @@ enum class WeightKernel : std::int32_t {
 // "s8u8" | "bitserial" | "bitserial-w16" | "auto".
 const char* weight_kernel_name(WeightKernel kernel);
 
-// The packed-A panel layout of a (resolved) kernel kind; the numeric values
+// The packed panel layout of a (resolved) kernel kind; the numeric values
 // match by construction.
 constexpr PackedKernel packed_kernel(WeightKernel kernel) {
   return static_cast<PackedKernel>(kernel);
@@ -76,7 +77,7 @@ class PackedIntWeights {
   PackedIntWeights() = default;
 
   // Packs `codes` as a (rows x cols) int8 matrix. rows*cols must equal
-  // codes.codes.size(); rows is the GEMM M extent (output channels).
+  // codes.codes.size(); rows is the number of output channels.
   PackedIntWeights(const WeightCodes& codes, std::int64_t rows,
                    std::int64_t cols,
                    WeightKernel kernel = WeightKernel::kAuto);
@@ -85,8 +86,8 @@ class PackedIntWeights {
   // inside a shared GraphProgram) without the WeightCodes wrapper copy.
   // `step` is the real value of one grid unit (WeightCodes::step()). With
   // `conv`, the weights of a convolution over that geometry (cols must be
-  // its col_rows()): the planes are packed for conv(), and gemm()'s panels
-  // only on gemm()'s first call.
+  // its col_rows()); without, those of a 1x1 convolution of `cols`
+  // channels. The planes are packed for conv() either way.
   PackedIntWeights(const std::vector<std::int32_t>& codes, float step,
                    int bits, std::int64_t rows, std::int64_t cols,
                    WeightKernel kernel = WeightKernel::kAuto,
@@ -130,19 +131,22 @@ class PackedIntWeights {
   // requantization: real = effective_step * S_in * (acc - zp * row_sum).
   const std::vector<std::int64_t>& row_code_sums() const { return row_sums_; }
 
-  // C(rows, n) int32 = plane-codes * op(B): one gemm_packed pass, or the
-  // alpha-chained hi/lo pair for split layers. Every kernel yields
-  // bit-identical accumulators. `exec` is usually a bare `pooled` bool:
-  // pooled for top-level calls (kAuto resolves the split by shape, so
-  // wide-N/small-rows layers such as batch-1 conv GEMMs take the column
-  // split), serial inside parallel regions.
+  // C(rows, n) int32 = plane-codes * op(B), exactly (split layers too),
+  // with op(B) a (cols x n) uint8 matrix. It runs as a 1x1 gemm_conv_nhwc
+  // of cols() channels over a channels-last copy of op(B)'s n columns, on
+  // conv()'s own panels for 1x1 weights and otherwise on a 1x1 packing
+  // made once, on the first call. Each call allocates its copies, and calls
+  // on one layer may run concurrently. `exec.pooled` spreads the blocks of
+  // C over the pool (serial inside parallel regions); its split and ways
+  // are not used. The compiled graph never calls it: it is kept for
+  // perfbench's per-layer replay (ROADMAP item 1) and goes with it.
   void gemm(Trans trans_b, std::int64_t n, const std::uint8_t* b,
             std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
             GemmExec exec) const;
 
   // The convolution of `batch` channels-last images under the packed
   // geometry (gemm_conv_nhwc): C = positions x channels per sample, the
-  // hi/lo pair of split layers fused. Only for convolution weights.
+  // hi/lo pair of split layers fused.
   void conv(std::int64_t pitch, std::int64_t batch, const std::uint8_t* image,
             std::int64_t image_stride, std::int32_t* c, std::int64_t c_stride,
             bool pooled) const;
@@ -157,8 +161,10 @@ class PackedIntWeights {
   // produce wrong logits. Requires max_abs_code_/split_/cols_ set.
   void check_kernel_eligibility() const;
 
-  // Packs the planes in gemm_pack_a's layout (panels_, low_panels_).
-  void pack_gemm_panels() const;
+  // Packs the planes for a convolution over `geom` (gemm_pack_conv_weights'
+  // layout) into `hi` and, for split layers, `lo`.
+  void pack_planes(const ConvGeometry& geom, std::vector<std::uint8_t>& hi,
+                   std::vector<std::uint8_t>& lo) const;
 
   // Stored-plane code of element i: the hi/lo pair re-assembled for split
   // layers, the single plane otherwise (GEMM-accumulator units).
@@ -170,17 +176,16 @@ class PackedIntWeights {
 
   std::vector<std::int8_t> primary_;
   std::vector<std::int8_t> low_;  // empty unless split()
-  // Kernel micro-panel form of the planes, packed once (weights are static
-  // at serving time) so gemm() skips per-call A packing: at construction,
-  // or for convolution weights, whose forward never runs them, on gemm()'s
-  // first call (gemm_once_).
-  mutable std::vector<std::uint8_t> panels_;
-  mutable std::vector<std::uint8_t> low_panels_;  // empty unless split()
-  std::unique_ptr<std::once_flag> gemm_once_;
-  // Convolution weights only: the planes in gemm_pack_conv_weights' layout.
+  // The planes packed for conv_geom_ (a 1x1 geometry of cols_ channels for
+  // weights built without one), once: weights are static at serving time.
   std::vector<std::uint8_t> conv_panels_;
   std::vector<std::uint8_t> low_conv_panels_;  // empty unless split()
   ConvGeometry conv_geom_;
+  // gemm()'s 1x1 packing of the planes where conv_geom_ is not 1x1, made
+  // on its first call (gemm_once_).
+  mutable std::vector<std::uint8_t> gemm_panels_;
+  mutable std::vector<std::uint8_t> low_gemm_panels_;
+  std::unique_ptr<std::once_flag> gemm_once_;
   std::vector<std::int64_t> row_sums_;
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;

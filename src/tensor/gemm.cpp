@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -86,14 +85,14 @@ void apply_beta(std::int64_t m_begin, std::int64_t m_end, std::int64_t n,
 //
 // Task decomposition of the column/grid schedule: the C tile grid is carved
 // into row_groups x col_stripes tasks, each a contiguous run of MC row tiles
-// x one column stripe aligned to the kernel's panel width `nr` (see the
-// determinism contract in gemm.h). Stripes are capped at kGemmNC columns so
-// the per-task packed panel keeps the row schedule's cache footprint.
+// x one kGemmNR-aligned column stripe (see the determinism contract in
+// gemm.h). Stripes are capped at kGemmNC columns so the per-task packed
+// panel keeps the row schedule's cache footprint.
 
 struct TileGrid {
   std::int64_t row_groups = 1;         // groups of consecutive MC row tiles
   std::int64_t tiles_per_group = 1;    // MC tiles per group (last may be short)
-  std::int64_t col_stripes = 1;        // nr-aligned column stripes
+  std::int64_t col_stripes = 1;        // NR-aligned column stripes
   std::int64_t panels_per_stripe = 1;  // panels per stripe (last may be short)
   std::int64_t tasks() const { return row_groups * col_stripes; }
 };
@@ -107,9 +106,9 @@ int resolve_split_ways(int split_ways) {
 // (tasks queue on the pool, which is fine) and fewer when the shape has too
 // few tiles to split that finely.
 TileGrid make_tile_grid(GemmSplit split, std::int64_t m, std::int64_t n,
-                        int ways, std::int64_t nr) {
+                        int ways) {
   const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  const std::int64_t col_panels = (n + nr - 1) / nr;
+  const std::int64_t col_panels = (n + kGemmNR - 1) / kGemmNR;
   TileGrid grid;
   grid.tiles_per_group = std::max<std::int64_t>(ic_tiles, 1);
   std::int64_t col_ways = std::max<std::int64_t>(ways, 1);
@@ -126,22 +125,10 @@ TileGrid make_tile_grid(GemmSplit split, std::int64_t m, std::int64_t n,
   grid.panels_per_stripe =
       (col_panels + grid.col_stripes - 1) / grid.col_stripes;
   grid.panels_per_stripe =
-      std::min<std::int64_t>(grid.panels_per_stripe, kGemmNC / nr);
+      std::min<std::int64_t>(grid.panels_per_stripe, kGemmNC / kGemmNR);
   grid.col_stripes =
       (col_panels + grid.panels_per_stripe - 1) / grid.panels_per_stripe;
   return grid;
-}
-
-// gemm_choose_split for panels `nr` columns wide.
-GemmSplit choose_split(std::int64_t m, std::int64_t n, int ways,
-                       std::int64_t nr) {
-  const int w = resolve_split_ways(ways);
-  const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  const std::int64_t col_panels = (n + nr - 1) / nr;
-  if (w <= 1 || col_panels <= 1) return GemmSplit::kRows;
-  if (ic_tiles >= w) return GemmSplit::kRows;
-  if (ic_tiles <= 1) return GemmSplit::kCols;
-  return GemmSplit::kGrid;
 }
 
 // --------------------------------------------------------------- packing --
@@ -248,47 +235,38 @@ inline void micro_kernel_f32(const float* pa, const float* pb,
 
 #endif  // CSQ_GEMM_VECTOR_KERNEL
 
-// ---------------------------------------------------------- kernel traits --
-//
-// Each family's traits struct is everything the driver below knows about
-// it: element types, its micro-tile (kMR x kNR), the padded packed depth of
-// a KC block (`depth`; a kMR-tall A~ micro-panel holds kMR * depth
-// elements), the A~ source of one (ic, pc) tile, pack_b, `tile` (one
-// micro-tile: the micro-kernel fused with the C-tile update) and
-// `TileState`, which every thread running tiles of a call holds while it
-// does (the AMX kernel configures its tile registers there).
-
-// The TileState of the families that keep no per-thread state.
-struct NoTileState {
-  explicit NoTileState(std::int64_t /*k*/) {}
-};
-
-struct F32Kernel {
-  static constexpr std::int64_t kMR = kGemmMR;
-  static constexpr std::int64_t kNR = kGemmNR;
-  using TileState = NoTileState;
-  using AElem = float;
-  using BIn = float;
-  using BElem = float;
-  using CElem = float;
-  struct ASource {
-    Trans trans;
-    const float* a;
-    std::int64_t lda;
-  };
-  struct Epilogue {
-    float alpha, beta;
-  };
-  static std::int64_t depth(std::int64_t kc) { return kc; }
-
-  // op(A) is packed per tile into the scratch of the thread running it.
-  static const float* a_tile(const ASource& src, std::int64_t ic,
-                             std::int64_t pc, std::int64_t mc, std::int64_t kc,
-                             std::int64_t /*a_offset*/, GemmScratch& scratch) {
-    float* dst = panel<float>(scratch.packed_a);
-    pack_a_panel(src.trans, src.a, src.lda, ic, pc, mc, kc, dst);
-    return dst;
+// C tile update: c = beta_eff * c + alpha * acc over the valid m_sub x
+// n_sub region, beta_eff = beta at pc == 0 and 1 after. beta_eff == 0
+// never reads C (NaN/garbage safe).
+void update_tile(float* c, std::int64_t ldc, const float* acc,
+                 std::int64_t m_sub, std::int64_t n_sub, float alpha,
+                 float beta, bool first_pc) {
+  const float beta_eff = first_pc ? beta : 1.0f;
+  for (std::int64_t i = 0; i < m_sub; ++i) {
+    float* c_row = c + i * ldc;
+    const float* acc_row = acc + i * kGemmNR;
+    if (beta_eff == 0.0f) {
+      for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] = alpha * acc_row[j];
+    } else if (beta_eff == 1.0f) {
+      for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
+    } else {
+      for (std::int64_t j = 0; j < n_sub; ++j) {
+        c_row[j] = beta_eff * c_row[j] + alpha * acc_row[j];
+      }
+    }
   }
+}
+
+// ------------------------------------------------------------ B sources --
+//
+// The driver below is a template over where B comes from: a struct with
+// B's source type and `pack_b`, which writes one kc x nc block of op(B) as
+// B~ micro-panels. A~ packing, the micro-kernel and the C update are the
+// same for every source.
+
+// B as a row-major matrix (gemm).
+struct MatrixB {
+  using Source = float;
 
   static void pack_b(Trans trans, const float* b, std::int64_t ldb,
                      std::int64_t pc, std::int64_t jc, std::int64_t kc,
@@ -315,37 +293,6 @@ struct F32Kernel {
         }
       }
       dst += kGemmNR * kc;
-    }
-  }
-
-  static void tile(const float* pa, const float* pb, std::int64_t kc,
-                   float* c, std::int64_t ldc, std::int64_t m_sub,
-                   std::int64_t n_sub, const Epilogue& e, bool first_pc) {
-    float acc[kMR * kNR];
-    micro_kernel_f32(pa, pb, kc, acc);
-    update(c, ldc, acc, m_sub, n_sub, e, first_pc);
-  }
-
-  // C tile update: c = beta_eff * c + alpha * acc over the valid m_sub x
-  // n_sub region, beta_eff = beta at pc == 0 and 1 after. beta_eff == 0
-  // never reads C (NaN/garbage safe).
-  static void update(float* c, std::int64_t ldc, const float* acc,
-                     std::int64_t m_sub, std::int64_t n_sub,
-                     const Epilogue& e, bool first_pc) {
-    const float alpha = e.alpha;
-    const float beta_eff = first_pc ? e.beta : 1.0f;
-    for (std::int64_t i = 0; i < m_sub; ++i) {
-      float* c_row = c + i * ldc;
-      const float* acc_row = acc + i * kGemmNR;
-      if (beta_eff == 0.0f) {
-        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] = alpha * acc_row[j];
-      } else if (beta_eff == 1.0f) {
-        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
-      } else {
-        for (std::int64_t j = 0; j < n_sub; ++j) {
-          c_row[j] = beta_eff * c_row[j] + alpha * acc_row[j];
-        }
-      }
     }
   }
 };
@@ -416,16 +363,16 @@ inline void pack_row(float* d, std::int64_t cols, Value value) {
   for (; j < kGemmNR; ++j) d[j] = 0.0f;
 }
 
-// F32Kernel with B packed from a ConvSource: the same A~, micro-kernel and
-// C update, and B~ panels byte-equal to F32Kernel::pack_b over im2col's
-// matrix (zero padding comes from the padded image, tails are zero-filled).
-struct F32ConvKernel : F32Kernel {
-  using BIn = ConvSource;
+// B packed from a ConvSource (gemm_conv): B~ panels byte-equal to
+// MatrixB::pack_b over im2col's matrix (zero padding comes from the padded
+// image, tails are zero-filled).
+struct ConvB {
+  using Source = ConvSource;
 
-  static void pack_b(Trans trans, const BIn* b, std::int64_t /*ldb*/,
+  static void pack_b(Trans trans, const ConvSource* b, std::int64_t /*ldb*/,
                      std::int64_t pc, std::int64_t jc, std::int64_t kc,
                      std::int64_t nc, float* dst) {
-    const BIn& src = *b;
+    const ConvSource& src = *b;
     if (trans == Trans::no) {
       // op(B)[p, j]: depth rows are taps, columns output positions.
       const float* taps[kGemmKC];
@@ -469,22 +416,154 @@ struct F32ConvKernel : F32Kernel {
     }
   }
 };
+// ---------------------------------------------------------------- driver --
 
-// ------------------------------------------------------ integer kernel ----
+template <typename B>
+struct Problem {
+  std::int64_t m, n, k;
+  Trans trans_a;
+  const float* a;
+  std::int64_t lda;
+  Trans trans_b;
+  const typename B::Source* b;
+  std::int64_t ldb;
+  float* c;
+  std::int64_t ldc;
+  float alpha, beta;
+};
+
+// One (jc, pc) step of the loop nest.
+struct Block {
+  std::int64_t jc, nc, pc, kc;
+};
+
+// One MC-tall row tile of C inside a (jc, pc) block: packs op(A)'s tile
+// into the executing thread's scratch, then sweeps the jr/ir micro-tile
+// grid over the packed B~ (read-only, possibly shared).
+template <typename B>
+void run_tile(const Problem<B>& p, const Block& blk, std::int64_t ic,
+              const float* packed_b, GemmScratch& scratch) {
+  const std::int64_t mc = std::min(kGemmMC, p.m - ic);
+  float* packed_a = panel<float>(scratch.packed_a);
+  pack_a_panel(p.trans_a, p.a, p.lda, ic, blk.pc, mc, blk.kc, packed_a);
+  const std::int64_t a_stride = kGemmMR * blk.kc;
+  const std::int64_t b_stride = kGemmNR * blk.kc;
+  for (std::int64_t jr = 0; jr < blk.nc; jr += kGemmNR) {
+    const std::int64_t n_sub = std::min(kGemmNR, blk.nc - jr);
+    const float* pb = packed_b + (jr / kGemmNR) * b_stride;
+    for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
+      const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
+      float acc[kGemmMR * kGemmNR];
+      micro_kernel_f32(packed_a + (ir / kGemmMR) * a_stride, pb, blk.kc, acc);
+      update_tile(p.c + (ic + ir) * p.ldc + blk.jc + jr, p.ldc, acc, m_sub,
+                  n_sub, p.alpha, p.beta, blk.pc == 0);
+    }
+  }
+}
+
+// Row schedule: B~ is packed once per (jc, pc) on the calling thread and
+// shared by the whole ic sweep, which runs in order or across the pool.
+template <typename B>
+void run_rows(const Problem<B>& p, GemmScratch& scratch, bool pooled) {
+  const std::int64_t ic_tiles = (p.m + kGemmMC - 1) / kGemmMC;
+  const bool serial = !pooled || ic_tiles <= 1;
+  float* packed_b = panel<float>(scratch.packed_b);
+  for (std::int64_t jc = 0; jc < p.n; jc += kGemmNC) {
+    Block blk{jc, std::min(kGemmNC, p.n - jc), 0, 0};
+    for (; blk.pc < p.k; blk.pc += kGemmKC) {
+      blk.kc = std::min(kGemmKC, p.k - blk.pc);
+      B::pack_b(p.trans_b, p.b, p.ldb, blk.pc, jc, blk.kc, blk.nc, packed_b);
+      if (serial) {
+        for (std::int64_t t = 0; t < ic_tiles; ++t) {
+          run_tile(p, blk, t * kGemmMC, packed_b, scratch);
+        }
+      } else {
+        struct TileContext {
+          const Problem<B>* p;
+          const Block* blk;
+          const float* packed_b;
+        } ctx{&p, &blk, packed_b};
+        // Single-reference capture keeps the closure inside std::function's
+        // small-buffer optimization: no allocation per dispatch.
+        parallel_for_chunked(
+            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
+              GemmScratch& own = thread_scratch();
+              for (std::int64_t t = begin; t < end; ++t) {
+                run_tile(*ctx.p, *ctx.blk, t * kGemmMC, ctx.packed_b, own);
+              }
+            });
+      }
+    }
+  }
+}
+
+// Column/grid schedule: every task owns a (row-tile group x column stripe)
+// block of C and runs the ascending pc loop itself, packing B~ for its
+// stripe into the executing thread's scratch.
+template <typename B>
+void run_grid(const Problem<B>& p, const TileGrid& grid) {
+  struct GridContext {
+    const Problem<B>* p;
+    TileGrid grid;
+    std::int64_t ic_tiles;
+  } ctx{&p, grid, (p.m + kGemmMC - 1) / kGemmMC};
+  parallel_for_chunked(
+      0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
+        const Problem<B>& p = *ctx.p;
+        GemmScratch& scratch = thread_scratch();
+        float* packed_b = panel<float>(scratch.packed_b);
+        const std::int64_t stripe_cols =
+            ctx.grid.panels_per_stripe * kGemmNR;
+        for (std::int64_t t = begin; t < end; ++t) {
+          const std::int64_t group = t / ctx.grid.col_stripes;
+          const std::int64_t jc = (t % ctx.grid.col_stripes) * stripe_cols;
+          const std::int64_t tile_begin = group * ctx.grid.tiles_per_group;
+          const std::int64_t tile_end = std::min(
+              tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
+          Block blk{jc, std::min(stripe_cols, p.n - jc), 0, 0};
+          for (; blk.pc < p.k; blk.pc += kGemmKC) {
+            blk.kc = std::min(kGemmKC, p.k - blk.pc);
+            B::pack_b(p.trans_b, p.b, p.ldb, blk.pc, jc, blk.kc, blk.nc,
+                      packed_b);
+            for (std::int64_t tile = tile_begin; tile < tile_end; ++tile) {
+              run_tile(p, blk, tile * kGemmMC, packed_b, scratch);
+            }
+          }
+        }
+      });
+}
+
+// Picks the schedule. Only fans out when there is enough arithmetic to
+// amortize the pool wakeup and the call is not nested in a parallel region.
+template <typename B>
+void run(const Problem<B>& p, GemmScratch* scratch, const GemmExec& exec) {
+  const bool pooled = exec.pooled && 2 * p.m * p.n * p.k >= (1 << 18) &&
+                      !inside_parallel_region();
+  if (pooled) {
+    const int ways = resolve_split_ways(exec.ways);
+    const GemmSplit split = exec.split == GemmSplit::kAuto
+                                ? gemm_choose_split(p.m, p.n, ways)
+                                : exec.split;
+    if (split != GemmSplit::kRows) {
+      const TileGrid grid = make_tile_grid(split, p.m, p.n, ways);
+      if (grid.tasks() > 1) {
+        run_grid(p, grid);
+        return;
+      }
+      // A 1-task grid means the shape cannot use this split; the row
+      // schedule runs it (serially for a single row tile).
+    }
+  }
+  run_rows(p, scratch != nullptr ? reserve(*scratch) : thread_scratch(),
+           pooled);
+}
+
+// ------------------------------------------------------ integer kernels --
 //
-// Same blocking scheme as the float path. The s8u8 kernel of AVX2 and
-// portable builds (AMX hosts run AmxKernel below) widens operands to
-// int16 while packing, laid out in K-PAIRS: consecutive depth steps 2p and
-// 2p+1 sit adjacent per row/column, so the AVX2 micro-kernel fuses them
-// with one vpmaddwd (int16 pair dot -> int32, no saturation possible at
-// |a| <= 255, |b| <= 255). Odd kc tails are zero-padded (exact).
-//
-// A~ pair layout: panels MR-tall; entry (p, i) at [(p/2)*MR + i]*2 + p%2.
-// B~ pair layout: panels NR-wide; entry (p, j) at [(p/2)*NR + j]*2 + p%2.
-
-// Depth extent after pairing (elements per packed row/column).
-inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
-
+// The integer runtime's convolution, gemm_conv_nhwc (gemm.h), on the
+// running integer ISA: the AVX2 kernels where the build targets AVX2, the
+// one AMX-INT8 kernel on top of them where the CPU and Linux allow it, the
+// scalar fallbacks elsewhere.
 #if defined(__AVX2__)
 #define CSQ_GEMM_AVX2_INT_KERNEL 1
 #endif
@@ -502,369 +581,10 @@ inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
 #include <unistd.h>
 #endif
 
-#ifdef CSQ_GEMM_AVX2_INT_KERNEL
-
-static_assert(kGemmMR == 8 && kGemmNR == 8,
-              "AVX2 integer micro-kernel assumes an 8x8 tile");
-
-// Reads one packed int16 A pair as its int32 broadcast payload. memcpy (not
-// a reinterpret_cast dereference) keeps the int16-store/int32-load pattern
-// well-defined under strict aliasing; it compiles to the same vpbroadcastd.
-inline std::int32_t load_a_pair(const std::int16_t* p) {
-  std::int32_t pair;
-  __builtin_memcpy(&pair, p, sizeof(pair));
-  return pair;
-}
-
-// One vpbroadcastd per packed A pair, one vpmaddwd + vpaddd per accumulator
-// row: the same instruction-per-MAC budget as the float kernel's
-// broadcast-FMA form.
-inline void micro_kernel_int(const std::int16_t* pa, const std::int16_t* pb,
-                             std::int64_t kc, std::int32_t* acc) {
-  const std::int64_t pairs = paired_kc(kc) / 2;
-  __m256i c0 = _mm256_setzero_si256(), c1 = _mm256_setzero_si256(),
-          c2 = _mm256_setzero_si256(), c3 = _mm256_setzero_si256(),
-          c4 = _mm256_setzero_si256(), c5 = _mm256_setzero_si256(),
-          c6 = _mm256_setzero_si256(), c7 = _mm256_setzero_si256();
-  for (std::int64_t p = 0; p < pairs; ++p) {
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(pb + p * kGemmNR * 2));
-    const std::int16_t* a_col = pa + p * kGemmMR * 2;
-    c0 = _mm256_add_epi32(
-        c0, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 0)), b));
-    c1 = _mm256_add_epi32(
-        c1, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 2)), b));
-    c2 = _mm256_add_epi32(
-        c2, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 4)), b));
-    c3 = _mm256_add_epi32(
-        c3, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 6)), b));
-    c4 = _mm256_add_epi32(
-        c4, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 8)), b));
-    c5 = _mm256_add_epi32(
-        c5, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 10)), b));
-    c6 = _mm256_add_epi32(
-        c6, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 12)), b));
-    c7 = _mm256_add_epi32(
-        c7, _mm256_madd_epi16(_mm256_set1_epi32(load_a_pair(a_col + 14)), b));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0 * 8), c0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 1 * 8), c1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 2 * 8), c2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 3 * 8), c3);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4 * 8), c4);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 5 * 8), c5);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 6 * 8), c6);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 7 * 8), c7);
-}
-
-#else  // portable fallback over the same pair layout
-
-inline void micro_kernel_int(const std::int16_t* pa, const std::int16_t* pb,
-                             std::int64_t kc, std::int32_t* acc) {
-  const std::int64_t pairs = paired_kc(kc) / 2;
-  for (std::int64_t x = 0; x < kGemmMR * kGemmNR; ++x) acc[x] = 0;
-  for (std::int64_t p = 0; p < pairs; ++p) {
-    const std::int16_t* a_col = pa + p * kGemmMR * 2;
-    const std::int16_t* b_row = pb + p * kGemmNR * 2;
-    for (std::int64_t i = 0; i < kGemmMR; ++i) {
-      const std::int32_t a0 = a_col[i * 2];
-      const std::int32_t a1 = a_col[i * 2 + 1];
-      std::int32_t* acc_row = acc + i * kGemmNR;
-      for (std::int64_t j = 0; j < kGemmNR; ++j) {
-        acc_row[j] += a0 * b_row[j * 2] + a1 * b_row[j * 2 + 1];
-      }
-    }
-  }
-}
-
-#endif  // CSQ_GEMM_AVX2_INT_KERNEL
-
-// Integer families: A~ is a slice of the prepacked blob. `kGroup` is the K
-// grouping (2 = pairs, 4 = quads) and `kTile` the micro-tile's rows and
-// columns.
-template <typename AElemT, typename BElemT, std::int64_t kGroup,
-          std::int64_t kTile>
-struct IntKernel {
-  static constexpr std::int64_t kMR = kTile;
-  static constexpr std::int64_t kNR = kTile;
-  static_assert(kGemmMC % kMR == 0 && kGemmNC % kNR == 0,
-                "MC and NC must be multiples of the micro-tile");
-  using TileState = NoTileState;
-  using AElem = AElemT;
-  using BIn = std::uint8_t;
-  using BElem = BElemT;
-  using CElem = std::int32_t;
-  using ASource = const AElem*;
-  struct Epilogue {
-    std::int32_t alpha;
-    bool accumulate;
-  };
-  static constexpr std::int64_t kDepthGroup = kGroup;
-  static std::int64_t depth(std::int64_t kc) {
-    return (kc + kGroup - 1) / kGroup * kGroup;
-  }
-
-  // Packed index of depth step p in row/column i of a `width`-wide panel:
-  // kGroup consecutive steps sit adjacent per row/column.
-  static std::int64_t slot(std::int64_t p, std::int64_t i, std::int64_t width) {
-    return ((p / kGroup) * width + i) * kGroup + p % kGroup;
-  }
-
-  // A is (m x k) row-major int8 (the weight codes); panels kMR-tall,
-  // zero-padded.
-  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
-                     std::int64_t mc, std::int64_t kc, AElem* dst) {
-    for (std::int64_t r = 0; r < mc; r += kMR) {
-      const std::int64_t rows = std::min(kMR, mc - r);
-      std::fill(dst, dst + kMR * depth(kc), AElem{0});
-      for (std::int64_t i = 0; i < rows; ++i) {
-        const std::int8_t* src = a + (r + i) * lda + pc;
-        for (std::int64_t p = 0; p < kc; ++p) dst[slot(p, i, kMR)] = src[p];
-      }
-      dst += kMR * depth(kc);
-    }
-  }
-
-  // op(B) is (k x n) uint8 activation codes; panels kNR-wide, zero-padded.
-  static void pack_b(Trans trans, const std::uint8_t* b, std::int64_t ldb,
-                     std::int64_t pc, std::int64_t jc, std::int64_t kc,
-                     std::int64_t nc, BElem* dst) {
-    for (std::int64_t s = 0; s < nc; s += kNR) {
-      const std::int64_t cols = std::min(kNR, nc - s);
-      std::fill(dst, dst + kNR * depth(kc), BElem{0});
-      if (trans == Trans::no) {
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
-          for (std::int64_t j = 0; j < cols; ++j) {
-            dst[slot(p, j, kNR)] = src[j];
-          }
-        }
-      } else {
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
-          for (std::int64_t p = 0; p < kc; ++p) {
-            dst[slot(p, j, kNR)] = src[p];
-          }
-        }
-      }
-      dst += kNR * depth(kc);
-    }
-  }
-
-  // The blob holds every kMR panel of the full m extent per KC block, so a
-  // tile's panels start at its block's offset plus ic / kMR panels.
-  static const AElem* a_tile(ASource blob, std::int64_t ic, std::int64_t,
-                             std::int64_t, std::int64_t kc,
-                             std::int64_t a_offset, GemmScratch&) {
-    return blob + a_offset + (ic / kMR) * kMR * depth(kc);
-  }
-
-  // C = alpha * acc, or C += alpha * acc with `accumulate` or past pc == 0.
-  static void update(std::int32_t* c, std::int64_t ldc,
-                     const std::int32_t* acc, std::int64_t m_sub,
-                     std::int64_t n_sub, const Epilogue& e, bool first_pc) {
-    const std::int32_t alpha = e.alpha;
-    const bool add_into_c = e.accumulate || !first_pc;
-    for (std::int64_t i = 0; i < m_sub; ++i) {
-      std::int32_t* c_row = c + i * ldc;
-      const std::int32_t* acc_row = acc + i * kNR;
-      if (add_into_c) {
-        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] += alpha * acc_row[j];
-      } else {
-        for (std::int64_t j = 0; j < n_sub; ++j) c_row[j] = alpha * acc_row[j];
-      }
-    }
-  }
-};
-
-// The families of AVX2 and portable builds: an 8x8 micro-kernel fills a
-// stack accumulator tile that update() then folds into C.
-template <typename AElemT, typename BElemT, std::int64_t kGroup,
-          void (*kMicroKernel)(const AElemT*, const BElemT*, std::int64_t,
-                               std::int32_t*)>
-struct StackTileKernel : IntKernel<AElemT, BElemT, kGroup, kGemmMR> {
-  using Base = IntKernel<AElemT, BElemT, kGroup, kGemmMR>;
-  static void tile(const AElemT* pa, const BElemT* pb, std::int64_t kc,
-                   std::int32_t* c, std::int64_t ldc, std::int64_t m_sub,
-                   std::int64_t n_sub, const typename Base::Epilogue& e,
-                   bool first_pc) {
-    std::int32_t acc[Base::kMR * Base::kNR];
-    kMicroKernel(pa, pb, kc, acc);
-    Base::update(c, ldc, acc, m_sub, n_sub, e, first_pc);
-  }
-};
-
-using S8U8Kernel =
-    StackTileKernel<std::int16_t, std::int16_t, 2, micro_kernel_int>;
-
-// ----------------------------------------------- low-bit K-quad kernels --
-//
-// The low-bit family keeps raw 8-bit operands in the packed panels and lays
-// depth out in K-QUADS: steps 4q..4q+3 adjacent per row/column, fused by one
-// vpmaddubsw (u8 activations * s8 weight codes, int16 pair sums) and one
-// vpmaddwd against ones. Saturation analysis: each int16 pair sum is at most
-// 255 * (|a0| + |a1|), so |a| <= 64 per code keeps vpmaddubsw exact — the
-// pack routines enforce it. Quad tails are zero-padded (exact).
-//
-// A~ quad layout (low-bit): panels MR-tall; entry (p, i) at
-//   [(p/4)*MR + i]*4 + p%4   (one int8 per code).
-// B~ quad layout: panels NR-wide; entry (p, j) at [(p/4)*NR + j]*4 + p%4
-//   (one uint8 per activation code — half the widened int16 panel traffic).
-
+// Depth extent after grouping into K-quads (zero-padded, exact).
 inline std::int64_t quad_kc(std::int64_t kc) {
   return (kc + 3) & ~std::int64_t{3};
 }
-
-#ifdef CSQ_GEMM_AVX2_INT_KERNEL
-
-// Broadcasts one packed A quad (4 consecutive int8 codes) to every 32-bit
-// lane. Same strict-aliasing-safe memcpy idiom as load_a_pair.
-inline __m256i broadcast_a_quad(const std::int8_t* p) {
-  std::int32_t quad;
-  __builtin_memcpy(&quad, p, sizeof(quad));
-  return _mm256_set1_epi32(quad);
-}
-
-// One vpmaddubsw (u8 B * s8 A quad, pair sums) + one vpmaddwd (pair-of-pairs
-// widen) + vpaddd per accumulator row: four depth steps per instruction
-// triple — twice the widened baseline's MAC throughput.
-inline void micro_kernel_lowbit(const std::int8_t* pa, const std::uint8_t* pb,
-                                std::int64_t kc, std::int32_t* acc) {
-  const std::int64_t quads = quad_kc(kc) / 4;
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i c0 = _mm256_setzero_si256(), c1 = _mm256_setzero_si256(),
-          c2 = _mm256_setzero_si256(), c3 = _mm256_setzero_si256(),
-          c4 = _mm256_setzero_si256(), c5 = _mm256_setzero_si256(),
-          c6 = _mm256_setzero_si256(), c7 = _mm256_setzero_si256();
-  for (std::int64_t q = 0; q < quads; ++q) {
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(pb + q * kGemmNR * 4));
-    const std::int8_t* a_col = pa + q * kGemmMR * 4;
-    c0 = _mm256_add_epi32(
-        c0, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 0)), ones));
-    c1 = _mm256_add_epi32(
-        c1, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 4)), ones));
-    c2 = _mm256_add_epi32(
-        c2, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 8)), ones));
-    c3 = _mm256_add_epi32(
-        c3, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 12)), ones));
-    c4 = _mm256_add_epi32(
-        c4, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 16)), ones));
-    c5 = _mm256_add_epi32(
-        c5, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 20)), ones));
-    c6 = _mm256_add_epi32(
-        c6, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 24)), ones));
-    c7 = _mm256_add_epi32(
-        c7, _mm256_madd_epi16(
-                _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 28)), ones));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0 * 8), c0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 1 * 8), c1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 2 * 8), c2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 3 * 8), c3);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4 * 8), c4);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 5 * 8), c5);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 6 * 8), c6);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 7 * 8), c7);
-}
-
-// Same layout, int16 accumulators: the vpmaddwd widen runs ONCE per KC
-// block instead of once per quad. Exact only under the wide-eligibility
-// bound (per-lane sum <= quads * 2 * 255 * max|a| <= 32767) — the vpaddw
-// would otherwise wrap; the dispatcher never selects this kernel without
-// proving the bound.
-inline void micro_kernel_lowbit_wide(const std::int8_t* pa,
-                                     const std::uint8_t* pb, std::int64_t kc,
-                                     std::int32_t* acc) {
-  const std::int64_t quads = quad_kc(kc) / 4;
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i s0 = _mm256_setzero_si256(), s1 = _mm256_setzero_si256(),
-          s2 = _mm256_setzero_si256(), s3 = _mm256_setzero_si256(),
-          s4 = _mm256_setzero_si256(), s5 = _mm256_setzero_si256(),
-          s6 = _mm256_setzero_si256(), s7 = _mm256_setzero_si256();
-  for (std::int64_t q = 0; q < quads; ++q) {
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(pb + q * kGemmNR * 4));
-    const std::int8_t* a_col = pa + q * kGemmMR * 4;
-    s0 = _mm256_add_epi16(
-        s0, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 0)));
-    s1 = _mm256_add_epi16(
-        s1, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 4)));
-    s2 = _mm256_add_epi16(
-        s2, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 8)));
-    s3 = _mm256_add_epi16(
-        s3, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 12)));
-    s4 = _mm256_add_epi16(
-        s4, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 16)));
-    s5 = _mm256_add_epi16(
-        s5, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 20)));
-    s6 = _mm256_add_epi16(
-        s6, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 24)));
-    s7 = _mm256_add_epi16(
-        s7, _mm256_maddubs_epi16(b, broadcast_a_quad(a_col + 28)));
-  }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0 * 8),
-                      _mm256_madd_epi16(s0, ones));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 1 * 8),
-                      _mm256_madd_epi16(s1, ones));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 2 * 8),
-                      _mm256_madd_epi16(s2, ones));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 3 * 8),
-                      _mm256_madd_epi16(s3, ones));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4 * 8),
-                      _mm256_madd_epi16(s4, ones));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 5 * 8),
-                      _mm256_madd_epi16(s5, ones));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 6 * 8),
-                      _mm256_madd_epi16(s6, ones));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 7 * 8),
-                      _mm256_madd_epi16(s7, ones));
-}
-
-#else  // portable fallbacks over the same quad layouts
-
-inline void micro_kernel_lowbit(const std::int8_t* pa, const std::uint8_t* pb,
-                                std::int64_t kc, std::int32_t* acc) {
-  const std::int64_t quads = quad_kc(kc) / 4;
-  for (std::int64_t x = 0; x < kGemmMR * kGemmNR; ++x) acc[x] = 0;
-  for (std::int64_t q = 0; q < quads; ++q) {
-    const std::int8_t* a_col = pa + q * kGemmMR * 4;
-    const std::uint8_t* b_row = pb + q * kGemmNR * 4;
-    for (std::int64_t i = 0; i < kGemmMR; ++i) {
-      std::int32_t* acc_row = acc + i * kGemmNR;
-      const std::int8_t* a_quad = a_col + i * 4;
-      for (std::int64_t j = 0; j < kGemmNR; ++j) {
-        const std::uint8_t* b_quad = b_row + j * 4;
-        acc_row[j] += static_cast<std::int32_t>(a_quad[0]) * b_quad[0] +
-                      static_cast<std::int32_t>(a_quad[1]) * b_quad[1] +
-                      static_cast<std::int32_t>(a_quad[2]) * b_quad[2] +
-                      static_cast<std::int32_t>(a_quad[3]) * b_quad[3];
-      }
-    }
-  }
-}
-
-// Exact integer math has one result: under the eligibility bound the wide
-// kernel computes the same dot products, so the portable form is shared.
-inline void micro_kernel_lowbit_wide(const std::int8_t* pa,
-                                     const std::uint8_t* pb, std::int64_t kc,
-                                     std::int32_t* acc) {
-  micro_kernel_lowbit(pa, pb, kc, acc);
-}
-
-#endif  // CSQ_GEMM_AVX2_INT_KERNEL
-
-using LowBitKernel =
-    StackTileKernel<std::int8_t, std::uint8_t, 4, micro_kernel_lowbit>;
-using LowBitWideKernel =
-    StackTileKernel<std::int8_t, std::uint8_t, 4, micro_kernel_lowbit_wide>;
 
 // ------------------------------------------ channels-last convolution ----
 //
@@ -912,10 +632,10 @@ struct ConvCall {
 };
 
 // The AVX2 and portable conv: 8x8 micro-tiles (8 positions x 8 channels)
-// over 8-channel weight panels in K-groups: int16 K-pairs for s8u8, int8
-// K-quads for the low-bit kinds, as their GEMM panels hold them. Entry
-// (depth d, channel j) of a tap row's panel sits at
-// [(d / kGroup) * 8 + j] * kGroup + d % kGroup.
+// over 8-channel weight panels in K-groups: int16 K-pairs for s8u8 (codes
+// widened while packing), int8 K-quads for the low-bit kinds (raw codes,
+// half the panel bandwidth). Entry (depth d, channel j) of a tap row's
+// panel sits at [(d / kGroup) * 8 + j] * kGroup + d % kGroup.
 
 #ifdef CSQ_GEMM_AVX2_INT_KERNEL
 
@@ -957,8 +677,9 @@ inline void conv_micro_tile(const ConvCall& p, const std::uint8_t* a,
 }
 
 // Low-bit kinds: the quad broadcast against a K-quad row of 8 channels,
-// one vpmaddubsw + vpmaddwd, as micro_kernel_lowbit (|code| <= 64 keeps the
-// int16 pair sums exact).
+// one vpmaddubsw (u8 activations x s8 codes, int16 pair sums) + one
+// vpmaddwd against ones. vpmaddubsw saturates its pair sums, each at most
+// 255 * (|a0| + |a1|), so |code| <= 64 keeps them exact.
 inline void conv_micro(const ConvCall& p, const std::uint8_t* a,
                        const std::int8_t* w, std::int32_t* acc) {
   const __m256i ones = _mm256_set1_epi16(1);
@@ -973,8 +694,8 @@ inline void conv_micro(const ConvCall& p, const std::uint8_t* a,
 }
 
 // s8u8: the quad's two activation pairs widened to int16 in every lane
-// (vpshufb), each fused with its K-pair row of 8 channels by vpmaddwd, as
-// micro_kernel_int.
+// (vpshufb), each fused with its K-pair row of 8 channels by vpmaddwd
+// (int16 pair dot -> int32, which cannot saturate at |code| <= 128).
 inline void conv_micro(const ConvCall& p, const std::uint8_t* a,
                        const std::int16_t* w, std::int32_t* acc) {
   const __m256i first = _mm256_setr_epi8(
@@ -1070,34 +791,18 @@ using QuadConv = StackConv<std::int8_t, 4>;
 
 // ------------------------------------------------------ AMX-INT8 tiles ----
 //
-// Every kind on an AMX host runs 16x16 tdpbsud tiles: each int32 lane of
-// the C tile gains the four s8 A x u8 B products of each depth quad, summed
-// straight into int32. No int16 intermediate exists, so no int8 code
-// saturates and int32 headroom is the only bound — the one every kind
-// already enforces (k <= 32767, |alpha| within its range).
-//
-// A~ panels are 16 rows of int8 codes, row-major over the quad-padded KC
-// depth, so one tile row is 64 consecutive depth bytes of a weight row.
-// B~ panels are the uint8 K-quad layout at 16 columns, so one tile row is
-// one depth quad of all 16 columns. KC is a multiple of 64: a call's only
-// partial depth step is its last KC block's depth mod 64, and one tile
-// configuration per call and thread covers it (TileState).
-//
 // The tile instructions are inline assembly with a "memory" clobber, not
 // <immintrin.h>'s AMX macros: their tileloadd passes only the address in a
-// register, so stores to the panels it reads may be moved past it, and
+// register, so stores to the operands it reads may be moved past it, and
 // their ldtilecfg names only the first 8 bytes of the 64-byte
 // configuration, so GCC 12 at -O2 drops the stores to a stack-local one
 // and the first tile op faults. The configurations are constants.
 
 constexpr std::int64_t kAmxTile = 16;   // C tile rows and int32 columns
-constexpr std::int64_t kAmxStep = 64;   // depth bytes per tdpbsud
-static_assert(kGemmKC % kAmxStep == 0,
-              "only a call's last KC block may end in a partial tile step");
+constexpr std::int64_t kAmxStep = 64;   // depth bytes per tdpbusd
 
-// The 64-byte ldtilecfg operand (palette 1). tmm0 holds the C tile,
-// tmm1/tmm2 a whole 64-deep step of A and B, tmm3/tmm4 the partial step of
-// `tail` depth bytes (unconfigured when tail is 0).
+// The 64-byte ldtilecfg operand (palette 1): per tile register, its bytes
+// per row (colsb) and its rows.
 struct alignas(64) TileConfig {
   std::uint8_t palette = 1;
   std::uint8_t start_row = 0;
@@ -1106,34 +811,6 @@ struct alignas(64) TileConfig {
   std::uint8_t rows[16] = {};
 };
 static_assert(sizeof(TileConfig) == 64, "ldtilecfg reads 64 bytes");
-
-constexpr TileConfig make_tile_config(std::int64_t tail) {
-  TileConfig config;
-  for (int t = 0; t < 3; ++t) {
-    config.colsb[t] = kAmxStep;
-    config.rows[t] = kAmxTile;
-  }
-  if (tail > 0) {
-    config.colsb[3] = static_cast<std::uint16_t>(tail);
-    config.rows[3] = kAmxTile;
-    config.colsb[4] = kAmxStep;
-    config.rows[4] = static_cast<std::uint8_t>(tail / 4);
-  }
-  return config;
-}
-
-// One configuration per quad-padded tail depth (0, 4, ..., 60).
-struct TileConfigs {
-  TileConfig by_tail_quads[kAmxStep / 4];
-};
-constexpr TileConfigs make_tile_configs() {
-  TileConfigs configs;
-  for (std::int64_t q = 0; q < kAmxStep / 4; ++q) {
-    configs.by_tail_quads[q] = make_tile_config(q * 4);
-  }
-  return configs;
-}
-constexpr TileConfigs kTileConfigs = make_tile_configs();
 
 // Loads a tile configuration and releases the tiles when the thread is done
 // with the call, so no sleeping pool or replica thread carries live tile
@@ -1165,81 +842,12 @@ template <int kTile>
 inline void tile_zero() {
   __asm__ volatile("tilezero %%tmm%c[t]" ::[t] "i"(kTile));
 }
-// tmm[c] += tmm[a] (s8 rows) * tmm[b] (u8 quads), 16 x 16 int32.
-template <int kC, int kA, int kB>
-inline void tile_dpbsud() {
-  __asm__ volatile("tdpbsud %%tmm%c[b], %%tmm%c[a], %%tmm%c[c]" ::[c] "i"(kC),
-                   [a] "i"(kA), [b] "i"(kB));
-}
 // tmm[c] += tmm[a] (u8 rows) * tmm[b] (s8 quads), 16 x 16 int32.
 template <int kC, int kA, int kB>
 inline void tile_dpbusd() {
   __asm__ volatile("tdpbusd %%tmm%c[b], %%tmm%c[a], %%tmm%c[c]" ::[c] "i"(kC),
                    [a] "i"(kA), [b] "i"(kB));
 }
-
-struct AmxKernel : IntKernel<std::int8_t, std::uint8_t, 4, kAmxTile> {
-  // A~: kMR-row panels, each row the kc codes of a weight row, zero-padded
-  // to the quad depth (and past the last row).
-  static void pack_a(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
-                     std::int64_t mc, std::int64_t kc, std::int8_t* dst) {
-    const std::int64_t row = depth(kc);
-    for (std::int64_t r = 0; r < mc; r += kMR) {
-      const std::int64_t rows = std::min(kMR, mc - r);
-      std::fill(dst, dst + kMR * row, std::int8_t{0});
-      for (std::int64_t i = 0; i < rows; ++i) {
-        std::memcpy(dst + i * row, a + (r + i) * lda + pc,
-                    static_cast<std::size_t>(kc));
-      }
-      dst += kMR * row;
-    }
-  }
-
-  // The tile configuration of a depth-k call: its last KC block's partial
-  // step.
-  struct TileState : AmxTiles {
-    explicit TileState(std::int64_t k)
-        : AmxTiles(kTileConfigs.by_tail_quads[depth(k - (k - 1) / kGemmKC *
-                                                            kGemmKC) %
-                                              kAmxStep / 4]) {}
-  };
-
-  // One 16x16 C tile over a KC block. With alpha 1 a full tile runs on C
-  // itself: loaded when accumulating (or past pc == 0), else zeroed, and
-  // stored straight back. Edge tiles and other alphas (the split chain's
-  // alpha-2 hi pass) go through a stack tile and update().
-  static void tile(const std::int8_t* pa, const std::uint8_t* pb,
-                   std::int64_t kc, std::int32_t* c, std::int64_t ldc,
-                   std::int64_t m_sub, std::int64_t n_sub, const Epilogue& e,
-                   bool first_pc) {
-    const std::int64_t row = depth(kc);
-    const std::int64_t c_stride = ldc * std::int64_t{sizeof(std::int32_t)};
-    const bool in_place = e.alpha == 1 && m_sub == kMR && n_sub == kNR;
-    if (in_place && (e.accumulate || !first_pc)) {
-      tile_load<0>(c, c_stride);
-    } else {
-      tile_zero<0>();
-    }
-    std::int64_t p = 0;
-    for (; p + kAmxStep <= row; p += kAmxStep) {
-      tile_load<1>(pa + p, row);
-      tile_load<2>(pb + p * kNR, kAmxStep);
-      tile_dpbsud<0, 1, 2>();
-    }
-    if (p < row) {
-      tile_load<3>(pa + p, row);
-      tile_load<4>(pb + p * kNR, kAmxStep);
-      tile_dpbsud<0, 3, 4>();
-    }
-    if (in_place) {
-      tile_store<0>(c, c_stride);
-      return;
-    }
-    std::int32_t acc[kMR * kNR];
-    tile_store<0>(acc, kNR * std::int64_t{sizeof(std::int32_t)});
-    update(c, ldc, acc, m_sub, n_sub, e, first_pc);
-  }
-};
 
 // The channels-last convolution on tiles. A task runs up to four C tiles
 // (2 position blocks x 2 channel panels, or up to 4 x 1 where the layer
@@ -1410,7 +1018,7 @@ GemmIntIsa host_isa() { return host_choice().isa; }
 // ScopedGemmIntIsaForTest's forced ISA, or -1.
 std::atomic<std::int32_t> forced_isa{-1};
 
-// The ISA every integer GEMM call packs and runs on.
+// The ISA every integer convolution packs and runs on.
 GemmIntIsa int_isa() {
   const std::int32_t forced = forced_isa.load();
   return forced >= 0 ? static_cast<GemmIntIsa>(forced) : host_isa();
@@ -1428,259 +1036,32 @@ const char* isa_name(GemmIntIsa isa) {
   return "portable";
 }
 
-// The exactness contract of each kind (gemm.h): its code range and
-// |alpha|. It belongs to the kind, not to the traits struct that runs it:
-// on AMX hosts one struct runs all three.
+// The code range of each kind (gemm.h). It belongs to the kind, not to
+// the traits struct that runs it: on AMX hosts one struct runs all three.
 struct KindLimits {
-  std::int32_t min_code, max_code, max_alpha;
+  std::int32_t min_code, max_code;
 };
 
 KindLimits kind_limits(PackedKernel kind) {
   switch (kind) {
     case PackedKernel::kS8U8:
-      return {-128, 127, 2};
+      return {-128, 127};
     case PackedKernel::kLowBit:
     case PackedKernel::kLowBitWide:
-      return {-64, 64, 8};
+      return {-64, 64};
   }
   CSQ_CHECK(false) << "gemm: unknown packed kernel "
                    << static_cast<int>(kind);
   return {};
 }
 
-// Runs `fn` with a value of the traits type that runs `kind` on `isa`.
-template <typename Fn>
-decltype(auto) with_kernel(GemmIntIsa isa, PackedKernel kind, Fn&& fn) {
-  kind_limits(kind);  // rejects an unknown kind on every ISA
-#ifdef CSQ_GEMM_AMX_INT_KERNEL
-  if (isa == GemmIntIsa::kAmx) return fn(AmxKernel{});
-#else
-  (void)isa;
-#endif
-  switch (kind) {
-    case PackedKernel::kLowBit:
-      return fn(LowBitKernel{});
-    case PackedKernel::kLowBitWide:
-      return fn(LowBitWideKernel{});
-    case PackedKernel::kS8U8:
-      break;
-  }
-  return fn(S8U8Kernel{});
-}
-
-// Every packed A blob opens with the layout gemm_pack_a wrote it in, and
-// every call that runs a blob checks it: panels packed under one ISA, kind
-// or shape must fail under another, not compute. 16 bytes keep the
-// panels' alignment.
-struct PackedHeader {
-  std::int16_t isa, kind;
-  std::int32_t k;
-  std::int64_t m;
-};
-static_assert(sizeof(PackedHeader) == 16, "packed-A header is 16 bytes");
-
-// A~ elements of one KC block: the kMR panels of the whole m extent.
-template <typename K>
-std::int64_t a_block_size(std::int64_t m, std::int64_t kc) {
-  return (m + K::kMR - 1) / K::kMR * K::kMR * K::depth(kc);
-}
-
-// ---------------------------------------------------------------- driver --
-
-template <typename K>
-struct Problem {
-  std::int64_t m, n, k;
-  typename K::ASource a;
-  Trans trans_b;
-  const typename K::BIn* b;
-  std::int64_t ldb;
-  typename K::CElem* c;
-  std::int64_t ldc;
-  typename K::Epilogue epilogue;
-};
-
-// One (jc, pc) step of the loop nest; a_offset is the pc block's offset in
-// a prepacked A blob (a function of m and pc only).
-struct Block {
-  std::int64_t jc, nc, pc, kc, a_offset;
-};
-
-// One MC-tall row tile of C inside a (jc, pc) block: sweeps the jr/ir
-// micro-tile grid over the packed B~ (read-only, possibly shared). The
-// executing thread holds a K::TileState for the call.
-template <typename K>
-void run_tile(const Problem<K>& p, const Block& blk, std::int64_t ic,
-              const typename K::BElem* packed_b, GemmScratch& scratch) {
-  const std::int64_t mc = std::min(kGemmMC, p.m - ic);
-  const typename K::AElem* packed_a =
-      K::a_tile(p.a, ic, blk.pc, mc, blk.kc, blk.a_offset, scratch);
-  const std::int64_t a_stride = K::kMR * K::depth(blk.kc);
-  const std::int64_t b_stride = K::kNR * K::depth(blk.kc);
-  for (std::int64_t jr = 0; jr < blk.nc; jr += K::kNR) {
-    const std::int64_t n_sub = std::min(K::kNR, blk.nc - jr);
-    const typename K::BElem* pb = packed_b + (jr / K::kNR) * b_stride;
-    for (std::int64_t ir = 0; ir < mc; ir += K::kMR) {
-      const std::int64_t m_sub = std::min(K::kMR, mc - ir);
-      K::tile(packed_a + (ir / K::kMR) * a_stride, pb, blk.kc,
-              p.c + (ic + ir) * p.ldc + blk.jc + jr, p.ldc, m_sub, n_sub,
-              p.epilogue, blk.pc == 0);
-    }
-  }
-}
-
-// Row schedule: B~ is packed once per (jc, pc) on the calling thread and
-// shared by the whole ic sweep, which runs in order or across the pool. A
-// serial sweep holds one TileState for the call; a pooled one, one per
-// chunk of row tiles.
-template <typename K>
-void run_rows(const Problem<K>& p, GemmScratch& scratch, bool pooled) {
-  using BElem = typename K::BElem;
-  const std::int64_t ic_tiles = (p.m + kGemmMC - 1) / kGemmMC;
-  const bool serial = !pooled || ic_tiles <= 1;
-  std::optional<typename K::TileState> tiles;
-  if (serial) tiles.emplace(p.k);
-  BElem* packed_b = panel<BElem>(scratch.packed_b);
-  for (std::int64_t jc = 0; jc < p.n; jc += kGemmNC) {
-    Block blk{jc, std::min(kGemmNC, p.n - jc), 0, 0, 0};
-    for (; blk.pc < p.k; blk.pc += kGemmKC) {
-      blk.kc = std::min(kGemmKC, p.k - blk.pc);
-      K::pack_b(p.trans_b, p.b, p.ldb, blk.pc, jc, blk.kc, blk.nc, packed_b);
-      if (serial) {
-        for (std::int64_t t = 0; t < ic_tiles; ++t) {
-          run_tile(p, blk, t * kGemmMC, packed_b, scratch);
-        }
-      } else {
-        struct TileContext {
-          const Problem<K>* p;
-          const Block* blk;
-          const BElem* packed_b;
-        } ctx{&p, &blk, packed_b};
-        // Single-reference capture keeps the closure inside std::function's
-        // small-buffer optimization: no allocation per dispatch.
-        parallel_for_chunked(
-            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
-              GemmScratch& own = thread_scratch();
-              const typename K::TileState chunk_tiles(ctx.p->k);
-              for (std::int64_t t = begin; t < end; ++t) {
-                run_tile(*ctx.p, *ctx.blk, t * kGemmMC, ctx.packed_b, own);
-              }
-            });
-      }
-      blk.a_offset += a_block_size<K>(p.m, blk.kc);
-    }
-  }
-}
-
-// Column/grid schedule: every task owns a (row-tile group x column stripe)
-// block of C and runs the ascending pc loop itself, packing B~ for its
-// stripe into the executing thread's scratch. Each chunk of tasks holds one
-// TileState.
-template <typename K>
-void run_grid(const Problem<K>& p, const TileGrid& grid) {
-  struct GridContext {
-    const Problem<K>* p;
-    TileGrid grid;
-    std::int64_t ic_tiles;
-  } ctx{&p, grid, (p.m + kGemmMC - 1) / kGemmMC};
-  parallel_for_chunked(
-      0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
-        const Problem<K>& p = *ctx.p;
-        GemmScratch& scratch = thread_scratch();
-        const typename K::TileState tiles(p.k);
-        typename K::BElem* packed_b =
-            panel<typename K::BElem>(scratch.packed_b);
-        const std::int64_t stripe_cols =
-            ctx.grid.panels_per_stripe * K::kNR;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t group = t / ctx.grid.col_stripes;
-          const std::int64_t jc = (t % ctx.grid.col_stripes) * stripe_cols;
-          const std::int64_t tile_begin = group * ctx.grid.tiles_per_group;
-          const std::int64_t tile_end = std::min(
-              tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
-          Block blk{jc, std::min(stripe_cols, p.n - jc), 0, 0, 0};
-          for (; blk.pc < p.k; blk.pc += kGemmKC) {
-            blk.kc = std::min(kGemmKC, p.k - blk.pc);
-            K::pack_b(p.trans_b, p.b, p.ldb, blk.pc, jc, blk.kc, blk.nc,
-                      packed_b);
-            for (std::int64_t tile = tile_begin; tile < tile_end; ++tile) {
-              run_tile(p, blk, tile * kGemmMC, packed_b, scratch);
-            }
-            blk.a_offset += a_block_size<K>(p.m, blk.kc);
-          }
-        }
-      });
-}
-
-// Picks the schedule. Only fans out when there is enough arithmetic to
-// amortize the pool wakeup and the call is not nested in a parallel region.
-template <typename K>
-void run(const Problem<K>& p, GemmScratch* scratch, const GemmExec& exec) {
-  const bool pooled = exec.pooled && 2 * p.m * p.n * p.k >= (1 << 18) &&
-                      !inside_parallel_region();
-  if (pooled) {
-    const int ways = resolve_split_ways(exec.ways);
-    const GemmSplit split = exec.split == GemmSplit::kAuto
-                                ? choose_split(p.m, p.n, ways, K::kNR)
-                                : exec.split;
-    if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, p.m, p.n, ways, K::kNR);
-      if (grid.tasks() > 1) {
-        run_grid(p, grid);
-        return;
-      }
-      // A 1-task grid means the shape cannot use this split; the row
-      // schedule runs it (serially for a single row tile).
-    }
-  }
-  run_rows(p, scratch != nullptr ? reserve(*scratch) : thread_scratch(),
-           pooled);
-}
-
-// The exactness bounds of gemm.h: alpha within the kind's derived range
-// and k <= 32767, so int32 accumulation cannot wrap.
-void check_packed_extents(PackedKernel kind, std::int64_t m, std::int64_t n,
-                          std::int64_t k, std::int32_t alpha) {
-  const std::int32_t max_alpha = kind_limits(kind).max_alpha;
-  CSQ_CHECK(m >= 0 && n >= 0 && k >= 0) << "gemm_packed: negative extent";
-  CSQ_CHECK(alpha >= -max_alpha && alpha <= max_alpha)
-      << "gemm_packed: alpha " << alpha << " outside the [-" << max_alpha
-      << ", " << max_alpha << "] range the exactness bound is derived for";
-  CSQ_CHECK(k <= 32767) << "gemm_packed: reduction depth " << k
+// The exactness bound of gemm.h: k <= 32767, so int32 accumulation of the
+// split chain cannot wrap; also rejects an unknown kind.
+void check_extents(PackedKernel kind, std::int64_t oc, std::int64_t k) {
+  kind_limits(kind);
+  CSQ_CHECK(oc >= 0 && k >= 0) << "integer conv: negative extent";
+  CSQ_CHECK(k <= 32767) << "integer conv: reduction depth " << k
                         << " would overflow int32 accumulation";
-}
-
-// The checks of gemm_packed: the kind's exactness bounds and the blob's
-// header, then the degenerate shapes.
-// Returns the blob's panels, or null when C needs no GEMM (it is then
-// already what the GEMM would leave).
-const std::uint8_t* packed_panels(GemmIntIsa isa, PackedKernel kind,
-                                  std::int64_t m, std::int64_t n,
-                                  std::int64_t k, std::int32_t alpha,
-                                  const std::uint8_t* packed_a,
-                                  bool accumulate, std::int32_t* c,
-                                  std::int64_t ldc) {
-  check_packed_extents(kind, m, n, k, alpha);
-  PackedHeader header;
-  std::memcpy(&header, packed_a, sizeof(header));
-  CSQ_CHECK(header.isa == static_cast<std::int16_t>(isa) &&
-            header.kind == static_cast<std::int16_t>(kind))
-      << "gemm_packed: kind " << header.kind << " panels packed for "
-      << isa_name(static_cast<GemmIntIsa>(header.isa)) << " run as kind "
-      << static_cast<int>(kind) << " on " << isa_name(isa)
-      << "; repack them under the running ISA";
-  CSQ_CHECK(header.m == m && header.k == k)
-      << "gemm_packed: panels packed for " << header.m << "x" << header.k
-      << " codes run as " << m << "x" << k;
-  if (m == 0 || n == 0) return nullptr;
-  if (alpha == 0 || k == 0) {
-    if (!accumulate) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
-      }
-    }
-    return nullptr;
-  }
-  return packed_a + sizeof(PackedHeader);
 }
 
 // Throws unless every code of a packing call is in its kind's exact range.
@@ -1711,8 +1092,10 @@ decltype(auto) with_conv_kernel(GemmIntIsa isa, PackedKernel kind, Fn&& fn) {
   return kind == PackedKernel::kS8U8 ? fn(PairConv{}) : fn(QuadConv{});
 }
 
-// Packed conv weights open with the layout they were packed for, like a
-// packed A blob (PackedHeader).
+// Packed conv weights open with the layout they were packed for, and
+// every call that runs them checks it: weights packed under one ISA, kind
+// or geometry must fail under another, not compute. 16 bytes keep the
+// panels' alignment.
 struct ConvHeader {
   std::int16_t isa, kind, kernel_h, kernel_w;
   std::int32_t channels, oc;
@@ -1793,7 +1176,13 @@ void run_conv(const ConvCall& p, std::int64_t rows, std::int64_t batch,
 }  // namespace
 
 GemmSplit gemm_choose_split(std::int64_t m, std::int64_t n, int ways) {
-  return choose_split(m, n, ways, kGemmNR);
+  const int w = resolve_split_ways(ways);
+  const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
+  const std::int64_t col_panels = (n + kGemmNR - 1) / kGemmNR;
+  if (w <= 1 || col_panels <= 1) return GemmSplit::kRows;
+  if (ic_tiles >= w) return GemmSplit::kRows;
+  if (ic_tiles <= 1) return GemmSplit::kCols;
+  return GemmSplit::kGrid;
 }
 
 std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
@@ -1802,7 +1191,7 @@ std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
   const int w = resolve_split_ways(ways);
   if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, w);
   if (split == GemmSplit::kRows) return (m + kGemmMC - 1) / kGemmMC;
-  return make_tile_grid(split, m, n, w, kGemmNR).tasks();
+  return make_tile_grid(split, m, n, w).tasks();
 }
 
 void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
@@ -1817,8 +1206,8 @@ void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
     apply_beta(0, m, n, beta, c, ldc);
     return;
   }
-  run(Problem<F32Kernel>{m, n, k, {trans_a, a, lda}, trans_b, b, ldb, c, ldc,
-                         {alpha, beta}},
+  run(Problem<MatrixB>{m, n, k, trans_a, a, lda, trans_b, b, ldb, c, ldc,
+                       alpha, beta},
       scratch, exec);
 }
 
@@ -1837,8 +1226,8 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
     return;
   }
   const ConvSource src(geom, padded);
-  run(Problem<F32ConvKernel>{m, n, k, {Trans::no, a, lda}, trans_b, &src, 0,
-                             c, ldc, {alpha, beta}},
+  run(Problem<ConvB>{m, n, k, Trans::no, a, lda, trans_b, &src, 0, c, ldc,
+                     alpha, beta},
       scratch, exec);
 }
 
@@ -1876,68 +1265,17 @@ ScopedGemmIntIsaForTest::~ScopedGemmIntIsaForTest() {
   forced_isa.store(previous_);
 }
 
-std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
-                                 std::int64_t k) {
-  return with_kernel(int_isa(), kind, [&](auto kernel) {
-    using K = decltype(kernel);
-    std::int64_t total = 0;
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      total += a_block_size<K>(m, std::min(kGemmKC, k - pc));
-    }
-    return static_cast<std::int64_t>(sizeof(PackedHeader)) +
-           total * static_cast<std::int64_t>(sizeof(typename K::AElem));
-  });
-}
-
-void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
-                 const std::int8_t* a, std::int64_t lda, std::uint8_t* packed) {
-  const GemmIntIsa isa = int_isa();
-  check_packed_extents(kind, m, 0, k, 1);
-  check_codes(kind, m, k, a, lda, "gemm_pack_a");
-  const PackedHeader header{static_cast<std::int16_t>(isa),
-                            static_cast<std::int16_t>(kind),
-                            static_cast<std::int32_t>(k), m};
-  std::memcpy(packed, &header, sizeof(header));
-  with_kernel(isa, kind, [&](auto kernel) {
-    using K = decltype(kernel);
-    auto* dst =
-        reinterpret_cast<typename K::AElem*>(packed + sizeof(PackedHeader));
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, k - pc);
-      K::pack_a(a, lda, pc, m, kc, dst);
-      dst += a_block_size<K>(m, kc);
-    }
-  });
-}
-
 bool gemm_s8u8_wide_eligible(std::int64_t k, std::int32_t max_abs_a) {
   if (k <= 0) return true;
   if (max_abs_a < 0) max_abs_a = -max_abs_a;
   if (max_abs_a > 64) return false;
-  // Per int16 lane, one KC-depth block accumulates quad_kc(kc)/4 pair sums
-  // of at most 2 * 255 * max|a| each.
+  // The bound of an int16 lane that sums quad_kc(kc) / 4 pair sums of at
+  // most 2 * 255 * max|a| each over one KC-depth block (gemm.h).
   const std::int64_t kc = std::min(k, kGemmKC);
-  const std::int64_t block_positions = (kc + 3) & ~std::int64_t{3};
+  const std::int64_t block_positions = quad_kc(kc);
   return (block_positions / 2) * 255 *
              static_cast<std::int64_t>(max_abs_a) <=
          32767;
-}
-
-void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
-                 std::int64_t n, std::int64_t k, std::int32_t alpha,
-                 const std::uint8_t* packed_a, const std::uint8_t* b,
-                 std::int64_t ldb, bool accumulate, std::int32_t* c,
-                 std::int64_t ldc, GemmExec exec) {
-  const GemmIntIsa isa = int_isa();
-  const std::uint8_t* panels = packed_panels(isa, kind, m, n, k, alpha,
-                                             packed_a, accumulate, c, ldc);
-  if (panels == nullptr) return;
-  with_kernel(isa, kind, [&](auto kernel) {
-    using K = decltype(kernel);
-    run(Problem<K>{m, n, k, reinterpret_cast<const typename K::AElem*>(panels),
-                   trans_b, b, ldb, c, ldc, {alpha, accumulate}},
-        nullptr, exec);
-  });
 }
 
 ConvGrid gemm_conv_grid(const ConvGeometry& geom, std::int64_t pitch,
@@ -1972,7 +1310,7 @@ void gemm_pack_conv_weights(PackedKernel kind, const ConvGeometry& geom,
   const GemmIntIsa isa = int_isa();
   const std::int64_t k = geom.col_rows();
   geom.validate();
-  check_packed_extents(kind, oc, 0, k, 1);
+  check_extents(kind, oc, k);
   check_codes(kind, oc, k, codes, k, "gemm_pack_conv_weights");
   const ConvHeader header = conv_header(isa, kind, geom, oc);
   std::memcpy(packed, &header, sizeof(header));
@@ -1992,8 +1330,7 @@ void gemm_conv_nhwc(PackedKernel kind, const ConvGeometry& geom,
                     std::int32_t* c, std::int64_t c_stride, bool pooled) {
   const GemmIntIsa isa = int_isa();
   const ConvGrid grid = gemm_conv_grid(geom, pitch, oc);
-  check_packed_extents(kind, oc, grid.rows, geom.col_rows(),
-                       low_weights == nullptr ? 1 : 2);
+  check_extents(kind, oc, geom.col_rows());
   CSQ_CHECK(batch >= 0 && (low_weights == nullptr ||
                             kind == PackedKernel::kS8U8))
       << "gemm_conv_nhwc: negative batch, or a split layer of kind "

@@ -1,7 +1,8 @@
-// Blocked general matrix multiply: one loop nest for every kernel family.
+// Blocked float matrix multiply, and the integer runtime's convolution.
 //
-//   float    C = alpha * op(A) * op(B) + beta * C              (gemm)
-//   integer  C(int32) = alpha * A(int8) * op(B)(uint8) [+ C]  (gemm_packed)
+//   float    C = alpha * op(A) * op(B) + beta * C                 (gemm)
+//   integer  C(int32) = channels-last uint8 image * int8 weights
+//                                                         (gemm_conv_nhwc)
 //
 // Row-major storage with explicit leading dimensions (BLAS-style). The float
 // GEMM implements NN, NT and TN, which cover Linear's forward and both of its
@@ -10,20 +11,20 @@
 // convolution matrix, packed straight from a zero-padded image without ever
 // building it: the convolution forward (NN), its weight gradient (NT) and
 // the stride-1 input gradient as a transposed convolution (NN). The integer
-// GEMMs are the fixed-point serving kernels: A holds a layer's weight codes,
-// packed ONCE into its kernel's panel layout (`gemm_pack_a`, weights are
-// static at serving time), B holds uint8 activation codes, and accumulation
-// is exact int32. The runtime's convolutions run `gemm_conv_nhwc` instead:
-// the weights are the packed operand and the activations are read in place
-// from a channels-last image, outside this loop nest.
+// convolution is the fixed-point serving kernel, and the runtime's only
+// integer entry point: its weights are packed ONCE into the running ISA's
+// panel layout (`gemm_pack_conv_weights`, weights are static at serving
+// time), its uint8 activations are read in place from a channels-last
+// image, and it accumulates exactly in int32, outside the loop nest below.
+// A Linear layer is the convolution whose kernel covers its whole input.
 //
 // Blocking scheme (GotoBLAS/BLIS-style):
 //
 //   for jc in N step kNC:                column panel of C / B
-//     for pc in K step kKC:              depth panel (beta/accumulate at pc==0)
+//     for pc in K step kKC:              depth panel (beta applied at pc==0)
 //       pack op(B)[pc:pc+kc, jc:jc+nc]   -> B~  (NR-wide micro-panels, L2/L3)
 //       for ic in M step kMC:            row panel of C / A
-//         A~ = MR-tall micro-panels of A[ic:ic+mc, pc:pc+kc]  (L1/L2)
+//         A~ = MR-tall micro-panels of op(A)[ic:ic+mc, pc:pc+kc]  (L1/L2)
 //         for jr, ir over the panel:     kMR x kNR register micro-kernel
 //
 // The micro-kernel keeps a kMR x kNR accumulator tile in registers and
@@ -31,18 +32,11 @@
 // times; edge tiles are zero-padded during packing and written back through
 // bounds-checked tails.
 //
-// ONE driver runs this nest for every family. It is a template over a
-// kernel-traits struct that supplies the element types (packed A, packed B,
-// C), the K grouping of the packed layouts, `pack_b`, the A~ source (float
-// packs op(A) per (ic, pc) tile into scratch; the integer kinds slice
-// their prepacked blob), the micro-tile (rows x columns, and `tile`: the
-// micro-kernel fused with the C-tile update, a compile-time call inside
-// the tile loop) and the per-thread tile state a call holds.
-// It is instantiated for float, s8u8 (int16 K-pairs), low-bit and
-// low-bit-wide (int8 K-quads), all 8x8, the one 16x16 AMX integer kernel
-// where the build has it, and the float one again with a conv `pack_b`
-// that reads a padded image (Dukhan, "The Indirect Convolution Algorithm",
-// arXiv:1907.02129).
+// ONE driver runs this nest for both B sources. It is a template over where
+// B comes from: a row-major matrix, or the unfolded convolution matrix read
+// from a padded image by a conv `pack_b` (Dukhan, "The Indirect Convolution
+// Algorithm", arXiv:1907.02129). A~ packing, the micro-kernel and the C
+// update are shared.
 //
 // The driver has exactly two schedules:
 //  * Row schedule (shared B~): the calling thread packs B~ per (jc, pc);
@@ -50,11 +44,10 @@
 //    case) or across the thread pool (`GemmSplit::kRows`), every tile
 //    reading the same B~.
 //  * Column/grid schedule (per-task B~): C's tile grid is carved into
-//    (group of MC row tiles) x (NR-aligned column stripe) tasks, NR being
-//    the kernel's panel width. Each task runs the whole ascending pc loop
-//    itself and packs B~ for its stripe into the executing thread's
-//    scratch. This is what lets wide-N/small-M shapes (batch-1 conv
-//    GEMMs, Linear heads) use the pool at all.
+//    (group of MC row tiles) x (kNR-aligned column stripe) tasks. Each task
+//    runs the whole ascending pc loop itself and packs B~ for its stripe
+//    into the executing thread's scratch. This is what lets wide-N/small-M
+//    shapes (per-sample convolution GEMMs) use the pool at all.
 //
 // Determinism contract: for fixed operands, every schedule, split, way count
 // and thread count produces BIT-IDENTICAL C.
@@ -65,11 +58,10 @@
 //    the bytes the serial sweep packs for those columns (zero padding only
 //    at the true matrix edge). A~ panels depend on (ic, pc) alone.
 //  * Identical per-element operation order: the pc loop always ascends
-//    (beta / accumulate applied at pc == 0 only) and the micro-kernel's
-//    packed-k order is fixed by the blocking constants, never by the thread
-//    count or by which split carved the tile.
-// Integer arithmetic is exact, so for the integer kinds ownership alone
-// suffices. The tier-1 GEMM parity grids assert this with exact equality.
+//    (beta applied at pc == 0 only) and the micro-kernel's packed-k order is
+//    fixed by the blocking constants, never by the thread count or by which
+//    split carved the tile.
+// The tier-1 GEMM parity grids assert this with exact equality.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +73,10 @@ namespace csq {
 enum class Trans { no, yes };
 
 // Register micro-tile (rows x cols of C held in accumulators) of the float
-// and the AVX2/portable integer kernels, and the cache blocking constants.
-// kMC/kKC size the packed A panel for L2 (64 KiB), kKC * kNC bounds the
-// packed B panel (1 MiB); all are multiples of every kernel's micro-tile
-// (the AMX kernel's is 16x16) so packing never splits a micro-panel.
+// GEMM and the AVX2/portable integer convolution, and the float GEMM's
+// cache blocking constants. kMC/kKC size the packed A panel for L2
+// (64 KiB), kKC * kNC bounds the packed B panel (1 MiB); all are multiples
+// of the micro-tile so packing never splits a micro-panel.
 constexpr std::int64_t kGemmMR = 8;
 constexpr std::int64_t kGemmNR = 8;
 constexpr std::int64_t kGemmMC = 64;
@@ -108,15 +100,12 @@ enum class GemmSplit { kAuto = -1, kRows = 0, kCols = 1, kGrid = 2 };
 // (classic split already fills the pool); otherwise a single row tile ->
 // kCols; otherwise kGrid. Exposed so tests can pin the policy (an
 // m<=kGemmMC wide-N GEMM must never fall back to the serial row branch).
-// It counts kGemmNR-wide panels, as the float and AVX2/portable integer
-// kernels pack them; a call on the AMX kernel applies the same policy to
-// its 16-wide panels.
 GemmSplit gemm_choose_split(std::int64_t m, std::int64_t n, int ways);
 
-// Number of independent tasks a pooled GEMM on kGemmNR-wide panels
-// schedules for this shape under `split` (kAuto resolved first) with `ways`
-// workers. 1 means the work runs on the calling thread — the regression
-// tests pin that wide-N shapes with m as small as 1 still report > 1.
+// Number of independent tasks a pooled GEMM schedules for this shape under
+// `split` (kAuto resolved first) with `ways` workers. 1 means the work runs
+// on the calling thread — the regression tests pin that wide-N shapes with
+// m as small as 1 still report > 1.
 // Column stripes are capped at kGemmNC columns, so a split may schedule
 // more than `ways` tasks.
 std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
@@ -177,51 +166,42 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
                float beta, float* c, std::int64_t ldc,
                GemmScratch* scratch = nullptr, GemmExec exec = {});
 
-// ------------------------------------------------- integer (serving) GEMM --
+// ----------------------------------------------- integer (serving) kinds --
 //
-// The packed-A panel layouts. Numeric values equal the serving runtime's
+// The packed weight layouts. Numeric values equal the serving runtime's
 // persisted WeightKernel kinds (runtime/packed_weights.h). Each kind names
-// an exactness CONTRACT (code range, |alpha|, depth) that gemm_pack_a and
-// gemm_packed enforce on every host; the micro-kernel that runs it depends
-// on the integer ISA (below).
+// an exactness CONTRACT (code range, depth) that gemm_pack_conv_weights and
+// gemm_conv_nhwc enforce on every host; the kernel that runs it depends on
+// the integer ISA (below).
 //
-//  * kS8U8: the reference, codes in [-128, 127] and |alpha| <= 2. On AVX2
-//    and portable builds codes are widened to int16 while packing, laid out
-//    in K-PAIRS (depth steps 2p, 2p+1 adjacent per row/column), so the AVX2
-//    micro-kernel fuses them with one vpmaddwd — the integer analogue of
-//    the float kernel's FMA. Headroom is TIGHT, not ample: the runtime's
-//    split-plane chaining (codes beyond +/-127 stored as 2*hi + lo: alpha=2
-//    overwrite on a hi plane reaching -128, then the alpha=1 lo pass) costs
-//    up to 65535 per depth step, so exactness requires |alpha| <= 2 and
-//    k <= 32767. Any alpha or code-range extension must re-derive it.
+//  * kS8U8: the reference, codes in [-128, 127]. On AVX2 and portable
+//    builds codes are widened to int16 while packing, laid out in K-PAIRS
+//    (depth steps 2p, 2p+1 adjacent per channel), so the AVX2 kernel fuses
+//    them with one vpmaddwd. Headroom is TIGHT, not ample: a split layer
+//    (codes beyond +/-127 stored as 2*hi + lo, hi reaching -128 and lo in
+//    {0, 1}, fused into one call) costs up to 255 * 255 per depth step, so
+//    exactness requires k <= 32767. Any code-range extension must re-derive
+//    it.
 //
-// The low-bit kinds keep raw 8-bit operands in the packed panels (half the
+// The low-bit kinds keep raw 8-bit codes in the packed panels (half the
 // panel bandwidth of the widened layout) in K-QUADS: depth steps 4q..4q+3
-// adjacent per row/column, fused by one vpmaddubsw + vpmaddwd. vpmaddubsw
+// adjacent per channel, fused by one vpmaddubsw + vpmaddwd. vpmaddubsw
 // saturates its int16 pair sums, so exactness requires |a| <= 64 per code
-// (255 * (|a0| + |a1|) <= 32767); gemm_pack_a enforces each kind's range.
-// |alpha| <= 8 admits chaining per-bit-plane passes with power-of-two
-// weights (2^t, t <= 3); the combined |alpha| * k * 255 * max|a| < 2^31
-// headroom is the caller's contract (serving runs alpha = 1 with k <= 32767
-// and max|a| <= 64, which bounds it directly).
+// (255 * (|a0| + |a1|) <= 32767); packing enforces each kind's range.
 //
-//  * kLowBit ("bit-serial"): A as raw int8 quads, codes in [-64, 64].
-//    Twice the per-instruction MAC throughput of kS8U8.
-//  * kLowBitWide: the kLowBit layout, with int16 accumulators across a
-//    whole KC-depth block, widened once at the end — three times the
-//    baseline MAC throughput. Exact only when `gemm_s8u8_wide_eligible`
-//    holds for the layer's depth and max |code|.
+//  * kLowBit ("bit-serial"): codes in [-64, 64].
+//  * kLowBitWide: the kLowBit contract for layers where
+//    `gemm_s8u8_wide_eligible` holds for the depth and max |code|. On every
+//    ISA it runs the kLowBit kernel, so the rule is an eligibility rule
+//    only, not an exactness limit. Its formula is kept: artifacts record
+//    the kind, and the benchmark's serve set-up throws if any family is
+//    missing from its model.
 //
-// AMX hosts run every kind on ONE kernel of 16x16 AMX-INT8 tiles: A as
-// 16-row int8 panels, row-major over the quad-padded KC depth (kS8U8
-// included, so its panels are int8, not int16), B as 16-wide uint8 K-quad
-// panels, and tdpbsud, which sums each quad's four s8 x u8 products
-// straight into the int32 C tile. A full tile at alpha 1 is loaded from C
-// (when accumulating) and stored straight back; edge tiles and other
-// alphas go through a stack tile. No int16 intermediate exists, so nothing
-// saturates at any int8 code: the +/-64 bound and the wide-eligibility
-// rule are then eligibility rules of their kinds, still enforced, not
-// exactness limits; kS8U8's int32 headroom argument above holds as
+// AMX hosts run every kind on ONE kernel of 16x16 AMX-INT8 tiles: tdpbusd
+// sums each quad's four u8 activation x s8 weight products straight into
+// the int32 C tile. No int16 intermediate exists, so nothing saturates at
+// any int8 code: the +/-64 bound is then an eligibility rule of its kinds,
+// still enforced, and kS8U8's int32 headroom argument above holds as
 // derived. The ISA is chosen once per process: AMX when the build has the
 // kernel, the CPU reports AMX-TILE and AMX-INT8, and Linux grants the
 // process the tile-data state (arch_prctl ARCH_REQ_XCOMP_PERM); otherwise
@@ -229,15 +209,15 @@ void gemm_conv(Trans trans_b, std::int64_t m, float alpha, const float* a,
 // packed from codes at load and never persisted, so a host-dependent
 // layout touches no file format.
 //
-// Every kind on every ISA produces EXACTLY the int32 products of the s8u8
-// reference.
+// Every kind on every ISA produces EXACTLY the int32 accumulators of the
+// s8u8 reference.
 enum class PackedKernel : std::int32_t {
   kS8U8 = 0,
   kLowBit = 1,
   kLowBitWide = 3,
 };
 
-// The instruction sets the integer micro-kernels are built for: the scalar
+// The instruction sets the integer kernels are built for: the scalar
 // fallbacks of a build without AVX2, the AVX2 kernels above, and the one
 // AMX-INT8 kernel (built into x86-64 Linux builds with AVX2; a host with
 // AVX-VNNI but no AMX runs the AVX2 kernels).
@@ -269,12 +249,12 @@ std::string gemm_int_isa_summary();
 // True when this build and host can run `isa`'s kernels.
 bool gemm_int_isa_supported(GemmIntIsa isa);
 
-// TEST ONLY: forces every integer GEMM in the process onto `isa` (which must
-// be supported) until destroyed, so the AVX2 kernels stay tested on AMX
-// hosts. Nothing else reaches it — no LowerOptions or GemmExec field, env
+// TEST ONLY: forces every integer convolution in the process onto `isa`
+// (which must be supported) until destroyed, so the AVX2 kernels stay
+// tested on AMX hosts. Nothing else reaches it — no LowerOptions or GemmExec field, env
 // var or artifact field selects an ISA. Construct it before packing: panels
 // record the ISA they were packed for, and running them under another one
-// fails a check. Not for use while other threads run integer GEMMs.
+// fails a check. Not for use while other threads run integer convolutions.
 class ScopedGemmIntIsaForTest {
  public:
   explicit ScopedGemmIntIsaForTest(GemmIntIsa isa);
@@ -286,36 +266,12 @@ class ScopedGemmIntIsaForTest {
   std::int32_t previous_;
 };
 
-// Bytes of the packed form of an (m x k) code matrix under the running ISA:
-// a small header naming the layout, then the kernel's row panels (8 or 16
-// tall) of the whole m extent for each KC-depth block in turn.
-std::int64_t gemm_packed_a_bytes(PackedKernel kind, std::int64_t m,
-                                 std::int64_t k);
-
-// Packs the (m x k) row-major int8 codes `a` into `packed`
-// (gemm_packed_a_bytes(kind, m, k) bytes). Throws when a code falls outside
-// the kind's exact range or k exceeds the int32 headroom.
-void gemm_pack_a(PackedKernel kind, std::int64_t m, std::int64_t k,
-                 const std::int8_t* a, std::int64_t lda, std::uint8_t* packed);
-
-// True when the low-bit wide kernel's int16 accumulation over one KC-depth
-// block cannot overflow for reduction depth k and weight codes bounded by
-// max_abs_a: the per-lane sum is at most quad_kc(min(k, kKC)) / 2 * 255 *
-// max_abs_a <= 32767. It bounds kLowBitWide (on AMX hosts, as its
-// eligibility rule); s8u8 never accumulates in int16.
+// The bitserial-w16 eligibility rule: true when an int16 accumulation of
+// one KC-depth block of K-quad pair sums could not overflow for reduction
+// depth k and weight codes bounded by max_abs_a: quad_kc(min(k, kGemmKC))
+// / 2 * 255 * max_abs_a <= 32767. No kernel accumulates in int16; the rule
+// only decides which layers earn (and may record) kLowBitWide.
 bool gemm_s8u8_wide_eligible(std::int64_t k, std::int32_t max_abs_a);
-
-// C = alpha * A * op(B) from A packed by gemm_pack_a(kind, m, k, ...)
-// under the running ISA; a blob packed for another kind, shape or ISA fails
-// a check. `packed_a` must be at least 2-byte aligned where kS8U8 panels
-// hold int16 (AVX2 and portable); the AMX layout is all bytes.
-// `accumulate` == false overwrites C, true adds into it — the split-plane
-// chain is two calls: alpha=2 overwrite, alpha=1 accumulate.
-void gemm_packed(PackedKernel kind, Trans trans_b, std::int64_t m,
-                 std::int64_t n, std::int64_t k, std::int32_t alpha,
-                 const std::uint8_t* packed_a, const std::uint8_t* b,
-                 std::int64_t ldb, bool accumulate, std::int32_t* c,
-                 std::int64_t ldc, GemmExec exec = {});
 
 // ------------------------------------------ channels-last convolution --
 //
@@ -354,7 +310,8 @@ std::int64_t gemm_conv_weights_bytes(PackedKernel kind,
 
 // Packs the (oc x geom.col_rows()) row-major int8 codes, depth in im2col's
 // (c, ki, kj) order, into `packed` (gemm_conv_weights_bytes bytes). Throws
-// when a code falls outside the kind's exact range, as gemm_pack_a does.
+// when a code falls outside the kind's exact range or the depth exceeds
+// the int32 headroom (k <= 32767).
 void gemm_pack_conv_weights(PackedKernel kind, const ConvGeometry& geom,
                             std::int64_t oc, const std::int8_t* codes,
                             std::uint8_t* packed);

@@ -13,6 +13,11 @@
 // and (IntegerConvNhwcAvx2) on the forced AVX2 kernels. Samples sit
 // further apart than their images, with garbage between them that only
 // discarded grid positions read.
+//
+// The headroom edges: a 1x1 convolution of k channels is the plain
+// reduction, driven with worst-case uniform operands to the deepest depth
+// the int32 accumulators admit (the split chain at the int8 extremes) and
+// to each low-bit |code|'s eligibility edge.
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -20,10 +25,12 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/packed_weights.h"
 #include "runtime/requant.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "test_helpers.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -263,6 +270,134 @@ CSQ_INT_ISA_TEST(IntegerConvNhwc, MatchesNaiveReferenceAndRequantizes) {
       }
     }
   }
+}
+
+// ----------------------------------------------------- headroom edges ----
+
+// Worst-case operands at an exact headroom edge: activations all 255 and
+// every code `code` (the kind's largest magnitude, one sign) — with `low`
+// >= 0, a split layer whose lo plane is all `low` (C = 2 hi + lo) — over a
+// 1x1 convolution of k channels, 5 positions and 3 output channels, so
+// every partial sum is as large as the bound admits. Checks every
+// accumulator against the naive int64 reference and returns the first.
+std::int32_t expect_worst_case_matches_reference(PackedKernel kind,
+                                                 std::int64_t k,
+                                                 std::int32_t code,
+                                                 std::int32_t low = -1) {
+  const std::int64_t oc = 3, n = 5;
+  const bool split = low >= 0;
+  const ConvGeometry geom = testing::one_by_one(k, n);
+  const ConvGrid grid = gemm_conv_grid(geom, n, oc);
+  const std::vector<std::uint8_t> image(static_cast<std::size_t>(grid.reach),
+                                        255);
+  const std::vector<std::int8_t> hi(static_cast<std::size_t>(oc * k),
+                                    static_cast<std::int8_t>(code));
+  const std::vector<std::int8_t> lo(static_cast<std::size_t>(oc * k),
+                                    static_cast<std::int8_t>(split ? low : 0));
+  auto want = testing::naive_conv_nhwc(geom, n, oc, image.data(), hi.data());
+  if (split) {
+    const auto low_sums =
+        testing::naive_conv_nhwc(geom, n, oc, image.data(), lo.data());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] = 2 * want[i] + low_sums[i];
+    }
+  }
+  const auto hi_packed = testing::pack_conv_codes(kind, geom, oc, hi);
+  const auto lo_packed = testing::pack_conv_codes(kind, geom, oc, lo);
+  std::vector<std::int32_t> c(static_cast<std::size_t>(grid.rows * grid.ldc),
+                              -1);
+  gemm_conv_nhwc(kind, geom, n, oc, hi_packed.data(),
+                 split ? lo_packed.data() : nullptr, /*batch=*/1,
+                 image.data(), 0, c.data(), 0);
+  std::int64_t mismatches = 0;
+  for (std::int64_t q = 0; q < n; ++q) {
+    for (std::int64_t o = 0; o < oc; ++o) {
+      mismatches += c[static_cast<std::size_t>(q * grid.ldc + o)] !=
+                    want[static_cast<std::size_t>(q * oc + o)];
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "kind=" << static_cast<int>(kind)
+                           << " k=" << k << " code=" << code
+                           << " low=" << low;
+  return c[0];
+}
+
+// The split hi/lo chain of PackedIntWeights (code = 2 * hi + lo, hi
+// reaching -128) with every code `code` and activations 255 at the deepest
+// reduction, where the s8u8 headroom is tightest: 255 * 255 * 32767 < 2^31.
+void expect_split_chain_matches_reference(std::int32_t code) {
+  const std::int64_t rows = 3, n = 5;
+  const std::int64_t depth = testing::kMaxDepth;
+  const std::vector<std::int32_t> codes(static_cast<std::size_t>(rows * depth),
+                                        code);
+  const runtime::PackedIntWeights packed(codes, /*step=*/0.01f, /*bits=*/8,
+                                         rows, depth);
+  ASSERT_TRUE(packed.split());
+  ASSERT_EQ(packed.kernel(), runtime::WeightKernel::kS8U8);
+  const std::vector<std::uint8_t> b(static_cast<std::size_t>(depth * n), 255);
+  std::vector<std::int32_t> c(static_cast<std::size_t>(rows * n), -1);
+  packed.gemm(Trans::no, n, b.data(), n, c.data(), n, /*pooled=*/false);
+  // The int64 reference of uniform operands: every element is one sum.
+  const std::int64_t expected = std::int64_t{code} * 255 * depth;
+  for (const std::int32_t v : c) {
+    EXPECT_EQ(v, expected) << "split chain code=" << code;
+  }
+}
+
+CSQ_INT_ISA_TEST(IntegerConvNhwc, SplitChainAtDepthBoundaryMatchesReference) {
+  // The tightest int32 headroom in the runtime: a split layer's hi plane at
+  // -128 and lo plane at 1 over activations all 255 at the deepest legal
+  // reduction; one step deeper must throw.
+  const std::int64_t k = testing::kMaxDepth;
+  EXPECT_EQ(expect_worst_case_matches_reference(PackedKernel::kS8U8, k, -128,
+                                                /*low=*/1),
+            -255 * 255 * k);
+  const std::vector<std::int8_t> deeper(static_cast<std::size_t>(k + 1),
+                                        -128);
+  EXPECT_THROW(testing::pack_conv_codes(PackedKernel::kS8U8,
+                                        testing::one_by_one(k + 1, 1), 1,
+                                        deeper),
+               check_error);
+}
+
+CSQ_INT_ISA_TEST(IntegerConvNhwc, WorstCaseOperandsAtHeadroomEdgesMatchReference) {
+  using testing::deepest_wide_depth;
+  using testing::kMaxDepth;
+  // The hand-derived edges of the w16 rule: one int16 lane would reach
+  // 32640 of its 32767 at |code| 2 and depth 128, and at |code| 64 and
+  // depth 4.
+  ASSERT_EQ(deepest_wide_depth(2), 128);
+  ASSERT_EQ(deepest_wide_depth(64), 4);
+  // Every low-bit |code|: bitserial-w16 at its deepest eligible depth, and
+  // bitserial one step past it and at the deepest legal reduction.
+  for (std::int32_t c = 1; c <= 64; ++c) {
+    const std::int64_t edge = deepest_wide_depth(c);
+    ASSERT_GE(edge, 4) << "|code| " << c;
+    for (const std::int32_t sign : {1, -1}) {
+      const std::int32_t code = c * sign;
+      if (edge == kMaxDepth) {
+        // Unbounded by the KC cap: both sides of the block edge and the
+        // deepest reduction.
+        for (const std::int64_t k : {kGemmKC - 1, kGemmKC + 1, kMaxDepth}) {
+          expect_worst_case_matches_reference(PackedKernel::kLowBitWide, k,
+                                              code);
+        }
+      } else {
+        expect_worst_case_matches_reference(PackedKernel::kLowBitWide, edge,
+                                            code);
+        expect_worst_case_matches_reference(PackedKernel::kLowBit, edge + 1,
+                                            code);
+      }
+      expect_worst_case_matches_reference(PackedKernel::kLowBit, kMaxDepth,
+                                          code);
+    }
+  }
+  // The s8u8 reference at both int8 extremes, and the split chain at
+  // +/-255, all at the deepest reduction.
+  expect_worst_case_matches_reference(PackedKernel::kS8U8, kMaxDepth, 127);
+  expect_worst_case_matches_reference(PackedKernel::kS8U8, kMaxDepth, -128);
+  expect_split_chain_matches_reference(255);
+  expect_split_chain_matches_reference(-255);
 }
 
 }  // namespace

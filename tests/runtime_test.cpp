@@ -1,11 +1,14 @@
 // Integer inference runtime tests:
 //
-//  * the int8 x uint8 -> int32 GEMM against an exact int64 reference, over
-//    the transpose forms, alpha/accumulate modes and pooled execution, and
-//    the channels-last conv (gemm_conv_nhwc) against explicit im2col_u8
-//    columns;
+//  * the int8 x uint8 -> int32 product (gemm_conv_nhwc as a 1x1
+//    convolution) against an exact int64 reference across shapes, one
+//    plane and a split layer's fused pair, serial and pooled, and the
+//    channels-last conv against an exact int64 reduction over explicit
+//    im2col_u8 columns;
 //  * PackedIntWeights shift/split normalization: bit-exact reconstruction
-//    of full-range sign-magnitude codes from int8 planes;
+//    of full-range sign-magnitude codes from int8 planes, and its gemm in
+//    both transpose forms, on 1x1 and 3x3 weights, serial, pooled and from
+//    concurrent threads;
 //  * integer Conv2d forward parity: exact accumulator match against an
 //    int64 reference and float-level agreement with the finalized float
 //    path (the satellite the linear-only export tests did not cover);
@@ -16,16 +19,16 @@
 //    through the generic finalized-codes accessor;
 //  * the runtime conformance grid: a parameterized lowering-parity sweep
 //    over max-pooling variants (strided/padded/non-tiling windows,
-//    non-square kernels and inputs), residual joins, batch sizes
-//    {1, 3, 17} and the three exportable families — remaining genuine
-//    gaps are enumerated as skipped cases;
+//    non-square kernels and inputs), residual joins, a Linear head over a
+//    3x2 map, batch sizes {1, 3, 17} and the three exportable families —
+//    remaining genuine gaps are enumerated as skipped cases;
 //  * the liveness-colored buffer planner: workspace_bytes() regression
 //    against the one-slot-per-edge baseline and bit-identity of planned
 //    vs unplanned forwards, a conv's in-place padded input, plus artifact
 //    round trips of the pool records (rectangular strided and padded
 //    windows), and the rejection of a graph without a Linear head;
 //  * deterministic fuzz over PackedIntWeights' shift/split normalization
-//    and the int32-headroom bounds at the GEMM entry points.
+//    and the int32-headroom bound at the packing entry points.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -88,70 +91,38 @@ std::vector<std::uint8_t> random_u8(std::int64_t count, Rng& rng,
   return values;
 }
 
-// Exact reference: C = alpha * A * op(B) (+ C), int64 accumulation.
-void reference_s8u8(Trans trans_b, std::int64_t m, std::int64_t n,
-                    std::int64_t k, std::int32_t alpha, const std::int8_t* a,
-                    const std::uint8_t* b, std::int64_t ldb, bool accumulate,
-                    std::vector<std::int32_t>& c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const std::int64_t bv = trans_b == Trans::no ? b[p * ldb + j]
-                                                     : b[j * ldb + p];
-        acc += static_cast<std::int64_t>(a[i * k + p]) * bv;
-      }
-      auto& dst = c[static_cast<std::size_t>(i * n + j)];
-      dst = static_cast<std::int32_t>((accumulate ? dst : 0) + alpha * acc);
-    }
+// A split layer's lo plane: codes in {0, 1}.
+std::vector<std::int8_t> random_bits(std::int64_t count, Rng& rng) {
+  std::vector<std::int8_t> values(static_cast<std::size_t>(count));
+  for (auto& v : values) {
+    v = static_cast<std::int8_t>(rng.uniform(0.0f, 2.0f));
   }
+  return values;
 }
 
-// C = alpha * A * op(B) [+ C] on the s8u8 panel layout: pack A, then run.
-void s8u8_gemm(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-               std::int32_t alpha, const std::int8_t* a, const std::uint8_t* b,
-               std::int64_t ldb, bool accumulate, std::int32_t* c,
-               std::int64_t ldc, bool pooled = false) {
-  std::vector<std::uint8_t> packed(static_cast<std::size_t>(
-      gemm_packed_a_bytes(PackedKernel::kS8U8, m, k)));
-  gemm_pack_a(PackedKernel::kS8U8, m, k, a, k, packed.data());
-  gemm_packed(PackedKernel::kS8U8, trans_b, m, n, k, alpha, packed.data(), b,
-              ldb, accumulate, c, ldc, GemmExec{pooled});
-}
-
+// The s8u8 kind's plain product C = A · B, run as a 1x1 convolution of k
+// channels at n positions, against the exact int64 reference across odd
+// shapes (k = 1, m and n off the 16-wide tiles, k off whole K-pairs and
+// K-quads) and both modes of a layer, one plane and a split layer's fused
+// hi/lo planes (C = 2 hi + lo), serial and pooled.
 CSQ_INT_ISA_TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
   Rng rng(901);
   const std::int64_t extents[] = {1, 3, 17, 64, 129};
   for (const std::int64_t m : extents) {
     for (const std::int64_t n : extents) {
       for (const std::int64_t k : extents) {
-        for (const Trans trans_b : {Trans::no, Trans::yes}) {
-          for (const std::int32_t alpha : {1, 2}) {
-            for (const bool accumulate : {false, true}) {
-              const auto a = random_s8(m * k, rng);
-              const auto b = random_u8(k * n, rng);
-              const std::int64_t ldb = trans_b == Trans::no ? n : k;
-              std::vector<std::int32_t> expected(
-                  static_cast<std::size_t>(m * n));
-              std::vector<std::int32_t> actual(
-                  static_cast<std::size_t>(m * n));
-              if (accumulate) {
-                for (std::int64_t i = 0; i < m * n; ++i) {
-                  const auto seed = static_cast<std::int32_t>(
-                      rng.uniform(-100.0f, 100.0f));
-                  expected[static_cast<std::size_t>(i)] = seed;
-                  actual[static_cast<std::size_t>(i)] = seed;
-                }
-              }
-              reference_s8u8(trans_b, m, n, k, alpha, a.data(), b.data(),
-                             ldb, accumulate, expected);
-              s8u8_gemm(trans_b, m, n, k, alpha, a.data(), b.data(), ldb,
-                        accumulate, actual.data(), n);
-              ASSERT_EQ(expected, actual)
-                  << "m=" << m << " n=" << n << " k=" << k
-                  << " trans_b=" << (trans_b == Trans::yes) << " alpha="
-                  << alpha << " accumulate=" << accumulate;
-            }
+        for (const bool split : {false, true}) {
+          const auto a = random_s8(m * k, rng);
+          const auto lo = random_bits(m * k, rng);
+          const auto b = random_u8(k * n, rng);
+          const std::vector<std::int8_t>* plane = split ? &lo : nullptr;
+          const auto expected = testing::exact_product(m, n, k, a, plane, b);
+          for (const bool pooled : {false, true}) {
+            ASSERT_EQ(testing::one_by_one_product(PackedKernel::kS8U8, m, n,
+                                                  k, a, plane, b, pooled),
+                      expected)
+                << "m=" << m << " n=" << n << " k=" << k
+                << " split=" << split << " pooled=" << pooled;
           }
         }
       }
@@ -160,47 +131,20 @@ CSQ_INT_ISA_TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
 }
 
 CSQ_INT_ISA_TEST(Int8Gemm, PooledIsBitIdenticalToSerial) {
+  // 160 positions x 192 channels: 10 x 12 blocks of C for the pool.
   Rng rng(902);
   const std::int64_t m = 192, n = 160, k = 300;
   const auto a = random_s8(m * k, rng);
+  const auto lo = random_bits(m * k, rng);
   const auto b = random_u8(k * n, rng);
-  std::vector<std::int32_t> serial(static_cast<std::size_t>(m * n));
-  std::vector<std::int32_t> pooled(static_cast<std::size_t>(m * n));
-  s8u8_gemm(Trans::no, m, n, k, 1, a.data(), b.data(), n,
-            /*accumulate=*/false, serial.data(), n);
-  s8u8_gemm(Trans::no, m, n, k, 1, a.data(), b.data(), n,
-            /*accumulate=*/false, pooled.data(), n, /*pooled=*/true);
-  EXPECT_EQ(serial, pooled);
-}
-
-CSQ_INT_ISA_TEST(Int8Gemm, SplitChainAtDepthBoundaryMatchesReference) {
-  // The tightest int32 headroom in the runtime: a split layer's hi plane at
-  // -128 (alpha 2, overwrite) and lo plane at 1 (alpha 1, accumulate) over
-  // activations all 255 at the deepest legal reduction; one step deeper
-  // must throw.
-  const std::int64_t m = 3, n = 5, k = 32767;
-  const std::vector<std::int8_t> hi(static_cast<std::size_t>(m * k), -128);
-  const std::vector<std::int8_t> lo(static_cast<std::size_t>(m * k), 1);
-  const std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n), 255);
-  std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
-  reference_s8u8(Trans::no, m, n, k, 2, hi.data(), b.data(), n,
-                 /*accumulate=*/false, expected);
-  reference_s8u8(Trans::no, m, n, k, 1, lo.data(), b.data(), n,
-                 /*accumulate=*/true, expected);
-  std::vector<std::int32_t> actual(expected.size(), -1);
-  s8u8_gemm(Trans::no, m, n, k, 2, hi.data(), b.data(), n,
-            /*accumulate=*/false, actual.data(), n);
-  s8u8_gemm(Trans::no, m, n, k, 1, lo.data(), b.data(), n,
-            /*accumulate=*/true, actual.data(), n);
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(actual[0], -255 * 255 * k);
-
-  const std::vector<std::int8_t> deeper(static_cast<std::size_t>(k + 1),
-                                        -128);
-  std::int32_t c = 0;
-  EXPECT_THROW(s8u8_gemm(Trans::no, 1, 1, k + 1, 2, deeper.data(), b.data(),
-                         1, /*accumulate=*/false, &c, 1),
-               check_error);
+  for (const std::vector<std::int8_t>* plane :
+       {static_cast<const std::vector<std::int8_t>*>(nullptr), &lo}) {
+    EXPECT_EQ(testing::one_by_one_product(PackedKernel::kS8U8, m, n, k, a,
+                                          plane, b, /*pooled=*/false),
+              testing::one_by_one_product(PackedKernel::kS8U8, m, n, k, a,
+                                          plane, b, /*pooled=*/true))
+        << "split " << (plane != nullptr);
+  }
 }
 
 TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
@@ -229,13 +173,12 @@ TEST(Int8Gemm, Im2ColU8HandlesKernelWiderThanOutput) {
 }
 
 // gemm_conv_nhwc reads the channels-last image in place; its accumulators
-// at every output position must equal those gemm_packed computes over
-// im2col_u8's matrix, for every integer kind and the split chain (alpha 2,
-// then alpha 1 accumulating; one fused call for the conv), serial and
-// pooled. The geometries cover
-// stride 2, a rectangular kernel, 1x1 kernels, fewer output columns than a
-// 16-row tile, a kernel wider than its output, depth past one KC block and
-// more than kGemmNC output positions. Then come ResNet-20's stride-1
+// at every output position must equal the exact int64 product of the
+// codes and im2col_u8's matrix, for every integer kind and the split chain
+// (2 hi + lo, one fused call for the conv), serial and pooled. The
+// geometries cover stride 2, a rectangular kernel, 1x1 kernels, fewer
+// output columns than a 16-row tile, a kernel wider than its output, depth
+// past one KC block and more than kGemmNC output positions. Then come ResNet-20's stride-1
 // layers: 4-wide outputs, 8-wide ones and the 3-channel stem (k = 27, tap
 // rows of 9 bytes padded to 12). The last two have 2-wide and 12-wide
 // outputs. The image's tail, which only discarded grid positions read,
@@ -288,30 +231,28 @@ CSQ_INT_ISA_TEST(IntegerConvGemm, ImplicitMatchesExplicitColumns) {
         const testing::NhwcImage source = testing::conv_input(
             g, m, image.data(), g.pad, pad_code, /*tail_fill=*/0xEE);
         const ConvGrid grid = gemm_conv_grid(g, source.pitch, m);
-        const auto pack = [&](const std::vector<std::int8_t>& codes) {
-          std::vector<std::uint8_t> packed(static_cast<std::size_t>(
-              gemm_packed_a_bytes(kind.kernel, m, k)));
-          gemm_pack_a(kind.kernel, m, k, codes.data(), k, packed.data());
-          return packed;
-        };
         const auto hi_codes = random_s8(m * k, rng, magnitude);
         std::vector<std::int8_t> lo_codes(static_cast<std::size_t>(m * k));
         for (auto& v : lo_codes) {
           v = static_cast<std::int8_t>(rng.uniform(0.0f, 2.0f));
         }
-        const auto hi = pack(hi_codes);
-        const auto lo = pack(lo_codes);
         const auto hi_conv = testing::pack_conv_codes(kind.kernel, g, m,
                                                       hi_codes);
         const auto lo_conv = testing::pack_conv_codes(kind.kernel, g, m,
                                                       lo_codes);
-        const std::int32_t alpha = kind.split ? 2 : 1;
-        std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
-        gemm_packed(kind.kernel, Trans::no, m, n, k, alpha, hi.data(),
-                    col.data(), n, /*accumulate=*/false, expected.data(), n);
-        if (kind.split) {
-          gemm_packed(kind.kernel, Trans::no, m, n, k, 1, lo.data(),
-                      col.data(), n, /*accumulate=*/true, expected.data(), n);
+        // expected[o * n + j] = sum over p of code(o, p) * col[p][j], the
+        // code 2 hi + lo for the split chain.
+        std::vector<std::int64_t> expected(static_cast<std::size_t>(m * n));
+        for (std::int64_t o = 0; o < m; ++o) {
+          for (std::int64_t p = 0; p < k; ++p) {
+            const auto at = static_cast<std::size_t>(o * k + p);
+            const std::int64_t code =
+                kind.split ? 2 * hi_codes[at] + lo_codes[at] : hi_codes[at];
+            for (std::int64_t j = 0; j < n; ++j) {
+              expected[static_cast<std::size_t>(o * n + j)] +=
+                  code * col[static_cast<std::size_t>(p * n + j)];
+            }
+          }
         }
         for (const bool pooled : {false, true}) {
           SCOPED_TRACE(::testing::Message()
@@ -407,6 +348,82 @@ TEST(PackedWeights, SplitGemmMatchesExactReference) {
       }
       ASSERT_EQ(acc[static_cast<std::size_t>(r * n + j)], expected)
           << "r=" << r << " j=" << j;
+    }
+  }
+
+  // The other forms of the call, against the same exact reduction: op(B)
+  // stored transposed with a row stride wider than the depth (the Linear
+  // head's form), pooled, and concurrent calls on one layer from the pool.
+  // Both for these weights, packed without a geometry (a 1x1 convolution),
+  // and for a split layer packed for a 3x3 convolution, whose 1x1 form the
+  // racing first calls pack once.
+  ConvGeometry geom;
+  geom.channels = 4;
+  geom.height = geom.width = 5;
+  geom.kernel_h = geom.kernel_w = 3;
+  const std::int64_t conv_depth = geom.col_rows();
+  std::vector<std::int32_t> conv_values(
+      static_cast<std::size_t>(rows * conv_depth));
+  for (auto& v : conv_values) {
+    v = static_cast<std::int32_t>(rng.uniform(-255.0f, 255.0f));
+  }
+  conv_values[0] = -255;  // force the split path
+  const runtime::PackedIntWeights conv_packed(
+      conv_values, /*step=*/0.7f, /*bits=*/8, rows, conv_depth,
+      runtime::WeightKernel::kAuto, &geom);
+  ASSERT_TRUE(conv_packed.split());
+  struct Layer {
+    const runtime::PackedIntWeights* weights;
+    const std::vector<std::int32_t>* values;
+  };
+  for (const Layer& layer :
+       {Layer{&packed, &values}, Layer{&conv_packed, &conv_values}}) {
+    const std::int64_t k = layer.weights->cols(), ldb = k + 3;
+    const auto b = random_u8(k * n, rng);  // op(B), k x n
+    std::vector<std::uint8_t> b_rows(static_cast<std::size_t>(n * ldb), 0xEE);
+    std::vector<std::int32_t> want(static_cast<std::size_t>(rows * n));
+    for (std::int64_t j = 0; j < n; ++j) {
+      for (std::int64_t p = 0; p < k; ++p) {
+        b_rows[static_cast<std::size_t>(j * ldb + p)] =
+            b[static_cast<std::size_t>(p * n + j)];
+      }
+      for (std::int64_t r = 0; r < rows; ++r) {
+        std::int64_t sum = 0;
+        for (std::int64_t p = 0; p < k; ++p) {
+          sum += std::int64_t{(*layer.values)[static_cast<std::size_t>(
+                     r * k + p)]} *
+                 b[static_cast<std::size_t>(p * n + j)];
+        }
+        want[static_cast<std::size_t>(r * n + j)] =
+            static_cast<std::int32_t>(sum);
+      }
+    }
+    const auto run = [&](Trans trans_b, bool pooled) {
+      std::vector<std::int32_t> c(static_cast<std::size_t>(rows * n), -1);
+      if (trans_b == Trans::no) {
+        layer.weights->gemm(Trans::no, n, b.data(), n, c.data(), n, pooled);
+      } else {
+        layer.weights->gemm(Trans::yes, n, b_rows.data(), ldb, c.data(), n,
+                            pooled);
+      }
+      return c;
+    };
+    constexpr std::int64_t kCalls = 16;
+    std::vector<std::vector<std::int32_t>> concurrent(kCalls);
+    parallel_for(0, kCalls, [&](std::int64_t t) {
+      concurrent[static_cast<std::size_t>(t)] =
+          run(t % 2 == 0 ? Trans::no : Trans::yes, t % 4 < 2);
+    });
+    for (std::int64_t t = 0; t < kCalls; ++t) {
+      EXPECT_EQ(concurrent[static_cast<std::size_t>(t)], want)
+          << "depth " << k << ", concurrent call " << t;
+    }
+    for (const Trans trans_b : {Trans::no, Trans::yes}) {
+      for (const bool pooled : {false, true}) {
+        EXPECT_EQ(run(trans_b, pooled), want)
+            << "depth " << k << ", transposed " << (trans_b == Trans::yes)
+            << ", pooled " << pooled;
+      }
     }
   }
 }
@@ -883,10 +900,11 @@ TEST(GraphArtifact, PoolRecordsRoundTrip) {
 // A convolution has no scratch: it reads its input edge in place, kept
 // channels-last inside a border as wide as the conv's pad, with samples
 // spaced for what its tiles read (gemm_conv_grid's reach), and writes
-// accumulators over its grid (ldc int32 per position). With one dedicated
-// slot per buffer (plan_buffers = false) the workspace is the plain sum of
-// those, the requantized codes, the pooled codes and the Linear head's
-// gathered input and accumulator: no padded stripes, no columns.
+// accumulators over its grid (ldc int32 per position). The Linear head is
+// one more such convolution, its kernel as large as its input. With one
+// dedicated slot per buffer (plan_buffers = false) the workspace is the
+// plain sum of those, the requantized codes and the pooled codes: no
+// padded stripes, no columns, no head scratch.
 TEST(CompiledGraph, ConvReadsItsPaddedInputEdgeInPlace) {
   const std::int64_t c = 5, h = 11, w = 9, oc = 6, features = 4, batch = 8;
   const auto workspace = [&](std::int64_t kernel, std::int64_t stride,
@@ -937,8 +955,20 @@ TEST(CompiledGraph, ConvReadsItsPaddedInputEdgeInPlace) {
     const std::int64_t input =
         std::max(c * geom.padded_h() * pitch, grid.reach);
     const std::int64_t plane = geom.out_h() * geom.out_w();
-    return batch * (input + 4 * grid.rows * grid.ldc + oc * plane + oc) +
-           batch * (oc + 4 * features);
+    // The head reads the pooled edge (oc codes, no border: pitch 1) with a
+    // 1x1 kernel of oc channels into `features` outputs. Its grid has
+    // rows = 16 positions (one valid) and ldc = 16 int32 columns, and its
+    // tiles reach (rows - 1) * oc + tap bytes, tap = oc in whole K-quads:
+    // 15 * 6 + 8 = 98 > oc, so the pooled edge's samples sit 98 bytes
+    // apart, and the head's accumulators take 4 * 16 * 16 = 1024 bytes.
+    ConvGeometry head;
+    head.channels = oc;
+    head.height = head.width = head.kernel_h = head.kernel_w = 1;
+    const ConvGrid head_grid = gemm_conv_grid(head, 1, features);
+    EXPECT_EQ(head_grid.reach, 98);
+    return batch * (input + 4 * grid.rows * grid.ldc + oc * plane +
+                    std::max(oc, head_grid.reach) +
+                    4 * head_grid.rows * head_grid.ldc);
   };
   EXPECT_EQ(workspace(3, 1, 1), expected(3, 1, 1));
   EXPECT_EQ(workspace(1, 2, 0), expected(1, 2, 0));
@@ -1265,6 +1295,7 @@ struct ConformanceCase {
   int pool_pad = 0;
   Residual residual = Residual::kNone;
   const char* skip_reason = nullptr;  // non-null: a remaining genuine gap
+  bool global_pool = true;  // false: the head reads conv2's map flattened
 };
 
 std::vector<ConformanceCase> conformance_grid() {
@@ -1301,6 +1332,11 @@ std::vector<ConformanceCase> conformance_grid() {
       {"identity_max2s2_s11", "", 0, 11, 11, 2, 2, 2, 0, Residual::kIdentity},
       {"downsample_max3s2p1_s12", "", 0, 12, 12, 3, 3, 2, 1,
        Residual::kDownsample},
+      // No global pool: the Linear head reads conv2's 3x2 map straight
+      // from Flatten, a 3x2 kernel over 8 channels (48 features in the
+      // weights' (c, h, w) order).
+      {"flatten3x2_s6x4", "", 0, 6, 4, 0, 0, 0, 0, Residual::kNone, nullptr,
+       /*global_pool=*/false},
   };
   std::vector<ConformanceCase> cases;
   for (const ConformanceCase& variant : variants) {
@@ -1400,9 +1436,15 @@ TEST_P(RuntimeConformance, LoweringParityWithFloatEval) {
   net->add(std::make_unique<Conv2d>("conv2", c2, factory, rng));
   net->add(std::make_unique<BatchNorm2d>("bn2", 8));
   net->add(std::make_unique<ReLU>("relu2"));
-  net->add(std::make_unique<GlobalAvgPool>("gap"));
+  std::int64_t features = 8;
+  if (param.global_pool) {
+    net->add(std::make_unique<GlobalAvgPool>("gap"));
+  } else {
+    // conv2's output map, flattened (the conv has no pool before it here).
+    features *= (spatial_h + 1) / 2 * ((spatial_w + 1) / 2);
+  }
   net->add(std::make_unique<Flatten>("flatten"));
-  net->add(std::make_unique<Linear>("fc", 8, 5, factory, rng));
+  net->add(std::make_unique<Linear>("fc", features, 5, factory, rng));
   model.set_root(std::move(net));
 
   runtime::LowerOptions options;
@@ -1526,18 +1568,19 @@ TEST(PackedWeightsFuzz, SeededRandomGridsReconstructBitExactly) {
 
 TEST(PackedWeightsFuzz, RejectsReductionDepthsBeyondInt32Headroom) {
   // The exactness bound (worst split contribution 65535 per depth step)
-  // requires k <= 32767; both the packer and the raw GEMM entry points
+  // requires k <= 32767; both PackedIntWeights and the raw conv packer
   // must refuse anything larger.
   std::vector<std::int32_t> values(32768, 1);
   EXPECT_THROW(
       runtime::PackedIntWeights(make_codes(values, 1.0f, 8), 1, 32768),
       check_error);
 
-  std::vector<std::int8_t> a(1, 1);
-  std::vector<std::uint8_t> b(1, 1);
-  std::int32_t c = 0;
-  EXPECT_THROW(s8u8_gemm(Trans::no, 1, 1, 32768, 1, a.data(), b.data(), 1,
-                         /*accumulate=*/false, &c, 1),
+  ConvGeometry deep;  // a 1x1 convolution 32768 channels deep
+  deep.channels = 32768;
+  deep.height = deep.width = 1;
+  deep.kernel_h = deep.kernel_w = 1;
+  EXPECT_THROW(testing::pack_conv_codes(PackedKernel::kS8U8, deep, 1,
+                                        std::vector<std::int8_t>(32768, 1)),
                check_error);
 
   // The boundary itself is legal.

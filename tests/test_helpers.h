@@ -1,8 +1,9 @@
 // Shared helpers for the csq test suite: numeric gradient checking against
 // the layers' analytic backward passes, small tensor factories, server
 // options that park a serving worker, golden-artifact mutation, the
-// integer GEMM tests that run on both integer ISAs, and the channels-last
-// images and naive convolution the integer conv tests check against.
+// integer kernel tests that run on both integer ISAs, the integer
+// headroom edges, and the channels-last images and naive convolution the
+// integer conv tests check against.
 #pragma once
 
 #include <algorithm>
@@ -177,7 +178,7 @@ inline serve::ServerOptions parked_worker_options(
   return options;
 }
 
-// Why the AVX2 twin of an integer GEMM test cannot add coverage here, or
+// Why the AVX2 twin of an integer kernel test cannot add coverage here, or
 // "" when it runs: the build has no AVX2 kernels, or the host already runs
 // them unforced.
 inline std::string forced_avx2_skip_reason() {
@@ -279,6 +280,30 @@ inline std::vector<std::int64_t> naive_conv_nhwc(
   return out;
 }
 
+// The deepest reduction the int32 accumulators admit for every kind.
+constexpr std::int64_t kMaxDepth = 32767;
+
+// The deepest depth k* at which bitserial-w16 is eligible for codes up to
+// |code| = c. The rule is monotone in depth, and the KC cap bounds every
+// block, so |code| = 1 is eligible at every depth and yields kMaxDepth.
+inline std::int64_t deepest_wide_depth(std::int32_t c) {
+  std::int64_t k = 0;
+  while (k < kMaxDepth && gemm_s8u8_wide_eligible(k + 1, c)) ++k;
+  return k;
+}
+
+// A 1x1 convolution of `channels` channels over a `width` x 1 image: the
+// plain reduction of depth `channels` at `width` positions.
+inline ConvGeometry one_by_one(std::int64_t channels, std::int64_t width) {
+  ConvGeometry geom;
+  geom.channels = channels;
+  geom.height = 1;
+  geom.width = width;
+  geom.kernel_h = geom.kernel_w = 1;
+  geom.validate();
+  return geom;
+}
+
 // Packed conv weights of `codes` for the running ISA.
 inline std::vector<std::uint8_t> pack_conv_codes(
     PackedKernel kind, const ConvGeometry& geom, std::int64_t oc,
@@ -289,13 +314,69 @@ inline std::vector<std::uint8_t> pack_conv_codes(
   return packed;
 }
 
+// The exact product C = A · B, C[i * n + j] = sum over p of code(i, p) *
+// b[j * k + p] in int64, for m x k codes `a` (with `low`, a split layer's
+// lo plane: code = 2 a + low) and n columns of k activations.
+inline std::vector<std::int64_t> exact_product(
+    std::int64_t m, std::int64_t n, std::int64_t k,
+    const std::vector<std::int8_t>& a, const std::vector<std::int8_t>* low,
+    const std::vector<std::uint8_t>& b) {
+  std::vector<std::int64_t> c(static_cast<std::size_t>(m * n));
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::int64_t sum = 0;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const auto at = static_cast<std::size_t>(i * k + p);
+        const std::int64_t code =
+            low == nullptr ? a[at] : 2 * std::int64_t{a[at]} + (*low)[at];
+        sum += code * b[static_cast<std::size_t>(j * k + p)];
+      }
+      c[static_cast<std::size_t>(i * n + j)] = sum;
+    }
+  }
+  return c;
+}
+
+// The same product through gemm_conv_nhwc, as a 1x1 convolution of k
+// channels at n positions (column j of B is position j's channels), the
+// image followed by 0xEE bytes up to what the tiles read: C in
+// exact_product's order.
+inline std::vector<std::int64_t> one_by_one_product(
+    PackedKernel kind, std::int64_t m, std::int64_t n, std::int64_t k,
+    const std::vector<std::int8_t>& a, const std::vector<std::int8_t>* low,
+    const std::vector<std::uint8_t>& b, bool pooled) {
+  const ConvGeometry geom = one_by_one(k, n);
+  const ConvGrid grid = gemm_conv_grid(geom, n, m);
+  std::vector<std::uint8_t> image = b;
+  image.resize(std::max<std::size_t>(image.size(),
+                                     static_cast<std::size_t>(grid.reach)),
+               0xEE);
+  const auto hi_packed = pack_conv_codes(kind, geom, m, a);
+  const auto lo_packed =
+      low == nullptr ? std::vector<std::uint8_t>()
+                     : pack_conv_codes(kind, geom, m, *low);
+  std::vector<std::int32_t> acc(
+      static_cast<std::size_t>(grid.rows * grid.ldc), -1);
+  gemm_conv_nhwc(kind, geom, n, m, hi_packed.data(),
+                 low == nullptr ? nullptr : lo_packed.data(), /*batch=*/1,
+                 image.data(), 0, acc.data(), 0, pooled);
+  std::vector<std::int64_t> c(static_cast<std::size_t>(m * n));
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      c[static_cast<std::size_t>(i * n + j)] =
+          acc[static_cast<std::size_t>(j * grid.ldc + i)];
+    }
+  }
+  return c;
+}
+
 }  // namespace csq::testing
 
 // CSQ_INT_ISA_TEST(Suite, Name) { body } defines Suite.Name, which runs the
 // body on the integer ISA the host picks (AMX where it has it), and
 // SuiteAvx2.Name, which runs it again with the AVX2 kernels forced, so
 // those stay tested on AMX hosts. The bodies' checks are exact equalities
-// (with an int64 reference, or between schedules and B sources), and
+// (with an int64 reference, or between schedules), and
 // GemmIsa.AmxAndAvx2AccumulatorsAreBitIdentical compares the two paths'
 // outputs with each other.
 #define CSQ_INT_ISA_TEST(suite, name)                                  \

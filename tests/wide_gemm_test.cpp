@@ -5,19 +5,12 @@
 //    shapes the policy exists for — a wide-N GEMM with m as small as 1 (or
 //    the m=2 batch loops the serial_threshold audit flagged) must schedule
 //    more than one task, while tall-M shapes keep the classic row split.
-//    The pins count kGemmNR-wide (8-column) panels, the width of the float
-//    and AVX2/portable integer kernels; the AMX kernel runs the same policy
-//    over its 16-column panels, which the integer bit-identity cells below
-//    exercise on AMX hosts;
+//    The pins count kGemmNR-wide (8-column) panels;
 //  * float bit-identity: serial gemm vs pooled gemm under every forced
 //    split mode at 1/2/4/8-way grids, all three transpose forms, beta and
 //    alpha variations — exact equality, per the determinism contract;
-//  * integer bit-identity: the s8u8, low-bit K-quad and int16-accumulator
-//    wide kernels against the exact int64 reference AND their
-//    serial runs under forced column/grid splits, including the split-plane
-//    alpha chain;
 //  * PackedIntWeights::gemm wide-N dispatch: pooled vs serial bit-identity
-//    for a split (hi/lo chained) layer at batch-1-like wide-N shapes.
+//    for a split (hi/lo) layer at batch-1-like wide-N shapes.
 //
 // The GemmExec ways override decouples the task grid from the physical thread
 // count, so these tests exercise real 2/4/8-way decompositions even on a
@@ -46,51 +39,12 @@ std::vector<float> random_f32(std::int64_t count, Rng& rng) {
   return values;
 }
 
-std::vector<std::int8_t> random_s8(std::int64_t count, Rng& rng,
-                                   int magnitude) {
-  std::vector<std::int8_t> values(static_cast<std::size_t>(count));
-  for (auto& v : values) {
-    v = static_cast<std::int8_t>(rng.uniform(
-        -static_cast<float>(magnitude), static_cast<float>(magnitude)));
-  }
-  return values;
-}
-
 std::vector<std::uint8_t> random_u8(std::int64_t count, Rng& rng) {
   std::vector<std::uint8_t> values(static_cast<std::size_t>(count));
   for (auto& v : values) {
     v = static_cast<std::uint8_t>(rng.uniform(0.0f, 255.0f));
   }
   return values;
-}
-
-// A (m x k) code matrix packed into `kind`'s panel layout.
-std::vector<std::uint8_t> pack(PackedKernel kind, std::int64_t m,
-                               std::int64_t k,
-                               const std::vector<std::int8_t>& a) {
-  std::vector<std::uint8_t> packed(
-      static_cast<std::size_t>(gemm_packed_a_bytes(kind, m, k)));
-  gemm_pack_a(kind, m, k, a.data(), k, packed.data());
-  return packed;
-}
-
-// Exact reference: C = alpha * A * op(B) (+ C), int64 accumulation.
-void reference_s8u8(Trans trans_b, std::int64_t m, std::int64_t n,
-                    std::int64_t k, std::int32_t alpha, const std::int8_t* a,
-                    const std::uint8_t* b, std::int64_t ldb, bool accumulate,
-                    std::vector<std::int32_t>& c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const std::int64_t bv =
-            trans_b == Trans::no ? b[p * ldb + j] : b[j * ldb + p];
-        acc += static_cast<std::int64_t>(a[i * k + p]) * bv;
-      }
-      auto& dst = c[static_cast<std::size_t>(i * n + j)];
-      dst = static_cast<std::int32_t>((accumulate ? dst : 0) + alpha * acc);
-    }
-  }
 }
 
 const GemmSplit kForcedSplits[] = {GemmSplit::kAuto, GemmSplit::kCols,
@@ -202,130 +156,6 @@ TEST(WideGemm, FloatGridSplitCoversMultipleRowTiles) {
 }
 
 // ------------------------------------------------ integer bit-identity ---
-
-struct IntCase {
-  std::int64_t m, n, k;
-};
-
-const IntCase kIntCases[] = {{1, 512, 300}, {2, 1000, 300}, {8, 1000, 300},
-                             {80, 1000, 256}};
-
-CSQ_INT_ISA_TEST(WideGemm, S8U8ColumnAndGridSplitsMatchReference) {
-  Rng rng(9100);
-  for (const IntCase& tc : kIntCases) {
-    for (const Trans trans_b : {Trans::no, Trans::yes}) {
-      const auto a = random_s8(tc.m * tc.k, rng, 127);
-      const auto b = random_u8(tc.k * tc.n, rng);
-      const std::int64_t ldb = trans_b == Trans::no ? tc.n : tc.k;
-      std::vector<std::int32_t> expected(
-          static_cast<std::size_t>(tc.m * tc.n));
-      reference_s8u8(trans_b, tc.m, tc.n, tc.k, 1, a.data(), b.data(), ldb,
-                     false, expected);
-      const auto packed = pack(PackedKernel::kS8U8, tc.m, tc.k, a);
-      std::vector<std::int32_t> serial(expected.size(), -1);
-      gemm_packed(PackedKernel::kS8U8, trans_b, tc.m, tc.n, tc.k, 1,
-                  packed.data(), b.data(), ldb, false, serial.data(), tc.n);
-      ASSERT_EQ(serial, expected);
-      for (const GemmSplit split : kForcedSplits) {
-        for (const int ways : kWays) {
-          std::vector<std::int32_t> actual(expected.size(), -1);
-          gemm_packed(PackedKernel::kS8U8, trans_b, tc.m, tc.n, tc.k, 1,
-                      packed.data(), b.data(), ldb, false, actual.data(),
-                      tc.n, GemmExec{/*pooled=*/true, split, ways});
-          ASSERT_EQ(actual, expected)
-              << "m=" << tc.m << " n=" << tc.n
-              << " split=" << static_cast<int>(split) << " ways=" << ways;
-        }
-      }
-    }
-  }
-}
-
-CSQ_INT_ISA_TEST(WideGemm, S8U8PrepackedSplitsMatchSerial) {
-  Rng rng(9200);
-  for (const IntCase& tc : kIntCases) {
-    const auto a = random_s8(tc.m * tc.k, rng, 127);
-    const auto b = random_u8(tc.k * tc.n, rng);
-    const auto packed = pack(PackedKernel::kS8U8, tc.m, tc.k, a);
-    // accumulate=true also exercises the add-into-C handoff at pc == 0.
-    for (const bool accumulate : {false, true}) {
-      std::vector<std::int32_t> expected(
-          static_cast<std::size_t>(tc.m * tc.n), 3);
-      gemm_packed(PackedKernel::kS8U8, Trans::no, tc.m, tc.n, tc.k, 1,
-                  packed.data(), b.data(), tc.n, accumulate, expected.data(),
-                  tc.n);
-      for (const GemmSplit split : kForcedSplits) {
-        for (const int ways : kWays) {
-          std::vector<std::int32_t> actual(
-              static_cast<std::size_t>(tc.m * tc.n), 3);
-          gemm_packed(PackedKernel::kS8U8, Trans::no, tc.m, tc.n, tc.k, 1,
-                      packed.data(), b.data(), tc.n, accumulate,
-                      actual.data(), tc.n,
-                      GemmExec{/*pooled=*/true, split, ways});
-          ASSERT_EQ(actual, expected)
-              << "m=" << tc.m << " n=" << tc.n << " accumulate=" << accumulate
-              << " split=" << static_cast<int>(split) << " ways=" << ways;
-        }
-      }
-    }
-  }
-}
-
-CSQ_INT_ISA_TEST(WideGemm, LowBitSplitsMatchReferenceAcrossAlphaChain) {
-  Rng rng(9300);
-  for (const IntCase& tc : kIntCases) {
-    const auto a = random_s8(tc.m * tc.k, rng, 64);  // kernel bound |a|<=64
-    const auto b = random_u8(tc.k * tc.n, rng);
-    const auto packed = pack(PackedKernel::kLowBit, tc.m, tc.k, a);
-    // The split-plane chain: alpha=2 overwrite, then alpha=1 accumulate —
-    // the exact call sequence PackedIntWeights issues for hi/lo layers.
-    std::vector<std::int32_t> expected(static_cast<std::size_t>(tc.m * tc.n));
-    reference_s8u8(Trans::no, tc.m, tc.n, tc.k, 2, a.data(), b.data(), tc.n,
-                   false, expected);
-    reference_s8u8(Trans::no, tc.m, tc.n, tc.k, 1, a.data(), b.data(), tc.n,
-                   true, expected);
-    for (const GemmSplit split : kForcedSplits) {
-      for (const int ways : kWays) {
-        std::vector<std::int32_t> actual(expected.size(), -1);
-        gemm_packed(PackedKernel::kLowBit, Trans::no, tc.m, tc.n, tc.k, 2,
-                    packed.data(), b.data(), tc.n, false, actual.data(), tc.n,
-                    GemmExec{/*pooled=*/true, split, ways});
-        gemm_packed(PackedKernel::kLowBit, Trans::no, tc.m, tc.n, tc.k, 1,
-                    packed.data(), b.data(), tc.n, true, actual.data(), tc.n,
-                    GemmExec{/*pooled=*/true, split, ways});
-        ASSERT_EQ(actual, expected)
-            << "m=" << tc.m << " n=" << tc.n
-            << " split=" << static_cast<int>(split) << " ways=" << ways;
-      }
-    }
-  }
-}
-
-CSQ_INT_ISA_TEST(WideGemm, LowBitWideSplitsMatchReference) {
-  // int16 accumulation: only exact for codes the eligibility bound admits
-  // at this depth — binary +/-1 layers qualify at every tested k.
-  Rng rng(9400);
-  for (const IntCase& tc : kIntCases) {
-    ASSERT_TRUE(gemm_s8u8_wide_eligible(tc.k, 1));
-    const auto a = random_s8(tc.m * tc.k, rng, 1);
-    const auto b = random_u8(tc.k * tc.n, rng);
-    const auto packed = pack(PackedKernel::kLowBitWide, tc.m, tc.k, a);
-    std::vector<std::int32_t> expected(static_cast<std::size_t>(tc.m * tc.n));
-    reference_s8u8(Trans::no, tc.m, tc.n, tc.k, 1, a.data(), b.data(), tc.n,
-                   false, expected);
-    for (const GemmSplit split : kForcedSplits) {
-      for (const int ways : kWays) {
-        std::vector<std::int32_t> actual(expected.size(), -1);
-        gemm_packed(PackedKernel::kLowBitWide, Trans::no, tc.m, tc.n, tc.k,
-                    1, packed.data(), b.data(), tc.n, false, actual.data(),
-                    tc.n, GemmExec{/*pooled=*/true, split, ways});
-        ASSERT_EQ(actual, expected)
-            << "m=" << tc.m << " n=" << tc.n
-            << " split=" << static_cast<int>(split) << " ways=" << ways;
-      }
-    }
-  }
-}
 
 CSQ_INT_ISA_TEST(WideGemm, PackedWeightsWideNDispatchIsBitIdentical) {
   // The serving entry point: a split (hi/lo alpha-chained) s8u8 layer at a
